@@ -62,7 +62,6 @@ from .transitions import (
     TransitionBoundRow,
     extremal_means,
     gaussian_box_mass,
-    max_mass_over_hull,
     min_mass_over_hull,
     transition_row,
 )

@@ -243,7 +243,9 @@ def dfa_template(name: str, labels: dict[str, str]) -> Dfa:
 class ProductImdp:
     """Interval MDP over (cell, DFA-state) pairs, restricted to the part
     reachable from the per-cell initial states. Cell -1 marks the virtual
-    out-of-domain component."""
+    out-of-domain component. next_tbl[q, d] is the DFA state entered from
+    DFA state d on moving into cell q; its last row (q = -1) is the
+    out-of-domain step."""
 
     imdp: Imdp
     dfa: Dfa
@@ -252,6 +254,7 @@ class ProductImdp:
     sink: np.ndarray
     rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
     initial_pid: np.ndarray
+    next_tbl: np.ndarray
 
     @property
     def num_states(self) -> int:
@@ -351,4 +354,5 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
         sink=sink,
         rows=rows,
         initial_pid=initial_pid,
+        next_tbl=next_tbl,
     )

@@ -159,7 +159,7 @@ def main(argv=None) -> int:
         if config_required:
             sp.add_argument("--config", required=True, help="pipeline config JSON")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--threads", type=int, help="worker threads for the row build")
+        sp.add_argument("--threads", type=int, help="accepted, ignored (kept for old scripts)")
         sp.add_argument("--seed", type=int, help="override the config seed")
 
     sp = sub.add_parser("abstract", help="build the interval abstraction only")

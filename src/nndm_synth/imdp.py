@@ -142,23 +142,22 @@ def _sweep_rows(product):
     return rows
 
 
-def robust_value_iteration(
-    product,
-    tol: float = 1e-6,
-    max_sweeps: int = 5000,
+def _gauss_seidel(
+    V: np.ndarray,
+    rows: list,
+    maximize: bool,
+    tol: float,
+    max_sweeps: int,
 ) -> ValueIterationResult:
-    """Maximin reachability: the controller maximizes, the adversary inside
-    the probability intervals minimizes. Returns the pessimistic values
-    (lower probability bounds) and the greedy strategy extracted from the
-    converged values. Accepting states are fixed at 1, sink states at 0;
-    iteration is monotone from below, so values never decrease.
+    """Sweep V in place until no state moves by tol. Each state takes the
+    best over its row list of the adversary's extreme expectation (the
+    adversary maximizes if `maximize`, else minimizes); frozen states
+    (rows None) keep their value.
 
     Sweeps are Gauss-Seidel in descending value order (deterministic: stable
     sort, ties by state index), which propagates value backward from the
     accepting states in far fewer sweeps than a Jacobi pass; the fixed point
     is the same."""
-    rows = _sweep_rows(product)
-    V = product.accepting.astype(float)
     sweeps = 0
     residual = np.inf
     converged = False
@@ -170,7 +169,7 @@ def robust_value_iteration(
                 continue
             best = 0.0
             for targets, lo, up, lo_sum in per_action:
-                val = _row_extreme(V[targets], lo, up, lo_sum, maximize=False)
+                val = _row_extreme(V[targets], lo, up, lo_sum, maximize)
                 if val > best:
                     best = val
             residual = max(residual, abs(best - V[s]))
@@ -179,6 +178,24 @@ def robust_value_iteration(
         if residual < tol:
             converged = True
             break
+    return ValueIterationResult(
+        values=V, strategy=None, converged=converged, sweeps=sweeps, residual=residual
+    )
+
+
+def robust_value_iteration(
+    product,
+    tol: float = 1e-6,
+    max_sweeps: int = 5000,
+) -> ValueIterationResult:
+    """Maximin reachability: the controller maximizes, the adversary inside
+    the probability intervals minimizes. Returns the pessimistic values
+    (lower probability bounds) and the greedy strategy extracted from the
+    converged values. Accepting states are fixed at 1, sink states at 0;
+    iteration is monotone from below, so values never decrease."""
+    rows = _sweep_rows(product)
+    result = _gauss_seidel(product.accepting.astype(float), rows, False, tol, max_sweeps)
+    V = result.values
 
     strategy = np.zeros(product.num_states, dtype=np.int64)
     for s in range(product.num_states):
@@ -189,9 +206,8 @@ def robust_value_iteration(
             [_row_extreme(V[t], lo, up, ls, maximize=False) for t, lo, up, ls in per_action]
         )
         strategy[s] = int(np.argmax(action_vals))  # first max: lowest action index
-    return ValueIterationResult(
-        values=V, strategy=strategy, converged=converged, sweeps=sweeps, residual=residual
-    )
+    result.strategy = strategy
+    return result
 
 
 def evaluate_strategy_upper(
@@ -203,26 +219,11 @@ def evaluate_strategy_upper(
     """Optimistic value of a fixed strategy: the adversary inside the
     intervals now maximizes, giving sound upper probability bounds for the
     same strategy that robust_value_iteration certified from below. Same
-    Gauss-Seidel sweep scheme as the maximin pass."""
-    rows = _sweep_rows(product)
-    V = product.accepting.astype(float)
-    sweeps = 0
-    residual = np.inf
-    converged = False
-    while sweeps < max_sweeps:
-        residual = 0.0
-        for s in np.argsort(-V, kind="stable"):
-            per_action = rows[s]
-            if per_action is None:
-                continue
-            targets, lo, up, lo_sum = per_action[int(strategy[s])]
-            val = _row_extreme(V[targets], lo, up, lo_sum, maximize=True)
-            residual = max(residual, abs(val - V[s]))
-            V[s] = val
-        sweeps += 1
-        if residual < tol:
-            converged = True
-            break
-    return ValueIterationResult(
-        values=V, strategy=strategy, converged=converged, sweeps=sweeps, residual=residual
-    )
+    Gauss-Seidel sweep as the maximin pass, over the strategy's rows only."""
+    rows = [
+        None if per_action is None else [per_action[int(strategy[s])]]
+        for s, per_action in enumerate(_sweep_rows(product))
+    ]
+    result = _gauss_seidel(product.accepting.astype(float), rows, True, tol, max_sweeps)
+    result.strategy = strategy
+    return result

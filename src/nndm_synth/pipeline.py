@@ -12,12 +12,11 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .automata import Dfa, ProductImdp, UNSAFE_PROP, build_product, dfa_template, load_dfa
+from .automata import Dfa, ProductImdp, build_product, dfa_template, load_dfa
 from .geometry import HyperRect, RegionGrid, Transform, build_grid, whitening_transform
 from .imdp import (
     Imdp,
@@ -28,7 +27,7 @@ from .imdp import (
 from .networks import NeuralDynamics, evaluate, load_networks
 from .refinement import RefinementConfig, RefineOutcome, refine_round
 from .relaxation import LinearBounds, relax
-from .transitions import _PRUNE, row_entries_for_targets, transition_row
+from .transitions import row_entries_for_targets, transition_row
 
 
 def _parse_covariance(raw, dim: int) -> np.ndarray:
@@ -43,6 +42,26 @@ def _parse_covariance(raw, dim: int) -> np.ndarray:
     if arr.shape != (dim, dim):
         raise ValueError(f"covariance must be {dim}x{dim}, got {arr.shape}")
     return arr
+
+
+_TOP_KEYS = {
+    "domain", "covariance", "grid", "regions", "spec", "network", "threshold",
+    "refinement", "vi", "simulation", "seed", "threads",
+}
+_SECTION_KEYS = {
+    "refinement": {"per_round", "rounds", "stop_width", "split_mode"},
+    "vi": {"tolerance", "max_sweeps"},
+    "simulation": {"trials", "start_cells", "horizon", "horizon_factor"},
+    "spec": {"template", "labels", "dfa"},
+}
+_REGION_KEYS = {"label", "box"}
+
+
+def _check_keys(raw: dict, allowed: set[str], where: str) -> None:
+    """A misspelt key would otherwise fall back to its default silently."""
+    unknown = sorted(set(raw) - allowed)
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
 
 
 @dataclass
@@ -65,10 +84,15 @@ class PipelineConfig:
     sim_start_cells: int = 20
     sim_horizon_factor: int = 5
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted and ignored: rows are built in one thread
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str = ".") -> "PipelineConfig":
+        _check_keys(raw, _TOP_KEYS, "the config")
+        for name, allowed in _SECTION_KEYS.items():
+            _check_keys(raw.get(name, {}), allowed, repr(name))
+        for reg in raw.get("regions", []):
+            _check_keys(reg, _REGION_KEYS, "a 'regions' entry")
         dom = np.asarray(raw["domain"], dtype=float)
         if dom.ndim != 2 or dom.shape[1] != 2:
             raise ValueError("domain must be a list of [lo, hi] pairs")
@@ -143,27 +167,16 @@ class Abstraction:
     imdp: Imdp
 
 
-def _compute_rows(nd, grid, keys, bounds, threads):
+def _compute_rows(nd, grid, keys, bounds):
     """Envelope + transition row for each (cell, action index) key, reusing
-    cached envelopes where present. Each key is independent, so the thread
-    count changes wall time only, never a value."""
-
-    def work(key):
+    cached envelopes where present."""
+    out = {}
+    for key in keys:
         cell, a = key
         b = bounds.get(key)
         if b is None:
             b = relax(nd, nd.actions[a], grid.transform, grid.cells[cell])
-        return key, b, transition_row(grid, cell, nd.actions[a], b)
-
-    out = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for key, b, row in ex.map(work, keys):
-                out[key] = (b, row)
-    else:
-        for key in keys:
-            _, b, row = work(key)
-            out[key] = (b, row)
+        out[key] = (b, transition_row(grid, cell, nd.actions[a], b))
     return out
 
 
@@ -176,7 +189,7 @@ def build_abstraction(nd: NeuralDynamics, config: PipelineConfig) -> Abstraction
     grid = build_grid(config.domain, transform, config.grid, config.regions)
 
     keys = [(c, a) for c in range(grid.num_cells) for a in range(len(nd.actions))]
-    computed = _compute_rows(nd, grid, keys, {}, config.threads)
+    computed = _compute_rows(nd, grid, keys, {})
     bounds: dict[tuple[int, int], LinearBounds] = {}
     rows = {}
     for key in sorted(computed):
@@ -187,7 +200,7 @@ def build_abstraction(nd: NeuralDynamics, config: PipelineConfig) -> Abstraction
     return Abstraction(dynamics=nd, transform=transform, grid=grid, bounds=bounds, imdp=imdp)
 
 
-def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome, threads: int = 1) -> None:
+def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome) -> None:
     """Bring the abstraction in line with a round of grid splits: recompute
     every dirty row (with fresh envelopes for the split cells, whose geometry
     changed) and refresh the clean rows' entries into the new cells. Clean
@@ -201,7 +214,7 @@ def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome, threads: 
             del abstraction.bounds[key]
 
     dirty = sorted(outcome.dirty)
-    computed = _compute_rows(abstraction.dynamics, grid, dirty, abstraction.bounds, threads)
+    computed = _compute_rows(abstraction.dynamics, grid, dirty, abstraction.bounds)
     for key in dirty:
         b, row = computed[key]
         abstraction.bounds[key] = b
@@ -220,7 +233,7 @@ def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome, threads: 
             fresh = sorted({c for p in row.targets[mask] for c in child_pairs[int(p)]})
             fresh = np.asarray(fresh, dtype=np.int64)
             lo_new, up_new = row_entries_for_targets(row, grid, fresh)
-            keep = up_new >= _PRUNE
+            keep = up_new > 0.0
             targets = np.concatenate([row.targets[~mask], fresh[keep]])
             lower = np.concatenate([row.lower[~mask], lo_new[keep]])
             upper = np.concatenate([row.upper[~mask], up_new[keep]])
@@ -373,7 +386,7 @@ def run_pipeline(
         )
         if not outcome.splits:
             break
-        apply_refinement(abstraction, outcome, config.threads)
+        apply_refinement(abstraction, outcome)
         synth = synthesize(abstraction, config.dfa, config.vi_tolerance, config.vi_max_sweeps)
         mean_gap, max_gap = gap_stats(abstraction.grid, synth.p_lower, synth.p_upper)
         rounds.append(
@@ -532,29 +545,6 @@ def _wilson(successes: int, trials: int, z: float = 2.5758293035489004) -> tuple
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _label_columns(grid: RegionGrid, dfa: Dfa) -> tuple[np.ndarray, np.ndarray]:
-    """Compress cells to label classes and tabulate the DFA step function:
-    cell_class maps cell id (last entry = out of domain) to a column of
-    dfa_tbl, whose rows are DFA state indices."""
-    classes: dict[frozenset, int] = {}
-    cell_class = np.empty(grid.num_cells + 1, dtype=np.int64)
-    for i, labs in enumerate(grid.labels):
-        if labs not in classes:
-            classes[labs] = len(classes)
-        cell_class[i] = classes[labs]
-    unsafe = frozenset({UNSAFE_PROP})
-    if unsafe not in classes:
-        classes[unsafe] = len(classes)
-    cell_class[-1] = classes[unsafe]
-
-    idx = {s: i for i, s in enumerate(dfa.states)}
-    tbl = np.empty((len(dfa.states), len(classes)), dtype=np.int64)
-    for labs, j in classes.items():
-        for di, s in enumerate(dfa.states):
-            tbl[di, j] = idx[dfa.step(s, labs)]
-    return cell_class, tbl
-
-
 def _simulate_batch(
     nd: NeuralDynamics,
     covariance: np.ndarray,
@@ -565,13 +555,14 @@ def _simulate_batch(
     trials: int,
     steps: int,
     rng: np.random.Generator,
-    cell_class: np.ndarray,
-    dfa_tbl: np.ndarray,
+    next_tbl: np.ndarray,
 ) -> np.ndarray:
     """Roll `trials` closed-loop trajectories from uniform starts in one cell
     and return the step at which each got accepted (-1 if never). A run that
     leaves the domain without its next DFA state accepting counts as failed,
-    matching the certificate's semantics for the out-of-domain state."""
+    matching the certificate's semantics for the out-of-domain state.
+    next_tbl is the product's DFA step table; cell -1 (out of domain) picks
+    its last row."""
     T = grid.transform.matrix
     T_inv = grid.transform.inverse
     chol = np.linalg.cholesky(covariance)
@@ -583,7 +574,7 @@ def _simulate_batch(
     box = grid.cells[cell_id]
     z = rng.uniform(box.lo, box.hi, size=(trials, grid.dim))
     cells = np.full(trials, cell_id, dtype=np.int64)
-    d = np.full(trials, dfa_tbl[idx[dfa.initial], cell_class[cell_id]], dtype=np.int64)
+    d = np.full(trials, next_tbl[cell_id, idx[dfa.initial]], dtype=np.int64)
     status = np.zeros(trials, dtype=np.int8)  # 0 running, 1 accepted, 2 failed
     accepted_at = np.full(trials, -1, dtype=np.int64)
 
@@ -607,7 +598,7 @@ def _simulate_batch(
         z[run] = z_next
 
         nxt = grid.locate(z_next)
-        d_new = dfa_tbl[d[run], cell_class[nxt]]
+        d_new = next_tbl[nxt, d[run]]
         cells[run] = nxt
         d[run] = d_new
         newly_acc = acc_mask[d_new]
@@ -631,7 +622,6 @@ def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
     if cells is None:
         k = min(config.sim_start_cells, grid.num_cells)
         cells = np.sort(rng0.choice(grid.num_cells, size=k, replace=False))
-    cell_class, dfa_tbl = _label_columns(grid, dfa)
     steps = config.horizon * config.sim_horizon_factor
 
     records = []
@@ -640,7 +630,7 @@ def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
         rng = np.random.default_rng([config.seed, 7919, cell])
         accepted_at = _simulate_batch(
             result.dynamics, config.covariance, grid, dfa, result.switching,
-            cell, config.sim_trials, steps, rng, cell_class, dfa_tbl,
+            cell, config.sim_trials, steps, rng, result.product.next_tbl,
         )
         n = config.sim_trials
         k_ext = int(np.count_nonzero(accepted_at >= 0))

@@ -5,8 +5,7 @@ m = T f_a(T^{-1} x); the probability of landing in an axis box is a product
 of one-dimensional erf differences. Bounding the mean over a cell's
 post-image hull therefore bounds the whole transition row, and the extremal
 means over the hull's rectangle have a nearest/farthest closed form per
-dimension. Cells are grouped by their position relative to the hull so the
-extremal means are computed once per group.
+dimension.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .relaxation import LinearBounds
 _SQRT2 = float(np.sqrt(2.0))
 _PRUNE = 1e-12      # row entries with upper bound below this are dropped
 _FEAS_TOL = 1e-8    # slack for the sum-feasibility sanity check
-_TINY = 1e-300
 
 
 class InternalConsistencyError(RuntimeError):
@@ -63,101 +61,11 @@ def gaussian_box_mass(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return np.clip(mass, 0.0, 1.0)
 
 
-def _mass_terms(z: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Per-dimension erf differences (unnormalized), for gradient work."""
-    a = (np.asarray(z, dtype=float) - lo) / _SQRT2
-    b = (z - hi) / _SQRT2
-    term = erf(a) - erf(b)
-    right = b >= 4.0
-    if np.any(right):
-        term = np.where(right, erfc(b) - erfc(a), term)
-    left = a <= -4.0
-    if np.any(left):
-        term = np.where(left, erfc(-a) - erfc(-b), term)
-    return np.clip(term, 0.0, 2.0)
-
-
 def min_mass_over_hull(poly: Polytope, target: KernelTarget) -> float:
     """Exact minimum of the box mass over the hull: the mass is log-concave
     in the mean, so the minimum over a polytope sits at a vertex."""
     vals = gaussian_box_mass(poly.vertices, target.lo, target.hi)
     return float(vals.min())
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    return np.maximum(v - css[rho] / (rho + 1), 0.0)
-
-
-def max_mass_over_hull(
-    poly: Polytope,
-    target: KernelTarget,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-) -> float:
-    """Upper bound on the maximum box mass over the hull.
-
-    Gradient ascent on the log-mass over hull points z = lambda @ V with
-    lambda on the simplex (the problem is concave, so a converged point is
-    the global maximum). If the ascent fails to converge within the
-    iteration cap, the rectangle-hull bound is returned instead; the result
-    is clamped to at least the best candidate vertex and at most the
-    rectangle bound.
-    """
-    V = poly.vertices
-    vals = gaussian_box_mass(V, target.lo, target.hi)
-    best_vertex = float(vals.max())
-    hull = rect_hull(poly)
-    _, z_best = extremal_means(hull.lo, hull.hi, target.lo, target.hi)
-    rect_bound = float(gaussian_box_mass(z_best, target.lo, target.hi))
-    if V.shape[0] == 1:
-        return min(best_vertex, rect_bound)
-    if best_vertex == 0.0:
-        # no usable ascent signal this far in the tails
-        return rect_bound
-
-    def logmass(z):
-        return float(np.sum(np.log(np.maximum(_mass_terms(z, target.lo, target.hi), _TINY))))
-
-    def grad(z):
-        t = np.maximum(_mass_terms(z, target.lo, target.hi), _TINY)
-        ga = np.exp(-0.5 * (z - target.lo) ** 2)
-        gb = np.exp(-0.5 * (z - target.hi) ** 2)
-        return np.sqrt(2.0 / np.pi) * (ga - gb) / t
-
-    lam = np.zeros(V.shape[0])
-    lam[int(np.argmax(vals))] = 1.0
-    z = lam @ V
-    value = logmass(z)
-    eta = 1.0
-    converged = False
-    for _ in range(max_iter):
-        g_lam = V @ grad(z)
-        moved = False
-        while eta > 1e-16:
-            lam_new = _project_simplex(lam + eta * g_lam)
-            z_new = lam_new @ V
-            v_new = logmass(z_new)
-            if v_new > value:
-                moved = True
-                break
-            eta *= 0.5
-        if not moved:
-            converged = True  # no ascent direction left: stationary point
-            break
-        step = float(np.linalg.norm(z_new - z))
-        lam, z, value = lam_new, z_new, v_new
-        eta = min(eta * 2.0, 1.0)
-        if step < tol:
-            converged = True
-            break
-    if not converged:
-        return rect_bound
-    result = max(float(np.exp(value)), best_vertex)
-    return min(result, rect_bound)
 
 
 def extremal_means(
@@ -175,43 +83,6 @@ def extremal_means(
     z_max = np.clip(center, hull_lo, hull_hi)
     z_min = np.where(np.abs(hull_lo - center) >= np.abs(hull_hi - center), hull_lo, hull_hi)
     return z_min, z_max
-
-
-@dataclass
-class TargetGroups:
-    """Cells grouped by their per-dimension position relative to a hull
-    rectangle: cells entirely below (or above) the hull in a dimension are
-    merged, each distinct interval meeting the hull keeps its own class.
-    All members of a group share the same extremal means."""
-
-    members: list[np.ndarray]
-    full_overlap: np.ndarray  # cell meets the hull rectangle in every dimension
-
-
-def group_targets(lows: np.ndarray, highs: np.ndarray, hull: HyperRect) -> TargetGroups:
-    num, n = lows.shape
-    key = np.zeros(num, dtype=np.int64)
-    overlap_all = np.ones(num, dtype=bool)
-    for l in range(n):
-        below = highs[:, l] < hull.lo[l]
-        above = lows[:, l] > hull.hi[l]
-        ov = ~(below | above)
-        overlap_all &= ov
-        codes = np.zeros(num, dtype=np.int64)
-        codes[above] = 1
-        radix = 2
-        if np.any(ov):
-            pairs = np.stack([lows[ov, l], highs[ov, l]], axis=1)
-            uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-            codes[ov] = 2 + inv
-            radix = 2 + uniq.shape[0]
-        key = key * radix + codes
-    order = np.argsort(key, kind="stable")
-    sk = key[order]
-    starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-    ends = np.r_[starts[1:], num]
-    members = [np.sort(order[s:e]) for s, e in zip(starts, ends)]
-    return TargetGroups(members=members, full_overlap=overlap_all)
 
 
 @dataclass
@@ -252,18 +123,31 @@ class TransitionBoundRow:
         }
 
 
-def _extremal_means_grouped(lows, highs, hull, groups):
-    """Extremal means for every cell, computed once per group from the
-    group's representative (identical to the per-cell formula because group
-    members share every coordinate the formula reads)."""
-    z_min = np.empty_like(lows)
-    z_max = np.empty_like(lows)
-    for members in groups.members:
-        rep = members[0]
-        zmn, zmx = extremal_means(hull.lo, hull.hi, lows[rep], highs[rep])
-        z_min[members] = zmn
-        z_max[members] = zmx
-    return z_min, z_max
+def _entries(
+    vertices: np.ndarray,
+    hull: HyperRect,
+    lows: np.ndarray,
+    highs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) for every target box [lows[i], highs[i]] given the
+    candidate mean vertices and their rectangle `hull`. Upper bounds use the
+    nearest mean, lower bounds the farthest one, tightened to the minimum
+    over the vertices for targets that meet the hull rectangle. Entries below
+    _PRUNE come back as 0; a row stores only targets with positive upper."""
+    z_min, z_max = extremal_means(hull.lo, hull.hi, lows, highs)
+    upper = gaussian_box_mass(z_max, lows, highs)
+    lower = gaussian_box_mass(z_min, lows, highs)
+
+    ov = np.all((highs >= hull.lo) & (lows <= hull.hi), axis=1)
+    if np.any(ov):
+        # vertex enumeration is exact for the lower bound over the hull
+        vals = gaussian_box_mass(vertices[:, None, :], lows[None, ov, :], highs[None, ov, :])
+        lower[ov] = vals.min(axis=0)
+
+    lower = np.minimum(lower, upper)
+    upper = np.where(upper >= _PRUNE, upper, 0.0)
+    lower = np.where(lower >= _PRUNE, lower, 0.0)
+    return lower, upper
 
 
 def transition_row(
@@ -273,44 +157,25 @@ def transition_row(
     bounds: LinearBounds,
     poly: Polytope | None = None,
 ) -> TransitionBoundRow:
-    """One sound transition row: group the target cells against the source's
-    post-image rectangle, bound each target with the extremal means, and
-    tighten the lower bound of hull-overlapping targets by enumerating the
-    hull's candidate vertices. The leftover interval is the out-of-domain
-    mass."""
+    """One sound transition row: bound every target cell over the source's
+    post-image hull (see _entries) and keep those with positive upper bound.
+    The leftover interval is the out-of-domain mass."""
     cell = grid.cells[source]
     if poly is None:
         poly = post_image_hull(bounds, cell)
     hull = rect_hull(poly)
     lows, highs = grid.boxes()
-
-    groups = group_targets(lows, highs, hull)
-    z_min, z_max = _extremal_means_grouped(lows, highs, hull, groups)
-    upper = gaussian_box_mass(z_max, lows, highs)
-    lower = gaussian_box_mass(z_min, lows, highs)
-
-    ov = groups.full_overlap
-    if np.any(ov):
-        # vertex enumeration is exact for the lower bound over the hull
-        vals = gaussian_box_mass(
-            poly.vertices[:, None, :], lows[None, ov, :], highs[None, ov, :]
-        )
-        lower[ov] = vals.min(axis=0)
-
-    lower = np.minimum(lower, upper)
+    lower, upper = _entries(poly.vertices, hull, lows, highs)
+    targets = np.flatnonzero(upper)
+    lower, upper = lower[targets], upper[targets]
 
     dom = grid.domain
     dz_min, dz_max = extremal_means(hull.lo, hull.hi, dom.lo, dom.hi)
     unsafe_lower = float(np.clip(1.0 - gaussian_box_mass(dz_max, dom.lo, dom.hi), 0.0, 1.0))
     unsafe_upper = float(np.clip(1.0 - gaussian_box_mass(dz_min, dom.lo, dom.hi), 0.0, 1.0))
 
-    keep = upper >= _PRUNE
-    targets = np.flatnonzero(keep)
-    kept_lower = np.where(lower[keep] >= _PRUNE, lower[keep], 0.0)
-    kept_upper = upper[keep]
-
-    lo_sum = float(kept_lower.sum()) + unsafe_lower
-    up_sum = float(kept_upper.sum()) + unsafe_upper
+    lo_sum = float(lower.sum()) + unsafe_lower
+    up_sum = float(upper.sum()) + unsafe_upper
     if lo_sum > 1.0 + _FEAS_TOL or up_sum < 1.0 - _FEAS_TOL:
         raise InternalConsistencyError(
             f"row ({source}, {action}): bound sums infeasible (lower {lo_sum}, upper {up_sum})"
@@ -320,8 +185,8 @@ def transition_row(
         source=source,
         action=action,
         targets=targets.astype(np.int64),
-        lower=kept_lower,
-        upper=kept_upper,
+        lower=lower,
+        upper=upper,
         unsafe_lower=unsafe_lower,
         unsafe_upper=unsafe_upper,
         hull=hull,
@@ -333,16 +198,12 @@ def row_entries_for_targets(
     grid: RegionGrid,
     cell_ids: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute the row's (lower, upper) entries for specific target cells
-    from the stored hull, with the same arithmetic as transition_row.
-
-    Only valid for targets that do not meet the hull rectangle (their lower
-    bound never needs vertex enumeration); refinement uses this to refresh a
-    clean row's entries into freshly split cells."""
+    """The row's (lower, upper) entries for specific target cells, from the
+    stored hull rectangle through the same arithmetic as transition_row;
+    targets the row would not store come back with upper 0. Refinement uses
+    this to refresh a clean row's entries into freshly split cells. The
+    rectangle's corners stand in for the hull vertices: that is exact for
+    targets off the rectangle (a clean row's refreshed targets always are)
+    and a sound, looser lower bound otherwise."""
     lows, highs = grid.boxes()
-    lo_t, hi_t = lows[cell_ids], highs[cell_ids]
-    z_min, z_max = extremal_means(row.hull.lo, row.hull.hi, lo_t, hi_t)
-    upper = gaussian_box_mass(z_max, lo_t, hi_t)
-    lower = np.minimum(gaussian_box_mass(z_min, lo_t, hi_t), upper)
-    lower = np.where(lower >= _PRUNE, lower, 0.0)
-    return lower, upper
+    return _entries(row.hull.vertices(), row.hull, lows[cell_ids], highs[cell_ids])

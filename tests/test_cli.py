@@ -100,6 +100,15 @@ def test_bad_config_path_fails(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_config_typo_fails(workdir, capsys):
+    raw = json.loads((workdir / "config.json").read_text())
+    raw["refinment"] = raw.pop("refinement")
+    (workdir / "typo.json").write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(workdir / "typo.json"), "--out", str(workdir / "y")])
+    assert rc == 2
+    assert "'refinment'" in capsys.readouterr().err
+
+
 def test_seed_override(workdir, capsys):
     out = workdir / "out_seed"
     rc = main([

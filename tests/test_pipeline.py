@@ -13,7 +13,6 @@ from nndm_synth.fixtures import random_network, reach_avoid_2d
 from nndm_synth.geometry import HyperRect
 from nndm_synth.pipeline import (
     PipelineConfig,
-    _label_columns,
     _parse_covariance,
     _wilson,
     build_abstraction,
@@ -104,6 +103,21 @@ class TestConfigParsing:
     def test_bad_domain_shape(self):
         with pytest.raises(ValueError, match="lo, hi"):
             PipelineConfig.from_dict(dict(BASE_RAW, domain=[1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            (dict(BASE_RAW, refinment={"rounds": 3}), "refinment"),
+            (dict(BASE_RAW, refinement={"round": 3}), "round"),
+            (dict(BASE_RAW, vi={"tol": 1e-8}), "tol"),
+            (dict(BASE_RAW, simulation={"trails": 10}), "trails"),
+            (dict(BASE_RAW, spec=dict(BASE_RAW["spec"], label={})), "label"),
+            (dict(BASE_RAW, regions=[{"label": "goal", "bx": [[0, 1], [0, 1]]}]), "bx"),
+        ],
+    )
+    def test_unknown_key_rejected(self, raw, key):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            PipelineConfig.from_dict(raw)
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -306,16 +320,16 @@ class TestMonteCarlo:
         _, _, res, _ = small_run
         grid = res.abstraction.grid
         dfa = res.product.dfa
-        cell_class, tbl = _label_columns(grid, dfa)
+        tbl = res.product.next_tbl
         idx = {s: i for i, s in enumerate(dfa.states)}
         for q in range(grid.num_cells):
             for s in dfa.states:
                 want = idx[dfa.step(s, grid.labels[q])]
-                assert tbl[idx[s], cell_class[q]] == want
+                assert tbl[q, idx[s]] == want
         from nndm_synth.automata import UNSAFE_PROP
         for s in dfa.states:
             want = idx[dfa.step(s, {UNSAFE_PROP})]
-            assert tbl[idx[s], cell_class[-1]] == want
+            assert tbl[-1, idx[s]] == want
 
     def test_simulation_consistent_with_certificate(self, small_run):
         _, config, res, _ = small_run

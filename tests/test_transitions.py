@@ -1,9 +1,9 @@
 """Transition probability bounds: Gaussian box masses, extremal means over
-hulls, grouping, and full row assembly.
+hulls, and full row assembly.
 
 Oracles here are independent of the code under test: adaptive quadrature for
-the kernel, dense grids and random convex combinations for the hull extrema,
-and a literal per-cell reimplementation for the grouped row assembly.
+the kernel, dense grids and random convex combinations for the hull minimum,
+and a literal per-cell reimplementation for the row assembly.
 """
 
 import numpy as np
@@ -25,8 +25,6 @@ from nndm_synth.transitions import (
     KernelTarget,
     extremal_means,
     gaussian_box_mass,
-    group_targets,
-    max_mass_over_hull,
     min_mass_over_hull,
     transition_row,
     row_entries_for_targets,
@@ -141,83 +139,11 @@ class TestHullExtrema:
             # log-concavity: interior points can never undercut the vertex min
             assert vals.min() >= got - 1e-12
 
-    def test_max_upper_bounds_dense_samples(self):
-        rng = np.random.default_rng(37)
-        for _ in range(30):
-            poly = self._random_poly(rng)
-            target = KernelTarget.from_rect(
-                HyperRect(rng.uniform(-2, 0, 2), rng.uniform(0.5, 2.5, 2))
-            )
-            got = max_mass_over_hull(poly, target)
-            w = rng.dirichlet(np.ones(poly.vertices.shape[0]), size=4000)
-            inside = np.vstack([w @ poly.vertices, poly.vertices])
-            vals = gaussian_box_mass(inside, target.lo, target.hi)
-            assert got >= vals.max() - 1e-9
-
-    def test_max_tight_for_rectangles(self):
-        # for an axis box the ascent should recover the clipped-center value
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            rect = HyperRect(rng.uniform(-2, 0, 2), rng.uniform(0.2, 2, 2))
-            poly = Polytope(vertices=rect.vertices())
-            target = KernelTarget.from_rect(
-                HyperRect(rng.uniform(-1.5, 0, 2), rng.uniform(0.3, 1.8, 2))
-            )
-            got = max_mass_over_hull(poly, target)
-            _, z_best = extremal_means(rect.lo, rect.hi, target.lo, target.hi)
-            exact = float(gaussian_box_mass(z_best, target.lo, target.hi))
-            assert got == pytest.approx(exact, abs=1e-6)
-            assert got >= exact - 1e-12
-
     def test_single_vertex(self):
         poly = Polytope(vertices=np.array([[0.3, -0.4]]))
         target = KernelTarget.from_rect(HyperRect([-1.0, -1.0], [1.0, 1.0]))
-        got = max_mass_over_hull(poly, target)
         want = float(gaussian_box_mass(poly.vertices[0], target.lo, target.hi))
-        assert got == pytest.approx(want, rel=1e-12)
         assert min_mass_over_hull(poly, target) == pytest.approx(want, rel=1e-12)
-
-    def test_far_tail_degenerate_signal(self):
-        poly = Polytope(vertices=np.array([[30.0, 30.0], [31.0, 30.0], [30.0, 31.0]]))
-        target = KernelTarget.from_rect(HyperRect([0.0, 0.0], [1.0, 1.0]))
-        got = max_mass_over_hull(poly, target)
-        assert 0.0 <= got <= 1e-100  # sound and still tiny
-
-
-class TestGrouping:
-    def _setup(self, seed=5, counts=(5, 5)):
-        rng = np.random.default_rng(seed)
-        t = whitening_transform(np.eye(2))
-        grid = build_grid(HyperRect([-2.0, -2.0], [2.0, 2.0]), t, counts)
-        hull = HyperRect(rng.uniform(-1.5, -0.2, 2), rng.uniform(0.2, 1.5, 2))
-        return grid, hull
-
-    def test_groups_partition_cells(self):
-        grid, hull = self._setup()
-        lows, highs = grid.boxes()
-        groups = group_targets(lows, highs, hull)
-        seen = np.concatenate(groups.members)
-        assert np.array_equal(np.sort(seen), np.arange(grid.num_cells))
-
-    def test_members_share_extremal_means(self):
-        grid, hull = self._setup()
-        lows, highs = grid.boxes()
-        groups = group_targets(lows, highs, hull)
-        for members in groups.members:
-            zs = [extremal_means(hull.lo, hull.hi, lows[i], highs[i]) for i in members]
-            for z_min, z_max in zs[1:]:
-                assert np.array_equal(z_min, zs[0][0])
-                assert np.array_equal(z_max, zs[0][1])
-
-    def test_full_overlap_flags(self):
-        grid, hull = self._setup()
-        lows, highs = grid.boxes()
-        groups = group_targets(lows, highs, hull)
-        for i in range(grid.num_cells):
-            expect = all(
-                highs[i, l] >= hull.lo[l] and lows[i, l] <= hull.hi[l] for l in range(2)
-            )
-            assert bool(groups.full_overlap[i]) == expect
 
 
 class TestTransitionRow:
