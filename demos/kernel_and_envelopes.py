@@ -48,7 +48,7 @@ print(f"T Sigma T^T (should be identity):\n{transform.matrix @ config.covariance
 
 grid = build_grid(config.domain, transform, config.grid, config.regions)
 cell_id = grid.num_cells // 2 + 3
-cell = grid.cells[cell_id]
+cell = grid.cell(cell_id)
 action = nd.actions[0]
 bounds = relax(nd, action, transform, cell)
 

@@ -41,7 +41,7 @@ base_gap = line("start")
 top = score_states(ab.imdp, synth.p_lower, synth.p_upper)[:3]
 print("highest refinement scores (gap x incoming bound width):")
 for e in top:
-    c = ab.grid.cells[e.cell]
+    c = ab.grid.cell(e.cell)
     print(f"  cell {e.cell:3d} at [{c.lo.round(2)}, {c.hi.round(2)}]: score {e.score:.3f}")
 print()
 

@@ -58,7 +58,6 @@ from .refinement import RefinementConfig, refine_round, score_states, split_dime
 from .relaxation import LinearBounds, relax
 from .transitions import (
     InternalConsistencyError,
-    KernelTarget,
     TransitionBoundRow,
     extremal_means,
     gaussian_box_mass,

@@ -5,7 +5,7 @@ abstraction, `synthesize` runs the DFA product and value iteration without
 refinement, `refine` runs the full refinement loop, `simulate` Monte Carlo
 checks a saved result, and `run` does everything including the simulation
 check. Artifacts travel between invocations as pickles in the output
-directory (abstraction.pkl, result.pkl) next to the CSV/JSON outputs.
+directory (abstraction.pkl, result.pkl), tagged with _ARTIFACT_FORMAT.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from .pipeline import (
     run_pipeline,
     validate_monte_carlo,
 )
+
+# Bump whenever a pickled class changes its fields.
+_ARTIFACT_FORMAT = 1
 
 
 def _load_config(args) -> PipelineConfig:
@@ -45,15 +48,21 @@ def _load_pickle(outdir: str, name: str):
     path = os.path.join(outdir, name)
     if not os.path.exists(path):
         return None
-    with open(path, "rb") as fh:
-        return pickle.load(fh)
+    try:
+        with open(path, "rb") as fh:
+            doc = pickle.load(fh)
+    except (AttributeError, ImportError, EOFError, pickle.UnpicklingError):
+        doc = None
+    if not isinstance(doc, dict) or doc.get("format") != _ARTIFACT_FORMAT:
+        raise ValueError(f"{path} is unreadable or from another version of nndm-synth; rebuild it")
+    return doc["object"]
 
 
 def _save_pickle(outdir: str, name: str, obj) -> str:
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
     with open(path, "wb") as fh:
-        pickle.dump(obj, fh)
+        pickle.dump({"format": _ARTIFACT_FORMAT, "object": obj}, fh)
     return path
 
 

@@ -17,8 +17,8 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     from .relaxation import LinearBounds
 
-# Reserved state index for the virtual out-of-domain state. It is never an
-# index into RegionGrid.cells; transition rows keep its mass in dedicated
+# Reserved state index for the virtual out-of-domain state. It is never a
+# cell index of a RegionGrid; transition rows keep its mass in dedicated
 # fields instead of the sparse maps.
 UNSAFE_ID = -1
 
@@ -209,74 +209,78 @@ def transform_box(transform: Transform, box: HyperRect, exact: bool = False) -> 
 class RegionGrid:
     """Partition of the whitened domain into labeled axis-aligned cells.
 
-    Cells are stored in a flat list; refinement splits reuse the parent index
-    for one child and append the other, so indices of untouched cells are
-    stable across rounds. The out-of-domain state is virtual (unsafe_id, no
-    geometry stored).
+    Cell i is the box [lo[i], hi[i]]; `lo` and `hi` have shape
+    (num_cells, dim). Refinement splits reuse the parent index for one child
+    and append the other, so indices of untouched cells are stable across
+    rounds. Splits replace the arrays instead of writing into them, so what
+    boxes() and cell() handed out stays a valid snapshot. The out-of-domain
+    state is virtual (UNSAFE_ID, no geometry stored).
     """
 
-    cells: list[HyperRect]
+    lo: np.ndarray
+    hi: np.ndarray
     labels: list[frozenset[str]]
     domain: HyperRect
     transform: Transform
-    unsafe_id: int = UNSAFE_ID
     _raster: tuple[list[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if len(self.cells) != len(self.labels):
+        self.lo = np.asarray(self.lo, dtype=float)
+        self.hi = np.asarray(self.hi, dtype=float)
+        if self.lo.ndim != 2 or self.lo.shape != self.hi.shape:
+            raise ValueError(
+                f"cell bounds must be two (cells, dim) arrays, got {self.lo.shape} and {self.hi.shape}"
+            )
+        if len(self.labels) != self.lo.shape[0]:
             raise ValueError("one label set per cell required")
 
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return self.lo.shape[0]
 
     @property
     def dim(self) -> int:
         return self.domain.dim
 
     def boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """All cell bounds stacked: (lows, highs), each (num_cells, dim)."""
-        lo = np.array([c.lo for c in self.cells])
-        hi = np.array([c.hi for c in self.cells])
-        return lo, hi
+        """All cell bounds: (lows, highs), each (num_cells, dim)."""
+        return self.lo, self.hi
+
+    def cell(self, i: int) -> HyperRect:
+        """Cell i as a box."""
+        return HyperRect(self.lo[i], self.hi[i])
 
     def cell_original_rect(self, i: int) -> HyperRect:
         """Rectangular hull of the cell's preimage in original coordinates
         (exact whenever the transform is axis-preserving)."""
-        verts = self.cells[i].vertices() @ self.transform.inverse.T
+        verts = self.cell(i).vertices() @ self.transform.inverse.T
         return HyperRect(verts.min(axis=0), verts.max(axis=0))
 
     def split_cell(self, i: int, dim: int) -> int:
         """Split cell i at the midpoint of `dim`. The low child replaces
         index i, the high child is appended; returns the new index."""
-        low, high = self.cells[i].split(dim)
-        self.cells[i] = low
-        self.cells.append(high)
+        low, high = self.cell(i).split(dim)
+        hi = np.vstack([self.hi, high.hi])
+        hi[i] = low.hi
+        self.lo = np.vstack([self.lo, high.lo])
+        self.hi = hi
         self.labels.append(self.labels[i])
         self._raster = None
-        return len(self.cells) - 1
+        return self.num_cells - 1
 
     # -- point location -----------------------------------------------------
 
     def _build_raster(self) -> tuple[list[np.ndarray], np.ndarray]:
-        lows, highs = self.boxes()
-        cuts = []
-        for l in range(self.dim):
-            c = np.unique(np.concatenate([lows[:, l], highs[:, l]]))
-            cuts.append(c)
+        cuts = [np.unique(np.concatenate([self.lo[:, l], self.hi[:, l]])) for l in range(self.dim)]
         shape = tuple(len(c) - 1 for c in cuts)
         if np.prod(shape) > _MAX_RASTER_CELLS:
             raise RuntimeError(f"point-location raster too large: {shape}")
+        # cell i owns the raster block between its bounds' positions in the cuts
+        start = np.stack([np.searchsorted(c, self.lo[:, l]) for l, c in enumerate(cuts)], axis=1)
+        stop = np.stack([np.searchsorted(c, self.hi[:, l]) for l, c in enumerate(cuts)], axis=1)
         owner = np.full(shape, -1, dtype=np.int32)
         for i in range(self.num_cells):
-            idx = tuple(
-                slice(
-                    int(np.searchsorted(cuts[l], lows[i, l])),
-                    int(np.searchsorted(cuts[l], highs[i, l])),
-                )
-                for l in range(self.dim)
-            )
-            owner[idx] = i
+            owner[tuple(map(slice, start[i], stop[i]))] = i
         return cuts, owner
 
     def locate(self, points: np.ndarray) -> np.ndarray:
@@ -341,16 +345,12 @@ def build_grid(
         extra = [b.lo[l] for _, b in regions_t] + [b.hi[l] for _, b in regions_t]
         cuts.append(_insert_cuts(base, extra, domain_t.lo[l], domain_t.hi[l]))
 
-    cells: list[HyperRect] = []
-    labels: list[frozenset[str]] = []
-    for idx in itertools.product(*(range(len(c) - 1) for c in cuts)):
-        lo = np.array([cuts[l][idx[l]] for l in range(domain.dim)])
-        hi = np.array([cuts[l][idx[l] + 1] for l in range(domain.dim)])
-        center = 0.5 * (lo + hi)
-        labs = frozenset(
-            label for label, b in regions_t
-            if np.all(center >= b.lo) and np.all(center <= b.hi)
-        )
-        cells.append(HyperRect(lo, hi))
-        labels.append(labs)
-    return RegionGrid(cells=cells, labels=labels, domain=domain_t, transform=transform)
+    # cells in itertools.product order over the per-dimension intervals
+    lo = np.stack([m.ravel() for m in np.meshgrid(*(c[:-1] for c in cuts), indexing="ij")], axis=1)
+    hi = np.stack([m.ravel() for m in np.meshgrid(*(c[1:] for c in cuts), indexing="ij")], axis=1)
+    center = 0.5 * (lo + hi)
+    inside = [
+        (label, np.all((center >= b.lo) & (center <= b.hi), axis=1)) for label, b in regions_t
+    ]
+    labels = [frozenset(label for label, m in inside if m[i]) for i in range(lo.shape[0])]
+    return RegionGrid(lo=lo, hi=hi, labels=labels, domain=domain_t, transform=transform)

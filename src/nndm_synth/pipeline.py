@@ -175,7 +175,7 @@ def _compute_rows(nd, grid, keys, bounds):
         cell, a = key
         b = bounds.get(key)
         if b is None:
-            b = relax(nd, nd.actions[a], grid.transform, grid.cells[cell])
+            b = relax(nd, nd.actions[a], grid.transform, grid.cell(cell))
         out[key] = (b, transition_row(grid, cell, nd.actions[a], b))
     return out
 
@@ -286,7 +286,7 @@ def classify(p_lower: np.ndarray, p_upper: np.ndarray, threshold: float) -> np.n
 
 def gap_stats(grid: RegionGrid, p_lower: np.ndarray, p_upper: np.ndarray) -> tuple[float, float]:
     """Volume-weighted mean and max certificate gap over the grid."""
-    vols = np.array([float(c.volume) for c in grid.cells])
+    vols = np.prod(grid.hi - grid.lo, axis=1)
     gap = np.asarray(p_upper, dtype=float) - np.asarray(p_lower, dtype=float)
     return float((vols * gap).sum() / vols.sum()), float(gap.max())
 
@@ -448,12 +448,11 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
         w.writerow(header)
         for i in range(grid.num_cells):
             orig = grid.cell_original_rect(i)
-            cell = grid.cells[i]
             pid = int(result.product.initial_pid[i])
             act = result.switching.actions[int(result.lower.strategy[pid])]
             row = [str(i)]
             row += [repr(float(v)) for l in range(dim) for v in (orig.lo[l], orig.hi[l])]
-            row += [repr(float(v)) for l in range(dim) for v in (cell.lo[l], cell.hi[l])]
+            row += [repr(float(v)) for l in range(dim) for v in (grid.lo[i, l], grid.hi[i, l])]
             row += [
                 ";".join(sorted(grid.labels[i])),
                 repr(float(result.p_lower[i])),
@@ -571,8 +570,7 @@ def _simulate_batch(
     dead = dfa.dead_states()
     dead_mask = np.array([s in dead for s in dfa.states])
 
-    box = grid.cells[cell_id]
-    z = rng.uniform(box.lo, box.hi, size=(trials, grid.dim))
+    z = rng.uniform(grid.lo[cell_id], grid.hi[cell_id], size=(trials, grid.dim))
     cells = np.full(trials, cell_id, dtype=np.int64)
     d = np.full(trials, next_tbl[cell_id, idx[dfa.initial]], dtype=np.int64)
     status = np.zeros(trials, dtype=np.int8)  # 0 running, 1 accepted, 2 failed

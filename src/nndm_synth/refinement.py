@@ -95,28 +95,33 @@ def refine_round(
     entries into the split cells afterwards."""
     outcome = RefineOutcome()
     scores = score_states(imdp, p_lower, p_upper)
-    parents: dict[int, HyperRect] = {}
+    parents: list[HyperRect] = []
     for entry in scores[: config.per_round]:
         if entry.score <= 0.0:
             break
-        rect = grid.cells[entry.cell]
+        rect = grid.cell(entry.cell)
         blist = [bounds[(entry.cell, a)] for a in range(imdp.num_actions)]
         dim = split_dimension(rect, blist, config.split_mode)
         mid = 0.5 * (rect.lo[dim] + rect.hi[dim])
         if not (rect.lo[dim] < mid < rect.hi[dim]):
             continue  # too narrow to split further
-        parents[entry.cell] = rect
+        parents.append(rect)
         new_id = grid.split_cell(entry.cell, dim)
         outcome.splits.append((entry.cell, new_id, dim))
+    if not parents:
+        return outcome
 
-    for low_id, new_id, _ in outcome.splits:
-        for a in range(imdp.num_actions):
-            outcome.dirty.add((low_id, a))
-            outcome.dirty.add((new_id, a))
-    for key in sorted(imdp.rows):
-        if key in outcome.dirty:
-            continue
-        hull = imdp.rows[key].hull
-        if any(hull.intersects(rect) for rect in parents.values()):
-            outcome.dirty.add(key)
+    outcome.dirty = {
+        (c, a) for low, new, _ in outcome.splits for c in (low, new) for a in range(imdp.num_actions)
+    }
+    # closed-box test of every row hull (R, n) against every parent (k, n)
+    keys = sorted(imdp.rows)
+    hull_lo = np.array([imdp.rows[key].hull.lo for key in keys])
+    hull_hi = np.array([imdp.rows[key].hull.hi for key in keys])
+    par_lo = np.array([rect.lo for rect in parents])
+    par_hi = np.array([rect.hi for rect in parents])
+    touch = np.all(
+        (hull_lo[:, None, :] <= par_hi[None]) & (par_lo[None] <= hull_hi[:, None, :]), axis=2
+    ).any(axis=1)
+    outcome.dirty.update(keys[r] for r in np.flatnonzero(touch))
     return outcome

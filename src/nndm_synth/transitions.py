@@ -28,19 +28,6 @@ class InternalConsistencyError(RuntimeError):
     indicates a bug rather than bad input."""
 
 
-@dataclass(frozen=True)
-class KernelTarget:
-    """Axis box a transition may land in, with its center cached."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    center: np.ndarray
-
-    @classmethod
-    def from_rect(cls, rect: HyperRect) -> "KernelTarget":
-        return cls(lo=rect.lo, hi=rect.hi, center=rect.center)
-
-
 def gaussian_box_mass(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """P(N(z, I) lands in [lo, hi]) as a product over dimensions.
 
@@ -61,7 +48,7 @@ def gaussian_box_mass(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return np.clip(mass, 0.0, 1.0)
 
 
-def min_mass_over_hull(poly: Polytope, target: KernelTarget) -> float:
+def min_mass_over_hull(poly: Polytope, target: HyperRect) -> float:
     """Exact minimum of the box mass over the hull: the mass is log-concave
     in the mean, so the minimum over a polytope sits at a vertex."""
     vals = gaussian_box_mass(poly.vertices, target.lo, target.hi)
@@ -104,14 +91,6 @@ class TransitionBoundRow:
     unsafe_lower: float
     unsafe_upper: float
     hull: HyperRect
-
-    @property
-    def lower_map(self) -> dict[int, float]:
-        return {int(t): float(p) for t, p in zip(self.targets, self.lower)}
-
-    @property
-    def upper_map(self) -> dict[int, float]:
-        return {int(t): float(p) for t, p in zip(self.targets, self.upper)}
 
     def to_json(self) -> dict:
         return {
@@ -160,12 +139,10 @@ def transition_row(
     """One sound transition row: bound every target cell over the source's
     post-image hull (see _entries) and keep those with positive upper bound.
     The leftover interval is the out-of-domain mass."""
-    cell = grid.cells[source]
     if poly is None:
-        poly = post_image_hull(bounds, cell)
+        poly = post_image_hull(bounds, grid.cell(source))
     hull = rect_hull(poly)
-    lows, highs = grid.boxes()
-    lower, upper = _entries(poly.vertices, hull, lows, highs)
+    lower, upper = _entries(poly.vertices, hull, grid.lo, grid.hi)
     targets = np.flatnonzero(upper)
     lower, upper = lower[targets], upper[targets]
 
@@ -205,5 +182,4 @@ def row_entries_for_targets(
     rectangle's corners stand in for the hull vertices: that is exact for
     targets off the rectangle (a clean row's refreshed targets always are)
     and a sound, looser lower bound otherwise."""
-    lows, highs = grid.boxes()
-    return _entries(row.hull.vertices(), row.hull, lows[cell_ids], highs[cell_ids])
+    return _entries(row.hull.vertices(), row.hull, grid.lo[cell_ids], grid.hi[cell_ids])

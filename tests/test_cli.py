@@ -2,12 +2,14 @@
 
 import json
 import os
+import pickle
 
 import pytest
 
 from nndm_synth.cli import main
 from nndm_synth.fixtures import reach_avoid_2d
 from nndm_synth.networks import save_networks
+from nndm_synth.pipeline import build_abstraction, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,27 @@ def test_simulate_without_result_fails(workdir, tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "empty")])
     assert rc == 2
     assert "result.pkl" in capsys.readouterr().err
+
+
+def test_synthesize_refuses_untagged_abstraction(workdir, tmp_path, capsys):
+    nd, config = reach_avoid_2d(grid=(4, 4))
+    with open(tmp_path / "abstraction.pkl", "wb") as fh:
+        pickle.dump(build_abstraction(nd, config), fh)  # no format tag
+    rc = main(["synthesize", "--config", str(workdir / "config.json"), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "abstraction.pkl" in err and "rebuild" in err
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_simulate_refuses_stale_result(tmp_path, capsys, truncated):
+    nd, config = reach_avoid_2d(grid=(4, 4))
+    data = pickle.dumps(run_pipeline(config, nd=nd))  # no format tag
+    (tmp_path / "result.pkl").write_bytes(data[: len(data) // 2] if truncated else data)
+    rc = main(["simulate", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "result.pkl" in err and "rebuild" in err
 
 
 def test_bad_config_path_fails(workdir, capsys):

@@ -1,5 +1,7 @@
 """Geometry layer: rectangles, whitening, post-image hulls, labeled grids."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -182,25 +184,28 @@ class TestRegionGrid:
         grid = self._grid()
         # region bounds 0.5/1.5 are not on the 4x4 lattice, so two cuts per dim
         assert grid.num_cells == 6 * 6
-        vol = sum(c.volume for c in grid.cells)
+        lows, highs = grid.boxes()
+        vol = float(np.prod(highs - lows, axis=1).sum())
         assert vol == pytest.approx(16.0)
 
     def test_region_is_union_of_cells(self):
         grid = self._grid()
-        goal_vol = sum(c.volume for c, labs in zip(grid.cells, grid.labels) if "goal" in labs)
+        cells = [grid.cell(i) for i in range(grid.num_cells)]
+        goal_vol = sum(c.volume for c, labs in zip(cells, grid.labels) if "goal" in labs)
         assert goal_vol == pytest.approx(1.0)
-        for c, labs in zip(grid.cells, grid.labels):
+        for c, labs in zip(cells, grid.labels):
             inside = np.all(c.lo >= 0.5 - 1e-12) and np.all(c.hi <= 1.5 + 1e-12)
             assert ("goal" in labs) == bool(inside)
 
     def test_locate_centers_and_boundaries(self):
         grid = self._grid()
-        centers = np.array([c.center for c in grid.cells])
+        lows, highs = grid.boxes()
+        centers = 0.5 * (lows + highs)
         found = grid.locate(centers)
         assert np.array_equal(found, np.arange(grid.num_cells))
         # interior boundary point resolves to the upper cell
         j = int(grid.locate(np.array([[0.5, 0.0]]))[0])
-        assert grid.cells[j].lo[0] == pytest.approx(0.5)
+        assert grid.cell(j).lo[0] == pytest.approx(0.5)
         # outside
         assert grid.locate(np.array([[2.5, 0.0], [0.0, -2.01]])).tolist() == [-1, -1]
 
@@ -210,10 +215,29 @@ class TestRegionGrid:
         new_id = grid.split_cell(target, 0)
         assert new_id == grid.num_cells - 1
         assert grid.labels[new_id] == grid.labels[target]
-        lo_pt = grid.cells[target].center
-        hi_pt = grid.cells[new_id].center
+        lo_pt = grid.cell(target).center
+        hi_pt = grid.cell(new_id).center
         assert int(grid.locate(lo_pt[None])[0]) == target
         assert int(grid.locate(hi_pt[None])[0]) == new_id
+
+    def test_cells_follow_product_order(self):
+        # literal per-cell loop over the cut planes as the reference
+        t = whitening_transform(np.diag([0.25, 4.0, 1.0]))
+        domain = HyperRect([-2.0, -2.0, 0.0], [2.0, 2.0, 1.0])
+        regions = [("a", HyperRect([0.5, -1.0, 0.0], [1.5, 2.0, 0.5])),
+                   ("b", HyperRect([-1.3, -2.0, 0.2], [1.5, 0.7, 1.0]))]
+        grid = build_grid(domain, t, [3, 4, 2], regions)
+        cuts = [np.unique(np.concatenate([grid.lo[:, l], grid.hi[:, l]])) for l in range(3)]
+        regions_t = [(label, transform_box(t, box, exact=True)) for label, box in regions]
+        for i, idx in enumerate(itertools.product(*(range(len(c) - 1) for c in cuts))):
+            lo = np.array([cuts[l][idx[l]] for l in range(3)])
+            hi = np.array([cuts[l][idx[l] + 1] for l in range(3)])
+            center = 0.5 * (lo + hi)
+            labels = {label for label, b in regions_t
+                      if np.all(center >= b.lo) and np.all(center <= b.hi)}
+            assert np.array_equal(grid.lo[i], lo) and np.array_equal(grid.hi[i], hi)
+            assert grid.labels[i] == labels
+        assert i == grid.num_cells - 1
 
     def test_original_rect_roundtrip(self):
         t = whitening_transform(np.diag([0.25, 4.0]))
@@ -222,8 +246,8 @@ class TestRegionGrid:
         for i in range(grid.num_cells):
             orig = grid.cell_original_rect(i)
             back = orig.vertices() @ t.matrix.T
-            assert np.allclose(back.min(axis=0), grid.cells[i].lo, atol=1e-12)
-            assert np.allclose(back.max(axis=0), grid.cells[i].hi, atol=1e-12)
+            assert np.allclose(back.min(axis=0), grid.cell(i).lo, atol=1e-12)
+            assert np.allclose(back.max(axis=0), grid.cell(i).hi, atol=1e-12)
 
     def test_build_grid_validation(self):
         t = whitening_transform(np.eye(2))

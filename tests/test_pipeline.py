@@ -10,7 +10,7 @@ import pytest
 
 from nndm_synth.automata import dfa_template
 from nndm_synth.fixtures import random_network, reach_avoid_2d
-from nndm_synth.geometry import HyperRect
+from nndm_synth.geometry import HyperRect, RegionGrid, whitening_transform
 from nndm_synth.pipeline import (
     PipelineConfig,
     _parse_covariance,
@@ -268,7 +268,7 @@ class TestOutputs:
             parts = line.split(",")
             orig = grid.cell_original_rect(i)
             assert float(parts[1]) == orig.lo[0] and float(parts[2]) == orig.hi[0]
-            z = grid.cells[i]
+            z = grid.cell(i)
             assert float(parts[5]) == z.lo[0] and float(parts[8]) == z.hi[1]
 
     def test_strategy_entries_cover_live_states(self, small_run):
@@ -355,9 +355,8 @@ class TestMonteCarlo:
 
 class TestGapStats:
     def test_volume_weighting(self):
-        class G:
-            cells = [HyperRect([0.0], [3.0]), HyperRect([3.0], [4.0])]
-
-        mean, mx = gap_stats(G(), np.array([0.0, 0.0]), np.array([0.2, 1.0]))
+        grid = RegionGrid(lo=[[0.0], [3.0]], hi=[[3.0], [4.0]], labels=[frozenset()] * 2,
+                          domain=HyperRect([0.0], [4.0]), transform=whitening_transform(np.eye(1)))
+        mean, mx = gap_stats(grid, np.array([0.0, 0.0]), np.array([0.2, 1.0]))
         assert mean == pytest.approx((3 * 0.2 + 1 * 1.0) / 4)
         assert mx == 1.0

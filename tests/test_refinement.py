@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nndm_synth.fixtures import reach_avoid_2d
-from nndm_synth.geometry import HyperRect
+from nndm_synth.geometry import HyperRect, RegionGrid, whitening_transform
 from nndm_synth.imdp import Imdp
 from nndm_synth.pipeline import apply_refinement, build_abstraction, synthesize
 from nndm_synth.refinement import (
@@ -101,6 +101,18 @@ def small_problem():
     return nd, config, ab, syn
 
 
+def _unit_cells_in_a_row(n):
+    lo = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
+    return RegionGrid(lo=lo, hi=lo + 1.0, labels=[frozenset()] * n,
+                      domain=HyperRect([0.0, 0.0], [float(n), 1.0]),
+                      transform=whitening_transform(np.eye(2)))
+
+
+def _total_volume(grid):
+    lows, highs = grid.boxes()
+    return float(np.prod(highs - lows, axis=1).sum())
+
+
 class TestRefineRound:
     def test_zero_per_round_is_a_no_op(self, small_problem):
         _, _, ab, syn = small_problem
@@ -113,13 +125,47 @@ class TestRefineRound:
     def test_zero_scores_split_nothing(self):
         imdp = _score_fixture()
         p = np.array([0.5, 0.5])
-
-        class GridStub:
-            cells = [HyperRect([0.0, 0.0], [1.0, 1.0])] * 2
-
-        out = refine_round(GridStub(), imdp, p, p,
+        out = refine_round(_unit_cells_in_a_row(2), imdp, p, p,
                            RefinementConfig(per_round=5), {})
         assert not out.splits
+
+    def test_dirty_rows_match_brute_force(self, small_problem):
+        nd, config, _, _ = small_problem
+        ab = build_abstraction(nd, config)
+        syn = synthesize(ab, config.dfa)
+        before = [ab.grid.cell(i) for i in range(ab.grid.num_cells)]
+        out = refine_round(ab.grid, ab.imdp, syn.p_lower, syn.p_upper,
+                           RefinementConfig(per_round=4), ab.bounds)
+        assert out.splits
+        parents = [before[low] for low, _, _ in out.splits]
+        want = {(c, a) for low, new, _ in out.splits for c in (low, new)
+                for a in range(len(nd.actions))}
+        want |= {key for key, row in ab.imdp.rows.items()
+                 if any(row.hull.intersects(p) for p in parents)}
+        assert out.dirty == want
+
+    def test_face_touch_is_dirty_gap_is_not(self):
+        # cells [0,1], [1,2], [2,3] along x; only cell 0 scores above zero
+        grid = _unit_cells_in_a_row(3)
+
+        def row(source, hull_lo_x, hull_hi_x):
+            return TransitionBoundRow(
+                source=source, action="a0", targets=np.array([0]),
+                lower=np.array([0.2]), upper=np.array([0.6]),
+                unsafe_lower=0.0, unsafe_upper=0.8,
+                hull=HyperRect([hull_lo_x, 0.0], [hull_hi_x, 1.0]))
+
+        rows = {
+            (0, 0): row(0, 0.2, 0.8),
+            (1, 0): row(1, 1.0, 1.5),   # meets cell 0 only in its face x = 1
+            (2, 0): row(2, 1.2, 3.0),   # separated from cell 0 by a gap
+        }
+        imdp = Imdp(actions=("a0",), labels=grid.labels, rows=rows, num_cells=3)
+        bounds = {(0, 0): _lb(np.eye(2), np.eye(2), grid.cell(0))}
+        out = refine_round(grid, imdp, np.array([0.0, 0.5, 0.5]), np.array([1.0, 0.5, 0.5]),
+                           RefinementConfig(per_round=1), bounds)
+        assert out.splits == [(0, 3, 0)]
+        assert out.dirty == {(0, 0), (3, 0), (1, 0)}
 
 
 class TestApplyRefinement:
@@ -139,7 +185,7 @@ class TestApplyRefinement:
         assert ab.imdp.num_cells == grid.num_cells
         for cell in range(grid.num_cells):
             for a, action in enumerate(nd.actions):
-                b = relax(nd, action, grid.transform, grid.cells[cell])
+                b = relax(nd, action, grid.transform, grid.cell(cell))
                 want = transition_row(grid, cell, action, b)
                 got = ab.imdp.rows[(cell, a)]
                 assert np.array_equal(got.targets, want.targets), (cell, a)
@@ -153,18 +199,18 @@ class TestApplyRefinement:
         ab = build_abstraction(nd, config)
         syn = synthesize(ab, config.dfa)
         n_before = ab.grid.num_cells
-        vol_before = sum(c.volume for c in ab.grid.cells)
+        vol_before = _total_volume(ab.grid)
         out = refine_round(ab.grid, ab.imdp, syn.p_lower, syn.p_upper,
                            RefinementConfig(per_round=3), ab.bounds)
         apply_refinement(ab, out)
         assert ab.grid.num_cells == n_before + len(out.splits)
-        assert sum(c.volume for c in ab.grid.cells) == pytest.approx(vol_before, rel=1e-12)
+        assert _total_volume(ab.grid) == pytest.approx(vol_before, rel=1e-12)
         # labels stay shared and sized with the grid
         assert ab.imdp.labels is ab.grid.labels
         assert len(ab.grid.labels) == ab.grid.num_cells
         for low, new, dim in out.splits:
             assert ab.grid.labels[low] == ab.grid.labels[new]
-            assert ab.grid.cells[low].hi[dim] == ab.grid.cells[new].lo[dim]
+            assert ab.grid.cell(low).hi[dim] == ab.grid.cell(new).lo[dim]
         # dirty rows include every action of every child
         for low, new, _ in out.splits:
             for a in range(len(nd.actions)):

@@ -22,7 +22,6 @@ from nndm_synth.geometry import (
 )
 from nndm_synth.relaxation import relax
 from nndm_synth.transitions import (
-    KernelTarget,
     extremal_means,
     gaussian_box_mass,
     min_mass_over_hull,
@@ -129,9 +128,7 @@ class TestHullExtrema:
         rng = np.random.default_rng(31)
         for _ in range(30):
             poly = self._random_poly(rng)
-            target = KernelTarget.from_rect(
-                HyperRect(rng.uniform(-2, 0, 2), rng.uniform(0.5, 2.5, 2))
-            )
+            target = HyperRect(rng.uniform(-2, 0, 2), rng.uniform(0.5, 2.5, 2))
             got = min_mass_over_hull(poly, target)
             w = rng.dirichlet(np.ones(poly.vertices.shape[0]), size=4000)
             inside = w @ poly.vertices
@@ -141,7 +138,7 @@ class TestHullExtrema:
 
     def test_single_vertex(self):
         poly = Polytope(vertices=np.array([[0.3, -0.4]]))
-        target = KernelTarget.from_rect(HyperRect([-1.0, -1.0], [1.0, 1.0]))
+        target = HyperRect([-1.0, -1.0], [1.0, 1.0])
         want = float(gaussian_box_mass(poly.vertices[0], target.lo, target.hi))
         assert min_mass_over_hull(poly, target) == pytest.approx(want, rel=1e-12)
 
@@ -151,7 +148,7 @@ class TestTransitionRow:
         nd, config = reach_avoid_2d(seed=seed)
         t = whitening_transform(config.covariance)
         grid = build_grid(config.domain, t, grid_counts, config.regions)
-        bounds = relax(nd, action, t, grid.cells[cell])
+        bounds = relax(nd, action, t, grid.cell(cell))
         return grid, cell, action, bounds
 
     def test_row_invariants(self):
@@ -171,7 +168,7 @@ class TestTransitionRow:
         # inside [lower, upper] for every target cell
         grid, cell, action, bounds = self._row_inputs()
         row = transition_row(grid, cell, action, bounds)
-        poly = post_image_hull(bounds, grid.cells[cell])
+        poly = post_image_hull(bounds, grid.cell(cell))
         rng = np.random.default_rng(3)
         w = rng.dirichlet(np.ones(poly.vertices.shape[0]), size=200)
         means = w @ poly.vertices
@@ -189,7 +186,7 @@ class TestTransitionRow:
     def test_grouped_matches_naive_bitwise(self):
         grid, cell, action, bounds = self._row_inputs()
         row = transition_row(grid, cell, action, bounds)
-        poly = post_image_hull(bounds, grid.cells[cell])
+        poly = post_image_hull(bounds, grid.cell(cell))
         hull = rect_hull(poly)
         lows, highs = grid.boxes()
         # literal per-cell assembly, no grouping
