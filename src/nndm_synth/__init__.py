@@ -55,7 +55,7 @@ from .pipeline import (
     validate_monte_carlo,
 )
 from .refinement import RefinementConfig, refine_round, score_states, split_dimension
-from .relaxation import LinearBounds, relax
+from .relaxation import LinearBounds, relax, relax_cells
 from .transitions import (
     InternalConsistencyError,
     TransitionBoundRow,

@@ -6,6 +6,10 @@ refinement, `refine` runs the full refinement loop, `simulate` Monte Carlo
 checks a saved result, and `run` does everything including the simulation
 check. Artifacts travel between invocations as pickles in the output
 directory (abstraction.pkl, result.pkl), tagged with _ARTIFACT_FORMAT.
+
+Exit status: 0 on success, 2 on a bad config, input or artifact, and
+_EXIT_NOT_CONVERGED when synthesize, refine or run wrote their outputs but a
+value-iteration pass stopped at max_sweeps above its tolerance.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .pipeline import (
 
 # Bump whenever a pickled class changes its fields.
 _ARTIFACT_FORMAT = 1
+_EXIT_NOT_CONVERGED = 3
 
 
 def _load_config(args) -> PipelineConfig:
@@ -91,6 +96,21 @@ def _print_result(result) -> None:
         )
 
 
+def _convergence_status(result) -> int:
+    """Report each value-iteration pass of the final synthesis that did not
+    converge; the outputs are already written, so they can be inspected."""
+    status = 0
+    for name, vi in (("lower (maximin)", result.lower), ("upper (fixed strategy)", result.upper)):
+        if not vi.converged:
+            print(
+                f"error: value iteration pass {name} did not converge: "
+                f"{vi.sweeps} sweeps, residual {vi.residual:.3g}",
+                file=sys.stderr,
+            )
+            status = _EXIT_NOT_CONVERGED
+    return status
+
+
 def _cmd_abstract(args) -> int:
     config = _load_config(args)
     nd = _require_network(config)
@@ -112,7 +132,7 @@ def _cmd_synthesize(args) -> int:
     result = run_pipeline(config, nd=nd, outdir=args.out, abstraction=abstraction)
     _save_pickle(args.out, "result.pkl", result)
     _print_result(result)
-    return 0
+    return _convergence_status(result)
 
 
 def _cmd_refine(args) -> int:
@@ -124,7 +144,7 @@ def _cmd_refine(args) -> int:
     result = run_pipeline(config, nd=_require_network(config), outdir=args.out)
     _save_pickle(args.out, "result.pkl", result)
     _print_result(result)
-    return 0
+    return _convergence_status(result)
 
 
 def _cmd_simulate(args) -> int:
@@ -153,7 +173,7 @@ def _cmd_run(args) -> int:
     result = run_pipeline(config, nd=_require_network(config), outdir=args.out, monte_carlo=True)
     _save_pickle(args.out, "result.pkl", result)
     _print_result(result)
-    return 0
+    return _convergence_status(result)
 
 
 def main(argv=None) -> int:

@@ -8,7 +8,7 @@ for reporting.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -25,6 +25,16 @@ UNSAFE_ID = -1
 # Raster point-location tables above this many entries are refused; grids at
 # that size would have failed long before lookup becomes the bottleneck.
 _MAX_RASTER_CELLS = 50_000_000
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_masks(n: int) -> np.ndarray:
+    """(2^n, n) read-only table: row k holds the bits of k, first dimension
+    most significant, so rows run lo-first with the first dimension slowest
+    (itertools.product order). One table per dimension count."""
+    masks = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
+    masks.flags.writeable = False
+    return masks
 
 
 @dataclass(frozen=True)
@@ -64,8 +74,7 @@ class HyperRect:
 
     def vertices(self) -> np.ndarray:
         """All 2^n corners, binary-counting order (lo first)."""
-        corners = np.array(list(itertools.product(*zip(self.lo, self.hi))))
-        return corners.reshape(2**self.dim, self.dim)
+        return np.where(_corner_masks(self.dim), self.hi, self.lo)
 
     def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -160,10 +169,9 @@ def post_image_hull(bounds: "LinearBounds", cell: HyperRect) -> Polytope:
     his = bounds.upper(verts)
     box_lo = np.minimum(los, his)
     box_hi = np.maximum(los, his)
-    n = cell.dim
-    masks = np.array(list(itertools.product((False, True), repeat=n)))  # (2^n, n)
+    masks = _corner_masks(cell.dim)              # (2^n, n)
     corners = np.where(masks[None, :, :], box_hi[:, None, :], box_lo[:, None, :])
-    return Polytope(corners.reshape(-1, n))
+    return Polytope(corners.reshape(-1, cell.dim))
 
 
 def _axis_map(matrix: np.ndarray, tol: float = 1e-9) -> list[tuple[int, float]] | None:

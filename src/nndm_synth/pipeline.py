@@ -1,9 +1,10 @@
 """End-to-end certified controller synthesis.
 
-Wires the stages together: noise whitening and grid construction, per-cell
-affine envelopes, transition bound rows, DFA product, value iteration from
-both sides, uncertainty-guided refinement, and finally the certified
-classification with its on-disk outputs and an optional Monte Carlo check.
+Wires the stages together: noise whitening and grid construction, affine
+envelopes (per action, in batches of cells), transition bound rows, DFA
+product, value iteration from both sides, uncertainty-guided refinement, and
+finally the certified classification with its on-disk outputs and an
+optional Monte Carlo check.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .imdp import (
 )
 from .networks import NeuralDynamics, evaluate, load_networks
 from .refinement import RefinementConfig, RefineOutcome, refine_round
-from .relaxation import LinearBounds, relax
+from .relaxation import LinearBounds, relax_cells
 from .transitions import row_entries_for_targets, transition_row
 
 
@@ -169,13 +170,21 @@ class Abstraction:
 
 def _compute_rows(nd, grid, keys, bounds):
     """Envelope + transition row for each (cell, action index) key, reusing
-    cached envelopes where present."""
+    cached envelopes where present. Missing envelopes are relaxed per
+    action, all of that action's cells in one relax_cells call."""
+    missing: dict[int, list[int]] = {}
+    for cell, a in keys:
+        if (cell, a) not in bounds:
+            missing.setdefault(a, []).append(cell)
+    fresh = {}
+    for a, cells in missing.items():
+        ids = np.asarray(cells, dtype=np.int64)
+        envs = relax_cells(nd, nd.actions[a], grid.transform, grid.lo[ids], grid.hi[ids])
+        fresh.update(((cell, a), b) for cell, b in zip(cells, envs))
     out = {}
     for key in keys:
         cell, a = key
-        b = bounds.get(key)
-        if b is None:
-            b = relax(nd, nd.actions[a], grid.transform, grid.cell(cell))
+        b = bounds[key] if key in bounds else fresh[key]
         out[key] = (b, transition_row(grid, cell, nd.actions[a], b))
     return out
 
@@ -221,13 +230,15 @@ def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome) -> None:
         imdp.rows[key] = row
 
     child_pairs = {low: (low, new) for low, new, _ in outcome.splits}
-    split_ids = np.array(sorted(child_pairs), dtype=np.int64)
-    if split_ids.size:
+    if child_pairs:
+        # row targets are cell ids from before the split, all below num_cells
+        was_split = np.zeros(grid.num_cells, dtype=bool)
+        was_split[list(child_pairs)] = True
         for key in sorted(imdp.rows):
             if key in outcome.dirty:
                 continue
             row = imdp.rows[key]
-            mask = np.isin(row.targets, split_ids)
+            mask = was_split[row.targets]
             if not mask.any():
                 continue
             fresh = sorted({c for p in row.targets[mask] for c in child_pairs[int(p)]})

@@ -11,11 +11,16 @@ bracketed by two lines valid on its pre-activation interval, and those lines
 are substituted backwards layer by layer until the input is reached. The
 whitening matrices enter the stack as exact linear layers, so all-linear
 networks give flo = fhi up to rounding.
+
+`relax_cells` relaxes many boxes of one action together: every array carries
+a leading cell axis, and the backward pass is one stacked `np.matmul` per
+layer (the batched CROWN formulation). Each box's envelope is bitwise what
+`relax` gives for that box alone, whatever the other boxes in its batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +28,9 @@ from .geometry import HyperRect, Transform
 from .networks import Activation, NeuralDynamics, _sigmoid
 
 _POINT_WIDTH = 1e-12  # intervals narrower than this are treated as points
+# Boxes per stacked backward pass in relax_cells. Chunks of 16-64 beat whole
+# grids (large temporaries); the value does not change any result.
+_CHUNK_CELLS = 32
 
 
 @dataclass(frozen=True)
@@ -45,7 +53,8 @@ class LinearBounds:
 # -- neuron relaxations ------------------------------------------------------
 #
 # Coefficients are per-neuron lines (al, bl, au, bu) with
-#   al*x + bl <= act(x) <= au*x + bu   for x in [l, u].
+#   al*x + bl <= act(x) <= au*x + bu   for x in [l, u],
+# computed elementwise: l and u have shape (width,) or (cells, width).
 
 def _relu_coeffs(l: np.ndarray, u: np.ndarray):
     al = np.zeros_like(l)
@@ -65,24 +74,36 @@ def _relu_coeffs(l: np.ndarray, u: np.ndarray):
     return al, bl, au, bu
 
 
-def _bisect_nondecreasing(g, lo, hi, sound_high: bool, tol: float = 1e-9, max_iter: int = 80):
+def _bisect_nondecreasing(
+    g, lo, hi, group, sound_high: bool, tol: float = 1e-9, max_iter: int = 80
+):
     """Root bracketing for a vectorized nondecreasing g with g(lo) <= 0 <= g(hi).
+    Entries are bisected in groups (`group` holds one id per entry): a group
+    halves all its brackets until every one of them is closed, so an entry's
+    result does not depend on the other groups in the call.
     Returns the bracket end on the sound side of the root."""
     lo = lo.copy()
     hi = hi.copy()
+    open_groups = np.zeros(int(group.max()) + 1, dtype=bool)
     for _ in range(max_iter):
-        if np.all(hi - lo <= tol):
+        open_groups[:] = False
+        open_groups[group[~(hi - lo <= tol)]] = True
+        if not open_groups.any():
             break
+        step = open_groups[group]
         mid = 0.5 * (lo + hi)
         below = g(mid) <= 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        lo = np.where(step & below, mid, lo)
+        hi = np.where(step & ~below, mid, hi)
     return hi if sound_high else lo
 
 
 def _scurve_coeffs(l: np.ndarray, u: np.ndarray, f, df):
     """Lines bracketing an increasing sigmoid-shaped f (convex below 0,
-    concave above 0) on [l, u]."""
+    concave above 0) on [l, u]. Each row of a 2-D input is one cell: its
+    tangent searches stop on that row's brackets alone."""
+    shape = l.shape
+    l, u = np.atleast_2d(l), np.atleast_2d(u)
     al = np.zeros_like(l)
     bl = np.zeros_like(l)
     au = np.zeros_like(l)
@@ -119,6 +140,7 @@ def _scurve_coeffs(l: np.ndarray, u: np.ndarray, f, df):
     if np.any(cross):
         lc, uc = l[cross], u[cross]
         flc, fuc = fl[cross], fu[cross]
+        row = np.nonzero(cross)[0]
         kc = chord_k[cross]
 
         # upper line: the chord is sound iff its slope is at most f'(u);
@@ -132,7 +154,7 @@ def _scurve_coeffs(l: np.ndarray, u: np.ndarray, f, df):
         if np.any(need):
             ln, un, fn = lc[need], uc[need], flc[need]
             gap = lambda d: f(d) + df(d) * (ln - d) - fn
-            d = _bisect_nondecreasing(gap, np.zeros_like(un), un, sound_high=True)
+            d = _bisect_nondecreasing(gap, np.zeros_like(un), un, row[need], sound_high=True)
             ak[need] = df(d)
             bk[need] = f(d) - ak[need] * d
         au[cross] = ak
@@ -149,13 +171,13 @@ def _scurve_coeffs(l: np.ndarray, u: np.ndarray, f, df):
         if np.any(need):
             ln, un, fn = lc[need], uc[need], fuc[need]
             gap = lambda d: f(d) + df(d) * (un - d) - fn
-            d = _bisect_nondecreasing(gap, ln, np.zeros_like(ln), sound_high=False)
+            d = _bisect_nondecreasing(gap, ln, np.zeros_like(ln), row[need], sound_high=False)
             ak[need] = df(d)
             bk[need] = f(d) - ak[need] * d
         al[cross] = ak
         bl[cross] = bk
 
-    return al, bl, au, bu
+    return al.reshape(shape), bl.reshape(shape), au.reshape(shape), bu.reshape(shape)
 
 
 def _dsigmoid(x):
@@ -179,26 +201,42 @@ def _activation_coeffs(act: Activation, l: np.ndarray, u: np.ndarray):
 
 
 # -- backward substitution ---------------------------------------------------
+#
+# Bounds carry a leading cell axis: A has shape (cells, out, width) and c
+# (cells, out). Every product is a stacked np.matmul, which multiplies each
+# cell's matrices on their own, so a cell's bits do not depend on its batch.
 
-def _backward(stages, coeffs, m):
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-cell A[i] @ v[i] for A (cells, out, width) and v (cells, width)."""
+    return np.matmul(A, v[:, :, None])[:, :, 0]
+
+
+def _through_neurons(A, c, k_pos, b_pos, k_neg, b_neg):
+    """Bound A @ act(x) + c through one layer's neuron lines: where an entry
+    of A is positive, the neuron becomes k_pos*x + b_pos, where negative
+    k_neg*x + b_neg. Overwrites A."""
+    pos = np.clip(A, 0.0, None)
+    neg = np.subtract(A, pos, out=A)
+    c = c + _matvec(pos, b_pos) + _matvec(neg, b_neg)
+    pos *= k_pos[:, None, :]
+    neg *= k_neg[:, None, :]
+    pos += neg
+    return pos, c
+
+
+def _backward(stages, coeffs, m, cells: int):
     """Affine bounds on the pre-activation output of stage m as functions of
     the network input, substituting the stored neuron relaxations of all
     earlier stages."""
     W, b, _ = stages[m]
-    A_up, c_up = W.copy(), b.copy()
-    A_lo, c_lo = W.copy(), b.copy()
+    A_up, c_up = np.repeat(W[None], cells, axis=0), np.repeat(b[None], cells, axis=0)
+    A_lo, c_lo = A_up.copy(), c_up.copy()
     for k in range(m - 1, -1, -1):
         cf = coeffs[k]
         if cf is not None:
             al, bl, au, bu = cf
-            pos = np.clip(A_up, 0.0, None)
-            neg = A_up - pos
-            c_up = c_up + pos @ bu + neg @ bl
-            A_up = pos * au + neg * al
-            pos = np.clip(A_lo, 0.0, None)
-            neg = A_lo - pos
-            c_lo = c_lo + pos @ bl + neg @ bu
-            A_lo = pos * al + neg * au
+            A_up, c_up = _through_neurons(A_up, c_up, au, bu, al, bl)
+            A_lo, c_lo = _through_neurons(A_lo, c_lo, al, bl, au, bu)
         Wk, bk, _ = stages[k]
         c_up = c_up + A_up @ bk
         A_up = A_up @ Wk
@@ -209,10 +247,72 @@ def _backward(stages, coeffs, m):
 
 def _concretize(A_lo, c_lo, A_up, c_up, lo, hi):
     pos = np.clip(A_up, 0.0, None)
-    ub = pos @ hi + (A_up - pos) @ lo + c_up
+    ub = _matvec(pos, hi) + _matvec(A_up - pos, lo) + c_up
     pos = np.clip(A_lo, 0.0, None)
-    lb = pos @ lo + (A_lo - pos) @ hi + c_lo
+    lb = _matvec(pos, lo) + _matvec(A_lo - pos, hi) + c_lo
     return lb, ub
+
+
+def _stages(nd: NeuralDynamics, action: str, transform: Transform | np.ndarray):
+    """The layer stack T f_a T^{-1} as (weights, bias, activation) stages."""
+    if isinstance(transform, Transform):
+        T, T_inv = transform.matrix, transform.inverse
+    else:
+        T = np.asarray(transform, dtype=float)
+        if T.shape != (nd.dim, nd.dim):
+            raise ValueError(f"transform must be {nd.dim}x{nd.dim}, got {T.shape}")
+        cond = np.linalg.cond(T)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise ValueError("transform is singular or near-singular")
+        T_inv = np.linalg.inv(T)
+
+    zero = np.zeros(nd.dim)
+    stages = [(T_inv, zero, Activation.LINEAR)]
+    stages += [(layer.weights, layer.bias, layer.activation) for layer in nd.layers(action)]
+    stages += [(T, zero, Activation.LINEAR)]
+    return stages
+
+
+def _envelopes(stages, lo: np.ndarray, hi: np.ndarray):
+    """Stacked (A_lo, b_lo, A_hi, b_hi) over the boxes [lo[i], hi[i]]."""
+    cells = lo.shape[0]
+    coeffs: list = [None] * len(stages)
+    for k in range(len(stages) - 1):
+        act = stages[k][2]
+        if act is Activation.LINEAR:
+            continue
+        l, u = _concretize(*_backward(stages, coeffs, k, cells), lo, hi)
+        coeffs[k] = _activation_coeffs(act, l, u)
+    return _backward(stages, coeffs, len(stages) - 1, cells)
+
+
+def relax_cells(
+    nd: NeuralDynamics,
+    action: str,
+    transform: Transform | np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> list[LinearBounds]:
+    """Affine envelopes of z -> T f_a(T^{-1} z), one per box [lo[i], hi[i]]
+    (shape (cells, n), whitened coordinates). The boxes go through the
+    backward pass _CHUNK_CELLS at a time; each envelope equals `relax` on
+    its box alone."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != nd.dim:
+        raise ValueError(
+            f"boxes must be two (cells, {nd.dim}) arrays, got {lo.shape} and {hi.shape}"
+        )
+    stages = _stages(nd, action, transform)
+    out = []
+    for s in range(0, lo.shape[0], _CHUNK_CELLS):
+        l, h = lo[s : s + _CHUNK_CELLS], hi[s : s + _CHUNK_CELLS]
+        A_lo, c_lo, A_up, c_up = _envelopes(stages, l, h)
+        out += [
+            LinearBounds(A_lo[i], c_lo[i], A_up[i], c_up[i], HyperRect(l[i], h[i]))
+            for i in range(l.shape[0])
+        ]
+    return out
 
 
 def relax(
@@ -225,29 +325,5 @@ def relax(
     coordinates). Exact (lower == upper) when every activation is linear."""
     if region.dim != nd.dim:
         raise ValueError(f"region dimension {region.dim} does not match dynamics dimension {nd.dim}")
-    if isinstance(transform, Transform):
-        T, T_inv = transform.matrix, transform.inverse
-    else:
-        T = np.asarray(transform, dtype=float)
-        if T.shape != (nd.dim, nd.dim):
-            raise ValueError(f"transform must be {nd.dim}x{nd.dim}, got {T.shape}")
-        if not np.isfinite(np.linalg.cond(T)) or np.linalg.cond(T) > 1e12:
-            raise ValueError("transform is singular or near-singular")
-        T_inv = np.linalg.inv(T)
-
-    zero = np.zeros(nd.dim)
-    stages = [(T_inv, zero, Activation.LINEAR)]
-    stages += [(layer.weights, layer.bias, layer.activation) for layer in nd.layers(action)]
-    stages += [(T, zero, Activation.LINEAR)]
-
-    coeffs: list = [None] * len(stages)
-    for k in range(len(stages) - 1):
-        act = stages[k][2]
-        if act is Activation.LINEAR:
-            continue
-        A_lo, c_lo, A_up, c_up = _backward(stages, coeffs, k)
-        l, u = _concretize(A_lo, c_lo, A_up, c_up, region.lo, region.hi)
-        coeffs[k] = _activation_coeffs(act, l, u)
-
-    A_lo, c_lo, A_up, c_up = _backward(stages, coeffs, len(stages) - 1)
-    return LinearBounds(A_lo=A_lo, b_lo=c_lo, A_hi=A_up, b_hi=c_up, region=region)
+    (bounds,) = relax_cells(nd, action, transform, region.lo[None], region.hi[None])
+    return replace(bounds, region=region)

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from nndm_synth.cli import main
+from nndm_synth.cli import _EXIT_NOT_CONVERGED, main
 from nndm_synth.fixtures import reach_avoid_2d
 from nndm_synth.networks import save_networks
 from nndm_synth.pipeline import build_abstraction, run_pipeline
@@ -130,6 +130,21 @@ def test_config_typo_fails(workdir, capsys):
     rc = main(["run", "--config", str(workdir / "typo.json"), "--out", str(workdir / "y")])
     assert rc == 2
     assert "'refinment'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synthesize", "refine", "run"])
+def test_unconverged_value_iteration_fails(workdir, capsys, command):
+    raw = json.loads((workdir / "config.json").read_text())
+    raw["vi"] = {"max_sweeps": 1}
+    (workdir / "one_sweep.json").write_text(json.dumps(raw))
+    out = workdir / f"out_one_sweep_{command}"
+    rc = main([command, "--config", str(workdir / "one_sweep.json"), "--out", str(out)])
+    assert rc == _EXIT_NOT_CONVERGED
+    summary = json.loads((out / "summary.json").read_text())  # outputs still written
+    assert not summary["vi"]["lower"]["converged"]
+    assert (out / "result.pkl").exists()
+    err = capsys.readouterr().err
+    assert "value iteration pass lower" in err and "did not converge" in err
 
 
 def test_seed_override(workdir, capsys):

@@ -18,9 +18,11 @@ from nndm_synth.networks import (
     _sigmoid,
 )
 from nndm_synth.relaxation import (
+    _CHUNK_CELLS,
     _relu_coeffs,
     _scurve_coeffs,
     relax,
+    relax_cells,
 )
 
 
@@ -104,6 +106,68 @@ class TestScurveCoeffs:
         assert au[0] < chord[0] + 1e-12  # flatter than the unsound chord
         x = np.linspace(l[0], u[0], 2001)
         assert np.all(au[0] * x + bu[0] >= np.tanh(x) - 1e-9)
+
+
+    @pytest.mark.parametrize("name", ["sigmoid", "tanh"])
+    def test_rows_match_one_dimensional_calls(self, name):
+        # row 0 crosses zero far off-centre (the tangent search engages),
+        # row 1 has only one-sided and point intervals (no search); each row
+        # must come out exactly as its own 1-D call
+        if name == "sigmoid":
+            f, df = _sigmoid, lambda x: _sigmoid(x) * (1 - _sigmoid(x))
+        else:
+            f, df = np.tanh, lambda x: 1 - np.tanh(x) ** 2
+        l = np.array([[-4.0, 0.2, -0.3, -6.0], [0.1, -2.0, 1.0, -0.5]])
+        u = np.array([[0.5, 1.5, 3.0, 0.4], [0.5, -1.0, 1.0 + 1e-14, -0.1]])
+        chord = (f(u[0]) - f(l[0])) / (u[0] - l[0])
+        assert chord[0] > df(l[0, 0]) and chord[2] > df(u[0, 2])  # both searches engage
+        both = _scurve_coeffs(l, u, f, df)
+        for r in range(2):
+            one = _scurve_coeffs(l[r], u[r], f, df)
+            for got, want in zip(both, one):
+                assert got.shape == l.shape
+                assert np.array_equal(got[r], want)
+
+
+class TestRelaxCells:
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    def test_matches_per_box_relax_bitwise(self, activation):
+        rng = np.random.default_rng(29)
+        nd = random_network(2, 16, 3, activation=activation, seed=4)
+        t = whitening_transform(np.diag([0.3, 0.7]))
+        count = 2 * _CHUNK_CELLS + 5  # last chunk is partial
+        lo = rng.uniform(-3.0, 1.0, (count, 2))
+        hi = lo + rng.uniform(0.01, 3.0, (count, 2))
+        batch = relax_cells(nd, "a0", t, lo, hi)
+        assert len(batch) == count
+        for i, got in enumerate(batch):
+            want = relax(nd, "a0", t, HyperRect(lo[i], hi[i]))
+            for name in ("A_lo", "b_lo", "A_hi", "b_hi"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)
+            assert np.array_equal(got.region.lo, lo[i]) and np.array_equal(got.region.hi, hi[i])
+
+    def test_tanh_cell_independent_of_its_batch(self):
+        # a tanh cell's tangent searches must not run longer or shorter
+        # because of the other cells relaxed with it
+        nd = random_network(2, 24, 2, activation="tanh", seed=11)
+        t = whitening_transform(np.eye(2))
+        cell_lo, cell_hi = np.array([-1.3, -0.4]), np.array([0.2, 0.9])
+        others_lo = np.array([[-4.0, -4.0], [0.5, 0.5], [-0.01, -0.01], [-3.0, 1.0]])
+        others_hi = np.array([[4.0, 4.0], [0.5 + 1e-13, 0.6], [0.01, 0.01], [-2.9, 1.1]])
+        alone = relax_cells(nd, "a0", t, cell_lo[None], cell_hi[None])[0]
+        lo = np.vstack([others_lo[:2], cell_lo, others_lo[2:]])
+        hi = np.vstack([others_hi[:2], cell_hi, others_hi[2:]])
+        mixed = relax_cells(nd, "a0", t, lo, hi)[2]
+        for name in ("A_lo", "b_lo", "A_hi", "b_hi"):
+            assert np.array_equal(getattr(alone, name), getattr(mixed, name)), name
+
+    def test_rejects_mismatched_boxes(self):
+        nd = random_network(2, 8, 1, seed=0)
+        t = whitening_transform(np.eye(2))
+        with pytest.raises(ValueError, match="boxes"):
+            relax_cells(nd, "a0", t, np.zeros((3, 3)), np.ones((3, 3)))
+        with pytest.raises(ValueError, match="boxes"):
+            relax_cells(nd, "a0", t, np.zeros((3, 2)), np.ones((2, 2)))
 
 
 class TestRelaxNetworks:
