@@ -30,7 +30,7 @@ from .pipeline import (
 )
 
 # Bump whenever a pickled class changes its fields.
-_ARTIFACT_FORMAT = 1
+_ARTIFACT_FORMAT = 2
 _EXIT_NOT_CONVERGED = 3
 
 

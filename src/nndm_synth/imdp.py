@@ -42,6 +42,9 @@ class Imdp:
         if len(self.labels) != self.num_cells:
             raise ValueError("one label set per cell required")
         for (cell, a), row in self.rows.items():
+            t = row.targets
+            if t.size and (np.any(np.diff(t) <= 0) or t[0] < 0 or t[-1] >= self.num_cells):
+                raise ValueError(f"row ({cell}, {a}): targets are not increasing cell ids")
             probs = np.r_[row.lower, row.upper, row.unsafe_lower, row.unsafe_upper]
             if np.any(probs < 0.0) or np.any(probs > 1.0):
                 raise ValueError(f"row ({cell}, {a}): probabilities outside [0, 1]")

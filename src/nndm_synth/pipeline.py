@@ -13,12 +13,19 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .automata import Dfa, ProductImdp, build_product, dfa_template, load_dfa
-from .geometry import HyperRect, RegionGrid, Transform, build_grid, whitening_transform
+from .geometry import (
+    HyperRect,
+    RegionGrid,
+    Transform,
+    build_grid,
+    post_image_hull,
+    whitening_transform,
+)
 from .imdp import (
     Imdp,
     ValueIterationResult,
@@ -28,7 +35,7 @@ from .imdp import (
 from .networks import NeuralDynamics, evaluate, load_networks
 from .refinement import RefinementConfig, RefineOutcome, refine_round
 from .relaxation import LinearBounds, relax_cells
-from .transitions import row_entries_for_targets, transition_row
+from .transitions import refresh_rows, transition_row
 
 
 def _parse_covariance(raw, dim: int) -> np.ndarray:
@@ -168,24 +175,19 @@ class Abstraction:
     imdp: Imdp
 
 
-def _compute_rows(nd, grid, keys, bounds):
-    """Envelope + transition row for each (cell, action index) key, reusing
-    cached envelopes where present. Missing envelopes are relaxed per
-    action, all of that action's cells in one relax_cells call."""
-    missing: dict[int, list[int]] = {}
+def _compute_rows(nd, grid, keys):
+    """Envelope + transition row for each (cell, action index) key. The
+    envelopes are relaxed per action, all of that action's cells in one
+    relax_cells call."""
+    cells_of: dict[int, list[int]] = {}
     for cell, a in keys:
-        if (cell, a) not in bounds:
-            missing.setdefault(a, []).append(cell)
-    fresh = {}
-    for a, cells in missing.items():
+        cells_of.setdefault(a, []).append(cell)
+    out = {}
+    for a, cells in cells_of.items():
         ids = np.asarray(cells, dtype=np.int64)
         envs = relax_cells(nd, nd.actions[a], grid.transform, grid.lo[ids], grid.hi[ids])
-        fresh.update(((cell, a), b) for cell, b in zip(cells, envs))
-    out = {}
-    for key in keys:
-        cell, a = key
-        b = bounds[key] if key in bounds else fresh[key]
-        out[key] = (b, transition_row(grid, cell, nd.actions[a], b))
+        for cell, b in zip(cells, envs):
+            out[(cell, a)] = (b, transition_row(grid, cell, nd.actions[a], b))
     return out
 
 
@@ -198,7 +200,7 @@ def build_abstraction(nd: NeuralDynamics, config: PipelineConfig) -> Abstraction
     grid = build_grid(config.domain, transform, config.grid, config.regions)
 
     keys = [(c, a) for c in range(grid.num_cells) for a in range(len(nd.actions))]
-    computed = _compute_rows(nd, grid, keys, {})
+    computed = _compute_rows(nd, grid, keys)
     bounds: dict[tuple[int, int], LinearBounds] = {}
     rows = {}
     for key in sorted(computed):
@@ -210,48 +212,23 @@ def build_abstraction(nd: NeuralDynamics, config: PipelineConfig) -> Abstraction
 
 
 def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome) -> None:
-    """Bring the abstraction in line with a round of grid splits: recompute
-    every dirty row (with fresh envelopes for the split cells, whose geometry
-    changed) and refresh the clean rows' entries into the new cells. Clean
-    rows keep their stored hull, so the refreshed entries match a full
-    rebuild bit for bit."""
+    """Bring the abstraction in line with a round of grid splits: rebuild the
+    split cells' rows (outcome.dirty) from fresh envelopes, and recompute
+    every other row's entries at the split cells' ids from its cached
+    envelope, so each row matches a full rebuild bit for bit."""
     grid = abstraction.grid
     imdp = abstraction.imdp
-    changed = {low for low, _, _ in outcome.splits} | {new for _, new, _ in outcome.splits}
-    for key in list(abstraction.bounds):
-        if key[0] in changed:
-            del abstraction.bounds[key]
-
     dirty = sorted(outcome.dirty)
-    computed = _compute_rows(abstraction.dynamics, grid, dirty, abstraction.bounds)
+    computed = _compute_rows(abstraction.dynamics, grid, dirty)
     for key in dirty:
-        b, row = computed[key]
-        abstraction.bounds[key] = b
-        imdp.rows[key] = row
+        abstraction.bounds[key], imdp.rows[key] = computed[key]
 
-    child_pairs = {low: (low, new) for low, new, _ in outcome.splits}
-    if child_pairs:
-        # row targets are cell ids from before the split, all below num_cells
-        was_split = np.zeros(grid.num_cells, dtype=bool)
-        was_split[list(child_pairs)] = True
-        for key in sorted(imdp.rows):
-            if key in outcome.dirty:
-                continue
-            row = imdp.rows[key]
-            mask = was_split[row.targets]
-            if not mask.any():
-                continue
-            fresh = sorted({c for p in row.targets[mask] for c in child_pairs[int(p)]})
-            fresh = np.asarray(fresh, dtype=np.int64)
-            lo_new, up_new = row_entries_for_targets(row, grid, fresh)
-            keep = up_new > 0.0
-            targets = np.concatenate([row.targets[~mask], fresh[keep]])
-            lower = np.concatenate([row.lower[~mask], lo_new[keep]])
-            upper = np.concatenate([row.upper[~mask], up_new[keep]])
-            order = np.argsort(targets, kind="stable")
-            imdp.rows[key] = replace(
-                row, targets=targets[order], lower=lower[order], upper=upper[order]
-            )
+    clean = [key for key in sorted(imdp.rows) if key not in outcome.dirty]
+    if outcome.splits and clean:
+        changed = np.sort(np.array(outcome.splits, dtype=np.int64)[:, :2], axis=None)
+        polys = [post_image_hull(abstraction.bounds[key], grid.cell(key[0])) for key in clean]
+        fresh = refresh_rows(grid, [imdp.rows[key] for key in clean], polys, changed)
+        imdp.rows.update(zip(clean, fresh))
 
     imdp.num_cells = grid.num_cells
     imdp.rows = {key: imdp.rows[key] for key in sorted(imdp.rows)}

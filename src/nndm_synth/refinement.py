@@ -3,8 +3,8 @@
 Cells are scored by how much certificate width they can be blamed for: their
 own probability gap times the total incoming transition-bound gap. The
 top-scoring cells are split at the midpoint of the dimension along which the
-affine envelopes expand fastest, and only the rows a split can actually
-affect are marked for recomputation.
+affine envelopes expand fastest; the split cells' rows are marked for
+recomputation.
 """
 
 from __future__ import annotations
@@ -74,9 +74,8 @@ def split_dimension(cell: HyperRect, bounds_list: list[LinearBounds], mode: str 
 @dataclass
 class RefineOutcome:
     """What one refinement round changed: (low child id, high child id,
-    dimension) per split, and the rows whose bounds must be recomputed (the
-    split cells' own rows plus every row whose post-image rectangle touches a
-    split cell)."""
+    dimension) per split, and the rows that need fresh envelopes (every
+    action of both children of each split)."""
 
     splits: list[tuple[int, int, int]] = field(default_factory=list)
     dirty: set[tuple[int, int]] = field(default_factory=set)
@@ -91,11 +90,10 @@ def refine_round(
     bounds: dict[tuple[int, int], LinearBounds],
 ) -> RefineOutcome:
     """Split the top-scoring cells in place and report the dirty rows.
-    Callers must recompute the dirty rows and refresh the remaining rows'
-    entries into the split cells afterwards."""
+    Callers must rebuild the dirty rows and refresh the remaining rows'
+    entries at the split cells' ids afterwards."""
     outcome = RefineOutcome()
     scores = score_states(imdp, p_lower, p_upper)
-    parents: list[HyperRect] = []
     for entry in scores[: config.per_round]:
         if entry.score <= 0.0:
             break
@@ -105,23 +103,9 @@ def refine_round(
         mid = 0.5 * (rect.lo[dim] + rect.hi[dim])
         if not (rect.lo[dim] < mid < rect.hi[dim]):
             continue  # too narrow to split further
-        parents.append(rect)
         new_id = grid.split_cell(entry.cell, dim)
         outcome.splits.append((entry.cell, new_id, dim))
-    if not parents:
-        return outcome
-
     outcome.dirty = {
         (c, a) for low, new, _ in outcome.splits for c in (low, new) for a in range(imdp.num_actions)
     }
-    # closed-box test of every row hull (R, n) against every parent (k, n)
-    keys = sorted(imdp.rows)
-    hull_lo = np.array([imdp.rows[key].hull.lo for key in keys])
-    hull_hi = np.array([imdp.rows[key].hull.hi for key in keys])
-    par_lo = np.array([rect.lo for rect in parents])
-    par_hi = np.array([rect.hi for rect in parents])
-    touch = np.all(
-        (hull_lo[:, None, :] <= par_hi[None]) & (par_lo[None] <= hull_hi[:, None, :]), axis=2
-    ).any(axis=1)
-    outcome.dirty.update(keys[r] for r in np.flatnonzero(touch))
     return outcome

@@ -10,7 +10,7 @@ dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erf, erfc
@@ -76,12 +76,10 @@ def extremal_means(
 class TransitionBoundRow:
     """Sound probability intervals for one (source cell, action) pair.
 
-    Sparse: `targets` holds the cell ids with non-negligible upper bound,
-    `lower`/`upper` the matching probabilities. Mass that may leave the
-    domain is kept in unsafe_lower/unsafe_upper (the out-of-domain state is
-    virtual and has no cell id). `hull` is the post-image rectangle the row
-    was computed from; refinement uses it to decide which rows a split can
-    affect."""
+    Sparse: `targets` holds the cell ids with non-negligible upper bound, in
+    increasing order, `lower`/`upper` the matching probabilities. Mass that
+    may leave the domain is kept in unsafe_lower/unsafe_upper (the
+    out-of-domain state is virtual and has no cell id)."""
 
     source: int
     action: str
@@ -90,7 +88,6 @@ class TransitionBoundRow:
     upper: np.ndarray
     unsafe_lower: float
     unsafe_upper: float
-    hull: HyperRect
 
     def to_json(self) -> dict:
         return {
@@ -102,26 +99,42 @@ class TransitionBoundRow:
         }
 
 
+def _check_sums(row: TransitionBoundRow) -> None:
+    """Sound bounds admit a distribution: lower sums to at most 1, upper to
+    at least 1 (out-of-domain mass included)."""
+    lo_sum = float(row.lower.sum()) + row.unsafe_lower
+    up_sum = float(row.upper.sum()) + row.unsafe_upper
+    if lo_sum > 1.0 + _FEAS_TOL or up_sum < 1.0 - _FEAS_TOL:
+        raise InternalConsistencyError(
+            f"row ({row.source}, {row.action}): bound sums infeasible "
+            f"(lower {lo_sum}, upper {up_sum})"
+        )
+
+
 def _entries(
     vertices: np.ndarray,
-    hull: HyperRect,
+    rect_lo: np.ndarray,
+    rect_hi: np.ndarray,
     lows: np.ndarray,
     highs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) for every target box [lows[i], highs[i]] given the
-    candidate mean vertices and their rectangle `hull`. Upper bounds use the
+    """(lower, upper) of shape (R, C) for R rows, each given by its candidate
+    mean vertices (R, M, n) and their rectangle [rect_lo, rect_hi] (R, n),
+    against C target boxes [lows, highs] (C, n). Upper bounds use the
     nearest mean, lower bounds the farthest one, tightened to the minimum
-    over the vertices for targets that meet the hull rectangle. Entries below
-    _PRUNE come back as 0; a row stores only targets with positive upper."""
-    z_min, z_max = extremal_means(hull.lo, hull.hi, lows, highs)
+    over the row's vertices on the (row, target) pairs whose target meets
+    the rectangle. Entries below _PRUNE come back as 0; a row stores only
+    targets with positive upper."""
+    rect_lo, rect_hi = rect_lo[:, None, :], rect_hi[:, None, :]
+    z_min, z_max = extremal_means(rect_lo, rect_hi, lows, highs)
     upper = gaussian_box_mass(z_max, lows, highs)
     lower = gaussian_box_mass(z_min, lows, highs)
 
-    ov = np.all((highs >= hull.lo) & (lows <= hull.hi), axis=1)
-    if np.any(ov):
+    r, c = np.nonzero(np.all((highs >= rect_lo) & (lows <= rect_hi), axis=2))
+    if r.size:
         # vertex enumeration is exact for the lower bound over the hull
-        vals = gaussian_box_mass(vertices[:, None, :], lows[None, ov, :], highs[None, ov, :])
-        lower[ov] = vals.min(axis=0)
+        vals = gaussian_box_mass(vertices[r], lows[c, None, :], highs[c, None, :])
+        lower[r, c] = vals.min(axis=1)
 
     lower = np.minimum(lower, upper)
     upper = np.where(upper >= _PRUNE, upper, 0.0)
@@ -134,52 +147,58 @@ def transition_row(
     source: int,
     action: str,
     bounds: LinearBounds,
-    poly: Polytope | None = None,
 ) -> TransitionBoundRow:
     """One sound transition row: bound every target cell over the source's
     post-image hull (see _entries) and keep those with positive upper bound.
     The leftover interval is the out-of-domain mass."""
-    if poly is None:
-        poly = post_image_hull(bounds, grid.cell(source))
+    poly = post_image_hull(bounds, grid.cell(source))
     hull = rect_hull(poly)
-    lower, upper = _entries(poly.vertices, hull, grid.lo, grid.hi)
-    targets = np.flatnonzero(upper)
-    lower, upper = lower[targets], upper[targets]
+    lower, upper = _entries(poly.vertices[None], hull.lo[None], hull.hi[None], grid.lo, grid.hi)
+    targets = np.flatnonzero(upper[0])
 
     dom = grid.domain
     dz_min, dz_max = extremal_means(hull.lo, hull.hi, dom.lo, dom.hi)
-    unsafe_lower = float(np.clip(1.0 - gaussian_box_mass(dz_max, dom.lo, dom.hi), 0.0, 1.0))
-    unsafe_upper = float(np.clip(1.0 - gaussian_box_mass(dz_min, dom.lo, dom.hi), 0.0, 1.0))
-
-    lo_sum = float(lower.sum()) + unsafe_lower
-    up_sum = float(upper.sum()) + unsafe_upper
-    if lo_sum > 1.0 + _FEAS_TOL or up_sum < 1.0 - _FEAS_TOL:
-        raise InternalConsistencyError(
-            f"row ({source}, {action}): bound sums infeasible (lower {lo_sum}, upper {up_sum})"
-        )
-
-    return TransitionBoundRow(
+    row = TransitionBoundRow(
         source=source,
         action=action,
         targets=targets.astype(np.int64),
-        lower=lower,
-        upper=upper,
-        unsafe_lower=unsafe_lower,
-        unsafe_upper=unsafe_upper,
-        hull=hull,
+        lower=lower[0, targets],
+        upper=upper[0, targets],
+        unsafe_lower=float(np.clip(1.0 - gaussian_box_mass(dz_max, dom.lo, dom.hi), 0.0, 1.0)),
+        unsafe_upper=float(np.clip(1.0 - gaussian_box_mass(dz_min, dom.lo, dom.hi), 0.0, 1.0)),
     )
+    _check_sums(row)
+    return row
 
 
-def row_entries_for_targets(
-    row: TransitionBoundRow,
+def refresh_rows(
     grid: RegionGrid,
+    rows: list[TransitionBoundRow],
+    polys: list[Polytope],
     cell_ids: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The row's (lower, upper) entries for specific target cells, from the
-    stored hull rectangle through the same arithmetic as transition_row;
-    targets the row would not store come back with upper 0. Refinement uses
-    this to refresh a clean row's entries into freshly split cells. The
-    rectangle's corners stand in for the hull vertices: that is exact for
-    targets off the rectangle (a clean row's refreshed targets always are)
-    and a sound, looser lower bound otherwise."""
-    return _entries(row.hull.vertices(), row.hull, grid.lo[cell_ids], grid.hi[cell_ids])
+) -> list[TransitionBoundRow]:
+    """The rows with their entries at `cell_ids` recomputed from their
+    post-image vertex sets `polys`, all in one _entries call, so each row
+    equals what transition_row builds on the current grid. Refinement uses
+    this for the rows whose source was not split, with `cell_ids` the split
+    cells' ids."""
+    verts = np.stack([poly.vertices for poly in polys])
+    lower, upper = _entries(verts, verts.min(axis=1), verts.max(axis=1),
+                            grid.lo[cell_ids], grid.hi[cell_ids])
+    changed = np.zeros(grid.num_cells, dtype=bool)
+    changed[cell_ids] = True
+    out = []
+    for row, lo, up in zip(rows, lower, upper):
+        keep = ~changed[row.targets]
+        add = up > 0.0
+        targets = np.concatenate([row.targets[keep], cell_ids[add]])
+        order = np.argsort(targets, kind="stable")
+        row = replace(
+            row,
+            targets=targets[order],
+            lower=np.concatenate([row.lower[keep], lo[add]])[order],
+            upper=np.concatenate([row.upper[keep], up[add]])[order],
+        )
+        _check_sums(row)
+        out.append(row)
+    return out

@@ -14,7 +14,6 @@ from nndm_synth.automata import (
     load_dfa,
     parse_dfa,
 )
-from nndm_synth.geometry import HyperRect
 from nndm_synth.imdp import Imdp
 from nndm_synth.transitions import TransitionBoundRow
 
@@ -161,7 +160,6 @@ def _mk_row(cell, action, targets, lower, upper, ul=0.0, uu=0.0):
         targets=np.asarray(targets, dtype=np.int64),
         lower=np.asarray(lower, float), upper=np.asarray(upper, float),
         unsafe_lower=ul, unsafe_upper=uu,
-        hull=HyperRect([0.0, 0.0], [1.0, 1.0]),
     )
 
 

@@ -117,6 +117,16 @@ def test_simulate_refuses_stale_result(tmp_path, capsys, truncated):
     assert "result.pkl" in err and "rebuild" in err
 
 
+def test_synthesize_refuses_old_format_tag(workdir, tmp_path, capsys):
+    nd, config = reach_avoid_2d(grid=(4, 4))
+    with open(tmp_path / "abstraction.pkl", "wb") as fh:
+        pickle.dump({"format": 1, "object": build_abstraction(nd, config)}, fh)
+    rc = main(["synthesize", "--config", str(workdir / "config.json"), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "abstraction.pkl" in err and "rebuild" in err
+
+
 def test_bad_config_path_fails(workdir, capsys):
     rc = main(["run", "--config", str(workdir / "nope.json"), "--out", str(workdir / "x")])
     assert rc == 2

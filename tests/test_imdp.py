@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from nndm_synth.geometry import HyperRect
 from nndm_synth.imdp import (
     Imdp,
     _row_extreme,
@@ -276,7 +275,6 @@ def _mk_row(targets, lower, upper, ul=0.0, uu=0.0):
         targets=np.asarray(targets, dtype=np.int64),
         lower=np.asarray(lower, float), upper=np.asarray(upper, float),
         unsafe_lower=ul, unsafe_upper=uu,
-        hull=HyperRect([0.0, 0.0], [1.0, 1.0]),
     )
 
 
@@ -301,6 +299,11 @@ class TestImdpValidate:
     def test_lower_exceeds_upper(self):
         with pytest.raises(ValueError, match="exceeds"):
             self._imdp(_mk_row([0, 1], [0.7, 0.3], [0.6, 1.0])).validate()
+
+    def test_targets_must_be_increasing_cell_ids(self):
+        for targets in ([1, 0], [1, 1], [-1, 1], [0, 2]):
+            with pytest.raises(ValueError, match="targets"):
+                self._imdp(_mk_row(targets, [0.2, 0.3], [0.6, 0.7], uu=0.1)).validate()
 
     def test_infeasible_sums(self):
         with pytest.raises(ValueError, match="infeasible"):

@@ -4,8 +4,14 @@ update, checked bit for bit against a full rebuild of the refined grid."""
 import numpy as np
 import pytest
 
-from nndm_synth.fixtures import reach_avoid_2d
-from nndm_synth.geometry import HyperRect, RegionGrid, whitening_transform
+from nndm_synth.fixtures import reach_avoid_2d, vehicle_3d
+from nndm_synth.geometry import (
+    HyperRect,
+    RegionGrid,
+    post_image_hull,
+    rect_hull,
+    whitening_transform,
+)
 from nndm_synth.imdp import Imdp
 from nndm_synth.pipeline import apply_refinement, build_abstraction, synthesize
 from nndm_synth.refinement import (
@@ -57,16 +63,15 @@ class TestSplitDimension:
 
 
 def _score_fixture():
-    hull = HyperRect([0.0, 0.0], [1.0, 1.0])
     rows = {
         (0, 0): TransitionBoundRow(
             source=0, action="a0", targets=np.array([0, 1]),
             lower=np.array([0.2, 0.3]), upper=np.array([0.4, 0.6]),
-            unsafe_lower=0.0, unsafe_upper=0.4, hull=hull),
+            unsafe_lower=0.0, unsafe_upper=0.4),
         (1, 0): TransitionBoundRow(
             source=1, action="a0", targets=np.array([1]),
             lower=np.array([0.8]), upper=np.array([1.0]),
-            unsafe_lower=0.0, unsafe_upper=0.2, hull=hull),
+            unsafe_lower=0.0, unsafe_upper=0.2),
     }
     return Imdp(actions=("a0",), labels=[frozenset(), frozenset()], rows=rows, num_cells=2)
 
@@ -129,43 +134,48 @@ class TestRefineRound:
                            RefinementConfig(per_round=5), {})
         assert not out.splits
 
-    def test_dirty_rows_match_brute_force(self, small_problem):
-        nd, config, _, _ = small_problem
-        ab = build_abstraction(nd, config)
-        syn = synthesize(ab, config.dfa)
-        before = [ab.grid.cell(i) for i in range(ab.grid.num_cells)]
-        out = refine_round(ab.grid, ab.imdp, syn.p_lower, syn.p_upper,
-                           RefinementConfig(per_round=4), ab.bounds)
-        assert out.splits
-        parents = [before[low] for low, _, _ in out.splits]
-        want = {(c, a) for low, new, _ in out.splits for c in (low, new)
-                for a in range(len(nd.actions))}
-        want |= {key for key, row in ab.imdp.rows.items()
-                 if any(row.hull.intersects(p) for p in parents)}
-        assert out.dirty == want
 
-    def test_face_touch_is_dirty_gap_is_not(self):
-        # cells [0,1], [1,2], [2,3] along x; only cell 0 scores above zero
-        grid = _unit_cells_in_a_row(3)
+def _unsplit_rows_meeting_parents(ab, out, parent_lo, parent_hi):
+    """How many rows outside out.dirty have a post-image rectangle that
+    meets a split parent (closed boxes); call before apply_refinement."""
+    lows = np.array([parent_lo[low] for low, _, _ in out.splits])
+    highs = np.array([parent_hi[low] for low, _, _ in out.splits])
+    count = 0
+    for key in ab.imdp.rows:
+        if key in out.dirty:
+            continue
+        rect = rect_hull(post_image_hull(ab.bounds[key], ab.grid.cell(key[0])))
+        count += bool(np.all((highs >= rect.lo) & (lows <= rect.hi), axis=1).any())
+    return count
 
-        def row(source, hull_lo_x, hull_hi_x):
-            return TransitionBoundRow(
-                source=source, action="a0", targets=np.array([0]),
-                lower=np.array([0.2]), upper=np.array([0.6]),
-                unsafe_lower=0.0, unsafe_upper=0.8,
-                hull=HyperRect([hull_lo_x, 0.0], [hull_hi_x, 1.0]))
 
-        rows = {
-            (0, 0): row(0, 0.2, 0.8),
-            (1, 0): row(1, 1.0, 1.5),   # meets cell 0 only in its face x = 1
-            (2, 0): row(2, 1.2, 3.0),   # separated from cell 0 by a gap
-        }
-        imdp = Imdp(actions=("a0",), labels=grid.labels, rows=rows, num_cells=3)
-        bounds = {(0, 0): _lb(np.eye(2), np.eye(2), grid.cell(0))}
-        out = refine_round(grid, imdp, np.array([0.0, 0.5, 0.5]), np.array([1.0, 0.5, 0.5]),
-                           RefinementConfig(per_round=1), bounds)
-        assert out.splits == [(0, 3, 0)]
-        assert out.dirty == {(0, 0), (3, 0), (1, 0)}
+def _refine_once(ab, config, per_round):
+    """One refinement round; returns the outcome and how many unsplit rows
+    meet a split parent."""
+    syn = synthesize(ab, config.dfa)
+    parent_lo, parent_hi = ab.grid.lo.copy(), ab.grid.hi.copy()
+    out = refine_round(ab.grid, ab.imdp, syn.p_lower, syn.p_upper,
+                       RefinementConfig(per_round=per_round), ab.bounds)
+    assert out.splits, "fixture should have positive refinement scores"
+    meeting = _unsplit_rows_meeting_parents(ab, out, parent_lo, parent_hi)
+    apply_refinement(ab, out)
+    ab.imdp.validate()
+    return out, meeting
+
+
+def _assert_matches_full_rebuild(ab, nd):
+    grid = ab.grid
+    assert ab.imdp.num_cells == grid.num_cells
+    for cell in range(grid.num_cells):
+        for a, action in enumerate(nd.actions):
+            b = relax(nd, action, grid.transform, grid.cell(cell))
+            want = transition_row(grid, cell, action, b)
+            got = ab.imdp.rows[(cell, a)]
+            assert np.array_equal(got.targets, want.targets), (cell, a)
+            assert np.array_equal(got.lower, want.lower), (cell, a)
+            assert np.array_equal(got.upper, want.upper), (cell, a)
+            assert got.unsafe_lower == want.unsafe_lower
+            assert got.unsafe_upper == want.unsafe_upper
 
 
 class TestApplyRefinement:
@@ -173,26 +183,18 @@ class TestApplyRefinement:
         nd, config, _, _ = small_problem
         # fresh abstraction: this test mutates it
         ab = build_abstraction(nd, config)
-        syn = synthesize(ab, config.dfa)
-        rc = RefinementConfig(per_round=4, rounds=1)
-        out = refine_round(ab.grid, ab.imdp, syn.p_lower, syn.p_upper, rc, ab.bounds)
-        assert out.splits, "fixture should have positive refinement scores"
-        assert len(out.dirty) > len(out.splits) * len(nd.actions)
-        apply_refinement(ab, out)
-        ab.imdp.validate()
+        _, meeting = _refine_once(ab, config, per_round=4)
+        # keeps the refresh's vertex-minimum branch exercised
+        assert meeting > 0
+        _assert_matches_full_rebuild(ab, nd)
 
-        grid = ab.grid
-        assert ab.imdp.num_cells == grid.num_cells
-        for cell in range(grid.num_cells):
-            for a, action in enumerate(nd.actions):
-                b = relax(nd, action, grid.transform, grid.cell(cell))
-                want = transition_row(grid, cell, action, b)
-                got = ab.imdp.rows[(cell, a)]
-                assert np.array_equal(got.targets, want.targets), (cell, a)
-                assert np.array_equal(got.lower, want.lower), (cell, a)
-                assert np.array_equal(got.upper, want.upper), (cell, a)
-                assert got.unsafe_lower == want.unsafe_lower
-                assert got.unsafe_upper == want.unsafe_upper
+    def test_two_rounds_3d_match_full_rebuild_bitwise(self):
+        nd, config = vehicle_3d(grid=(5, 4, 3))
+        ab = build_abstraction(nd, config)
+        for _ in range(2):
+            _, meeting = _refine_once(ab, config, per_round=6)
+            assert meeting > 0
+        _assert_matches_full_rebuild(ab, nd)
 
     def test_split_bookkeeping(self, small_problem):
         nd, config, _, _ = small_problem
@@ -211,10 +213,9 @@ class TestApplyRefinement:
         for low, new, dim in out.splits:
             assert ab.grid.labels[low] == ab.grid.labels[new]
             assert ab.grid.cell(low).hi[dim] == ab.grid.cell(new).lo[dim]
-        # dirty rows include every action of every child
-        for low, new, _ in out.splits:
-            for a in range(len(nd.actions)):
-                assert (low, a) in out.dirty and (new, a) in out.dirty
+        # dirty rows are exactly every action of every child
+        assert out.dirty == {(c, a) for low, new, _ in out.splits for c in (low, new)
+                             for a in range(len(nd.actions))}
 
     def test_synthesis_still_runs_after_refinement(self, small_problem):
         nd, config, _, _ = small_problem

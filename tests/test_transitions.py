@@ -22,11 +22,14 @@ from nndm_synth.geometry import (
 )
 from nndm_synth.relaxation import relax
 from nndm_synth.transitions import (
+    InternalConsistencyError,
+    TransitionBoundRow,
     extremal_means,
     gaussian_box_mass,
     min_mass_over_hull,
     transition_row,
-    row_entries_for_targets,
+    _check_sums,
+    _entries,
     _PRUNE,
 )
 
@@ -212,7 +215,7 @@ class TestTransitionRow:
     def test_hull_inside_domain_has_tiny_unsafe_lower(self):
         grid, cell, action, bounds = self._row_inputs(cell=21)
         row = transition_row(grid, cell, action, bounds)
-        hull = row.hull
+        hull = rect_hull(post_image_hull(bounds, grid.cell(cell)))
         inside = np.all(hull.lo >= grid.domain.lo) and np.all(hull.hi <= grid.domain.hi)
         assert inside
         # some mean in the hull keeps all mass far from the boundary only if
@@ -220,18 +223,43 @@ class TestTransitionRow:
         assert row.unsafe_lower <= row.unsafe_upper
 
     def test_entries_refresh_matches_row(self):
-        grid, cell, action, bounds = self._row_inputs()
-        row = transition_row(grid, cell, action, bounds)
-        # pick retained targets that do not meet the hull rectangle
+        # two rows in one stacked _entries call, at targets on and off each
+        # row's rectangle, equal their full rows bit for bit
+        inputs = [self._row_inputs(cell=c) for c in (14, 21)]
+        grid = inputs[0][0]
+        rows = [transition_row(g, c, a, b) for g, c, a, b in inputs]
+        verts = np.stack([post_image_hull(b, g.cell(c)).vertices for g, c, _, b in inputs])
+        rect_lo, rect_hi = verts.min(axis=1), verts.max(axis=1)
         lows, highs = grid.boxes()
-        hull = row.hull
-        off_hull = [
-            int(t) for t in row.targets
-            if not (np.all(highs[t] >= hull.lo) and np.all(lows[t] <= hull.hi))
-        ]
-        assert off_hull, "fixture should produce off-hull targets"
-        ids = np.array(off_hull, dtype=np.int64)
-        lo_new, up_new = row_entries_for_targets(row, grid, ids)
-        pos = np.searchsorted(row.targets, ids)
-        assert np.array_equal(lo_new, row.lower[pos])
-        assert np.array_equal(up_new, row.upper[pos])
+        ids = np.arange(1, grid.num_cells, 3)
+        lower, upper = _entries(verts, rect_lo, rect_hi, lows[ids], highs[ids])
+        assert lower.shape == upper.shape == (2, ids.size)
+        meets = np.all((highs[ids] >= rect_lo[:, None]) & (lows[ids] <= rect_hi[:, None]), axis=2)
+        assert meets.any(axis=1).all(), "fixture should put targets on each rectangle"
+        assert (upper[~meets] > 0).any(), "fixture should keep targets off the rectangles"
+        for r, row in enumerate(rows):
+            full_lo = np.zeros(grid.num_cells)
+            full_up = np.zeros(grid.num_cells)
+            full_lo[row.targets] = row.lower
+            full_up[row.targets] = row.upper
+            assert np.array_equal(lower[r], full_lo[ids])
+            assert np.array_equal(upper[r], full_up[ids])
+
+
+class TestCheckSums:
+    def _row(self, lower, upper, ul=0.0, uu=0.0):
+        return TransitionBoundRow(
+            source=3, action="east", targets=np.array([0, 1]),
+            lower=np.asarray(lower, float), upper=np.asarray(upper, float),
+            unsafe_lower=ul, unsafe_upper=uu)
+
+    def test_feasible_row_passes(self):
+        _check_sums(self._row([0.2, 0.3], [0.6, 0.5], uu=0.1))
+
+    @pytest.mark.parametrize("lower, upper, ul, uu", [
+        ([0.6, 0.3], [0.7, 0.4], 0.2, 0.2),   # lower sum 1.1
+        ([0.1, 0.1], [0.4, 0.4], 0.0, 0.1),   # upper sum 0.9
+    ])
+    def test_infeasible_sums_raise(self, lower, upper, ul, uu):
+        with pytest.raises(InternalConsistencyError, match=r"row \(3, east\).*infeasible"):
+            _check_sums(self._row(lower, upper, ul, uu))
