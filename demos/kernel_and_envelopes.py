@@ -13,7 +13,7 @@ from nndm_synth.fixtures import reach_avoid_2d
 from nndm_synth.geometry import build_grid, post_image_hull, rect_hull, whitening_transform
 from nndm_synth.networks import evaluate
 from nndm_synth.relaxation import relax
-from nndm_synth.transitions import gaussian_box_mass, transition_row
+from nndm_synth.transitions import gaussian_box_mass, transition_rows
 
 rng = np.random.default_rng(0)
 
@@ -64,13 +64,13 @@ print(f"mean envelope width per output: {np.mean(env_hi - env_lo, axis=0).round(
 
 # -- post image and one transition row ------------------------------------------
 
-poly = post_image_hull(bounds, cell)
-hull = rect_hull(poly)
+verts = post_image_hull(bounds, cell)
+hull = rect_hull(verts)
 print("== Post image ==")
-print(f"{poly.vertices.shape[0]} candidate corners, bounding box "
+print(f"{verts.shape[0]} candidate corners, bounding box "
       f"[{hull.lo.round(3)}, {hull.hi.round(3)}]")
 
-row = transition_row(grid, cell_id, action, bounds)
+(row,) = transition_rows(grid, [cell_id], action, [bounds])
 order = np.argsort(-row.upper)[:5]
 print(f"transition row keeps {row.targets.size} of {grid.num_cells} targets; largest:")
 for k in order:

@@ -13,11 +13,11 @@ from . import fixtures
 from .automata import Dfa, ProductImdp, build_product, dfa_template, load_dfa, parse_dfa
 from .geometry import (
     HyperRect,
-    Polytope,
     RegionGrid,
     Transform,
     build_grid,
     post_image_hull,
+    post_image_hulls,
     rect_hull,
     transform_box,
     whitening_transform,
@@ -61,8 +61,7 @@ from .transitions import (
     TransitionBoundRow,
     extremal_means,
     gaussian_box_mass,
-    min_mass_over_hull,
-    transition_row,
+    transition_rows,
 )
 
 __version__ = "0.1.0"

@@ -6,6 +6,8 @@ refinement, `refine` runs the full refinement loop, `simulate` Monte Carlo
 checks a saved result, and `run` does everything including the simulation
 check. Artifacts travel between invocations as pickles in the output
 directory (abstraction.pkl, result.pkl), tagged with _ARTIFACT_FORMAT.
+abstraction.pkl also carries a fingerprint of the inputs it was built from,
+and `synthesize` refuses one whose inputs differ from its config.
 
 Exit status: 0 on success, 2 on a bad config, input or artifact, and
 _EXIT_NOT_CONVERGED when synthesize, refine or run wrote their outputs but a
@@ -15,11 +17,15 @@ value-iteration pass stopped at max_sweeps above its tolerance.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import os
 import pickle
 import sys
 
-from .networks import load_networks
+import numpy as np
+
+from .networks import NeuralDynamics, load_networks
 from .pipeline import (
     PipelineConfig,
     build_abstraction,
@@ -29,8 +35,8 @@ from .pipeline import (
     validate_monte_carlo,
 )
 
-# Bump whenever a pickled class changes its fields.
-_ARTIFACT_FORMAT = 2
+# Bump whenever a pickled class or the pickled dict changes its fields.
+_ARTIFACT_FORMAT = 3
 _EXIT_NOT_CONVERGED = 3
 
 
@@ -49,7 +55,26 @@ def _require_network(config: PipelineConfig):
     return load_networks(config.network)
 
 
-def _load_pickle(outdir: str, name: str):
+def _fingerprint(config: PipelineConfig, nd: NeuralDynamics) -> str:
+    """sha256 over everything an abstraction is built from: the domain, grid
+    counts, noise covariance, labeled regions and network weights."""
+    doc = {
+        "domain": [config.domain.lo.tolist(), config.domain.hi.tolist()],
+        "grid": list(config.grid),
+        "covariance": np.asarray(config.covariance).tolist(),
+        "regions": [[label, box.lo.tolist(), box.hi.tolist()] for label, box in config.regions],
+        "dim": nd.dim,
+        "networks": [
+            [a, [[l.weights.tolist(), l.bias.tolist(), l.activation.value] for l in nd.layers(a)]]
+            for a in nd.actions
+        ],
+    }
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def _load_pickle(outdir: str, name: str, fingerprint: str | None = None):
+    """The pickled object, or None when the file does not exist. With a
+    fingerprint, an artifact built from other inputs is refused."""
     path = os.path.join(outdir, name)
     if not os.path.exists(path):
         return None
@@ -60,14 +85,19 @@ def _load_pickle(outdir: str, name: str):
         doc = None
     if not isinstance(doc, dict) or doc.get("format") != _ARTIFACT_FORMAT:
         raise ValueError(f"{path} is unreadable or from another version of nndm-synth; rebuild it")
+    if fingerprint is not None and doc["fingerprint"] != fingerprint:
+        raise ValueError(
+            f"{path} was built from another domain, grid, covariance, regions or network "
+            "than this config; rebuild it"
+        )
     return doc["object"]
 
 
-def _save_pickle(outdir: str, name: str, obj) -> str:
+def _save_pickle(outdir: str, name: str, obj, fingerprint: str | None = None) -> str:
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
     with open(path, "wb") as fh:
-        pickle.dump({"format": _ARTIFACT_FORMAT, "object": obj}, fh)
+        pickle.dump({"format": _ARTIFACT_FORMAT, "fingerprint": fingerprint, "object": obj}, fh)
     return path
 
 
@@ -115,7 +145,7 @@ def _cmd_abstract(args) -> int:
     config = _load_config(args)
     nd = _require_network(config)
     abstraction = build_abstraction(nd, config)
-    path = _save_pickle(args.out, "abstraction.pkl", abstraction)
+    path = _save_pickle(args.out, "abstraction.pkl", abstraction, _fingerprint(config, nd))
     print(
         f"abstraction: {abstraction.grid.num_cells} cells x {len(nd.actions)} actions "
         f"-> {len(abstraction.imdp.rows)} transition rows"
@@ -127,8 +157,8 @@ def _cmd_abstract(args) -> int:
 def _cmd_synthesize(args) -> int:
     config = _load_config(args)
     config.refinement.rounds = 0
-    abstraction = _load_pickle(args.out, "abstraction.pkl")
-    nd = abstraction.dynamics if abstraction is not None else _require_network(config)
+    nd = _require_network(config)
+    abstraction = _load_pickle(args.out, "abstraction.pkl", _fingerprint(config, nd))
     result = run_pipeline(config, nd=nd, outdir=args.out, abstraction=abstraction)
     _save_pickle(args.out, "result.pkl", result)
     _print_result(result)

@@ -100,26 +100,6 @@ class HyperRect:
 
 
 @dataclass(frozen=True)
-class Polytope:
-    """Convex hull of a finite vertex candidate set. Vertices may be
-    redundant (interior points are allowed and never pruned)."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-        if v.size == 0:
-            raise ValueError("polytope needs at least one vertex")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("polytope vertices must be finite")
-        object.__setattr__(self, "vertices", v)
-
-    @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-
-@dataclass(frozen=True)
 class Transform:
     """Invertible linear change of coordinates z = matrix @ x."""
 
@@ -151,27 +131,40 @@ def whitening_transform(covariance: np.ndarray, tol: float = 1e-9) -> Transform:
     return Transform(matrix=matrix, inverse=inverse, covariance=cov)
 
 
-def rect_hull(poly: Polytope) -> HyperRect:
-    """Tightest axis-aligned box containing the vertex set."""
-    return HyperRect(poly.vertices.min(axis=0), poly.vertices.max(axis=0))
+def rect_hull(vertices: np.ndarray) -> HyperRect:
+    """Tightest axis-aligned box containing the (M, n) vertex set."""
+    return HyperRect(vertices.min(axis=0), vertices.max(axis=0))
 
 
-def post_image_hull(bounds: "LinearBounds", cell: HyperRect) -> Polytope:
-    """Candidate vertex set whose convex hull contains the image of `cell`
-    under the bounded map.
+def post_image_hulls(bounds: Sequence["LinearBounds"], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Candidate vertex sets, shape (R, 4^n, n): row r's convex hull contains
+    the image of the cell [lo[r], hi[r]] under the envelope bounds[r].
 
     For each cell corner v the true image lies in the box
     [lower(v), upper(v)]; the union of those boxes' corners (2^n boxes with
-    2^n corners each) spans a convex hull that contains the whole image.
+    2^n corners each) spans a convex hull that contains the whole image. The
+    envelopes are applied in one stacked np.matmul; each row is bitwise what
+    its envelope gives on its cell alone.
     """
-    verts = cell.vertices()                      # (2^n, n)
-    los = bounds.lower(verts)                    # (2^n, n)
-    his = bounds.upper(verts)
+    n = lo.shape[1]
+    masks = _corner_masks(n)                                      # (2^n, n)
+    verts = np.where(masks, hi[:, None, :], lo[:, None, :])       # (R, 2^n, n)
+    A_lo = np.stack([b.A_lo for b in bounds]).transpose(0, 2, 1)
+    A_hi = np.stack([b.A_hi for b in bounds]).transpose(0, 2, 1)
+    los = np.matmul(verts, A_lo) + np.stack([b.b_lo for b in bounds])[:, None, :]
+    his = np.matmul(verts, A_hi) + np.stack([b.b_hi for b in bounds])[:, None, :]
     box_lo = np.minimum(los, his)
     box_hi = np.maximum(los, his)
-    masks = _corner_masks(cell.dim)              # (2^n, n)
-    corners = np.where(masks[None, :, :], box_hi[:, None, :], box_lo[:, None, :])
-    return Polytope(corners.reshape(-1, cell.dim))
+    corners = np.where(masks, box_hi[:, :, None, :], box_lo[:, :, None, :])
+    corners = corners.reshape(len(bounds), -1, n)
+    if corners.size == 0 or not np.all(np.isfinite(corners)):
+        raise ValueError("post-image vertices must be finite and non-empty")
+    return corners
+
+
+def post_image_hull(bounds: "LinearBounds", cell: HyperRect) -> np.ndarray:
+    """Candidate vertex set (4^n, n) for one cell; see post_image_hulls."""
+    return post_image_hulls([bounds], cell.lo[None], cell.hi[None])[0]
 
 
 def _axis_map(matrix: np.ndarray, tol: float = 1e-9) -> list[tuple[int, float]] | None:

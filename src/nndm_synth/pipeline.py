@@ -23,7 +23,6 @@ from .geometry import (
     RegionGrid,
     Transform,
     build_grid,
-    post_image_hull,
     whitening_transform,
 )
 from .imdp import (
@@ -35,7 +34,7 @@ from .imdp import (
 from .networks import NeuralDynamics, evaluate, load_networks
 from .refinement import RefinementConfig, RefineOutcome, refine_round
 from .relaxation import LinearBounds, relax_cells
-from .transitions import refresh_rows, transition_row
+from .transitions import refresh_rows, transition_rows
 
 
 def _parse_covariance(raw, dim: int) -> np.ndarray:
@@ -176,9 +175,9 @@ class Abstraction:
 
 
 def _compute_rows(nd, grid, keys):
-    """Envelope + transition row for each (cell, action index) key. The
-    envelopes are relaxed per action, all of that action's cells in one
-    relax_cells call."""
+    """Envelope + transition row for each (cell, action index) key. Per
+    action, all of that action's cells go through one relax_cells and one
+    transition_rows call."""
     cells_of: dict[int, list[int]] = {}
     for cell, a in keys:
         cells_of.setdefault(a, []).append(cell)
@@ -186,8 +185,9 @@ def _compute_rows(nd, grid, keys):
     for a, cells in cells_of.items():
         ids = np.asarray(cells, dtype=np.int64)
         envs = relax_cells(nd, nd.actions[a], grid.transform, grid.lo[ids], grid.hi[ids])
-        for cell, b in zip(cells, envs):
-            out[(cell, a)] = (b, transition_row(grid, cell, nd.actions[a], b))
+        rows = transition_rows(grid, ids, nd.actions[a], envs)
+        for cell, b, row in zip(cells, envs, rows):
+            out[(cell, a)] = (b, row)
     return out
 
 
@@ -226,8 +226,8 @@ def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome) -> None:
     clean = [key for key in sorted(imdp.rows) if key not in outcome.dirty]
     if outcome.splits and clean:
         changed = np.sort(np.array(outcome.splits, dtype=np.int64)[:, :2], axis=None)
-        polys = [post_image_hull(abstraction.bounds[key], grid.cell(key[0])) for key in clean]
-        fresh = refresh_rows(grid, [imdp.rows[key] for key in clean], polys, changed)
+        fresh = refresh_rows(grid, [imdp.rows[key] for key in clean],
+                             [abstraction.bounds[key] for key in clean], changed)
         imdp.rows.update(zip(clean, fresh))
 
     imdp.num_cells = grid.num_cells

@@ -6,21 +6,34 @@ of one-dimensional erf differences. Bounding the mean over a cell's
 post-image hull therefore bounds the whole transition row, and the extremal
 means over the hull's rectangle have a nearest/farthest closed form per
 dimension.
+
+The kernel is separable: a target's term in dimension d depends only on its
+interval in d, and a grid has few distinct intervals per dimension. So the
+rows of one action are built as one stack. Per dimension, each row's erf
+terms for its nearest and farthest mean are tabulated over the distinct
+target intervals, gathered into the (rows, targets) layout and multiplied
+in dimension order, exactly as `gaussian_box_mass` multiplies them. The
+vertex minimum then runs only on the (row, target) pairs whose target meets
+the row's rectangle. Refinement refreshes rows through the same kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf, erfc
 
-from .geometry import HyperRect, Polytope, RegionGrid, post_image_hull, rect_hull
+from .geometry import RegionGrid, post_image_hulls
 from .relaxation import LinearBounds
 
 _SQRT2 = float(np.sqrt(2.0))
 _PRUNE = 1e-12      # row entries with upper bound below this are dropped
 _FEAS_TOL = 1e-8    # slack for the sum-feasibility sanity check
+# Rows per stacked kernel pass. Keeps the temporaries near 1 MiB on grids of
+# about a thousand cells (16-32 rows ran fastest); the value changes no result.
+_CHUNK_ROWS = 16
 
 
 class InternalConsistencyError(RuntimeError):
@@ -28,13 +41,9 @@ class InternalConsistencyError(RuntimeError):
     indicates a bug rather than bad input."""
 
 
-def gaussian_box_mass(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """P(N(z, I) lands in [lo, hi]) as a product over dimensions.
-
-    Broadcasts over leading axes; the trailing axis is the state dimension.
-    Far tails switch to erfc so the erf difference does not cancel.
-    """
-    z, lo, hi = np.broadcast_arrays(np.asarray(z, dtype=float), lo, hi)
+def _erf_terms(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per-dimension factor 2 P(z + N(0, 1) in [lo, hi]), elementwise. Far
+    tails switch to erfc so the erf difference does not cancel."""
     a = (z - lo) / _SQRT2
     b = (z - hi) / _SQRT2
     term = erf(a) - erf(b)
@@ -44,15 +53,17 @@ def gaussian_box_mass(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     left = a <= -4.0
     if np.any(left):
         term = np.where(left, erfc(-a) - erfc(-b), term)
-    mass = np.prod(term, axis=-1) / (2.0 ** z.shape[-1])
+    return term
+
+
+def gaussian_box_mass(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """P(N(z, I) lands in [lo, hi]) as a product over dimensions.
+
+    Broadcasts over leading axes; the trailing axis is the state dimension.
+    """
+    z, lo, hi = np.broadcast_arrays(np.asarray(z, dtype=float), lo, hi)
+    mass = np.prod(_erf_terms(z, lo, hi), axis=-1) / (2.0 ** z.shape[-1])
     return np.clip(mass, 0.0, 1.0)
-
-
-def min_mass_over_hull(poly: Polytope, target: HyperRect) -> float:
-    """Exact minimum of the box mass over the hull: the mass is log-concave
-    in the mean, so the minimum over a polytope sits at a vertex."""
-    vals = gaussian_box_mass(poly.vertices, target.lo, target.hi)
-    return float(vals.min())
 
 
 def extremal_means(
@@ -111,26 +122,50 @@ def _check_sums(row: TransitionBoundRow) -> None:
         )
 
 
+def _intervals(lows: np.ndarray, highs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per dimension: the distinct target intervals (lo, hi), each (K,), and
+    every target's index into them, (C,). Intervals are told apart by their
+    bits, so a gathered term is exactly the term of the target's own bounds."""
+    out = []
+    for d in range(lows.shape[1]):
+        pairs = np.stack([lows[:, d], highs[:, d]], axis=1)
+        _, first, inv = np.unique(pairs.view(np.int64), axis=0, return_index=True, return_inverse=True)
+        out.append((pairs[first, 0], pairs[first, 1], inv.reshape(-1)))
+    return out
+
+
 def _entries(
     vertices: np.ndarray,
-    rect_lo: np.ndarray,
-    rect_hi: np.ndarray,
     lows: np.ndarray,
     highs: np.ndarray,
+    intervals: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) of shape (R, C) for R rows, each given by its candidate
-    mean vertices (R, M, n) and their rectangle [rect_lo, rect_hi] (R, n),
-    against C target boxes [lows, highs] (C, n). Upper bounds use the
-    nearest mean, lower bounds the farthest one, tightened to the minimum
-    over the row's vertices on the (row, target) pairs whose target meets
-    the rectangle. Entries below _PRUNE come back as 0; a row stores only
-    targets with positive upper."""
-    rect_lo, rect_hi = rect_lo[:, None, :], rect_hi[:, None, :]
-    z_min, z_max = extremal_means(rect_lo, rect_hi, lows, highs)
-    upper = gaussian_box_mass(z_max, lows, highs)
-    lower = gaussian_box_mass(z_min, lows, highs)
+    mean vertices (R, M, n), against C target boxes [lows, highs] (C, n)
+    whose per-dimension intervals are `intervals` (see _intervals). Upper
+    bounds use the nearest mean, lower bounds the farthest one, tightened to
+    the minimum over the row's vertices on the (row, target) pairs whose
+    target meets the row's rectangle. Entries below _PRUNE come back as 0; a
+    row stores only targets with positive upper. Each row's entries are
+    bitwise those of gaussian_box_mass on that row alone."""
+    rect_lo, rect_hi = vertices.min(axis=1), vertices.max(axis=1)
+    for d, (ilo, ihi, inv) in enumerate(intervals):
+        r_lo, r_hi = rect_lo[:, d, None], rect_hi[:, d, None]
+        z_min, z_max = extremal_means(r_lo, r_hi, ilo, ihi)       # (R, K)
+        up = _erf_terms(z_max, ilo, ihi)[:, inv]
+        lo = _erf_terms(z_min, ilo, ihi)[:, inv]
+        meet = ((ihi >= r_lo) & (ilo <= r_hi))[:, inv]
+        if d == 0:
+            upper, lower, meets = up, lo, meet
+        else:  # dimension order, as np.prod multiplies in gaussian_box_mass
+            upper *= up
+            lower *= lo
+            meets &= meet
+    scale = 2.0 ** vertices.shape[2]
+    upper = np.clip(upper / scale, 0.0, 1.0)
+    lower = np.clip(lower / scale, 0.0, 1.0)
 
-    r, c = np.nonzero(np.all((highs >= rect_lo) & (lows <= rect_hi), axis=2))
+    r, c = np.nonzero(meets)
     if r.size:
         # vertex enumeration is exact for the lower bound over the hull
         vals = gaussian_box_mass(vertices[r], lows[c, None, :], highs[c, None, :])
@@ -142,63 +177,86 @@ def _entries(
     return lower, upper
 
 
-def transition_row(
+def _stacked_entries(
     grid: RegionGrid,
-    source: int,
-    action: str,
-    bounds: LinearBounds,
-) -> TransitionBoundRow:
-    """One sound transition row: bound every target cell over the source's
-    post-image hull (see _entries) and keep those with positive upper bound.
-    The leftover interval is the out-of-domain mass."""
-    poly = post_image_hull(bounds, grid.cell(source))
-    hull = rect_hull(poly)
-    lower, upper = _entries(poly.vertices[None], hull.lo[None], hull.hi[None], grid.lo, grid.hi)
-    targets = np.flatnonzero(upper[0])
+    sources: np.ndarray,
+    bounds: Sequence[LinearBounds],
+    lows: np.ndarray,
+    highs: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Rows (sources[i], bounds[i]) against the targets [lows, highs],
+    _CHUNK_ROWS rows at a time: yields (first row, vertices, lower, upper)
+    per chunk, with the chunk's post-image vertex sets and its _entries.
+    The target intervals are found once for the whole stack."""
+    intervals = _intervals(lows, highs)
+    for s in range(0, len(sources), _CHUNK_ROWS):
+        src = sources[s : s + _CHUNK_ROWS]
+        verts = post_image_hulls(bounds[s : s + _CHUNK_ROWS], grid.lo[src], grid.hi[src])
+        yield s, verts, *_entries(verts, lows, highs, intervals)
 
+
+def transition_rows(
+    grid: RegionGrid,
+    sources: np.ndarray,
+    action: str,
+    bounds: Sequence[LinearBounds],
+) -> list[TransitionBoundRow]:
+    """Sound transition rows of `action` for the cells `sources`, with
+    bounds[i] the envelope on sources[i]: every target cell is bounded over
+    the source's post-image hull (see _entries) and those with positive
+    upper bound are kept. The leftover interval is the out-of-domain mass.
+    Each row is bitwise what a stack of that row alone gives."""
+    sources = np.asarray(sources, dtype=np.int64)
     dom = grid.domain
-    dz_min, dz_max = extremal_means(hull.lo, hull.hi, dom.lo, dom.hi)
-    row = TransitionBoundRow(
-        source=source,
-        action=action,
-        targets=targets.astype(np.int64),
-        lower=lower[0, targets],
-        upper=upper[0, targets],
-        unsafe_lower=float(np.clip(1.0 - gaussian_box_mass(dz_max, dom.lo, dom.hi), 0.0, 1.0)),
-        unsafe_upper=float(np.clip(1.0 - gaussian_box_mass(dz_min, dom.lo, dom.hi), 0.0, 1.0)),
-    )
-    _check_sums(row)
-    return row
+    out = []
+    for s, verts, lower, upper in _stacked_entries(grid, sources, bounds, grid.lo, grid.hi):
+        dz_min, dz_max = extremal_means(verts.min(axis=1), verts.max(axis=1), dom.lo, dom.hi)
+        unsafe_lo = np.clip(1.0 - gaussian_box_mass(dz_max, dom.lo, dom.hi), 0.0, 1.0)
+        unsafe_up = np.clip(1.0 - gaussian_box_mass(dz_min, dom.lo, dom.hi), 0.0, 1.0)
+        for k, source in enumerate(sources[s : s + len(verts)]):
+            targets = np.flatnonzero(upper[k])
+            row = TransitionBoundRow(
+                source=int(source),
+                action=action,
+                targets=targets.astype(np.int64),
+                lower=lower[k, targets],
+                upper=upper[k, targets],
+                unsafe_lower=float(unsafe_lo[k]),
+                unsafe_upper=float(unsafe_up[k]),
+            )
+            _check_sums(row)
+            out.append(row)
+    return out
 
 
 def refresh_rows(
     grid: RegionGrid,
     rows: list[TransitionBoundRow],
-    polys: list[Polytope],
+    bounds: Sequence[LinearBounds],
     cell_ids: np.ndarray,
 ) -> list[TransitionBoundRow]:
     """The rows with their entries at `cell_ids` recomputed from their
-    post-image vertex sets `polys`, all in one _entries call, so each row
-    equals what transition_row builds on the current grid. Refinement uses
-    this for the rows whose source was not split, with `cell_ids` the split
-    cells' ids."""
-    verts = np.stack([poly.vertices for poly in polys])
-    lower, upper = _entries(verts, verts.min(axis=1), verts.max(axis=1),
-                            grid.lo[cell_ids], grid.hi[cell_ids])
+    envelopes `bounds`, all in one stack, so each row equals what
+    transition_rows builds on the current grid. Refinement uses this for the
+    rows whose source was not split, with `cell_ids` the split cells' ids."""
+    sources = np.array([row.source for row in rows], dtype=np.int64)
     changed = np.zeros(grid.num_cells, dtype=bool)
     changed[cell_ids] = True
     out = []
-    for row, lo, up in zip(rows, lower, upper):
-        keep = ~changed[row.targets]
-        add = up > 0.0
-        targets = np.concatenate([row.targets[keep], cell_ids[add]])
-        order = np.argsort(targets, kind="stable")
-        row = replace(
-            row,
-            targets=targets[order],
-            lower=np.concatenate([row.lower[keep], lo[add]])[order],
-            upper=np.concatenate([row.upper[keep], up[add]])[order],
-        )
-        _check_sums(row)
-        out.append(row)
+    for s, verts, lower, upper in _stacked_entries(
+        grid, sources, bounds, grid.lo[cell_ids], grid.hi[cell_ids]
+    ):
+        for row, lo, up in zip(rows[s : s + len(verts)], lower, upper):
+            keep = ~changed[row.targets]
+            add = up > 0.0
+            targets = np.concatenate([row.targets[keep], cell_ids[add]])
+            order = np.argsort(targets, kind="stable")
+            row = replace(
+                row,
+                targets=targets[order],
+                lower=np.concatenate([row.lower[keep], lo[add]])[order],
+                upper=np.concatenate([row.upper[keep], up[add]])[order],
+            )
+            _check_sums(row)
+            out.append(row)
     return out

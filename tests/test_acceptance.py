@@ -23,7 +23,6 @@ from nndm_synth.fixtures import (
 )
 from nndm_synth.geometry import (
     HyperRect,
-    Polytope,
     build_grid,
     post_image_hull,
     rect_hull,
@@ -41,10 +40,11 @@ from nndm_synth.pipeline import (
 from nndm_synth.refinement import RefinementConfig, refine_round
 from nndm_synth.relaxation import relax
 from nndm_synth.transitions import (
+    _entries,
+    _intervals,
     extremal_means,
     gaussian_box_mass,
-    min_mass_over_hull,
-    transition_row,
+    transition_rows,
 )
 
 
@@ -88,10 +88,12 @@ def test_criterion_2_vertex_minimum_is_hull_minimum():
     for _ in range(200):
         m = int(rng.integers(4, 9))
         verts = rng.normal(0.0, 1.3, (m, 2))
-        poly = Polytope(vertices=verts)
         t_lo = rng.uniform(-2.5, 0.5, 2)
         target = HyperRect(t_lo, t_lo + rng.uniform(0.3, 2.5, 2))
-        got = min_mass_over_hull(poly, target)
+        # the lower bound the row kernel ships for this hull and target
+        lows, highs = target.lo[None], target.hi[None]
+        lower, _ = _entries(verts[None], lows, highs, _intervals(lows, highs))
+        got = float(lower[0, 0])
         # 10^4 points covering conv(H): all vertices, then convex combinations
         # drawn both near the boundary and uniformly inside
         w_edge = rng.dirichlet(0.3 * np.ones(m), size=5000 - m)
@@ -137,8 +139,8 @@ def test_criterion_3_extremal_means_dominate():
 
 def _naive_row(grid, source, action, bounds):
     """Literal per-cell row assembly, no target grouping."""
-    poly = post_image_hull(bounds, grid.cell(source))
-    hull = rect_hull(poly)
+    verts = post_image_hull(bounds, grid.cell(source))
+    hull = rect_hull(verts)
     lows, highs = grid.boxes()
     n = grid.num_cells
     lower = np.empty(n)
@@ -147,7 +149,7 @@ def _naive_row(grid, source, action, bounds):
         z_min, z_max = extremal_means(hull.lo, hull.hi, lows[q], highs[q])
         upper[q] = gaussian_box_mass(z_max, lows[q], highs[q])
         if np.all(highs[q] >= hull.lo) and np.all(lows[q] <= hull.hi):
-            lower[q] = gaussian_box_mass(poly.vertices, lows[q], highs[q]).min()
+            lower[q] = gaussian_box_mass(verts, lows[q], highs[q]).min()
         else:
             lower[q] = gaussian_box_mass(z_min, lows[q], highs[q])
     lower = np.minimum(lower, upper)
@@ -172,10 +174,11 @@ def test_criterion_4_grouping_equivalence():
     grid = build_grid(HyperRect([-2.0, -2.0], [2.0, 2.0]), transform, (10, 10))
     assert grid.num_cells == 100
     mismatches = 0
-    for source in range(grid.num_cells):
-        for action in nd.actions:
-            b = relax(nd, action, transform, grid.cell(source))
-            row = transition_row(grid, source, action, b)
+    for action in nd.actions:
+        # all 100 rows of the action in one stack, as the pipeline builds them
+        envs = [relax(nd, action, transform, grid.cell(source)) for source in range(grid.num_cells)]
+        rows = transition_rows(grid, np.arange(grid.num_cells), action, envs)
+        for source, (b, row) in enumerate(zip(envs, rows)):
             targets, lo, up, ul, uu = _naive_row(grid, source, action, b)
             same = (
                 np.array_equal(row.targets, targets)

@@ -106,6 +106,29 @@ def test_synthesize_refuses_untagged_abstraction(workdir, tmp_path, capsys):
     assert "abstraction.pkl" in err and "rebuild" in err
 
 
+@pytest.mark.parametrize("edit", ["grid", "network"])
+def test_synthesize_refuses_abstraction_from_other_inputs(workdir, tmp_path, capsys, edit):
+    raw = json.loads((workdir / "config.json").read_text())
+    raw["network"] = str(workdir / "nets.json")
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["abstract", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+    if edit == "grid":
+        raw["grid"] = [5, 4]
+    else:
+        nets = json.loads((workdir / "nets.json").read_text())
+        nets["networks"]["east"][0]["bias"][0] += 1e-9
+        (tmp_path / "nets.json").write_text(json.dumps(nets))
+        raw["network"] = "nets.json"
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main(["synthesize", "--config", str(tmp_path / "config.json"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "abstraction.pkl" in err and "built from another" in err
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("truncated", [False, True])
 def test_simulate_refuses_stale_result(tmp_path, capsys, truncated):
     nd, config = reach_avoid_2d(grid=(4, 4))

@@ -8,9 +8,10 @@ from scipy.optimize import linprog
 
 from nndm_synth.geometry import (
     HyperRect,
-    Polytope,
+    _corner_masks,
     build_grid,
     post_image_hull,
+    post_image_hulls,
     rect_hull,
     transform_box,
     whitening_transform,
@@ -148,11 +149,11 @@ class TestPostImageHull:
         bounds = LinearBounds(A_lo=A, b_lo=b, A_hi=A, b_hi=b,
                               region=HyperRect([0, 0], [1, 1]))
         cell = HyperRect([0.0, 0.0], [1.0, 1.0])
-        poly = post_image_hull(bounds, cell)
+        verts = post_image_hull(bounds, cell)
         images = cell.vertices() @ A.T + b
         # every true corner image is among the candidates
         for p in images:
-            assert np.min(np.max(np.abs(poly.vertices - p), axis=1)) < 1e-12
+            assert np.min(np.max(np.abs(verts - p), axis=1)) < 1e-12
 
     def test_contains_sampled_images(self):
         rng = np.random.default_rng(11)
@@ -162,15 +163,47 @@ class TestPostImageHull:
             slack = rng.uniform(0.01, 0.2, size=2)
             cell = HyperRect(rng.uniform(-1, 0, 2), rng.uniform(0.5, 1.5, 2))
             bounds = LinearBounds(A_lo=A, b_lo=b - slack, A_hi=A, b_hi=b + slack, region=cell)
-            poly = post_image_hull(bounds, cell)
+            verts = post_image_hull(bounds, cell)
             z = rng.uniform(cell.lo, cell.hi, (50, 2))
             # any selection between the two affine maps is a possible image
             w = rng.uniform(0, 1, (50, 2))
             img = z @ A.T + (b - slack) + w * (2 * slack)
-            hull = rect_hull(poly)
+            hull = rect_hull(verts)
             assert np.all(img >= hull.lo - 1e-9) and np.all(img <= hull.hi + 1e-9)
             for p in img[:10]:
-                assert in_convex_hull(p, poly.vertices)
+                assert in_convex_hull(p, verts)
+
+
+    def test_stacked_matches_literal_per_cell_bitwise(self):
+        # literal per-cell construction: corners of each corner's image box
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3):
+            lo = rng.uniform(-2, 0, (7, n))
+            hi = lo + rng.uniform(0.1, 1.0, (7, n))
+            bounds = [
+                LinearBounds(A_lo=rng.normal(size=(n, n)), b_lo=rng.normal(size=n),
+                             A_hi=rng.normal(size=(n, n)), b_hi=rng.normal(size=n),
+                             region=HyperRect(lo[r], hi[r]))
+                for r in range(7)
+            ]
+            got = post_image_hulls(bounds, lo, hi)
+            assert got.shape == (7, 4**n, n)
+            for r, b in enumerate(bounds):
+                corners = HyperRect(lo[r], hi[r]).vertices()
+                los, his = b.lower(corners), b.upper(corners)
+                box_lo, box_hi = np.minimum(los, his), np.maximum(los, his)
+                want = np.array([np.where(m, h, l) for l, h in zip(box_lo, box_hi)
+                                 for m in _corner_masks(n)])
+                assert np.array_equal(got[r], want)
+                assert np.array_equal(post_image_hull(b, HyperRect(lo[r], hi[r])), want)
+
+    def test_rejects_non_finite_envelope(self):
+        cell = HyperRect([0.0, 0.0], [1.0, 1.0])
+        A = np.eye(2)
+        bounds = LinearBounds(A_lo=A, b_lo=np.array([np.inf, 0.0]), A_hi=A, b_hi=np.zeros(2),
+                              region=cell)
+        with pytest.raises(ValueError, match="finite"):
+            post_image_hull(bounds, cell)
 
 
 class TestRegionGrid:

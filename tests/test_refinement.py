@@ -21,7 +21,7 @@ from nndm_synth.refinement import (
     split_dimension,
 )
 from nndm_synth.relaxation import LinearBounds, relax
-from nndm_synth.transitions import TransitionBoundRow, transition_row
+from nndm_synth.transitions import TransitionBoundRow, transition_rows
 
 
 def _lb(A_lo, A_hi, region):
@@ -169,7 +169,7 @@ def _assert_matches_full_rebuild(ab, nd):
     for cell in range(grid.num_cells):
         for a, action in enumerate(nd.actions):
             b = relax(nd, action, grid.transform, grid.cell(cell))
-            want = transition_row(grid, cell, action, b)
+            want = transition_rows(grid, [cell], action, [b])[0]
             got = ab.imdp.rows[(cell, a)]
             assert np.array_equal(got.targets, want.targets), (cell, a)
             assert np.array_equal(got.lower, want.lower), (cell, a)

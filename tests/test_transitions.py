@@ -11,27 +11,41 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from nndm_synth.fixtures import reach_avoid_2d
+from nndm_synth.fixtures import reach_avoid_2d, vehicle_3d
 from nndm_synth.geometry import (
     HyperRect,
-    Polytope,
     build_grid,
     post_image_hull,
     rect_hull,
     whitening_transform,
 )
-from nndm_synth.relaxation import relax
+from nndm_synth.networks import Activation, DenseLayer, NeuralDynamics
+from nndm_synth.relaxation import relax, relax_cells
 from nndm_synth.transitions import (
     InternalConsistencyError,
     TransitionBoundRow,
     extremal_means,
     gaussian_box_mass,
-    min_mass_over_hull,
-    transition_row,
+    transition_rows,
     _check_sums,
     _entries,
+    _intervals,
+    _CHUNK_ROWS,
     _PRUNE,
 )
+from test_acceptance import _naive_row
+
+
+def transition_row(grid, source, action, bounds):
+    """One row, built as a stack of one."""
+    return transition_rows(grid, [source], action, [bounds])[0]
+
+
+def vertex_lower(vertices, target):
+    """Lower bound _entries ships for one vertex set against one box."""
+    lows, highs = target.lo[None], target.hi[None]
+    lower, _ = _entries(vertices[None], lows, highs, _intervals(lows, highs))
+    return float(lower[0, 0])
 
 
 def mass_by_quadrature(z, lo, hi):
@@ -123,27 +137,23 @@ class TestExtremalMeans:
 
 
 class TestHullExtrema:
-    def _random_poly(self, rng, m=6):
-        pts = rng.normal(0, 1.2, (m, 2))
-        return Polytope(vertices=pts)
-
     def test_min_is_exact_on_dense_samples(self):
         rng = np.random.default_rng(31)
         for _ in range(30):
-            poly = self._random_poly(rng)
+            verts = rng.normal(0, 1.2, (6, 2))
             target = HyperRect(rng.uniform(-2, 0, 2), rng.uniform(0.5, 2.5, 2))
-            got = min_mass_over_hull(poly, target)
-            w = rng.dirichlet(np.ones(poly.vertices.shape[0]), size=4000)
-            inside = w @ poly.vertices
+            got = vertex_lower(verts, target)
+            w = rng.dirichlet(np.ones(verts.shape[0]), size=4000)
+            inside = w @ verts
             vals = gaussian_box_mass(inside, target.lo, target.hi)
             # log-concavity: interior points can never undercut the vertex min
             assert vals.min() >= got - 1e-12
 
     def test_single_vertex(self):
-        poly = Polytope(vertices=np.array([[0.3, -0.4]]))
+        verts = np.array([[0.3, -0.4]])
         target = HyperRect([-1.0, -1.0], [1.0, 1.0])
-        want = float(gaussian_box_mass(poly.vertices[0], target.lo, target.hi))
-        assert min_mass_over_hull(poly, target) == pytest.approx(want, rel=1e-12)
+        want = float(gaussian_box_mass(verts[0], target.lo, target.hi))
+        assert vertex_lower(verts, target) == pytest.approx(want, rel=1e-12)
 
 
 class TestTransitionRow:
@@ -171,10 +181,10 @@ class TestTransitionRow:
         # inside [lower, upper] for every target cell
         grid, cell, action, bounds = self._row_inputs()
         row = transition_row(grid, cell, action, bounds)
-        poly = post_image_hull(bounds, grid.cell(cell))
+        verts = post_image_hull(bounds, grid.cell(cell))
         rng = np.random.default_rng(3)
-        w = rng.dirichlet(np.ones(poly.vertices.shape[0]), size=200)
-        means = w @ poly.vertices
+        w = rng.dirichlet(np.ones(verts.shape[0]), size=200)
+        means = w @ verts
         lows, highs = grid.boxes()
         lo_map = {int(t): float(p) for t, p in zip(row.targets, row.lower)}
         up_map = {int(t): float(p) for t, p in zip(row.targets, row.upper)}
@@ -189,8 +199,8 @@ class TestTransitionRow:
     def test_grouped_matches_naive_bitwise(self):
         grid, cell, action, bounds = self._row_inputs()
         row = transition_row(grid, cell, action, bounds)
-        poly = post_image_hull(bounds, grid.cell(cell))
-        hull = rect_hull(poly)
+        verts = post_image_hull(bounds, grid.cell(cell))
+        hull = rect_hull(verts)
         lows, highs = grid.boxes()
         # literal per-cell assembly, no grouping
         naive_lo = np.empty(grid.num_cells)
@@ -200,7 +210,7 @@ class TestTransitionRow:
             naive_up[q] = gaussian_box_mass(z_max, lows[q], highs[q])
             overlap = np.all(highs[q] >= hull.lo) and np.all(lows[q] <= hull.hi)
             if overlap:
-                naive_lo[q] = gaussian_box_mass(poly.vertices, lows[q], highs[q]).min()
+                naive_lo[q] = gaussian_box_mass(verts, lows[q], highs[q]).min()
             else:
                 naive_lo[q] = gaussian_box_mass(z_min, lows[q], highs[q])
         naive_lo = np.minimum(naive_lo, naive_up)
@@ -228,11 +238,11 @@ class TestTransitionRow:
         inputs = [self._row_inputs(cell=c) for c in (14, 21)]
         grid = inputs[0][0]
         rows = [transition_row(g, c, a, b) for g, c, a, b in inputs]
-        verts = np.stack([post_image_hull(b, g.cell(c)).vertices for g, c, _, b in inputs])
+        verts = np.stack([post_image_hull(b, g.cell(c)) for g, c, _, b in inputs])
         rect_lo, rect_hi = verts.min(axis=1), verts.max(axis=1)
         lows, highs = grid.boxes()
         ids = np.arange(1, grid.num_cells, 3)
-        lower, upper = _entries(verts, rect_lo, rect_hi, lows[ids], highs[ids])
+        lower, upper = _entries(verts, lows[ids], highs[ids], _intervals(lows[ids], highs[ids]))
         assert lower.shape == upper.shape == (2, ids.size)
         meets = np.all((highs[ids] >= rect_lo[:, None]) & (lows[ids] <= rect_hi[:, None]), axis=2)
         assert meets.any(axis=1).all(), "fixture should put targets on each rectangle"
@@ -244,6 +254,98 @@ class TestTransitionRow:
             full_up[row.targets] = row.upper
             assert np.array_equal(lower[r], full_lo[ids])
             assert np.array_equal(upper[r], full_up[ids])
+
+
+def _refined_2d():
+    """reach_avoid_2d on a 6x6 grid with a few cells split, so the
+    per-dimension intervals are non-uniform and partly nested."""
+    nd, config = reach_avoid_2d()
+    grid = build_grid(config.domain, whitening_transform(config.covariance), (6, 6), config.regions)
+    for cell, dim in ((14, 0), (14, 1), (3, 0), (grid.num_cells - 1, 1), (20, 0)):
+        grid.split_cell(cell, dim)
+    return nd, grid
+
+
+def _far_tails_2d():
+    """A contracting linear map on a domain wide against the unit noise: the
+    kept targets reach past both |erf argument| >= 4 switches."""
+    nd = NeuralDynamics(dim=2, actions=("stay",), networks={
+        "stay": (DenseLayer(0.1 * np.eye(2), np.zeros(2), Activation.LINEAR),)})
+    grid = build_grid(HyperRect([-10.0, -1.0], [10.0, 1.0]), whitening_transform(np.eye(2)), (40, 2))
+    return nd, grid
+
+
+def _stack(nd, grid, action, sources):
+    envs = relax_cells(nd, action, grid.transform, grid.lo[sources], grid.hi[sources])
+    return envs, transition_rows(grid, sources, action, envs)
+
+
+def _assert_same_row(got, want):
+    assert np.array_equal(got.targets, want.targets)
+    assert np.array_equal(got.lower, want.lower)
+    assert np.array_equal(got.upper, want.upper)
+    assert got.unsafe_lower == want.unsafe_lower
+    assert got.unsafe_upper == want.unsafe_upper
+
+
+class TestStackedRows:
+    """transition_rows against criterion 4's literal per-cell _naive_row,
+    bit for bit."""
+
+    def _assert_matches_naive(self, nd, grid, action, sources):
+        envs, rows = _stack(nd, grid, action, sources)
+        assert len(rows) == len(sources)
+        for source, b, row in zip(sources, envs, rows):
+            targets, lo, up, ul, uu = _naive_row(grid, int(source), action, b)
+            want = TransitionBoundRow(int(source), action, targets, lo, up, ul, uu)
+            assert row.source == source and row.action == action
+            _assert_same_row(row, want)
+        return rows
+
+    def test_refined_2d_grid(self):
+        nd, grid = _refined_2d()
+        widths = np.unique(grid.hi - grid.lo, axis=0)
+        assert len(widths) > 3, "fixture should have non-uniform cells"
+        for action in ("east", "north"):
+            self._assert_matches_naive(nd, grid, action, np.arange(grid.num_cells))
+
+    def test_small_3d_grid(self):
+        nd, config = vehicle_3d(grid=(4, 3, 3))
+        grid = build_grid(config.domain, whitening_transform(config.covariance),
+                          config.grid, config.regions)
+        for action in nd.actions[:2]:
+            self._assert_matches_naive(nd, grid, action, np.arange(grid.num_cells))
+
+    def test_targets_in_both_erfc_tails(self):
+        nd, grid = _far_tails_2d()
+        sources = np.arange(grid.num_cells)
+        rows = self._assert_matches_naive(nd, grid, "stay", sources)
+        envs = relax_cells(nd, "stay", grid.transform, grid.lo, grid.hi)
+        left = right = 0
+        for row, b in zip(rows, envs):
+            rect = rect_hull(post_image_hull(b, grid.cell(row.source)))
+            t = row.targets
+            # nearest-mean erf arguments (z - lo)/sqrt2 <= -4 and (z - hi)/sqrt2 >= 4
+            left += np.any((rect.hi - grid.lo[t]) / np.sqrt(2.0) <= -4.0)
+            right += np.any((rect.lo - grid.hi[t]) / np.sqrt(2.0) >= 4.0)
+        assert left > 0 and right > 0, "fixture should keep targets in both tails"
+
+    def test_row_count_not_a_multiple_of_the_chunk(self):
+        nd, grid = _refined_2d()
+        sources = np.arange(_CHUNK_ROWS + 5) % grid.num_cells
+        assert len(sources) % _CHUNK_ROWS != 0 and len(sources) > _CHUNK_ROWS
+        self._assert_matches_naive(nd, grid, "west", sources)
+
+    def test_rows_independent_of_their_stack(self):
+        nd, grid = _refined_2d()
+        sources = np.arange(grid.num_cells)
+        envs, rows = _stack(nd, grid, "east", sources)
+        # each row alone, and the stack reversed, so every row gets other
+        # neighbours and another chunk position
+        rev = transition_rows(grid, sources[::-1], "east", envs[::-1])[::-1]
+        for s, (b, row, other) in enumerate(zip(envs, rows, rev)):
+            _assert_same_row(transition_rows(grid, [s], "east", [b])[0], row)
+            _assert_same_row(other, row)
 
 
 class TestCheckSums:
