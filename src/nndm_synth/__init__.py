@@ -27,7 +27,6 @@ from .imdp import (
     ValueIterationResult,
     evaluate_strategy_upper,
     extreme_distribution,
-    extreme_expectation,
     robust_value_iteration,
 )
 from .networks import (

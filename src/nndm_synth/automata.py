@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imdp import Imdp
+from .imdp import Imdp, RowStore
 
 UNSAFE_PROP = "unsafe"
 
@@ -245,14 +245,15 @@ class ProductImdp:
     reachable from the per-cell initial states. Cell -1 marks the virtual
     out-of-domain component. next_tbl[q, d] is the DFA state entered from
     DFA state d on moving into cell q; its last row (q = -1) is the
-    out-of-domain step."""
+    out-of-domain step. `rows` is the one CSR store of the product rows,
+    keyed (pid, action)."""
 
     imdp: Imdp
     dfa: Dfa
     states: list[tuple[int, int]]
     accepting: np.ndarray
     sink: np.ndarray
-    rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    rows: RowStore
     initial_pid: np.ndarray
     next_tbl: np.ndarray
 
@@ -271,7 +272,9 @@ class ProductImdp:
 def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     """Synchronous product: a transition into cell q' advances the DFA on
     L(q'), and a cell's initial product state consumes its own label first.
-    Rows keep the base probability bounds, only target indices change.
+    Rows keep the base probability bounds, only target indices change; they
+    are written into one RowStore in (pid, action) order, entries sorted by
+    target pid.
     Accepting DFA states are absorbing; dead DFA states and the non-accepting
     out-of-domain states form the sink."""
     used = set().union(*imdp.labels) if imdp.labels else set()
@@ -322,25 +325,43 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     for q in range(num_cells):
         initial_pid[q] = ensure(q, int(next_tbl[q, d0]))
 
-    rows: dict[tuple[int, int], tuple] = {}
+    # discover the reachable states first: their count and row sizes fix the
+    # store's layout before any entry is written
+    A = imdp.num_actions
+    out_of_domain = np.array([unsafe_slot])
+    live: list[int] = []
     while queue:
         slot, d, pid = queue.popleft()
         if d in acc or d in dead or slot == unsafe_slot:
             continue  # terminal in the product: no outgoing rows needed
-        for a in range(imdp.num_actions):
+        live.append(pid)
+        # successor slots of every action's row, in row order
+        succ = []
+        for a in range(A):
             base = imdp.row(slot, a)
-            d_next = next_tbl[base.targets, d]
-            pids = pid_tbl[base.targets, d_next].copy()
-            for m in np.flatnonzero(pids < 0):
-                pids[m] = ensure(int(base.targets[m]), int(d_next[m]))
-            lo, up = base.lower, base.upper
+            succ.append(base.targets)
             if base.unsafe_upper > 0.0:
-                pu = ensure(unsafe_slot, int(next_tbl[unsafe_slot, d]))
-                pids = np.append(pids, pu)
-                lo = np.append(lo, base.unsafe_lower)
-                up = np.append(up, base.unsafe_upper)
-            order = np.argsort(pids, kind="stable")
-            rows[(pid, a)] = (pids[order], lo[order], up[order])
+                succ.append(out_of_domain)
+        succ = np.concatenate(succ)
+        d_next = next_tbl[succ, d]
+        for m in np.flatnonzero(pid_tbl[succ, d_next] < 0):
+            ensure(int(succ[m]), int(d_next[m]))
+
+    first = np.full(len(states), -1, dtype=np.int64)
+    first[live] = np.arange(len(live)) * A
+    bases = [(states[pid][1], imdp.row(states[pid][0], a)) for pid in live for a in range(A)]
+    rows = RowStore(first, A, [b.targets.size + (b.unsafe_upper > 0.0) for _, b in bases])
+    # succ_pid[d, t]: the pid entered from DFA state d on moving into slot t
+    succ_pid = pid_tbl[np.arange(num_cells + 1), next_tbl.T]
+    for r, (d, base) in enumerate(bases):
+        pids = succ_pid[d][base.targets]
+        lo, up = base.lower, base.upper
+        if base.unsafe_upper > 0.0:
+            pids = np.append(pids, succ_pid[d, unsafe_slot])
+            lo = np.append(lo, base.unsafe_lower)
+            up = np.append(up, base.unsafe_upper)
+        order = pids.argsort(kind="stable")
+        rows.put(r, pids[order], lo[order], up[order])
 
     accepting = np.array([d in acc for (_, d) in states], dtype=bool)
     sink = np.array(

@@ -20,7 +20,7 @@ layer (the batched CROWN formulation). Each box's envelope is bitwise what
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +35,13 @@ _CHUNK_CELLS = 32
 
 @dataclass(frozen=True)
 class LinearBounds:
-    """Affine lower/upper envelope of the whitened dynamics on `region`."""
+    """Affine lower/upper envelope of the whitened dynamics on the box it was
+    relaxed over (the caller keeps the box)."""
 
     A_lo: np.ndarray
     b_lo: np.ndarray
     A_hi: np.ndarray
     b_hi: np.ndarray
-    region: HyperRect
 
     def lower(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float) @ self.A_lo.T + self.b_lo
@@ -308,10 +308,7 @@ def relax_cells(
     for s in range(0, lo.shape[0], _CHUNK_CELLS):
         l, h = lo[s : s + _CHUNK_CELLS], hi[s : s + _CHUNK_CELLS]
         A_lo, c_lo, A_up, c_up = _envelopes(stages, l, h)
-        out += [
-            LinearBounds(A_lo[i], c_lo[i], A_up[i], c_up[i], HyperRect(l[i], h[i]))
-            for i in range(l.shape[0])
-        ]
+        out += [LinearBounds(A_lo[i], c_lo[i], A_up[i], c_up[i]) for i in range(l.shape[0])]
     return out
 
 
@@ -326,4 +323,4 @@ def relax(
     if region.dim != nd.dim:
         raise ValueError(f"region dimension {region.dim} does not match dynamics dimension {nd.dim}")
     (bounds,) = relax_cells(nd, action, transform, region.lo[None], region.hi[None])
-    return replace(bounds, region=region)
+    return bounds

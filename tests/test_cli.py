@@ -140,6 +140,17 @@ def test_simulate_refuses_stale_result(tmp_path, capsys, truncated):
     assert "result.pkl" in err and "rebuild" in err
 
 
+def test_simulate_refuses_format_3_result(tmp_path, capsys):
+    # format 3 held the product rows as a dict of per-row arrays
+    nd, config = reach_avoid_2d(grid=(4, 4))
+    with open(tmp_path / "result.pkl", "wb") as fh:
+        pickle.dump({"format": 3, "fingerprint": None, "object": run_pipeline(config, nd=nd)}, fh)
+    rc = main(["simulate", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "result.pkl") in err and "rebuild" in err
+
+
 def test_synthesize_refuses_old_format_tag(workdir, tmp_path, capsys):
     nd, config = reach_avoid_2d(grid=(4, 4))
     with open(tmp_path / "abstraction.pkl", "wb") as fh:

@@ -146,8 +146,7 @@ class TestPostImageHull:
     def test_linear_map_exact(self):
         A = np.array([[0.5, 0.2], [-0.1, 0.8]])
         b = np.array([1.0, -0.5])
-        bounds = LinearBounds(A_lo=A, b_lo=b, A_hi=A, b_hi=b,
-                              region=HyperRect([0, 0], [1, 1]))
+        bounds = LinearBounds(A_lo=A, b_lo=b, A_hi=A, b_hi=b)
         cell = HyperRect([0.0, 0.0], [1.0, 1.0])
         verts = post_image_hull(bounds, cell)
         images = cell.vertices() @ A.T + b
@@ -162,7 +161,7 @@ class TestPostImageHull:
             b = rng.normal(size=2)
             slack = rng.uniform(0.01, 0.2, size=2)
             cell = HyperRect(rng.uniform(-1, 0, 2), rng.uniform(0.5, 1.5, 2))
-            bounds = LinearBounds(A_lo=A, b_lo=b - slack, A_hi=A, b_hi=b + slack, region=cell)
+            bounds = LinearBounds(A_lo=A, b_lo=b - slack, A_hi=A, b_hi=b + slack)
             verts = post_image_hull(bounds, cell)
             z = rng.uniform(cell.lo, cell.hi, (50, 2))
             # any selection between the two affine maps is a possible image
@@ -182,8 +181,7 @@ class TestPostImageHull:
             hi = lo + rng.uniform(0.1, 1.0, (7, n))
             bounds = [
                 LinearBounds(A_lo=rng.normal(size=(n, n)), b_lo=rng.normal(size=n),
-                             A_hi=rng.normal(size=(n, n)), b_hi=rng.normal(size=n),
-                             region=HyperRect(lo[r], hi[r]))
+                             A_hi=rng.normal(size=(n, n)), b_hi=rng.normal(size=n))
                 for r in range(7)
             ]
             got = post_image_hulls(bounds, lo, hi)
@@ -200,8 +198,7 @@ class TestPostImageHull:
     def test_rejects_non_finite_envelope(self):
         cell = HyperRect([0.0, 0.0], [1.0, 1.0])
         A = np.eye(2)
-        bounds = LinearBounds(A_lo=A, b_lo=np.array([np.inf, 0.0]), A_hi=A, b_hi=np.zeros(2),
-                              region=cell)
+        bounds = LinearBounds(A_lo=A, b_lo=np.array([np.inf, 0.0]), A_hi=A, b_hi=np.zeros(2))
         with pytest.raises(ValueError, match="finite"):
             post_image_hull(bounds, cell)
 

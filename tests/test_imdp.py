@@ -13,10 +13,10 @@ from scipy.optimize import linprog
 
 from nndm_synth.imdp import (
     Imdp,
-    _row_extreme,
+    RowStore,
+    _BlockKernel,
     evaluate_strategy_upper,
     extreme_distribution,
-    extreme_expectation,
     robust_value_iteration,
 )
 from nndm_synth.transitions import TransitionBoundRow
@@ -92,20 +92,77 @@ class TestExtremeExpectation:
             lo, up = random_bounds(rng, k)
             vals = rng.normal(0, 2, k)
             for maximize in (False, True):
-                got = extreme_expectation(lo, up, vals, maximize)
+                got = extreme_distribution(lo, up, vals, maximize) @ vals
                 want = lp_extreme(vals, lo, up, maximize)
                 assert got == pytest.approx(want, abs=1e-8)
 
-    def test_row_extreme_equals_public(self):
-        rng = np.random.default_rng(21)
-        for _ in range(30):
-            k = int(rng.integers(2, 8))
+
+def kernel_rows(rng, num_states):
+    """Rows of different lengths over num_states states, with every special
+    case of the ordering method: zero budget (sum lo = 1), a budget that
+    takes every gap (sum up = 1), single-entry rows and generic rows."""
+    rows = []
+    for kind in ("generic", "zero_budget", "all_gaps", "single", "single_slack") * 4:
+        k = 1 if kind.startswith("single") else int(rng.integers(2, num_states + 1))
+        targets = np.sort(rng.choice(num_states, size=k, replace=False)).astype(np.int64)
+        p = rng.dirichlet(np.ones(k))
+        if kind == "generic":
             lo, up = random_bounds(rng, k)
-            vals = rng.normal(0, 1, k)
+        elif kind == "zero_budget":
+            lo, up = p, np.minimum(p + rng.uniform(0, 0.3, k), 1.0)
+        elif kind == "all_gaps":
+            lo, up = p * rng.uniform(0.0, 1.0, k), p
+        elif kind == "single":
+            lo, up = np.ones(1), np.ones(1)
+        else:
+            lo, up = np.array([0.3]), np.ones(1)
+        rows.append((targets, lo, up))
+    return rows
+
+
+class TestBlockKernel:
+    """The rank-space block kernel against the literal ordering method."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_extreme_distribution(self, seed):
+        rng = np.random.default_rng(seed)
+        S = 12
+        rows = kernel_rows(rng, S)
+        store = RowStore.from_rows({(r, 0): row for r, row in enumerate(rows)}, len(rows), 1)
+        value_sets = [
+            rng.uniform(0, 1, S),
+            rng.choice([0.0, 0.25, 0.5, 1.0], S),  # heavy value ties
+            np.r_[1.0, 0.0, rng.uniform(0, 1e-12, S - 2)],  # tiny values beside 0 and 1
+        ]
+        for V in value_sets:
+            block = rng.permutation(len(rows))  # any row order, lengths mixed
             for maximize in (False, True):
-                fast = _row_extreme(vals, lo, up, float(lo.sum()), maximize)
-                ref = extreme_expectation(lo, up, vals, maximize)
-                assert fast == pytest.approx(ref, abs=1e-13)
+                got = _BlockKernel(store, S, 1)(V, block, maximize)
+                want = [extreme_distribution(lo, up, V[t], maximize) @ V[t]
+                        for t, lo, up in (rows[r] for r in block)]
+                assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_store_views_round_trip(self):
+        rng = np.random.default_rng(4)
+        some = kernel_rows(rng, 5)
+        rows = {(0, 0): some[0], (0, 1): some[1], (3, 0): some[2], (3, 1): some[3]}
+        store = RowStore.from_rows(rows, 5, 2)
+        assert list(store) == [(0, 0), (0, 1), (3, 0), (3, 1)]
+        assert len(store) == 4 and store.indptr[-1] == sum(len(t) for t, _, _ in rows.values())
+        for key, (t, lo, up) in store.items():
+            for x, y in zip((t, lo, up), rows[key]):
+                assert np.array_equal(x, y)
+        for missing in ((1, 0), (0, 2), (5, 0), (-1, 0)):
+            assert missing not in store
+
+    def test_store_rejects_bad_layouts(self):
+        row = (np.array([0, 1]), np.array([0.2, 0.3]), np.array([0.7, 0.8]))
+        with pytest.raises(ValueError, match="num_actions rows"):
+            RowStore.from_rows({(0, 0): row}, 2, 2)
+        with pytest.raises(ValueError, match="increasing"):
+            RowStore.from_rows({(0, 0): (row[0][::-1], row[1], row[2])}, 2, 1)
+        with pytest.raises(ValueError, match="at least one entry"):
+            RowStore.from_rows({(0, 0): (np.zeros(0, np.int64), np.zeros(0), np.zeros(0))}, 2, 1)
 
 
 @dataclass
@@ -211,6 +268,45 @@ class TestValueIteration:
         prod.num_actions = 2
         res = robust_value_iteration(prod, tol=1e-12)
         assert res.strategy[0] == 0
+
+    @staticmethod
+    def _two_action_chain(p0, p1):
+        # state 0 reaches the goal (state 1) with exactly p0 under action 0
+        # and p1 under action 1, else the sink (state 2)
+        rows = {(0, a): (np.array([1, 2]), np.array([p, 1.0 - p]), np.array([p, 1.0 - p]))
+                for a, p in enumerate((p0, p1))}
+        return FakeProduct(np.array([False, True, False]), np.array([False, False, True]), rows, 2)
+
+    def test_action_within_tol_prefers_lowest_index(self):
+        tol = 1e-6
+        res = robust_value_iteration(self._two_action_chain(0.4, 0.4 + 0.4 * tol), tol=tol)
+        assert res.strategy[0] == 0
+
+    def test_action_beyond_tol_is_taken(self):
+        tol = 1e-6
+        res = robust_value_iteration(self._two_action_chain(0.4, 0.4 + 3 * tol), tol=tol)
+        assert res.strategy[0] == 1
+        res = robust_value_iteration(self._two_action_chain(0.4 + 3 * tol, 0.4), tol=tol)
+        assert res.strategy[0] == 0
+
+    def test_strategy_ignores_sub_tol_noise(self):
+        # each state's actions come in clusters 0.1 apart with spread tol/5
+        # inside a cluster; moving every action value by up to tol/10 must
+        # not change the choice: the lowest index of the best cluster
+        tol, n_live, n_actions = 1e-6, 30, 5
+        rng = np.random.default_rng(8)
+        base = rng.choice([0.1, 0.2, 0.3], size=(n_live, n_actions))
+        base += rng.uniform(0, tol / 5, size=base.shape)
+        want = np.argmax(base >= base.max(axis=1, keepdims=True) - 0.05, axis=1)
+        accepting = np.r_[np.zeros(n_live, bool), True, False]
+        sink = np.r_[np.zeros(n_live, bool), False, True]
+        for shift in (np.zeros_like(base), rng.uniform(-tol / 10, tol / 10, size=base.shape)):
+            p = base + shift
+            rows = {(s, a): (np.array([n_live, n_live + 1]), np.array([p[s, a], 1 - p[s, a]]),
+                             np.array([p[s, a], 1 - p[s, a]]))
+                    for s in range(n_live) for a in range(n_actions)}
+            res = robust_value_iteration(FakeProduct(accepting, sink, rows, n_actions), tol=tol)
+            assert np.array_equal(res.strategy[:n_live], want)
 
     def test_frozen_states_never_move(self):
         res = robust_value_iteration(tiny_chain(), tol=1e-12)

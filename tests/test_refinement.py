@@ -24,35 +24,35 @@ from nndm_synth.relaxation import LinearBounds, relax
 from nndm_synth.transitions import TransitionBoundRow, transition_rows
 
 
-def _lb(A_lo, A_hi, region):
+def _lb(A_lo, A_hi):
     A_lo = np.asarray(A_lo, float)
     A_hi = np.asarray(A_hi, float)
     return LinearBounds(A_lo=A_lo, b_lo=np.zeros(A_lo.shape[0]),
-                        A_hi=A_hi, b_hi=np.zeros(A_hi.shape[0]), region=region)
+                        A_hi=A_hi, b_hi=np.zeros(A_hi.shape[0]))
 
 
 class TestSplitDimension:
     def test_edges_picks_largest_column(self):
         cell = HyperRect([0.0, 0.0], [1.0, 1.0])
-        b = _lb(np.diag([1.0, 3.0]), np.diag([1.0, 3.0]), cell)
+        b = _lb(np.diag([1.0, 3.0]), np.diag([1.0, 3.0]))
         assert split_dimension(cell, [b], "edges") == 1
 
     def test_edges_considers_all_matrices(self):
         cell = HyperRect([0.0, 0.0], [1.0, 1.0])
-        b1 = _lb(np.diag([2.0, 1.0]), np.eye(2), cell)
-        b2 = _lb(np.eye(2), np.diag([1.0, 5.0]), cell)
+        b1 = _lb(np.diag([2.0, 1.0]), np.eye(2))
+        b2 = _lb(np.eye(2), np.diag([1.0, 5.0]))
         assert split_dimension(cell, [b1, b2], "edges") == 1
 
     def test_corners_uses_diagonal_stretch(self):
         cell = HyperRect([0.0, 0.0], [1.0, 2.0])
         # output component 0 stretches by 4 relative to its width
         M = np.array([[0.0, 2.0], [0.5, 0.0]])
-        b = _lb(M, M, cell)
+        b = _lb(M, M)
         assert split_dimension(cell, [b], "corners") == 0
 
     def test_tie_resolves_to_lowest(self):
         cell = HyperRect([0.0, 0.0], [1.0, 1.0])
-        b = _lb(np.eye(2), np.eye(2), cell)
+        b = _lb(np.eye(2), np.eye(2))
         assert split_dimension(cell, [b], "edges") == 0
         assert split_dimension(cell, [b], "corners") == 0
 
