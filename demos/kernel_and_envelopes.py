@@ -10,7 +10,7 @@ Everything here is printed, no files are written. Run it from anywhere:
 import numpy as np
 
 from nndm_synth.fixtures import reach_avoid_2d
-from nndm_synth.geometry import build_grid, post_image_hull, rect_hull, whitening_transform
+from nndm_synth.geometry import UNSAFE_ID, build_grid, post_image_hull, rect_hull, whitening_transform
 from nndm_synth.networks import evaluate
 from nndm_synth.relaxation import relax
 from nndm_synth.transitions import gaussian_box_mass, transition_rows
@@ -71,8 +71,11 @@ print(f"{verts.shape[0]} candidate corners, bounding box "
       f"[{hull.lo.round(3)}, {hull.hi.round(3)}]")
 
 (row,) = transition_rows(grid, [cell_id], action, [bounds])
-order = np.argsort(-row.upper)[:5]
-print(f"transition row keeps {row.targets.size} of {grid.num_cells} targets; largest:")
+# the out-of-domain state is one more target, UNSAFE_ID, kept when its mass can be positive
+out = row.targets == UNSAFE_ID
+cells = np.flatnonzero(~out)
+order = cells[np.argsort(-row.upper[cells])[:5]]
+print(f"transition row keeps {cells.size} of {grid.num_cells} cells; largest:")
 for k in order:
     print(f"  cell {row.targets[k]:3d}: [{row.lower[k]:.4f}, {row.upper[k]:.4f}]")
-print(f"out-of-domain mass in [{row.unsafe_lower:.2e}, {row.unsafe_upper:.2e}]")
+print(f"out-of-domain mass in [{row.lower[out].sum():.2e}, {row.upper[out].sum():.2e}]")

@@ -35,7 +35,6 @@ from .networks import (
     NeuralDynamics,
     evaluate,
     load_networks,
-    sample_step,
     save_networks,
 )
 from .pipeline import (

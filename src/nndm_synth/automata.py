@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import UNSAFE_ID
 from .imdp import Imdp, RowStore
 
 UNSAFE_PROP = "unsafe"
@@ -242,11 +243,11 @@ def dfa_template(name: str, labels: dict[str, str]) -> Dfa:
 @dataclass
 class ProductImdp:
     """Interval MDP over (cell, DFA-state) pairs, restricted to the part
-    reachable from the per-cell initial states. Cell -1 marks the virtual
-    out-of-domain component. next_tbl[q, d] is the DFA state entered from
-    DFA state d on moving into cell q; its last row (q = -1) is the
-    out-of-domain step. `rows` is the one CSR store of the product rows,
-    keyed (pid, action)."""
+    reachable from the per-cell initial states. Cell UNSAFE_ID marks the
+    virtual out-of-domain component. next_tbl[q, d] is the DFA state entered
+    from DFA state d on moving into target q (UNSAFE_ID selects its last
+    row). `rows` is the one CSR store of the product rows, keyed
+    (pid, action)."""
 
     imdp: Imdp
     dfa: Dfa
@@ -288,7 +289,6 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     dfa_idx = {s: i for i, s in enumerate(dfa.states)}
     n_dfa = len(dfa.states)
     num_cells = imdp.num_cells
-    unsafe_slot = num_cells  # extra row in the label tables
 
     col_cache: dict[frozenset, np.ndarray] = {}
 
@@ -299,10 +299,11 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
             )
         return col_cache[labels]
 
+    # tables indexed by a target: num_cells + 1 rows, the last one UNSAFE_ID's
     next_tbl = np.empty((num_cells + 1, n_dfa), dtype=np.int64)
     for q in range(num_cells):
         next_tbl[q] = succ_col(imdp.labels[q])
-    next_tbl[unsafe_slot] = succ_col(frozenset({UNSAFE_PROP}))
+    next_tbl[UNSAFE_ID] = succ_col(frozenset({UNSAFE_PROP}))
 
     acc = {dfa_idx[s] for s in dfa.accepting}
     dead = {dfa_idx[s] for s in dfa.dead_states()}
@@ -311,13 +312,13 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     states: list[tuple[int, int]] = []
     queue: deque[tuple[int, int, int]] = deque()
 
-    def ensure(slot: int, d: int) -> int:
-        pid = pid_tbl[slot, d]
+    def ensure(cell: int, d: int) -> int:
+        pid = pid_tbl[cell, d]
         if pid < 0:
             pid = len(states)
-            pid_tbl[slot, d] = pid
-            states.append((-1 if slot == unsafe_slot else slot, d))
-            queue.append((slot, d, pid))
+            pid_tbl[cell, d] = pid
+            states.append((cell, d))
+            queue.append((cell, d, pid))
         return int(pid)
 
     d0 = dfa_idx[dfa.initial]
@@ -328,21 +329,14 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     # discover the reachable states first: their count and row sizes fix the
     # store's layout before any entry is written
     A = imdp.num_actions
-    out_of_domain = np.array([unsafe_slot])
     live: list[int] = []
     while queue:
-        slot, d, pid = queue.popleft()
-        if d in acc or d in dead or slot == unsafe_slot:
+        cell, d, pid = queue.popleft()
+        if d in acc or d in dead or cell == UNSAFE_ID:
             continue  # terminal in the product: no outgoing rows needed
         live.append(pid)
-        # successor slots of every action's row, in row order
-        succ = []
-        for a in range(A):
-            base = imdp.row(slot, a)
-            succ.append(base.targets)
-            if base.unsafe_upper > 0.0:
-                succ.append(out_of_domain)
-        succ = np.concatenate(succ)
+        # successor targets of every action's row, in row order
+        succ = np.concatenate([imdp.row(cell, a).targets for a in range(A)])
         d_next = next_tbl[succ, d]
         for m in np.flatnonzero(pid_tbl[succ, d_next] < 0):
             ensure(int(succ[m]), int(d_next[m]))
@@ -350,22 +344,17 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     first = np.full(len(states), -1, dtype=np.int64)
     first[live] = np.arange(len(live)) * A
     bases = [(states[pid][1], imdp.row(states[pid][0], a)) for pid in live for a in range(A)]
-    rows = RowStore(first, A, [b.targets.size + (b.unsafe_upper > 0.0) for _, b in bases])
-    # succ_pid[d, t]: the pid entered from DFA state d on moving into slot t
+    rows = RowStore(first, A, [base.targets.size for _, base in bases])
+    # succ_pid[d, t]: the pid entered from DFA state d on moving into target t
     succ_pid = pid_tbl[np.arange(num_cells + 1), next_tbl.T]
     for r, (d, base) in enumerate(bases):
         pids = succ_pid[d][base.targets]
-        lo, up = base.lower, base.upper
-        if base.unsafe_upper > 0.0:
-            pids = np.append(pids, succ_pid[d, unsafe_slot])
-            lo = np.append(lo, base.unsafe_lower)
-            up = np.append(up, base.unsafe_upper)
         order = pids.argsort(kind="stable")
-        rows.put(r, pids[order], lo[order], up[order])
+        rows.put(r, pids[order], base.lower[order], base.upper[order])
 
     accepting = np.array([d in acc for (_, d) in states], dtype=bool)
     sink = np.array(
-        [(d in dead or c == -1) and d not in acc for (c, d) in states], dtype=bool
+        [(d in dead or c == UNSAFE_ID) and d not in acc for (c, d) in states], dtype=bool
     )
     return ProductImdp(
         imdp=imdp,

@@ -36,7 +36,7 @@ from .pipeline import (
 )
 
 # Bump whenever a pickled class or the pickled dict changes its fields.
-_ARTIFACT_FORMAT = 4
+_ARTIFACT_FORMAT = 5
 _EXIT_NOT_CONVERGED = 3
 
 

@@ -17,9 +17,10 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     from .relaxation import LinearBounds
 
-# Reserved state index for the virtual out-of-domain state. It is never a
-# cell index of a RegionGrid; transition rows keep its mass in dedicated
-# fields instead of the sparse maps.
+# Target id of the virtual, absorbing out-of-domain state: never a cell of a
+# RegionGrid, but an ordinary row target otherwise (first in a row, as ids
+# increase). Every table indexed by a target has num_cells + 1 entries, and
+# UNSAFE_ID selects the last one.
 UNSAFE_ID = -1
 
 # Raster point-location tables above this many entries are refused; grids at
@@ -75,15 +76,6 @@ class HyperRect:
     def vertices(self) -> np.ndarray:
         """All 2^n corners, binary-counting order (lo first)."""
         return np.where(_corner_masks(self.dim), self.hi, self.lo)
-
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = np.all((pts >= self.lo - tol) & (pts <= self.hi + tol), axis=1)
-        return inside if np.asarray(points).ndim > 1 else inside[0]
-
-    def intersects(self, other: "HyperRect") -> bool:
-        """Closed-box intersection test (boundary touch counts)."""
-        return bool(np.all(self.lo <= other.hi) & np.all(other.lo <= self.hi))
 
     def split(self, dim: int, at: float | None = None) -> tuple["HyperRect", "HyperRect"]:
         """Split along `dim` (default at the midpoint); returns (low, high)."""
@@ -285,8 +277,8 @@ class RegionGrid:
         return cuts, owner
 
     def locate(self, points: np.ndarray) -> np.ndarray:
-        """Cell index containing each whitened point; -1 when outside the
-        domain. Interior boundaries resolve to the upper cell."""
+        """Cell index containing each whitened point; UNSAFE_ID when
+        outside the domain. Interior boundaries resolve to the upper cell."""
         if self._raster is None:
             self._raster = self._build_raster()
         cuts, owner = self._raster

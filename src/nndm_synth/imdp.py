@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import UNSAFE_ID
 from .transitions import TransitionBoundRow
 
 # Buffer cells (rows x states) per block of a sweep. Smaller blocks take
@@ -47,8 +48,8 @@ _BLOCK_CELLS = 1 << 14
 @dataclass
 class Imdp:
     """Interval MDP over the grid cells. Rows are keyed by (cell id, action
-    index); the virtual out-of-domain state is absorbing and carries its mass
-    in each row's unsafe fields rather than a cell id."""
+    index); their targets are cell ids plus UNSAFE_ID, the virtual absorbing
+    out-of-domain state."""
 
     actions: tuple[str, ...]
     labels: list[frozenset[str]]
@@ -68,15 +69,17 @@ class Imdp:
             raise ValueError("one label set per cell required")
         for (cell, a), row in self.rows.items():
             t = row.targets
-            if t.size and (np.any(np.diff(t) <= 0) or t[0] < 0 or t[-1] >= self.num_cells):
-                raise ValueError(f"row ({cell}, {a}): targets are not increasing cell ids")
-            probs = np.r_[row.lower, row.upper, row.unsafe_lower, row.unsafe_upper]
+            if t.size and (np.any(np.diff(t) <= 0) or t[0] < UNSAFE_ID or t[-1] >= self.num_cells):
+                raise ValueError(
+                    f"row ({cell}, {a}): targets are not increasing ids in [{UNSAFE_ID}, {self.num_cells})"
+                )
+            probs = np.r_[row.lower, row.upper]
             if np.any(probs < 0.0) or np.any(probs > 1.0):
                 raise ValueError(f"row ({cell}, {a}): probabilities outside [0, 1]")
-            if np.any(row.lower > row.upper) or row.unsafe_lower > row.unsafe_upper:
+            if np.any(row.lower > row.upper):
                 raise ValueError(f"row ({cell}, {a}): lower bound exceeds upper bound")
-            lo_sum = float(row.lower.sum()) + row.unsafe_lower
-            up_sum = float(row.upper.sum()) + row.unsafe_upper
+            lo_sum = float(row.lower.sum())
+            up_sum = float(row.upper.sum())
             if lo_sum > 1.0 + tol or up_sum < 1.0 - tol:
                 raise ValueError(f"row ({cell}, {a}): infeasible sums ({lo_sum}, {up_sum})")
 

@@ -131,26 +131,6 @@ def evaluate(nd: NeuralDynamics, action: str, x: np.ndarray) -> np.ndarray:
     return y[0] if single else y
 
 
-def sample_step(
-    nd: NeuralDynamics,
-    action: str,
-    x: np.ndarray,
-    covariance: np.ndarray,
-    rng: np.random.Generator | int,
-) -> np.ndarray:
-    """One noisy step f_a(x) + v, v ~ N(0, covariance). `rng` is a Generator
-    or a seed; passing the same seed reproduces the sample exactly."""
-    cov = np.asarray(covariance, dtype=float)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ValueError("noise covariance must be positive definite") from None
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    mean = evaluate(nd, action, x)
-    noise = gen.standard_normal(mean.shape)
-    return mean + noise @ chol.T
-
-
 # -- JSON model files --------------------------------------------------------
 
 def load_networks(path: str) -> NeuralDynamics:

@@ -64,11 +64,26 @@ _SECTION_KEYS = {
 _REGION_KEYS = {"label", "box"}
 
 
-def _check_keys(raw: dict, allowed: set[str], where: str) -> None:
+def _check_keys(raw, allowed: set[str], where: str) -> None:
     """A misspelt key would otherwise fall back to its default silently."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object")
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
+
+
+def _require(raw: dict, keys, where: str) -> None:
+    missing = [k for k in keys if k not in raw]
+    if missing:
+        raise ValueError(f"missing config key {missing[0]!r} in {where}")
+
+
+def _box(raw, where: str) -> HyperRect:
+    arr = np.asarray(raw, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"{where} must be a list of [lo, hi] pairs")
+    return HyperRect(arr[:, 0], arr[:, 1])
 
 
 @dataclass
@@ -96,23 +111,22 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str = ".") -> "PipelineConfig":
         _check_keys(raw, _TOP_KEYS, "the config")
+        _require(raw, ("domain", "covariance", "grid", "spec"), "the config")
         for name, allowed in _SECTION_KEYS.items():
             _check_keys(raw.get(name, {}), allowed, repr(name))
-        for reg in raw.get("regions", []):
+        reg_raw = raw.get("regions", [])
+        if not isinstance(reg_raw, list):
+            raise ValueError("'regions' must be a list")
+        for reg in reg_raw:
             _check_keys(reg, _REGION_KEYS, "a 'regions' entry")
-        dom = np.asarray(raw["domain"], dtype=float)
-        if dom.ndim != 2 or dom.shape[1] != 2:
-            raise ValueError("domain must be a list of [lo, hi] pairs")
-        domain = HyperRect(dom[:, 0], dom[:, 1])
+            _require(reg, ("label", "box"), "a 'regions' entry")
+        domain = _box(raw["domain"], "'domain'")
         covariance = _parse_covariance(raw["covariance"], domain.dim)
-
-        regions = []
-        for reg in raw.get("regions", []):
-            box = np.asarray(reg["box"], dtype=float)
-            regions.append((str(reg["label"]), HyperRect(box[:, 0], box[:, 1])))
+        regions = [(str(reg["label"]), _box(reg["box"], "a region 'box'")) for reg in reg_raw]
 
         spec = raw["spec"]
         if "template" in spec:
+            _require(spec, ("labels",), "'spec'")
             dfa = dfa_template(spec["template"], spec["labels"])
         elif "dfa" in spec:
             path = spec["dfa"]
@@ -288,9 +302,6 @@ class SwitchingStrategy:
     dfa: Dfa
     grid: RegionGrid
     table: np.ndarray
-
-    def decide(self, cells: np.ndarray, dfa_states: np.ndarray) -> np.ndarray:
-        return self.table[cells, dfa_states]
 
     def action_at(self, x: np.ndarray, dfa_state: str) -> str:
         """Action for one original-coordinate point."""
@@ -548,8 +559,8 @@ def _simulate_batch(
     and return the step at which each got accepted (-1 if never). A run that
     leaves the domain without its next DFA state accepting counts as failed,
     matching the certificate's semantics for the out-of-domain state.
-    next_tbl is the product's DFA step table; cell -1 (out of domain) picks
-    its last row."""
+    next_tbl is the product's DFA step table; UNSAFE_ID (out of domain)
+    picks its last row."""
     T = grid.transform.matrix
     T_inv = grid.transform.inverse
     chol = np.linalg.cholesky(covariance)

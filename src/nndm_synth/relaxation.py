@@ -253,23 +253,12 @@ def _concretize(A_lo, c_lo, A_up, c_up, lo, hi):
     return lb, ub
 
 
-def _stages(nd: NeuralDynamics, action: str, transform: Transform | np.ndarray):
+def _stages(nd: NeuralDynamics, action: str, transform: Transform):
     """The layer stack T f_a T^{-1} as (weights, bias, activation) stages."""
-    if isinstance(transform, Transform):
-        T, T_inv = transform.matrix, transform.inverse
-    else:
-        T = np.asarray(transform, dtype=float)
-        if T.shape != (nd.dim, nd.dim):
-            raise ValueError(f"transform must be {nd.dim}x{nd.dim}, got {T.shape}")
-        cond = np.linalg.cond(T)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise ValueError("transform is singular or near-singular")
-        T_inv = np.linalg.inv(T)
-
     zero = np.zeros(nd.dim)
-    stages = [(T_inv, zero, Activation.LINEAR)]
+    stages = [(transform.inverse, zero, Activation.LINEAR)]
     stages += [(layer.weights, layer.bias, layer.activation) for layer in nd.layers(action)]
-    stages += [(T, zero, Activation.LINEAR)]
+    stages += [(transform.matrix, zero, Activation.LINEAR)]
     return stages
 
 
@@ -289,7 +278,7 @@ def _envelopes(stages, lo: np.ndarray, hi: np.ndarray):
 def relax_cells(
     nd: NeuralDynamics,
     action: str,
-    transform: Transform | np.ndarray,
+    transform: Transform,
     lo: np.ndarray,
     hi: np.ndarray,
 ) -> list[LinearBounds]:
@@ -315,7 +304,7 @@ def relax_cells(
 def relax(
     nd: NeuralDynamics,
     action: str,
-    transform: Transform | np.ndarray,
+    transform: Transform,
     region: HyperRect,
 ) -> LinearBounds:
     """Affine envelope of z -> T f_a(T^{-1} z) over `region` (whitened

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.special import erf, erfc
 
-from .geometry import RegionGrid, post_image_hulls
+from .geometry import UNSAFE_ID, RegionGrid, post_image_hulls
 from .relaxation import LinearBounds
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -89,32 +89,21 @@ class TransitionBoundRow:
 
     Sparse: `targets` holds the cell ids with non-negligible upper bound, in
     increasing order, `lower`/`upper` the matching probabilities. Mass that
-    may leave the domain is kept in unsafe_lower/unsafe_upper (the
-    out-of-domain state is virtual and has no cell id)."""
+    may leave the domain is the entry of target UNSAFE_ID, first in the row,
+    present whenever that mass can be positive."""
 
     source: int
     action: str
     targets: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    unsafe_lower: float
-    unsafe_upper: float
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.source,
-            "a": self.action,
-            "lower": {str(t): float(p) for t, p in zip(self.targets, self.lower)},
-            "upper": {str(t): float(p) for t, p in zip(self.targets, self.upper)},
-            "unsafe": [self.unsafe_lower, self.unsafe_upper],
-        }
 
 
 def _check_sums(row: TransitionBoundRow) -> None:
     """Sound bounds admit a distribution: lower sums to at most 1, upper to
-    at least 1 (out-of-domain mass included)."""
-    lo_sum = float(row.lower.sum()) + row.unsafe_lower
-    up_sum = float(row.upper.sum()) + row.unsafe_upper
+    at least 1."""
+    lo_sum = float(row.lower.sum())
+    up_sum = float(row.upper.sum())
     if lo_sum > 1.0 + _FEAS_TOL or up_sum < 1.0 - _FEAS_TOL:
         raise InternalConsistencyError(
             f"row ({row.source}, {row.action}): bound sums infeasible "
@@ -204,26 +193,22 @@ def transition_rows(
     """Sound transition rows of `action` for the cells `sources`, with
     bounds[i] the envelope on sources[i]: every target cell is bounded over
     the source's post-image hull (see _entries) and those with positive
-    upper bound are kept. The leftover interval is the out-of-domain mass.
-    Each row is bitwise what a stack of that row alone gives."""
+    upper bound are kept. The leftover interval is the out-of-domain mass,
+    kept as target UNSAFE_ID when its upper bound is positive. Each row is
+    bitwise what a stack of that row alone gives."""
     sources = np.asarray(sources, dtype=np.int64)
     dom = grid.domain
     out = []
     for s, verts, lower, upper in _stacked_entries(grid, sources, bounds, grid.lo, grid.hi):
         dz_min, dz_max = extremal_means(verts.min(axis=1), verts.max(axis=1), dom.lo, dom.hi)
-        unsafe_lo = np.clip(1.0 - gaussian_box_mass(dz_max, dom.lo, dom.hi), 0.0, 1.0)
-        unsafe_up = np.clip(1.0 - gaussian_box_mass(dz_min, dom.lo, dom.hi), 0.0, 1.0)
+        out_lo = np.clip(1.0 - gaussian_box_mass(dz_max, dom.lo, dom.hi), 0.0, 1.0)
+        out_up = np.clip(1.0 - gaussian_box_mass(dz_min, dom.lo, dom.hi), 0.0, 1.0)
+        # column 0 is UNSAFE_ID, column q + 1 is cell q
+        lower = np.column_stack([out_lo, lower])
+        upper = np.column_stack([out_up, upper])
         for k, source in enumerate(sources[s : s + len(verts)]):
-            targets = np.flatnonzero(upper[k])
-            row = TransitionBoundRow(
-                source=int(source),
-                action=action,
-                targets=targets.astype(np.int64),
-                lower=lower[k, targets],
-                upper=upper[k, targets],
-                unsafe_lower=float(unsafe_lo[k]),
-                unsafe_upper=float(unsafe_up[k]),
-            )
+            keep = np.flatnonzero(upper[k])
+            row = TransitionBoundRow(int(source), action, keep + UNSAFE_ID, lower[k, keep], upper[k, keep])
             _check_sums(row)
             out.append(row)
     return out
@@ -240,7 +225,7 @@ def refresh_rows(
     transition_rows builds on the current grid. Refinement uses this for the
     rows whose source was not split, with `cell_ids` the split cells' ids."""
     sources = np.array([row.source for row in rows], dtype=np.int64)
-    changed = np.zeros(grid.num_cells, dtype=bool)
+    changed = np.zeros(grid.num_cells + 1, dtype=bool)  # last: UNSAFE_ID
     changed[cell_ids] = True
     out = []
     for s, verts, lower, upper in _stacked_entries(

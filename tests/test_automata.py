@@ -14,6 +14,7 @@ from nndm_synth.automata import (
     load_dfa,
     parse_dfa,
 )
+from nndm_synth.geometry import UNSAFE_ID
 from nndm_synth.imdp import Imdp
 from nndm_synth.transitions import TransitionBoundRow
 
@@ -155,11 +156,13 @@ class TestJsonRoundTrip:
 
 
 def _mk_row(cell, action, targets, lower, upper, ul=0.0, uu=0.0):
+    """A row over `targets`, led by an UNSAFE_ID entry [ul, uu] when uu > 0."""
+    if uu > 0:
+        targets, lower, upper = [UNSAFE_ID, *targets], [ul, *lower], [uu, *upper]
     return TransitionBoundRow(
         source=cell, action=action,
         targets=np.asarray(targets, dtype=np.int64),
         lower=np.asarray(lower, float), upper=np.asarray(upper, float),
-        unsafe_lower=ul, unsafe_upper=uu,
     )
 
 
@@ -199,17 +202,13 @@ class TestProduct:
         for (pid, a), (targets, lo, up) in prod.rows.items():
             cell, d = prod.states[pid]
             base = imdp.row(cell, a)
-            assert len(targets) == len(base.targets) + (1 if base.unsafe_upper > 0 else 0)
+            assert len(targets) == len(base.targets)
             for t_pid, l, u in zip(targets, lo, up):
                 c2, d2 = prod.states[t_pid]
-                if c2 == -1:
-                    assert base.unsafe_upper > 0
-                    assert l == base.unsafe_lower and u == base.unsafe_upper
-                    assert d2 == idx[dfa.step(dfa.states[d], {UNSAFE_PROP})]
-                else:
-                    m = int(np.flatnonzero(base.targets == c2)[0])
-                    assert l == base.lower[m] and u == base.upper[m]
-                    assert d2 == idx[dfa.step(dfa.states[d], imdp.labels[c2])]
+                m = int(np.flatnonzero(base.targets == c2)[0])
+                assert l == base.lower[m] and u == base.upper[m]
+                label = {UNSAFE_PROP} if c2 == UNSAFE_ID else imdp.labels[c2]
+                assert d2 == idx[dfa.step(dfa.states[d], label)]
 
     def test_unsafe_target_only_when_mass_possible(self):
         imdp, dfa = two_goal_imdp()
@@ -217,7 +216,27 @@ class TestProduct:
         for (pid, a), (targets, _, _) in prod.rows.items():
             cell, _ = prod.states[pid]
             has_unsafe = any(prod.states[t][0] == -1 for t in targets)
-            assert has_unsafe == (imdp.row(cell, a).unsafe_upper > 0)
+            assert has_unsafe == (imdp.row(cell, a).targets[0] == UNSAFE_ID)
+
+    def test_unsafe_entry_enters_the_out_of_domain_state(self):
+        # two cells, so a table without UNSAFE_ID's extra slot would send the
+        # out-of-domain mass to the last cell, cell 1
+        rows = {
+            (0, 0): _mk_row(0, "a0", [0, 1], [0.3, 0.2], [0.6, 0.5], 0.1, 0.3),
+            (1, 0): _mk_row(1, "a0", [0, 1], [0.2, 0.5], [0.4, 0.7], 0.0, 0.2),
+        }
+        imdp = Imdp(actions=("a0",), labels=[frozenset(), frozenset()], rows=rows, num_cells=2)
+        imdp.validate()
+        dfa = dfa_template("reach_avoid", {"avoid": "obst", "reach": "goal"})
+        prod = build_product(imdp, dfa)
+        dead = dfa.states.index("dead")
+        assert len(prod.rows) == 2
+        for (pid, a), (targets, lo, up) in prod.rows.items():
+            base = imdp.row(prod.states[pid][0], a)
+            out = [k for k, t in enumerate(targets) if prod.states[t][0] == -1]
+            assert len(out) == 1
+            assert prod.states[targets[out[0]]] == (-1, dead)
+            assert (lo[out[0]], up[out[0]]) == (base.lower[0], base.upper[0])
 
     def test_terminal_states_have_no_rows(self):
         imdp, dfa = two_goal_imdp()

@@ -1,15 +1,19 @@
-"""The names the benchmark harness (perfbench/probe.py) wraps must stay live.
+"""The names the benchmark harness (perfbench/) wraps and reads must stay live.
 
 The harness times each stage by monkeypatching names on `nndm_synth.pipeline`
 and reads the product's rows to count work. A renamed stage would silently
-read 0 in the benchmark instead of failing, so the contract is pinned here.
+read 0 in the benchmark instead of failing, so the contract is pinned here,
+together with the fields, methods and config options the harness reads.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nndm_synth import pipeline
 from nndm_synth.fixtures import reach_avoid_2d
+from nndm_synth.refinement import RefinementConfig
 
 WRAPPED = (
     "build_abstraction",
@@ -65,3 +69,39 @@ def test_product_rows_items_cover_the_store(small):
     assert len(product.rows) == product.rows.indptr.size - 1
     live = ~(product.accepting | product.sink)
     assert len(product.rows) == np.count_nonzero(live) * product.num_actions
+
+
+def test_config_takes_seed_and_threads_through_replace(small):
+    config, _ = small
+    changed = replace(config, seed=1, threads=1)
+    assert (changed.seed, changed.threads) == (1, 1)
+
+
+def test_result_imdp_validates_and_rows_carry_targets(small):
+    config, abstraction = small
+    one_round = replace(config, refinement=RefinementConfig(per_round=1, rounds=1))
+    result = pipeline.run_pipeline(one_round, nd=abstraction.dynamics)
+    imdp = result.abstraction.imdp
+    imdp.validate()
+    rows = list(imdp.rows.values())
+    stored = sum(row.lower.size for row in rows)
+    assert sum(len(row.targets) for row in rows) == stored == sum(row.upper.size for row in rows)
+
+
+def test_grid_boxes_are_lo_and_hi(small):
+    _, abstraction = small
+    grid = abstraction.grid
+    lows, highs = grid.boxes()
+    assert lows is grid.lo and highs is grid.hi
+    assert lows.shape == highs.shape == (grid.num_cells, grid.dim)
+
+
+def test_refine_outcome_reports_splits_and_dirty_rows(small):
+    config, abstraction = small
+    ab = pipeline.build_abstraction(abstraction.dynamics, config)  # refine_round mutates the grid
+    synth = pipeline.synthesize(ab, config.dfa)
+    outcome = pipeline.refine_round(
+        ab.grid, ab.imdp, synth.p_lower, synth.p_upper, RefinementConfig(per_round=1), ab.bounds
+    )
+    assert len(outcome.splits) == 1
+    assert len(outcome.dirty) == 2 * ab.imdp.num_actions

@@ -141,24 +141,29 @@ def test_simulate_refuses_stale_result(tmp_path, capsys, truncated):
 
 
 def test_simulate_refuses_format_3_result(tmp_path, capsys):
-    # format 3 held the product rows as a dict of per-row arrays
+    # format 3 held the product rows as a dict of per-row arrays, format 4
+    # the out-of-domain interval in dedicated row fields
     nd, config = reach_avoid_2d(grid=(4, 4))
-    with open(tmp_path / "result.pkl", "wb") as fh:
-        pickle.dump({"format": 3, "fingerprint": None, "object": run_pipeline(config, nd=nd)}, fh)
-    rc = main(["simulate", "--out", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert str(tmp_path / "result.pkl") in err and "rebuild" in err
+    result = run_pipeline(config, nd=nd)
+    for fmt in (3, 4):
+        with open(tmp_path / "result.pkl", "wb") as fh:
+            pickle.dump({"format": fmt, "fingerprint": None, "object": result}, fh)
+        rc = main(["simulate", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "result.pkl") in err and "rebuild" in err
 
 
 def test_synthesize_refuses_old_format_tag(workdir, tmp_path, capsys):
     nd, config = reach_avoid_2d(grid=(4, 4))
-    with open(tmp_path / "abstraction.pkl", "wb") as fh:
-        pickle.dump({"format": 1, "object": build_abstraction(nd, config)}, fh)
-    rc = main(["synthesize", "--config", str(workdir / "config.json"), "--out", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "abstraction.pkl" in err and "rebuild" in err
+    abstraction = build_abstraction(nd, config)
+    for fmt in (1, 4):
+        with open(tmp_path / "abstraction.pkl", "wb") as fh:
+            pickle.dump({"format": fmt, "object": abstraction}, fh)
+        rc = main(["synthesize", "--config", str(workdir / "config.json"), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "abstraction.pkl" in err and "rebuild" in err
 
 
 def test_bad_config_path_fails(workdir, capsys):
@@ -174,6 +179,16 @@ def test_config_typo_fails(workdir, capsys):
     rc = main(["run", "--config", str(workdir / "typo.json"), "--out", str(workdir / "y")])
     assert rc == 2
     assert "'refinment'" in capsys.readouterr().err
+
+
+def test_malformed_config_exits_2_without_traceback(workdir, capsys):
+    raw = json.loads((workdir / "config.json").read_text())
+    del raw["grid"]
+    (workdir / "no_grid.json").write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(workdir / "no_grid.json"), "--out", str(workdir / "z")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'grid'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["synthesize", "refine", "run"])

@@ -56,19 +56,10 @@ class TestHyperRect:
         # last dimension toggles fastest
         expect = np.array([[0, 0], [0, 2], [1, 0], [1, 2]], dtype=float)
         assert np.array_equal(v, expect)
-        assert r.contains(np.array([0.5, 1.0]))
-        assert not r.contains(np.array([1.5, 1.0]))
 
     def test_vertices_count_3d(self):
         r = HyperRect([0, 0, 0], [1, 1, 1])
         assert r.vertices().shape == (8, 3)
-
-    def test_intersects_closed(self):
-        a = HyperRect([0.0, 0.0], [1.0, 1.0])
-        b = HyperRect([1.0, 0.0], [2.0, 1.0])  # shares a face
-        c = HyperRect([1.1, 0.0], [2.0, 1.0])
-        assert a.intersects(b)
-        assert not a.intersects(c)
 
     def test_split(self):
         r = HyperRect([0.0, 0.0], [2.0, 2.0])

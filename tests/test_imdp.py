@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from nndm_synth.geometry import UNSAFE_ID
 from nndm_synth.imdp import (
     Imdp,
     RowStore,
@@ -366,11 +367,13 @@ class TestValueIteration:
 
 
 def _mk_row(targets, lower, upper, ul=0.0, uu=0.0):
+    """A row over `targets`, led by an UNSAFE_ID entry [ul, uu] when uu > 0."""
+    if uu > 0:
+        targets, lower, upper = [UNSAFE_ID, *targets], [ul, *lower], [uu, *upper]
     return TransitionBoundRow(
         source=0, action="a0",
         targets=np.asarray(targets, dtype=np.int64),
         lower=np.asarray(lower, float), upper=np.asarray(upper, float),
-        unsafe_lower=ul, unsafe_upper=uu,
     )
 
 
@@ -397,9 +400,15 @@ class TestImdpValidate:
             self._imdp(_mk_row([0, 1], [0.7, 0.3], [0.6, 1.0])).validate()
 
     def test_targets_must_be_increasing_cell_ids(self):
-        for targets in ([1, 0], [1, 1], [-1, 1], [0, 2]):
+        for targets in ([1, 0], [1, 1], [-2, 1], [0, 2]):
             with pytest.raises(ValueError, match="targets"):
                 self._imdp(_mk_row(targets, [0.2, 0.3], [0.6, 0.7], uu=0.1)).validate()
+
+    def test_target_ids_run_from_unsafe_id_to_the_last_cell(self):
+        self._imdp(_mk_row([UNSAFE_ID, 1], [0.2, 0.3], [0.6, 0.7])).validate()
+        for targets in ([-2, 1], [0, 2]):
+            with pytest.raises(ValueError, match="targets"):
+                self._imdp(_mk_row(targets, [0.2, 0.3], [0.6, 0.7])).validate()
 
     def test_infeasible_sums(self):
         with pytest.raises(ValueError, match="infeasible"):

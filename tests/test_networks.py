@@ -1,4 +1,4 @@
-"""Network model layer: activations, forward pass, sampling, JSON files."""
+"""Network model layer: activations, forward pass, JSON files."""
 
 import json
 
@@ -11,7 +11,6 @@ from nndm_synth.networks import (
     NeuralDynamics,
     evaluate,
     load_networks,
-    sample_step,
     save_networks,
 )
 from nndm_synth.fixtures import random_network
@@ -95,32 +94,6 @@ class TestEvaluate:
             evaluate(nd, "nope", np.zeros(2))
         with pytest.raises(ValueError):
             evaluate(nd, "a0", np.zeros(3))
-
-
-class TestSampleStep:
-    def test_reproducible(self):
-        nd = random_network(2, 6, 2, seed=2)
-        x = np.array([0.3, -0.2])
-        cov = np.diag([0.1, 0.2])
-        a = sample_step(nd, "a0", x, cov, rng=42)
-        b = sample_step(nd, "a0", x, cov, rng=42)
-        assert np.array_equal(a, b)
-
-    def test_rejects_indefinite_covariance(self):
-        nd = random_network(2, 6, 2, seed=2)
-        with pytest.raises(ValueError):
-            sample_step(nd, "a0", np.zeros(2), np.diag([1.0, -1.0]), rng=0)
-
-    def test_noise_statistics(self):
-        # zero network: samples are pure noise around the final bias
-        layer = DenseLayer(np.zeros((2, 2)), np.array([1.0, -2.0]), Activation.LINEAR)
-        nd = NeuralDynamics(dim=2, actions=("a",), networks={"a": (layer,)})
-        cov = np.array([[0.5, 0.2], [0.2, 0.4]])
-        rng = np.random.default_rng(7)
-        xs = np.zeros((20000, 2))
-        out = sample_step(nd, "a", xs, cov, rng=rng)
-        assert np.allclose(out.mean(axis=0), [1.0, -2.0], atol=0.02)
-        assert np.allclose(np.cov(out.T), cov, atol=0.02)
 
 
 class TestJsonRoundTrip:

@@ -119,6 +119,23 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
             PipelineConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({k: v for k, v in BASE_RAW.items() if k != "domain"}, "'domain'"),
+            ({k: v for k, v in BASE_RAW.items() if k != "grid"}, "'grid'"),
+            (dict(BASE_RAW, vi=5), "'vi'"),
+            (dict(BASE_RAW, spec=5), "'spec'"),
+            (dict(BASE_RAW, regions=[5]), "'regions'"),
+            (dict(BASE_RAW, regions=[{"label": "goal"}]), "'box'"),
+            (dict(BASE_RAW, spec={"template": "reach_avoid"}), "'labels'"),
+            (dict(BASE_RAW, regions=[{"label": "goal", "box": [0.5, 1.5]}]), "'box'"),
+        ],
+    )
+    def test_malformed_config_names_the_key(self, raw, key):
+        with pytest.raises(ValueError, match=key):
+            PipelineConfig.from_dict(raw)
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(BASE_RAW, network="n.json")))

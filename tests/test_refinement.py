@@ -6,6 +6,7 @@ import pytest
 
 from nndm_synth.fixtures import reach_avoid_2d, vehicle_3d
 from nndm_synth.geometry import (
+    UNSAFE_ID,
     HyperRect,
     RegionGrid,
     post_image_hull,
@@ -65,13 +66,11 @@ class TestSplitDimension:
 def _score_fixture():
     rows = {
         (0, 0): TransitionBoundRow(
-            source=0, action="a0", targets=np.array([0, 1]),
-            lower=np.array([0.2, 0.3]), upper=np.array([0.4, 0.6]),
-            unsafe_lower=0.0, unsafe_upper=0.4),
+            source=0, action="a0", targets=np.array([UNSAFE_ID, 0, 1]),
+            lower=np.array([0.0, 0.2, 0.3]), upper=np.array([0.4, 0.4, 0.6])),
         (1, 0): TransitionBoundRow(
-            source=1, action="a0", targets=np.array([1]),
-            lower=np.array([0.8]), upper=np.array([1.0]),
-            unsafe_lower=0.0, unsafe_upper=0.2),
+            source=1, action="a0", targets=np.array([UNSAFE_ID, 1]),
+            lower=np.array([0.0, 0.8]), upper=np.array([0.2, 1.0])),
     }
     return Imdp(actions=("a0",), labels=[frozenset(), frozenset()], rows=rows, num_cells=2)
 
@@ -85,6 +84,12 @@ class TestScoreStates:
         assert by_cell[0] == pytest.approx(0.5 * 0.2)
         assert by_cell[1] == pytest.approx(0.1 * 0.5)
         assert entries[0].cell == 0
+
+    def test_out_of_domain_gap_is_not_scored(self):
+        # the UNSAFE_ID gaps (0.4 and 0.2) must not land on the last cell
+        entries = score_states(_score_fixture(), np.zeros(2), np.ones(2))
+        by_cell = {e.cell: e.score for e in entries}
+        assert by_cell == pytest.approx({0: 0.2, 1: 0.3 + 0.2})
 
     def test_order_flips_with_gaps(self):
         imdp = _score_fixture()
@@ -174,8 +179,6 @@ def _assert_matches_full_rebuild(ab, nd):
             assert np.array_equal(got.targets, want.targets), (cell, a)
             assert np.array_equal(got.lower, want.lower), (cell, a)
             assert np.array_equal(got.upper, want.upper), (cell, a)
-            assert got.unsafe_lower == want.unsafe_lower
-            assert got.unsafe_upper == want.unsafe_upper
 
 
 class TestApplyRefinement:

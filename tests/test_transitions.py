@@ -13,6 +13,7 @@ from scipy.stats import norm
 
 from nndm_synth.fixtures import reach_avoid_2d, vehicle_3d
 from nndm_synth.geometry import (
+    UNSAFE_ID,
     HyperRect,
     build_grid,
     post_image_hull,
@@ -26,6 +27,7 @@ from nndm_synth.transitions import (
     TransitionBoundRow,
     extremal_means,
     gaussian_box_mass,
+    refresh_rows,
     transition_rows,
     _check_sums,
     _entries,
@@ -39,6 +41,12 @@ from test_acceptance import _naive_row
 def transition_row(grid, source, action, bounds):
     """One row, built as a stack of one."""
     return transition_rows(grid, [source], action, [bounds])[0]
+
+
+def unsafe_interval(row):
+    """The row's out-of-domain interval: its UNSAFE_ID entry, (0, 0) if none."""
+    out = row.targets == UNSAFE_ID
+    return float(row.lower[out].sum()), float(row.upper[out].sum())
 
 
 def vertex_lower(vertices, target):
@@ -170,10 +178,11 @@ class TestTransitionRow:
         assert np.all(row.lower >= 0) and np.all(row.upper <= 1)
         assert np.all(row.lower <= row.upper)
         assert np.all(row.upper >= _PRUNE)
-        assert np.all(np.diff(row.targets) > 0)
-        assert 0.0 <= row.unsafe_lower <= row.unsafe_upper <= 1.0
-        lo_sum = row.lower.sum() + row.unsafe_lower
-        up_sum = row.upper.sum() + row.unsafe_upper
+        assert np.all(np.diff(row.targets) > 0) and row.targets[0] == UNSAFE_ID
+        ul, uu = unsafe_interval(row)
+        assert 0.0 <= ul <= uu <= 1.0
+        lo_sum = row.lower.sum()
+        up_sum = row.upper.sum()
         assert lo_sum <= 1.0 + 1e-8 <= up_sum + 2e-8
 
     def test_true_distribution_inside_bounds(self):
@@ -194,7 +203,8 @@ class TestTransitionRow:
                 assert masses[q] >= lo_map.get(q, 0.0) - 1e-12
                 assert masses[q] <= up_map.get(q, _PRUNE) + 1e-12
             out = 1.0 - gaussian_box_mass(z, grid.domain.lo, grid.domain.hi)
-            assert row.unsafe_lower - 1e-12 <= out <= row.unsafe_upper + 1e-12
+            ul, uu = unsafe_interval(row)
+            assert ul - 1e-12 <= out <= uu + 1e-12
 
     def test_grouped_matches_naive_bitwise(self):
         grid, cell, action, bounds = self._row_inputs()
@@ -218,9 +228,10 @@ class TestTransitionRow:
         targets = np.flatnonzero(keep)
         naive_lo = np.where(naive_lo[keep] >= _PRUNE, naive_lo[keep], 0.0)
         naive_up = naive_up[keep]
-        assert np.array_equal(row.targets, targets)
-        assert np.array_equal(row.lower, naive_lo)
-        assert np.array_equal(row.upper, naive_up)
+        cells = row.targets != UNSAFE_ID
+        assert np.array_equal(row.targets[cells], targets)
+        assert np.array_equal(row.lower[cells], naive_lo)
+        assert np.array_equal(row.upper[cells], naive_up)
 
     def test_hull_inside_domain_has_tiny_unsafe_lower(self):
         grid, cell, action, bounds = self._row_inputs(cell=21)
@@ -230,7 +241,8 @@ class TestTransitionRow:
         assert inside
         # some mean in the hull keeps all mass far from the boundary only if
         # the hull is deep inside; either way lower <= upper holds
-        assert row.unsafe_lower <= row.unsafe_upper
+        ul, uu = unsafe_interval(row)
+        assert ul <= uu
 
     def test_entries_refresh_matches_row(self):
         # two rows in one stacked _entries call, at targets on and off each
@@ -248,8 +260,8 @@ class TestTransitionRow:
         assert meets.any(axis=1).all(), "fixture should put targets on each rectangle"
         assert (upper[~meets] > 0).any(), "fixture should keep targets off the rectangles"
         for r, row in enumerate(rows):
-            full_lo = np.zeros(grid.num_cells)
-            full_up = np.zeros(grid.num_cells)
+            full_lo = np.zeros(grid.num_cells + 1)  # last: UNSAFE_ID
+            full_up = np.zeros(grid.num_cells + 1)
             full_lo[row.targets] = row.lower
             full_up[row.targets] = row.upper
             assert np.array_equal(lower[r], full_lo[ids])
@@ -284,8 +296,6 @@ def _assert_same_row(got, want):
     assert np.array_equal(got.targets, want.targets)
     assert np.array_equal(got.lower, want.lower)
     assert np.array_equal(got.upper, want.upper)
-    assert got.unsafe_lower == want.unsafe_lower
-    assert got.unsafe_upper == want.unsafe_upper
 
 
 class TestStackedRows:
@@ -296,8 +306,7 @@ class TestStackedRows:
         envs, rows = _stack(nd, grid, action, sources)
         assert len(rows) == len(sources)
         for source, b, row in zip(sources, envs, rows):
-            targets, lo, up, ul, uu = _naive_row(grid, int(source), action, b)
-            want = TransitionBoundRow(int(source), action, targets, lo, up, ul, uu)
+            want = TransitionBoundRow(int(source), action, *_naive_row(grid, int(source), action, b))
             assert row.source == source and row.action == action
             _assert_same_row(row, want)
         return rows
@@ -348,12 +357,28 @@ class TestStackedRows:
             _assert_same_row(other, row)
 
 
+class TestRefreshRows:
+    def test_keeps_the_unsafe_entry_when_the_last_cell_is_refreshed(self):
+        # two unit cells on a domain about as wide as the unit noise: every
+        # row carries out-of-domain mass, and UNSAFE_ID must not alias cell 1
+        nd = NeuralDynamics(dim=2, actions=("stay",), networks={
+            "stay": (DenseLayer(np.eye(2), np.zeros(2), Activation.LINEAR),)})
+        grid = build_grid(HyperRect([0.0, 0.0], [2.0, 1.0]), whitening_transform(np.eye(2)), (2, 1))
+        envs, rows = _stack(nd, grid, "stay", np.arange(2))
+        assert all(row.targets[0] == UNSAFE_ID for row in rows)
+        fresh = refresh_rows(grid, rows, envs, np.array([grid.num_cells - 1]))
+        for got, want in zip(fresh, rows):
+            _assert_same_row(got, want)
+
+
 class TestCheckSums:
     def _row(self, lower, upper, ul=0.0, uu=0.0):
+        """Cells 0 and 1, plus an UNSAFE_ID entry [ul, uu] when uu > 0."""
+        targets = [UNSAFE_ID, 0, 1] if uu > 0 else [0, 1]
+        lower, upper = ([ul, *lower], [uu, *upper]) if uu > 0 else (lower, upper)
         return TransitionBoundRow(
-            source=3, action="east", targets=np.array([0, 1]),
-            lower=np.asarray(lower, float), upper=np.asarray(upper, float),
-            unsafe_lower=ul, unsafe_upper=uu)
+            source=3, action="east", targets=np.array(targets),
+            lower=np.asarray(lower, float), upper=np.asarray(upper, float))
 
     def test_feasible_row_passes(self):
         _check_sums(self._row([0.2, 0.3], [0.6, 0.5], uu=0.1))
