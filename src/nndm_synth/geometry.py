@@ -215,7 +215,7 @@ class RegionGrid:
     labels: list[frozenset[str]]
     domain: HyperRect
     transform: Transform
-    _raster: tuple[list[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    _raster: tuple[list[np.ndarray], np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float)
@@ -263,33 +263,41 @@ class RegionGrid:
 
     # -- point location -----------------------------------------------------
 
-    def _build_raster(self) -> tuple[list[np.ndarray], np.ndarray]:
+    def _build_raster(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """Point-location tables: per dimension the edges a coordinate is
+        searched in, the strides of the padded raster, and the flat raster of
+        owning cell ids. The raster has one UNSAFE_ID layer on each side of
+        every dimension: search position 0 is below the domain, the last is
+        above it (or NaN). The cells tile the domain, so the first and last
+        cut of each dimension are the domain's bounds."""
         cuts = [np.unique(np.concatenate([self.lo[:, l], self.hi[:, l]])) for l in range(self.dim)]
-        shape = tuple(len(c) - 1 for c in cuts)
+        shape = tuple(len(c) + 1 for c in cuts)
         if np.prod(shape) > _MAX_RASTER_CELLS:
             raise RuntimeError(f"point-location raster too large: {shape}")
         # cell i owns the raster block between its bounds' positions in the cuts
-        start = np.stack([np.searchsorted(c, self.lo[:, l]) for l, c in enumerate(cuts)], axis=1)
-        stop = np.stack([np.searchsorted(c, self.hi[:, l]) for l, c in enumerate(cuts)], axis=1)
-        owner = np.full(shape, -1, dtype=np.int32)
+        start = np.stack([np.searchsorted(c, self.lo[:, l]) for l, c in enumerate(cuts)], axis=1) + 1
+        stop = np.stack([np.searchsorted(c, self.hi[:, l]) for l, c in enumerate(cuts)], axis=1) + 1
+        owner = np.full(shape, UNSAFE_ID, dtype=np.int64)
         for i in range(self.num_cells):
             owner[tuple(map(slice, start[i], stop[i]))] = i
-        return cuts, owner
+        # side="right" search: a point on the upper domain bound still counts
+        # as inside, anything above it lands past the last edge
+        edges = [np.append(c[:-1], np.nextafter(c[-1], np.inf)) for c in cuts]
+        strides = np.array(owner.strides) // owner.itemsize
+        return edges, strides, owner.ravel()
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Cell index containing each whitened point; UNSAFE_ID when
-        outside the domain. Interior boundaries resolve to the upper cell."""
+        outside the domain (or NaN). Interior boundaries resolve to the upper
+        cell. One search per dimension builds a flat raster index."""
         if self._raster is None:
             self._raster = self._build_raster()
-        cuts, owner = self._raster
+        edges, strides, owner = self._raster
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.empty((pts.shape[0], self.dim), dtype=np.int64)
-        for l in range(self.dim):
-            k = np.searchsorted(cuts[l], pts[:, l], side="right") - 1
-            idx[:, l] = np.clip(k, 0, len(cuts[l]) - 2)
-        outside = ~((pts >= self.domain.lo) & (pts <= self.domain.hi)).all(axis=1)
-        found = owner[tuple(idx[:, l] for l in range(self.dim))].astype(np.int64)
-        found[outside] = UNSAFE_ID
+        flat = np.searchsorted(edges[0], pts[:, 0], side="right") * strides[0]
+        for l in range(1, self.dim):
+            flat += np.searchsorted(edges[l], pts[:, l], side="right") * strides[l]
+        found = owner[flat]
         return found if np.asarray(points).ndim > 1 else found[0]
 
 

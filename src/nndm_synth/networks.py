@@ -27,23 +27,30 @@ class Activation(Enum):
                 f"{[a.value for a in cls]}"
             ) from None
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Elementwise activation; with `out` (which may be `x` itself) the
+        result is written there, bit for bit what the fresh array holds."""
         if self is Activation.RELU:
-            return np.maximum(x, 0.0)
+            return np.maximum(x, 0.0, out=out)
         if self is Activation.SIGMOID:
-            return _sigmoid(x)
+            return _sigmoid(x, out)
         if self is Activation.TANH:
-            return np.tanh(x)
+            return np.tanh(x, out=out)
+        if out is not None and out is not x:
+            out[...] = x
+            return out
         return x
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # branch on sign so exp never overflows
-    out = np.empty_like(x, dtype=float)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # branch on sign so exp never overflows; both halves are read before
+    # either is written, so `out` may be `x`
+    out = np.empty_like(x, dtype=float) if out is None else out
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    neg = ~pos
+    x_pos, ex = x[pos], np.exp(x[neg])
+    out[pos] = 1.0 / (1.0 + np.exp(-x_pos))
+    out[neg] = ex / (1.0 + ex)
     return out
 
 
@@ -117,18 +124,43 @@ class NeuralDynamics:
         return self.networks[action]
 
 
+# A forward pass runs in chunks of rows whose widest layer output fills at
+# most this many floats (512 KiB), so a large batch never materializes its
+# (rows, hidden width) activations at once.
+_EVAL_CELLS = 1 << 16
+
+
 def evaluate(nd: NeuralDynamics, action: str, x: np.ndarray) -> np.ndarray:
     """Deterministic forward pass f_a(x). Accepts a single state (dim,) or a
-    batch (m, dim); returns the matching shape."""
+    batch (m, dim); returns the matching shape.
+
+    Rows go through in chunks of _EVAL_CELLS // width; hidden layers
+    alternate between two scratch buffers reused across chunks, bias and
+    activation are applied in place, and the last layer writes straight into
+    the result. Each row is bitwise what the unchunked pass gives."""
     layers = nd.layers(action)
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
-    y = np.atleast_2d(arr)
-    if y.shape[1] != nd.dim:
-        raise ValueError(f"state has dimension {y.shape[1]}, expected {nd.dim}")
-    for layer in layers:
-        y = layer.activation.apply(y @ layer.weights.T + layer.bias)
-    return y[0] if single else y
+    pts = np.atleast_2d(arr)
+    if pts.shape[1] != nd.dim:
+        raise ValueError(f"state has dimension {pts.shape[1]}, expected {nd.dim}")
+    m = pts.shape[0]
+    out = np.empty((m, nd.dim))
+    width = max(layer.n_out for layer in layers)
+    rows = max(1, _EVAL_CELLS // width)
+    scratch = [np.empty(min(rows, m) * width) for _ in range(min(2, len(layers) - 1))]
+    for start in range(0, m, rows):
+        y = pts[start:start + rows]
+        k = y.shape[0]
+        for i, layer in enumerate(layers):
+            if i == len(layers) - 1:
+                dst = out[start:start + k]
+            else:
+                dst = scratch[i % 2][:k * layer.n_out].reshape(k, layer.n_out)
+            np.matmul(y, layer.weights.T, out=dst)
+            dst += layer.bias
+            y = layer.activation.apply(dst, out=dst)
+    return out[0] if single else out
 
 
 # -- JSON model files --------------------------------------------------------

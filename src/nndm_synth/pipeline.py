@@ -19,6 +19,7 @@ import numpy as np
 
 from .automata import Dfa, ProductImdp, build_product, dfa_template, load_dfa
 from .geometry import (
+    UNSAFE_ID,
     HyperRect,
     RegionGrid,
     Transform,
@@ -86,6 +87,29 @@ def _box(raw, where: str) -> HyperRect:
     return HyperRect(arr[:, 0], arr[:, 1])
 
 
+def _get(section: dict, key: str, default, conv):
+    """section[key], or the default, converted by conv; a value conv cannot
+    take (None for a number, a number for a list) is a config error."""
+    value = section.get(key, default)
+    try:
+        return conv(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r} has a malformed value {value!r}") from None
+
+
+def _check_simulation_sizes(config: "PipelineConfig") -> None:
+    """A Monte Carlo check needs at least one trial per start cell and one
+    step; zero start cells is an empty check."""
+    for key, value, least in (
+        ("trials", config.sim_trials, 1),
+        ("start_cells", config.sim_start_cells, 0),
+        ("horizon", config.horizon, 1),
+        ("horizon_factor", config.sim_horizon_factor, 1),
+    ):
+        if value < least:
+            raise ValueError(f"simulation {key!r} must be at least {least}, got {value}")
+
+
 @dataclass
 class PipelineConfig:
     """Everything one synthesis run needs. Built directly in code or parsed
@@ -127,6 +151,8 @@ class PipelineConfig:
         spec = raw["spec"]
         if "template" in spec:
             _require(spec, ("labels",), "'spec'")
+            if not isinstance(spec["labels"], dict):
+                raise ValueError("'labels' in 'spec' must be a JSON object")
             dfa = dfa_template(spec["template"], spec["labels"])
         elif "dfa" in spec:
             path = spec["dfa"]
@@ -142,29 +168,31 @@ class PipelineConfig:
         network = raw.get("network")
         if network is not None and not os.path.isabs(network):
             network = os.path.join(base_dir, network)
-        return cls(
+        config = cls(
             domain=domain,
             covariance=covariance,
-            grid=[int(c) for c in raw["grid"]],
+            grid=_get(raw, "grid", None, lambda g: [int(c) for c in g]),
             dfa=dfa,
             regions=regions,
             network=network,
-            threshold=float(raw.get("threshold", 0.95)),
+            threshold=_get(raw, "threshold", 0.95, float),
             refinement=RefinementConfig(
-                per_round=int(ref_raw.get("per_round", 0)),
-                rounds=int(ref_raw.get("rounds", 0)),
-                stop_width=float(ref_raw.get("stop_width", 0.0)),
+                per_round=_get(ref_raw, "per_round", 0, int),
+                rounds=_get(ref_raw, "rounds", 0, int),
+                stop_width=_get(ref_raw, "stop_width", 0.0, float),
                 split_mode=str(ref_raw.get("split_mode", "edges")),
             ),
-            vi_tolerance=float(vi_raw.get("tolerance", 1e-6)),
-            vi_max_sweeps=int(vi_raw.get("max_sweeps", 5000)),
-            horizon=int(sim_raw.get("horizon", 100)),
-            sim_trials=int(sim_raw.get("trials", 10_000)),
-            sim_start_cells=int(sim_raw.get("start_cells", 20)),
-            sim_horizon_factor=int(sim_raw.get("horizon_factor", 5)),
-            seed=int(raw.get("seed", 0)),
-            threads=int(raw.get("threads", 1)),
+            vi_tolerance=_get(vi_raw, "tolerance", 1e-6, float),
+            vi_max_sweeps=_get(vi_raw, "max_sweeps", 5000, int),
+            horizon=_get(sim_raw, "horizon", 100, int),
+            sim_trials=_get(sim_raw, "trials", 10_000, int),
+            sim_start_cells=_get(sim_raw, "start_cells", 20, int),
+            sim_horizon_factor=_get(sim_raw, "horizon_factor", 5, int),
+            seed=_get(raw, "seed", 0, int),
+            threads=_get(raw, "threads", 1, int),
         )
+        _check_simulation_sizes(config)
+        return config
 
     @classmethod
     def from_json(cls, path: str) -> "PipelineConfig":
@@ -543,67 +571,105 @@ def _wilson(successes: int, trials: int, z: float = 2.5758293035489004) -> tuple
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _simulate_batch(
-    nd: NeuralDynamics,
-    covariance: np.ndarray,
-    grid: RegionGrid,
-    dfa: Dfa,
-    switching: SwitchingStrategy,
-    cell_id: int,
-    trials: int,
-    steps: int,
-    rng: np.random.Generator,
-    next_tbl: np.ndarray,
-) -> np.ndarray:
-    """Roll `trials` closed-loop trajectories from uniform starts in one cell
-    and return the step at which each got accepted (-1 if never). A run that
-    leaves the domain without its next DFA state accepting counts as failed,
-    matching the certificate's semantics for the out-of-domain state.
-    next_tbl is the product's DFA step table; UNSAFE_ID (out of domain)
-    picks its last row."""
-    T = grid.transform.matrix
-    T_inv = grid.transform.inverse
-    chol = np.linalg.cholesky(covariance)
-    idx = {s: i for i, s in enumerate(dfa.states)}
+# Most trajectories the Monte Carlo check steps at once. Whole start cells
+# join the pool while they fit (a cell with more trials than this runs
+# alone), so the pool's arrays and the batches it hands to evaluate and
+# locate stay a few MiB however many start cells are checked.
+_MC_POOL = 1 << 14
+
+
+def _simulate(result: PipelineResult, cells: list[int], steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Roll config.sim_trials closed-loop trajectories from uniform starts in
+    each of `cells`; return per cell how many got accepted within `steps`
+    steps and within config.horizon steps.
+
+    All running trajectories advance together in one pool of at most
+    _MC_POOL, which whole cells join as finished runs leave it. Each cell
+    draws from its own generator default_rng([seed, 7919, cell]): its
+    uniform starts when it joins, then each step the noise of its own
+    running trajectories, so a cell's counts do not depend on which cells
+    share the pool. A run that leaves the domain without its next DFA state
+    accepting counts as failed, matching the certificate's semantics for the
+    out-of-domain state (UNSAFE_ID picks next_tbl's last row); a run still
+    going after `steps` steps counts as unsatisfied."""
+    config = result.config
+    nd = result.dynamics
+    grid = result.abstraction.grid
+    dfa = result.product.dfa
+    next_tbl = result.product.next_tbl
+    table = result.switching.table
+    trials, dim = config.sim_trials, grid.dim
+    chol = np.linalg.cholesky(config.covariance)
     acc_mask = np.array([s in dfa.accepting for s in dfa.states])
     dead = dfa.dead_states()
     dead_mask = np.array([s in dead for s in dfa.states])
+    d_init = dfa.states.index(dfa.initial)
 
-    z = rng.uniform(grid.lo[cell_id], grid.hi[cell_id], size=(trials, grid.dim))
-    cells = np.full(trials, cell_id, dtype=np.int64)
-    d = np.full(trials, next_tbl[cell_id, idx[dfa.initial]], dtype=np.int64)
-    status = np.zeros(trials, dtype=np.int8)  # 0 running, 1 accepted, 2 failed
-    accepted_at = np.full(trials, -1, dtype=np.int64)
-
-    acc0 = acc_mask[d]
-    status[acc0] = 1
-    accepted_at[acc0] = 0
-    status[~acc0 & dead_mask[d]] = 2
-
-    for t in range(1, steps + 1):
-        run = np.flatnonzero(status == 0)
-        if run.size == 0:
+    k_ext = np.zeros(len(cells), dtype=np.int64)
+    k_hor = np.zeros(len(cells), dtype=np.int64)
+    age = np.zeros(len(cells), dtype=np.int64)  # steps each cell's runs have taken
+    rngs: list[np.random.Generator] = []
+    # the pool, grouped by owner (index into `cells`) in joining order
+    z = np.empty((0, dim))
+    where = np.empty(0, dtype=np.int64)  # grid cell of each run
+    d = np.empty(0, dtype=np.int64)  # DFA state of each run
+    owner = np.empty(0, dtype=np.int64)
+    joined = 0
+    while True:
+        while joined < len(cells) and (owner.size == 0 or owner.size + trials <= _MC_POOL):
+            cell = cells[joined]
+            rngs.append(np.random.default_rng([config.seed, 7919, cell]))
+            d0 = next_tbl[cell, d_init]
+            if acc_mask[d0]:
+                k_ext[joined] = k_hor[joined] = trials
+            elif not dead_mask[d0]:
+                starts = rngs[joined].uniform(grid.lo[cell], grid.hi[cell], size=(trials, dim))
+                z = np.concatenate([z, starts])
+                where = np.concatenate([where, np.full(trials, cell)])
+                d = np.concatenate([d, np.full(trials, d0)])
+                owner = np.concatenate([owner, np.full(trials, joined)])
+            joined += 1
+        if owner.size == 0:
             break
-        a_idx = switching.table[cells[run], d[run]]
-        x = z[run] @ T_inv.T
-        x_next = np.empty_like(x)
-        for a in np.unique(a_idx):
-            m = a_idx == a
-            x_next[m] = evaluate(nd, nd.actions[a], x[m])
-        x_next = x_next + rng.standard_normal(x.shape) @ chol.T
-        z_next = x_next @ T.T
-        z[run] = z_next
 
-        nxt = grid.locate(z_next)
-        d_new = next_tbl[nxt, d[run]]
-        cells[run] = nxt
-        d[run] = d_new
-        newly_acc = acc_mask[d_new]
-        newly_dead = ~newly_acc & (dead_mask[d_new] | (nxt < 0))
-        status[run[newly_acc]] = 1
-        accepted_at[run[newly_acc]] = t
-        status[run[newly_dead]] = 2
-    return accepted_at
+        first = owner[0]
+        counts = np.bincount(owner - first)
+        live = np.flatnonzero(counts)
+        z = _advance(
+            nd, grid, chol, z, table[where, d],
+            np.concatenate([rngs[first + j].standard_normal((counts[j], dim)) for j in live]),
+        )
+        where = grid.locate(z)
+        d = next_tbl[where, d]
+        age[first + live] += 1
+        t = age[owner]
+        acc = acc_mask[d]
+        k_ext += np.bincount(owner[acc], minlength=len(cells))
+        k_hor += np.bincount(owner[acc & (t <= config.horizon)], minlength=len(cells))
+        keep = np.flatnonzero(~acc & ~dead_mask[d] & (where != UNSAFE_ID) & (t < steps))
+        z, where, d, owner = z.take(keep, axis=0), where[keep], d[keep], owner[keep]
+    return k_ext, k_hor
+
+
+def _advance(
+    nd: NeuralDynamics,
+    grid: RegionGrid,
+    chol: np.ndarray,
+    z: np.ndarray,
+    actions: np.ndarray,
+    noise: np.ndarray,
+) -> np.ndarray:
+    """One closed-loop step of the whitened states z: each run applies its
+    action index's network in original coordinates, then adds its standard
+    normal noise through the covariance's Cholesky factor. The temporaries
+    die on return, before the pool takes its next step."""
+    x = z @ grid.transform.inverse.T
+    x_next = np.empty_like(x)
+    for a in np.flatnonzero(np.bincount(actions)):
+        rows = np.flatnonzero(actions == a)
+        x_next[rows] = evaluate(nd, nd.actions[a], x.take(rows, axis=0))
+    x_next += noise @ chol.T
+    return x_next @ grid.transform.matrix.T
 
 
 def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
@@ -611,28 +677,24 @@ def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
     the empirical satisfaction frequency against the certified interval.
     Runs continue past the reporting horizon (horizon_factor times longer) so
     the frequency approximates the unbounded-horizon probability; unfinished
-    runs count as unsatisfied."""
+    runs count as unsatisfied. Each cell's record depends only on the seed,
+    the cell and the config, not on which other cells are simulated."""
     config = result.config
+    _check_simulation_sizes(config)
     grid = result.abstraction.grid
-    dfa = result.product.dfa
     rng0 = np.random.default_rng([config.seed, 104729])
     if cells is None:
         k = min(config.sim_start_cells, grid.num_cells)
         cells = np.sort(rng0.choice(grid.num_cells, size=k, replace=False))
+    cells = [int(c) for c in cells]
     steps = config.horizon * config.sim_horizon_factor
+    k_ext, k_hor = _simulate(result, cells, steps)
 
     records = []
     inconsistent = 0
-    for cell in (int(c) for c in cells):
-        rng = np.random.default_rng([config.seed, 7919, cell])
-        accepted_at = _simulate_batch(
-            result.dynamics, config.covariance, grid, dfa, result.switching,
-            cell, config.sim_trials, steps, rng, result.product.next_tbl,
-        )
-        n = config.sim_trials
-        k_ext = int(np.count_nonzero(accepted_at >= 0))
-        k_hor = int(np.count_nonzero((accepted_at >= 0) & (accepted_at <= config.horizon)))
-        ci_lo, ci_hi = _wilson(k_ext, n)
+    n = config.sim_trials
+    for cell, acc_ext, acc_hor in zip(cells, k_ext.tolist(), k_hor.tolist()):
+        ci_lo, ci_hi = _wilson(acc_ext, n)
         p_lo = float(result.p_lower[cell])
         p_hi = float(result.p_upper[cell])
         ok = not (ci_hi < p_lo or ci_lo > p_hi)
@@ -642,8 +704,8 @@ def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
                 "cell": cell,
                 "p_lower": p_lo,
                 "p_upper": p_hi,
-                "freq_horizon": k_hor / n,
-                "freq": k_ext / n,
+                "freq_horizon": acc_hor / n,
+                "freq": acc_ext / n,
                 "ci99": [ci_lo, ci_hi],
                 "consistent": ok,
             }

@@ -13,6 +13,7 @@ import pytest
 
 from nndm_synth import pipeline
 from nndm_synth.fixtures import reach_avoid_2d
+from nndm_synth.geometry import RegionGrid
 from nndm_synth.refinement import RefinementConfig
 
 WRAPPED = (
@@ -55,6 +56,29 @@ def test_synthesize_calls_stages_through_the_module(small, monkeypatch):
         monkeypatch.setattr(pipeline, name, counted)
     pipeline.synthesize(abstraction, config.dfa, config.vi_tolerance, config.vi_max_sweeps)
     assert calls == dict.fromkeys(calls, 1)
+
+
+def test_monte_carlo_evaluates_and_locates_through_the_wrapped_names(small, monkeypatch):
+    # the harness counts points at pipeline.evaluate and RegionGrid.locate;
+    # every simulated step evaluates and locates the same running runs
+    config, abstraction = small
+    result = pipeline.run_pipeline(replace(config, sim_trials=50, sim_start_cells=3),
+                                   nd=abstraction.dynamics)
+    points = {"evaluate": 0, "locate": 0}
+    real_evaluate, real_locate = pipeline.evaluate, RegionGrid.locate
+
+    def evaluate(nd, action, x):
+        points["evaluate"] += np.atleast_2d(x).shape[0]
+        return real_evaluate(nd, action, x)
+
+    def locate(grid, pts):
+        points["locate"] += np.atleast_2d(pts).shape[0]
+        return real_locate(grid, pts)
+
+    monkeypatch.setattr(pipeline, "evaluate", evaluate)
+    monkeypatch.setattr(RegionGrid, "locate", locate)
+    pipeline.validate_monte_carlo(result)
+    assert points["evaluate"] == points["locate"] > 0
 
 
 def test_product_rows_items_cover_the_store(small):

@@ -191,6 +191,27 @@ def test_malformed_config_exits_2_without_traceback(workdir, capsys):
     assert "'grid'" in err and "Traceback" not in err
 
 
+def test_null_threshold_exits_2_without_traceback(workdir, capsys):
+    raw = json.loads((workdir / "config.json").read_text())
+    raw["threshold"] = None
+    (workdir / "null_threshold.json").write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(workdir / "null_threshold.json"), "--out", str(workdir / "n")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'threshold'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, key", [("--trials", "0", "'trials'"),
+                                              ("--start-cells", "-1", "'start_cells'")])
+def test_simulate_rejects_bad_sizes(workdir, capsys, flag, value, key):
+    out = workdir / "out_staged"  # reuse the synthesize output
+    assert (out / "result.pkl").exists()
+    rc = main(["simulate", "--out", str(out), flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["synthesize", "refine", "run"])
 def test_unconverged_value_iteration_fails(workdir, capsys, command):
     raw = json.loads((workdir / "config.json").read_text())

@@ -241,6 +241,31 @@ class TestRegionGrid:
         assert int(grid.locate(lo_pt[None])[0]) == target
         assert int(grid.locate(hi_pt[None])[0]) == new_id
 
+    def test_locate_matches_box_test_on_refined_grid(self):
+        grid = self._grid()
+        for cell, dim in ((0, 0), (0, 1), (14, 1), (grid.num_cells - 1, 0)):
+            grid.split_cell(cell, dim)
+        lows, highs = grid.boxes()
+        lo, hi = grid.domain.lo, grid.domain.hi
+        # every cut plane (domain bounds included), cell middles, outside, NaN
+        axes = []
+        for l in range(grid.dim):
+            cuts = np.unique(np.concatenate([lows[:, l], highs[:, l]]))
+            mids = 0.5 * (cuts[:-1] + cuts[1:])
+            axes.append(np.concatenate([cuts, mids, [lo[l] - 0.1, hi[l] + 0.1, np.nan]]))
+        pts = np.array(list(itertools.product(*axes)))
+
+        def brute(p):
+            if np.any(np.isnan(p)) or np.any(p < lo) or np.any(p > hi):
+                return -1
+            # closed boxes; a point on an interior face belongs to the upper cell
+            owns = np.all((lows <= p) & ((p < highs) | (highs == hi)), axis=1)
+            assert np.count_nonzero(owns) == 1
+            return int(np.flatnonzero(owns)[0])
+
+        assert grid.locate(pts).tolist() == [brute(p) for p in pts]
+        assert grid.locate(pts[0]) == brute(pts[0])
+
     def test_cells_follow_product_order(self):
         # literal per-cell loop over the cut planes as the reference
         t = whitening_transform(np.diag([0.25, 4.0, 1.0]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nndm_synth.networks import (
+    _EVAL_CELLS,
     Activation,
     DenseLayer,
     NeuralDynamics,
@@ -28,6 +29,14 @@ class TestActivation:
         assert np.allclose(Activation.TANH.apply(x), np.tanh(x))
         assert np.allclose(Activation.SIGMOID.apply(x), 1 / (1 + np.exp(-x)))
         assert np.array_equal(Activation.LINEAR.apply(x), x)
+
+    @pytest.mark.parametrize("act", list(Activation))
+    def test_apply_in_place_is_bitwise_fresh(self, act):
+        x = np.linspace(-50, 50, 41)
+        fresh = act.apply(x)
+        y = x.copy()
+        assert act.apply(y, out=y) is y
+        assert np.array_equal(y, fresh)
 
     def test_sigmoid_extremes_no_overflow(self):
         big = np.array([-1000.0, -40.0, 40.0, 1000.0])
@@ -87,6 +96,20 @@ class TestEvaluate:
         singles = np.array([evaluate(nd, "a0", x) for x in xs])
         assert np.allclose(batch, singles)
         assert batch.shape == (17, 3)
+
+    def test_empty_batch(self):
+        nd = random_network(3, 8, 2, seed=5)
+        assert evaluate(nd, "a0", np.zeros((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+    def test_chunked_batch_matches_single(self, activation):
+        # 3 full chunks of rows plus 5: the chunk seams and the short tail
+        nd = random_network(2, 64, 2, activation=activation, seed=3)
+        xs = np.random.default_rng(1).normal(size=(3 * (_EVAL_CELLS // 64) + 5, 2))
+        batch = evaluate(nd, "a0", xs)
+        singles = np.array([evaluate(nd, "a0", x) for x in xs])
+        assert batch.shape == xs.shape
+        assert np.allclose(batch, singles, rtol=0.0, atol=1e-12)
 
     def test_input_checks(self):
         nd = random_network(2, 4, 1, seed=1)

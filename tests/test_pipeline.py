@@ -11,6 +11,8 @@ import pytest
 from nndm_synth.automata import dfa_template
 from nndm_synth.fixtures import random_network, reach_avoid_2d
 from nndm_synth.geometry import HyperRect, RegionGrid, whitening_transform
+from nndm_synth import pipeline
+from nndm_synth.networks import evaluate
 from nndm_synth.pipeline import (
     PipelineConfig,
     _parse_covariance,
@@ -130,6 +132,15 @@ class TestConfigParsing:
             (dict(BASE_RAW, regions=[{"label": "goal"}]), "'box'"),
             (dict(BASE_RAW, spec={"template": "reach_avoid"}), "'labels'"),
             (dict(BASE_RAW, regions=[{"label": "goal", "box": [0.5, 1.5]}]), "'box'"),
+            (dict(BASE_RAW, grid=5), "'grid'"),
+            (dict(BASE_RAW, threshold=None), "'threshold'"),
+            (dict(BASE_RAW, spec={"template": "reach_avoid", "labels": 5}), "'labels'"),
+            (dict(BASE_RAW, spec={"template": "reach_avoid", "labels": "avoid reach"}), "'labels'"),
+            (dict(BASE_RAW, simulation={"trials": 0}), "'trials'"),
+            (dict(BASE_RAW, simulation={"trials": -3}), "'trials'"),
+            (dict(BASE_RAW, simulation={"start_cells": -1}), "'start_cells'"),
+            (dict(BASE_RAW, simulation={"horizon": 0}), "'horizon'"),
+            (dict(BASE_RAW, simulation={"horizon_factor": 0}), "'horizon_factor'"),
         ],
     )
     def test_malformed_config_names_the_key(self, raw, key):
@@ -367,7 +378,92 @@ class TestMonteCarlo:
         res_small = replace(res, config=small)
         a = validate_monte_carlo(res_small, cells=[5])
         b = validate_monte_carlo(res_small, cells=[5])
-        assert a["cells"][0]["freq"] == b["cells"][0]["freq"]
+        c = validate_monte_carlo(res_small, cells=[2, 5, 9])
+        assert a == b
+        assert c["cells"][1] == a["cells"][0]
+
+    @pytest.mark.parametrize("pool", [50, 300])
+    def test_pool_size_does_not_change_the_report(self, small_run, monkeypatch, pool):
+        # 50: below one cell's trials, so each cell runs alone; 300: cells
+        # join one at a time as earlier cells' runs finish
+        _, config, res, _ = small_run
+        res_small = replace(res, config=replace(config, sim_trials=200, sim_start_cells=6))
+        want = validate_monte_carlo(res_small)
+        monkeypatch.setattr(pipeline, "_MC_POOL", pool)
+        assert validate_monte_carlo(res_small) == want
+
+    def test_matches_per_cell_reference_and_unfinished_runs_fail(self, small_run):
+        # two steps in all: most runs are still going at the end and count
+        # as unsatisfied, against the full trial count
+        _, config, res, _ = small_run
+        small = replace(config, sim_trials=300, horizon=1, sim_horizon_factor=2)
+        res_small = replace(res, config=small)
+        cells = [0, 7, 14, 21, 28, 35]
+        report = validate_monte_carlo(res_small, cells=cells)
+        assert report["extended_steps"] == 2
+        unfinished = 0
+        for cell, rec in zip(cells, report["cells"]):
+            accepted_at, status = _reference_runs(res_small, cell, steps=2)
+            unfinished += np.count_nonzero(status == 0)
+            assert rec["freq"] == np.count_nonzero(accepted_at >= 0) / 300
+            assert rec["freq_horizon"] == np.count_nonzero((accepted_at >= 0) & (accepted_at <= 1)) / 300
+        assert unfinished > 0
+
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [
+            ("sim_trials", 0, "'trials'"),
+            ("sim_start_cells", -1, "'start_cells'"),
+            ("horizon", 0, "'horizon'"),
+            ("sim_horizon_factor", 0, "'horizon_factor'"),
+        ],
+    )
+    def test_non_positive_sizes_rejected(self, small_run, field, value, key):
+        _, config, res, _ = small_run
+        with pytest.raises(ValueError, match=key):
+            validate_monte_carlo(replace(res, config=replace(config, **{field: value})))
+
+    def test_zero_start_cells_is_an_empty_check(self, small_run):
+        _, config, res, _ = small_run
+        report = validate_monte_carlo(replace(res, config=replace(config, sim_start_cells=0)))
+        assert report["cells"] == [] and report["num_inconsistent"] == 0
+
+
+def _reference_runs(result, cell, steps):
+    """One cell's runs stepped on their own, drawing from the cell's generator
+    in the same order as the pooled simulation. Returns the step at which
+    each run got accepted (-1 if never) and its final status (0 running,
+    1 accepted, 2 failed)."""
+    config, grid = result.config, result.abstraction.grid
+    nd, dfa, next_tbl = result.dynamics, result.product.dfa, result.product.next_tbl
+    rng = np.random.default_rng([config.seed, 7919, cell])
+    chol = np.linalg.cholesky(config.covariance)
+    acc_mask = np.array([s in dfa.accepting for s in dfa.states])
+    dead_mask = np.array([s in dfa.dead_states() for s in dfa.states])
+    n = config.sim_trials
+    z = rng.uniform(grid.lo[cell], grid.hi[cell], size=(n, grid.dim))
+    cells = np.full(n, cell)
+    d = np.full(n, next_tbl[cell, dfa.states.index(dfa.initial)])
+    status = np.where(acc_mask[d], 1, np.where(dead_mask[d], 2, 0))
+    accepted_at = np.where(status == 1, 0, -1)
+    for t in range(1, steps + 1):
+        run = np.flatnonzero(status == 0)
+        if run.size == 0:
+            break
+        a_idx = result.switching.table[cells[run], d[run]]
+        x = z[run] @ grid.transform.inverse.T
+        x_next = np.empty_like(x)
+        for a in np.unique(a_idx):
+            m = a_idx == a
+            x_next[m] = evaluate(nd, nd.actions[a], x[m])
+        z[run] = (x_next + rng.standard_normal(x.shape) @ chol.T) @ grid.transform.matrix.T
+        cells[run] = grid.locate(z[run])
+        d[run] = next_tbl[cells[run], d[run]]
+        acc = acc_mask[d[run]]
+        status[run[acc]] = 1
+        accepted_at[run[acc]] = t
+        status[run[~acc & (dead_mask[d[run]] | (cells[run] < 0))]] = 2
+    return accepted_at, status
 
 
 class TestGapStats:
