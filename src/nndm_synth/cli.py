@@ -28,6 +28,7 @@ import numpy as np
 from .networks import NeuralDynamics, load_networks
 from .pipeline import (
     PipelineConfig,
+    _check_simulation_sizes,
     build_abstraction,
     emit_outputs,
     gap_stats,
@@ -36,7 +37,7 @@ from .pipeline import (
 )
 
 # Bump whenever a pickled class or the pickled dict changes its fields.
-_ARTIFACT_FORMAT = 5
+_ARTIFACT_FORMAT = 6
 _EXIT_NOT_CONVERGED = 3
 
 
@@ -46,6 +47,7 @@ def _load_config(args) -> PipelineConfig:
         config.threads = args.threads
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
+        _check_simulation_sizes(config)
     return config
 
 

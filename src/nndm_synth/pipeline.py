@@ -99,7 +99,8 @@ def _get(section: dict, key: str, default, conv):
 
 def _check_simulation_sizes(config: "PipelineConfig") -> None:
     """A Monte Carlo check needs at least one trial per start cell and one
-    step; zero start cells is an empty check."""
+    step; zero start cells is an empty check. Its generators take the seed,
+    which must not be negative."""
     for key, value, least in (
         ("trials", config.sim_trials, 1),
         ("start_cells", config.sim_start_cells, 0),
@@ -108,6 +109,8 @@ def _check_simulation_sizes(config: "PipelineConfig") -> None:
     ):
         if value < least:
             raise ValueError(f"simulation {key!r} must be at least {least}, got {value}")
+    if config.seed < 0:
+        raise ValueError(f"'seed' must not be negative, got {config.seed}")
 
 
 @dataclass
@@ -533,11 +536,13 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
         "vi": {
             "lower": {
                 "sweeps": result.lower.sweeps,
+                "full_sweeps": result.lower.full_sweeps,
                 "residual": result.lower.residual,
                 "converged": result.lower.converged,
             },
             "upper": {
                 "sweeps": result.upper.sweeps,
+                "full_sweeps": result.upper.full_sweeps,
                 "residual": result.upper.residual,
                 "converged": result.upper.converged,
             },
@@ -687,6 +692,9 @@ def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
         k = min(config.sim_start_cells, grid.num_cells)
         cells = np.sort(rng0.choice(grid.num_cells, size=k, replace=False))
     cells = [int(c) for c in cells]
+    bad = [c for c in cells if not 0 <= c < grid.num_cells]
+    if bad:
+        raise ValueError(f"start cell {bad[0]} is not a cell id in [0, {grid.num_cells})")
     steps = config.horizon * config.sim_horizon_factor
     k_ext, k_hor = _simulate(result, cells, steps)
 

@@ -142,10 +142,11 @@ def test_simulate_refuses_stale_result(tmp_path, capsys, truncated):
 
 def test_simulate_refuses_format_3_result(tmp_path, capsys):
     # format 3 held the product rows as a dict of per-row arrays, format 4
-    # the out-of-domain interval in dedicated row fields
+    # the out-of-domain interval in dedicated row fields, format 5 value
+    # iteration results without full_sweeps
     nd, config = reach_avoid_2d(grid=(4, 4))
     result = run_pipeline(config, nd=nd)
-    for fmt in (3, 4):
+    for fmt in (3, 4, 5):
         with open(tmp_path / "result.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "fingerprint": None, "object": result}, fh)
         rc = main(["simulate", "--out", str(tmp_path)])
@@ -157,7 +158,7 @@ def test_simulate_refuses_format_3_result(tmp_path, capsys):
 def test_synthesize_refuses_old_format_tag(workdir, tmp_path, capsys):
     nd, config = reach_avoid_2d(grid=(4, 4))
     abstraction = build_abstraction(nd, config)
-    for fmt in (1, 4):
+    for fmt in (1, 4, 5):
         with open(tmp_path / "abstraction.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "object": abstraction}, fh)
         rc = main(["synthesize", "--config", str(workdir / "config.json"), "--out", str(tmp_path)])
@@ -237,3 +238,21 @@ def test_seed_override(workdir, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 99
     capsys.readouterr()
+
+
+def test_negative_seed_fails_before_building(workdir, capsys):
+    out = workdir / "out_negative_seed"
+    rc = main(["run", "--config", str(workdir / "config.json"), "--out", str(out), "--seed", "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_rejects_negative_seed(workdir, capsys):
+    out = workdir / "out_staged"  # reuse the synthesize output
+    assert (out / "result.pkl").exists()
+    rc = main(["simulate", "--out", str(out), "--seed", "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "Traceback" not in err

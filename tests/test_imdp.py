@@ -357,6 +357,69 @@ class TestValueIteration:
                 break
         assert np.max(np.abs(got.values - V)) < 2e-6
 
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_every_stopping_point_is_a_sound_lower_bound(self, seed):
+        # strategy sweeps between full ones hold the controller's choice, so
+        # a pass cut anywhere must still be below the fixed point, and a
+        # longer pass never lower
+        prod = random_product(seed, n_actions=3)
+        want = jacobi_lp_values(prod)
+        prev = np.zeros(prod.num_states)
+        for k in range(1, 41):
+            got = robust_value_iteration(prod, tol=1e-10, max_sweeps=k)
+            assert got.sweeps <= k
+            assert np.all(got.values <= want + 1e-9)
+            assert np.all(got.values >= prev)
+            prev = got.values
+
+    def test_held_strategy_is_refreshed(self):
+        # action 0 self-loops, action 1 moves one state up with 0.9, else to
+        # the sink; at the first full sweep only state 5 sees the goal, so
+        # every other state holds the self-loop until a later full sweep
+        n = 6
+        accepting = np.r_[np.zeros(n, bool), True, False]
+        sink = np.r_[np.zeros(n, bool), False, True]
+        rows = {}
+        for s in range(n):
+            rows[(s, 0)] = (np.array([s]), np.ones(1), np.ones(1))
+            rows[(s, 1)] = (np.array([s + 1, n + 1]), np.array([0.9, 0.1]), np.array([0.9, 0.1]))
+        res = robust_value_iteration(FakeProduct(accepting, sink, rows, 2), tol=1e-12)
+        assert res.converged
+        assert np.allclose(res.values[:n], 0.9 ** (n - np.arange(n)), rtol=0, atol=1e-15)
+        assert res.full_sweeps > 1
+
+    def test_cut_inside_strategy_sweeps_is_not_converged(self):
+        prod = random_product(11, n_actions=3)
+        whole = robust_value_iteration(prod, tol=1e-10)
+        assert whole.converged and whole.full_sweeps < whole.sweeps
+        cut_in_strategy = 0
+        prev_full = 0
+        for k in range(1, whole.sweeps):
+            got = robust_value_iteration(prod, tol=1e-10, max_sweeps=k)
+            assert got.sweeps == k and not got.converged
+            cut_in_strategy += got.full_sweeps == prev_full  # sweep k held the strategy
+            prev_full = got.full_sweeps
+        assert cut_in_strategy > 0
+
+    def test_fixed_strategy_sweeps_are_all_full(self):
+        prod = random_product(7, n_actions=3)
+        res = robust_value_iteration(prod, tol=1e-10)
+        upper = evaluate_strategy_upper(prod, res.strategy, tol=1e-10)
+        assert upper.converged and upper.full_sweeps == upper.sweeps > 1
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_strategy_outside_the_actions_rejected(self, bad):
+        prod = random_product(3)
+        strategy = robust_value_iteration(prod, tol=1e-10).strategy
+        strategy[4] = bad
+        with pytest.raises(ValueError, match=r"strategy\[4\]"):
+            evaluate_strategy_upper(prod, strategy)
+
+    def test_strategy_of_wrong_length_rejected(self):
+        prod = random_product(3)
+        with pytest.raises(ValueError, match="first bad state 5"):
+            evaluate_strategy_upper(prod, np.zeros(5, dtype=np.int64))
+
     def test_deterministic_across_runs(self):
         prod = random_product(19)
         a = robust_value_iteration(prod, tol=1e-8)

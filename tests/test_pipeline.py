@@ -141,6 +141,7 @@ class TestConfigParsing:
             (dict(BASE_RAW, simulation={"start_cells": -1}), "'start_cells'"),
             (dict(BASE_RAW, simulation={"horizon": 0}), "'horizon'"),
             (dict(BASE_RAW, simulation={"horizon_factor": 0}), "'horizon_factor'"),
+            (dict(BASE_RAW, seed=-1), "'seed'"),
         ],
     )
     def test_malformed_config_names_the_key(self, raw, key):
@@ -325,6 +326,8 @@ class TestOutputs:
         cls = [str(c) for c in res.classes]
         assert doc["classes"] == {k: cls.count(k) for k in ("yes", "no", "maybe")}
         assert doc["vi"]["lower"]["converged"] and doc["vi"]["upper"]["converged"]
+        assert 1 <= doc["vi"]["lower"]["full_sweeps"] <= doc["vi"]["lower"]["sweeps"]
+        assert doc["vi"]["upper"]["full_sweeps"] == doc["vi"]["upper"]["sweeps"]
         assert "abstraction" in doc["timings"] and "total" in doc["timings"]
 
     def test_refinement_log_empty_without_rounds(self, small_run):
@@ -416,12 +419,20 @@ class TestMonteCarlo:
             ("sim_start_cells", -1, "'start_cells'"),
             ("horizon", 0, "'horizon'"),
             ("sim_horizon_factor", 0, "'horizon_factor'"),
+            ("seed", -1, "'seed'"),
         ],
     )
     def test_non_positive_sizes_rejected(self, small_run, field, value, key):
         _, config, res, _ = small_run
         with pytest.raises(ValueError, match=key):
             validate_monte_carlo(replace(res, config=replace(config, **{field: value})))
+
+    def test_start_cell_outside_the_grid_rejected(self, small_run):
+        _, config, res, _ = small_run
+        res_small = replace(res, config=replace(config, sim_trials=10))
+        for cell in (-1, res.abstraction.grid.num_cells):
+            with pytest.raises(ValueError, match=f"start cell {cell} "):
+                validate_monte_carlo(res_small, cells=[0, cell])
 
     def test_zero_start_cells_is_an_empty_check(self, small_run):
         _, config, res, _ = small_run
