@@ -70,7 +70,11 @@ print("== Post image ==")
 print(f"{verts.shape[0]} candidate corners, bounding box "
       f"[{hull.lo.round(3)}, {hull.hi.round(3)}]")
 
-(row,) = transition_rows(grid, [cell_id], action, [bounds])
+# transition_rows writes its rows into a RowStore (CSR arrays indptr, col, lo,
+# up); a stack of one action on one cell holds one row, keyed (0, 0)
+rows = transition_rows(grid, [cell_id], (action,), [bounds])
+row = rows[(0, 0)]  # a Row of views: targets, lower, upper
+print(f"row store: {len(rows)} row, {rows.indptr[-1]} entries")
 # the out-of-domain state is one more target, UNSAFE_ID, kept when its mass can be positive
 out = row.targets == UNSAFE_ID
 cells = np.flatnonzero(~out)

@@ -24,6 +24,7 @@ from .geometry import (
 )
 from .imdp import (
     Imdp,
+    RowStore,
     ValueIterationResult,
     evaluate_strategy_upper,
     extreme_distribution,
@@ -56,7 +57,6 @@ from .refinement import RefinementConfig, refine_round, score_states, split_dime
 from .relaxation import LinearBounds, relax, relax_cells
 from .transitions import (
     InternalConsistencyError,
-    TransitionBoundRow,
     extremal_means,
     gaussian_box_mass,
     transition_rows,

@@ -266,16 +266,13 @@ class ProductImdp:
     def num_actions(self) -> int:
         return self.imdp.num_actions
 
-    def row(self, s: int, a: int):
-        return self.rows[(s, a)]
-
 
 def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     """Synchronous product: a transition into cell q' advances the DFA on
     L(q'), and a cell's initial product state consumes its own label first.
-    Rows keep the base probability bounds, only target indices change; they
-    are written into one RowStore in (pid, action) order, entries sorted by
-    target pid.
+    Rows keep the base store's probability bounds, only target indices
+    change; they are written into one RowStore in (pid, action) order,
+    entries sorted by target pid.
     Accepting DFA states are absorbing; dead DFA states and the non-accepting
     out-of-domain states form the sink."""
     used = set().union(*imdp.labels) if imdp.labels else set()
@@ -329,28 +326,35 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     # discover the reachable states first: their count and row sizes fix the
     # store's layout before any entry is written
     A = imdp.num_actions
+    base = imdp.rows
     live: list[int] = []
     while queue:
         cell, d, pid = queue.popleft()
         if d in acc or d in dead or cell == UNSAFE_ID:
             continue  # terminal in the product: no outgoing rows needed
         live.append(pid)
-        # successor targets of every action's row, in row order
-        succ = np.concatenate([imdp.row(cell, a).targets for a in range(A)])
+        # successor targets of the cell's rows, which lie side by side
+        r = base.first[cell]
+        succ = base.col[base.indptr[r] : base.indptr[r + A]]
         d_next = next_tbl[succ, d]
         for m in np.flatnonzero(pid_tbl[succ, d_next] < 0):
             ensure(int(succ[m]), int(d_next[m]))
 
     first = np.full(len(states), -1, dtype=np.int64)
     first[live] = np.arange(len(live)) * A
-    bases = [(states[pid][1], imdp.row(states[pid][0], a)) for pid in live for a in range(A)]
-    rows = RowStore(first, A, [base.targets.size for _, base in bases])
+    cells = np.array([states[pid][0] for pid in live], dtype=np.int64)
+    sizes = np.diff(base.indptr)[(base.first[cells][:, None] + np.arange(A)).ravel()]
+    nnz = int(sizes.sum())
+    rows = RowStore(first, A, sizes, np.empty(nnz, dtype=np.int64), np.empty(nnz), np.empty(nnz))
     # succ_pid[d, t]: the pid entered from DFA state d on moving into target t
     succ_pid = pid_tbl[np.arange(num_cells + 1), next_tbl.T]
-    for r, (d, base) in enumerate(bases):
-        pids = succ_pid[d][base.targets]
+    for (pid, a), start, end in zip(rows, rows.indptr[:-1], rows.indptr[1:]):
+        cell, d = states[pid]
+        targets, lower, upper = base[cell, a]
+        pids = succ_pid[d][targets]
         order = pids.argsort(kind="stable")
-        rows.put(r, pids[order], base.lower[order], base.upper[order])
+        for field, values in ((rows.col, pids), (rows.lo, lower), (rows.up, upper)):
+            field[start:end] = values[order]
 
     accepting = np.array([d in acc for (_, d) in states], dtype=bool)
     sink = np.array(

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import UNSAFE_ID
-from .transitions import TransitionBoundRow
 
 # Buffer cells (rows x states) per block of a sweep. Smaller blocks take
 # fewer sweeps (closer to Gauss-Seidel) but pay numpy call overhead more
@@ -61,56 +61,74 @@ _REFRESH = 0.1
 
 @dataclass
 class Imdp:
-    """Interval MDP over the grid cells. Rows are keyed by (cell id, action
-    index); their targets are cell ids plus UNSAFE_ID, the virtual absorbing
-    out-of-domain state."""
+    """Interval MDP over the grid cells. `rows` holds one row per (cell id,
+    action index), in that order; targets are cell ids plus UNSAFE_ID, the
+    virtual absorbing out-of-domain state."""
 
     actions: tuple[str, ...]
     labels: list[frozenset[str]]
-    rows: dict[tuple[int, int], TransitionBoundRow]
+    rows: RowStore
     num_cells: int
 
     @property
     def num_actions(self) -> int:
         return len(self.actions)
 
-    def row(self, cell: int, action_idx: int) -> TransitionBoundRow:
-        return self.rows[(cell, action_idx)]
-
     def validate(self, tol: float = 1e-8) -> None:
-        """Sanity checks on every row; raises on violation."""
+        """Sanity checks on every row; raises on violation, naming the first
+        bad row and the first check it fails. At most two masks over the
+        entries live at a time."""
         if len(self.labels) != self.num_cells:
             raise ValueError("one label set per cell required")
-        for (cell, a), row in self.rows.items():
-            t = row.targets
-            if t.size and (np.any(np.diff(t) <= 0) or t[0] < UNSAFE_ID or t[-1] >= self.num_cells):
-                raise ValueError(
-                    f"row ({cell}, {a}): targets are not increasing ids in [{UNSAFE_ID}, {self.num_cells})"
-                )
-            probs = np.r_[row.lower, row.upper]
-            if np.any(probs < 0.0) or np.any(probs > 1.0):
-                raise ValueError(f"row ({cell}, {a}): probabilities outside [0, 1]")
-            if np.any(row.lower > row.upper):
-                raise ValueError(f"row ({cell}, {a}): lower bound exceeds upper bound")
-            lo_sum = float(row.lower.sum())
-            up_sum = float(row.upper.sum())
-            if lo_sum > 1.0 + tol or up_sum < 1.0 - tol:
-                raise ValueError(f"row ({cell}, {a}): infeasible sums ({lo_sum}, {up_sum})")
+        rows = self.rows
+        t, lo, up, start = rows.col, rows.lo, rows.up, rows.indptr[:-1]
+
+        def holds(mask: np.ndarray) -> np.ndarray:  # per row: is one of its entries flagged?
+            return np.logical_or.reduceat(mask, start)
+
+        falls = np.zeros(t.size, dtype=bool)  # entry i + 1 does not rise above entry i
+        np.less_equal(t[1:], t[:-1], out=falls[:-1])
+        falls[start[1:] - 1] = False  # pairs across two rows
+        last = t[rows.indptr[1:] - 1]
+        bad_targets = holds(falls) | (t[start] < UNSAFE_ID) | (last >= self.num_cells)
+        del falls
+        lo_sum, up_sum = rows.sums()
+        checks = [
+            (bad_targets, f"targets are not increasing ids in [{UNSAFE_ID}, {self.num_cells})"),
+            (holds(lo < 0.0) | holds(lo > 1.0) | holds(up < 0.0) | holds(up > 1.0),
+             "probabilities outside [0, 1]"),
+            (holds(lo > up), "lower bound exceeds upper bound"),
+            ((lo_sum > 1.0 + tol) | (up_sum < 1.0 - tol), None),
+        ]
+        bad = np.flatnonzero(np.any([flags for flags, _ in checks], axis=0))
+        if bad.size:
+            r = int(bad[0])
+            what = next(what for flags, what in checks if flags[r])
+            what = what or f"infeasible sums ({lo_sum[r]}, {up_sum[r]})"
+            raise ValueError(f"row {list(rows)[r]}: {what}")  # the key of row r
+
+
+class Row(NamedTuple):
+    """One row of a RowStore, each field a view into the store."""
+
+    targets: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
 
 class RowStore(Mapping):
-    """The rows of an interval MDP over states 0..S-1 as one CSR layout.
+    """The rows of an interval MDP over states 0..S-1 as one CSR layout, from
+    the abstraction (states are cells, targets cell ids plus UNSAFE_ID) to the
+    product (states are product ids).
 
-    Row r holds entries indptr[r]:indptr[r+1] of `col` (target states,
+    Row r holds entries indptr[r]:indptr[r+1] of `col` (its targets,
     increasing, at least one), `lo` and `up`. Rows run in (state, action)
     order, and a state either has all num_actions rows, starting at row
     first[s], or none (first[s] = -1). As a read-only Mapping it yields
-    (state, action) -> (targets, lo, up), each a view into the store.
+    (state, action) -> Row. The constructor takes each row's entry count, in
+    row order, and the entries' col, lo and up."""
 
-    `sizes` gives each row's entry count in row order; the arrays are
-    allocated once and filled row by row with `put`."""
-
-    def __init__(self, first: np.ndarray, num_actions: int, sizes):
+    def __init__(self, first, num_actions: int, sizes, col, lo, up):
         self.first = np.asarray(first, dtype=np.int64)
         self.num_actions = num_actions
         self.indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
@@ -119,10 +137,7 @@ class RowStore(Mapping):
             raise ValueError("need num_actions rows for every state with rows")
         if np.any(np.diff(self.indptr) < 1):
             raise ValueError("every row needs at least one entry")
-        nnz = int(self.indptr[-1])
-        self.col = np.empty(nnz, dtype=np.int64)
-        self.lo = np.empty(nnz)
-        self.up = np.empty(nnz)
+        self.col, self.lo, self.up = col, lo, up
 
     @classmethod
     def from_rows(cls, rows: Mapping, num_states: int, num_actions: int) -> "RowStore":
@@ -133,32 +148,51 @@ class RowStore(Mapping):
         first[states] = np.arange(len(states)) * num_actions
         if keys != [(s, a) for s in states for a in range(num_actions)]:
             raise ValueError("need num_actions rows for every state with rows")
-        store = cls(first, num_actions, [len(rows[k][0]) for k in keys])
-        for r, key in enumerate(keys):
+        for key in keys:
             if np.any(np.diff(rows[key][0]) <= 0):
                 raise ValueError(f"row {key}: targets are not increasing")
-            store.put(r, *rows[key])
-        return store
+        fields = [np.asarray(rows[k], dtype=float) for k in keys]  # targets, lo, up: (3, size)
+        packed = np.concatenate([np.empty((3, 0)), *fields], axis=1)
+        sizes = [len(rows[k][0]) for k in keys]
+        return cls(first, num_actions, sizes, packed[0].astype(np.int64), packed[1], packed[2])
 
-    def put(self, r: int, targets: np.ndarray, lo: np.ndarray, up: np.ndarray) -> None:
-        sl = slice(self.indptr[r], self.indptr[r + 1])
-        self.col[sl], self.lo[sl], self.up[sl] = targets, lo, up
+    def splice(self, num_states: int, drop: np.ndarray, parts) -> "RowStore":
+        """A store of every action's row of states 0..num_states-1, where this
+        store's row r is row r again: the entries where `drop` is set go, and
+        those of `parts`, tuples of arrays (row, target, lo, up), are put
+        among the rest in (row, target) order. No (row, target) may repeat."""
+        keep = ~drop
+        row, col, lo, up = (np.concatenate(field) for field in zip(*parts))
+        # (row, target) as one increasing int64: targets lie in [UNSAFE_ID, span - 1)
+        span = int(max(self.col.max(initial=0), col.max(initial=0))) + 2
+        key = row * span + col
+        order = key.argsort()
+        kept = np.repeat(np.arange(len(self)) * span, np.diff(self.indptr))
+        kept += self.col
+        at = np.searchsorted(kept[keep], key[order])
+        del kept  # past the new store, about one field's worth of temporaries
+        sizes = np.bincount(row, minlength=num_states * self.num_actions)
+        sizes[: len(self)] += np.add.reduceat(keep, self.indptr[:-1], dtype=np.int64)
+        fields = [np.insert(old[keep], at, new[order])
+                  for old, new in ((self.col, col), (self.lo, lo), (self.up, up))]
+        return RowStore(np.arange(num_states) * self.num_actions, self.num_actions, sizes, *fields)
 
-    def _index(self, key) -> int:
+    def sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's sum of lower and of upper bounds."""
+        return np.add.reduceat(self.lo, self.indptr[:-1]), np.add.reduceat(self.up, self.indptr[:-1])
+
+    def __getitem__(self, key) -> Row:
         s, a = key
         if not (0 <= s < self.first.size and 0 <= a < self.num_actions) or self.first[s] < 0:
             raise KeyError(key)
-        return int(self.first[s]) + a
-
-    def __getitem__(self, key):
-        r = self._index(key)
-        sl = slice(self.indptr[r], self.indptr[r + 1])
-        return self.col[sl], self.lo[sl], self.up[sl]
+        r = int(self.first[s]) + a
+        start, end = self.indptr[r], self.indptr[r + 1]
+        return Row(self.col[start:end], self.lo[start:end], self.up[start:end])
 
     def __iter__(self):
-        for s in np.flatnonzero(self.first >= 0):
+        for s in np.flatnonzero(self.first >= 0).tolist():
             for a in range(self.num_actions):
-                yield int(s), a
+                yield s, a
 
     def __len__(self) -> int:
         return self.indptr.size - 1
@@ -289,14 +323,6 @@ class ValueIterationResult:
     full_sweeps: int  # sweeps that evaluated every row of the pass
 
 
-def _row_store(product) -> RowStore:
-    """The product's row store; a plain rows mapping is packed into one."""
-    rows = product.rows
-    if isinstance(rows, RowStore):
-        return rows
-    return RowStore.from_rows(rows, product.num_states, product.num_actions)
-
-
 def _block_sweeps(
     product, kernel: _BlockKernel, maximize: bool, tol: float, max_sweeps: int, strategy=None
 ) -> ValueIterationResult:
@@ -385,7 +411,7 @@ def robust_value_iteration(
     Extraction evaluates every action once at the converged values and picks,
     per state, the lowest-index action within tol of the best one: values
     are only tol-accurate, so a finer choice would follow rounding noise."""
-    store = _row_store(product)
+    store = product.rows
     A = store.num_actions
     actions = np.arange(A)
     kernel = _BlockKernel(store, product.num_states, A)
@@ -416,7 +442,7 @@ def evaluate_strategy_upper(
     same strategy that robust_value_iteration certified from below. Same
     blocked sweep as the maximin pass, over the strategy's rows only.
     strategy holds one action index in [0, num_actions) per state."""
-    store = _row_store(product)
+    store = product.rows
     strategy = np.asarray(strategy, dtype=np.int64)
     S = product.num_states
     if strategy.shape != (S,):

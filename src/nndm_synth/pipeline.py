@@ -35,7 +35,7 @@ from .imdp import (
 from .networks import NeuralDynamics, evaluate, load_networks
 from .refinement import RefinementConfig, RefineOutcome, refine_round
 from .relaxation import LinearBounds, relax_cells
-from .transitions import refresh_rows, transition_rows
+from .transitions import _check_sums, refresh_rows, transition_rows
 
 
 def _parse_covariance(raw, dim: int) -> np.ndarray:
@@ -219,21 +219,14 @@ class Abstraction:
     imdp: Imdp
 
 
-def _compute_rows(nd, grid, keys):
-    """Envelope + transition row for each (cell, action index) key. Per
-    action, all of that action's cells go through one relax_cells and one
-    transition_rows call."""
-    cells_of: dict[int, list[int]] = {}
-    for cell, a in keys:
-        cells_of.setdefault(a, []).append(cell)
-    out = {}
-    for a, cells in cells_of.items():
-        ids = np.asarray(cells, dtype=np.int64)
-        envs = relax_cells(nd, nd.actions[a], grid.transform, grid.lo[ids], grid.hi[ids])
-        rows = transition_rows(grid, ids, nd.actions[a], envs)
-        for cell, b, row in zip(cells, envs, rows):
-            out[(cell, a)] = (b, row)
-    return out
+def _compute_rows(nd, grid, cells):
+    """Envelopes, keyed (cell, action index) in that order, and one
+    transition_rows stack whose row (i, a) is that of cells[i] under action
+    a; each action's envelopes come from one relax_cells call."""
+    lo, hi = grid.lo[cells], grid.hi[cells]
+    envs = [relax_cells(nd, action, grid.transform, lo, hi) for action in nd.actions]
+    bounds = {(int(c), a): envs[a][i] for i, c in enumerate(cells) for a in range(len(envs))}
+    return bounds, transition_rows(grid, cells, nd.actions, list(bounds.values()))
 
 
 def build_abstraction(nd: NeuralDynamics, config: PipelineConfig) -> Abstraction:
@@ -244,39 +237,32 @@ def build_abstraction(nd: NeuralDynamics, config: PipelineConfig) -> Abstraction
     transform = whitening_transform(config.covariance)
     grid = build_grid(config.domain, transform, config.grid, config.regions)
 
-    keys = [(c, a) for c in range(grid.num_cells) for a in range(len(nd.actions))]
-    computed = _compute_rows(nd, grid, keys)
-    bounds: dict[tuple[int, int], LinearBounds] = {}
-    rows = {}
-    for key in sorted(computed):
-        b, row = computed[key]
-        bounds[key] = b
-        rows[key] = row
+    bounds, rows = _compute_rows(nd, grid, np.arange(grid.num_cells))
     imdp = Imdp(actions=nd.actions, labels=grid.labels, rows=rows, num_cells=grid.num_cells)
     return Abstraction(dynamics=nd, transform=transform, grid=grid, bounds=bounds, imdp=imdp)
 
 
 def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome) -> None:
     """Bring the abstraction in line with a round of grid splits: rebuild the
-    split cells' rows (outcome.dirty) from fresh envelopes, and recompute
-    every other row's entries at the split cells' ids from its cached
-    envelope, so each row matches a full rebuild bit for bit."""
-    grid = abstraction.grid
-    imdp = abstraction.imdp
-    dirty = sorted(outcome.dirty)
-    computed = _compute_rows(abstraction.dynamics, grid, dirty)
-    for key in dirty:
-        abstraction.bounds[key], imdp.rows[key] = computed[key]
+    split cells' rows (those of outcome.dirty) from fresh envelopes, and
+    recompute every other row's entries at the split cells' ids from its
+    cached envelope, so each row matches a full rebuild bit for bit. Both go
+    into the next store by one splice of the current one."""
+    grid, imdp = abstraction.grid, abstraction.imdp
+    A = imdp.num_actions
+    cells = np.array(sorted({c for c, _ in outcome.dirty}), dtype=np.int64)
+    clean = ~np.isin(np.arange(len(imdp.rows)) // A, cells)
+    changed = np.sort(np.array(outcome.splits, dtype=np.int64).reshape(-1, 3)[:, :2], axis=None)
+    envs = [abstraction.bounds[divmod(int(r), A)] for r in np.flatnonzero(clean)]
+    drop, parts = refresh_rows(grid, imdp.rows, clean, envs, changed)
 
-    clean = [key for key in sorted(imdp.rows) if key not in outcome.dirty]
-    if outcome.splits and clean:
-        changed = np.sort(np.array(outcome.splits, dtype=np.int64)[:, :2], axis=None)
-        fresh = refresh_rows(grid, [imdp.rows[key] for key in clean],
-                             [abstraction.bounds[key] for key in clean], changed)
-        imdp.rows.update(zip(clean, fresh))
-
+    bounds, stack = _compute_rows(abstraction.dynamics, grid, cells)
+    abstraction.bounds.update(bounds)
+    dest = (cells[:, None] * A + np.arange(A)).ravel()  # the stack's rows in the next store
+    parts.append((dest.repeat(np.diff(stack.indptr)), stack.col, stack.lo, stack.up))
+    imdp.rows = imdp.rows.splice(grid.num_cells, drop, parts)
+    _check_sums(imdp.rows, np.arange(grid.num_cells), imdp.actions)
     imdp.num_cells = grid.num_cells
-    imdp.rows = {key: imdp.rows[key] for key in sorted(imdp.rows)}
 
 
 # -- synthesis ----------------------------------------------------------------
@@ -416,6 +402,7 @@ def run_pipeline(
         )
         if not outcome.splits:
             break
+        synth = None  # the last product goes before the next store and product are built
         apply_refinement(abstraction, outcome)
         synth = synthesize(abstraction, config.dfa, config.vi_tolerance, config.vi_max_sweeps)
         mean_gap, max_gap = gap_stats(abstraction.grid, synth.p_lower, synth.p_upper)
@@ -534,18 +521,8 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
         "max_gap": max_gap,
         "refinement_rounds": len(result.rounds),
         "vi": {
-            "lower": {
-                "sweeps": result.lower.sweeps,
-                "full_sweeps": result.lower.full_sweeps,
-                "residual": result.lower.residual,
-                "converged": result.lower.converged,
-            },
-            "upper": {
-                "sweeps": result.upper.sweeps,
-                "full_sweeps": result.upper.full_sweeps,
-                "residual": result.upper.residual,
-                "converged": result.upper.converged,
-            },
+            name: {k: getattr(vi, k) for k in ("sweeps", "full_sweeps", "residual", "converged")}
+            for name, vi in (("lower", result.lower), ("upper", result.upper))
         },
         "timings": {k: round(v, 3) for k, v in result.timings.items()},
         "seed": result.config.seed,

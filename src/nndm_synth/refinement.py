@@ -36,9 +36,8 @@ def score_states(imdp: Imdp, p_lower: np.ndarray, p_upper: np.ndarray) -> list[S
     """Refinement priorities, sorted descending. p_lower/p_upper are the
     per-cell certificate bounds (at each cell's initial product state)."""
     incoming = np.zeros(imdp.num_cells + 1)  # last: UNSAFE_ID, not scored
-    for key in sorted(imdp.rows):
-        row = imdp.rows[key]
-        np.add.at(incoming, row.targets, row.upper - row.lower)
+    # entries in (cell, action) row order: the order of the sums sets the last bits
+    np.add.at(incoming, imdp.rows.col, imdp.rows.up - imdp.rows.lo)
     gap = np.asarray(p_upper, dtype=float) - np.asarray(p_lower, dtype=float)
     scores = gap * incoming[:-1]
     order = np.argsort(-scores, kind="stable")

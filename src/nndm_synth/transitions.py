@@ -19,13 +19,13 @@ the row's rectangle. Refinement refreshes rows through the same kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf, erfc
 
 from .geometry import UNSAFE_ID, RegionGrid, post_image_hulls
+from .imdp import RowStore
 from .relaxation import LinearBounds
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -83,31 +83,17 @@ def extremal_means(
     return z_min, z_max
 
 
-@dataclass
-class TransitionBoundRow:
-    """Sound probability intervals for one (source cell, action) pair.
-
-    Sparse: `targets` holds the cell ids with non-negligible upper bound, in
-    increasing order, `lower`/`upper` the matching probabilities. Mass that
-    may leave the domain is the entry of target UNSAFE_ID, first in the row,
-    present whenever that mass can be positive."""
-
-    source: int
-    action: str
-    targets: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-
-def _check_sums(row: TransitionBoundRow) -> None:
-    """Sound bounds admit a distribution: lower sums to at most 1, upper to
-    at least 1."""
-    lo_sum = float(row.lower.sum())
-    up_sum = float(row.upper.sum())
-    if lo_sum > 1.0 + _FEAS_TOL or up_sum < 1.0 - _FEAS_TOL:
+def _check_sums(rows: RowStore, cells, actions: Sequence[str]) -> None:
+    """Sound bounds admit a distribution: in every row, lower sums to at most
+    1 and upper to at least 1. Row (s, a) is named (cells[s], actions[a])."""
+    lo_sum, up_sum = rows.sums()
+    bad = np.flatnonzero((lo_sum > 1.0 + _FEAS_TOL) | (up_sum < 1.0 - _FEAS_TOL))
+    if bad.size:
+        r = int(bad[0])
+        s, a = list(rows)[r]  # the key of row r
         raise InternalConsistencyError(
-            f"row ({row.source}, {row.action}): bound sums infeasible "
-            f"(lower {lo_sum}, upper {up_sum})"
+            f"row ({cells[s]}, {actions[a]}): bound sums infeasible "
+            f"(lower {lo_sum[r]}, upper {up_sum[r]})"
         )
 
 
@@ -186,19 +172,26 @@ def _stacked_entries(
 
 def transition_rows(
     grid: RegionGrid,
-    sources: np.ndarray,
-    action: str,
+    cells: np.ndarray,
+    actions: Sequence[str],
     bounds: Sequence[LinearBounds],
-) -> list[TransitionBoundRow]:
-    """Sound transition rows of `action` for the cells `sources`, with
-    bounds[i] the envelope on sources[i]: every target cell is bounded over
+) -> RowStore:
+    """Sound transition rows of every action in `actions` on `cells`, as a
+    store whose row (i, a) is that of cells[i] under actions[a], with
+    envelope bounds[i * len(actions) + a]: every target cell is bounded over
     the source's post-image hull (see _entries) and those with positive
     upper bound are kept. The leftover interval is the out-of-domain mass,
     kept as target UNSAFE_ID when its upper bound is positive. Each row is
     bitwise what a stack of that row alone gives."""
-    sources = np.asarray(sources, dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)
+    sources = cells.repeat(len(actions))
     dom = grid.domain
-    out = []
+    # the entries go in buffers with room for dense rows, of which only the
+    # pages written are touched; chunk arrays die young and leave no holes
+    sizes = np.empty(sources.size, dtype=np.int64)
+    room = sources.size * (grid.num_cells + 1)
+    col, lo, up = np.empty(room, dtype=np.int64), np.empty(room), np.empty(room)
+    end = 0
     for s, verts, lower, upper in _stacked_entries(grid, sources, bounds, grid.lo, grid.hi):
         dz_min, dz_max = extremal_means(verts.min(axis=1), verts.max(axis=1), dom.lo, dom.hi)
         out_lo = np.clip(1.0 - gaussian_box_mass(dz_max, dom.lo, dom.hi), 0.0, 1.0)
@@ -206,42 +199,39 @@ def transition_rows(
         # column 0 is UNSAFE_ID, column q + 1 is cell q
         lower = np.column_stack([out_lo, lower])
         upper = np.column_stack([out_up, upper])
-        for k, source in enumerate(sources[s : s + len(verts)]):
-            keep = np.flatnonzero(upper[k])
-            row = TransitionBoundRow(int(source), action, keep + UNSAFE_ID, lower[k, keep], upper[k, keep])
-            _check_sums(row)
-            out.append(row)
-    return out
+        r, c = np.nonzero(upper)
+        sizes[s : s + len(verts)] = np.bincount(r, minlength=len(verts))
+        k = slice(end, end + r.size)
+        col[k], lo[k], up[k] = c + UNSAFE_ID, lower[r, c], upper[r, c]
+        end = k.stop
+    A = len(actions)
+    rows = RowStore(np.arange(cells.size) * A, A, sizes, col[:end], lo[:end], up[:end])
+    _check_sums(rows, cells, actions)
+    return rows
 
 
 def refresh_rows(
     grid: RegionGrid,
-    rows: list[TransitionBoundRow],
+    rows: RowStore,
+    clean: np.ndarray,
     bounds: Sequence[LinearBounds],
     cell_ids: np.ndarray,
-) -> list[TransitionBoundRow]:
-    """The rows with their entries at `cell_ids` recomputed from their
-    envelopes `bounds`, all in one stack, so each row equals what
-    transition_rows builds on the current grid. Refinement uses this for the
-    rows whose source was not split, with `cell_ids` the split cells' ids."""
-    sources = np.array([row.source for row in rows], dtype=np.int64)
+) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """What to splice into `rows`, a store of every cell's rows, to recompute
+    the entries at `cell_ids` of the rows flagged in `clean` from their
+    envelopes `bounds` in one stack: the mask of the entries that go (those
+    at cell_ids, and all of every other row's) and the fresh entries with
+    positive upper, as (row, target, lower, upper) arrays. After
+    RowStore.splice each clean row equals what transition_rows builds on the
+    current grid. Refinement flags the rows whose source was not split and
+    passes the split cells' ids."""
     changed = np.zeros(grid.num_cells + 1, dtype=bool)  # last: UNSAFE_ID
     changed[cell_ids] = True
-    out = []
-    for s, verts, lower, upper in _stacked_entries(
-        grid, sources, bounds, grid.lo[cell_ids], grid.hi[cell_ids]
+    refreshed = np.flatnonzero(clean)
+    fresh = []
+    for s, _, lower, upper in _stacked_entries(
+        grid, refreshed // rows.num_actions, bounds, grid.lo[cell_ids], grid.hi[cell_ids]
     ):
-        for row, lo, up in zip(rows[s : s + len(verts)], lower, upper):
-            keep = ~changed[row.targets]
-            add = up > 0.0
-            targets = np.concatenate([row.targets[keep], cell_ids[add]])
-            order = np.argsort(targets, kind="stable")
-            row = replace(
-                row,
-                targets=targets[order],
-                lower=np.concatenate([row.lower[keep], lo[add]])[order],
-                upper=np.concatenate([row.upper[keep], up[add]])[order],
-            )
-            _check_sums(row)
-            out.append(row)
-    return out
+        r, k = np.nonzero(upper > 0.0)
+        fresh.append((refreshed[s + r], cell_ids[k], lower[r, k], upper[r, k]))
+    return changed[rows.col] | ~clean.repeat(np.diff(rows.indptr)), fresh

@@ -29,7 +29,7 @@ from nndm_synth.geometry import (
     rect_hull,
     whitening_transform,
 )
-from nndm_synth.imdp import evaluate_strategy_upper, robust_value_iteration
+from nndm_synth.imdp import RowStore, evaluate_strategy_upper, robust_value_iteration
 from nndm_synth.networks import evaluate
 from nndm_synth.pipeline import (
     apply_refinement,
@@ -183,8 +183,8 @@ def test_criterion_4_grouping_equivalence():
     for action in nd.actions:
         # all 100 rows of the action in one stack, as the pipeline builds them
         envs = [relax(nd, action, transform, grid.cell(source)) for source in range(grid.num_cells)]
-        rows = transition_rows(grid, np.arange(grid.num_cells), action, envs)
-        for source, (b, row) in enumerate(zip(envs, rows)):
+        rows = transition_rows(grid, np.arange(grid.num_cells), (action,), envs)
+        for source, (b, row) in enumerate(zip(envs, rows.values())):
             targets, lo, up = _naive_row(grid, source, action, b)
             same = (
                 np.array_equal(row.targets, targets)
@@ -235,17 +235,20 @@ def test_criterion_5_relaxation_soundness():
 
 @dataclass
 class _Product:
+    """Given its rows as a {(state, action): (targets, lo, up)} dict, which
+    it packs into a RowStore."""
+
     accepting: np.ndarray
     sink: np.ndarray
-    rows: dict
+    rows: RowStore
     num_actions: int
+
+    def __post_init__(self):
+        self.rows = RowStore.from_rows(self.rows, self.num_states, self.num_actions)
 
     @property
     def num_states(self) -> int:
         return len(self.accepting)
-
-    def row(self, s, a):
-        return self.rows[(s, a)]
 
 
 def _random_imdp(seed, n_live=14, n_actions=2, degenerate=False):
@@ -290,7 +293,7 @@ def _lp_jacobi(product, sweeps=400, tol=1e-11):
                 continue
             new[s] = max(
                 _lp_extreme(V[t], lo, up, maximize=False)
-                for t, lo, up in (product.row(s, a) for a in range(product.num_actions))
+                for t, lo, up in (product.rows[s, a] for a in range(product.num_actions))
             )
         moved = float(np.max(np.abs(new - V)))
         V = new
@@ -321,7 +324,7 @@ def test_criterion_6_value_iteration_vs_lp_oracle():
                     continue
                 new[s] = max(
                     float(lo @ V[t])
-                    for t, lo, _ in (prod.row(s, a) for a in range(prod.num_actions))
+                    for t, lo, _ in (prod.rows[s, a] for a in range(prod.num_actions))
                 )
             moved = float(np.max(np.abs(new - V)))
             V = new

@@ -15,8 +15,7 @@ from nndm_synth.automata import (
     parse_dfa,
 )
 from nndm_synth.geometry import UNSAFE_ID
-from nndm_synth.imdp import Imdp
-from nndm_synth.transitions import TransitionBoundRow
+from nndm_synth.imdp import Imdp, RowStore
 
 
 def simple_dfa():
@@ -155,15 +154,11 @@ class TestJsonRoundTrip:
             parse_dfa(bad)
 
 
-def _mk_row(cell, action, targets, lower, upper, ul=0.0, uu=0.0):
+def _mk_row(targets, lower, upper, ul=0.0, uu=0.0):
     """A row over `targets`, led by an UNSAFE_ID entry [ul, uu] when uu > 0."""
     if uu > 0:
         targets, lower, upper = [UNSAFE_ID, *targets], [ul, *lower], [uu, *upper]
-    return TransitionBoundRow(
-        source=cell, action=action,
-        targets=np.asarray(targets, dtype=np.int64),
-        lower=np.asarray(lower, float), upper=np.asarray(upper, float),
-    )
+    return np.asarray(targets, dtype=np.int64), np.asarray(lower, float), np.asarray(upper, float)
 
 
 def two_goal_imdp():
@@ -176,11 +171,8 @@ def two_goal_imdp():
         (2, 0): ([0, 1], [0.5, 0.3], [0.6, 0.5], 0.0, 0.0),
         (2, 1): ([2], [1.0], [1.0], 0.0, 0.0),
     }
-    rows = {
-        (c, a): _mk_row(c, f"a{a}", t, lo, up, ul, uu)
-        for (c, a), (t, lo, up, ul, uu) in specs.items()
-    }
-    imdp = Imdp(actions=("a0", "a1"), labels=labels, rows=rows, num_cells=3)
+    rows = {(c, a): _mk_row(t, lo, up, ul, uu) for (c, a), (t, lo, up, ul, uu) in specs.items()}
+    imdp = Imdp(actions=("a0", "a1"), labels=labels, rows=RowStore.from_rows(rows, 3, 2), num_cells=3)
     imdp.validate()
     dfa = dfa_template("reach_two_avoid", {"avoid": "obst", "reach1": "r1", "reach2": "r2"})
     return imdp, dfa
@@ -201,7 +193,7 @@ class TestProduct:
         idx = {s: i for i, s in enumerate(dfa.states)}
         for (pid, a), (targets, lo, up) in prod.rows.items():
             cell, d = prod.states[pid]
-            base = imdp.row(cell, a)
+            base = imdp.rows[cell, a]
             assert len(targets) == len(base.targets)
             for t_pid, l, u in zip(targets, lo, up):
                 c2, d2 = prod.states[t_pid]
@@ -216,23 +208,24 @@ class TestProduct:
         for (pid, a), (targets, _, _) in prod.rows.items():
             cell, _ = prod.states[pid]
             has_unsafe = any(prod.states[t][0] == -1 for t in targets)
-            assert has_unsafe == (imdp.row(cell, a).targets[0] == UNSAFE_ID)
+            assert has_unsafe == (imdp.rows[cell, a].targets[0] == UNSAFE_ID)
 
     def test_unsafe_entry_enters_the_out_of_domain_state(self):
         # two cells, so a table without UNSAFE_ID's extra slot would send the
         # out-of-domain mass to the last cell, cell 1
         rows = {
-            (0, 0): _mk_row(0, "a0", [0, 1], [0.3, 0.2], [0.6, 0.5], 0.1, 0.3),
-            (1, 0): _mk_row(1, "a0", [0, 1], [0.2, 0.5], [0.4, 0.7], 0.0, 0.2),
+            (0, 0): _mk_row([0, 1], [0.3, 0.2], [0.6, 0.5], 0.1, 0.3),
+            (1, 0): _mk_row([0, 1], [0.2, 0.5], [0.4, 0.7], 0.0, 0.2),
         }
-        imdp = Imdp(actions=("a0",), labels=[frozenset(), frozenset()], rows=rows, num_cells=2)
+        imdp = Imdp(actions=("a0",), labels=[frozenset(), frozenset()],
+                    rows=RowStore.from_rows(rows, 2, 1), num_cells=2)
         imdp.validate()
         dfa = dfa_template("reach_avoid", {"avoid": "obst", "reach": "goal"})
         prod = build_product(imdp, dfa)
         dead = dfa.states.index("dead")
         assert len(prod.rows) == 2
         for (pid, a), (targets, lo, up) in prod.rows.items():
-            base = imdp.row(prod.states[pid][0], a)
+            base = imdp.rows[prod.states[pid][0], a]
             out = [k for k, t in enumerate(targets) if prod.states[t][0] == -1]
             assert len(out) == 1
             assert prod.states[targets[out[0]]] == (-1, dead)
@@ -282,8 +275,9 @@ class TestProduct:
 
     def test_unsafe_prop_required(self):
         labels = [frozenset({"g"})]
-        row = _mk_row(0, "a0", [0], [1.0], [1.0])
-        imdp = Imdp(actions=("a0",), labels=labels, rows={(0, 0): row}, num_cells=1)
+        row = _mk_row([0], [1.0], [1.0])
+        imdp = Imdp(actions=("a0",), labels=labels, rows=RowStore.from_rows({(0, 0): row}, 1, 1),
+                    num_cells=1)
         d = Dfa(states=("s",), initial="s", accepting=frozenset(),
                 alphabet=frozenset({"g"}), defaults={"s": "s"})
         with pytest.raises(ValueError, match="reserved proposition"):

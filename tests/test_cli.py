@@ -143,10 +143,11 @@ def test_simulate_refuses_stale_result(tmp_path, capsys, truncated):
 def test_simulate_refuses_format_3_result(tmp_path, capsys):
     # format 3 held the product rows as a dict of per-row arrays, format 4
     # the out-of-domain interval in dedicated row fields, format 5 value
-    # iteration results without full_sweeps
+    # iteration results without full_sweeps, format 6 the abstraction's rows
+    # as a dict of per-row objects beside the product's row store
     nd, config = reach_avoid_2d(grid=(4, 4))
     result = run_pipeline(config, nd=nd)
-    for fmt in (3, 4, 5):
+    for fmt in (3, 4, 5, 6):
         with open(tmp_path / "result.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "fingerprint": None, "object": result}, fh)
         rc = main(["simulate", "--out", str(tmp_path)])
@@ -158,7 +159,8 @@ def test_simulate_refuses_format_3_result(tmp_path, capsys):
 def test_synthesize_refuses_old_format_tag(workdir, tmp_path, capsys):
     nd, config = reach_avoid_2d(grid=(4, 4))
     abstraction = build_abstraction(nd, config)
-    for fmt in (1, 4, 5):
+    # format 6 held the abstraction's rows as a dict of per-row objects
+    for fmt in (1, 4, 5, 6):
         with open(tmp_path / "abstraction.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "object": abstraction}, fh)
         rc = main(["synthesize", "--config", str(workdir / "config.json"), "--out", str(tmp_path)])

@@ -20,7 +20,6 @@ from nndm_synth.imdp import (
     extreme_distribution,
     robust_value_iteration,
 )
-from nndm_synth.transitions import TransitionBoundRow
 
 
 def lp_extreme(vals, lo, up, maximize):
@@ -165,20 +164,53 @@ class TestBlockKernel:
         with pytest.raises(ValueError, match="at least one entry"):
             RowStore.from_rows({(0, 0): (np.zeros(0, np.int64), np.zeros(0), np.zeros(0))}, 2, 1)
 
+    def test_splice_drops_inserts_and_appends_rows(self):
+        # two states with two actions each, spliced into three states: some
+        # entries go, some come in between the kept ones, and the new
+        # state's rows follow the old ones
+        rng = np.random.default_rng(5)
+        old = {key: row for key, row in zip([(0, 0), (0, 1), (1, 0), (1, 1)], kernel_rows(rng, 6))}
+        store = RowStore.from_rows(old, 2, 2)
+        drop = np.zeros(store.col.size, dtype=bool)
+        drop[store.indptr[1] : store.indptr[2]] = True  # all of row (0, 1)
+        drop[store.indptr[2]] = True  # the first entry of row (1, 0)
+        new = {(0, 1): (np.array([2, 5]), np.array([0.1, 0.2]), np.array([0.3, 0.9])),
+               (2, 0): (np.array([-1, 3]), np.array([0.0, 0.5]), np.array([0.5, 1.0])),
+               (2, 1): (np.array([4]), np.ones(1), np.ones(1))}
+        missing = [t for t in range(-1, 7) if t not in old[(1, 0)][0]][:1]
+        new_10 = (np.array(missing), np.array([0.05]), np.array([0.07]))
+        parts = [(np.full(len(t), 2 * s + a), t, lo, up) for (s, a), (t, lo, up) in new.items()]
+        parts.append((np.full(1, 2), *new_10))
+        got = store.splice(3, drop, parts)
+
+        want = dict(old)
+        want.update(new)
+        t, lo, up = (np.asarray(x) for x in old[(1, 0)])
+        merged = np.r_[t[1:], new_10[0]]
+        order = np.argsort(merged)
+        want[(1, 0)] = (merged[order], np.r_[lo[1:], new_10[1]][order], np.r_[up[1:], new_10[2]][order])
+        want = RowStore.from_rows(want, 3, 2)
+        assert list(got) == list(want)
+        for field in ("first", "indptr", "col", "lo", "up"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
 
 @dataclass
 class FakeProduct:
+    """Given its rows as a {(state, action): (targets, lo, up)} dict, which
+    it packs into a RowStore."""
+
     accepting: np.ndarray
     sink: np.ndarray
-    rows: dict
+    rows: RowStore
     num_actions: int
+
+    def __post_init__(self):
+        self.rows = RowStore.from_rows(self.rows, self.num_states, self.num_actions)
 
     @property
     def num_states(self) -> int:
         return len(self.accepting)
-
-    def row(self, s, a):
-        return self.rows[(s, a)]
 
 
 def tiny_chain(extra_action=False):
@@ -234,10 +266,10 @@ def jacobi_lp_values(product, strategy=None, sweeps=600, tol=1e-12):
             if strategy is None:
                 new[s] = max(
                     lp_extreme(V[t], lo, up, maximize=False)
-                    for t, lo, up in (product.row(s, a) for a in range(product.num_actions))
+                    for t, lo, up in (product.rows[s, a] for a in range(product.num_actions))
                 )
             else:
-                t, lo, up = product.row(s, int(strategy[s]))
+                t, lo, up = product.rows[s, int(strategy[s])]
                 new[s] = lp_extreme(V[t], lo, up, maximize=True)
         moved = float(np.max(np.abs(new - V)))
         V = new
@@ -264,9 +296,9 @@ class TestValueIteration:
         assert res.strategy[0] == 1
 
     def test_action_tie_prefers_lowest_index(self):
-        prod = tiny_chain()
-        prod.rows[(0, 1)] = prod.rows[(0, 0)]
-        prod.num_actions = 2
+        chain = tiny_chain()
+        row = chain.rows[(0, 0)]
+        prod = FakeProduct(chain.accepting, chain.sink, {(0, 0): row, (0, 1): row}, 2)
         res = robust_value_iteration(prod, tol=1e-12)
         assert res.strategy[0] == 0
 
@@ -349,7 +381,7 @@ class TestValueIteration:
                     continue
                 new[s] = max(
                     float(lo @ V[t])
-                    for t, lo, _ in (prod.row(s, a) for a in range(prod.num_actions))
+                    for t, lo, _ in (prod.rows[s, a] for a in range(prod.num_actions))
                 )
             moved = float(np.max(np.abs(new - V)))
             V = new
@@ -433,24 +465,32 @@ def _mk_row(targets, lower, upper, ul=0.0, uu=0.0):
     """A row over `targets`, led by an UNSAFE_ID entry [ul, uu] when uu > 0."""
     if uu > 0:
         targets, lower, upper = [UNSAFE_ID, *targets], [ul, *lower], [uu, *upper]
-    return TransitionBoundRow(
-        source=0, action="a0",
-        targets=np.asarray(targets, dtype=np.int64),
-        lower=np.asarray(lower, float), upper=np.asarray(upper, float),
-    )
+    return np.asarray(targets, dtype=np.int64), np.asarray(lower, float), np.asarray(upper, float)
+
+
+def _store(rows, num_cells, num_actions):
+    """rows, a list of (targets, lower, upper) in (cell, action) order, as a
+    store with all of each cell's rows, packed as given: unlike
+    RowStore.from_rows, this does not refuse unordered targets, so
+    Imdp.validate sees them."""
+    targets, lower, upper = (np.concatenate(field) for field in zip(*rows))
+    first = np.full(num_cells, -1)
+    first[: len(rows) // num_actions] = np.arange(0, len(rows), num_actions)
+    return RowStore(first, num_actions, [len(t) for t, _, _ in rows], targets, lower, upper)
 
 
 class TestImdpValidate:
     labels = [frozenset(), frozenset({"goal"})]
 
     def _imdp(self, row):
-        return Imdp(actions=("a0",), labels=self.labels, rows={(0, 0): row}, num_cells=2)
+        return Imdp(actions=("a0",), labels=self.labels, rows=_store([row], 2, 1), num_cells=2)
 
     def test_valid_row_passes(self):
         self._imdp(_mk_row([0, 1], [0.2, 0.3], [0.6, 0.7], uu=0.1)).validate()
 
     def test_label_count_mismatch(self):
-        bad = Imdp(actions=("a0",), labels=[frozenset()], rows={}, num_cells=2)
+        no_rows = RowStore.from_rows({}, 2, 1)
+        bad = Imdp(actions=("a0",), labels=[frozenset()], rows=no_rows, num_cells=2)
         with pytest.raises(ValueError, match="label"):
             bad.validate()
 
@@ -478,3 +518,20 @@ class TestImdpValidate:
             self._imdp(_mk_row([0, 1], [0.6, 0.6], [0.7, 0.7])).validate()
         with pytest.raises(ValueError, match="infeasible"):
             self._imdp(_mk_row([0, 1], [0.1, 0.1], [0.3, 0.3])).validate()
+
+    @pytest.mark.parametrize("bad, match", [
+        (_mk_row([0, 1, 2], [0.5, 0.4, 0.3], [0.6, 0.7, 0.5]), "infeasible"),
+        (_mk_row([0, 1, 2], [0.2, 0.8, 0.1], [0.6, 0.7, 0.5]), "exceeds"),
+        (_mk_row([0, 1, 2], [0.2, 0.3, 0.1], [0.6, 1.2, 0.5]), "outside"),
+        (_mk_row([0, 2, 1], [0.2, 0.3, 0.1], [0.6, 0.7, 0.5]), "targets"),
+    ])
+    def test_names_the_bad_row_of_a_stack(self, bad, match):
+        # three cells with two actions each; only row (1, 1), in the middle
+        # of the store, fails, and the error names it, not the first row
+        good = _mk_row([0, 1, 2], [0.2, 0.3, 0.1], [0.6, 0.7, 0.5])
+        rows = _store([good, good, good, bad, good, good], 3, 2)
+        imdp = Imdp(actions=("a0", "a1"), labels=[frozenset()] * 3, rows=rows, num_cells=3)
+        with pytest.raises(ValueError, match=rf"row \(1, 1\): .*{match}"):
+            imdp.validate()
+        Imdp(actions=("a0", "a1"), labels=[frozenset()] * 3, rows=_store([good] * 6, 3, 2),
+             num_cells=3).validate()

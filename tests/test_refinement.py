@@ -13,7 +13,7 @@ from nndm_synth.geometry import (
     rect_hull,
     whitening_transform,
 )
-from nndm_synth.imdp import Imdp
+from nndm_synth.imdp import Imdp, RowStore
 from nndm_synth.pipeline import apply_refinement, build_abstraction, synthesize
 from nndm_synth.refinement import (
     RefinementConfig,
@@ -22,7 +22,7 @@ from nndm_synth.refinement import (
     split_dimension,
 )
 from nndm_synth.relaxation import LinearBounds, relax
-from nndm_synth.transitions import TransitionBoundRow, transition_rows
+from nndm_synth.transitions import transition_rows
 
 
 def _lb(A_lo, A_hi):
@@ -65,14 +65,11 @@ class TestSplitDimension:
 
 def _score_fixture():
     rows = {
-        (0, 0): TransitionBoundRow(
-            source=0, action="a0", targets=np.array([UNSAFE_ID, 0, 1]),
-            lower=np.array([0.0, 0.2, 0.3]), upper=np.array([0.4, 0.4, 0.6])),
-        (1, 0): TransitionBoundRow(
-            source=1, action="a0", targets=np.array([UNSAFE_ID, 1]),
-            lower=np.array([0.0, 0.8]), upper=np.array([0.2, 1.0])),
+        (0, 0): (np.array([UNSAFE_ID, 0, 1]), np.array([0.0, 0.2, 0.3]), np.array([0.4, 0.4, 0.6])),
+        (1, 0): (np.array([UNSAFE_ID, 1]), np.array([0.0, 0.8]), np.array([0.2, 1.0])),
     }
-    return Imdp(actions=("a0",), labels=[frozenset(), frozenset()], rows=rows, num_cells=2)
+    return Imdp(actions=("a0",), labels=[frozenset(), frozenset()],
+                rows=RowStore.from_rows(rows, 2, 1), num_cells=2)
 
 
 class TestScoreStates:
@@ -174,7 +171,7 @@ def _assert_matches_full_rebuild(ab, nd):
     for cell in range(grid.num_cells):
         for a, action in enumerate(nd.actions):
             b = relax(nd, action, grid.transform, grid.cell(cell))
-            want = transition_rows(grid, [cell], action, [b])[0]
+            want = transition_rows(grid, [cell], (action,), [b])[(0, 0)]
             got = ab.imdp.rows[(cell, a)]
             assert np.array_equal(got.targets, want.targets), (cell, a)
             assert np.array_equal(got.lower, want.lower), (cell, a)

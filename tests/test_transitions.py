@@ -20,11 +20,11 @@ from nndm_synth.geometry import (
     rect_hull,
     whitening_transform,
 )
+from nndm_synth.imdp import Row, RowStore
 from nndm_synth.networks import Activation, DenseLayer, NeuralDynamics
 from nndm_synth.relaxation import relax, relax_cells
 from nndm_synth.transitions import (
     InternalConsistencyError,
-    TransitionBoundRow,
     extremal_means,
     gaussian_box_mass,
     refresh_rows,
@@ -40,7 +40,7 @@ from test_acceptance import _naive_row
 
 def transition_row(grid, source, action, bounds):
     """One row, built as a stack of one."""
-    return transition_rows(grid, [source], action, [bounds])[0]
+    return transition_rows(grid, [source], (action,), [bounds])[(0, 0)]
 
 
 def unsafe_interval(row):
@@ -289,7 +289,7 @@ def _far_tails_2d():
 
 def _stack(nd, grid, action, sources):
     envs = relax_cells(nd, action, grid.transform, grid.lo[sources], grid.hi[sources])
-    return envs, transition_rows(grid, sources, action, envs)
+    return envs, transition_rows(grid, sources, (action,), envs)
 
 
 def _assert_same_row(got, want):
@@ -305,9 +305,9 @@ class TestStackedRows:
     def _assert_matches_naive(self, nd, grid, action, sources):
         envs, rows = _stack(nd, grid, action, sources)
         assert len(rows) == len(sources)
-        for source, b, row in zip(sources, envs, rows):
-            want = TransitionBoundRow(int(source), action, *_naive_row(grid, int(source), action, b))
-            assert row.source == source and row.action == action
+        assert list(rows) == [(i, 0) for i in range(len(sources))]  # row i is sources[i]'s
+        for source, b, row in zip(sources, envs, rows.values()):
+            want = Row(*_naive_row(grid, int(source), action, b))
             _assert_same_row(row, want)
         return rows
 
@@ -331,8 +331,8 @@ class TestStackedRows:
         rows = self._assert_matches_naive(nd, grid, "stay", sources)
         envs = relax_cells(nd, "stay", grid.transform, grid.lo, grid.hi)
         left = right = 0
-        for row, b in zip(rows, envs):
-            rect = rect_hull(post_image_hull(b, grid.cell(row.source)))
+        for source, row, b in zip(sources, rows.values(), envs):
+            rect = rect_hull(post_image_hull(b, grid.cell(source)))
             t = row.targets
             # nearest-mean erf arguments (z - lo)/sqrt2 <= -4 and (z - hi)/sqrt2 >= 4
             left += np.any((rect.hi - grid.lo[t]) / np.sqrt(2.0) <= -4.0)
@@ -351,10 +351,26 @@ class TestStackedRows:
         envs, rows = _stack(nd, grid, "east", sources)
         # each row alone, and the stack reversed, so every row gets other
         # neighbours and another chunk position
-        rev = transition_rows(grid, sources[::-1], "east", envs[::-1])[::-1]
-        for s, (b, row, other) in enumerate(zip(envs, rows, rev)):
-            _assert_same_row(transition_rows(grid, [s], "east", [b])[0], row)
+        rev = list(transition_rows(grid, sources[::-1], ("east",), envs[::-1]).values())[::-1]
+        for s, (b, row, other) in enumerate(zip(envs, rows.values(), rev)):
+            _assert_same_row(transition_rows(grid, [s], ("east",), [b])[(0, 0)], row)
             _assert_same_row(other, row)
+
+
+    def test_actions_interleaved_in_one_stack(self):
+        # rows of several actions in one stack, keyed (i, a) in (cell, action)
+        # order as the abstraction stores them, equal each action's own stack
+        nd, grid = _refined_2d()
+        cells = np.arange(0, grid.num_cells, 3)
+        per_action = [_stack(nd, grid, action, cells) for action in nd.actions]
+        bounds = [envs[i] for i in range(cells.size) for envs, _ in per_action]
+        rows = transition_rows(grid, cells, nd.actions, bounds)
+        A = len(nd.actions)
+        assert list(rows) == [(i, a) for i in range(cells.size) for a in range(A)]
+        assert np.array_equal(rows.first, np.arange(cells.size) * A)
+        for i in range(cells.size):
+            for a, (_, alone) in enumerate(per_action):
+                _assert_same_row(rows[(i, a)], alone[(i, 0)])
 
 
 class TestRefreshRows:
@@ -365,9 +381,11 @@ class TestRefreshRows:
             "stay": (DenseLayer(np.eye(2), np.zeros(2), Activation.LINEAR),)})
         grid = build_grid(HyperRect([0.0, 0.0], [2.0, 1.0]), whitening_transform(np.eye(2)), (2, 1))
         envs, rows = _stack(nd, grid, "stay", np.arange(2))
-        assert all(row.targets[0] == UNSAFE_ID for row in rows)
-        fresh = refresh_rows(grid, rows, envs, np.array([grid.num_cells - 1]))
-        for got, want in zip(fresh, rows):
+        assert all(row.targets[0] == UNSAFE_ID for row in rows.values())
+        last = np.array([grid.num_cells - 1])
+        drop, parts = refresh_rows(grid, rows, np.ones(2, dtype=bool), envs, last)
+        fresh = rows.splice(2, drop, parts)
+        for got, want in zip(fresh.values(), rows.values()):
             _assert_same_row(got, want)
 
 
@@ -376,12 +394,14 @@ class TestCheckSums:
         """Cells 0 and 1, plus an UNSAFE_ID entry [ul, uu] when uu > 0."""
         targets = [UNSAFE_ID, 0, 1] if uu > 0 else [0, 1]
         lower, upper = ([ul, *lower], [uu, *upper]) if uu > 0 else (lower, upper)
-        return TransitionBoundRow(
-            source=3, action="east", targets=np.array(targets),
-            lower=np.asarray(lower, float), upper=np.asarray(upper, float))
+        return np.array(targets), np.asarray(lower, float), np.asarray(upper, float)
+
+    def _check_one(self, row):
+        """_check_sums on a stack of this one row, the row of cell 3 under "east"."""
+        _check_sums(RowStore.from_rows({(0, 0): row}, 1, 1), [3], ("east",))
 
     def test_feasible_row_passes(self):
-        _check_sums(self._row([0.2, 0.3], [0.6, 0.5], uu=0.1))
+        self._check_one(self._row([0.2, 0.3], [0.6, 0.5], uu=0.1))
 
     @pytest.mark.parametrize("lower, upper, ul, uu", [
         ([0.6, 0.3], [0.7, 0.4], 0.2, 0.2),   # lower sum 1.1
@@ -389,4 +409,20 @@ class TestCheckSums:
     ])
     def test_infeasible_sums_raise(self, lower, upper, ul, uu):
         with pytest.raises(InternalConsistencyError, match=r"row \(3, east\).*infeasible"):
-            _check_sums(self._row(lower, upper, ul, uu))
+            self._check_one(self._row(lower, upper, ul, uu))
+
+    def test_names_the_bad_row_of_a_stack(self):
+        # one reduceat check over the whole stack still names the one bad
+        # row in its middle, not the stack's first row
+        good = self._row([0.2, 0.3], [0.6, 0.5], uu=0.1)
+        bad = self._row([0.6, 0.3], [0.7, 0.4], 0.2, 0.2)
+        stack = RowStore.from_rows({(i, 0): bad if i == 2 else good for i in range(5)}, 5, 1)
+        with pytest.raises(InternalConsistencyError, match=r"row \(12, east\).*infeasible"):
+            _check_sums(stack, np.arange(10, 15), ("east",))
+        # in a (cell, action) store, the row of cell 1 under its second action
+        store = RowStore.from_rows({(c, a): bad if (c, a) == (1, 1) else good
+                                    for c in range(3) for a in range(2)}, 3, 2)
+        with pytest.raises(InternalConsistencyError, match=r"row \(1, north\).*infeasible"):
+            _check_sums(store, np.arange(3), ("east", "north"))
+        fine = RowStore.from_rows({(i, 0): good for i in range(5)}, 5, 1)
+        _check_sums(fine, np.arange(5), ("east",))
