@@ -12,7 +12,7 @@ import numpy as np
 from nndm_synth.fixtures import reach_avoid_2d
 from nndm_synth.geometry import UNSAFE_ID, build_grid, post_image_hull, rect_hull, whitening_transform
 from nndm_synth.networks import evaluate
-from nndm_synth.relaxation import relax
+from nndm_synth.relaxation import relax_cells
 from nndm_synth.transitions import gaussian_box_mass, transition_rows
 
 rng = np.random.default_rng(0)
@@ -50,9 +50,15 @@ grid = build_grid(config.domain, transform, config.grid, config.regions)
 cell_id = grid.num_cells // 2 + 3
 cell = grid.cell(cell_id)
 action = nd.actions[0]
-bounds = relax(nd, action, transform, cell)
+# relax_cells relaxes every cell of one action in one batched backward pass
+# and returns one LinearBounds stack: A_lo is (cells, n, n), b_lo (cells, n).
+# An integer index picks one envelope, a slice a sub-stack. The abstraction
+# keeps one such stack over all rows, envelope r for row r = cell * A + a.
+stack = relax_cells(nd, action, transform, grid.lo, grid.hi)
+bounds = stack[cell_id]
 
 print("== Affine envelopes ==")
+print(f"one stack of {len(stack)} envelopes, A_lo {stack.A_lo.shape}, b_lo {stack.b_lo.shape}")
 print(f"cell {cell_id}: z in [{cell.lo.round(3)}, {cell.hi.round(3)}], action {action!r}")
 z_s = rng.uniform(cell.lo, cell.hi, size=(50_000, 2))
 w = evaluate(nd, action, z_s @ transform.inverse.T) @ transform.matrix.T
@@ -71,8 +77,8 @@ print(f"{verts.shape[0]} candidate corners, bounding box "
       f"[{hull.lo.round(3)}, {hull.hi.round(3)}]")
 
 # transition_rows writes its rows into a RowStore (CSR arrays indptr, col, lo,
-# up); a stack of one action on one cell holds one row, keyed (0, 0)
-rows = transition_rows(grid, [cell_id], (action,), [bounds])
+# up), row r from envelope r; one action on one cell holds one row, keyed (0, 0)
+rows = transition_rows(grid, [cell_id], (action,), stack[cell_id : cell_id + 1])
 row = rows[(0, 0)]  # a Row of views: targets, lower, upper
 print(f"row store: {len(rows)} row, {rows.indptr[-1]} entries")
 # the out-of-domain state is one more target, UNSAFE_ID, kept when its mass can be positive

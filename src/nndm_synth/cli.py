@@ -37,7 +37,7 @@ from .pipeline import (
 )
 
 # Bump whenever a pickled class or the pickled dict changes its fields.
-_ARTIFACT_FORMAT = 7
+_ARTIFACT_FORMAT = 8
 _EXIT_NOT_CONVERGED = 3
 
 
@@ -173,6 +173,7 @@ def _cmd_refine(args) -> int:
         config.refinement.rounds = args.rounds
     if args.per_round is not None:
         config.refinement.per_round = args.per_round
+    config.refinement.check()
     result = run_pipeline(config, nd=_require_network(config), outdir=args.out)
     _save_pickle(args.out, "result.pkl", result)
     _print_result(result)

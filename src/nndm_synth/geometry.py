@@ -128,7 +128,7 @@ def rect_hull(vertices: np.ndarray) -> HyperRect:
     return HyperRect(vertices.min(axis=0), vertices.max(axis=0))
 
 
-def post_image_hulls(bounds: Sequence["LinearBounds"], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def post_image_hulls(bounds: "LinearBounds", lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Candidate vertex sets, shape (R, 4^n, n): row r's convex hull contains
     the image of the cell [lo[r], hi[r]] under the envelope bounds[r].
 
@@ -141,22 +141,20 @@ def post_image_hulls(bounds: Sequence["LinearBounds"], lo: np.ndarray, hi: np.nd
     n = lo.shape[1]
     masks = _corner_masks(n)                                      # (2^n, n)
     verts = np.where(masks, hi[:, None, :], lo[:, None, :])       # (R, 2^n, n)
-    A_lo = np.stack([b.A_lo for b in bounds]).transpose(0, 2, 1)
-    A_hi = np.stack([b.A_hi for b in bounds]).transpose(0, 2, 1)
-    los = np.matmul(verts, A_lo) + np.stack([b.b_lo for b in bounds])[:, None, :]
-    his = np.matmul(verts, A_hi) + np.stack([b.b_hi for b in bounds])[:, None, :]
+    los = np.matmul(verts, bounds.A_lo.transpose(0, 2, 1)) + bounds.b_lo[:, None, :]
+    his = np.matmul(verts, bounds.A_hi.transpose(0, 2, 1)) + bounds.b_hi[:, None, :]
     box_lo = np.minimum(los, his)
     box_hi = np.maximum(los, his)
     corners = np.where(masks, box_hi[:, :, None, :], box_lo[:, :, None, :])
-    corners = corners.reshape(len(bounds), -1, n)
+    corners = corners.reshape(len(verts), -1, n)
     if corners.size == 0 or not np.all(np.isfinite(corners)):
         raise ValueError("post-image vertices must be finite and non-empty")
     return corners
 
 
 def post_image_hull(bounds: "LinearBounds", cell: HyperRect) -> np.ndarray:
-    """Candidate vertex set (4^n, n) for one cell; see post_image_hulls."""
-    return post_image_hulls([bounds], cell.lo[None], cell.hi[None])[0]
+    """Candidate vertex set (4^n, n) of one cell and one envelope; see post_image_hulls."""
+    return post_image_hulls(bounds[None], cell.lo[None], cell.hi[None])[0]
 
 
 def _axis_map(matrix: np.ndarray, tol: float = 1e-9) -> list[tuple[int, float]] | None:

@@ -22,7 +22,6 @@ from .geometry import (
     UNSAFE_ID,
     HyperRect,
     RegionGrid,
-    Transform,
     build_grid,
     whitening_transform,
 )
@@ -195,6 +194,7 @@ class PipelineConfig:
             threads=_get(raw, "threads", 1, int),
         )
         _check_simulation_sizes(config)
+        config.refinement.check()
         return config
 
     @classmethod
@@ -209,24 +209,23 @@ class PipelineConfig:
 
 @dataclass
 class Abstraction:
-    """Grid, per-row affine envelopes, and the interval MDP built from them.
+    """Grid, affine envelopes, and the interval MDP built from them. bounds
+    is one envelope stack indexed like imdp.rows (row r = cell * A + action).
     imdp.labels aliases grid.labels so refinement splits stay in sync."""
 
     dynamics: NeuralDynamics
-    transform: Transform
     grid: RegionGrid
-    bounds: dict[tuple[int, int], LinearBounds]
+    bounds: LinearBounds
     imdp: Imdp
 
 
 def _compute_rows(nd, grid, cells):
-    """Envelopes, keyed (cell, action index) in that order, and one
-    transition_rows stack whose row (i, a) is that of cells[i] under action
-    a; each action's envelopes come from one relax_cells call."""
+    """The envelopes and the transition_rows store of `cells`, both in
+    (cell, action) order; each action's envelopes come from one relax_cells call."""
     lo, hi = grid.lo[cells], grid.hi[cells]
-    envs = [relax_cells(nd, action, grid.transform, lo, hi) for action in nd.actions]
-    bounds = {(int(c), a): envs[a][i] for i, c in enumerate(cells) for a in range(len(envs))}
-    return bounds, transition_rows(grid, cells, nd.actions, list(bounds.values()))
+    by_action = LinearBounds.concat(relax_cells(nd, action, grid.transform, lo, hi) for action in nd.actions)
+    bounds = by_action[np.arange(len(by_action)).reshape(len(nd.actions), -1).T.ravel()]
+    return bounds, transition_rows(grid, cells, nd.actions, bounds)
 
 
 def build_abstraction(nd: NeuralDynamics, config: PipelineConfig) -> Abstraction:
@@ -239,7 +238,7 @@ def build_abstraction(nd: NeuralDynamics, config: PipelineConfig) -> Abstraction
 
     bounds, rows = _compute_rows(nd, grid, np.arange(grid.num_cells))
     imdp = Imdp(actions=nd.actions, labels=grid.labels, rows=rows, num_cells=grid.num_cells)
-    return Abstraction(dynamics=nd, transform=transform, grid=grid, bounds=bounds, imdp=imdp)
+    return Abstraction(dynamics=nd, grid=grid, bounds=bounds, imdp=imdp)
 
 
 def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome) -> None:
@@ -247,20 +246,21 @@ def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome) -> None:
     split cells' rows (those of outcome.dirty) from fresh envelopes, and
     recompute every other row's entries at the split cells' ids from its
     cached envelope, so each row matches a full rebuild bit for bit. Both go
-    into the next store by one splice of the current one."""
-    grid, imdp = abstraction.grid, abstraction.imdp
+    into the next store by one splice of the current one; envelopes follow."""
+    grid, imdp, old = abstraction.grid, abstraction.imdp, abstraction.bounds
     A = imdp.num_actions
-    cells = np.array(sorted({c for c, _ in outcome.dirty}), dtype=np.int64)
+    # the children of every split, sorted: the cells rebuilt and the target ids refreshed
+    cells = np.sort(np.array(outcome.splits, dtype=np.int64).reshape(-1, 3)[:, :2], axis=None)
     clean = ~np.isin(np.arange(len(imdp.rows)) // A, cells)
-    changed = np.sort(np.array(outcome.splits, dtype=np.int64).reshape(-1, 3)[:, :2], axis=None)
-    envs = [abstraction.bounds[divmod(int(r), A)] for r in np.flatnonzero(clean)]
-    drop, parts = refresh_rows(grid, imdp.rows, clean, envs, changed)
+    drop, parts = refresh_rows(grid, imdp.rows, clean, old, cells)
 
     bounds, stack = _compute_rows(abstraction.dynamics, grid, cells)
-    abstraction.bounds.update(bounds)
     dest = (cells[:, None] * A + np.arange(A)).ravel()  # the stack's rows in the next store
     parts.append((dest.repeat(np.diff(stack.indptr)), stack.col, stack.lo, stack.up))
     imdp.rows = imdp.rows.splice(grid.num_cells, drop, parts)
+    pick = np.arange(len(imdp.rows))  # old rows keep their index, the children's are new
+    pick[dest] = len(old) + np.arange(dest.size)
+    abstraction.bounds = LinearBounds.concat([old, bounds])[pick]
     _check_sums(imdp.rows, np.arange(grid.num_cells), imdp.actions)
     imdp.num_cells = grid.num_cells
 

@@ -25,6 +25,15 @@ class RefinementConfig:
     stop_width: float = 0.0     # stop once the volume-weighted mean gap is below this
     split_mode: str = "edges"   # "edges" or "corners", see split_dimension
 
+    def check(self) -> None:
+        """Refuse settings no round could follow, before any work is done: a
+        negative count would slice the scores from their end."""
+        for key in ("per_round", "rounds"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"refinement {key!r} must not be negative, got {getattr(self, key)}")
+        if self.split_mode not in ("edges", "corners"):
+            raise ValueError(f"refinement 'split_mode' must be 'edges' or 'corners', got {self.split_mode!r}")
+
 
 @dataclass(frozen=True)
 class ScoreEntry:
@@ -44,8 +53,8 @@ def score_states(imdp: Imdp, p_lower: np.ndarray, p_upper: np.ndarray) -> list[S
     return [ScoreEntry(int(i), float(scores[i])) for i in order]
 
 
-def split_dimension(cell: HyperRect, bounds_list: list[LinearBounds], mode: str = "edges") -> int:
-    """Dimension along which the affine envelopes stretch distances the most.
+def split_dimension(cell: HyperRect, bounds: LinearBounds, mode: str = "edges") -> int:
+    """Dimension along which the stacked affine envelopes stretch the most.
 
     "edges" measures the expansion of cell edges: an edge along dimension l
     maps to a segment of length ||M e_l|| per unit length for each envelope
@@ -53,21 +62,14 @@ def split_dimension(cell: HyperRect, bounds_list: list[LinearBounds], mode: str 
     "corners" instead applies the matrices to the cell's main diagonal and
     compares the componentwise stretch. Ties resolve to the lowest dimension.
     """
+    M = np.concatenate([bounds.A_lo, bounds.A_hi])  # every matrix, (2R, n, n)
     if mode == "edges":
-        best = np.zeros(cell.dim)
-        for b in bounds_list:
-            for M in (b.A_lo, b.A_hi):
-                best = np.maximum(best, np.linalg.norm(M, axis=0))
-        return int(np.argmax(best))
-    if mode == "corners":
-        diag = cell.hi - cell.lo
-        widths = np.maximum(cell.widths, 1e-300)
-        best = np.zeros(cell.dim)
-        for b in bounds_list:
-            for M in (b.A_lo, b.A_hi):
-                best = np.maximum(best, np.abs(M @ diag) / widths)
-        return int(np.argmax(best))
-    raise ValueError(f"unknown split mode {mode!r}")
+        stretch = np.linalg.norm(M, axis=1)
+    elif mode == "corners":
+        stretch = np.abs(M @ (cell.hi - cell.lo)) / np.maximum(cell.widths, 1e-300)
+    else:
+        raise ValueError(f"unknown split mode {mode!r}")
+    return int(np.argmax(stretch.max(axis=0, initial=0.0)))
 
 
 @dataclass
@@ -86,25 +88,27 @@ def refine_round(
     p_lower: np.ndarray,
     p_upper: np.ndarray,
     config: RefinementConfig,
-    bounds: dict[tuple[int, int], LinearBounds],
+    bounds: LinearBounds,
 ) -> RefineOutcome:
     """Split the top-scoring cells in place and report the dirty rows.
-    Callers must rebuild the dirty rows and refresh the remaining rows'
-    entries at the split cells' ids afterwards."""
+    `bounds` is the envelope stack indexed like imdp.rows. Callers must
+    rebuild the dirty rows and refresh the remaining rows' entries at the
+    split cells' ids afterwards."""
+    config.check()
+    A = imdp.num_actions
     outcome = RefineOutcome()
     scores = score_states(imdp, p_lower, p_upper)
     for entry in scores[: config.per_round]:
         if entry.score <= 0.0:
             break
         rect = grid.cell(entry.cell)
-        blist = [bounds[(entry.cell, a)] for a in range(imdp.num_actions)]
-        dim = split_dimension(rect, blist, config.split_mode)
+        dim = split_dimension(rect, bounds[entry.cell * A : (entry.cell + 1) * A], config.split_mode)
         mid = 0.5 * (rect.lo[dim] + rect.hi[dim])
         if not (rect.lo[dim] < mid < rect.hi[dim]):
             continue  # too narrow to split further
         new_id = grid.split_cell(entry.cell, dim)
         outcome.splits.append((entry.cell, new_id, dim))
     outcome.dirty = {
-        (c, a) for low, new, _ in outcome.splits for c in (low, new) for a in range(imdp.num_actions)
+        (c, a) for low, new, _ in outcome.splits for c in (low, new) for a in range(A)
     }
     return outcome

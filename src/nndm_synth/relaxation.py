@@ -12,10 +12,11 @@ are substituted backwards layer by layer until the input is reached. The
 whitening matrices enter the stack as exact linear layers, so all-linear
 networks give flo = fhi up to rounding.
 
-`relax_cells` relaxes many boxes of one action together: every array carries
-a leading cell axis, and the backward pass is one stacked `np.matmul` per
-layer (the batched CROWN formulation). Each box's envelope is bitwise what
-`relax` gives for that box alone, whatever the other boxes in its batch.
+`relax_cells` relaxes many boxes of one action together into one
+`LinearBounds` stack: every array carries a leading cell axis, the backward
+pass is one stacked `np.matmul` per layer (the batched CROWN formulation),
+and each envelope is bitwise what `relax` gives on its box alone. An
+abstraction keeps one stack in its row store's order: envelope r is row r's.
 """
 
 from __future__ import annotations
@@ -35,13 +36,26 @@ _CHUNK_CELLS = 32
 
 @dataclass(frozen=True)
 class LinearBounds:
-    """Affine lower/upper envelope of the whitened dynamics on the box it was
-    relaxed over (the caller keeps the box)."""
+    """A stack of affine lower/upper envelopes of the whitened dynamics, each
+    on the box it was relaxed over (the caller keeps the boxes): A_lo, A_hi
+    are (R, n, n) and b_lo, b_hi (R, n). Indexed like an array: an integer
+    gives one envelope with 2-D fields, a slice, mask or index array a stack."""
 
     A_lo: np.ndarray
     b_lo: np.ndarray
     A_hi: np.ndarray
     b_hi: np.ndarray
+
+    @classmethod
+    def concat(cls, stacks) -> "LinearBounds":
+        """One stack of the envelopes of `stacks`, in order."""
+        return cls(*(np.concatenate(field) for field in zip(*(vars(s).values() for s in stacks))))
+
+    def __getitem__(self, key) -> "LinearBounds":
+        return LinearBounds(*(field[key] for field in vars(self).values()))
+
+    def __len__(self) -> int:
+        return len(self.b_lo)
 
     def lower(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float) @ self.A_lo.T + self.b_lo
@@ -281,11 +295,11 @@ def relax_cells(
     transform: Transform,
     lo: np.ndarray,
     hi: np.ndarray,
-) -> list[LinearBounds]:
-    """Affine envelopes of z -> T f_a(T^{-1} z), one per box [lo[i], hi[i]]
-    (shape (cells, n), whitened coordinates). The boxes go through the
-    backward pass _CHUNK_CELLS at a time; each envelope equals `relax` on
-    its box alone."""
+) -> LinearBounds:
+    """The stack of affine envelopes of z -> T f_a(T^{-1} z) whose i-th is
+    over the box [lo[i], hi[i]] (shape (cells, n), whitened coordinates).
+    The boxes go through the backward pass _CHUNK_CELLS at a time; each
+    envelope equals `relax` on its box alone."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != nd.dim:
@@ -293,12 +307,9 @@ def relax_cells(
             f"boxes must be two (cells, {nd.dim}) arrays, got {lo.shape} and {hi.shape}"
         )
     stages = _stages(nd, action, transform)
-    out = []
-    for s in range(0, lo.shape[0], _CHUNK_CELLS):
-        l, h = lo[s : s + _CHUNK_CELLS], hi[s : s + _CHUNK_CELLS]
-        A_lo, c_lo, A_up, c_up = _envelopes(stages, l, h)
-        out += [LinearBounds(A_lo[i], c_lo[i], A_up[i], c_up[i]) for i in range(l.shape[0])]
-    return out
+    chunks = [_envelopes(stages, lo[s : s + _CHUNK_CELLS], hi[s : s + _CHUNK_CELLS])
+              for s in range(0, max(lo.shape[0], 1), _CHUNK_CELLS)]  # no boxes: one empty chunk
+    return LinearBounds(*map(np.concatenate, zip(*chunks)))
 
 
 def relax(
@@ -309,7 +320,4 @@ def relax(
 ) -> LinearBounds:
     """Affine envelope of z -> T f_a(T^{-1} z) over `region` (whitened
     coordinates). Exact (lower == upper) when every activation is linear."""
-    if region.dim != nd.dim:
-        raise ValueError(f"region dimension {region.dim} does not match dynamics dimension {nd.dim}")
-    (bounds,) = relax_cells(nd, action, transform, region.lo[None], region.hi[None])
-    return bounds
+    return relax_cells(nd, action, transform, region.lo[None], region.hi[None])[0]

@@ -155,7 +155,7 @@ def _entries(
 def _stacked_entries(
     grid: RegionGrid,
     sources: np.ndarray,
-    bounds: Sequence[LinearBounds],
+    bounds: LinearBounds,
     lows: np.ndarray,
     highs: np.ndarray,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -174,7 +174,7 @@ def transition_rows(
     grid: RegionGrid,
     cells: np.ndarray,
     actions: Sequence[str],
-    bounds: Sequence[LinearBounds],
+    bounds: LinearBounds,
 ) -> RowStore:
     """Sound transition rows of every action in `actions` on `cells`, as a
     store whose row (i, a) is that of cells[i] under actions[a], with
@@ -214,23 +214,23 @@ def refresh_rows(
     grid: RegionGrid,
     rows: RowStore,
     clean: np.ndarray,
-    bounds: Sequence[LinearBounds],
+    bounds: LinearBounds,
     cell_ids: np.ndarray,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
     """What to splice into `rows`, a store of every cell's rows, to recompute
     the entries at `cell_ids` of the rows flagged in `clean` from their
-    envelopes `bounds` in one stack: the mask of the entries that go (those
-    at cell_ids, and all of every other row's) and the fresh entries with
-    positive upper, as (row, target, lower, upper) arrays. After
-    RowStore.splice each clean row equals what transition_rows builds on the
-    current grid. Refinement flags the rows whose source was not split and
-    passes the split cells' ids."""
+    envelopes, the stack `bounds` indexed like `rows`: the mask of the
+    entries that go (those at cell_ids, and all of every other row's) and
+    the fresh entries with positive upper, as (row, target, lower, upper)
+    arrays. After RowStore.splice each clean row equals what transition_rows
+    builds on the current grid. Refinement flags the rows whose source was
+    not split and passes the split cells' ids."""
     changed = np.zeros(grid.num_cells + 1, dtype=bool)  # last: UNSAFE_ID
     changed[cell_ids] = True
     refreshed = np.flatnonzero(clean)
     fresh = []
     for s, _, lower, upper in _stacked_entries(
-        grid, refreshed // rows.num_actions, bounds, grid.lo[cell_ids], grid.hi[cell_ids]
+        grid, refreshed // rows.num_actions, bounds[clean], grid.lo[cell_ids], grid.hi[cell_ids]
     ):
         r, k = np.nonzero(upper > 0.0)
         fresh.append((refreshed[s + r], cell_ids[k], lower[r, k], upper[r, k]))

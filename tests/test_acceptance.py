@@ -39,7 +39,7 @@ from nndm_synth.pipeline import (
     synthesize,
 )
 from nndm_synth.refinement import RefinementConfig, refine_round
-from nndm_synth.relaxation import relax
+from nndm_synth.relaxation import LinearBounds, relax
 from nndm_synth.transitions import (
     _entries,
     _intervals,
@@ -181,8 +181,11 @@ def test_criterion_4_grouping_equivalence():
     assert grid.num_cells == 100
     mismatches = 0
     for action in nd.actions:
-        # all 100 rows of the action in one stack, as the pipeline builds them
-        envs = [relax(nd, action, transform, grid.cell(source)) for source in range(grid.num_cells)]
+        # all 100 rows of the action in one stack, as the pipeline builds them,
+        # from envelopes each relaxed alone
+        envs = LinearBounds.concat(
+            relax(nd, action, transform, grid.cell(source))[None] for source in range(grid.num_cells)
+        )
         rows = transition_rows(grid, np.arange(grid.num_cells), (action,), envs)
         for source, (b, row) in enumerate(zip(envs, rows.values())):
             targets, lo, up = _naive_row(grid, source, action, b)

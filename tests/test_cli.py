@@ -79,6 +79,16 @@ def test_refine_overrides_rounds(workdir, capsys):
     capsys.readouterr()
 
 
+def test_refine_rejects_negative_per_round(workdir, capsys):
+    out = workdir / "out_negative_per_round"
+    rc = main(["refine", "--config", str(workdir / "config.json"), "--out", str(out),
+               "--per-round", "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'per_round'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_updates_saved_result(workdir, capsys):
     out = workdir / "out_staged"  # reuse the synthesize output
     assert (out / "result.pkl").exists()
@@ -144,10 +154,11 @@ def test_simulate_refuses_format_3_result(tmp_path, capsys):
     # format 3 held the product rows as a dict of per-row arrays, format 4
     # the out-of-domain interval in dedicated row fields, format 5 value
     # iteration results without full_sweeps, format 6 the abstraction's rows
-    # as a dict of per-row objects beside the product's row store
+    # as a dict of per-row objects beside the product's row store, format 7
+    # the envelopes as a dict of (cell, action) objects and a transform field
     nd, config = reach_avoid_2d(grid=(4, 4))
     result = run_pipeline(config, nd=nd)
-    for fmt in (3, 4, 5, 6):
+    for fmt in (3, 4, 5, 6, 7):
         with open(tmp_path / "result.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "fingerprint": None, "object": result}, fh)
         rc = main(["simulate", "--out", str(tmp_path)])
@@ -159,8 +170,10 @@ def test_simulate_refuses_format_3_result(tmp_path, capsys):
 def test_synthesize_refuses_old_format_tag(workdir, tmp_path, capsys):
     nd, config = reach_avoid_2d(grid=(4, 4))
     abstraction = build_abstraction(nd, config)
-    # format 6 held the abstraction's rows as a dict of per-row objects
-    for fmt in (1, 4, 5, 6):
+    # format 6 held the abstraction's rows as a dict of per-row objects,
+    # format 7 its envelopes as a dict keyed (cell, action) and a transform
+    # field
+    for fmt in (1, 4, 5, 6, 7):
         with open(tmp_path / "abstraction.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "object": abstraction}, fh)
         rc = main(["synthesize", "--config", str(workdir / "config.json"), "--out", str(tmp_path)])

@@ -170,11 +170,11 @@ class TestPostImageHull:
         for n in (1, 2, 3):
             lo = rng.uniform(-2, 0, (7, n))
             hi = lo + rng.uniform(0.1, 1.0, (7, n))
-            bounds = [
+            bounds = LinearBounds.concat(
                 LinearBounds(A_lo=rng.normal(size=(n, n)), b_lo=rng.normal(size=n),
-                             A_hi=rng.normal(size=(n, n)), b_hi=rng.normal(size=n))
+                             A_hi=rng.normal(size=(n, n)), b_hi=rng.normal(size=n))[None]
                 for r in range(7)
-            ]
+            )
             got = post_image_hulls(bounds, lo, hi)
             assert got.shape == (7, 4**n, n)
             for r, b in enumerate(bounds):

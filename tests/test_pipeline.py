@@ -142,6 +142,9 @@ class TestConfigParsing:
             (dict(BASE_RAW, simulation={"horizon": 0}), "'horizon'"),
             (dict(BASE_RAW, simulation={"horizon_factor": 0}), "'horizon_factor'"),
             (dict(BASE_RAW, seed=-1), "'seed'"),
+            (dict(BASE_RAW, refinement={"per_round": -2}), "'per_round'"),
+            (dict(BASE_RAW, refinement={"rounds": -1}), "'rounds'"),
+            (dict(BASE_RAW, refinement={"split_mode": "diag"}), "'split_mode'"),
         ],
     )
     def test_malformed_config_names_the_key(self, raw, key):

@@ -25,42 +25,42 @@ from nndm_synth.relaxation import LinearBounds, relax
 from nndm_synth.transitions import transition_rows
 
 
-def _lb(A_lo, A_hi):
-    A_lo = np.asarray(A_lo, float)
-    A_hi = np.asarray(A_hi, float)
-    return LinearBounds(A_lo=A_lo, b_lo=np.zeros(A_lo.shape[0]),
-                        A_hi=A_hi, b_hi=np.zeros(A_hi.shape[0]))
+def _lb(*pairs, n=2):
+    """A stack of one envelope per (A_lo, A_hi) pair, offsets zero."""
+    A_lo = np.array([lo for lo, _ in pairs], float).reshape(-1, n, n)
+    A_hi = np.array([hi for _, hi in pairs], float).reshape(-1, n, n)
+    return LinearBounds(A_lo=A_lo, b_lo=np.zeros(A_lo.shape[:2]),
+                        A_hi=A_hi, b_hi=np.zeros(A_hi.shape[:2]))
 
 
 class TestSplitDimension:
     def test_edges_picks_largest_column(self):
         cell = HyperRect([0.0, 0.0], [1.0, 1.0])
-        b = _lb(np.diag([1.0, 3.0]), np.diag([1.0, 3.0]))
-        assert split_dimension(cell, [b], "edges") == 1
+        b = _lb((np.diag([1.0, 3.0]), np.diag([1.0, 3.0])))
+        assert split_dimension(cell, b, "edges") == 1
 
     def test_edges_considers_all_matrices(self):
         cell = HyperRect([0.0, 0.0], [1.0, 1.0])
-        b1 = _lb(np.diag([2.0, 1.0]), np.eye(2))
-        b2 = _lb(np.eye(2), np.diag([1.0, 5.0]))
-        assert split_dimension(cell, [b1, b2], "edges") == 1
+        b = _lb((np.diag([2.0, 1.0]), np.eye(2)), (np.eye(2), np.diag([1.0, 5.0])))
+        assert split_dimension(cell, b, "edges") == 1
 
     def test_corners_uses_diagonal_stretch(self):
         cell = HyperRect([0.0, 0.0], [1.0, 2.0])
         # output component 0 stretches by 4 relative to its width
         M = np.array([[0.0, 2.0], [0.5, 0.0]])
-        b = _lb(M, M)
-        assert split_dimension(cell, [b], "corners") == 0
+        b = _lb((M, M))
+        assert split_dimension(cell, b, "corners") == 0
 
     def test_tie_resolves_to_lowest(self):
         cell = HyperRect([0.0, 0.0], [1.0, 1.0])
-        b = _lb(np.eye(2), np.eye(2))
-        assert split_dimension(cell, [b], "edges") == 0
-        assert split_dimension(cell, [b], "corners") == 0
+        b = _lb((np.eye(2), np.eye(2)))
+        assert split_dimension(cell, b, "edges") == 0
+        assert split_dimension(cell, b, "corners") == 0
 
     def test_unknown_mode(self):
         cell = HyperRect([0.0], [1.0])
         with pytest.raises(ValueError, match="split mode"):
-            split_dimension(cell, [], "fancy")
+            split_dimension(cell, _lb(n=1), "fancy")
 
 
 def _score_fixture():
@@ -129,6 +129,20 @@ class TestRefineRound:
         assert not out.splits and not out.dirty
         assert ab.grid.num_cells == before
 
+    @pytest.mark.parametrize("settings, key", [
+        ({"per_round": -1}, "'per_round'"),
+        ({"rounds": -1}, "'rounds'"),
+        ({"split_mode": "diag"}, "'split_mode'"),
+    ])
+    def test_bad_settings_rejected_before_splitting(self, small_problem, settings, key):
+        # per_round=-1 once took scores[:-1] and split all but the last cell
+        _, _, ab, syn = small_problem
+        before = ab.grid.num_cells
+        with pytest.raises(ValueError, match=key):
+            refine_round(ab.grid, ab.imdp, syn.p_lower, syn.p_upper,
+                         RefinementConfig(**{"per_round": 1, **settings}), ab.bounds)
+        assert ab.grid.num_cells == before
+
     def test_zero_scores_split_nothing(self):
         imdp = _score_fixture()
         p = np.array([0.5, 0.5])
@@ -143,10 +157,12 @@ def _unsplit_rows_meeting_parents(ab, out, parent_lo, parent_hi):
     lows = np.array([parent_lo[low] for low, _, _ in out.splits])
     highs = np.array([parent_hi[low] for low, _, _ in out.splits])
     count = 0
-    for key in ab.imdp.rows:
+    A = ab.imdp.num_actions
+    for r, key in enumerate(ab.imdp.rows):
         if key in out.dirty:
             continue
-        rect = rect_hull(post_image_hull(ab.bounds[key], ab.grid.cell(key[0])))
+        assert r == key[0] * A + key[1]  # envelope r is row r's
+        rect = rect_hull(post_image_hull(ab.bounds[r], ab.grid.cell(key[0])))
         count += bool(np.all((highs >= rect.lo) & (lows <= rect.hi), axis=1).any())
     return count
 
@@ -166,12 +182,18 @@ def _refine_once(ab, config, per_round):
 
 
 def _assert_matches_full_rebuild(ab, nd):
+    """Every row, and its envelope in the stack, equals a fresh build."""
     grid = ab.grid
+    A = len(nd.actions)
     assert ab.imdp.num_cells == grid.num_cells
+    assert len(ab.bounds) == len(ab.imdp.rows) == grid.num_cells * A
     for cell in range(grid.num_cells):
         for a, action in enumerate(nd.actions):
             b = relax(nd, action, grid.transform, grid.cell(cell))
-            want = transition_rows(grid, [cell], (action,), [b])[(0, 0)]
+            kept = ab.bounds[cell * A + a]
+            for name in ("A_lo", "b_lo", "A_hi", "b_hi"):
+                assert np.array_equal(getattr(kept, name), getattr(b, name)), (cell, a, name)
+            want = transition_rows(grid, [cell], (action,), b[None])[(0, 0)]
             got = ab.imdp.rows[(cell, a)]
             assert np.array_equal(got.targets, want.targets), (cell, a)
             assert np.array_equal(got.lower, want.lower), (cell, a)

@@ -160,6 +160,13 @@ class TestRelaxCells:
         for name in ("A_lo", "b_lo", "A_hi", "b_hi"):
             assert np.array_equal(getattr(alone, name), getattr(mixed, name)), name
 
+    def test_no_boxes_give_an_empty_stack(self):
+        nd = random_network(2, 8, 1, activation="tanh", seed=0)
+        empty = relax_cells(nd, "a0", whitening_transform(np.eye(2)), np.zeros((0, 2)), np.zeros((0, 2)))
+        assert len(empty) == 0
+        assert empty.A_lo.shape == empty.A_hi.shape == (0, 2, 2)
+        assert empty.b_lo.shape == empty.b_hi.shape == (0, 2)
+
     def test_rejects_mismatched_boxes(self):
         nd = random_network(2, 8, 1, seed=0)
         t = whitening_transform(np.eye(2))

@@ -22,7 +22,7 @@ from nndm_synth.geometry import (
 )
 from nndm_synth.imdp import Row, RowStore
 from nndm_synth.networks import Activation, DenseLayer, NeuralDynamics
-from nndm_synth.relaxation import relax, relax_cells
+from nndm_synth.relaxation import LinearBounds, relax, relax_cells
 from nndm_synth.transitions import (
     InternalConsistencyError,
     extremal_means,
@@ -39,8 +39,8 @@ from test_acceptance import _naive_row
 
 
 def transition_row(grid, source, action, bounds):
-    """One row, built as a stack of one."""
-    return transition_rows(grid, [source], (action,), [bounds])[(0, 0)]
+    """One row from one envelope, built as a stack of one."""
+    return transition_rows(grid, [source], (action,), bounds[None])[(0, 0)]
 
 
 def unsafe_interval(row):
@@ -352,8 +352,8 @@ class TestStackedRows:
         # each row alone, and the stack reversed, so every row gets other
         # neighbours and another chunk position
         rev = list(transition_rows(grid, sources[::-1], ("east",), envs[::-1]).values())[::-1]
-        for s, (b, row, other) in enumerate(zip(envs, rows.values(), rev)):
-            _assert_same_row(transition_rows(grid, [s], ("east",), [b])[(0, 0)], row)
+        for s, (row, other) in enumerate(zip(rows.values(), rev)):
+            _assert_same_row(transition_rows(grid, [s], ("east",), envs[s : s + 1])[(0, 0)], row)
             _assert_same_row(other, row)
 
 
@@ -363,9 +363,10 @@ class TestStackedRows:
         nd, grid = _refined_2d()
         cells = np.arange(0, grid.num_cells, 3)
         per_action = [_stack(nd, grid, action, cells) for action in nd.actions]
-        bounds = [envs[i] for i in range(cells.size) for envs, _ in per_action]
-        rows = transition_rows(grid, cells, nd.actions, bounds)
         A = len(nd.actions)
+        # envelope i * A + a is envelope i of action a's stack
+        bounds = LinearBounds.concat(envs[i : i + 1] for i in range(cells.size) for envs, _ in per_action)
+        rows = transition_rows(grid, cells, nd.actions, bounds)
         assert list(rows) == [(i, a) for i in range(cells.size) for a in range(A)]
         assert np.array_equal(rows.first, np.arange(cells.size) * A)
         for i in range(cells.size):
