@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,8 +245,8 @@ class ProductImdp:
     reachable from the per-cell initial states. Cell UNSAFE_ID marks the
     virtual out-of-domain component. next_tbl[q, d] is the DFA state entered
     from DFA state d on moving into target q (UNSAFE_ID selects its last
-    row). `rows` is the one CSR store of the product rows, keyed
-    (pid, action)."""
+    row). `rows` holds the product rows, keyed (pid, action): each a base row
+    with its targets renamed to pids, sharing the bounds of imdp.rows."""
 
     imdp: Imdp
     dfa: Dfa
@@ -270,9 +269,9 @@ class ProductImdp:
 def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     """Synchronous product: a transition into cell q' advances the DFA on
     L(q'), and a cell's initial product state consumes its own label first.
-    Rows keep the base store's probability bounds, only target indices
-    change; they are written into one RowStore in (pid, action) order,
-    entries sorted by target pid.
+    A product row is its base row with targets renamed to pids: the product's
+    RowStore, in (pid, action) order, holds only that pid column and reads
+    the bounds from the base store's lo and up, in base order.
     Accepting DFA states are absorbing; dead DFA states and the non-accepting
     out-of-domain states form the sink."""
     used = set().union(*imdp.labels) if imdp.labels else set()
@@ -306,8 +305,7 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     dead = {dfa_idx[s] for s in dfa.dead_states()}
 
     pid_tbl = np.full((num_cells + 1, n_dfa), -1, dtype=np.int64)
-    states: list[tuple[int, int]] = []
-    queue: deque[tuple[int, int, int]] = deque()
+    states: list[tuple[int, int]] = []  # also the breadth-first work list
 
     def ensure(cell: int, d: int) -> int:
         pid = pid_tbl[cell, d]
@@ -315,7 +313,6 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
             pid = len(states)
             pid_tbl[cell, d] = pid
             states.append((cell, d))
-            queue.append((cell, d, pid))
         return int(pid)
 
     d0 = dfa_idx[dfa.initial]
@@ -323,38 +320,34 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     for q in range(num_cells):
         initial_pid[q] = ensure(q, int(next_tbl[q, d0]))
 
-    # discover the reachable states first: their count and row sizes fix the
-    # store's layout before any entry is written
+    # one pass over the states as they are reached: a live state's rows are
+    # its cell's A base rows renamed to pids; of the pid column's room only
+    # the pages written are touched
     A = imdp.num_actions
     base = imdp.rows
+    col = np.empty(int(base.indptr[-1]) * n_dfa, dtype=np.int64)
+    end = 0
     live: list[int] = []
-    while queue:
-        cell, d, pid = queue.popleft()
+    for pid, (cell, d) in enumerate(states):  # grows while it is walked
         if d in acc or d in dead or cell == UNSAFE_ID:
             continue  # terminal in the product: no outgoing rows needed
         live.append(pid)
-        # successor targets of the cell's rows, which lie side by side
         r = base.first[cell]
         succ = base.col[base.indptr[r] : base.indptr[r + A]]
         d_next = next_tbl[succ, d]
-        for m in np.flatnonzero(pid_tbl[succ, d_next] < 0):
-            ensure(int(succ[m]), int(d_next[m]))
+        pids = pid_tbl[succ, d_next]
+        for m in np.flatnonzero(pids < 0):
+            pids[m] = ensure(int(succ[m]), int(d_next[m]))
+        col[end : end + pids.size] = pids
+        end += pids.size
 
     first = np.full(len(states), -1, dtype=np.int64)
     first[live] = np.arange(len(live)) * A
     cells = np.array([states[pid][0] for pid in live], dtype=np.int64)
-    sizes = np.diff(base.indptr)[(base.first[cells][:, None] + np.arange(A)).ravel()]
-    nnz = int(sizes.sum())
-    rows = RowStore(first, A, sizes, np.empty(nnz, dtype=np.int64), np.empty(nnz), np.empty(nnz))
-    # succ_pid[d, t]: the pid entered from DFA state d on moving into target t
-    succ_pid = pid_tbl[np.arange(num_cells + 1), next_tbl.T]
-    for (pid, a), start, end in zip(rows, rows.indptr[:-1], rows.indptr[1:]):
-        cell, d = states[pid]
-        targets, lower, upper = base[cell, a]
-        pids = succ_pid[d][targets]
-        order = pids.argsort(kind="stable")
-        for field, values in ((rows.col, pids), (rows.lo, lower), (rows.up, upper)):
-            field[start:end] = values[order]
+    base_rows = (base.first[cells][:, None] + np.arange(A)).ravel()
+    sizes = np.diff(base.indptr)[base_rows]
+    col.resize(end, refcheck=False)  # in place: a view would pin the rest
+    rows = RowStore(first, A, sizes, col, base.lo, base.up, at=base.indptr[base_rows])
 
     accepting = np.array([d in acc for (_, d) in states], dtype=bool)
     sink = np.array(

@@ -324,7 +324,9 @@ def build_grid(
     exactly a union of cells.
 
     `domain` and the region boxes are in original coordinates; the grid is
-    built in whitened coordinates.
+    built in whitened coordinates. A domain of zero width in some dimension,
+    or a region that covers no cell (zero width, or narrower than the cut
+    tolerance), is an error.
     """
     counts = list(counts)
     if len(counts) != domain.dim or any(c < 1 for c in counts):
@@ -343,6 +345,8 @@ def build_grid(
         base = np.linspace(domain_t.lo[l], domain_t.hi[l], counts[l] + 1)
         extra = [b.lo[l] for _, b in regions_t] + [b.hi[l] for _, b in regions_t]
         cuts.append(_insert_cuts(base, extra, domain_t.lo[l], domain_t.hi[l]))
+        if cuts[-1].size < 2:
+            raise ValueError(f"the domain has zero width in dimension {l}")
 
     # cells in itertools.product order over the per-dimension intervals
     lo = np.stack([m.ravel() for m in np.meshgrid(*(c[:-1] for c in cuts), indexing="ij")], axis=1)
@@ -351,5 +355,8 @@ def build_grid(
     inside = [
         (label, np.all((center >= b.lo) & (center <= b.hi), axis=1)) for label, b in regions_t
     ]
+    for label, m in inside:
+        if not m.any():
+            raise ValueError(f"region {label!r} covers no cell: it has (nearly) zero width")
     labels = [frozenset(label for label, m in inside if m[i]) for i in range(lo.shape[0])]
     return RegionGrid(lo=lo, hi=hi, labels=labels, domain=domain_t, transform=transform)

@@ -1,5 +1,5 @@
 """Interval-probability MDP core: the CSR row store, extreme adversaries and
-robust value iteration.
+robust value iteration. The product's store reads the abstraction's bounds.
 
 The inner optimization (pick a feasible distribution inside the row's
 probability intervals that minimizes or maximizes the expected value) is
@@ -121,14 +121,15 @@ class RowStore(Mapping):
     the abstraction (states are cells, targets cell ids plus UNSAFE_ID) to the
     product (states are product ids).
 
-    Row r holds entries indptr[r]:indptr[r+1] of `col` (its targets,
-    increasing, at least one), `lo` and `up`. Rows run in (state, action)
-    order, and a state either has all num_actions rows, starting at row
-    first[s], or none (first[s] = -1). As a read-only Mapping it yields
-    (state, action) -> Row. The constructor takes each row's entry count, in
-    row order, and the entries' col, lo and up."""
+    Row r holds entries indptr[r]:indptr[r+1] of `col` (distinct targets, at
+    least one) and as many bounds from at[r] on in `lo` and `up`: its own in
+    the abstraction (at = indptr[:-1], targets increasing), the abstraction's
+    in the product, in base order. Rows run in (state, action) order; a state
+    has all num_actions rows, from row first[s] on, or none (first[s] = -1).
+    As a read-only Mapping it yields (state, action) -> Row. The constructor
+    takes each row's entry count, in row order, and the entries' col, lo, up."""
 
-    def __init__(self, first, num_actions: int, sizes, col, lo, up):
+    def __init__(self, first, num_actions: int, sizes, col, lo, up, at=None):
         self.first = np.asarray(first, dtype=np.int64)
         self.num_actions = num_actions
         self.indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
@@ -138,6 +139,7 @@ class RowStore(Mapping):
         if np.any(np.diff(self.indptr) < 1):
             raise ValueError("every row needs at least one entry")
         self.col, self.lo, self.up = col, lo, up
+        self.at = self.indptr[:-1] if at is None else np.asarray(at, dtype=np.int64)
 
     @classmethod
     def from_rows(cls, rows: Mapping, num_states: int, num_actions: int) -> "RowStore":
@@ -160,7 +162,8 @@ class RowStore(Mapping):
         """A store of every action's row of states 0..num_states-1, where this
         store's row r is row r again: the entries where `drop` is set go, and
         those of `parts`, tuples of arrays (row, target, lo, up), are put
-        among the rest in (row, target) order. No (row, target) may repeat."""
+        among the rest in (row, target) order. No (row, target) may repeat.
+        Only for the abstraction's store."""
         keep = ~drop
         row, col, lo, up = (np.concatenate(field) for field in zip(*parts))
         # (row, target) as one increasing int64: targets lie in [UNSAFE_ID, span - 1)
@@ -178,7 +181,7 @@ class RowStore(Mapping):
         return RowStore(np.arange(num_states) * self.num_actions, self.num_actions, sizes, *fields)
 
     def sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's sum of lower and of upper bounds."""
+        """Each row's sum of lower and of upper bounds (abstraction's store only)."""
         return np.add.reduceat(self.lo, self.indptr[:-1]), np.add.reduceat(self.up, self.indptr[:-1])
 
     def __getitem__(self, key) -> Row:
@@ -187,7 +190,8 @@ class RowStore(Mapping):
             raise KeyError(key)
         r = int(self.first[s]) + a
         start, end = self.indptr[r], self.indptr[r + 1]
-        return Row(self.col[start:end], self.lo[start:end], self.up[start:end])
+        b = slice(self.at[r], self.at[r] + end - start)
+        return Row(self.col[start:end], self.lo[b], self.up[b])
 
     def __iter__(self):
         for s in np.flatnonzero(self.first >= 0).tolist():
@@ -258,7 +262,6 @@ class _BlockKernel:
         max_rows = max(n * w for w, n in self.per_block.items())
         length = np.diff(store.indptr)
         max_nnz = int(np.sort(length)[-max_rows:].sum())
-        self.lo_sum = np.add.reduceat(store.lo, store.indptr[:-1])
         self.cells = np.empty(max_rows * num_states)
         self.ints = np.empty((3, max_nnz), dtype=np.int64)
         self.floats = np.empty((3, max_nnz))
@@ -278,6 +281,7 @@ class _BlockKernel:
         lo, gap, w = self.floats[:, :n]
         np.add((start - offs).repeat(length), self.steps[:n], out=idx)
         store.col.take(idx, out=col, mode="clip")
+        np.add((store.at[rows] - offs).repeat(length), self.steps[:n], out=idx)
         store.lo.take(idx, out=lo, mode="clip")
         store.up.take(idx, out=gap, mode="clip")
         gap -= lo
@@ -293,7 +297,7 @@ class _BlockKernel:
         V.take(col, out=w, mode="clip")
         w *= lo
         acc = np.add.reduceat(w, offs)
-        budget = np.maximum(1.0 - self.lo_sum[rows], 0.0)
+        budget = np.maximum(1.0 - np.add.reduceat(lo, offs), 0.0)
 
         self.rank.take(col, out=pos, mode="clip")
         pos += (self.steps[: rows.size] * S).repeat(length)

@@ -88,18 +88,32 @@ def _box(raw, where: str) -> HyperRect:
 
 def _get(section: dict, key: str, default, conv):
     """section[key], or the default, converted by conv; a value conv cannot
-    take (None for a number, a number for a list) is a config error."""
+    take (None for a number, a number for a list, a bool or a string for a
+    number, a fraction for an integer) is a config error."""
     value = section.get(key, default)
     try:
         return conv(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"config key {key!r} has a malformed value {value!r}") from None
 
 
-def _check_simulation_sizes(config: "PipelineConfig") -> None:
+def _int(value) -> int:
+    if isinstance(value, (bool, str)) or not float(value).is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, (bool, str)):
+        raise ValueError(value)
+    return float(value)
+
+
+def _check_ranges(config: "PipelineConfig") -> None:
     """A Monte Carlo check needs at least one trial per start cell and one
     step; zero start cells is an empty check. Its generators take the seed,
-    which must not be negative."""
+    which must not be negative. The threshold is a probability, and value
+    iteration needs a positive finite tolerance and at least one sweep."""
     for key, value, least in (
         ("trials", config.sim_trials, 1),
         ("start_cells", config.sim_start_cells, 0),
@@ -110,6 +124,12 @@ def _check_simulation_sizes(config: "PipelineConfig") -> None:
             raise ValueError(f"simulation {key!r} must be at least {least}, got {value}")
     if config.seed < 0:
         raise ValueError(f"'seed' must not be negative, got {config.seed}")
+    if not 0.0 <= config.threshold <= 1.0:
+        raise ValueError(f"'threshold' must lie in [0, 1], got {config.threshold}")
+    if not 0.0 < config.vi_tolerance < np.inf:
+        raise ValueError(f"vi 'tolerance' must be positive and finite, got {config.vi_tolerance}")
+    if config.vi_max_sweeps < 1:
+        raise ValueError(f"vi 'max_sweeps' must be at least 1, got {config.vi_max_sweeps}")
 
 
 @dataclass
@@ -173,27 +193,27 @@ class PipelineConfig:
         config = cls(
             domain=domain,
             covariance=covariance,
-            grid=_get(raw, "grid", None, lambda g: [int(c) for c in g]),
+            grid=_get(raw, "grid", None, lambda g: [_int(c) for c in g]),
             dfa=dfa,
             regions=regions,
             network=network,
-            threshold=_get(raw, "threshold", 0.95, float),
+            threshold=_get(raw, "threshold", 0.95, _float),
             refinement=RefinementConfig(
-                per_round=_get(ref_raw, "per_round", 0, int),
-                rounds=_get(ref_raw, "rounds", 0, int),
-                stop_width=_get(ref_raw, "stop_width", 0.0, float),
+                per_round=_get(ref_raw, "per_round", 0, _int),
+                rounds=_get(ref_raw, "rounds", 0, _int),
+                stop_width=_get(ref_raw, "stop_width", 0.0, _float),
                 split_mode=str(ref_raw.get("split_mode", "edges")),
             ),
-            vi_tolerance=_get(vi_raw, "tolerance", 1e-6, float),
-            vi_max_sweeps=_get(vi_raw, "max_sweeps", 5000, int),
-            horizon=_get(sim_raw, "horizon", 100, int),
-            sim_trials=_get(sim_raw, "trials", 10_000, int),
-            sim_start_cells=_get(sim_raw, "start_cells", 20, int),
-            sim_horizon_factor=_get(sim_raw, "horizon_factor", 5, int),
-            seed=_get(raw, "seed", 0, int),
-            threads=_get(raw, "threads", 1, int),
+            vi_tolerance=_get(vi_raw, "tolerance", 1e-6, _float),
+            vi_max_sweeps=_get(vi_raw, "max_sweeps", 5000, _int),
+            horizon=_get(sim_raw, "horizon", 100, _int),
+            sim_trials=_get(sim_raw, "trials", 10_000, _int),
+            sim_start_cells=_get(sim_raw, "start_cells", 20, _int),
+            sim_horizon_factor=_get(sim_raw, "horizon_factor", 5, _int),
+            seed=_get(raw, "seed", 0, _int),
+            threads=_get(raw, "threads", 1, _int),
         )
-        _check_simulation_sizes(config)
+        _check_ranges(config)
         config.refinement.check()
         return config
 
@@ -662,7 +682,7 @@ def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
     runs count as unsatisfied. Each cell's record depends only on the seed,
     the cell and the config, not on which other cells are simulated."""
     config = result.config
-    _check_simulation_sizes(config)
+    _check_ranges(config)
     grid = result.abstraction.grid
     rng0 = np.random.default_rng([config.seed, 104729])
     if cells is None:

@@ -155,10 +155,11 @@ def test_simulate_refuses_format_3_result(tmp_path, capsys):
     # the out-of-domain interval in dedicated row fields, format 5 value
     # iteration results without full_sweeps, format 6 the abstraction's rows
     # as a dict of per-row objects beside the product's row store, format 7
-    # the envelopes as a dict of (cell, action) objects and a transform field
+    # the envelopes as a dict of (cell, action) objects and a transform field,
+    # format 8 a product row store with its own copy of the bounds
     nd, config = reach_avoid_2d(grid=(4, 4))
     result = run_pipeline(config, nd=nd)
-    for fmt in (3, 4, 5, 6, 7):
+    for fmt in (3, 4, 5, 6, 7, 8):
         with open(tmp_path / "result.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "fingerprint": None, "object": result}, fh)
         rc = main(["simulate", "--out", str(tmp_path)])
@@ -172,8 +173,8 @@ def test_synthesize_refuses_old_format_tag(workdir, tmp_path, capsys):
     abstraction = build_abstraction(nd, config)
     # format 6 held the abstraction's rows as a dict of per-row objects,
     # format 7 its envelopes as a dict keyed (cell, action) and a transform
-    # field
-    for fmt in (1, 4, 5, 6, 7):
+    # field, format 8 row stores without `at`
+    for fmt in (1, 4, 5, 6, 7, 8):
         with open(tmp_path / "abstraction.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "object": abstraction}, fh)
         rc = main(["synthesize", "--config", str(workdir / "config.json"), "--out", str(tmp_path)])
@@ -215,6 +216,19 @@ def test_null_threshold_exits_2_without_traceback(workdir, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "'threshold'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, what", [
+    ({"domain": [[-2.0, 2.0], [1.0, 1.0]], "regions": []}, "domain has zero width"),
+    ({"regions": [{"label": "goal", "box": [[0.5, 0.5], [0.5, 1.5]]}]}, "'goal' covers no cell"),
+])
+def test_degenerate_box_exits_2_without_traceback(workdir, capsys, edit, what):
+    raw = dict(json.loads((workdir / "config.json").read_text()), **edit)
+    (workdir / "degenerate.json").write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(workdir / "degenerate.json"), "--out", str(workdir / "d")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert what in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, value, key", [("--trials", "0", "'trials'"),

@@ -307,3 +307,15 @@ class TestRegionGrid:
         with pytest.raises(ValueError):
             # region sticking out of the domain
             build_grid(domain, t, [2, 2], [("bad", HyperRect([0.5, 0.5], [1.5, 1.5]))])
+
+    def test_zero_width_domain_rejected(self):
+        t = whitening_transform(np.eye(2))
+        with pytest.raises(ValueError, match="domain has zero width in dimension 1"):
+            build_grid(HyperRect([-2.0, 1.0], [2.0, 1.0]), t, [4, 4])
+
+    def test_region_covering_no_cell_rejected(self):
+        t = whitening_transform(np.eye(2))
+        domain = HyperRect([-2.0, -2.0], [2.0, 2.0])
+        for box in (HyperRect([0.5, 0.5], [0.5, 1.5]), HyperRect([0.5, 0.5], [0.5 + 1e-14, 1.5])):
+            with pytest.raises(ValueError, match="region 'goal' covers no cell"):
+                build_grid(domain, t, [4, 4], [("goal", box)])

@@ -142,6 +142,29 @@ class TestBlockKernel:
                         for t, lo, up in (rows[r] for r in block)]
                 assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_shared_bounds_and_unsorted_targets(self):
+        # rows that read another store's bounds in its order, with targets
+        # renamed so that target 0, first in its base row as UNSAFE_ID is,
+        # becomes the largest id, as the out-of-domain pid often is in the
+        # product
+        rng = np.random.default_rng(6)
+        S = 12
+        rows = kernel_rows(rng, S)
+        base = RowStore.from_rows({(r, 0): row for r, row in enumerate(rows)}, len(rows), 1)
+        rename = np.r_[S - 1, rng.permutation(S - 1)]
+        picked = rng.permutation(len(rows))
+        length = np.diff(base.indptr)[picked]
+        col = np.concatenate([rename[rows[r][0]] for r in picked])
+        store = RowStore(np.arange(len(picked)), 1, length, col, base.lo, base.up,
+                         at=base.indptr[picked])
+        assert any(np.any(np.diff(t) < 0) for t, _, _ in store.values())
+        V = rng.uniform(0, 1, S)
+        for maximize in (False, True):
+            got = _BlockKernel(store, S, 1)(V, np.arange(len(picked)), maximize)
+            want = [extreme_distribution(lo, up, V[rename[t]], maximize) @ V[rename[t]]
+                    for t, lo, up in (rows[r] for r in picked)]
+            assert np.max(np.abs(got - want)) < 1e-12
+
     def test_store_views_round_trip(self):
         rng = np.random.default_rng(4)
         some = kernel_rows(rng, 5)

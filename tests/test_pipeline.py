@@ -145,6 +145,24 @@ class TestConfigParsing:
             (dict(BASE_RAW, refinement={"per_round": -2}), "'per_round'"),
             (dict(BASE_RAW, refinement={"rounds": -1}), "'rounds'"),
             (dict(BASE_RAW, refinement={"split_mode": "diag"}), "'split_mode'"),
+            (dict(BASE_RAW, grid=[4.7, 4]), "'grid'"),
+            (dict(BASE_RAW, grid=[True, 4]), "'grid'"),
+            (dict(BASE_RAW, grid=["4", 4]), "'grid'"),
+            (dict(BASE_RAW, seed=1.5), "'seed'"),
+            (dict(BASE_RAW, seed=True), "'seed'"),
+            (dict(BASE_RAW, simulation={"trials": 2.5}), "'trials'"),
+            (dict(BASE_RAW, simulation={"trials": "10"}), "'trials'"),
+            (dict(BASE_RAW, threshold=2.0), "'threshold'"),
+            (dict(BASE_RAW, threshold=-1), "'threshold'"),
+            (dict(BASE_RAW, threshold=float("nan")), "'threshold'"),
+            (dict(BASE_RAW, threshold=True), "'threshold'"),
+            (dict(BASE_RAW, threshold="0.9"), "'threshold'"),
+            (dict(BASE_RAW, vi={"tolerance": 0}), "'tolerance'"),
+            (dict(BASE_RAW, vi={"tolerance": float("nan")}), "'tolerance'"),
+            (dict(BASE_RAW, vi={"tolerance": float("inf")}), "'tolerance'"),
+            (dict(BASE_RAW, vi={"max_sweeps": 0}), "'max_sweeps'"),
+            (dict(BASE_RAW, vi={"max_sweeps": -3}), "'max_sweeps'"),
+            (dict(BASE_RAW, vi={"max_sweeps": float("inf")}), "'max_sweeps'"),
         ],
     )
     def test_malformed_config_names_the_key(self, raw, key):
