@@ -50,12 +50,14 @@ grid = build_grid(config.domain, transform, config.grid, config.regions)
 cell_id = grid.num_cells // 2 + 3
 cell = grid.cell(cell_id)
 action = nd.actions[0]
-# relax_cells relaxes every cell of one action in one batched backward pass
-# and returns one LinearBounds stack: A_lo is (cells, n, n), b_lo (cells, n).
-# An integer index picks one envelope, a slice a sub-stack. The abstraction
-# keeps one such stack over all rows, envelope r for row r = cell * A + a.
-stack = relax_cells(nd, action, transform, grid.lo, grid.hi)
-bounds = stack[cell_id]
+# relax_cells relaxes every cell under every listed action in one batched
+# backward pass (the hidden layers the actions share are relaxed once per
+# batch of cells) and returns one LinearBounds stack in (cell, action) order:
+# A_lo is (cells * A, n, n), b_lo (cells * A, n). An integer index picks one
+# envelope, a slice a sub-stack. The abstraction keeps this stack over all
+# rows, envelope r for row r = cell * A + a.
+stack = relax_cells(nd, nd.actions, transform, grid.lo, grid.hi)
+bounds = stack[cell_id * len(nd.actions) + nd.actions.index(action)]
 
 print("== Affine envelopes ==")
 print(f"one stack of {len(stack)} envelopes, A_lo {stack.A_lo.shape}, b_lo {stack.b_lo.shape}")

@@ -39,9 +39,9 @@ from .transitions import _check_sums, refresh_rows, transition_rows
 
 def _parse_covariance(raw, dim: int) -> np.ndarray:
     """Scalar -> isotropic, vector -> diagonal, matrix -> as given."""
-    if np.isscalar(raw):
-        return float(raw) * np.eye(dim)
     arr = np.asarray(raw, dtype=float)
+    if arr.ndim == 0:
+        return float(arr) * np.eye(dim)
     if arr.ndim == 1:
         if arr.size != dim:
             raise ValueError(f"diagonal covariance needs {dim} entries, got {arr.size}")
@@ -109,6 +109,14 @@ def _float(value) -> float:
     return float(value)
 
 
+def _numbers(value) -> np.ndarray:
+    """A number or nested lists of numbers as a float array, every entry
+    through _float; ragged lists are malformed."""
+    if np.ndim(value) == 0:
+        return np.array(_float(value))
+    return np.array([_numbers(v) for v in value])
+
+
 def _check_ranges(config: "PipelineConfig") -> None:
     """A Monte Carlo check needs at least one trial per start cell and one
     step; zero start cells is an empty check. Its generators take the seed,
@@ -166,9 +174,10 @@ class PipelineConfig:
         for reg in reg_raw:
             _check_keys(reg, _REGION_KEYS, "a 'regions' entry")
             _require(reg, ("label", "box"), "a 'regions' entry")
-        domain = _box(raw["domain"], "'domain'")
-        covariance = _parse_covariance(raw["covariance"], domain.dim)
-        regions = [(str(reg["label"]), _box(reg["box"], "a region 'box'")) for reg in reg_raw]
+        domain = _box(_get(raw, "domain", None, _numbers), "'domain'")
+        covariance = _parse_covariance(_get(raw, "covariance", None, _numbers), domain.dim)
+        regions = [(str(reg["label"]), _box(_get(reg, "box", None, _numbers), "a region 'box'"))
+                   for reg in reg_raw]
 
         spec = raw["spec"]
         if "template" in spec:
@@ -241,10 +250,8 @@ class Abstraction:
 
 def _compute_rows(nd, grid, cells):
     """The envelopes and the transition_rows store of `cells`, both in
-    (cell, action) order; each action's envelopes come from one relax_cells call."""
-    lo, hi = grid.lo[cells], grid.hi[cells]
-    by_action = LinearBounds.concat(relax_cells(nd, action, grid.transform, lo, hi) for action in nd.actions)
-    bounds = by_action[np.arange(len(by_action)).reshape(len(nd.actions), -1).T.ravel()]
+    (cell, action) order; the envelopes come from one relax_cells call."""
+    bounds = relax_cells(nd, nd.actions, grid.transform, grid.lo[cells], grid.hi[cells])
     return bounds, transition_rows(grid, cells, nd.actions, bounds)
 
 

@@ -12,15 +12,18 @@ are substituted backwards layer by layer until the input is reached. The
 whitening matrices enter the stack as exact linear layers, so all-linear
 networks give flo = fhi up to rounding.
 
-`relax_cells` relaxes many boxes of one action together into one
-`LinearBounds` stack: every array carries a leading cell axis, the backward
-pass is one stacked `np.matmul` per layer (the batched CROWN formulation),
-and each envelope is bitwise what `relax` gives on its box alone. An
-abstraction keeps one stack in its row store's order: envelope r is row r's.
+`relax_cells` relaxes many boxes under many actions together into one
+`LinearBounds` stack in (box, action) order: every array carries a leading
+cell axis, the backward pass is one stacked `np.matmul` per layer (the
+batched CROWN formulation), and the neuron lines of the hidden layers that
+all actions share are computed once per batch of boxes. Each envelope is
+bitwise what `relax` gives on its box alone. An abstraction keeps one stack
+in its row store's order: envelope r is row r's.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,40 +279,80 @@ def _stages(nd: NeuralDynamics, action: str, transform: Transform):
     return stages
 
 
-def _envelopes(stages, lo: np.ndarray, hi: np.ndarray):
-    """Stacked (A_lo, b_lo, A_hi, b_hi) over the boxes [lo[i], hi[i]]."""
-    cells = lo.shape[0]
-    coeffs: list = [None] * len(stages)
-    for k in range(len(stages) - 1):
+def _same_stage(x, y) -> bool:
+    """Equal activation, weight and bias shapes, and weight and bias bytes
+    (so -0.0 and 0.0 differ: they can round differently downstream)."""
+    return x[2] is y[2] and all(
+        p.shape == q.shape and p.tobytes() == q.tobytes() for p, q in zip(x[:2], y[:2])
+    )
+
+
+def _shared_prefix(stacks) -> int:
+    """How many leading stages all stage stacks in `stacks` have in common.
+    Every stack shares the whitening stage; no stack's last (linear) stage
+    counts, so each stack runs its own final backward pass."""
+    first = stacks[0]
+    limit = min(len(stages) for stages in stacks) - 1
+    p = 1
+    while p < limit and all(_same_stage(first[p], stages[p]) for stages in stacks[1:]):
+        p += 1
+    return p
+
+
+def _neuron_lines(stages, coeffs, start: int, stop: int, lo, hi) -> None:
+    """Fill coeffs[k] for the nonlinear stages start <= k < stop, each from
+    the concretized bounds on its pre-activation given the earlier lines."""
+    for k in range(start, stop):
         act = stages[k][2]
-        if act is Activation.LINEAR:
-            continue
-        l, u = _concretize(*_backward(stages, coeffs, k, cells), lo, hi)
-        coeffs[k] = _activation_coeffs(act, l, u)
-    return _backward(stages, coeffs, len(stages) - 1, cells)
+        if act is not Activation.LINEAR:
+            l, u = _concretize(*_backward(stages, coeffs, k, lo.shape[0]), lo, hi)
+            coeffs[k] = _activation_coeffs(act, l, u)
+
+
+def _envelopes(stacks, shared: int, lo: np.ndarray, hi: np.ndarray):
+    """Yield stacked (A_lo, b_lo, A_hi, b_hi) over the boxes [lo[i], hi[i]]
+    for each stage stack in `stacks`, in order. The neuron lines of the
+    first `shared` stages, common to every stack, are computed once."""
+    common: list = [None] * shared
+    _neuron_lines(stacks[0], common, 0, shared, lo, hi)
+    for stages in stacks:
+        coeffs = common + [None] * (len(stages) - shared)
+        _neuron_lines(stages, coeffs, shared, len(stages) - 1, lo, hi)
+        yield _backward(stages, coeffs, len(stages) - 1, lo.shape[0])
 
 
 def relax_cells(
     nd: NeuralDynamics,
-    action: str,
+    actions: Sequence[str],
     transform: Transform,
     lo: np.ndarray,
     hi: np.ndarray,
 ) -> LinearBounds:
-    """The stack of affine envelopes of z -> T f_a(T^{-1} z) whose i-th is
-    over the box [lo[i], hi[i]] (shape (cells, n), whitened coordinates).
-    The boxes go through the backward pass _CHUNK_CELLS at a time; each
-    envelope equals `relax` on its box alone."""
+    """The stack of affine envelopes of z -> T f_a(T^{-1} z) over the boxes
+    [lo[i], hi[i]] (shape (cells, n), whitened coordinates) for every a in
+    `actions`: envelope i * len(actions) + a is actions[a]'s on box i. The
+    boxes go through the backward pass _CHUNK_CELLS at a time, with the
+    hidden prefix all actions share relaxed once per chunk; each envelope
+    equals `relax` on its box alone."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != nd.dim:
         raise ValueError(
             f"boxes must be two (cells, {nd.dim}) arrays, got {lo.shape} and {hi.shape}"
         )
-    stages = _stages(nd, action, transform)
-    chunks = [_envelopes(stages, lo[s : s + _CHUNK_CELLS], hi[s : s + _CHUNK_CELLS])
-              for s in range(0, max(lo.shape[0], 1), _CHUNK_CELLS)]  # no boxes: one empty chunk
-    return LinearBounds(*map(np.concatenate, zip(*chunks)))
+    if not actions:
+        raise ValueError("no actions to relax")
+    stacks = [_stages(nd, action, transform) for action in actions]
+    shared = _shared_prefix(stacks)
+    cells, A, n = lo.shape[0], len(actions), nd.dim
+    R = cells * A
+    out = LinearBounds(np.empty((R, n, n)), np.empty((R, n)), np.empty((R, n, n)), np.empty((R, n)))
+    for s in range(0, cells, _CHUNK_CELLS):
+        stop = min(s + _CHUNK_CELLS, cells)
+        for a, env in enumerate(_envelopes(stacks, shared, lo[s:stop], hi[s:stop])):
+            for field, value in zip(vars(out).values(), env):
+                field[s * A + a : stop * A : A] = value
+    return out
 
 
 def relax(
@@ -320,4 +363,4 @@ def relax(
 ) -> LinearBounds:
     """Affine envelope of z -> T f_a(T^{-1} z) over `region` (whitened
     coordinates). Exact (lower == upper) when every activation is linear."""
-    return relax_cells(nd, action, transform, region.lo[None], region.hi[None])[0]
+    return relax_cells(nd, (action,), transform, region.lo[None], region.hi[None])[0]

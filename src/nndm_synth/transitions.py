@@ -204,8 +204,10 @@ def transition_rows(
         k = slice(end, end + r.size)
         col[k], lo[k], up[k] = c + UNSAFE_ID, lower[r, c], upper[r, c]
         end = k.stop
+    for buf in (col, lo, up):
+        buf.resize(end, refcheck=False)  # in place: a view would pin the rest
     A = len(actions)
-    rows = RowStore(np.arange(cells.size) * A, A, sizes, col[:end], lo[:end], up[:end])
+    rows = RowStore(np.arange(cells.size) * A, A, sizes, col, lo, up)
     _check_sums(rows, cells, actions)
     return rows
 

@@ -218,6 +218,22 @@ def test_null_threshold_exits_2_without_traceback(workdir, capsys):
     assert "'threshold'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("domain", [["-2", True], [-2, 2]]),
+    ("domain", [[-2, True], [-2, 2]]),
+    ("covariance", True),
+    ("covariance", "0.2"),
+    ("covariance", [0.1, True]),
+])
+def test_non_number_entry_exits_2_naming_its_key(workdir, capsys, key, value):
+    raw = dict(json.loads((workdir / "config.json").read_text()), **{key: value})
+    (workdir / "non_number.json").write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(workdir / "non_number.json"), "--out", str(workdir / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("edit, what", [
     ({"domain": [[-2.0, 2.0], [1.0, 1.0]], "regions": []}, "domain has zero width"),
     ({"regions": [{"label": "goal", "box": [[0.5, 0.5], [0.5, 1.5]]}]}, "'goal' covers no cell"),

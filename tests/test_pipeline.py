@@ -163,6 +163,14 @@ class TestConfigParsing:
             (dict(BASE_RAW, vi={"max_sweeps": 0}), "'max_sweeps'"),
             (dict(BASE_RAW, vi={"max_sweeps": -3}), "'max_sweeps'"),
             (dict(BASE_RAW, vi={"max_sweeps": float("inf")}), "'max_sweeps'"),
+            (dict(BASE_RAW, domain=[["-2", True], [-2, 2]]), "'domain'"),
+            (dict(BASE_RAW, domain=[[-2, True], [-2, 2]]), "'domain'"),
+            (dict(BASE_RAW, domain=[[-2, 2], [-2]]), "'domain'"),
+            (dict(BASE_RAW, covariance=True), "'covariance'"),
+            (dict(BASE_RAW, covariance="0.2"), "'covariance'"),
+            (dict(BASE_RAW, covariance=[0.1, True]), "'covariance'"),
+            (dict(BASE_RAW, covariance=None), "'covariance'"),
+            (dict(BASE_RAW, regions=[{"label": "goal", "box": [[0.5, "1.5"], [0.5, 1.5]]}]), "'box'"),
         ],
     )
     def test_malformed_config_names_the_key(self, raw, key):

@@ -5,9 +5,12 @@ for every z in the region, checked here by dense sampling on seeded
 instances (the large-architecture sweep lives in the acceptance suite).
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from nndm_synth import relaxation
 from nndm_synth.fixtures import directional_dynamics, random_network
 from nndm_synth.geometry import HyperRect, whitening_transform
 from nndm_synth.networks import (
@@ -21,9 +24,43 @@ from nndm_synth.relaxation import (
     _CHUNK_CELLS,
     _relu_coeffs,
     _scurve_coeffs,
+    _shared_prefix,
+    _stages,
     relax,
     relax_cells,
 )
+
+SEVEN = {f"d{k}": (np.cos(k), np.sin(k)) for k in range(7)}
+
+
+def _rewrap(nd, layer_map):
+    """nd with every layer replaced by layer_map(action, index, layer)."""
+    return NeuralDynamics(dim=nd.dim, actions=nd.actions, networks={
+        a: tuple(layer_map(a, k, layer) for k, layer in enumerate(nd.layers(a))) for a in nd.actions
+    })
+
+
+def _tanh_swapped():
+    # a fresh DenseLayer per action over the same weight and bias arrays
+    relu = directional_dynamics(2, 10, 3, SEVEN, seed=5)
+    return _rewrap(relu, lambda a, k, layer: DenseLayer(
+        layer.weights, layer.bias,
+        Activation.TANH if layer.activation is Activation.RELU else layer.activation))
+
+
+def _middle_bias_nudged(entry=-1, value=None):
+    # action d3's middle hidden layer has one bias entry moved: by one ulp,
+    # or to `value`
+    nd = directional_dynamics(2, 10, 3, SEVEN, seed=5)
+
+    def nudge(a, k, layer):
+        if a != "d3" or k != 1:
+            return layer
+        bias = layer.bias.copy()
+        bias[entry] = np.nextafter(bias[entry], np.inf) if value is None else value
+        return DenseLayer(layer.weights, bias, layer.activation)
+
+    return _rewrap(nd, nudge)
 
 
 def check_envelope(nd, action, transform, region, n=20_000, seed=0, tol=1e-9):
@@ -138,7 +175,7 @@ class TestRelaxCells:
         count = 2 * _CHUNK_CELLS + 5  # last chunk is partial
         lo = rng.uniform(-3.0, 1.0, (count, 2))
         hi = lo + rng.uniform(0.01, 3.0, (count, 2))
-        batch = relax_cells(nd, "a0", t, lo, hi)
+        batch = relax_cells(nd, ("a0",), t, lo, hi)
         assert len(batch) == count
         for i, got in enumerate(batch):
             want = relax(nd, "a0", t, HyperRect(lo[i], hi[i]))
@@ -153,16 +190,75 @@ class TestRelaxCells:
         cell_lo, cell_hi = np.array([-1.3, -0.4]), np.array([0.2, 0.9])
         others_lo = np.array([[-4.0, -4.0], [0.5, 0.5], [-0.01, -0.01], [-3.0, 1.0]])
         others_hi = np.array([[4.0, 4.0], [0.5 + 1e-13, 0.6], [0.01, 0.01], [-2.9, 1.1]])
-        alone = relax_cells(nd, "a0", t, cell_lo[None], cell_hi[None])[0]
+        alone = relax_cells(nd, ("a0",), t, cell_lo[None], cell_hi[None])[0]
         lo = np.vstack([others_lo[:2], cell_lo, others_lo[2:]])
         hi = np.vstack([others_hi[:2], cell_hi, others_hi[2:]])
-        mixed = relax_cells(nd, "a0", t, lo, hi)[2]
+        mixed = relax_cells(nd, ("a0",), t, lo, hi)[2]
         for name in ("A_lo", "b_lo", "A_hi", "b_hi"):
             assert np.array_equal(getattr(alone, name), getattr(mixed, name)), name
 
+    @pytest.mark.parametrize("case", ["shared", "disjoint", "tanh_rewrapped", "one_ulp"])
+    def test_actions_match_per_box_relax_bitwise(self, case):
+        nd = {
+            "shared": lambda: directional_dynamics(2, 10, 3, SEVEN, seed=5),
+            "disjoint": lambda: random_network(2, 12, 2, seed=8, actions=("a0", "a1", "a2")),
+            "tanh_rewrapped": _tanh_swapped,
+            "one_ulp": _middle_bias_nudged,
+        }[case]()
+        rng = np.random.default_rng(31)
+        t = whitening_transform(np.diag([0.4, 0.9]))
+        count = 2 * _CHUNK_CELLS + 5  # last chunk is partial
+        lo = rng.uniform(-2.0, 1.0, (count, 2))
+        hi = lo + rng.uniform(0.01, 2.0, (count, 2))
+        A = len(nd.actions)
+        batch = relax_cells(nd, nd.actions, t, lo, hi)
+        assert len(batch) == count * A
+        for i in range(count):
+            for a, action in enumerate(nd.actions):
+                want = relax(nd, action, t, HyperRect(lo[i], hi[i]))
+                got = batch[i * A + a]
+                for name in ("A_lo", "b_lo", "A_hi", "b_hi"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (i, action, name)
+
+    def test_shared_prefix_compares_bytes(self):
+        t = whitening_transform(np.eye(2))
+
+        def prefix(nd):
+            return _shared_prefix([_stages(nd, a, t) for a in nd.actions])
+
+        # whitening stage plus three hidden layers; the heads differ
+        assert prefix(directional_dynamics(2, 10, 3, SEVEN, seed=5)) == 4
+        assert prefix(_tanh_swapped()) == 4
+        assert prefix(random_network(2, 12, 2, seed=8, actions=("a0", "a1"))) == 1
+        # one ulp, or -0.0 for 0.0 (equal under ==), in the middle layer's
+        # bias stops the prefix before that layer
+        assert prefix(_middle_bias_nudged()) == 2
+        assert prefix(_middle_bias_nudged(entry=0, value=-0.0)) == 2
+        # a single action, or identical networks, share all but the last stage
+        one = random_network(2, 12, 2, seed=8)
+        assert prefix(one) == len(_stages(one, "a0", t)) - 1
+
+    def test_shared_layers_relaxed_once_per_chunk(self, monkeypatch):
+        # 7 actions over 3 shared hidden layers: per chunk, one backward pass
+        # per hidden layer and one final pass per action
+        nd = directional_dynamics(2, 10, 3, SEVEN, seed=5)
+        calls = Counter()
+        backward = relaxation._backward
+
+        def counted(stages, coeffs, m, cells):
+            calls[m] += 1
+            return backward(stages, coeffs, m, cells)
+
+        monkeypatch.setattr(relaxation, "_backward", counted)
+        chunks = 3
+        lo = np.zeros(((chunks - 1) * _CHUNK_CELLS + 5, 2))
+        relax_cells(nd, nd.actions, whitening_transform(np.eye(2)), lo, lo + 0.5)
+        final = len(_stages(nd, "d0", whitening_transform(np.eye(2)))) - 1
+        assert calls == Counter({1: chunks, 2: chunks, 3: chunks, final: chunks * 7})
+
     def test_no_boxes_give_an_empty_stack(self):
         nd = random_network(2, 8, 1, activation="tanh", seed=0)
-        empty = relax_cells(nd, "a0", whitening_transform(np.eye(2)), np.zeros((0, 2)), np.zeros((0, 2)))
+        empty = relax_cells(nd, ("a0",), whitening_transform(np.eye(2)), np.zeros((0, 2)), np.zeros((0, 2)))
         assert len(empty) == 0
         assert empty.A_lo.shape == empty.A_hi.shape == (0, 2, 2)
         assert empty.b_lo.shape == empty.b_hi.shape == (0, 2)
@@ -171,9 +267,11 @@ class TestRelaxCells:
         nd = random_network(2, 8, 1, seed=0)
         t = whitening_transform(np.eye(2))
         with pytest.raises(ValueError, match="boxes"):
-            relax_cells(nd, "a0", t, np.zeros((3, 3)), np.ones((3, 3)))
+            relax_cells(nd, ("a0",), t, np.zeros((3, 3)), np.ones((3, 3)))
         with pytest.raises(ValueError, match="boxes"):
-            relax_cells(nd, "a0", t, np.zeros((3, 2)), np.ones((2, 2)))
+            relax_cells(nd, ("a0",), t, np.zeros((3, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="no actions"):
+            relax_cells(nd, (), t, np.zeros((3, 2)), np.ones((3, 2)))
 
 
 class TestRelaxNetworks:

@@ -288,7 +288,7 @@ def _far_tails_2d():
 
 
 def _stack(nd, grid, action, sources):
-    envs = relax_cells(nd, action, grid.transform, grid.lo[sources], grid.hi[sources])
+    envs = relax_cells(nd, (action,), grid.transform, grid.lo[sources], grid.hi[sources])
     return envs, transition_rows(grid, sources, (action,), envs)
 
 
@@ -329,7 +329,7 @@ class TestStackedRows:
         nd, grid = _far_tails_2d()
         sources = np.arange(grid.num_cells)
         rows = self._assert_matches_naive(nd, grid, "stay", sources)
-        envs = relax_cells(nd, "stay", grid.transform, grid.lo, grid.hi)
+        envs = relax_cells(nd, ("stay",), grid.transform, grid.lo, grid.hi)
         left = right = 0
         for source, row, b in zip(sources, rows.values(), envs):
             rect = rect_hull(post_image_hull(b, grid.cell(source)))
