@@ -22,13 +22,13 @@ import json
 import os
 import pickle
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .networks import NeuralDynamics, load_networks
 from .pipeline import (
     PipelineConfig,
-    _check_ranges,
     build_abstraction,
     emit_outputs,
     gap_stats,
@@ -41,14 +41,14 @@ _ARTIFACT_FORMAT = 9
 _EXIT_NOT_CONVERGED = 3
 
 
+def _overrides(args, **flags) -> dict:
+    """{field: value} of each flag (field=flag name) given on the command line."""
+    return {name: getattr(args, flag) for name, flag in flags.items() if getattr(args, flag) is not None}
+
+
 def _load_config(args) -> PipelineConfig:
     config = PipelineConfig.from_json(args.config)
-    if getattr(args, "threads", None) is not None:
-        config.threads = args.threads
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-        _check_ranges(config)
-    return config
+    return replace(config, **_overrides(args, threads="threads", seed="seed"))
 
 
 def _require_network(config: PipelineConfig):
@@ -158,7 +158,7 @@ def _cmd_abstract(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     config = _load_config(args)
-    config.refinement.rounds = 0
+    config = replace(config, refinement=replace(config.refinement, rounds=0))
     nd = _require_network(config)
     abstraction = _load_pickle(args.out, "abstraction.pkl", _fingerprint(config, nd))
     result = run_pipeline(config, nd=nd, outdir=args.out, abstraction=abstraction)
@@ -169,11 +169,8 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_refine(args) -> int:
     config = _load_config(args)
-    if args.rounds is not None:
-        config.refinement.rounds = args.rounds
-    if args.per_round is not None:
-        config.refinement.per_round = args.per_round
-    config.refinement.check()
+    refinement = replace(config.refinement, **_overrides(args, rounds="rounds", per_round="per_round"))
+    config = replace(config, refinement=refinement)
     result = run_pipeline(config, nd=_require_network(config), outdir=args.out)
     _save_pickle(args.out, "result.pkl", result)
     _print_result(result)
@@ -184,12 +181,8 @@ def _cmd_simulate(args) -> int:
     result = _load_pickle(args.out, "result.pkl")
     if result is None:
         raise ValueError(f"no result.pkl in {args.out}; run synthesize/refine/run first")
-    if args.trials is not None:
-        result.config.sim_trials = args.trials
-    if args.start_cells is not None:
-        result.config.sim_start_cells = args.start_cells
-    if args.seed is not None:
-        result.config.seed = args.seed
+    flags = _overrides(args, sim_trials="trials", sim_start_cells="start_cells", seed="seed")
+    result.config = replace(result.config, **flags)
     result.validation = validate_monte_carlo(result)
     emit_outputs(result, args.out)
     _save_pickle(args.out, "result.pkl", result)

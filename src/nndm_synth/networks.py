@@ -165,6 +165,39 @@ def evaluate(nd: NeuralDynamics, action: str, x: np.ndarray) -> np.ndarray:
 
 # -- JSON model files --------------------------------------------------------
 
+def _strict(conv, value, what: str):
+    """conv(value) for a JSON value, conv one of the strict conversions
+    below (a bool or a string is never a number, a fraction never an
+    integer); a value conv refuses is a ValueError saying `what`."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(what) from None
+
+
+def _int(value) -> int:
+    if isinstance(value, (bool, str)) or not float(value).is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _float(value) -> float:
+    if isinstance(value, (bool, str)):
+        raise ValueError(value)
+    return float(value)
+
+
+def _numbers(value) -> np.ndarray:
+    """A number or nested lists of numbers as a float array, every entry
+    through _float; ragged lists are malformed."""
+    if not isinstance(value, (list, tuple)):
+        return np.array(_float(value))
+    parts = [_numbers(v) for v in value]
+    if len({p.shape for p in parts}) > 1:
+        raise ValueError(value)
+    return np.array(parts)
+
+
 def load_networks(path: str) -> NeuralDynamics:
     """Load a dynamics model from the JSON layout
 
@@ -180,6 +213,7 @@ def load_networks(path: str) -> NeuralDynamics:
     for key in ("dim", "actions", "networks"):
         if key not in raw:
             raise ValueError(f"{path}: missing top-level key {key!r}")
+    dim = _strict(_int, raw["dim"], f"{path}: 'dim' must be an integer, got {raw['dim']!r}")
     actions = tuple(str(a) for a in raw["actions"])
     networks = {}
     for a in actions:
@@ -190,15 +224,12 @@ def load_networks(path: str) -> NeuralDynamics:
             for key in ("weights", "bias", "activation"):
                 if key not in spec:
                     raise ValueError(f"{path}: action {a!r} layer {k} missing {key!r}")
-            layers.append(
-                DenseLayer(
-                    weights=np.asarray(spec["weights"], dtype=float),
-                    bias=np.asarray(spec["bias"], dtype=float),
-                    activation=Activation.parse(spec["activation"]),
-                )
-            )
+            w, b = (
+                _strict(_numbers, spec[key], f"{path}: action {a!r} layer {k} {key!r} must hold only numbers")
+                for key in ("weights", "bias"))
+            layers.append(DenseLayer(w, b, Activation.parse(spec["activation"])))
         networks[a] = tuple(layers)
-    return NeuralDynamics(dim=int(raw["dim"]), actions=actions, networks=networks)
+    return NeuralDynamics(dim=dim, actions=actions, networks=networks)
 
 
 def save_networks(nd: NeuralDynamics, path: str) -> None:

@@ -31,7 +31,7 @@ from .imdp import (
     evaluate_strategy_upper,
     robust_value_iteration,
 )
-from .networks import NeuralDynamics, evaluate, load_networks
+from .networks import NeuralDynamics, _float, _int, _numbers, _strict, evaluate, load_networks
 from .refinement import RefinementConfig, RefineOutcome, refine_round
 from .relaxation import LinearBounds, relax_cells
 from .transitions import _check_sums, refresh_rows, transition_rows
@@ -51,16 +51,27 @@ def _parse_covariance(raw, dim: int) -> np.ndarray:
     return arr
 
 
-_TOP_KEYS = {
-    "domain", "covariance", "grid", "regions", "spec", "network", "threshold",
-    "refinement", "vi", "simulation", "seed", "threads",
-}
-_SECTION_KEYS = {
-    "refinement": {"per_round", "rounds", "stop_width", "split_mode"},
-    "vi": {"tolerance", "max_sweeps"},
-    "simulation": {"trials", "start_cells", "horizon", "horizon_factor"},
-    "spec": {"template", "labels", "dfa"},
-}
+# Every optional setting: (JSON section, or None for the top level, JSON key,
+# config field, conversion). Its default lives in the dataclass alone.
+_SETTINGS = (
+    (None, "threshold", "threshold", _float),
+    (None, "seed", "seed", _int),
+    (None, "threads", "threads", _int),
+    ("refinement", "per_round", "per_round", _int),
+    ("refinement", "rounds", "rounds", _int),
+    ("refinement", "stop_width", "stop_width", _float),
+    ("refinement", "split_mode", "split_mode", str),
+    ("vi", "tolerance", "vi_tolerance", _float),
+    ("vi", "max_sweeps", "vi_max_sweeps", _int),
+    ("simulation", "trials", "sim_trials", _int),
+    ("simulation", "start_cells", "sim_start_cells", _int),
+    ("simulation", "horizon", "horizon", _int),
+    ("simulation", "horizon_factor", "sim_horizon_factor", _int),
+)
+_SECTION_KEYS = {"spec": {"template", "labels", "dfa"}}
+for _section, _key, _, _ in _SETTINGS:
+    _SECTION_KEYS.setdefault(_section, set()).add(_key)
+_TOP_KEYS = _SECTION_KEYS.pop(None) | {"domain", "covariance", "grid", "regions", "network", *_SECTION_KEYS}
 _REGION_KEYS = {"label", "box"}
 
 
@@ -86,64 +97,18 @@ def _box(raw, where: str) -> HyperRect:
     return HyperRect(arr[:, 0], arr[:, 1])
 
 
-def _get(section: dict, key: str, default, conv):
-    """section[key], or the default, converted by conv; a value conv cannot
-    take (None for a number, a number for a list, a bool or a string for a
-    number, a fraction for an integer) is a config error."""
-    value = section.get(key, default)
-    try:
-        return conv(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"config key {key!r} has a malformed value {value!r}") from None
+def _get(section: dict, key: str, conv):
+    """section[key] converted by conv; a value conv cannot take (None for a
+    number, a number for a list, a bool or a string for a number, a fraction
+    for an integer) is a config error."""
+    return _strict(conv, section[key], f"config key {key!r} has a malformed value {section[key]!r}")
 
 
-def _int(value) -> int:
-    if isinstance(value, (bool, str)) or not float(value).is_integer():
-        raise ValueError(value)
-    return int(value)
-
-
-def _float(value) -> float:
-    if isinstance(value, (bool, str)):
-        raise ValueError(value)
-    return float(value)
-
-
-def _numbers(value) -> np.ndarray:
-    """A number or nested lists of numbers as a float array, every entry
-    through _float; ragged lists are malformed."""
-    if np.ndim(value) == 0:
-        return np.array(_float(value))
-    return np.array([_numbers(v) for v in value])
-
-
-def _check_ranges(config: "PipelineConfig") -> None:
-    """A Monte Carlo check needs at least one trial per start cell and one
-    step; zero start cells is an empty check. Its generators take the seed,
-    which must not be negative. The threshold is a probability, and value
-    iteration needs a positive finite tolerance and at least one sweep."""
-    for key, value, least in (
-        ("trials", config.sim_trials, 1),
-        ("start_cells", config.sim_start_cells, 0),
-        ("horizon", config.horizon, 1),
-        ("horizon_factor", config.sim_horizon_factor, 1),
-    ):
-        if value < least:
-            raise ValueError(f"simulation {key!r} must be at least {least}, got {value}")
-    if config.seed < 0:
-        raise ValueError(f"'seed' must not be negative, got {config.seed}")
-    if not 0.0 <= config.threshold <= 1.0:
-        raise ValueError(f"'threshold' must lie in [0, 1], got {config.threshold}")
-    if not 0.0 < config.vi_tolerance < np.inf:
-        raise ValueError(f"vi 'tolerance' must be positive and finite, got {config.vi_tolerance}")
-    if config.vi_max_sweeps < 1:
-        raise ValueError(f"vi 'max_sweeps' must be at least 1, got {config.vi_max_sweeps}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Everything one synthesis run needs. Built directly in code or parsed
-    from JSON via from_json / from_dict (see the README for the schema)."""
+    from JSON via from_json / from_dict (see the README for the schema), and
+    changed with dataclasses.replace; every way runs __post_init__'s checks."""
 
     domain: HyperRect
     covariance: np.ndarray
@@ -162,6 +127,30 @@ class PipelineConfig:
     seed: int = 0
     threads: int = 1  # accepted and ignored: rows are built in one thread
 
+    def __post_init__(self):
+        """One positive cell count per domain dimension; a Monte Carlo check
+        needs a trial per start cell and a step (zero start cells is an empty
+        check) and a non-negative seed; the threshold is a probability; value
+        iteration needs a positive finite tolerance and at least one sweep."""
+        if len(self.grid) != self.domain.dim or any(c < 1 for c in self.grid):
+            raise ValueError(f"'grid' needs one positive count per domain dimension, got {self.grid}")
+        for key, value, least in (
+            ("trials", self.sim_trials, 1),
+            ("start_cells", self.sim_start_cells, 0),
+            ("horizon", self.horizon, 1),
+            ("horizon_factor", self.sim_horizon_factor, 1),
+        ):
+            if value < least:
+                raise ValueError(f"simulation {key!r} must be at least {least}, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"'seed' must not be negative, got {self.seed}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"'threshold' must lie in [0, 1], got {self.threshold}")
+        if not 0.0 < self.vi_tolerance < np.inf:
+            raise ValueError(f"vi 'tolerance' must be positive and finite, got {self.vi_tolerance}")
+        if self.vi_max_sweeps < 1:
+            raise ValueError(f"vi 'max_sweeps' must be at least 1, got {self.vi_max_sweeps}")
+
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str = ".") -> "PipelineConfig":
         _check_keys(raw, _TOP_KEYS, "the config")
@@ -174,9 +163,9 @@ class PipelineConfig:
         for reg in reg_raw:
             _check_keys(reg, _REGION_KEYS, "a 'regions' entry")
             _require(reg, ("label", "box"), "a 'regions' entry")
-        domain = _box(_get(raw, "domain", None, _numbers), "'domain'")
-        covariance = _parse_covariance(_get(raw, "covariance", None, _numbers), domain.dim)
-        regions = [(str(reg["label"]), _box(_get(reg, "box", None, _numbers), "a region 'box'"))
+        domain = _box(_get(raw, "domain", _numbers), "'domain'")
+        covariance = _parse_covariance(_get(raw, "covariance", _numbers), domain.dim)
+        regions = [(str(reg["label"]), _box(_get(reg, "box", _numbers), "a region 'box'"))
                    for reg in reg_raw]
 
         spec = raw["spec"]
@@ -186,45 +175,29 @@ class PipelineConfig:
                 raise ValueError("'labels' in 'spec' must be a JSON object")
             dfa = dfa_template(spec["template"], spec["labels"])
         elif "dfa" in spec:
-            path = spec["dfa"]
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            dfa = load_dfa(path)
+            dfa = load_dfa(os.path.join(base_dir, spec["dfa"]))  # an absolute path stays as it is
         else:
             raise ValueError("spec needs either a 'template' name or a 'dfa' path")
 
-        ref_raw = raw.get("refinement", {})
-        vi_raw = raw.get("vi", {})
-        sim_raw = raw.get("simulation", {})
         network = raw.get("network")
-        if network is not None and not os.path.isabs(network):
+        if network is not None:
             network = os.path.join(base_dir, network)
-        config = cls(
+        # only the keys present are passed on, so the dataclasses' defaults hold
+        top, ref = {}, {}
+        for section, key, name, conv in _SETTINGS:
+            src = raw.get(section, {}) if section else raw
+            if key in src:
+                (ref if section == "refinement" else top)[name] = _get(src, key, conv)
+        return cls(
             domain=domain,
             covariance=covariance,
-            grid=_get(raw, "grid", None, lambda g: [_int(c) for c in g]),
+            grid=_get(raw, "grid", lambda g: [_int(c) for c in g]),
             dfa=dfa,
             regions=regions,
             network=network,
-            threshold=_get(raw, "threshold", 0.95, _float),
-            refinement=RefinementConfig(
-                per_round=_get(ref_raw, "per_round", 0, _int),
-                rounds=_get(ref_raw, "rounds", 0, _int),
-                stop_width=_get(ref_raw, "stop_width", 0.0, _float),
-                split_mode=str(ref_raw.get("split_mode", "edges")),
-            ),
-            vi_tolerance=_get(vi_raw, "tolerance", 1e-6, _float),
-            vi_max_sweeps=_get(vi_raw, "max_sweeps", 5000, _int),
-            horizon=_get(sim_raw, "horizon", 100, _int),
-            sim_trials=_get(sim_raw, "trials", 10_000, _int),
-            sim_start_cells=_get(sim_raw, "start_cells", 20, _int),
-            sim_horizon_factor=_get(sim_raw, "horizon_factor", 5, _int),
-            seed=_get(raw, "seed", 0, _int),
-            threads=_get(raw, "threads", 1, _int),
+            refinement=RefinementConfig(**ref),
+            **top,
         )
-        _check_ranges(config)
-        config.refinement.check()
-        return config
 
     @classmethod
     def from_json(cls, path: str) -> "PipelineConfig":
@@ -258,8 +231,6 @@ def _compute_rows(nd, grid, cells):
 def build_abstraction(nd: NeuralDynamics, config: PipelineConfig) -> Abstraction:
     if nd.dim != config.domain.dim:
         raise ValueError(f"network dim {nd.dim} does not match domain dim {config.domain.dim}")
-    if len(config.grid) != nd.dim:
-        raise ValueError("grid counts must have one entry per dimension")
     transform = whitening_transform(config.covariance)
     grid = build_grid(config.domain, transform, config.grid, config.regions)
 
@@ -689,16 +660,16 @@ def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
     runs count as unsatisfied. Each cell's record depends only on the seed,
     the cell and the config, not on which other cells are simulated."""
     config = result.config
-    _check_ranges(config)
     grid = result.abstraction.grid
     rng0 = np.random.default_rng([config.seed, 104729])
     if cells is None:
         k = min(config.sim_start_cells, grid.num_cells)
         cells = np.sort(rng0.choice(grid.num_cells, size=k, replace=False))
-    cells = [int(c) for c in cells]
-    bad = [c for c in cells if not 0 <= c < grid.num_cells]
+    bad = [c for c in cells if isinstance(c, (bool, str))
+           or not (float(c).is_integer() and 0 <= c < grid.num_cells)]
     if bad:
         raise ValueError(f"start cell {bad[0]} is not a cell id in [0, {grid.num_cells})")
+    cells = [int(c) for c in cells]
     steps = config.horizon * config.sim_horizon_factor
     k_ext, k_hor = _simulate(result, cells, steps)
 

@@ -18,19 +18,24 @@ from .imdp import Imdp
 from .relaxation import LinearBounds
 
 
-@dataclass
+@dataclass(frozen=True)
 class RefinementConfig:
+    """How the grid is refined between synthesis rounds. Built in code, by
+    PipelineConfig.from_dict or by dataclasses.replace, it refuses settings
+    no round could follow: a negative count would slice the scores from
+    their end, and a negative or NaN stop_width would turn the stop off."""
+
     per_round: int = 0          # cells to split per round; 0 disables refinement
     rounds: int = 0
-    stop_width: float = 0.0     # stop once the volume-weighted mean gap is below this
+    stop_width: float = 0.0     # stop once the volume-weighted mean gap is at most this (0: never)
     split_mode: str = "edges"   # "edges" or "corners", see split_dimension
 
-    def check(self) -> None:
-        """Refuse settings no round could follow, before any work is done: a
-        negative count would slice the scores from their end."""
+    def __post_init__(self):
         for key in ("per_round", "rounds"):
             if getattr(self, key) < 0:
                 raise ValueError(f"refinement {key!r} must not be negative, got {getattr(self, key)}")
+        if not 0.0 <= self.stop_width < np.inf:
+            raise ValueError(f"refinement 'stop_width' must be finite and >= 0, got {self.stop_width}")
         if self.split_mode not in ("edges", "corners"):
             raise ValueError(f"refinement 'split_mode' must be 'edges' or 'corners', got {self.split_mode!r}")
 
@@ -94,7 +99,6 @@ def refine_round(
     `bounds` is the envelope stack indexed like imdp.rows. Callers must
     rebuild the dirty rows and refresh the remaining rows' entries at the
     split cells' ids afterwards."""
-    config.check()
     A = imdp.num_actions
     outcome = RefineOutcome()
     scores = score_states(imdp, p_lower, p_upper)

@@ -411,7 +411,7 @@ def test_criterion_8_refinement_shrinks_the_gap(fixture_2d, run_2d):
 def test_criterion_9_three_dimensional_scale():
     t0 = time.perf_counter()
     nd, config = vehicle_3d()
-    config.threads = 4
+    config = replace(config, threads=4)
     ab = build_abstraction(nd, config)
     synth = synthesize(ab, config.dfa, config.vi_tolerance, config.vi_max_sweeps)
     dt = time.perf_counter() - t0

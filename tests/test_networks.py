@@ -151,3 +151,23 @@ class TestJsonRoundTrip:
         }))
         with pytest.raises(ValueError, match="missing 'activation'"):
             load_networks(str(p))
+
+    @pytest.mark.parametrize("edit, what", [
+        ({"dim": 1.9}, "'dim' must be an integer"),
+        ({"weights": [["0.5"]]}, "action 'a' layer 1 'weights'"),
+        ({"bias": [True]}, "action 'a' layer 1 'bias'"),
+        ({"weights": [[0.5], [0.5, 0.5]]}, "action 'a' layer 1 'weights'"),
+    ])
+    def test_numbers_are_strict(self, tmp_path, edit, what):
+        # each of these once loaded: "dim" 1.9 as 1, "0.5" as 0.5, true as 1.0
+        ident = {"weights": [[1.0]], "bias": [0.0], "activation": "linear"}
+        doc = {"dim": 1, "actions": ["a"], "networks": {"a": [ident, dict(ident)]}}
+        if "dim" in edit:
+            doc.update(edit)
+        else:
+            doc["networks"]["a"][1].update(edit)
+        p = tmp_path / "strict.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=what) as err:
+            load_networks(str(p))
+        assert str(p) in str(err.value)

@@ -1,6 +1,7 @@
 """Config parsing, end-to-end synthesis runs, output files, and the Monte
 Carlo consistency check."""
 
+import dataclasses
 import json
 import os
 from dataclasses import replace
@@ -24,6 +25,7 @@ from nndm_synth.pipeline import (
     run_pipeline,
     validate_monte_carlo,
 )
+from nndm_synth.refinement import RefinementConfig
 
 
 class TestParseCovariance:
@@ -67,6 +69,11 @@ class TestConfigParsing:
         assert cfg.refinement.per_round == 0
         assert cfg.dfa.initial == "trying"
         assert dict(cfg.regions)["goal"].lo[0] == 0.5
+        # every key left out takes the dataclass's default
+        built = PipelineConfig(domain=cfg.domain, covariance=cfg.covariance, grid=[4, 4], dfa=cfg.dfa)
+        for name in ("threshold", "refinement", "vi_tolerance", "vi_max_sweeps", "horizon",
+                     "sim_trials", "sim_start_cells", "sim_horizon_factor", "seed", "threads"):
+            assert getattr(cfg, name) == getattr(built, name), name
 
     def test_nested_sections(self):
         raw = dict(
@@ -171,6 +178,10 @@ class TestConfigParsing:
             (dict(BASE_RAW, covariance=[0.1, True]), "'covariance'"),
             (dict(BASE_RAW, covariance=None), "'covariance'"),
             (dict(BASE_RAW, regions=[{"label": "goal", "box": [[0.5, "1.5"], [0.5, 1.5]]}]), "'box'"),
+            (dict(BASE_RAW, refinement={"stop_width": -1}), "'stop_width'"),
+            (dict(BASE_RAW, refinement={"stop_width": float("nan")}), "'stop_width'"),
+            (dict(BASE_RAW, grid=[4]), "'grid'"),
+            (dict(BASE_RAW, grid=[4, 0]), "'grid'"),
         ],
     )
     def test_malformed_config_names_the_key(self, raw, key):
@@ -182,6 +193,31 @@ class TestConfigParsing:
         path.write_text(json.dumps(dict(BASE_RAW, network="n.json")))
         cfg = PipelineConfig.from_json(str(path))
         assert cfg.network == str(tmp_path / "n.json")
+
+
+class TestConfigChecks:
+    """A config checks itself however it is built: parsed, in code, or by
+    dataclasses.replace."""
+
+    @pytest.mark.parametrize("change, key", [
+        ({"threshold": 1.5}, "'threshold'"),
+        ({"vi_max_sweeps": 0}, "'max_sweeps'"),
+        ({"grid": [6]}, "'grid'"),
+        ({"grid": [6, 0]}, "'grid'"),
+    ])
+    def test_replace_rechecks(self, change, key):
+        # each of these once ran: threshold 1.5 labelled every cell "no",
+        # vi_max_sweeps 0 labelled cells from an upper pass that never ran
+        _, config = reach_avoid_2d(grid=(6, 6))
+        with pytest.raises(ValueError, match=key):
+            replace(config, **change)
+
+    def test_fields_cannot_be_assigned(self):
+        _, config = reach_avoid_2d(grid=(4, 4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.threshold = 1.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.refinement.rounds = 3
 
 
 class TestClassify:
@@ -284,8 +320,6 @@ class TestRunPipeline:
 
     def test_refinement_rounds_are_recorded(self, small_run):
         nd, config, res, _ = small_run
-        from nndm_synth.refinement import RefinementConfig
-
         cfg = replace(config, refinement=RefinementConfig(per_round=3, rounds=2))
         res2 = run_pipeline(cfg, nd=nd)
         assert len(res2.rounds) == 2
@@ -297,6 +331,22 @@ class TestRunPipeline:
                                 "num_product_states"}
         base_gap, _ = gap_stats(res.abstraction.grid, res.p_lower, res.p_upper)
         assert res2.rounds[-1]["mean_gap"] < base_gap
+
+    def test_stop_width_ends_refinement_early(self, small_run, tmp_path):
+        nd, config, res, _ = small_run
+        refine = RefinementConfig(per_round=3, rounds=3)
+        full = run_pipeline(replace(config, refinement=refine), nd=nd, outdir=str(tmp_path / "full"))
+        gaps = [gap_stats(res.abstraction.grid, res.p_lower, res.p_upper)[0]]
+        gaps += [rec["mean_gap"] for rec in full.rounds]
+        assert len(gaps) == 4 and gaps[0] > gaps[1] > gaps[2]
+        log = (tmp_path / "full" / "refinement.jsonl").read_text().splitlines()
+        # between the gaps after rounds 0 and 1: round 1 runs, round 2 does not
+        for width, kept in ((0.5 * (gaps[1] + gaps[2]), 2), (1.5 * gaps[0], 0)):
+            out = tmp_path / f"stop{kept}"
+            cfg = replace(config, refinement=replace(refine, stop_width=width))
+            stopped = run_pipeline(cfg, nd=nd, outdir=str(out))
+            assert stopped.rounds == full.rounds[:kept]
+            assert (out / "refinement.jsonl").read_text().splitlines() == log[:kept]
 
 
 class TestOutputs:
@@ -452,14 +502,16 @@ class TestMonteCarlo:
         ],
     )
     def test_non_positive_sizes_rejected(self, small_run, field, value, key):
-        _, config, res, _ = small_run
+        # refused when the config is built, before any simulation can start
+        _, config, _, _ = small_run
         with pytest.raises(ValueError, match=key):
-            validate_monte_carlo(replace(res, config=replace(config, **{field: value})))
+            replace(config, **{field: value})
 
     def test_start_cell_outside_the_grid_rejected(self, small_run):
         _, config, res, _ = small_run
         res_small = replace(res, config=replace(config, sim_trials=10))
-        for cell in (-1, res.abstraction.grid.num_cells):
+        # 1.5 was once truncated to cell 1, and True taken as cell 1
+        for cell in (-1, res.abstraction.grid.num_cells, 1.5, True):
             with pytest.raises(ValueError, match=f"start cell {cell} "):
                 validate_monte_carlo(res_small, cells=[0, cell])
 

@@ -1,6 +1,8 @@
 """Refinement scoring, split-dimension choice, and the incremental row
 update, checked bit for bit against a full rebuild of the refined grid."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,15 +135,17 @@ class TestRefineRound:
         ({"per_round": -1}, "'per_round'"),
         ({"rounds": -1}, "'rounds'"),
         ({"split_mode": "diag"}, "'split_mode'"),
+        ({"stop_width": -1.0}, "'stop_width'"),
+        ({"stop_width": float("nan")}, "'stop_width'"),
+        ({"stop_width": float("inf")}, "'stop_width'"),
     ])
-    def test_bad_settings_rejected_before_splitting(self, small_problem, settings, key):
-        # per_round=-1 once took scores[:-1] and split all but the last cell
-        _, _, ab, syn = small_problem
-        before = ab.grid.num_cells
+    def test_bad_settings_rejected_before_splitting(self, settings, key):
+        # per_round=-1 once took scores[:-1] and split all but the last cell;
+        # now no such config can be built or derived, so no round gets one
         with pytest.raises(ValueError, match=key):
-            refine_round(ab.grid, ab.imdp, syn.p_lower, syn.p_upper,
-                         RefinementConfig(**{"per_round": 1, **settings}), ab.bounds)
-        assert ab.grid.num_cells == before
+            RefinementConfig(**{"per_round": 1, **settings})
+        with pytest.raises(ValueError, match=key):
+            replace(RefinementConfig(per_round=1), **settings)
 
     def test_zero_scores_split_nothing(self):
         imdp = _score_fixture()
