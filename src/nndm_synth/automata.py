@@ -286,20 +286,11 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     n_dfa = len(dfa.states)
     num_cells = imdp.num_cells
 
-    col_cache: dict[frozenset, np.ndarray] = {}
-
-    def succ_col(labels: frozenset) -> np.ndarray:
-        if labels not in col_cache:
-            col_cache[labels] = np.array(
-                [dfa_idx[dfa.step(s, labels)] for s in dfa.states], dtype=np.int64
-            )
-        return col_cache[labels]
-
     # tables indexed by a target: num_cells + 1 rows, the last one UNSAFE_ID's
-    next_tbl = np.empty((num_cells + 1, n_dfa), dtype=np.int64)
-    for q in range(num_cells):
-        next_tbl[q] = succ_col(imdp.labels[q])
-    next_tbl[UNSAFE_ID] = succ_col(frozenset({UNSAFE_PROP}))
+    unsafe = frozenset({UNSAFE_PROP})
+    column = {labels: [dfa_idx[dfa.step(s, labels)] for s in dfa.states]
+              for labels in {*imdp.labels, unsafe}}
+    next_tbl = np.array([column[labels] for labels in (*imdp.labels, unsafe)], dtype=np.int64)
 
     acc = {dfa_idx[s] for s in dfa.accepting}
     dead = {dfa_idx[s] for s in dfa.dead_states()}

@@ -112,9 +112,9 @@ class PipelineConfig:
 
     domain: HyperRect
     covariance: np.ndarray
-    grid: list[int]
+    grid: tuple[int, ...]
     dfa: Dfa
-    regions: list[tuple[str, HyperRect]] = field(default_factory=list)
+    regions: tuple[tuple[str, HyperRect], ...] = ()
     network: str | None = None
     threshold: float = 0.95
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
@@ -131,7 +131,14 @@ class PipelineConfig:
         """One positive cell count per domain dimension; a Monte Carlo check
         needs a trial per start cell and a step (zero start cells is an empty
         check) and a non-negative seed; the threshold is a probability; value
-        iteration needs a positive finite tolerance and at least one sweep."""
+        iteration needs a positive finite tolerance and at least one sweep.
+        The grid and regions are stored as tuples and the covariance as a
+        read-only copy, so no field can be changed in place either."""
+        covariance = np.array(self.covariance, dtype=float)
+        covariance.flags.writeable = False
+        object.__setattr__(self, "covariance", covariance)
+        object.__setattr__(self, "grid", tuple(self.grid))
+        object.__setattr__(self, "regions", tuple(map(tuple, self.regions)))
         if len(self.grid) != self.domain.dim or any(c < 1 for c in self.grid):
             raise ValueError(f"'grid' needs one positive count per domain dimension, got {self.grid}")
         for key, value, least in (
@@ -150,6 +157,11 @@ class PipelineConfig:
             raise ValueError(f"vi 'tolerance' must be positive and finite, got {self.vi_tolerance}")
         if self.vi_max_sweeps < 1:
             raise ValueError(f"vi 'max_sweeps' must be at least 1, got {self.vi_max_sweeps}")
+
+    def __setstate__(self, state):
+        """An unpickled config is normalized and checked like a built one."""
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str = ".") -> "PipelineConfig":
@@ -191,7 +203,7 @@ class PipelineConfig:
         return cls(
             domain=domain,
             covariance=covariance,
-            grid=_get(raw, "grid", lambda g: [_int(c) for c in g]),
+            grid=_get(raw, "grid", lambda g: tuple(_int(c) for c in g)),
             dfa=dfa,
             regions=regions,
             network=network,

@@ -10,7 +10,10 @@ of affine relaxations through the layer stack: each nonlinear neuron is
 bracketed by two lines valid on its pre-activation interval, and those lines
 are substituted backwards layer by layer until the input is reached. The
 whitening matrices enter the stack as exact linear layers, so all-linear
-networks give flo = fhi up to rounding.
+networks give flo = fhi up to rounding. Sigmoid and tanh neurons get
+chord-or-tangent lines from one upper-line rule: the lower line of an
+increasing s-curve f on [l, u] is the upper line of g(x) = -f(-x) on
+[-u, -l], mirrored back.
 
 `relax_cells` relaxes many boxes under many actions together into one
 `LinearBounds` stack in (box, action) order: every array carries a leading
@@ -91,16 +94,13 @@ def _relu_coeffs(l: np.ndarray, u: np.ndarray):
     return al, bl, au, bu
 
 
-def _bisect_nondecreasing(
-    g, lo, hi, group, sound_high: bool, tol: float = 1e-9, max_iter: int = 80
-):
+def _bisect_nondecreasing(g, lo, hi, group, zero_above=False, tol=1e-9, max_iter=80):
     """Root bracketing for a vectorized nondecreasing g with g(lo) <= 0 <= g(hi).
     Entries are bisected in groups (`group` holds one id per entry): a group
     halves all its brackets until every one of them is closed, so an entry's
-    result does not depend on the other groups in the call.
-    Returns the bracket end on the sound side of the root."""
-    lo = lo.copy()
-    hi = hi.copy()
+    result does not depend on the other groups in the call. A midpoint where
+    g is exactly 0 counts as below the root, or above it with `zero_above`.
+    Returns the upper bracket end."""
     open_groups = np.zeros(int(group.max()) + 1, dtype=bool)
     for _ in range(max_iter):
         open_groups[:] = False
@@ -109,92 +109,59 @@ def _bisect_nondecreasing(
             break
         step = open_groups[group]
         mid = 0.5 * (lo + hi)
-        below = g(mid) <= 0.0
+        gap = g(mid)
+        below = gap < 0.0 if zero_above else gap <= 0.0
         lo = np.where(step & below, mid, lo)
         hi = np.where(step & ~below, mid, hi)
-    return hi if sound_high else lo
+    return hi
+
+
+def _scurve_upper(l, u, fl, fu, k, b, f, df, zero_above: bool = False):
+    """Upper line a*x + c of an increasing sigmoid-shaped f (convex below 0,
+    concave above 0) on [l, u], given f(l), f(u) and the chord k*x + b.
+    Point intervals get the constant f(u), the concave side the midpoint
+    tangent, the convex side the chord, and so does a crossing interval
+    whose chord is no steeper than f'(u); any other crossing interval gets
+    the tangent through (l, f(l)), its touching point bisected in [0, u]
+    row by row (see _bisect_nondecreasing for `zero_above`)."""
+    a = np.zeros_like(l)
+    c = fu.copy()
+    wide = ~((u - l) < _POINT_WIDTH)
+    concave = wide & (l >= 0.0)
+    mid = 0.5 * (l[concave] + u[concave])
+    a[concave] = df(mid)
+    c[concave] = f(mid) - a[concave] * mid
+    cross = wide & (l < 0.0) & (u > 0.0)
+    chord = wide & (u <= 0.0)
+    chord[cross] = k[cross] <= df(u[cross])
+    a[chord] = k[chord]
+    c[chord] = b[chord]
+    tangent = cross & ~chord
+    if np.any(tangent):
+        lt, ut, ft = l[tangent], u[tangent], fl[tangent]
+        gap = lambda d: f(d) + df(d) * (lt - d) - ft
+        d = _bisect_nondecreasing(gap, np.zeros_like(lt), ut, np.nonzero(tangent)[0], zero_above)
+        a[tangent] = df(d)
+        c[tangent] = f(d) - a[tangent] * d
+    return a, c
 
 
 def _scurve_coeffs(l: np.ndarray, u: np.ndarray, f, df):
-    """Lines bracketing an increasing sigmoid-shaped f (convex below 0,
-    concave above 0) on [l, u]. Each row of a 2-D input is one cell: its
-    tangent searches stop on that row's brackets alone."""
+    """Lines bracketing an increasing sigmoid-shaped f on [l, u]. The lower
+    line is the upper line of the reflected curve g(x) = -f(-x) on [-u, -l],
+    mirrored back: a*x + c >= g(x) there iff a*x - c <= f(x) on [l, u]. Both
+    calls share f(l), f(u) and the chord anchored at l, and an exact-zero
+    gap in the reflected search counts on the same side as in the direct
+    one. Each row of a 2-D input is one cell: its tangent searches stop on
+    that row's brackets alone."""
     shape = l.shape
     l, u = np.atleast_2d(l), np.atleast_2d(u)
-    al = np.zeros_like(l)
-    bl = np.zeros_like(l)
-    au = np.zeros_like(l)
-    bu = np.zeros_like(l)
-
     fl, fu = f(l), f(u)
-    point = (u - l) < _POINT_WIDTH
-    # constant envelopes for (near-)degenerate intervals; f is increasing
-    bl[point] = fl[point]
-    bu[point] = fu[point]
-
-    wide = ~point
-    width = np.where(wide, u - l, 1.0)
-    chord_k = (fu - fl) / width
-    mid = 0.5 * (l + u)
-    tang_k = df(mid)
-
-    concave = wide & (l >= 0.0)
-    if np.any(concave):
-        # chord below, midpoint tangent above
-        al[concave] = chord_k[concave]
-        bl[concave] = fl[concave] - chord_k[concave] * l[concave]
-        au[concave] = tang_k[concave]
-        bu[concave] = f(mid[concave]) - tang_k[concave] * mid[concave]
-
-    convex = wide & (u <= 0.0)
-    if np.any(convex):
-        au[convex] = chord_k[convex]
-        bu[convex] = fl[convex] - chord_k[convex] * l[convex]
-        al[convex] = tang_k[convex]
-        bl[convex] = f(mid[convex]) - tang_k[convex] * mid[convex]
-
-    cross = wide & (l < 0.0) & (u > 0.0)
-    if np.any(cross):
-        lc, uc = l[cross], u[cross]
-        flc, fuc = fl[cross], fu[cross]
-        row = np.nonzero(cross)[0]
-        kc = chord_k[cross]
-
-        # upper line: the chord is sound iff its slope is at most f'(u);
-        # otherwise take the tangent through (l, f(l)) on the concave side.
-        ak = np.empty_like(lc)
-        bk = np.empty_like(lc)
-        chord_ok = kc <= df(uc)
-        ak[chord_ok] = kc[chord_ok]
-        bk[chord_ok] = flc[chord_ok] - kc[chord_ok] * lc[chord_ok]
-        need = ~chord_ok
-        if np.any(need):
-            ln, un, fn = lc[need], uc[need], flc[need]
-            gap = lambda d: f(d) + df(d) * (ln - d) - fn
-            d = _bisect_nondecreasing(gap, np.zeros_like(un), un, row[need], sound_high=True)
-            ak[need] = df(d)
-            bk[need] = f(d) - ak[need] * d
-        au[cross] = ak
-        bu[cross] = bk
-
-        # lower line: chord sound iff slope at most f'(l); otherwise the
-        # tangent through (u, f(u)) on the convex side.
-        ak = np.empty_like(lc)
-        bk = np.empty_like(lc)
-        chord_ok = kc <= df(lc)
-        ak[chord_ok] = kc[chord_ok]
-        bk[chord_ok] = flc[chord_ok] - kc[chord_ok] * lc[chord_ok]
-        need = ~chord_ok
-        if np.any(need):
-            ln, un, fn = lc[need], uc[need], fuc[need]
-            gap = lambda d: f(d) + df(d) * (un - d) - fn
-            d = _bisect_nondecreasing(gap, ln, np.zeros_like(ln), row[need], sound_high=False)
-            ak[need] = df(d)
-            bk[need] = f(d) - ak[need] * d
-        al[cross] = ak
-        bl[cross] = bk
-
-    return al.reshape(shape), bl.reshape(shape), au.reshape(shape), bu.reshape(shape)
+    k = (fu - fl) / np.where((u - l) < _POINT_WIDTH, 1.0, u - l)
+    b = fl - k * l
+    au, bu = _scurve_upper(l, u, fl, fu, k, b, f, df)
+    al, c = _scurve_upper(-u, -l, -fu, -fl, k, -b, lambda x: -f(-x), lambda x: df(-x), True)
+    return al.reshape(shape), (-c).reshape(shape), au.reshape(shape), bu.reshape(shape)
 
 
 def _dsigmoid(x):

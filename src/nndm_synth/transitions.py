@@ -159,14 +159,16 @@ def _stacked_entries(
     lows: np.ndarray,
     highs: np.ndarray,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Rows (sources[i], bounds[i]) against the targets [lows, highs],
-    _CHUNK_ROWS rows at a time: yields (first row, vertices, lower, upper)
-    per chunk, with the chunk's post-image vertex sets and its _entries.
-    The target intervals are found once for the whole stack."""
+    """Rows (sources[i], bounds[i]) against the targets [lows, highs], in
+    chunks of about _CHUNK_ROWS full rows' entries (_CHUNK_ROWS rows against
+    every cell, more against fewer targets): yields (first row, vertices,
+    lower, upper) per chunk, with the chunk's post-image vertex sets and its
+    _entries. The target intervals are found once for the whole stack."""
     intervals = _intervals(lows, highs)
-    for s in range(0, len(sources), _CHUNK_ROWS):
-        src = sources[s : s + _CHUNK_ROWS]
-        verts = post_image_hulls(bounds[s : s + _CHUNK_ROWS], grid.lo[src], grid.hi[src])
+    step = max(_CHUNK_ROWS, _CHUNK_ROWS * (grid.num_cells + 1) // (len(lows) + 1))
+    for s in range(0, len(sources), step):
+        src = sources[s : s + step]
+        verts = post_image_hulls(bounds[s : s + step], grid.lo[src], grid.hi[src])
         yield s, verts, *_entries(verts, lows, highs, intervals)
 
 

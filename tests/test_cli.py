@@ -156,10 +156,11 @@ def test_simulate_refuses_format_3_result(tmp_path, capsys):
     # iteration results without full_sweeps, format 6 the abstraction's rows
     # as a dict of per-row objects beside the product's row store, format 7
     # the envelopes as a dict of (cell, action) objects and a transform field,
-    # format 8 a product row store with its own copy of the bounds
+    # format 8 a product row store with its own copy of the bounds, format 9
+    # a config holding its grid and regions as lists and a writable covariance
     nd, config = reach_avoid_2d(grid=(4, 4))
     result = run_pipeline(config, nd=nd)
-    for fmt in (3, 4, 5, 6, 7, 8):
+    for fmt in (3, 4, 5, 6, 7, 8, 9):
         with open(tmp_path / "result.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "fingerprint": None, "object": result}, fh)
         rc = main(["simulate", "--out", str(tmp_path)])
@@ -173,8 +174,9 @@ def test_synthesize_refuses_old_format_tag(workdir, tmp_path, capsys):
     abstraction = build_abstraction(nd, config)
     # format 6 held the abstraction's rows as a dict of per-row objects,
     # format 7 its envelopes as a dict keyed (cell, action) and a transform
-    # field, format 8 row stores without `at`
-    for fmt in (1, 4, 5, 6, 7, 8):
+    # field, format 8 row stores without `at`; format 9 (the result's config
+    # changed) goes too, since one tag covers every artifact
+    for fmt in (1, 4, 5, 6, 7, 8, 9):
         with open(tmp_path / "abstraction.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "object": abstraction}, fh)
         rc = main(["synthesize", "--config", str(workdir / "config.json"), "--out", str(tmp_path)])

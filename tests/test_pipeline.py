@@ -4,6 +4,7 @@ Carlo consistency check."""
 import dataclasses
 import json
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -64,7 +65,7 @@ class TestConfigParsing:
         cfg = PipelineConfig.from_dict(BASE_RAW)
         assert cfg.domain.dim == 2
         assert np.array_equal(cfg.covariance, 0.2 * np.eye(2))
-        assert cfg.grid == [4, 4]
+        assert cfg.grid == (4, 4)
         assert cfg.threshold == 0.95
         assert cfg.refinement.per_round == 0
         assert cfg.dfa.initial == "trying"
@@ -218,6 +219,23 @@ class TestConfigChecks:
             config.threshold = 1.5
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.refinement.rounds = 3
+
+    def test_fields_cannot_be_changed_in_place(self):
+        # grid and regions are tuples and the covariance a read-only copy,
+        # also in a config built from lists and in one read back from a pickle
+        _, config = reach_avoid_2d(grid=(4, 4))
+        covariance = np.array(config.covariance)
+        built = replace(config, grid=[4, 4], regions=list(config.regions), covariance=covariance)
+        covariance[0, 0] = 5.0
+        assert built.covariance[0, 0] == config.covariance[0, 0]
+        for c in (config, built, pickle.loads(pickle.dumps(built))):
+            assert c.grid == (4, 4) and isinstance(c.regions, tuple)
+            with pytest.raises(AttributeError):
+                c.grid.append(3)
+            with pytest.raises(AttributeError):
+                c.regions.append(("goal", c.domain))
+            with pytest.raises(ValueError, match="read-only"):
+                c.covariance[0, 0] = 1.0
 
 
 class TestClassify:

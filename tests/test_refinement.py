@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nndm_synth import transitions
 from nndm_synth.fixtures import reach_avoid_2d, vehicle_3d
 from nndm_synth.geometry import (
     UNSAFE_ID,
@@ -214,12 +215,25 @@ class TestApplyRefinement:
         assert meeting > 0
         _assert_matches_full_rebuild(ab, nd)
 
-    def test_two_rounds_3d_match_full_rebuild_bitwise(self):
+    def test_two_rounds_3d_match_full_rebuild_bitwise(self, monkeypatch):
+        # each round's refresh (against the split cells only, so with more
+        # rows per chunk than a full build) spans several kernel chunks
+        chunks = []
+        stacked = transitions._stacked_entries
+
+        def counted(grid, sources, bounds, lows, highs):
+            parts = list(stacked(grid, sources, bounds, lows, highs))
+            if len(lows) < grid.num_cells:
+                chunks.append(len(parts))
+            return iter(parts)
+
+        monkeypatch.setattr(transitions, "_stacked_entries", counted)
         nd, config = vehicle_3d(grid=(5, 4, 3))
         ab = build_abstraction(nd, config)
         for _ in range(2):
             _, meeting = _refine_once(ab, config, per_round=6)
             assert meeting > 0
+        assert len(chunks) == 2 and min(chunks) >= 2
         _assert_matches_full_rebuild(ab, nd)
 
     def test_split_bookkeeping(self, small_problem):

@@ -123,6 +123,8 @@ class TestScurveCoeffs:
             (-1.0, 1.0), (-0.3, 2.5), (-2.5, 0.3),   # crossing, asymmetric
             (-6.0, 6.0), (-0.01, 0.01),      # wide and narrow
             (1.0, 1.0 + 1e-14),              # point interval
+            (-1.0023, 0.0305), (-0.0305, 1.0023),   # near-linear crossings
+            (-0.5799, 0.0191), (-1.5376, 0.001),
         ]
         cases += [tuple(sorted(rng.normal(0, 2, 2))) for _ in range(60)]
         for l, u in cases:
@@ -144,6 +146,26 @@ class TestScurveCoeffs:
         x = np.linspace(l[0], u[0], 2001)
         assert np.all(au[0] * x + bu[0] >= np.tanh(x) - 1e-9)
 
+    def test_exact_zero_gap_in_the_lower_search(self, monkeypatch):
+        # on this near-linear sigmoid crossing a midpoint of the lower tangent
+        # search lands exactly on gap 0.0; the reflected search must count it
+        # on the same side as a direct search of the lower tangent, which gave
+        # these bits
+        zero_gaps = []
+        bisect = relaxation._bisect_nondecreasing
+
+        def spy(g, lo, hi, group, zero_above=False):
+            def seen(d):
+                gap = g(d)
+                zero_gaps.append(zero_above and np.any(gap == 0.0))
+                return gap
+            return bisect(seen, lo, hi, group, zero_above)
+
+        monkeypatch.setattr(relaxation, "_bisect_nondecreasing", spy)
+        al, bl, _, _ = _scurve_coeffs(np.array([-0.5799]), np.array([0.0191]), _sigmoid, relaxation._dsigmoid)
+        assert any(zero_gaps)
+        assert al[0] == float.fromhex("0x1.fffd02f6ac05bp-3")
+        assert bl[0] == float.fromhex("0x1.fffffd908dcb9p-2")
 
     @pytest.mark.parametrize("name", ["sigmoid", "tanh"])
     def test_rows_match_one_dimensional_calls(self, name):
