@@ -128,28 +128,40 @@ def rect_hull(vertices: np.ndarray) -> HyperRect:
     return HyperRect(vertices.min(axis=0), vertices.max(axis=0))
 
 
+def post_image_boxes(bounds: "LinearBounds", lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corner boxes (box_lo, box_hi), each (R, 2^n, n): for corner v = k of
+    the cell [lo[r], hi[r]] (_corner_masks order), box k of row r spans
+    lower(v) and upper(v) of the envelope bounds[r], elementwise, so it holds
+    every image of v.
+
+    The convex hull of the boxes' corners contains the image of the whole
+    cell (see post_image_hulls). The envelopes are applied in one stacked
+    np.matmul; each row is bitwise what its envelope gives on its cell alone.
+    """
+    n = lo.shape[1]
+    verts = np.where(_corner_masks(n), hi[:, None, :], lo[:, None, :])  # (R, 2^n, n)
+    los = np.matmul(verts, bounds.A_lo.transpose(0, 2, 1)) + bounds.b_lo[:, None, :]
+    his = np.matmul(verts, bounds.A_hi.transpose(0, 2, 1)) + bounds.b_hi[:, None, :]
+    box_lo = np.minimum(los, his)
+    box_hi = np.maximum(los, his)
+    if box_lo.size == 0 or not (np.all(np.isfinite(box_lo)) and np.all(np.isfinite(box_hi))):
+        raise ValueError("post-image vertices must be finite and non-empty")
+    return box_lo, box_hi
+
+
 def post_image_hulls(bounds: "LinearBounds", lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Candidate vertex sets, shape (R, 4^n, n): row r's convex hull contains
     the image of the cell [lo[r], hi[r]] under the envelope bounds[r].
 
     For each cell corner v the true image lies in the box
-    [lower(v), upper(v)]; the union of those boxes' corners (2^n boxes with
-    2^n corners each) spans a convex hull that contains the whole image. The
-    envelopes are applied in one stacked np.matmul; each row is bitwise what
-    its envelope gives on its cell alone.
+    [lower(v), upper(v)] (post_image_boxes); the union of those boxes'
+    corners (2^n boxes with 2^n corners each, box by box) spans a convex
+    hull that contains the whole image.
     """
-    n = lo.shape[1]
-    masks = _corner_masks(n)                                      # (2^n, n)
-    verts = np.where(masks, hi[:, None, :], lo[:, None, :])       # (R, 2^n, n)
-    los = np.matmul(verts, bounds.A_lo.transpose(0, 2, 1)) + bounds.b_lo[:, None, :]
-    his = np.matmul(verts, bounds.A_hi.transpose(0, 2, 1)) + bounds.b_hi[:, None, :]
-    box_lo = np.minimum(los, his)
-    box_hi = np.maximum(los, his)
-    corners = np.where(masks, box_hi[:, :, None, :], box_lo[:, :, None, :])
-    corners = corners.reshape(len(verts), -1, n)
-    if corners.size == 0 or not np.all(np.isfinite(corners)):
-        raise ValueError("post-image vertices must be finite and non-empty")
-    return corners
+    box_lo, box_hi = post_image_boxes(bounds, lo, hi)
+    R, B, n = box_lo.shape
+    corners = np.where(_corner_masks(n), box_hi[:, :, None, :], box_lo[:, :, None, :])
+    return corners.reshape(R, B * B, n)
 
 
 def post_image_hull(bounds: "LinearBounds", cell: HyperRect) -> np.ndarray:

@@ -2,18 +2,27 @@
 
 In whitened coordinates the one-step successor of x is N(m, I) with mean
 m = T f_a(T^{-1} x); the probability of landing in an axis box is a product
-of one-dimensional erf differences. Bounding the mean over a cell's
-post-image hull therefore bounds the whole transition row, and the extremal
-means over the hull's rectangle have a nearest/farthest closed form per
-dimension.
+of one-dimensional erf differences. A cell's post-image lies in the convex
+hull of 2^n corner boxes (geometry.post_image_boxes), so bounding the mean
+over that hull bounds the whole transition row.
+
+Upper bounds take the nearest mean in the hull's rectangle and lower bounds
+the farthest one, a closed form per dimension. Where the target meets the
+rectangle, the lower bound is the minimum over the hull's vertices (the mass
+is log-concave in the mean, so that is the minimum over the hull), and the
+vertices are the corners of the boxes. A box's smallest corner product is
+the product of the smaller erf term of its two sides in each dimension:
+every term is non-negative and a rounded product of non-negative numbers is
+monotone in each factor. So one product per box, not one per vertex, gives
+bitwise what gaussian_box_mass gives on all 4^n vertices.
 
 The kernel is separable: a target's term in dimension d depends only on its
 interval in d, and a grid has few distinct intervals per dimension. So the
-rows of one action are built as one stack. Per dimension, each row's erf
-terms for its nearest and farthest mean are tabulated over the distinct
-target intervals, gathered into the (rows, targets) layout and multiplied
+rows of one action are built as one stack. Each row's erf terms for its
+nearest and farthest mean are tabulated over the distinct target intervals
+of every dimension, gathered into the (rows, targets) layout and multiplied
 in dimension order, exactly as `gaussian_box_mass` multiplies them. The
-vertex minimum then runs only on the (row, target) pairs whose target meets
+corner-box minimum runs only on the (row, target) pairs whose target meets
 the row's rectangle. Refinement refreshes rows through the same kernel.
 """
 
@@ -24,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.special import erf, erfc
 
-from .geometry import UNSAFE_ID, RegionGrid, post_image_hulls
+from .geometry import UNSAFE_ID, RegionGrid, post_image_boxes
 from .imdp import RowStore
 from .relaxation import LinearBounds
 
@@ -32,8 +41,12 @@ _SQRT2 = float(np.sqrt(2.0))
 _PRUNE = 1e-12      # row entries with upper bound below this are dropped
 _FEAS_TOL = 1e-8    # slack for the sum-feasibility sanity check
 # Rows per stacked kernel pass. Keeps the temporaries near 1 MiB on grids of
-# about a thousand cells (16-32 rows ran fastest); the value changes no result.
-_CHUNK_ROWS = 16
+# about a thousand cells; on 720 cells, 32 rows ran fastest of 8-64 without
+# raising peak memory (64 did). The value changes no result.
+_CHUNK_ROWS = 32
+# Rows per pass of the out-of-domain column, which is computed for a whole
+# stack before its kernel chunks: a few passes, small temporaries.
+_OUT_ROWS = 1024
 
 
 class InternalConsistencyError(RuntimeError):
@@ -43,16 +56,19 @@ class InternalConsistencyError(RuntimeError):
 
 def _erf_terms(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per-dimension factor 2 P(z + N(0, 1) in [lo, hi]), elementwise. Far
-    tails switch to erfc so the erf difference does not cancel."""
+    tails switch to erfc so the erf difference does not cancel; each element
+    evaluates only its own branch."""
     a = (z - lo) / _SQRT2
     b = (z - hi) / _SQRT2
-    term = erf(a) - erf(b)
     right = b >= 4.0
-    if np.any(right):
-        term = np.where(right, erfc(b) - erfc(a), term)
     left = a <= -4.0
-    if np.any(left):
-        term = np.where(left, erfc(-a) - erfc(-b), term)
+    if not (right.any() or left.any()):
+        return erf(a) - erf(b)
+    term = np.empty(a.shape)
+    mid = ~(right | left)
+    term[mid] = erf(a[mid]) - erf(b[mid])
+    term[right] = erfc(b[right]) - erfc(a[right])
+    term[left] = erfc(-a[left]) - erfc(-b[left])
     return term
 
 
@@ -97,58 +113,80 @@ def _check_sums(rows: RowStore, cells, actions: Sequence[str]) -> None:
         )
 
 
-def _intervals(lows: np.ndarray, highs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per dimension: the distinct target intervals (lo, hi), each (K,), and
-    every target's index into them, (C,). Intervals are told apart by their
-    bits, so a gathered term is exactly the term of the target's own bounds."""
-    out = []
+def _intervals(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct target intervals of every dimension, concatenated:
+    (lo, hi, dim), each (K,), where dim[k] is the dimension of interval k,
+    and idx (n, C), where idx[d, q] is target q's interval in dimension d.
+    Intervals are told apart by their bits, so a gathered term is exactly
+    the term of the target's own bounds."""
+    parts, idx, k = [], [], 0
     for d in range(lows.shape[1]):
         pairs = np.stack([lows[:, d], highs[:, d]], axis=1)
         _, first, inv = np.unique(pairs.view(np.int64), axis=0, return_index=True, return_inverse=True)
-        out.append((pairs[first, 0], pairs[first, 1], inv.reshape(-1)))
-    return out
+        idx.append(k + inv.reshape(-1))
+        parts.append(pairs[first])
+        k += len(first)
+    dim = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    ilo, ihi = np.concatenate(parts).T
+    return ilo, ihi, dim, np.stack(idx)
+
+
+def _corner_box_min(
+    box_lo: np.ndarray,
+    box_hi: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+) -> np.ndarray:
+    """The lowest mass over the corners of each of P corner-box sets
+    [box_lo, box_hi] (P, B, n) against its target box [lows, highs] (P, n),
+    as (P,). Per box and dimension the smaller erf term of the box's two
+    sides is kept; the kept terms are multiplied in dimension order, which
+    gives the box's smallest corner product, and the smallest box is scaled
+    and clipped. The terms are non-negative, and rounded products, the
+    scaling and the clip are monotone in each operand, so this is bitwise
+    the minimum of gaussian_box_mass over all the boxes' corners."""
+    sides = _erf_terms(np.stack([box_lo, box_hi]), lows[:, None, :], highs[:, None, :])
+    boxes = np.prod(np.minimum(sides[0], sides[1]), axis=-1)  # as in gaussian_box_mass
+    return np.clip(boxes.min(axis=1) / 2.0 ** box_lo.shape[2], 0.0, 1.0)
 
 
 def _entries(
-    vertices: np.ndarray,
+    box_lo: np.ndarray,
+    box_hi: np.ndarray,
     lows: np.ndarray,
     highs: np.ndarray,
-    intervals: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    intervals: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) of shape (R, C) for R rows, each given by its candidate
-    mean vertices (R, M, n), against C target boxes [lows, highs] (C, n)
-    whose per-dimension intervals are `intervals` (see _intervals). Upper
-    bounds use the nearest mean, lower bounds the farthest one, tightened to
-    the minimum over the row's vertices on the (row, target) pairs whose
-    target meets the row's rectangle. Entries below _PRUNE come back as 0; a
-    row stores only targets with positive upper. Each row's entries are
-    bitwise those of gaussian_box_mass on that row alone."""
-    rect_lo, rect_hi = vertices.min(axis=1), vertices.max(axis=1)
-    for d, (ilo, ihi, inv) in enumerate(intervals):
-        r_lo, r_hi = rect_lo[:, d, None], rect_hi[:, d, None]
-        z_min, z_max = extremal_means(r_lo, r_hi, ilo, ihi)       # (R, K)
-        up = _erf_terms(z_max, ilo, ihi)[:, inv]
-        lo = _erf_terms(z_min, ilo, ihi)[:, inv]
-        meet = ((ihi >= r_lo) & (ilo <= r_hi))[:, inv]
-        if d == 0:
-            upper, lower, meets = up, lo, meet
-        else:  # dimension order, as np.prod multiplies in gaussian_box_mass
-            upper *= up
-            lower *= lo
-            meets &= meet
-    scale = 2.0 ** vertices.shape[2]
-    upper = np.clip(upper / scale, 0.0, 1.0)
-    lower = np.clip(lower / scale, 0.0, 1.0)
+    """(lower, upper) of shape (R, C) for R rows, each given by its corner
+    boxes [box_lo, box_hi] (R, B, n) (see geometry.post_image_boxes; a vertex
+    set is the case box_lo = box_hi), against C target boxes [lows, highs]
+    (C, n) whose intervals are `intervals` (see _intervals). Upper bounds use
+    the nearest mean in the row's rectangle, lower bounds the farthest one,
+    tightened to the corner-box minimum (_corner_box_min) on the
+    (row, target) pairs whose target meets the rectangle. Entries below
+    _PRUNE come back as 0; a row stores only targets with positive upper.
+    Each row's entries are bitwise those of gaussian_box_mass on that row
+    alone, at the extremal means and at every corner of its boxes."""
+    ilo, ihi, dim, idx = intervals
+    # each row's rectangle side in the dimension of every interval: (R, K)
+    r_lo, r_hi = box_lo.min(axis=1)[:, dim], box_hi.max(axis=1)[:, dim]
+    z_min, z_max = extremal_means(r_lo, r_hi, ilo, ihi)
+    terms = _erf_terms(np.stack([z_max, z_min]), ilo, ihi)           # (2, R, K)
+    meet = (ihi >= r_lo) & (ilo <= r_hi)
+    bounds, meets = terms[:, :, idx[0]], meet[:, idx[0]]
+    for d in range(1, len(idx)):  # dimension order, as np.prod multiplies in gaussian_box_mass
+        bounds *= terms[:, :, idx[d]]
+        meets &= meet[:, idx[d]]
+    bounds /= 2.0 ** box_lo.shape[2]
+    np.clip(bounds, 0.0, 1.0, out=bounds)
+    upper, lower = bounds
 
     r, c = np.nonzero(meets)
     if r.size:
-        # vertex enumeration is exact for the lower bound over the hull
-        vals = gaussian_box_mass(vertices[r], lows[c, None, :], highs[c, None, :])
-        lower[r, c] = vals.min(axis=1)
+        lower[r, c] = _corner_box_min(box_lo[r], box_hi[r], lows[c], highs[c])
 
-    lower = np.minimum(lower, upper)
-    upper = np.where(upper >= _PRUNE, upper, 0.0)
-    lower = np.where(lower >= _PRUNE, lower, 0.0)
+    np.minimum(lower, upper, out=lower)
+    bounds[bounds < _PRUNE] = 0.0
     return lower, upper
 
 
@@ -158,18 +196,32 @@ def _stacked_entries(
     bounds: LinearBounds,
     lows: np.ndarray,
     highs: np.ndarray,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Rows (sources[i], bounds[i]) against the targets [lows, highs], in
     chunks of about _CHUNK_ROWS full rows' entries (_CHUNK_ROWS rows against
-    every cell, more against fewer targets): yields (first row, vertices,
-    lower, upper) per chunk, with the chunk's post-image vertex sets and its
-    _entries. The target intervals are found once for the whole stack."""
+    every cell, more against fewer targets): yields (first row, lower, upper)
+    per chunk, the _entries of the chunk's corner boxes. The target
+    intervals are found once for the whole stack."""
     intervals = _intervals(lows, highs)
     step = max(_CHUNK_ROWS, _CHUNK_ROWS * (grid.num_cells + 1) // (len(lows) + 1))
     for s in range(0, len(sources), step):
         src = sources[s : s + step]
-        verts = post_image_hulls(bounds[s : s + step], grid.lo[src], grid.hi[src])
-        yield s, verts, *_entries(verts, lows, highs, intervals)
+        boxes = post_image_boxes(bounds[s : s + step], grid.lo[src], grid.hi[src])
+        yield s, *_entries(*boxes, lows, highs, intervals)
+
+
+def _out_of_domain(grid: RegionGrid, sources: np.ndarray, bounds: LinearBounds) -> np.ndarray:
+    """The out-of-domain intervals of rows (sources[i], bounds[i]), as one
+    (2, R) array of lower and upper bounds: one minus the domain's mass at
+    the nearest and at the farthest mean of each row's rectangle."""
+    dom = grid.domain
+    out = np.empty((2, len(sources)))
+    for s in range(0, len(sources), _OUT_ROWS):
+        src = sources[s : s + _OUT_ROWS]
+        box_lo, box_hi = post_image_boxes(bounds[s : s + _OUT_ROWS], grid.lo[src], grid.hi[src])
+        dz_min, dz_max = extremal_means(box_lo.min(axis=1), box_hi.max(axis=1), dom.lo, dom.hi)
+        out[:, s : s + _OUT_ROWS] = 1.0 - gaussian_box_mass(np.stack([dz_max, dz_min]), dom.lo, dom.hi)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def transition_rows(
@@ -187,24 +239,25 @@ def transition_rows(
     bitwise what a stack of that row alone gives."""
     cells = np.asarray(cells, dtype=np.int64)
     sources = cells.repeat(len(actions))
-    dom = grid.domain
+    out = _out_of_domain(grid, sources, bounds)
     # the entries go in buffers with room for dense rows, of which only the
     # pages written are touched; chunk arrays die young and leave no holes
     sizes = np.empty(sources.size, dtype=np.int64)
     room = sources.size * (grid.num_cells + 1)
     col, lo, up = np.empty(room, dtype=np.int64), np.empty(room), np.empty(room)
     end = 0
-    for s, verts, lower, upper in _stacked_entries(grid, sources, bounds, grid.lo, grid.hi):
-        dz_min, dz_max = extremal_means(verts.min(axis=1), verts.max(axis=1), dom.lo, dom.hi)
-        out_lo = np.clip(1.0 - gaussian_box_mass(dz_max, dom.lo, dom.hi), 0.0, 1.0)
-        out_up = np.clip(1.0 - gaussian_box_mass(dz_min, dom.lo, dom.hi), 0.0, 1.0)
+    for s, lower, upper in _stacked_entries(grid, sources, bounds, grid.lo, grid.hi):
         # column 0 is UNSAFE_ID, column q + 1 is cell q
-        lower = np.column_stack([out_lo, lower])
-        upper = np.column_stack([out_up, upper])
-        r, c = np.nonzero(upper)
-        sizes[s : s + len(verts)] = np.bincount(r, minlength=len(verts))
-        k = slice(end, end + r.size)
-        col[k], lo[k], up[k] = c + UNSAFE_ID, lower[r, c], upper[r, c]
+        rows = slice(s, s + len(lower))
+        lower = np.column_stack([out[0, rows], lower])
+        upper = np.column_stack([out[1, rows], upper])
+        flat = np.flatnonzero(upper)
+        sizes[rows] = np.count_nonzero(upper, axis=1)
+        k = slice(end, end + flat.size)
+        np.take(lower, flat, out=lo[k])
+        np.take(upper, flat, out=up[k])
+        np.remainder(flat, upper.shape[1], out=col[k])
+        col[k] += UNSAFE_ID
         end = k.stop
     for buf in (col, lo, up):
         buf.resize(end, refcheck=False)  # in place: a view would pin the rest
@@ -233,7 +286,7 @@ def refresh_rows(
     changed[cell_ids] = True
     refreshed = np.flatnonzero(clean)
     fresh = []
-    for s, _, lower, upper in _stacked_entries(
+    for s, lower, upper in _stacked_entries(
         grid, refreshed // rows.num_actions, bounds[clean], grid.lo[cell_ids], grid.hi[cell_ids]
     ):
         r, k = np.nonzero(upper > 0.0)

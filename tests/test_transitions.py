@@ -3,7 +3,8 @@ hulls, and full row assembly.
 
 Oracles here are independent of the code under test: adaptive quadrature for
 the kernel, dense grids and random convex combinations for the hull minimum,
-and a literal per-cell reimplementation for the row assembly.
+gaussian_box_mass on all 4^n hull vertices for the corner-box minimum, and a
+literal per-cell reimplementation for the row assembly.
 """
 
 import numpy as np
@@ -16,7 +17,9 @@ from nndm_synth.geometry import (
     UNSAFE_ID,
     HyperRect,
     build_grid,
+    post_image_boxes,
     post_image_hull,
+    post_image_hulls,
     rect_hull,
     whitening_transform,
 )
@@ -30,6 +33,7 @@ from nndm_synth.transitions import (
     refresh_rows,
     transition_rows,
     _check_sums,
+    _corner_box_min,
     _entries,
     _intervals,
     _CHUNK_ROWS,
@@ -50,9 +54,10 @@ def unsafe_interval(row):
 
 
 def vertex_lower(vertices, target):
-    """Lower bound _entries ships for one vertex set against one box."""
+    """Lower bound _entries ships for one vertex set against one box: the
+    corner-box set whose boxes are the vertices."""
     lows, highs = target.lo[None], target.hi[None]
-    lower, _ = _entries(vertices[None], lows, highs, _intervals(lows, highs))
+    lower, _ = _entries(vertices[None], vertices[None], lows, highs, _intervals(lows, highs))
     return float(lower[0, 0])
 
 
@@ -144,6 +149,95 @@ class TestExtremalMeans:
         assert np.allclose(z_max[1], [0.3, 0.3])
 
 
+def _random_envelopes(rng, n, count, point=False):
+    """`count` random envelopes on random cells in n dimensions, a quarter of
+    the cells flat in their first dimension. With `point`, lower and upper
+    envelope coincide, so every corner box has zero width."""
+    A_lo, b_lo = rng.normal(0.0, 0.7, (count, n, n)), rng.normal(0.0, 1.0, (count, n))
+    if point:
+        A_hi, b_hi = A_lo, b_lo
+    else:
+        A_hi = A_lo + rng.uniform(-0.3, 0.3, (count, n, n))
+        b_hi = b_lo + rng.uniform(0.0, 0.6, (count, n))
+    lo = rng.uniform(-1.0, 0.0, (count, n))
+    hi = lo + rng.uniform(0.0, 1.2, (count, n))
+    hi[::4, 0] = lo[::4, 0]
+    return LinearBounds(A_lo, b_lo, A_hi, b_hi), lo, hi
+
+
+def _oracle_targets(rng, rect_lo, rect_hi, kind):
+    """One target box per rectangle [rect_lo, rect_hi] (P, n), of a kind:
+    overlapping it, far off it in some dimensions (erf arguments past the
+    |a| >= 4 erfc switch), with an edge about 4 sqrt(2) inside it (corners on
+    both sides of the switch), touching it only at an edge, or flat."""
+    P, n = rect_lo.shape
+    width = rect_hi - rect_lo
+    t_lo = rect_lo + rng.uniform(-0.5, 1.0, (P, n)) * width - rng.uniform(0.0, 1.0, (P, n))
+    t_hi = t_lo + rng.uniform(0.2, 2.0, (P, n))
+    d = rng.integers(0, n, P)
+    i = np.arange(P)
+    if kind == "far":
+        side = rng.integers(0, 2, (P, n)) == 1
+        far = rng.uniform(6.0, 10.0, (P, n))
+        t_lo = np.where(side, rect_hi + far, rect_lo - far - 1.0)
+        t_hi = t_lo + 1.0
+    elif kind == "straddle":
+        t_lo[i, d] = rect_lo[i, d] + 4.0 * np.sqrt(2.0) + 0.5 * width[i, d]
+        t_hi[i, d] = t_lo[i, d] + 1.0
+    elif kind == "edge":
+        t_lo, t_hi = rect_lo - 0.1, rect_hi + 0.1
+        below = rng.integers(0, 2, P) == 1
+        t_hi[i, d] = np.where(below, rect_lo[i, d], rect_hi[i, d] + 1.0)
+        t_lo[i, d] = np.where(below, rect_lo[i, d] - 1.0, rect_hi[i, d])
+    elif kind == "flat":
+        t_hi[i, d] = t_lo[i, d]
+    return t_lo, t_hi
+
+
+_TARGET_KINDS = ("overlap", "far", "straddle", "edge", "flat")
+
+
+class TestCornerBoxMinimum:
+    """The corner-box minimum against gaussian_box_mass on every one of the
+    4^n post-image hull vertices, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", _TARGET_KINDS)
+    @pytest.mark.parametrize("point", [False, True])
+    def test_equals_vertex_minimum_bitwise(self, n, kind, point):
+        rng = np.random.default_rng([n, _TARGET_KINDS.index(kind), point])
+        bounds, lo, hi = _random_envelopes(rng, n, 40, point)
+        box_lo, box_hi = post_image_boxes(bounds, lo, hi)
+        if point:
+            assert np.array_equal(box_lo, box_hi)
+        rect_lo, rect_hi = box_lo.min(axis=1), box_hi.max(axis=1)
+        t_lo, t_hi = _oracle_targets(rng, rect_lo, rect_hi, kind)
+        got = _corner_box_min(box_lo, box_hi, t_lo, t_hi)
+        want = np.array([
+            gaussian_box_mass(post_image_hull(b, HyperRect(lo[p], hi[p])), t_lo[p], t_hi[p]).min()
+            for p, b in enumerate(bounds)
+        ])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if kind in ("far", "straddle"):
+            corners = post_image_hulls(bounds, lo, hi)
+            a = (corners - t_lo[:, None]) / np.sqrt(2.0)
+            b = (corners - t_hi[:, None]) / np.sqrt(2.0)
+            tails = (a <= -4.0) | (b >= 4.0)
+            assert tails.any(), "fixture should reach past the erfc switch"
+            if kind == "straddle":
+                assert (~tails).any(), "fixture should keep corners before the switch"
+        # the row kernel ships this minimum wherever the target meets the
+        # rectangle, an edge included
+        meets = np.all((t_hi >= rect_lo) & (t_lo <= rect_hi), axis=1)
+        if kind == "edge":
+            assert meets.all(), "fixture should touch every rectangle"
+        for p in np.flatnonzero(meets):
+            targets = (t_lo[p : p + 1], t_hi[p : p + 1])
+            lower, upper = _entries(box_lo[p : p + 1], box_hi[p : p + 1], *targets, _intervals(*targets))
+            ship = min(want[p], upper[0, 0])
+            assert lower[0, 0] == (ship if ship >= _PRUNE else 0.0)
+
+
 class TestHullExtrema:
     def test_min_is_exact_on_dense_samples(self):
         rng = np.random.default_rng(31)
@@ -209,29 +303,8 @@ class TestTransitionRow:
     def test_grouped_matches_naive_bitwise(self):
         grid, cell, action, bounds = self._row_inputs()
         row = transition_row(grid, cell, action, bounds)
-        verts = post_image_hull(bounds, grid.cell(cell))
-        hull = rect_hull(verts)
-        lows, highs = grid.boxes()
-        # literal per-cell assembly, no grouping
-        naive_lo = np.empty(grid.num_cells)
-        naive_up = np.empty(grid.num_cells)
-        for q in range(grid.num_cells):
-            z_min, z_max = extremal_means(hull.lo, hull.hi, lows[q], highs[q])
-            naive_up[q] = gaussian_box_mass(z_max, lows[q], highs[q])
-            overlap = np.all(highs[q] >= hull.lo) and np.all(lows[q] <= hull.hi)
-            if overlap:
-                naive_lo[q] = gaussian_box_mass(verts, lows[q], highs[q]).min()
-            else:
-                naive_lo[q] = gaussian_box_mass(z_min, lows[q], highs[q])
-        naive_lo = np.minimum(naive_lo, naive_up)
-        keep = naive_up >= _PRUNE
-        targets = np.flatnonzero(keep)
-        naive_lo = np.where(naive_lo[keep] >= _PRUNE, naive_lo[keep], 0.0)
-        naive_up = naive_up[keep]
-        cells = row.targets != UNSAFE_ID
-        assert np.array_equal(row.targets[cells], targets)
-        assert np.array_equal(row.lower[cells], naive_lo)
-        assert np.array_equal(row.upper[cells], naive_up)
+        # literal per-target assembly, no grouping, out-of-domain entry included
+        _assert_same_row(row, Row(*_naive_row(grid, cell, action, bounds)))
 
     def test_hull_inside_domain_has_tiny_unsafe_lower(self):
         grid, cell, action, bounds = self._row_inputs(cell=21)
@@ -250,11 +323,13 @@ class TestTransitionRow:
         inputs = [self._row_inputs(cell=c) for c in (14, 21)]
         grid = inputs[0][0]
         rows = [transition_row(g, c, a, b) for g, c, a, b in inputs]
-        verts = np.stack([post_image_hull(b, g.cell(c)) for g, c, _, b in inputs])
-        rect_lo, rect_hi = verts.min(axis=1), verts.max(axis=1)
+        cells = np.array([c for _, c, _, _ in inputs])
+        stack = LinearBounds.concat(b[None] for _, _, _, b in inputs)
+        box_lo, box_hi = post_image_boxes(stack, grid.lo[cells], grid.hi[cells])
+        rect_lo, rect_hi = box_lo.min(axis=1), box_hi.max(axis=1)
         lows, highs = grid.boxes()
         ids = np.arange(1, grid.num_cells, 3)
-        lower, upper = _entries(verts, lows[ids], highs[ids], _intervals(lows[ids], highs[ids]))
+        lower, upper = _entries(box_lo, box_hi, lows[ids], highs[ids], _intervals(lows[ids], highs[ids]))
         assert lower.shape == upper.shape == (2, ids.size)
         meets = np.all((highs[ids] >= rect_lo[:, None]) & (lows[ids] <= rect_hi[:, None]), axis=2)
         assert meets.any(axis=1).all(), "fixture should put targets on each rectangle"
@@ -324,6 +399,23 @@ class TestStackedRows:
                           config.grid, config.regions)
         for action in nd.actions[:2]:
             self._assert_matches_naive(nd, grid, action, np.arange(grid.num_cells))
+
+    def test_whole_store_matches_naive_bitwise(self):
+        # every row of every action, as build_abstraction stacks them, against
+        # the literal per-target rows laid out as a store: bytes equal
+        nd, config = vehicle_3d(grid=(5, 4, 3))
+        grid = build_grid(config.domain, whitening_transform(config.covariance),
+                          config.grid, config.regions)
+        A = len(nd.actions)
+        cells = np.arange(grid.num_cells)
+        envs = relax_cells(nd, nd.actions, grid.transform, grid.lo, grid.hi)
+        rows = transition_rows(grid, cells, nd.actions, envs)
+        assert len(rows) == grid.num_cells * A == 840  # region cuts: 120 cells
+        naive = [_naive_row(grid, r // A, nd.actions[r % A], b) for r, b in enumerate(envs)]
+        indptr = np.concatenate([[0], np.cumsum([len(t) for t, _, _ in naive])])
+        col, lo, up = (np.concatenate(parts) for parts in zip(*naive))
+        for got, want in ((rows.indptr, indptr), (rows.col, col), (rows.lo, lo), (rows.up, up)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_targets_in_both_erfc_tails(self):
         nd, grid = _far_tails_2d()
