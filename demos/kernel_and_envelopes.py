@@ -91,3 +91,6 @@ print(f"transition row keeps {cells.size} of {grid.num_cells} cells; largest:")
 for k in order:
     print(f"  cell {row.targets[k]:3d}: [{row.lower[k]:.4f}, {row.upper[k]:.4f}]")
 print(f"out-of-domain mass in [{row.lower[out].sum():.2e}, {row.upper[out].sum():.2e}]")
+# the cells whose upper bound fell below the pruning threshold left the row;
+# their upper bounds add up to the row's remainder, mass on no named target
+print(f"remainder (pruned cells' mass) at most {rows.rem[0]:.2e}")

@@ -246,7 +246,8 @@ class ProductImdp:
     virtual out-of-domain component. next_tbl[q, d] is the DFA state entered
     from DFA state d on moving into target q (UNSAFE_ID selects its last
     row). `rows` holds the product rows, keyed (pid, action): each a base row
-    with its targets renamed to pids, sharing the bounds of imdp.rows."""
+    with its targets renamed to pids and its remainder, sharing the bounds of
+    imdp.rows."""
 
     imdp: Imdp
     dfa: Dfa
@@ -270,8 +271,9 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     """Synchronous product: a transition into cell q' advances the DFA on
     L(q'), and a cell's initial product state consumes its own label first.
     A product row is its base row with targets renamed to pids: the product's
-    RowStore, in (pid, action) order, holds only that pid column and reads
-    the bounds from the base store's lo and up, in base order.
+    RowStore, in (pid, action) order, holds only that pid column and its
+    rows' remainders, and reads the bounds from the base store's lo and up,
+    in base order.
     Accepting DFA states are absorbing; dead DFA states and the non-accepting
     out-of-domain states form the sink."""
     used = set().union(*imdp.labels) if imdp.labels else set()
@@ -338,7 +340,8 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     base_rows = (base.first[cells][:, None] + np.arange(A)).ravel()
     sizes = np.diff(base.indptr)[base_rows]
     col.resize(end, refcheck=False)  # in place: a view would pin the rest
-    rows = RowStore(first, A, sizes, col, base.lo, base.up, at=base.indptr[base_rows])
+    rows = RowStore(first, A, sizes, col, base.lo, base.up,
+                    at=base.indptr[base_rows], rem=base.rem[base_rows])
 
     accepting = np.array([d in acc for (_, d) in states], dtype=bool)
     sink = np.array(

@@ -15,7 +15,9 @@ along each row gives the mass C_k the adversary may move onto its k
 preferred states. By Abel summation the row's value is
 lo.V + min(C, budget) @ dv, with budget = 1 - sum(lo) and
 dv_k = v_k - v_{k+1} in rank order, so there is no per-row sort and no
-Python per state.
+Python per state. A row's remainder (the upper mass of the targets pruned
+from it) is filled first by either adversary: the minimizer sends it to
+value 0 and the maximizer to value 1.
 
 A sweep orders the live states by descending value and walks them in blocks
 of about _BLOCK_CELLS buffer cells: Gauss-Seidel across blocks (each block
@@ -76,8 +78,8 @@ class Imdp:
 
     def validate(self, tol: float = 1e-8) -> None:
         """Sanity checks on every row; raises on violation, naming the first
-        bad row and the first check it fails. At most two masks over the
-        entries live at a time."""
+        bad row and the first check it fails. The upper sum counts the row's
+        remainder. At most two masks over the entries live at a time."""
         if len(self.labels) != self.num_cells:
             raise ValueError("one label set per cell required")
         rows = self.rows
@@ -98,13 +100,14 @@ class Imdp:
             (holds(lo < 0.0) | holds(lo > 1.0) | holds(up < 0.0) | holds(up > 1.0),
              "probabilities outside [0, 1]"),
             (holds(lo > up), "lower bound exceeds upper bound"),
+            (~((rows.rem >= 0.0) & (rows.rem <= 1.0)), "remainder outside [0, 1]"),
             ((lo_sum > 1.0 + tol) | (up_sum < 1.0 - tol), None),
         ]
         bad = np.flatnonzero(np.any([flags for flags, _ in checks], axis=0))
         if bad.size:
             r = int(bad[0])
             what = next(what for flags, what in checks if flags[r])
-            what = what or f"infeasible sums ({lo_sum[r]}, {up_sum[r]})"
+            what = what or f"infeasible sums (lower {lo_sum[r]}, upper with remainder {up_sum[r]})"
             raise ValueError(f"row {list(rows)[r]}: {what}")  # the key of row r
 
 
@@ -124,12 +127,15 @@ class RowStore(Mapping):
     Row r holds entries indptr[r]:indptr[r+1] of `col` (distinct targets, at
     least one) and as many bounds from at[r] on in `lo` and `up`: its own in
     the abstraction (at = indptr[:-1], targets increasing), the abstraction's
-    in the product, in base order. Rows run in (state, action) order; a state
-    has all num_actions rows, from row first[s] on, or none (first[s] = -1).
-    As a read-only Mapping it yields (state, action) -> Row. The constructor
-    takes each row's entry count, in row order, and the entries' col, lo, up."""
+    in the product, in base order. rem[r] is the row's remainder: the upper
+    mass, at most 1, of the targets pruned from it, which no entry holds. It
+    has no lower bound and no target id. Rows run in (state, action) order; a
+    state has all num_actions rows, from row first[s] on, or none
+    (first[s] = -1). As a read-only Mapping it yields (state, action) -> Row.
+    The constructor takes each row's entry count, in row order, the entries'
+    col, lo, up, and each row's remainder (default 0)."""
 
-    def __init__(self, first, num_actions: int, sizes, col, lo, up, at=None):
+    def __init__(self, first, num_actions: int, sizes, col, lo, up, at=None, rem=None):
         self.first = np.asarray(first, dtype=np.int64)
         self.num_actions = num_actions
         self.indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
@@ -140,6 +146,9 @@ class RowStore(Mapping):
             raise ValueError("every row needs at least one entry")
         self.col, self.lo, self.up = col, lo, up
         self.at = self.indptr[:-1] if at is None else np.asarray(at, dtype=np.int64)
+        self.rem = np.zeros(len(sizes)) if rem is None else np.asarray(rem, dtype=float)
+        if self.rem.shape != (len(sizes),):
+            raise ValueError("need one remainder per row")
 
     @classmethod
     def from_rows(cls, rows: Mapping, num_states: int, num_actions: int) -> "RowStore":
@@ -158,12 +167,13 @@ class RowStore(Mapping):
         sizes = [len(rows[k][0]) for k in keys]
         return cls(first, num_actions, sizes, packed[0].astype(np.int64), packed[1], packed[2])
 
-    def splice(self, num_states: int, drop: np.ndarray, parts) -> "RowStore":
+    def splice(self, num_states: int, drop: np.ndarray, parts, rem: np.ndarray) -> "RowStore":
         """A store of every action's row of states 0..num_states-1, where this
         store's row r is row r again: the entries where `drop` is set go, and
         those of `parts`, tuples of arrays (row, target, lo, up), are put
         among the rest in (row, target) order. No (row, target) may repeat.
-        Only for the abstraction's store."""
+        `rem` holds the new store's remainder of every row. Only for the
+        abstraction's store."""
         keep = ~drop
         row, col, lo, up = (np.concatenate(field) for field in zip(*parts))
         # (row, target) as one increasing int64: targets lie in [UNSAFE_ID, span - 1)
@@ -178,11 +188,15 @@ class RowStore(Mapping):
         sizes[: len(self)] += np.add.reduceat(keep, self.indptr[:-1], dtype=np.int64)
         fields = [np.insert(old[keep], at, new[order])
                   for old, new in ((self.col, col), (self.lo, lo), (self.up, up))]
-        return RowStore(np.arange(num_states) * self.num_actions, self.num_actions, sizes, *fields)
+        return RowStore(np.arange(num_states) * self.num_actions, self.num_actions, sizes, *fields, rem=rem)
 
     def sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's sum of lower and of upper bounds (abstraction's store only)."""
-        return np.add.reduceat(self.lo, self.indptr[:-1]), np.add.reduceat(self.up, self.indptr[:-1])
+        """Each row's sum of lower bounds, and of upper bounds plus its
+        remainder: the least and the most mass the row can place
+        (abstraction's store only)."""
+        up_sum = np.add.reduceat(self.up, self.indptr[:-1])
+        up_sum += self.rem
+        return np.add.reduceat(self.lo, self.indptr[:-1]), up_sum
 
     def __getitem__(self, key) -> Row:
         s, a = key
@@ -248,12 +262,17 @@ class _BlockKernel:
 
     With v the values in the adversary's rank order (descending to maximize,
     ascending to minimize), dv_k = v_k - v_{k+1} (v_{S+1} = 0), C a row's
-    cumsum of gaps up - lo in that order and B = max(1 - sum(lo), 0):
-        maximize: lo.V + min(C, B) @ dv
+    cumsum of gaps up - lo in that order, m = min(rem, max(1 - sum(lo), 0))
+    the mass moved onto the row's remainder and B = max(1 - sum(lo), 0) - m:
+        maximize: m + lo.V + min(C, B) @ dv
         minimize: lo.V + B v_1 - max(B - C, 0) @ dv
-    Both are the Abel sum of the ordering method, written so that every
-    term is non-negative: small values keep their relative accuracy next to
-    values near 1. Row targets must be distinct (each entry owns its cell)."""
+    The remainder ranks first for both adversaries: to the maximizer it is
+    worth 1, above every value, and to the minimizer 0, below every value.
+    It needs no lower bound: an adversary that fills it first is never held
+    back by one. Both are the Abel sum of the ordering method over the row's
+    targets plus the remainder, written so that every term is non-negative:
+    small values keep their relative accuracy next to values near 1. Row
+    targets must be distinct (each entry owns its cell)."""
 
     def __init__(self, store: RowStore, num_states: int, width: int):
         self.store = store
@@ -298,6 +317,10 @@ class _BlockKernel:
         w *= lo
         acc = np.add.reduceat(w, offs)
         budget = np.maximum(1.0 - np.add.reduceat(lo, offs), 0.0)
+        moved = np.minimum(store.rem[rows], budget)
+        budget -= moved
+        if maximize:
+            acc += moved
 
         self.rank.take(col, out=pos, mode="clip")
         pos += (self.steps[: rows.size] * S).repeat(length)

@@ -255,19 +255,27 @@ def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome) -> None:
     """Bring the abstraction in line with a round of grid splits: rebuild the
     split cells' rows (those of outcome.dirty) from fresh envelopes, and
     recompute every other row's entries at the split cells' ids from its
-    cached envelope, so each row matches a full rebuild bit for bit. Both go
-    into the next store by one splice of the current one; envelopes follow."""
+    cached envelope, with its remainder trading the split parents' pruned
+    mass for the children's. Each row's targets and bounds then match a full
+    rebuild bit for bit, and its remainder matches up to the order of its
+    sum (within 1e-18 on the benchmark grids). Both go into the next store
+    by one splice of the current one; envelopes follow."""
     grid, imdp, old = abstraction.grid, abstraction.imdp, abstraction.bounds
     A = imdp.num_actions
+    splits = np.array(outcome.splits, dtype=np.int64).reshape(-1, 3)
     # the children of every split, sorted: the cells rebuilt and the target ids refreshed
-    cells = np.sort(np.array(outcome.splits, dtype=np.int64).reshape(-1, 3)[:, :2], axis=None)
+    cells = np.sort(splits[:, :2], axis=None)
+    # a parent spans from its low child's lo to its high child's hi
+    parents = grid.lo[splits[:, 0]], grid.hi[splits[:, 1]]
     clean = ~np.isin(np.arange(len(imdp.rows)) // A, cells)
-    drop, parts = refresh_rows(grid, imdp.rows, clean, old, cells)
+    drop, parts, rem = refresh_rows(grid, imdp.rows, clean, old, cells, parents)
 
     bounds, stack = _compute_rows(abstraction.dynamics, grid, cells)
     dest = (cells[:, None] * A + np.arange(A)).ravel()  # the stack's rows in the next store
     parts.append((dest.repeat(np.diff(stack.indptr)), stack.col, stack.lo, stack.up))
-    imdp.rows = imdp.rows.splice(grid.num_cells, drop, parts)
+    rem = np.concatenate([rem, np.empty(grid.num_cells * A - rem.size)])
+    rem[dest] = stack.rem  # dest holds every new row: the new cells are split children
+    imdp.rows = imdp.rows.splice(grid.num_cells, drop, parts, rem)
     pick = np.arange(len(imdp.rows))  # old rows keep their index, the children's are new
     pick[dest] = len(old) + np.arange(dest.size)
     abstraction.bounds = LinearBounds.concat([old, bounds])[pick]

@@ -41,6 +41,7 @@ from nndm_synth.pipeline import (
 from nndm_synth.refinement import RefinementConfig, refine_round
 from nndm_synth.relaxation import LinearBounds, relax
 from nndm_synth.transitions import (
+    _PRUNE,
     _entries,
     _intervals,
     extremal_means,
@@ -141,8 +142,10 @@ def test_criterion_3_extremal_means_dominate():
 
 def _naive_row(grid, source, action, bounds):
     """Literal per-cell row assembly, no target grouping: (targets, lower,
-    upper), led by the out-of-domain entry UNSAFE_ID when its upper bound is
-    positive."""
+    upper, remainder), led by the out-of-domain entry UNSAFE_ID when its
+    upper bound is positive. Cells whose upper bound is below _PRUNE leave
+    the row and their upper bounds, summed in cell order, are its remainder;
+    kept lower bounds below _PRUNE are 0."""
     verts = post_image_hull(bounds, grid.cell(source))
     hull = rect_hull(verts)
     lows, highs = grid.boxes()
@@ -161,13 +164,17 @@ def _naive_row(grid, source, action, bounds):
     dz_min, dz_max = extremal_means(hull.lo, hull.hi, dom.lo, dom.hi)
     ul = float(np.clip(1.0 - gaussian_box_mass(dz_max, dom.lo, dom.hi), 0.0, 1.0))
     uu = float(np.clip(1.0 - gaussian_box_mass(dz_min, dom.lo, dom.hi), 0.0, 1.0))
-    keep = upper >= 1e-12
+    keep = upper >= _PRUNE
+    rem = 0.0
+    for q in np.flatnonzero(~keep):
+        rem += upper[q]
+    rem = min(1.0, rem)
     targets = np.flatnonzero(keep).astype(np.int64)
-    klo = np.where(lower[keep] >= 1e-12, lower[keep], 0.0)
+    klo = np.where(lower[keep] >= _PRUNE, lower[keep], 0.0)
     kup = upper[keep]
     if uu > 0.0:
         targets, klo, kup = np.r_[UNSAFE_ID, targets], np.r_[ul, klo], np.r_[uu, kup]
-    return targets, klo, kup
+    return targets, klo, kup, rem
 
 
 def test_criterion_4_grouping_equivalence():
@@ -189,11 +196,12 @@ def test_criterion_4_grouping_equivalence():
         )
         rows = transition_rows(grid, np.arange(grid.num_cells), (action,), envs)
         for source, (b, row) in enumerate(zip(envs, rows.values())):
-            targets, lo, up = _naive_row(grid, source, action, b)
+            targets, lo, up, rem = _naive_row(grid, source, action, b)
             same = (
                 np.array_equal(row.targets, targets)
                 and np.array_equal(row.lower, lo)
                 and np.array_equal(row.upper, up)
+                and rows.rem[source] == rem
             )
             mismatches += 0 if same else 1
     dt = time.perf_counter() - t0

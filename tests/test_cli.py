@@ -157,10 +157,11 @@ def test_simulate_refuses_format_3_result(tmp_path, capsys):
     # as a dict of per-row objects beside the product's row store, format 7
     # the envelopes as a dict of (cell, action) objects and a transform field,
     # format 8 a product row store with its own copy of the bounds, format 9
-    # a config holding its grid and regions as lists and a writable covariance
+    # a config holding its grid and regions as lists and a writable covariance,
+    # format 10 row stores without a remainder per row
     nd, config = reach_avoid_2d(grid=(4, 4))
     result = run_pipeline(config, nd=nd)
-    for fmt in (3, 4, 5, 6, 7, 8, 9):
+    for fmt in (3, 4, 5, 6, 7, 8, 9, 10):
         with open(tmp_path / "result.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "fingerprint": None, "object": result}, fh)
         rc = main(["simulate", "--out", str(tmp_path)])

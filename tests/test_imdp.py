@@ -20,6 +20,7 @@ from nndm_synth.imdp import (
     extreme_distribution,
     robust_value_iteration,
 )
+from nndm_synth.transitions import _prune
 
 
 def lp_extreme(vals, lo, up, maximize):
@@ -142,6 +143,37 @@ class TestBlockKernel:
                         for t, lo, up in (rows[r] for r in block)]
                 assert np.max(np.abs(got - want)) < 1e-12
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_remainder_matches_a_virtual_target(self, seed):
+        # a row's remainder is a target the row does not name, with bounds
+        # [0, rem] and value 0 to the minimizer and 1 to the maximizer; rows
+        # are cut so that some need their remainder to reach a sum of 1
+        rng = np.random.default_rng(seed)
+        S = 12
+        rows, rem = [], []
+        for t, lo, up in kernel_rows(rng, S):
+            cut = up - rng.uniform(0.0, 1.0) * (up - lo)  # lower the upper bounds
+            up = cut if rng.uniform() < 0.5 else up
+            rows.append((t, lo, up))
+            rem.append(min(1.0, max(0.0, 1.0 - up.sum()) + rng.choice([0.0, 1e-7, 0.2])))
+        packed = RowStore.from_rows({(r, 0): row for r, row in enumerate(rows)}, len(rows), 1)
+        store = RowStore(packed.first, 1, np.diff(packed.indptr), packed.col, packed.lo, packed.up,
+                         rem=rem)
+        up_sum = store.sums()[1] - store.rem
+        assert np.any(store.rem == 0.0) and np.any((store.rem > 0.0) & (up_sum >= 1.0))
+        assert np.any(up_sum < 1.0 - 1e-3), "fixture should have rows that need their remainder"
+        for V in (rng.uniform(0, 1, S), rng.choice([0.0, 0.5, 1.0], S)):
+            block = rng.permutation(len(rows))
+            for maximize in (False, True):
+                got = _BlockKernel(store, S, 1)(V, block, maximize)
+                want = []
+                for r in block:
+                    t, lo, up = rows[r]
+                    vals = np.r_[V[t], float(maximize)]
+                    gamma = extreme_distribution(np.r_[lo, 0.0], np.r_[up, rem[r]], vals, maximize)
+                    want.append(gamma @ vals)
+                assert np.max(np.abs(got - want)) <= 1e-15
+
     def test_shared_bounds_and_unsorted_targets(self):
         # rows that read another store's bounds in its order, with targets
         # renamed so that target 0, first in its base row as UNSAFE_ID is,
@@ -204,7 +236,8 @@ class TestBlockKernel:
         new_10 = (np.array(missing), np.array([0.05]), np.array([0.07]))
         parts = [(np.full(len(t), 2 * s + a), t, lo, up) for (s, a), (t, lo, up) in new.items()]
         parts.append((np.full(1, 2), *new_10))
-        got = store.splice(3, drop, parts)
+        rem = np.array([0.0, 0.1, 0.0, 0.02, 0.0, 0.3])
+        got = store.splice(3, drop, parts, rem)
 
         want = dict(old)
         want.update(new)
@@ -216,6 +249,7 @@ class TestBlockKernel:
         assert list(got) == list(want)
         for field in ("first", "indptr", "col", "lo", "up"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert np.array_equal(got.rem, rem)
 
 
 @dataclass
@@ -299,6 +333,34 @@ def jacobi_lp_values(product, strategy=None, sweeps=600, tol=1e-12):
         if moved < tol:
             break
     return V
+
+
+def test_pruned_mass_decides_the_bound():
+    # state 0 reaches the goal (state 2) but for a sliver that may end in the
+    # sink (state 3), and state 1 the other way round; the slivers' upper
+    # bounds lie below the pruning threshold of old (1e-12) and of now, so
+    # they leave the rows. Without a remainder the adversary cannot place
+    # them: p_lower came out 1 and p_upper 0, both on the wrong side.
+    lower = np.array([[0.0, 0.0, 1.0 - 1e-12, 5e-13], [0.0, 0.0, 5e-13, 1.0 - 1e-12]])
+    upper = np.array([[0.0, 0.0, 1.0, 9e-13], [0.0, 0.0, 9e-13, 1.0]])
+    rem = _prune(lower, upper)
+    assert np.array_equal(rem, [9e-13, 9e-13])
+    keep = upper > 0.0
+    rows = {(s, 0): (np.flatnonzero(keep[s]), lower[s, keep[s]], upper[s, keep[s]]) for s in (0, 1)}
+    product = FakeProduct(np.array([False, False, True, False]), np.array([False, False, False, True]),
+                          rows, 1)
+    packed = product.rows
+    values = {}
+    for name, r in (("pruned", rem), ("dropped", np.zeros(2))):
+        product.rows = RowStore(packed.first, 1, np.diff(packed.indptr), packed.col, packed.lo,
+                                packed.up, rem=r)
+        low = robust_value_iteration(product, tol=1e-15)
+        high = evaluate_strategy_upper(product, low.strategy, tol=1e-15)
+        values[name] = low.values[0], high.values[1]
+    # the extremes over the unpruned rows: the sliver at its upper bound
+    assert values["pruned"][0] == pytest.approx(1.0 - 9e-13, abs=1e-16)
+    assert values["pruned"][1] == pytest.approx(9e-13, abs=1e-16)
+    assert values["dropped"] == (1.0, 0.0)
 
 
 class TestValueIteration:
@@ -491,22 +553,22 @@ def _mk_row(targets, lower, upper, ul=0.0, uu=0.0):
     return np.asarray(targets, dtype=np.int64), np.asarray(lower, float), np.asarray(upper, float)
 
 
-def _store(rows, num_cells, num_actions):
+def _store(rows, num_cells, num_actions, rem=None):
     """rows, a list of (targets, lower, upper) in (cell, action) order, as a
-    store with all of each cell's rows, packed as given: unlike
-    RowStore.from_rows, this does not refuse unordered targets, so
-    Imdp.validate sees them."""
+    store with all of each cell's rows and the remainders `rem` (default 0),
+    packed as given: unlike RowStore.from_rows, this does not refuse
+    unordered targets, so Imdp.validate sees them."""
     targets, lower, upper = (np.concatenate(field) for field in zip(*rows))
     first = np.full(num_cells, -1)
     first[: len(rows) // num_actions] = np.arange(0, len(rows), num_actions)
-    return RowStore(first, num_actions, [len(t) for t, _, _ in rows], targets, lower, upper)
+    return RowStore(first, num_actions, [len(t) for t, _, _ in rows], targets, lower, upper, rem=rem)
 
 
 class TestImdpValidate:
     labels = [frozenset(), frozenset({"goal"})]
 
-    def _imdp(self, row):
-        return Imdp(actions=("a0",), labels=self.labels, rows=_store([row], 2, 1), num_cells=2)
+    def _imdp(self, row, rem=0.0):
+        return Imdp(actions=("a0",), labels=self.labels, rows=_store([row], 2, 1, [rem]), num_cells=2)
 
     def test_valid_row_passes(self):
         self._imdp(_mk_row([0, 1], [0.2, 0.3], [0.6, 0.7], uu=0.1)).validate()
@@ -541,6 +603,24 @@ class TestImdpValidate:
             self._imdp(_mk_row([0, 1], [0.6, 0.6], [0.7, 0.7])).validate()
         with pytest.raises(ValueError, match="infeasible"):
             self._imdp(_mk_row([0, 1], [0.1, 0.1], [0.3, 0.3])).validate()
+
+    def test_remainder_counts_in_the_upper_sum(self):
+        # upper sums to 0.9: the row is feasible once its remainder makes up
+        # the rest, and the error reports the sum with the remainder
+        row = _mk_row([0, 1], [0.2, 0.3], [0.4, 0.5])
+        self._imdp(row, rem=0.1).validate()
+        with pytest.raises(ValueError, match=r"infeasible sums \(lower 0.5, upper with remainder 0.95"):
+            self._imdp(row, rem=0.05).validate()
+
+    @pytest.mark.parametrize("rem", [-1e-9, 1.0 + 1e-9, np.nan])
+    def test_remainder_outside_unit_interval(self, rem):
+        # the second action's row of cell 1 is the only bad one
+        good = _mk_row([0, 1, 2], [0.2, 0.3, 0.1], [0.6, 0.7, 0.5])
+        rows = _store([good] * 6, 3, 2, [0.0, 0.0, 0.0, rem, 0.0, 0.0])
+        imdp = Imdp(actions=("a0", "a1"), labels=[frozenset()] * 3, rows=rows, num_cells=3)
+        with pytest.raises(ValueError, match=r"row \(1, 1\): remainder outside \[0, 1\]"):
+            imdp.validate()
+        self._imdp(_mk_row([0, 1], [0.2, 0.3], [0.6, 0.7]), rem=1.0).validate()  # 1 is allowed
 
     @pytest.mark.parametrize("bad, match", [
         (_mk_row([0, 1, 2], [0.5, 0.4, 0.3], [0.6, 0.7, 0.5]), "infeasible"),

@@ -13,7 +13,8 @@ import pytest
 from nndm_synth.automata import dfa_template
 from nndm_synth.fixtures import random_network, reach_avoid_2d
 from nndm_synth.geometry import HyperRect, RegionGrid, whitening_transform
-from nndm_synth import pipeline
+from nndm_synth.imdp import evaluate_strategy_upper
+from nndm_synth import pipeline, transitions
 from nndm_synth.networks import evaluate
 from nndm_synth.pipeline import (
     PipelineConfig,
@@ -24,9 +25,35 @@ from nndm_synth.pipeline import (
     emit_outputs,
     gap_stats,
     run_pipeline,
+    synthesize,
     validate_monte_carlo,
 )
 from nndm_synth.refinement import RefinementConfig
+
+
+def test_pruned_certificates_contain_the_unpruned(monkeypatch):
+    # the same abstraction with rows pruned into remainders and with nothing
+    # pruned: the pruned certificate is the looser one, on both sides, for
+    # the strategy it emits
+    nd, config = reach_avoid_2d(grid=(6, 6))
+    pruned = build_abstraction(nd, config)
+    monkeypatch.setattr(transitions, "_PRUNE", 0.0)
+    full = build_abstraction(nd, config)
+    monkeypatch.undo()
+    assert not full.imdp.rows.rem.any() and pruned.imdp.rows.rem.max() > 0.0
+    assert pruned.imdp.rows.indptr[-1] < full.imdp.rows.indptr[-1]
+    got = synthesize(pruned, config.dfa, tol=1e-12)
+    ref = synthesize(full, config.dfa, tol=1e-12)
+    assert got.lower.converged and ref.lower.converged
+    assert np.all(got.p_lower <= ref.p_lower + 1e-12)
+    assert np.any(got.p_lower < ref.p_lower - 1e-9), "fixture should have remainders that bind"
+    # the emitted strategy on the unpruned product's states; a state only the
+    # pruned targets reach is the remainder's there, any action will do
+    action = dict(zip(got.product.states, got.lower.strategy.tolist()))
+    strategy = np.array([action.get(state, 0) for state in ref.product.states])
+    upper = evaluate_strategy_upper(ref.product, strategy, tol=1e-12)
+    assert upper.converged
+    assert np.all(upper.values[ref.product.initial_pid] <= got.p_upper + 1e-12)
 
 
 class TestParseCovariance:

@@ -173,21 +173,26 @@ def _unsplit_rows_meeting_parents(ab, out, parent_lo, parent_hi):
 
 
 def _refine_once(ab, config, per_round):
-    """One refinement round; returns the outcome and how many unsplit rows
-    meet a split parent."""
+    """One refinement round; returns the outcome, how many unsplit rows
+    meet a split parent, and how many unsplit rows' remainders moved."""
     syn = synthesize(ab, config.dfa)
     parent_lo, parent_hi = ab.grid.lo.copy(), ab.grid.hi.copy()
     out = refine_round(ab.grid, ab.imdp, syn.p_lower, syn.p_upper,
                        RefinementConfig(per_round=per_round), ab.bounds)
     assert out.splits, "fixture should have positive refinement scores"
     meeting = _unsplit_rows_meeting_parents(ab, out, parent_lo, parent_hi)
+    rem = ab.imdp.rows.rem.copy()
     apply_refinement(ab, out)
     ab.imdp.validate()
-    return out, meeting
+    A = ab.imdp.num_actions
+    unsplit = ~np.isin(np.arange(rem.size) // A, [c for low, new, _ in out.splits for c in (low, new)])
+    moved = int(np.count_nonzero(ab.imdp.rows.rem[: rem.size][unsplit] != rem[unsplit]))
+    return out, meeting, moved
 
 
 def _assert_matches_full_rebuild(ab, nd):
-    """Every row, and its envelope in the stack, equals a fresh build."""
+    """Every row, and its envelope in the stack, equals a fresh build; the
+    remainders, summed in another order, to 1e-18."""
     grid = ab.grid
     A = len(nd.actions)
     assert ab.imdp.num_cells == grid.num_cells
@@ -198,11 +203,13 @@ def _assert_matches_full_rebuild(ab, nd):
             kept = ab.bounds[cell * A + a]
             for name in ("A_lo", "b_lo", "A_hi", "b_hi"):
                 assert np.array_equal(getattr(kept, name), getattr(b, name)), (cell, a, name)
-            want = transition_rows(grid, [cell], (action,), b[None])[(0, 0)]
+            rebuilt = transition_rows(grid, [cell], (action,), b[None])
+            want = rebuilt[(0, 0)]
             got = ab.imdp.rows[(cell, a)]
             assert np.array_equal(got.targets, want.targets), (cell, a)
             assert np.array_equal(got.lower, want.lower), (cell, a)
             assert np.array_equal(got.upper, want.upper), (cell, a)
+            assert abs(ab.imdp.rows.rem[cell * A + a] - rebuilt.rem[0]) <= 1e-18, (cell, a)
 
 
 class TestApplyRefinement:
@@ -210,9 +217,10 @@ class TestApplyRefinement:
         nd, config, _, _ = small_problem
         # fresh abstraction: this test mutates it
         ab = build_abstraction(nd, config)
-        _, meeting = _refine_once(ab, config, per_round=4)
-        # keeps the refresh's vertex-minimum branch exercised
-        assert meeting > 0
+        _, meeting, moved = _refine_once(ab, config, per_round=4)
+        # keeps the refresh's vertex-minimum branch exercised, and the
+        # remainders' trade of the parents' pruned mass for the children's
+        assert meeting > 0 and moved > 0
         _assert_matches_full_rebuild(ab, nd)
 
     def test_two_rounds_3d_match_full_rebuild_bitwise(self, monkeypatch):
@@ -231,8 +239,8 @@ class TestApplyRefinement:
         nd, config = vehicle_3d(grid=(5, 4, 3))
         ab = build_abstraction(nd, config)
         for _ in range(2):
-            _, meeting = _refine_once(ab, config, per_round=6)
-            assert meeting > 0
+            _, meeting, moved = _refine_once(ab, config, per_round=6)
+            assert meeting > 0 and moved > 0
         assert len(chunks) == 2 and min(chunks) >= 2
         _assert_matches_full_rebuild(ab, nd)
 

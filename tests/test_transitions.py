@@ -36,6 +36,7 @@ from nndm_synth.transitions import (
     _corner_box_min,
     _entries,
     _intervals,
+    _prune,
     _CHUNK_ROWS,
     _PRUNE,
 )
@@ -234,8 +235,7 @@ class TestCornerBoxMinimum:
         for p in np.flatnonzero(meets):
             targets = (t_lo[p : p + 1], t_hi[p : p + 1])
             lower, upper = _entries(box_lo[p : p + 1], box_hi[p : p + 1], *targets, _intervals(*targets))
-            ship = min(want[p], upper[0, 0])
-            assert lower[0, 0] == (ship if ship >= _PRUNE else 0.0)
+            assert lower[0, 0] == min(want[p], upper[0, 0])  # _entries does not prune
 
 
 class TestHullExtrema:
@@ -281,9 +281,11 @@ class TestTransitionRow:
 
     def test_true_distribution_inside_bounds(self):
         # sample means inside the hull; the true row for each mean must fall
-        # inside [lower, upper] for every target cell
+        # inside [lower, upper] for every target cell, and the pruned cells'
+        # mass inside the row's remainder
         grid, cell, action, bounds = self._row_inputs()
-        row = transition_row(grid, cell, action, bounds)
+        rows = transition_rows(grid, [cell], (action,), bounds[None])
+        row = rows[(0, 0)]
         verts = post_image_hull(bounds, grid.cell(cell))
         rng = np.random.default_rng(3)
         w = rng.dirichlet(np.ones(verts.shape[0]), size=200)
@@ -291,20 +293,25 @@ class TestTransitionRow:
         lows, highs = grid.boxes()
         lo_map = {int(t): float(p) for t, p in zip(row.targets, row.lower)}
         up_map = {int(t): float(p) for t, p in zip(row.targets, row.upper)}
+        pruned = np.setdiff1d(np.arange(grid.num_cells), row.targets)
+        assert pruned.size and rows.rem[0] > 0.0, "fixture should prune cells"
         for z in means:
             masses = gaussian_box_mass(z, lows, highs)
             for q in range(grid.num_cells):
                 assert masses[q] >= lo_map.get(q, 0.0) - 1e-12
                 assert masses[q] <= up_map.get(q, _PRUNE) + 1e-12
+            assert masses[pruned].sum() <= rows.rem[0] + 1e-12
             out = 1.0 - gaussian_box_mass(z, grid.domain.lo, grid.domain.hi)
             ul, uu = unsafe_interval(row)
             assert ul - 1e-12 <= out <= uu + 1e-12
 
     def test_grouped_matches_naive_bitwise(self):
         grid, cell, action, bounds = self._row_inputs()
-        row = transition_row(grid, cell, action, bounds)
+        rows = transition_rows(grid, [cell], (action,), bounds[None])
         # literal per-target assembly, no grouping, out-of-domain entry included
-        _assert_same_row(row, Row(*_naive_row(grid, cell, action, bounds)))
+        *want, rem = _naive_row(grid, cell, action, bounds)
+        _assert_same_row(rows[(0, 0)], Row(*want))
+        assert rows.rem[0] == rem > 0.0
 
     def test_hull_inside_domain_has_tiny_unsafe_lower(self):
         grid, cell, action, bounds = self._row_inputs(cell=21)
@@ -331,6 +338,8 @@ class TestTransitionRow:
         ids = np.arange(1, grid.num_cells, 3)
         lower, upper = _entries(box_lo, box_hi, lows[ids], highs[ids], _intervals(lows[ids], highs[ids]))
         assert lower.shape == upper.shape == (2, ids.size)
+        assert (upper < _PRUNE).any(), "fixture should have targets to prune"
+        _prune(lower, upper)
         meets = np.all((highs[ids] >= rect_lo[:, None]) & (lows[ids] <= rect_hi[:, None]), axis=2)
         assert meets.any(axis=1).all(), "fixture should put targets on each rectangle"
         assert (upper[~meets] > 0).any(), "fixture should keep targets off the rectangles"
@@ -381,9 +390,10 @@ class TestStackedRows:
         envs, rows = _stack(nd, grid, action, sources)
         assert len(rows) == len(sources)
         assert list(rows) == [(i, 0) for i in range(len(sources))]  # row i is sources[i]'s
-        for source, b, row in zip(sources, envs, rows.values()):
-            want = Row(*_naive_row(grid, int(source), action, b))
-            _assert_same_row(row, want)
+        for source, b, row, rem in zip(sources, envs, rows.values(), rows.rem):
+            *want, want_rem = _naive_row(grid, int(source), action, b)
+            _assert_same_row(row, Row(*want))
+            assert rem == want_rem
         return rows
 
     def test_refined_2d_grid(self):
@@ -412,12 +422,17 @@ class TestStackedRows:
         rows = transition_rows(grid, cells, nd.actions, envs)
         assert len(rows) == grid.num_cells * A == 840  # region cuts: 120 cells
         naive = [_naive_row(grid, r // A, nd.actions[r % A], b) for r, b in enumerate(envs)]
-        indptr = np.concatenate([[0], np.cumsum([len(t) for t, _, _ in naive])])
-        col, lo, up = (np.concatenate(parts) for parts in zip(*naive))
-        for got, want in ((rows.indptr, indptr), (rows.col, col), (rows.lo, lo), (rows.up, up)):
+        indptr = np.concatenate([[0], np.cumsum([len(t) for t, _, _, _ in naive])])
+        col, lo, up = (np.concatenate(parts) for parts in list(zip(*naive))[:3])
+        rem = np.array([r for _, _, _, r in naive])
+        for got, want in ((rows.indptr, indptr), (rows.col, col), (rows.lo, lo), (rows.up, up),
+                          (rows.rem, rem)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_targets_in_both_erfc_tails(self):
+        # a target past an erfc switch has upper bound below _PRUNE, so it
+        # leaves its row and the remainder, checked bitwise against the
+        # naive row, carries its bits
         nd, grid = _far_tails_2d()
         sources = np.arange(grid.num_cells)
         rows = self._assert_matches_naive(nd, grid, "stay", sources)
@@ -425,11 +440,12 @@ class TestStackedRows:
         left = right = 0
         for source, row, b in zip(sources, rows.values(), envs):
             rect = rect_hull(post_image_hull(b, grid.cell(source)))
-            t = row.targets
+            t = np.setdiff1d(np.arange(grid.num_cells), row.targets)  # the pruned cells
             # nearest-mean erf arguments (z - lo)/sqrt2 <= -4 and (z - hi)/sqrt2 >= 4
             left += np.any((rect.hi - grid.lo[t]) / np.sqrt(2.0) <= -4.0)
             right += np.any((rect.lo - grid.hi[t]) / np.sqrt(2.0) >= 4.0)
-        assert left > 0 and right > 0, "fixture should keep targets in both tails"
+        assert left > 0 and right > 0, "fixture should prune targets in both tails"
+        assert np.all(rows.rem > 0.0)
 
     def test_row_count_not_a_multiple_of_the_chunk(self):
         nd, grid = _refined_2d()
@@ -476,10 +492,13 @@ class TestRefreshRows:
         envs, rows = _stack(nd, grid, "stay", np.arange(2))
         assert all(row.targets[0] == UNSAFE_ID for row in rows.values())
         last = np.array([grid.num_cells - 1])
-        drop, parts = refresh_rows(grid, rows, np.ones(2, dtype=bool), envs, last)
-        fresh = rows.splice(2, drop, parts)
+        # the cell is its own parent: its mass is given back and taken again
+        parents = grid.lo[last], grid.hi[last]
+        drop, parts, rem = refresh_rows(grid, rows, np.ones(2, dtype=bool), envs, last, parents)
+        fresh = rows.splice(2, drop, parts, rem)
         for got, want in zip(fresh.values(), rows.values()):
             _assert_same_row(got, want)
+        assert np.array_equal(fresh.rem, rows.rem)
 
 
 class TestCheckSums:
@@ -489,12 +508,24 @@ class TestCheckSums:
         lower, upper = ([ul, *lower], [uu, *upper]) if uu > 0 else (lower, upper)
         return np.array(targets), np.asarray(lower, float), np.asarray(upper, float)
 
-    def _check_one(self, row):
-        """_check_sums on a stack of this one row, the row of cell 3 under "east"."""
-        _check_sums(RowStore.from_rows({(0, 0): row}, 1, 1), [3], ("east",))
+    def _check_one(self, row, rem=0.0):
+        """_check_sums on a stack of this one row with remainder `rem`, the
+        row of cell 3 under "east"."""
+        packed = RowStore.from_rows({(0, 0): row}, 1, 1)
+        store = RowStore(packed.first, 1, np.diff(packed.indptr), packed.col, packed.lo, packed.up,
+                         rem=[rem])
+        _check_sums(store, [3], ("east",))
 
     def test_feasible_row_passes(self):
         self._check_one(self._row([0.2, 0.3], [0.6, 0.5], uu=0.1))
+
+    def test_remainder_counts_in_the_upper_sum(self):
+        # upper sums to 0.9; a remainder of 0.1 makes up the rest
+        row = self._row([0.1, 0.1], [0.4, 0.4], 0.0, 0.1)
+        self._check_one(row, rem=0.1)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"row \(3, east\).*infeasible \(lower 0.2, upper with remainder 0.95"):
+            self._check_one(row, rem=0.05)
 
     @pytest.mark.parametrize("lower, upper, ul, uu", [
         ([0.6, 0.3], [0.7, 0.4], 0.2, 0.2),   # lower sum 1.1
