@@ -167,29 +167,6 @@ class RowStore(Mapping):
         sizes = [len(rows[k][0]) for k in keys]
         return cls(first, num_actions, sizes, packed[0].astype(np.int64), packed[1], packed[2])
 
-    def splice(self, num_states: int, drop: np.ndarray, parts, rem: np.ndarray) -> "RowStore":
-        """A store of every action's row of states 0..num_states-1, where this
-        store's row r is row r again: the entries where `drop` is set go, and
-        those of `parts`, tuples of arrays (row, target, lo, up), are put
-        among the rest in (row, target) order. No (row, target) may repeat.
-        `rem` holds the new store's remainder of every row. Only for the
-        abstraction's store."""
-        keep = ~drop
-        row, col, lo, up = (np.concatenate(field) for field in zip(*parts))
-        # (row, target) as one increasing int64: targets lie in [UNSAFE_ID, span - 1)
-        span = int(max(self.col.max(initial=0), col.max(initial=0))) + 2
-        key = row * span + col
-        order = key.argsort()
-        kept = np.repeat(np.arange(len(self)) * span, np.diff(self.indptr))
-        kept += self.col
-        at = np.searchsorted(kept[keep], key[order])
-        del kept  # past the new store, about one field's worth of temporaries
-        sizes = np.bincount(row, minlength=num_states * self.num_actions)
-        sizes[: len(self)] += np.add.reduceat(keep, self.indptr[:-1], dtype=np.int64)
-        fields = [np.insert(old[keep], at, new[order])
-                  for old, new in ((self.col, col), (self.lo, lo), (self.up, up))]
-        return RowStore(np.arange(num_states) * self.num_actions, self.num_actions, sizes, *fields, rem=rem)
-
     def sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's sum of lower bounds, and of upper bounds plus its
         remainder: the least and the most mass the row can place
@@ -264,12 +241,14 @@ class _BlockKernel:
     ascending to minimize), dv_k = v_k - v_{k+1} (v_{S+1} = 0), C a row's
     cumsum of gaps up - lo in that order, m = min(rem, max(1 - sum(lo), 0))
     the mass moved onto the row's remainder and B = max(1 - sum(lo), 0) - m:
-        maximize: m + lo.V + min(C, B) @ dv
+        maximize: m + max(B - C_S, 0) + lo.V + min(C, B) @ dv
         minimize: lo.V + B v_1 - max(B - C, 0) @ dv
     The remainder ranks first for both adversaries: to the maximizer it is
     worth 1, above every value, and to the minimizer 0, below every value.
     It needs no lower bound: an adversary that fills it first is never held
-    back by one. Both are the Abel sum of the ordering method over the row's
+    back by one. Budget that the gaps cannot hold either (C_S < B, a row
+    whose upper sum plus remainder falls short of 1 within the sum check's
+    slack) is valued the same way: 1 to the maximizer, 0 to the minimizer. Both are the Abel sum of the ordering method over the row's
     targets plus the remainder, written so that every term is non-negative:
     small values keep their relative accuracy next to values near 1. Row
     targets must be distinct (each entry owns its cell)."""
@@ -333,6 +312,7 @@ class _BlockKernel:
         if maximize:
             C.cumsum(axis=1, out=C)
             np.minimum(C, budget[:, None], out=C)
+            acc += budget - C[:, -1]  # what the gaps cannot hold, worth 1 like the remainder
             return acc + C @ dv
         C[:, 0] += budget
         C.cumsum(axis=1, out=C)

@@ -34,7 +34,7 @@ from .imdp import (
 from .networks import NeuralDynamics, _float, _int, _numbers, _strict, evaluate, load_networks
 from .refinement import RefinementConfig, RefineOutcome, refine_round
 from .relaxation import LinearBounds, relax_cells
-from .transitions import _check_sums, refresh_rows, transition_rows
+from .transitions import transition_rows
 
 
 def _parse_covariance(raw, dim: int) -> np.ndarray:
@@ -233,53 +233,37 @@ class Abstraction:
     imdp: Imdp
 
 
-def _compute_rows(nd, grid, cells):
-    """The envelopes and the transition_rows store of `cells`, both in
-    (cell, action) order; the envelopes come from one relax_cells call."""
-    bounds = relax_cells(nd, nd.actions, grid.transform, grid.lo[cells], grid.hi[cells])
-    return bounds, transition_rows(grid, cells, nd.actions, bounds)
-
-
 def build_abstraction(nd: NeuralDynamics, config: PipelineConfig) -> Abstraction:
     if nd.dim != config.domain.dim:
         raise ValueError(f"network dim {nd.dim} does not match domain dim {config.domain.dim}")
     transform = whitening_transform(config.covariance)
     grid = build_grid(config.domain, transform, config.grid, config.regions)
 
-    bounds, rows = _compute_rows(nd, grid, np.arange(grid.num_cells))
+    bounds = relax_cells(nd, nd.actions, grid.transform, grid.lo, grid.hi)
+    rows = transition_rows(grid, np.arange(grid.num_cells), nd.actions, bounds)
     imdp = Imdp(actions=nd.actions, labels=grid.labels, rows=rows, num_cells=grid.num_cells)
     return Abstraction(dynamics=nd, grid=grid, bounds=bounds, imdp=imdp)
 
 
 def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome) -> None:
-    """Bring the abstraction in line with a round of grid splits: rebuild the
-    split cells' rows (those of outcome.dirty) from fresh envelopes, and
-    recompute every other row's entries at the split cells' ids from its
-    cached envelope, with its remainder trading the split parents' pruned
-    mass for the children's. Each row's targets and bounds then match a full
-    rebuild bit for bit, and its remainder matches up to the order of its
-    sum (within 1e-18 on the benchmark grids). Both go into the next store
-    by one splice of the current one; envelopes follow."""
+    """Bring the abstraction in line with a round of grid splits: relax the
+    split children (the cells of outcome.dirty) for fresh envelopes, and
+    rebuild every row from the envelope stack in one transition_rows call,
+    so the store is exactly what a full build on the refined grid gives.
+    The stack keeps each unsplit row's envelope at its index; a split
+    child's rows are overwritten (the low child keeps its parent's id) or
+    appended (the high child's new id), so envelope r stays row r's."""
     grid, imdp, old = abstraction.grid, abstraction.imdp, abstraction.bounds
+    nd = abstraction.dynamics
     A = imdp.num_actions
     splits = np.array(outcome.splits, dtype=np.int64).reshape(-1, 3)
-    # the children of every split, sorted: the cells rebuilt and the target ids refreshed
-    cells = np.sort(splits[:, :2], axis=None)
-    # a parent spans from its low child's lo to its high child's hi
-    parents = grid.lo[splits[:, 0]], grid.hi[splits[:, 1]]
-    clean = ~np.isin(np.arange(len(imdp.rows)) // A, cells)
-    drop, parts, rem = refresh_rows(grid, imdp.rows, clean, old, cells, parents)
-
-    bounds, stack = _compute_rows(abstraction.dynamics, grid, cells)
-    dest = (cells[:, None] * A + np.arange(A)).ravel()  # the stack's rows in the next store
-    parts.append((dest.repeat(np.diff(stack.indptr)), stack.col, stack.lo, stack.up))
-    rem = np.concatenate([rem, np.empty(grid.num_cells * A - rem.size)])
-    rem[dest] = stack.rem  # dest holds every new row: the new cells are split children
-    imdp.rows = imdp.rows.splice(grid.num_cells, drop, parts, rem)
-    pick = np.arange(len(imdp.rows))  # old rows keep their index, the children's are new
-    pick[dest] = len(old) + np.arange(dest.size)
-    abstraction.bounds = LinearBounds.concat([old, bounds])[pick]
-    _check_sums(imdp.rows, np.arange(grid.num_cells), imdp.actions)
+    cells = np.sort(splits[:, :2], axis=None)  # the children of every split
+    fresh = relax_cells(nd, nd.actions, grid.transform, grid.lo[cells], grid.hi[cells])
+    pick = np.arange(grid.num_cells * A)
+    pick[(cells[:, None] * A + np.arange(A)).ravel()] = len(old) + np.arange(len(fresh))
+    abstraction.bounds = LinearBounds.concat([old, fresh])[pick]
+    imdp.rows = None  # the old store goes before the new one is built
+    imdp.rows = transition_rows(grid, np.arange(grid.num_cells), imdp.actions, abstraction.bounds)
     imdp.num_cells = grid.num_cells
 
 

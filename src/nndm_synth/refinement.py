@@ -4,7 +4,7 @@ Cells are scored by how much certificate width they can be blamed for: their
 own probability gap times the total incoming transition-bound gap. The
 top-scoring cells are split at the midpoint of the dimension along which the
 affine envelopes expand fastest; the split cells' rows are marked for
-recomputation.
+fresh envelopes, and every row is then rebuilt on the refined grid.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def refine_round(
 ) -> RefineOutcome:
     """Split the top-scoring cells in place and report the dirty rows.
     `bounds` is the envelope stack indexed like imdp.rows. Callers must
-    rebuild the dirty rows and refresh the remaining rows' entries at the
-    split cells' ids afterwards."""
+    then relax the dirty rows and rebuild every row from the envelopes
+    (pipeline.apply_refinement)."""
     A = imdp.num_actions
     outcome = RefineOutcome()
     scores = score_states(imdp, p_lower, p_upper)

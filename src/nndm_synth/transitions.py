@@ -23,7 +23,8 @@ nearest and farthest mean are tabulated over the distinct target intervals
 of every dimension, gathered into the (rows, targets) layout and multiplied
 in dimension order, exactly as `gaussian_box_mass` multiplies them. The
 corner-box minimum runs only on the (row, target) pairs whose target meets
-the row's rectangle. Refinement refreshes rows through the same kernel.
+the row's rectangle. Refinement rebuilds every row through the same call,
+from the envelopes cached for the cells it did not split.
 
 Bounds below _PRUNE are pruned (_prune): a lower bound there becomes 0, and
 a target whose upper bound is below it leaves the row, its upper bound added
@@ -36,7 +37,7 @@ out-of-domain entry is never pruned.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erf, erfc
@@ -52,13 +53,12 @@ _SQRT2 = float(np.sqrt(2.0))
 # width for size, so it is fixed, not a setting.
 _PRUNE = 1e-6
 _FEAS_TOL = 1e-8    # slack for the sum-feasibility sanity check
-# Rows per stacked kernel pass. Keeps the temporaries near 1 MiB on grids of
-# about a thousand cells; on 720 cells, 32 rows ran fastest of 8-64 without
-# raising peak memory (64 did). The value changes no result.
-_CHUNK_ROWS = 32
-# Rows per pass of the out-of-domain column, which is computed for a whole
-# stack before its kernel chunks: a few passes, small temporaries.
-_OUT_ROWS = 1024
+# (row, target) entries per stacked kernel pass: a chunk holds this many
+# entries' worth of rows against every cell. Keeps the temporaries near
+# 1 MiB; on 720 cells (32 rows a chunk), 32 rows ran fastest of 8-64 without
+# raising peak memory (64 did), and small grids get more rows a chunk, so
+# their numpy call overhead stays low. The value changes no result.
+_CHUNK_ENTRIES = 32 * 721
 
 
 class InternalConsistencyError(RuntimeError):
@@ -215,40 +215,6 @@ def _prune(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return dropped
 
 
-def _stacked_entries(
-    grid: RegionGrid,
-    sources: np.ndarray,
-    bounds: LinearBounds,
-    lows: np.ndarray,
-    highs: np.ndarray,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Rows (sources[i], bounds[i]) against the targets [lows, highs], in
-    chunks of about _CHUNK_ROWS full rows' entries (_CHUNK_ROWS rows against
-    every cell, more against fewer targets): yields (first row, lower, upper)
-    per chunk, the _entries of the chunk's corner boxes. The target
-    intervals are found once for the whole stack."""
-    intervals = _intervals(lows, highs)
-    step = max(_CHUNK_ROWS, _CHUNK_ROWS * (grid.num_cells + 1) // (len(lows) + 1))
-    for s in range(0, len(sources), step):
-        src = sources[s : s + step]
-        boxes = post_image_boxes(bounds[s : s + step], grid.lo[src], grid.hi[src])
-        yield s, *_entries(*boxes, lows, highs, intervals)
-
-
-def _out_of_domain(grid: RegionGrid, sources: np.ndarray, bounds: LinearBounds) -> np.ndarray:
-    """The out-of-domain intervals of rows (sources[i], bounds[i]), as one
-    (2, R) array of lower and upper bounds: one minus the domain's mass at
-    the nearest and at the farthest mean of each row's rectangle."""
-    dom = grid.domain
-    out = np.empty((2, len(sources)))
-    for s in range(0, len(sources), _OUT_ROWS):
-        src = sources[s : s + _OUT_ROWS]
-        box_lo, box_hi = post_image_boxes(bounds[s : s + _OUT_ROWS], grid.lo[src], grid.hi[src])
-        dz_min, dz_max = extremal_means(box_lo.min(axis=1), box_hi.max(axis=1), dom.lo, dom.hi)
-        out[:, s : s + _OUT_ROWS] = 1.0 - gaussian_box_mass(np.stack([dz_max, dz_min]), dom.lo, dom.hi)
-    return np.clip(out, 0.0, 1.0, out=out)
-
-
 def transition_rows(
     grid: RegionGrid,
     cells: np.ndarray,
@@ -262,10 +228,14 @@ def transition_rows(
     cells with upper bound at least _PRUNE are kept, and the row's remainder
     is the dropped upper mass, at most 1. The leftover interval is the
     out-of-domain mass, kept as target UNSAFE_ID when its upper bound is
-    positive. Each row is bitwise what a stack of that row alone gives."""
+    positive. The rows go through the kernel in chunks of about
+    _CHUNK_ENTRIES entries, and a chunk's corner boxes serve both its cell
+    entries and its out-of-domain intervals. Each row is bitwise what a
+    stack of that row alone gives."""
     cells = np.asarray(cells, dtype=np.int64)
     sources = cells.repeat(len(actions))
-    out = _out_of_domain(grid, sources, bounds)
+    dom = grid.domain
+    intervals = _intervals(grid.lo, grid.hi)  # found once for every chunk
     # the entries go in buffers with room for dense rows, of which only the
     # pages written are touched; chunk arrays die young and leave no holes
     sizes = np.empty(sources.size, dtype=np.int64)
@@ -273,12 +243,20 @@ def transition_rows(
     room = sources.size * (grid.num_cells + 1)
     col, lo, up = np.empty(room, dtype=np.int64), np.empty(room), np.empty(room)
     end = 0
-    for s, lower, upper in _stacked_entries(grid, sources, bounds, grid.lo, grid.hi):
-        rows = slice(s, s + len(lower))
+    step = max(1, _CHUNK_ENTRIES // (grid.num_cells + 1))
+    for s in range(0, sources.size, step):
+        rows = slice(s, s + step)
+        src = sources[rows]
+        box_lo, box_hi = post_image_boxes(bounds[rows], grid.lo[src], grid.hi[src])
+        lower, upper = _entries(box_lo, box_hi, grid.lo, grid.hi, intervals)
         rem[rows] = _prune(lower, upper)
+        # out of domain: one minus the domain's mass at the nearest and at
+        # the farthest mean of each row's rectangle
+        dz_min, dz_max = extremal_means(box_lo.min(axis=1), box_hi.max(axis=1), dom.lo, dom.hi)
+        out = 1.0 - gaussian_box_mass(np.stack([dz_max, dz_min]), dom.lo, dom.hi)
         # column 0 is UNSAFE_ID, column q + 1 is cell q
-        lower = np.column_stack([out[0, rows], lower])
-        upper = np.column_stack([out[1, rows], upper])
+        lower = np.column_stack([out[0], lower])
+        upper = np.column_stack([out[1], upper])
         flat = np.flatnonzero(upper)
         sizes[rows] = np.count_nonzero(upper, axis=1)
         k = slice(end, end + flat.size)
@@ -294,45 +272,3 @@ def transition_rows(
     rows = RowStore(np.arange(cells.size) * A, A, sizes, col, lo, up, rem=rem)
     _check_sums(rows, cells, actions)
     return rows
-
-
-def refresh_rows(
-    grid: RegionGrid,
-    rows: RowStore,
-    clean: np.ndarray,
-    bounds: LinearBounds,
-    cell_ids: np.ndarray,
-    parents: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]], np.ndarray]:
-    """What to splice into `rows`, a store of every cell's rows, to recompute
-    the entries at `cell_ids` of the rows flagged in `clean` from their
-    envelopes, the stack `bounds` indexed like `rows`: the mask of the
-    entries that go (those at cell_ids, and all of every other row's), the
-    fresh entries with upper bound at least _PRUNE, as (row, target, lower,
-    upper) arrays, and the store's remainders with the clean rows' brought
-    up to date. `parents` (lo, hi) are the boxes the cells at cell_ids
-    replace, whose pruned upper mass the clean rows' remainders hold: each
-    clean row gives that back and takes the fresh targets' instead. Per
-    (row, target) pair the kernel gives the bits of the build that summed
-    it, so a remainder differs from a rebuild's only by the order of its
-    sum. After RowStore.splice each clean row equals what transition_rows
-    builds on the current grid. Refinement flags the rows whose source was
-    not split, and passes the split cells' ids and the boxes of their
-    parents."""
-    changed = np.zeros(grid.num_cells + 1, dtype=bool)  # last: UNSAFE_ID
-    changed[cell_ids] = True
-    refreshed = np.flatnonzero(clean)
-    k = len(cell_ids)
-    lows = np.concatenate([grid.lo[cell_ids], parents[0]])  # the fresh targets, then the parents
-    highs = np.concatenate([grid.hi[cell_ids], parents[1]])
-    gained, given = np.zeros(refreshed.size), np.zeros(refreshed.size)
-    fresh = []
-    for s, lower, upper in _stacked_entries(grid, refreshed // rows.num_actions, bounds[clean], lows, highs):
-        block = slice(s, s + len(lower))
-        gained[block] = _prune(lower[:, :k], upper[:, :k])
-        given[block] = _prune(lower[:, k:], upper[:, k:])
-        r, q = np.nonzero(upper[:, :k] > 0.0)
-        fresh.append((refreshed[s + r], cell_ids[q], lower[r, q], upper[r, q]))
-    rem = rows.rem.copy()
-    rem[refreshed] = np.clip(rem[refreshed] + gained - given, 0.0, 1.0)
-    return changed[rows.col] | ~clean.repeat(np.diff(rows.indptr)), fresh, rem

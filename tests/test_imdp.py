@@ -20,7 +20,7 @@ from nndm_synth.imdp import (
     extreme_distribution,
     robust_value_iteration,
 )
-from nndm_synth.transitions import _prune
+from nndm_synth.transitions import _check_sums, _prune
 
 
 def lp_extreme(vals, lo, up, maximize):
@@ -219,38 +219,6 @@ class TestBlockKernel:
         with pytest.raises(ValueError, match="at least one entry"):
             RowStore.from_rows({(0, 0): (np.zeros(0, np.int64), np.zeros(0), np.zeros(0))}, 2, 1)
 
-    def test_splice_drops_inserts_and_appends_rows(self):
-        # two states with two actions each, spliced into three states: some
-        # entries go, some come in between the kept ones, and the new
-        # state's rows follow the old ones
-        rng = np.random.default_rng(5)
-        old = {key: row for key, row in zip([(0, 0), (0, 1), (1, 0), (1, 1)], kernel_rows(rng, 6))}
-        store = RowStore.from_rows(old, 2, 2)
-        drop = np.zeros(store.col.size, dtype=bool)
-        drop[store.indptr[1] : store.indptr[2]] = True  # all of row (0, 1)
-        drop[store.indptr[2]] = True  # the first entry of row (1, 0)
-        new = {(0, 1): (np.array([2, 5]), np.array([0.1, 0.2]), np.array([0.3, 0.9])),
-               (2, 0): (np.array([-1, 3]), np.array([0.0, 0.5]), np.array([0.5, 1.0])),
-               (2, 1): (np.array([4]), np.ones(1), np.ones(1))}
-        missing = [t for t in range(-1, 7) if t not in old[(1, 0)][0]][:1]
-        new_10 = (np.array(missing), np.array([0.05]), np.array([0.07]))
-        parts = [(np.full(len(t), 2 * s + a), t, lo, up) for (s, a), (t, lo, up) in new.items()]
-        parts.append((np.full(1, 2), *new_10))
-        rem = np.array([0.0, 0.1, 0.0, 0.02, 0.0, 0.3])
-        got = store.splice(3, drop, parts, rem)
-
-        want = dict(old)
-        want.update(new)
-        t, lo, up = (np.asarray(x) for x in old[(1, 0)])
-        merged = np.r_[t[1:], new_10[0]]
-        order = np.argsort(merged)
-        want[(1, 0)] = (merged[order], np.r_[lo[1:], new_10[1]][order], np.r_[up[1:], new_10[2]][order])
-        want = RowStore.from_rows(want, 3, 2)
-        assert list(got) == list(want)
-        for field in ("first", "indptr", "col", "lo", "up"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
-        assert np.array_equal(got.rem, rem)
-
 
 @dataclass
 class FakeProduct:
@@ -361,6 +329,27 @@ def test_pruned_mass_decides_the_bound():
     assert values["pruned"][0] == pytest.approx(1.0 - 9e-13, abs=1e-16)
     assert values["pruned"][1] == pytest.approx(9e-13, abs=1e-16)
     assert values["dropped"] == (1.0, 0.0)
+
+
+def test_shortfall_counts_for_the_maximizer():
+    # state 0 may reach the goal (state 1) or the sink (state 2); its upper
+    # bounds plus remainder sum to 1 - 5e-9, a shortfall the sum check
+    # forgives. Mass no interval holds may land anywhere, so the maximizer
+    # values it at 1, as it values the remainder: fill the remainder (0.05),
+    # then the goal's gap (0.1), then the sink's, and the 5e-9 left over
+    # goes to the goal too. p_lower is unchanged: the minimizer values both
+    # at 0.
+    rows = {(0, 0): (np.array([1, 2]), np.array([0.3, 0.5]), np.array([0.4, 0.55 - 5e-9]))}
+    product = FakeProduct(np.array([False, True, False]), np.array([False, False, True]), rows, 1)
+    packed = product.rows
+    product.rows = RowStore(packed.first, 1, np.diff(packed.indptr), packed.col, packed.lo,
+                            packed.up, rem=[0.05])
+    assert product.rows.sums()[1][0] == pytest.approx(1.0 - 5e-9, abs=1e-15)
+    _check_sums(product.rows, np.arange(3), ("stay",))
+    low = robust_value_iteration(product, tol=1e-15)
+    high = evaluate_strategy_upper(product, low.strategy, tol=1e-15)
+    assert low.values[0] == pytest.approx(0.4, abs=1e-15)
+    assert high.values[0] == pytest.approx(0.45 + 5e-9, abs=1e-15)
 
 
 class TestValueIteration:

@@ -1,30 +1,32 @@
-"""Refinement scoring, split-dimension choice, and the incremental row
-update, checked bit for bit against a full rebuild of the refined grid."""
+"""Refinement scoring, split-dimension choice, and the rows after a round
+of splits, checked bit for bit against a full rebuild of the refined grid."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nndm_synth import transitions
 from nndm_synth.fixtures import reach_avoid_2d, vehicle_3d
 from nndm_synth.geometry import (
     UNSAFE_ID,
     HyperRect,
     RegionGrid,
+    build_grid,
     post_image_hull,
     rect_hull,
     whitening_transform,
 )
 from nndm_synth.imdp import Imdp, RowStore
-from nndm_synth.pipeline import apply_refinement, build_abstraction, synthesize
+from nndm_synth.networks import Activation, DenseLayer, NeuralDynamics
+from nndm_synth.pipeline import Abstraction, apply_refinement, build_abstraction, synthesize
 from nndm_synth.refinement import (
     RefinementConfig,
+    RefineOutcome,
     refine_round,
     score_states,
     split_dimension,
 )
-from nndm_synth.relaxation import LinearBounds, relax
+from nndm_synth.relaxation import LinearBounds, relax, relax_cells
 from nndm_synth.transitions import transition_rows
 
 
@@ -191,8 +193,8 @@ def _refine_once(ab, config, per_round):
 
 
 def _assert_matches_full_rebuild(ab, nd):
-    """Every row, and its envelope in the stack, equals a fresh build; the
-    remainders, summed in another order, to 1e-18."""
+    """Every row, its remainder, and its envelope in the stack, equal a
+    fresh build bit for bit."""
     grid = ab.grid
     A = len(nd.actions)
     assert ab.imdp.num_cells == grid.num_cells
@@ -209,7 +211,7 @@ def _assert_matches_full_rebuild(ab, nd):
             assert np.array_equal(got.targets, want.targets), (cell, a)
             assert np.array_equal(got.lower, want.lower), (cell, a)
             assert np.array_equal(got.upper, want.upper), (cell, a)
-            assert abs(ab.imdp.rows.rem[cell * A + a] - rebuilt.rem[0]) <= 1e-18, (cell, a)
+            assert ab.imdp.rows.rem[cell * A + a].tobytes() == rebuilt.rem[0].tobytes(), (cell, a)
 
 
 class TestApplyRefinement:
@@ -218,31 +220,43 @@ class TestApplyRefinement:
         # fresh abstraction: this test mutates it
         ab = build_abstraction(nd, config)
         _, meeting, moved = _refine_once(ab, config, per_round=4)
-        # keeps the refresh's vertex-minimum branch exercised, and the
-        # remainders' trade of the parents' pruned mass for the children's
+        # unsplit rows whose rectangles meet a split parent keep the
+        # vertex-minimum branch exercised on the children, and unsplit rows'
+        # remainders change with the pruned mass of the children
         assert meeting > 0 and moved > 0
         _assert_matches_full_rebuild(ab, nd)
 
-    def test_two_rounds_3d_match_full_rebuild_bitwise(self, monkeypatch):
-        # each round's refresh (against the split cells only, so with more
-        # rows per chunk than a full build) spans several kernel chunks
-        chunks = []
-        stacked = transitions._stacked_entries
-
-        def counted(grid, sources, bounds, lows, highs):
-            parts = list(stacked(grid, sources, bounds, lows, highs))
-            if len(lows) < grid.num_cells:
-                chunks.append(len(parts))
-            return iter(parts)
-
-        monkeypatch.setattr(transitions, "_stacked_entries", counted)
+    def test_two_rounds_3d_match_full_rebuild_bitwise(self):
         nd, config = vehicle_3d(grid=(5, 4, 3))
         ab = build_abstraction(nd, config)
         for _ in range(2):
             _, meeting, moved = _refine_once(ab, config, per_round=6)
             assert meeting > 0 and moved > 0
-        assert len(chunks) == 2 and min(chunks) >= 2
         _assert_matches_full_rebuild(ab, nd)
+
+    def test_keeps_the_unsafe_entry_when_the_last_cell_is_split(self):
+        # two unit cells on a domain about as wide as the unit noise: every
+        # row carries out-of-domain mass, and UNSAFE_ID (-1) must stay first
+        # in each row and not alias the last cell, whose split adds the
+        # highest id
+        nd = NeuralDynamics(dim=2, actions=("stay",), networks={
+            "stay": (DenseLayer(np.eye(2), np.zeros(2), Activation.LINEAR),)})
+        grid = build_grid(HyperRect([0.0, 0.0], [2.0, 1.0]), whitening_transform(np.eye(2)), (2, 1))
+        cells = np.arange(2)
+        bounds = relax_cells(nd, nd.actions, grid.transform, grid.lo, grid.hi)
+        imdp = Imdp(actions=nd.actions, labels=grid.labels,
+                    rows=transition_rows(grid, cells, nd.actions, bounds), num_cells=2)
+        ab = Abstraction(dynamics=nd, grid=grid, bounds=bounds, imdp=imdp)
+        new = grid.split_cell(1, 0)
+        apply_refinement(ab, RefineOutcome(splits=[(1, new, 0)], dirty={(1, 0), (new, 0)}))
+        ab.imdp.validate()
+        assert len(ab.imdp.rows) == grid.num_cells == 3
+        for (cell, _), row in ab.imdp.rows.items():
+            assert row.targets[0] == UNSAFE_ID and row.upper[0] > 0.0
+            assert np.array_equal(row.targets[1:], np.arange(3))  # every cell, the new one last
+            alone = transition_rows(grid, [cell], nd.actions, ab.bounds[cell : cell + 1])[(0, 0)]
+            for got, want in zip(row, alone):
+                assert np.array_equal(got, want)
 
     def test_split_bookkeeping(self, small_problem):
         nd, config, _, _ = small_problem

@@ -30,14 +30,13 @@ from nndm_synth.transitions import (
     InternalConsistencyError,
     extremal_means,
     gaussian_box_mass,
-    refresh_rows,
     transition_rows,
     _check_sums,
     _corner_box_min,
     _entries,
     _intervals,
     _prune,
-    _CHUNK_ROWS,
+    _CHUNK_ENTRIES,
     _PRUNE,
 )
 from test_acceptance import _naive_row
@@ -449,8 +448,9 @@ class TestStackedRows:
 
     def test_row_count_not_a_multiple_of_the_chunk(self):
         nd, grid = _refined_2d()
-        sources = np.arange(_CHUNK_ROWS + 5) % grid.num_cells
-        assert len(sources) % _CHUNK_ROWS != 0 and len(sources) > _CHUNK_ROWS
+        step = _CHUNK_ENTRIES // (grid.num_cells + 1)  # rows per chunk against every cell
+        sources = np.arange(step + 5) % grid.num_cells
+        assert len(sources) % step != 0 and len(sources) > step
         self._assert_matches_naive(nd, grid, "west", sources)
 
     def test_rows_independent_of_their_stack(self):
@@ -480,25 +480,6 @@ class TestStackedRows:
         for i in range(cells.size):
             for a, (_, alone) in enumerate(per_action):
                 _assert_same_row(rows[(i, a)], alone[(i, 0)])
-
-
-class TestRefreshRows:
-    def test_keeps_the_unsafe_entry_when_the_last_cell_is_refreshed(self):
-        # two unit cells on a domain about as wide as the unit noise: every
-        # row carries out-of-domain mass, and UNSAFE_ID must not alias cell 1
-        nd = NeuralDynamics(dim=2, actions=("stay",), networks={
-            "stay": (DenseLayer(np.eye(2), np.zeros(2), Activation.LINEAR),)})
-        grid = build_grid(HyperRect([0.0, 0.0], [2.0, 1.0]), whitening_transform(np.eye(2)), (2, 1))
-        envs, rows = _stack(nd, grid, "stay", np.arange(2))
-        assert all(row.targets[0] == UNSAFE_ID for row in rows.values())
-        last = np.array([grid.num_cells - 1])
-        # the cell is its own parent: its mass is given back and taken again
-        parents = grid.lo[last], grid.hi[last]
-        drop, parts, rem = refresh_rows(grid, rows, np.ones(2, dtype=bool), envs, last, parents)
-        fresh = rows.splice(2, drop, parts, rem)
-        for got, want in zip(fresh.values(), rows.values()):
-            _assert_same_row(got, want)
-        assert np.array_equal(fresh.rem, rows.rem)
 
 
 class TestCheckSums:
