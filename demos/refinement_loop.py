@@ -38,11 +38,11 @@ def line(tag):
 print(f"refining {per_round} cells/round for up to {rounds} rounds\n")
 base_gap = line("start")
 
-top = score_states(ab.imdp, synth.p_lower, synth.p_upper)[:3]
+scores = score_states(ab.imdp, synth.p_lower, synth.p_upper)
 print("highest refinement scores (gap x incoming bound width):")
-for e in top:
-    c = ab.grid.cell(e.cell)
-    print(f"  cell {e.cell:3d} at [{c.lo.round(2)}, {c.hi.round(2)}]: score {e.score:.3f}")
+for cell in np.argsort(-scores, kind="stable")[:3]:
+    c = ab.grid.cell(cell)
+    print(f"  cell {cell:3d} at [{c.lo.round(2)}, {c.hi.round(2)}]: score {scores[cell]:.3f}")
 print()
 
 for rnd in range(rounds):

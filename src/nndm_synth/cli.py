@@ -37,7 +37,7 @@ from .pipeline import (
 )
 
 # Bump whenever a pickled class or the pickled dict changes its fields.
-_ARTIFACT_FORMAT = 11
+_ARTIFACT_FORMAT = 12
 _EXIT_NOT_CONVERGED = 3
 
 

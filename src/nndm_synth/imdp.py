@@ -60,27 +60,33 @@ _BLOCK_CELLS = 1 << 14
 # block size, it moves the values only within tol, so it is not a setting.
 _REFRESH = 0.1
 
+_FEAS_TOL = 1e-8  # slack of the row-sum feasibility checks (_check_sums, Imdp.validate)
+
 
 @dataclass
 class Imdp:
-    """Interval MDP over the grid cells. `rows` holds one row per (cell id,
-    action index), in that order; targets are cell ids plus UNSAFE_ID, the
-    virtual absorbing out-of-domain state."""
+    """Interval MDP over the grid cells, one per label set: `labels` is the
+    grid's list, extended in place by refinement, never rebound. `rows`
+    holds one row per (cell id, action index), in that order; targets are
+    cell ids plus UNSAFE_ID, the virtual absorbing out-of-domain state."""
 
     actions: tuple[str, ...]
     labels: list[frozenset[str]]
     rows: RowStore
-    num_cells: int
 
     @property
     def num_actions(self) -> int:
         return len(self.actions)
 
-    def validate(self, tol: float = 1e-8) -> None:
+    @property
+    def num_cells(self) -> int:
+        return len(self.labels)
+
+    def validate(self, tol: float = _FEAS_TOL) -> None:
         """Sanity checks on every row; raises on violation, naming the first
         bad row and the first check it fails. The upper sum counts the row's
         remainder. At most two masks over the entries live at a time."""
-        if len(self.labels) != self.num_cells:
+        if self.rows.first.size != self.num_cells:
             raise ValueError("one label set per cell required")
         rows = self.rows
         t, lo, up, start = rows.col, rows.lo, rows.up, rows.indptr[:-1]
@@ -247,11 +253,12 @@ class _BlockKernel:
     worth 1, above every value, and to the minimizer 0, below every value.
     It needs no lower bound: an adversary that fills it first is never held
     back by one. Budget that the gaps cannot hold either (C_S < B, a row
-    whose upper sum plus remainder falls short of 1 within the sum check's
-    slack) is valued the same way: 1 to the maximizer, 0 to the minimizer. Both are the Abel sum of the ordering method over the row's
-    targets plus the remainder, written so that every term is non-negative:
-    small values keep their relative accuracy next to values near 1. Row
-    targets must be distinct (each entry owns its cell)."""
+    whose upper sum plus remainder falls short of 1 within _FEAS_TOL) is
+    valued the same way: 1 to the maximizer, 0 to the minimizer. Both are
+    the Abel sum of the ordering method over the row's targets plus the
+    remainder, written so that every term is non-negative: small values
+    keep their relative accuracy next to values near 1. Row targets must be
+    distinct (each entry owns its cell)."""
 
     def __init__(self, store: RowStore, num_states: int, width: int):
         self.store = store

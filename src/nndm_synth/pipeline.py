@@ -60,7 +60,6 @@ _SETTINGS = (
     ("refinement", "per_round", "per_round", _int),
     ("refinement", "rounds", "rounds", _int),
     ("refinement", "stop_width", "stop_width", _float),
-    ("refinement", "split_mode", "split_mode", str),
     ("vi", "tolerance", "vi_tolerance", _float),
     ("vi", "max_sweeps", "vi_max_sweeps", _int),
     ("simulation", "trials", "sim_trials", _int),
@@ -241,18 +240,18 @@ def build_abstraction(nd: NeuralDynamics, config: PipelineConfig) -> Abstraction
 
     bounds = relax_cells(nd, nd.actions, grid.transform, grid.lo, grid.hi)
     rows = transition_rows(grid, np.arange(grid.num_cells), nd.actions, bounds)
-    imdp = Imdp(actions=nd.actions, labels=grid.labels, rows=rows, num_cells=grid.num_cells)
+    imdp = Imdp(actions=nd.actions, labels=grid.labels, rows=rows)
     return Abstraction(dynamics=nd, grid=grid, bounds=bounds, imdp=imdp)
 
 
 def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome) -> None:
     """Bring the abstraction in line with a round of grid splits: relax the
-    split children (the cells of outcome.dirty) for fresh envelopes, and
-    rebuild every row from the envelope stack in one transition_rows call,
-    so the store is exactly what a full build on the refined grid gives.
-    The stack keeps each unsplit row's envelope at its index; a split
-    child's rows are overwritten (the low child keeps its parent's id) or
-    appended (the high child's new id), so envelope r stays row r's."""
+    children of outcome.splits (the only field read) for fresh envelopes,
+    and rebuild every row from the envelope stack in one transition_rows
+    call, so the store is exactly what a full build on the refined grid
+    gives. The stack keeps each unsplit row's envelope at its index; a
+    split child's rows are overwritten (the low child keeps its parent's
+    id) or appended (the high child's new id), so envelope r stays row r's."""
     grid, imdp, old = abstraction.grid, abstraction.imdp, abstraction.bounds
     nd = abstraction.dynamics
     A = imdp.num_actions
@@ -264,7 +263,6 @@ def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome) -> None:
     abstraction.bounds = LinearBounds.concat([old, fresh])[pick]
     imdp.rows = None  # the old store goes before the new one is built
     imdp.rows = transition_rows(grid, np.arange(grid.num_cells), imdp.actions, abstraction.bounds)
-    imdp.num_cells = grid.num_cells
 
 
 # -- synthesis ----------------------------------------------------------------
@@ -390,8 +388,8 @@ def run_pipeline(
 
     rounds: list[dict] = []
     t = time.perf_counter()
+    mean_gap, _ = gap_stats(abstraction.grid, synth.p_lower, synth.p_upper)
     for rnd in range(config.refinement.rounds):
-        mean_gap, _ = gap_stats(abstraction.grid, synth.p_lower, synth.p_upper)
         if 0.0 < config.refinement.stop_width and mean_gap <= config.refinement.stop_width:
             break
         outcome = refine_round(
@@ -669,7 +667,7 @@ def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
     if cells is None:
         k = min(config.sim_start_cells, grid.num_cells)
         cells = np.sort(rng0.choice(grid.num_cells, size=k, replace=False))
-    bad = [c for c in cells if isinstance(c, (bool, str))
+    bad = [c for c in cells if isinstance(c, (bool, np.bool_, str))
            or not (float(c).is_integer() and 0 <= c < grid.num_cells)]
     if bad:
         raise ValueError(f"start cell {bad[0]} is not a cell id in [0, {grid.num_cells})")

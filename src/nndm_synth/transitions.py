@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import erf, erfc
 
 from .geometry import UNSAFE_ID, RegionGrid, post_image_boxes
-from .imdp import RowStore
+from .imdp import _FEAS_TOL, RowStore
 from .relaxation import LinearBounds
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -52,7 +52,6 @@ _SQRT2 = float(np.sqrt(2.0))
 # exceeds 3.4e-5 and no certified bound moves by more than 7.4e-5. It trades
 # width for size, so it is fixed, not a setting.
 _PRUNE = 1e-6
-_FEAS_TOL = 1e-8    # slack for the sum-feasibility sanity check
 # (row, target) entries per stacked kernel pass: a chunk holds this many
 # entries' worth of rows against every cell. Keeps the temporaries near
 # 1 MiB; on 720 cells (32 rows a chunk), 32 rows ran fastest of 8-64 without

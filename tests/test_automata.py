@@ -172,7 +172,7 @@ def two_goal_imdp():
         (2, 1): ([2], [1.0], [1.0], 0.0, 0.0),
     }
     rows = {(c, a): _mk_row(t, lo, up, ul, uu) for (c, a), (t, lo, up, ul, uu) in specs.items()}
-    imdp = Imdp(actions=("a0", "a1"), labels=labels, rows=RowStore.from_rows(rows, 3, 2), num_cells=3)
+    imdp = Imdp(actions=("a0", "a1"), labels=labels, rows=RowStore.from_rows(rows, 3, 2))
     imdp.validate()
     dfa = dfa_template("reach_two_avoid", {"avoid": "obst", "reach1": "r1", "reach2": "r2"})
     return imdp, dfa
@@ -218,7 +218,7 @@ class TestProduct:
             (1, 0): _mk_row([0, 1], [0.2, 0.5], [0.4, 0.7], 0.0, 0.2),
         }
         imdp = Imdp(actions=("a0",), labels=[frozenset(), frozenset()],
-                    rows=RowStore.from_rows(rows, 2, 1), num_cells=2)
+                    rows=RowStore.from_rows(rows, 2, 1))
         imdp.validate()
         dfa = dfa_template("reach_avoid", {"avoid": "obst", "reach": "goal"})
         prod = build_product(imdp, dfa)
@@ -283,8 +283,7 @@ class TestProduct:
     def test_unsafe_prop_required(self):
         labels = [frozenset({"g"})]
         row = _mk_row([0], [1.0], [1.0])
-        imdp = Imdp(actions=("a0",), labels=labels, rows=RowStore.from_rows({(0, 0): row}, 1, 1),
-                    num_cells=1)
+        imdp = Imdp(actions=("a0",), labels=labels, rows=RowStore.from_rows({(0, 0): row}, 1, 1))
         d = Dfa(states=("s",), initial="s", accepting=frozenset(),
                 alphabet=frozenset({"g"}), defaults={"s": "s"})
         with pytest.raises(ValueError, match="reserved proposition"):

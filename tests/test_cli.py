@@ -158,10 +158,11 @@ def test_simulate_refuses_format_3_result(tmp_path, capsys):
     # the envelopes as a dict of (cell, action) objects and a transform field,
     # format 8 a product row store with its own copy of the bounds, format 9
     # a config holding its grid and regions as lists and a writable covariance,
-    # format 10 row stores without a remainder per row
+    # format 10 row stores without a remainder per row, format 11 a refinement
+    # config with a split rule setting and an Imdp with its own cell count
     nd, config = reach_avoid_2d(grid=(4, 4))
     result = run_pipeline(config, nd=nd)
-    for fmt in (3, 4, 5, 6, 7, 8, 9, 10):
+    for fmt in (3, 4, 5, 6, 7, 8, 9, 10, 11):
         with open(tmp_path / "result.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "fingerprint": None, "object": result}, fh)
         rc = main(["simulate", "--out", str(tmp_path)])
@@ -175,9 +176,10 @@ def test_synthesize_refuses_old_format_tag(workdir, tmp_path, capsys):
     abstraction = build_abstraction(nd, config)
     # format 6 held the abstraction's rows as a dict of per-row objects,
     # format 7 its envelopes as a dict keyed (cell, action) and a transform
-    # field, format 8 row stores without `at`; format 9 (the result's config
-    # changed) goes too, since one tag covers every artifact
-    for fmt in (1, 4, 5, 6, 7, 8, 9):
+    # field, format 8 row stores without `at`, format 11 an Imdp with its own
+    # cell count; format 9 (the result's config changed) goes too, since one
+    # tag covers every artifact
+    for fmt in (1, 4, 5, 6, 7, 8, 9, 11):
         with open(tmp_path / "abstraction.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "object": abstraction}, fh)
         rc = main(["synthesize", "--config", str(workdir / "config.json"), "--out", str(tmp_path)])
@@ -199,6 +201,17 @@ def test_config_typo_fails(workdir, capsys):
     rc = main(["run", "--config", str(workdir / "typo.json"), "--out", str(workdir / "y")])
     assert rc == 2
     assert "'refinment'" in capsys.readouterr().err
+
+
+def test_removed_split_rule_setting_fails(workdir, capsys):
+    # the key's old default is refused like any unknown key
+    raw = json.loads((workdir / "config.json").read_text())
+    raw["refinement"]["split_mode"] = "edges"
+    (workdir / "removed_key.json").write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(workdir / "removed_key.json"), "--out", str(workdir / "s")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown config key 'split_mode'" in err and "Traceback" not in err
 
 
 def test_malformed_config_exits_2_without_traceback(workdir, capsys):

@@ -557,14 +557,14 @@ class TestImdpValidate:
     labels = [frozenset(), frozenset({"goal"})]
 
     def _imdp(self, row, rem=0.0):
-        return Imdp(actions=("a0",), labels=self.labels, rows=_store([row], 2, 1, [rem]), num_cells=2)
+        return Imdp(actions=("a0",), labels=self.labels, rows=_store([row], 2, 1, [rem]))
 
     def test_valid_row_passes(self):
         self._imdp(_mk_row([0, 1], [0.2, 0.3], [0.6, 0.7], uu=0.1)).validate()
 
     def test_label_count_mismatch(self):
         no_rows = RowStore.from_rows({}, 2, 1)
-        bad = Imdp(actions=("a0",), labels=[frozenset()], rows=no_rows, num_cells=2)
+        bad = Imdp(actions=("a0",), labels=[frozenset()], rows=no_rows)
         with pytest.raises(ValueError, match="label"):
             bad.validate()
 
@@ -606,7 +606,7 @@ class TestImdpValidate:
         # the second action's row of cell 1 is the only bad one
         good = _mk_row([0, 1, 2], [0.2, 0.3, 0.1], [0.6, 0.7, 0.5])
         rows = _store([good] * 6, 3, 2, [0.0, 0.0, 0.0, rem, 0.0, 0.0])
-        imdp = Imdp(actions=("a0", "a1"), labels=[frozenset()] * 3, rows=rows, num_cells=3)
+        imdp = Imdp(actions=("a0", "a1"), labels=[frozenset()] * 3, rows=rows)
         with pytest.raises(ValueError, match=r"row \(1, 1\): remainder outside \[0, 1\]"):
             imdp.validate()
         self._imdp(_mk_row([0, 1], [0.2, 0.3], [0.6, 0.7]), rem=1.0).validate()  # 1 is allowed
@@ -622,8 +622,7 @@ class TestImdpValidate:
         # of the store, fails, and the error names it, not the first row
         good = _mk_row([0, 1, 2], [0.2, 0.3, 0.1], [0.6, 0.7, 0.5])
         rows = _store([good, good, good, bad, good, good], 3, 2)
-        imdp = Imdp(actions=("a0", "a1"), labels=[frozenset()] * 3, rows=rows, num_cells=3)
+        imdp = Imdp(actions=("a0", "a1"), labels=[frozenset()] * 3, rows=rows)
         with pytest.raises(ValueError, match=rf"row \(1, 1\): .*{match}"):
             imdp.validate()
-        Imdp(actions=("a0", "a1"), labels=[frozenset()] * 3, rows=_store([good] * 6, 3, 2),
-             num_cells=3).validate()
+        Imdp(actions=("a0", "a1"), labels=[frozenset()] * 3, rows=_store([good] * 6, 3, 2)).validate()

@@ -107,7 +107,7 @@ class TestConfigParsing:
         raw = dict(
             BASE_RAW,
             threshold=0.9,
-            refinement={"per_round": 5, "rounds": 3, "split_mode": "corners"},
+            refinement={"per_round": 5, "rounds": 3, "stop_width": 0.25},
             vi={"tolerance": 1e-8, "max_sweeps": 100},
             simulation={"trials": 500, "horizon": 25},
             seed=42,
@@ -116,7 +116,7 @@ class TestConfigParsing:
         cfg = PipelineConfig.from_dict(raw)
         assert cfg.threshold == 0.9
         assert cfg.refinement.per_round == 5 and cfg.refinement.rounds == 3
-        assert cfg.refinement.split_mode == "corners"
+        assert cfg.refinement.stop_width == 0.25
         assert cfg.vi_tolerance == 1e-8 and cfg.vi_max_sweeps == 100
         assert cfg.sim_trials == 500 and cfg.horizon == 25
         assert cfg.seed == 42 and cfg.threads == 4
@@ -150,6 +150,8 @@ class TestConfigParsing:
             (dict(BASE_RAW, simulation={"trails": 10}), "trails"),
             (dict(BASE_RAW, spec=dict(BASE_RAW["spec"], label={})), "label"),
             (dict(BASE_RAW, regions=[{"label": "goal", "bx": [[0, 1], [0, 1]]}]), "bx"),
+            # the old default of a removed setting
+            (dict(BASE_RAW, refinement={"split_mode": "edges"}), "split_mode"),
         ],
     )
     def test_unknown_key_rejected(self, raw, key):
@@ -555,8 +557,8 @@ class TestMonteCarlo:
     def test_start_cell_outside_the_grid_rejected(self, small_run):
         _, config, res, _ = small_run
         res_small = replace(res, config=replace(config, sim_trials=10))
-        # 1.5 was once truncated to cell 1, and True taken as cell 1
-        for cell in (-1, res.abstraction.grid.num_cells, 1.5, True):
+        # 1.5 was once truncated to cell 1, and True and np.True_ taken as cell 1
+        for cell in (-1, res.abstraction.grid.num_cells, 1.5, True, np.True_):
             with pytest.raises(ValueError, match=f"start cell {cell} "):
                 validate_monte_carlo(res_small, cells=[0, cell])
 

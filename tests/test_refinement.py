@@ -40,32 +40,15 @@ def _lb(*pairs, n=2):
 
 class TestSplitDimension:
     def test_edges_picks_largest_column(self):
-        cell = HyperRect([0.0, 0.0], [1.0, 1.0])
         b = _lb((np.diag([1.0, 3.0]), np.diag([1.0, 3.0])))
-        assert split_dimension(cell, b, "edges") == 1
+        assert split_dimension(b) == 1
 
     def test_edges_considers_all_matrices(self):
-        cell = HyperRect([0.0, 0.0], [1.0, 1.0])
         b = _lb((np.diag([2.0, 1.0]), np.eye(2)), (np.eye(2), np.diag([1.0, 5.0])))
-        assert split_dimension(cell, b, "edges") == 1
-
-    def test_corners_uses_diagonal_stretch(self):
-        cell = HyperRect([0.0, 0.0], [1.0, 2.0])
-        # output component 0 stretches by 4 relative to its width
-        M = np.array([[0.0, 2.0], [0.5, 0.0]])
-        b = _lb((M, M))
-        assert split_dimension(cell, b, "corners") == 0
+        assert split_dimension(b) == 1
 
     def test_tie_resolves_to_lowest(self):
-        cell = HyperRect([0.0, 0.0], [1.0, 1.0])
-        b = _lb((np.eye(2), np.eye(2)))
-        assert split_dimension(cell, b, "edges") == 0
-        assert split_dimension(cell, b, "corners") == 0
-
-    def test_unknown_mode(self):
-        cell = HyperRect([0.0], [1.0])
-        with pytest.raises(ValueError, match="split mode"):
-            split_dimension(cell, _lb(n=1), "fancy")
+        assert split_dimension(_lb((np.eye(2), np.eye(2)))) == 0
 
 
 def _score_fixture():
@@ -74,35 +57,30 @@ def _score_fixture():
         (1, 0): (np.array([UNSAFE_ID, 1]), np.array([0.0, 0.8]), np.array([0.2, 1.0])),
     }
     return Imdp(actions=("a0",), labels=[frozenset(), frozenset()],
-                rows=RowStore.from_rows(rows, 2, 1), num_cells=2)
+                rows=RowStore.from_rows(rows, 2, 1))
 
 
 class TestScoreStates:
     def test_scores_are_gap_times_incoming(self):
         imdp = _score_fixture()
         # incoming gap: cell 0 gets 0.2, cell 1 gets 0.3 + 0.2
-        entries = score_states(imdp, np.array([0.3, 0.8]), np.array([0.8, 0.9]))
-        by_cell = {e.cell: e.score for e in entries}
-        assert by_cell[0] == pytest.approx(0.5 * 0.2)
-        assert by_cell[1] == pytest.approx(0.1 * 0.5)
-        assert entries[0].cell == 0
+        scores = score_states(imdp, np.array([0.3, 0.8]), np.array([0.8, 0.9]))
+        assert scores == pytest.approx([0.5 * 0.2, 0.1 * 0.5])
 
     def test_out_of_domain_gap_is_not_scored(self):
         # the UNSAFE_ID gaps (0.4 and 0.2) must not land on the last cell
-        entries = score_states(_score_fixture(), np.zeros(2), np.ones(2))
-        by_cell = {e.cell: e.score for e in entries}
-        assert by_cell == pytest.approx({0: 0.2, 1: 0.3 + 0.2})
+        scores = score_states(_score_fixture(), np.zeros(2), np.ones(2))
+        assert scores == pytest.approx([0.2, 0.3 + 0.2])
 
     def test_order_flips_with_gaps(self):
         imdp = _score_fixture()
-        entries = score_states(imdp, np.array([0.8, 0.1]), np.array([0.9, 0.9]))
-        assert entries[0].cell == 1
+        scores = score_states(imdp, np.array([0.8, 0.1]), np.array([0.9, 0.9]))
+        assert scores[1] > scores[0]
 
     def test_zero_gap_scores_zero(self):
         imdp = _score_fixture()
         p = np.array([0.4, 0.6])
-        entries = score_states(imdp, p, p)
-        assert all(e.score == 0.0 for e in entries)
+        assert np.all(score_states(imdp, p, p) == 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +115,7 @@ class TestRefineRound:
     @pytest.mark.parametrize("settings, key", [
         ({"per_round": -1}, "'per_round'"),
         ({"rounds": -1}, "'rounds'"),
-        ({"split_mode": "diag"}, "'split_mode'"),
+        ({"stop_width": float("-inf")}, "'stop_width'"),
         ({"stop_width": -1.0}, "'stop_width'"),
         ({"stop_width": float("nan")}, "'stop_width'"),
         ({"stop_width": float("inf")}, "'stop_width'"),
@@ -149,6 +127,16 @@ class TestRefineRound:
             RefinementConfig(**{"per_round": 1, **settings})
         with pytest.raises(ValueError, match=key):
             replace(RefinementConfig(per_round=1), **settings)
+
+    def test_equal_scores_split_the_lower_id_first(self):
+        # cell 0 scores 0.12, cells 1 and 2 both 0.6: one split goes to cell 1
+        row = (np.arange(3), np.full(3, 0.1), np.full(3, 0.5))
+        imdp = Imdp(actions=("a0",), labels=[frozenset()] * 3,
+                    rows=RowStore.from_rows({(c, 0): row for c in range(3)}, 3, 1))
+        grid = _unit_cells_in_a_row(3)
+        out = refine_round(grid, imdp, np.array([0.5, 0.2, 0.2]), np.array([0.6, 0.7, 0.7]),
+                           RefinementConfig(per_round=1), _lb(*[(np.eye(2), np.eye(2))] * 3))
+        assert out.splits == [(1, 3, 0)]
 
     def test_zero_scores_split_nothing(self):
         imdp = _score_fixture()
@@ -245,7 +233,7 @@ class TestApplyRefinement:
         cells = np.arange(2)
         bounds = relax_cells(nd, nd.actions, grid.transform, grid.lo, grid.hi)
         imdp = Imdp(actions=nd.actions, labels=grid.labels,
-                    rows=transition_rows(grid, cells, nd.actions, bounds), num_cells=2)
+                    rows=transition_rows(grid, cells, nd.actions, bounds))
         ab = Abstraction(dynamics=nd, grid=grid, bounds=bounds, imdp=imdp)
         new = grid.split_cell(1, 0)
         apply_refinement(ab, RefineOutcome(splits=[(1, new, 0)], dirty={(1, 0), (new, 0)}))
