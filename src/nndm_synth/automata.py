@@ -18,6 +18,7 @@ import numpy as np
 
 from .geometry import UNSAFE_ID
 from .imdp import Imdp, RowStore
+from .networks import _check_keys
 
 UNSAFE_PROP = "unsafe"
 
@@ -122,32 +123,56 @@ def _subsets(alphabet) -> list[frozenset[str]]:
     return out
 
 
+_DFA_KEYS = ("states", "initial", "accepting", "ap", "transitions")
+
+
+def _name(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _names(value, what: str) -> list[str]:
+    """A bare string would otherwise read as the list of its characters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of strings, got {value!r}")
+    return value
+
+
 def parse_dfa(raw: dict) -> Dfa:
-    for key in ("states", "initial", "accepting", "ap", "transitions"):
+    """The DFA of a JSON document in the layout of Dfa.to_json, read as
+    strictly as a config: an unknown key, a non-list where a list belongs or
+    a non-string name is an error."""
+    _check_keys(raw, set(_DFA_KEYS), "the DFA document")
+    for key in _DFA_KEYS:
         if key not in raw:
             raise ValueError(f"DFA document missing key {key!r}")
+    if not isinstance(raw["transitions"], list):
+        raise ValueError(f"DFA 'transitions' must be a list of edges, got {raw['transitions']!r}")
     transitions: dict[tuple[str, frozenset[str]], str] = {}
     defaults: dict[str, str] = {}
     for k, edge in enumerate(raw["transitions"]):
+        is_default = isinstance(edge, dict) and "default" in edge
+        _check_keys(edge, {"from", "default"} if is_default else {"from", "when", "to"}, f"transition {k}")
         if "from" not in edge:
             raise ValueError(f"transition {k} missing 'from'")
-        src = edge["from"]
-        if "default" in edge:
+        src = _name(edge["from"], f"transition {k} 'from'")
+        if is_default:
             if src in defaults:
                 raise ValueError(f"state {src!r} has two default transitions")
-            defaults[src] = edge["default"]
+            defaults[src] = _name(edge["default"], f"transition {k} 'default'")
         elif "when" in edge and "to" in edge:
-            guard = frozenset(edge["when"])
+            guard = frozenset(_names(edge["when"], f"transition {k} 'when'"))
             if (src, guard) in transitions:
                 raise ValueError(f"duplicate transition from {src!r} on {sorted(guard)}")
-            transitions[(src, guard)] = edge["to"]
+            transitions[(src, guard)] = _name(edge["to"], f"transition {k} 'to'")
         else:
             raise ValueError(f"transition {k} needs either 'when'/'to' or 'default'")
     return Dfa(
-        states=tuple(raw["states"]),
-        initial=raw["initial"],
-        accepting=frozenset(raw["accepting"]),
-        alphabet=frozenset(raw["ap"]),
+        states=tuple(_names(raw["states"], "DFA 'states'")),
+        initial=_name(raw["initial"], "DFA 'initial'"),
+        accepting=frozenset(_names(raw["accepting"], "DFA 'accepting'")),
+        alphabet=frozenset(_names(raw["ap"], "DFA 'ap'")),
         transitions=transitions,
         defaults=defaults,
     )
@@ -162,79 +187,46 @@ def load_dfa(path: str) -> Dfa:
     return parse_dfa(raw)
 
 
-def dfa_template(name: str, labels: dict[str, str]) -> Dfa:
-    """Built-in specification shapes.
+# Built-in specification shapes: the label keys of the goals, and the name of
+# each waiting state, keyed by the indices of the goals seen so far (sorted).
+_TEMPLATES = {
+    "reach_avoid": (("reach",), {(): "trying"}),
+    "reach_two_avoid": (("reach1", "reach2"), {(): "waiting", (0,): "got1", (1,): "got2"}),
+}
 
-    reach_avoid: labels {"avoid": .., "reach": ..} - reach the goal region
-    while never touching the avoid region (or leaving the domain).
-    reach_two_avoid: labels {"avoid": .., "reach1": .., "reach2": ..} - visit
-    both goal regions, in any order, under the same avoidance constraint.
-    The avoid proposition wins whenever a label set contains it.
-    """
-    if name == "reach_avoid":
-        required = ("avoid", "reach")
-    elif name == "reach_two_avoid":
-        required = ("avoid", "reach1", "reach2")
-    else:
+
+def dfa_template(name: str, labels: dict[str, str]) -> Dfa:
+    """Built-in specification shapes: visit every goal region, in any order,
+    while never touching the avoid region (or leaving the domain); the avoid
+    proposition wins whenever a label set contains it. reach_avoid takes
+    labels {"avoid": .., "reach": ..}, reach_two_avoid {"avoid": ..,
+    "reach1": .., "reach2": ..}."""
+    if name not in _TEMPLATES:
         raise ValueError(f"unknown template {name!r}")
+    goal_keys, waiting = _TEMPLATES[name]
+    required = ("avoid", *goal_keys)
     missing = [k for k in required if k not in labels]
     if missing:
         raise ValueError(f"template {name!r} needs label keys {missing}")
     vals = [labels[k] for k in required]
     if len(set(vals)) != len(vals) or UNSAFE_PROP in vals:
         raise ValueError(f"template labels must be distinct and not {UNSAFE_PROP!r}")
+    bad, goals = {vals[0], UNSAFE_PROP}, vals[1:]
+    seen_in = {state: set(seen) for seen, state in waiting.items()}
 
-    if name == "reach_avoid":
-        avoid, reach = labels["avoid"], labels["reach"]
-        alphabet = frozenset({avoid, reach, UNSAFE_PROP})
-        bad = {avoid, UNSAFE_PROP}
+    def delta(state, s):
+        if state not in seen_in:  # accepted and dead are absorbing
+            return state
+        if s & bad:
+            return "dead"
+        seen = seen_in[state] | {i for i, g in enumerate(goals) if g in s}
+        return "accepted" if len(seen) == len(goals) else waiting[tuple(sorted(seen))]
 
-        def delta(state, s):
-            if state in ("accepted", "dead"):
-                return state
-            if s & bad:
-                return "dead"
-            if reach in s:
-                return "accepted"
-            return "trying"
-
-        states = ("trying", "accepted", "dead")
-        initial, accepting = "trying", frozenset({"accepted"})
-    else:
-        avoid, r1, r2 = labels["avoid"], labels["reach1"], labels["reach2"]
-        alphabet = frozenset({avoid, r1, r2, UNSAFE_PROP})
-        bad = {avoid, UNSAFE_PROP}
-
-        def delta(state, s):
-            if state in ("accepted", "dead"):
-                return state
-            if s & bad:
-                return "dead"
-            got1 = state == "got1" or r1 in s
-            got2 = state == "got2" or r2 in s
-            if got1 and got2:
-                return "accepted"
-            if got1:
-                return "got1"
-            if got2:
-                return "got2"
-            return "waiting"
-
-        states = ("waiting", "got1", "got2", "accepted", "dead")
-        initial, accepting = "waiting", frozenset({"accepted"})
-
-    transitions = {
-        (state, combo): delta(state, set(combo))
-        for state in states
-        for combo in _subsets(alphabet)
-    }
-    return Dfa(
-        states=states,
-        initial=initial,
-        accepting=accepting,
-        alphabet=alphabet,
-        transitions=transitions,
-    )
+    states = (*waiting.values(), "accepted", "dead")
+    alphabet = frozenset({*vals, UNSAFE_PROP})
+    transitions = {(q, combo): delta(q, combo) for q in states for combo in _subsets(alphabet)}
+    return Dfa(states=states, initial=states[0], accepting=frozenset({"accepted"}),
+               alphabet=alphabet, transitions=transitions)
 
 
 # -- product construction ----------------------------------------------------

@@ -40,22 +40,27 @@ def _corner_masks(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HyperRect:
-    """Axis-aligned box [lo, hi], closed on both sides."""
+    """Axis-aligned box [lo, hi], closed on both sides. The bounds are
+    read-only copies, so the box stays the one that was checked."""
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        lo = np.atleast_1d(np.array(self.lo, dtype=float))
+        hi = np.atleast_1d(np.array(self.hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError(f"bounds must be 1-d arrays of equal length, got {lo.shape} and {hi.shape}")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValueError(f"empty box: lo={lo}, hi={hi}")
+        lo.flags.writeable = hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+
+    def __reduce__(self):  # an unpickled box is built, so copied and checked
+        return HyperRect, (self.lo, self.hi)
 
     @property
     def dim(self) -> int:

@@ -175,6 +175,15 @@ def _strict(conv, value, what: str):
         raise ValueError(what) from None
 
 
+def _check_keys(raw, allowed: set[str], where: str) -> None:
+    """A misspelt key would otherwise fall back to its default silently."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - allowed)
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
+
+
 def _int(value) -> int:
     if isinstance(value, (bool, str)) or not float(value).is_integer():
         raise ValueError(value)

@@ -31,7 +31,7 @@ from .imdp import (
     evaluate_strategy_upper,
     robust_value_iteration,
 )
-from .networks import NeuralDynamics, _float, _int, _numbers, _strict, evaluate, load_networks
+from .networks import NeuralDynamics, _check_keys, _float, _int, _numbers, _strict, evaluate, load_networks
 from .refinement import RefinementConfig, RefineOutcome, refine_round
 from .relaxation import LinearBounds, relax_cells
 from .transitions import transition_rows
@@ -72,15 +72,6 @@ for _section, _key, _, _ in _SETTINGS:
     _SECTION_KEYS.setdefault(_section, set()).add(_key)
 _TOP_KEYS = _SECTION_KEYS.pop(None) | {"domain", "covariance", "grid", "regions", "network", *_SECTION_KEYS}
 _REGION_KEYS = {"label", "box"}
-
-
-def _check_keys(raw, allowed: set[str], where: str) -> None:
-    """A misspelt key would otherwise fall back to its default silently."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
 
 
 def _require(raw: dict, keys, where: str) -> None:
@@ -284,8 +275,10 @@ def synthesize(
     max_sweeps: int = 5000,
 ) -> Synthesis:
     """Product construction plus the two value iterations: the maximin pass
-    certifies the strategy from below, the fixed-strategy optimistic pass
-    bounds the same strategy from above."""
+    bounds the strategy from below, the fixed-strategy optimistic pass
+    bounds it from above. p_upper is clamped up to p_lower (np.maximum),
+    which hides an extracted action whose own optimistic value lies below
+    p_lower; see the README's known limitations."""
     product = build_product(abstraction.imdp, dfa)
     lower = robust_value_iteration(product, tol=tol, max_sweeps=max_sweeps)
     upper = evaluate_strategy_upper(product, lower.strategy, tol=tol, max_sweeps=max_sweeps)

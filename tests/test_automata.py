@@ -1,6 +1,7 @@
 """DFA semantics, spec templates, JSON round trips, and the product of the
 cell-level interval MDP with a DFA."""
 
+import itertools
 import json
 
 import numpy as np
@@ -104,6 +105,44 @@ class TestTemplates:
         assert d.step("got1", {"obst", "r2"}) == "dead"
         assert d.step("waiting", {UNSAFE_PROP}) == "dead"
 
+    @pytest.mark.parametrize("name, labels, seen_in", [
+        ("reach_avoid", {"avoid": "obst", "reach": "goal"}, {"trying": set()}),
+        ("reach_avoid", {"avoid": "b", "reach": "a"}, {"trying": set()}),
+        ("reach_two_avoid", {"avoid": "obst", "reach1": "r1", "reach2": "r2"},
+         {"waiting": set(), "got1": {"r1"}, "got2": {"r2"}}),
+        ("reach_two_avoid", {"avoid": "x", "reach1": "b", "reach2": "a"},
+         {"waiting": set(), "got1": {"b"}, "got2": {"a"}}),
+    ])
+    def test_every_transition_matches_the_spec(self, name, labels, seen_in):
+        # the whole table against the spec stated directly: avoid or unsafe
+        # is fatal, and the run is accepted once it has seen every goal;
+        # seen_in names each waiting state by the goals seen on entering it
+        avoid = labels["avoid"]
+        goals = {v for k, v in labels.items() if k != "avoid"}
+        d = dfa_template(name, labels)
+        assert d.states == (*seen_in, "accepted", "dead")
+        assert d.initial == next(iter(seen_in))
+        assert d.accepting == frozenset({"accepted"})
+        assert d.alphabet == frozenset({avoid, *goals, UNSAFE_PROP})
+        assert d.defaults == {} and d.dead_states() == frozenset({"dead"})
+        props = sorted(d.alphabet)
+        combos = [frozenset(c) for r in range(len(props) + 1)
+                  for c in itertools.combinations(props, r)]
+        assert len(d.transitions) == len(d.states) * len(combos)
+        for state in d.states:
+            for combo in combos:
+                if state in ("accepted", "dead"):
+                    expect = state
+                elif avoid in combo or UNSAFE_PROP in combo:
+                    expect = "dead"
+                else:
+                    seen = seen_in[state] | (combo & goals)
+                    expect = "accepted" if seen == goals else next(
+                        w for w, g in seen_in.items() if g == seen)
+                assert d.transitions[state, combo] == expect, (state, sorted(combo))
+                assert d.step(state, combo) == expect
+        assert parse_dfa(d.to_json()) == d
+
     def test_template_validation(self):
         with pytest.raises(ValueError, match="unknown template"):
             dfa_template("nope", {})
@@ -152,6 +191,32 @@ class TestJsonRoundTrip:
         bad = dict(base, transitions=base["transitions"] + dup)
         with pytest.raises(ValueError, match="duplicate transition"):
             parse_dfa(bad)
+        # read as strictly as a config: a string is never a list of its
+        # characters, a name is a string, and an unknown key is an error
+        when = [dict(e, when="p") if "when" in e else e for e in base["transitions"]]
+        for change, match in [
+            ({"states": "st"}, "'states' must be a list of strings"),
+            ({"ap": "p"}, "'ap' must be a list of strings"),
+            ({"accepting": "t"}, "'accepting' must be a list of strings"),
+            ({"transitions": {"from": "s", "default": "s"}}, "'transitions' must be a list"),
+            ({"transitions": when}, "'when' must be a list of strings"),
+            ({"transitions": ["s"]}, "transition 0 must be a JSON object"),
+            ({"states": ["s", 1]}, "'states' must be a list of strings"),
+            ({"initial": 0}, "'initial' must be a string"),
+            ({"transitions": [{"from": 0, "default": "s"}]}, "'from' must be a string"),
+            ({"transitions": [{"from": "s", "when": [], "to": ["t"]}]}, "'to' must be a string"),
+            ({"transitions": [{"from": "s", "default": 1}]}, "'default' must be a string"),
+            ({"transitions": [{"from": "s", "when": [1], "to": "t"}]}, "'when' must be a list of strings"),
+            ({"extra": 1}, "unknown config key 'extra' in the DFA document"),
+            ({"transitions": [{"from": "s", "default": "s", "to": "t"}]},
+             "unknown config key 'to' in transition 0"),
+            ({"transitions": [{"from": "s", "when": [], "to": "t", "why": ""}]},
+             "unknown config key 'why' in transition 0"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                parse_dfa(dict(base, **change))
+        with pytest.raises(ValueError, match="the DFA document must be a JSON object"):
+            parse_dfa(["states"])
 
 
 def _mk_row(targets, lower, upper, ul=0.0, uu=0.0):

@@ -1,15 +1,24 @@
 """Command line entry point, exercised in process via main()."""
 
+import hashlib
 import json
 import os
 import pickle
+from dataclasses import replace
+from enum import Enum
 
+import numpy as np
 import pytest
 
-from nndm_synth.cli import _EXIT_NOT_CONVERGED, main
+from nndm_synth.cli import _ARTIFACT_FORMAT, _EXIT_NOT_CONVERGED, main
 from nndm_synth.fixtures import reach_avoid_2d
 from nndm_synth.networks import save_networks
 from nndm_synth.pipeline import build_abstraction, run_pipeline
+from nndm_synth.refinement import RefinementConfig
+
+# sha256 of the pickled classes' field names (see _pickled_fields) under the
+# current artifact format
+_FORMAT_DIGEST = (12, "7a4222f032e91e8291693e53395d6d55ee0d83470dba71598ab4a7d4c5b05b3e")
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +326,44 @@ def test_simulate_rejects_negative_seed(workdir, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "'seed'" in err and "Traceback" not in err
+
+
+def _pickled_fields(*roots) -> list[str]:
+    """'Class: field, ...' for every nndm_synth class reachable from roots
+    through attributes and containers; an enum lists its values."""
+    found, seen, stack = set(), set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        cls = type(obj)
+        if cls.__module__.startswith("nndm_synth."):
+            if isinstance(obj, Enum):
+                fields = sorted(str(m.value) for m in cls)
+            else:
+                fields = sorted(vars(obj))
+                stack.extend(vars(obj).values())
+            found.add(f"{cls.__module__}.{cls.__qualname__}: {', '.join(fields)}")
+        elif isinstance(obj, dict):
+            stack.extend([*obj.keys(), *obj.values()])
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, np.ndarray) and obj.dtype == object:
+            stack.extend(obj.ravel())
+    return sorted(found)
+
+
+def test_artifact_format_matches_the_pickled_fields():
+    # a pickled class that gains, loses or renames a field makes old
+    # artifacts stale; the format tag is what refuses them
+    nd, config = reach_avoid_2d(grid=(4, 4))
+    config = replace(config, refinement=RefinementConfig(per_round=2, rounds=1))
+    result = run_pipeline(config, nd=nd, monte_carlo=True)
+    fields = _pickled_fields(result.abstraction, result)
+    digest = hashlib.sha256("\n".join(fields).encode()).hexdigest()
+    assert (_ARTIFACT_FORMAT, digest) == _FORMAT_DIGEST, (
+        f"the pickled classes no longer match format {_FORMAT_DIGEST[0]}: bump "
+        f"cli._ARTIFACT_FORMAT past it and record (the new format, {digest!r}) as "
+        "_FORMAT_DIGEST in tests/test_cli.py; the pickled classes now read:\n" + "\n".join(fields)
+    )

@@ -250,13 +250,17 @@ class TestConfigChecks:
             config.refinement.rounds = 3
 
     def test_fields_cannot_be_changed_in_place(self):
-        # grid and regions are tuples and the covariance a read-only copy,
-        # also in a config built from lists and in one read back from a pickle
+        # grid and regions are tuples and the covariance and every box bound
+        # read-only copies, also in a config built from lists and in one read
+        # back from a pickle
         _, config = reach_avoid_2d(grid=(4, 4))
-        covariance = np.array(config.covariance)
-        built = replace(config, grid=[4, 4], regions=list(config.regions), covariance=covariance)
+        covariance, lo = np.array(config.covariance), np.array(config.domain.lo)
+        built = replace(config, grid=[4, 4], regions=list(config.regions), covariance=covariance,
+                        domain=HyperRect(lo, config.domain.hi))
         covariance[0, 0] = 5.0
+        lo[0] = 5.0  # above hi: the checked domain must not see it
         assert built.covariance[0, 0] == config.covariance[0, 0]
+        assert built.domain.lo[0] == config.domain.lo[0]
         for c in (config, built, pickle.loads(pickle.dumps(built))):
             assert c.grid == (4, 4) and isinstance(c.regions, tuple)
             with pytest.raises(AttributeError):
@@ -265,6 +269,10 @@ class TestConfigChecks:
                 c.regions.append(("goal", c.domain))
             with pytest.raises(ValueError, match="read-only"):
                 c.covariance[0, 0] = 1.0
+            for box in (c.domain, *(box for _, box in c.regions)):
+                for bound in (box.lo, box.hi):
+                    with pytest.raises(ValueError, match="read-only"):
+                        bound[0] = 1.0
 
 
 class TestClassify:
