@@ -11,14 +11,13 @@ labels the virtual out-of-domain state.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import UNSAFE_ID
 from .imdp import Imdp, RowStore
-from .networks import _check_keys
+from .networks import _check_keys, _load_json, _names
 
 UNSAFE_PROP = "unsafe"
 
@@ -132,13 +131,6 @@ def _name(value, what: str) -> str:
     return value
 
 
-def _names(value, what: str) -> list[str]:
-    """A bare string would otherwise read as the list of its characters."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"{what} must be a list of strings, got {value!r}")
-    return value
-
-
 def parse_dfa(raw: dict) -> Dfa:
     """The DFA of a JSON document in the layout of Dfa.to_json, read as
     strictly as a config: an unknown key, a non-list where a list belongs or
@@ -179,12 +171,8 @@ def parse_dfa(raw: dict) -> Dfa:
 
 
 def load_dfa(path: str) -> Dfa:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not valid JSON ({e})") from None
-    return parse_dfa(raw)
+    """parse_dfa of the file at path; every error starts with the path."""
+    return _load_json(path, parse_dfa)
 
 
 # Built-in specification shapes: the label keys of the goals, and the name of
@@ -257,6 +245,29 @@ class ProductImdp:
     @property
     def num_actions(self) -> int:
         return self.imdp.num_actions
+
+    def solve_order(self) -> list[np.ndarray]:
+        """The live states (neither accepting nor sink) in groups, one per
+        SCC of the DFA graph d -> next_tbl[:, d] that holds some live state's
+        DFA state, each group's pids ascending. A row of (cell, d) moves to
+        DFA state next_tbl[q', d], so it names only states of its own group,
+        of a group whose SCC d reaches, or frozen states; groups are ordered
+        by how many DFA states their SCC reaches, so every group comes after
+        all the groups it names."""
+        n = len(self.dfa.states)
+        reach = np.eye(n, dtype=bool)
+        reach[np.arange(n)[:, None], self.next_tbl.T] = True
+        while True:  # transitive closure; a DFA has a handful of states
+            wider = (reach.astype(np.int64) @ reach) > 0
+            if np.array_equal(wider, reach):
+                break
+            reach = wider
+        live = ~(self.accepting | self.sink)
+        d_of = np.array([d for _, d in self.states], dtype=np.int64)
+        held = np.unique(d_of[live])
+        sccs = {tuple(np.flatnonzero(reach[d] & reach[:, d])) for d in held.tolist()}
+        order = sorted(sccs, key=lambda scc: (np.count_nonzero(reach[scc[0]]), scc))
+        return [np.flatnonzero(live & np.isin(d_of, scc)) for scc in order]
 
 
 def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:

@@ -34,6 +34,16 @@ sweep is full. The strategy is extracted once at the converged values: in
 each state, the lowest-index action whose value is within tol of the
 state's best, so actions that differ only by unconverged noise do not flip
 on rounding.
+
+Both passes run group by group, in the order of the product's
+solve_order(): one group per SCC of the live states' DFA states, each
+solved after the groups its rows name, whose values it reads as frozen.
+A group's kernel spans only its own states and the states its rows name,
+so the dense buffer is as wide as the group's reach, not the product, and
+nothing is copied: the kernel ranks the product's own target ids. A group
+that holds every row (a DFA with one live state) spans every state, as a
+kernel over the whole product does. The groups share one sweep budget, and
+a pass's sweep counts are summed over them.
 """
 
 from __future__ import annotations
@@ -234,14 +244,16 @@ def extreme_distribution(
 
 
 class _BlockKernel:
-    """Extreme expectations of V over blocks of rows of `store`. A sweep of
-    width w updates per_block[w] states with w rows each, about _BLOCK_CELLS
-    cells of one dense (rows, states) buffer; a kernel built for width w
-    serves blocks of width w and of width 1. The scratch arrays are
-    allocated once per solve, for the larger of the two, and reused by every
-    block: the allocator hands large freed temporaries back to the system,
-    so fresh ones per block would have their pages faulted in again each
-    time.
+    """Extreme expectations of V over blocks of rows of `store` that name
+    only the states `cols` (ascending): the dense buffer has one column per
+    state of cols, in their rank order, so it is only as wide as the rows'
+    reach. A sweep of width w updates per_block[w] states with w rows each,
+    about _BLOCK_CELLS cells of one dense (rows, cols) buffer; a kernel
+    built for width w serves blocks of width w and of width 1. The scratch
+    arrays are allocated once per solve, for the larger of the two, and
+    reused by every block: the allocator hands large freed temporaries back
+    to the system, so fresh ones per block would have their pages faulted in
+    again each time.
 
     With v the values in the adversary's rank order (descending to maximize,
     ascending to minimize), dv_k = v_k - v_{k+1} (v_{S+1} = 0), C a row's
@@ -260,20 +272,20 @@ class _BlockKernel:
     keep their relative accuracy next to values near 1. Row targets must be
     distinct (each entry owns its cell)."""
 
-    def __init__(self, store: RowStore, num_states: int, width: int):
+    def __init__(self, store: RowStore, cols: np.ndarray, width: int):
+        S = self.S = cols.size
         self.store = store
-        self.S = num_states
-        self.per_block = {w: max(1, _BLOCK_CELLS // (num_states * w)) for w in {1, width}}
+        self.per_block = {w: max(1, _BLOCK_CELLS // (S * w)) for w in {1, width}}
         max_rows = max(n * w for w, n in self.per_block.items())
         length = np.diff(store.indptr)
         max_nnz = int(np.sort(length)[-max_rows:].sum())
-        self.cells = np.empty(max_rows * num_states)
+        self.cells = np.empty(max_rows * S)
         self.ints = np.empty((3, max_nnz), dtype=np.int64)
         self.floats = np.empty((3, max_nnz))
-        self.steps = np.arange(max(max_nnz, num_states))
-        self.rank = np.empty(num_states, dtype=np.int64)
-        self.order = self.steps[:num_states].copy()  # ascending by value
-        self.v = np.zeros(num_states + 1)  # values in rank order, then v_{S+1} = 0
+        self.steps = np.arange(max(max_nnz, S))
+        self.rank = np.empty(cols[-1] + 1, dtype=np.int64)  # a state's column; cols' only
+        self.order = cols.copy()  # ascending by value
+        self.v = np.zeros(S + 1)  # values in rank order, then v_{S+1} = 0
 
     def __call__(self, V: np.ndarray, rows: np.ndarray, maximize: bool) -> np.ndarray:
         store, S = self.store, self.S
@@ -337,11 +349,33 @@ class ValueIterationResult:
     full_sweeps: int  # sweeps that evaluated every row of the pass
 
 
+def _groups(product, width: int):
+    """Per group of product.solve_order(), in that order: a kernel of the
+    given width over the product's rows whose columns are the group's states
+    and every state its rows name, and the mask of the group's states; every
+    other state is frozen. A group that holds every row spans every state."""
+    store = product.rows
+    S, A = product.num_states, store.num_actions
+    if np.any(store.first[~(product.accepting | product.sink)] < 0):
+        raise ValueError("every state that is neither accepting nor sink needs rows")
+    for group in product.solve_order():
+        inner = np.zeros(S, dtype=bool)
+        inner[group] = True
+        seen = inner.copy()
+        if group.size * A == len(store):
+            seen[:] = True
+        else:
+            for r in store.first[group].tolist():  # a state's rows lie side by side
+                seen[store.col[store.indptr[r] : store.indptr[r + A]]] = True
+        yield _BlockKernel(store, np.flatnonzero(seen), width), inner
+
+
 def _block_sweeps(
-    product, kernel: _BlockKernel, maximize: bool, tol: float, max_sweeps: int, strategy=None
+    kernel: _BlockKernel, V: np.ndarray, frozen: np.ndarray, maximize: bool, tol: float,
+    max_sweeps: int, strategy=None,
 ) -> ValueIterationResult:
-    """Sweep V, from 1 on accepting and 0 elsewhere, until a full sweep moves
-    no state by tol. Frozen (accepting or sink) states keep their value.
+    """Sweep V in place until a full sweep moves no state by tol. Frozen
+    states keep their start value; the others need rows in kernel.store.
 
     With a strategy, every sweep is full: it evaluates the one row
     strategy[s] of each state. Without one (the maximin pass), a full sweep
@@ -358,12 +392,8 @@ def _block_sweeps(
     carries value back from the accepting states in far fewer sweeps than a
     Jacobi pass; the fixed point is the same."""
     store = kernel.store
-    V = product.accepting.astype(float)
-    frozen = product.accepting | product.sink
-    if np.any(store.first[~frozen] < 0):
-        raise ValueError("every state that is neither accepting nor sink needs rows")
     held = strategy is None
-    choice = np.zeros(product.num_states, dtype=np.int64) if held else strategy
+    choice = np.zeros(V.size, dtype=np.int64) if held else strategy
     actions = np.arange(store.num_actions)
     sweeps = full_sweeps = 0
     residual = np.inf
@@ -409,6 +439,14 @@ def _block_sweeps(
     )
 
 
+def _add(total: ValueIterationResult, part: ValueIterationResult) -> None:
+    """Count one group's pass into the whole pass's result."""
+    total.converged &= part.converged
+    total.sweeps += part.sweeps
+    total.full_sweeps += part.full_sweeps
+    total.residual = max(total.residual, part.residual)
+
+
 def robust_value_iteration(
     product,
     tol: float = 1e-6,
@@ -422,26 +460,31 @@ def robust_value_iteration(
     controller's choice is held (see _block_sweeps); the adversary is solved
     exactly in every sweep.
 
-    Extraction evaluates every action once at the converged values and picks,
-    per state, the lowest-index action within tol of the best one: values
-    are only tol-accurate, so a finer choice would follow rounding noise."""
+    The groups of product.solve_order() are solved one after another, each
+    with the values of the groups before it frozen, and all of them share
+    the one max_sweeps budget: sweeps and full_sweeps are summed over the
+    groups, residual is the largest group residual, and the pass converged
+    when every group did.
+
+    Extraction evaluates every action once at each group's converged values
+    and picks, per state, the lowest-index action within tol of the best
+    one: values are only tol-accurate, so a finer choice would follow
+    rounding noise."""
     store = product.rows
     A = store.num_actions
     actions = np.arange(A)
-    kernel = _BlockKernel(store, product.num_states, A)
-    result = _block_sweeps(product, kernel, False, tol, max_sweeps)
-    V = result.values
-
-    strategy = np.zeros(product.num_states, dtype=np.int64)
-    live = np.flatnonzero(~(product.accepting | product.sink))
-    per_block = kernel.per_block[A]
-    for i in range(0, live.size, per_block):
-        states = live[i : i + per_block]
-        rows = (store.first[states][:, None] + actions).ravel()
-        vals = kernel(V, rows, False).reshape(states.size, A)
-        near_best = vals >= vals.max(axis=1, keepdims=True) - tol
-        strategy[states] = np.argmax(near_best, axis=1)  # first True: lowest index
-    result.strategy = strategy
+    V = product.accepting.astype(float)
+    result = ValueIterationResult(V, np.zeros(product.num_states, dtype=np.int64), True, 0, 0.0, 0)
+    for kernel, inner in _groups(product, A):
+        _add(result, _block_sweeps(kernel, V, ~inner, False, tol, max_sweeps - result.sweeps))
+        live = np.flatnonzero(inner)
+        per_block = kernel.per_block[A]
+        for i in range(0, live.size, per_block):
+            states = live[i : i + per_block]
+            rows = (store.first[states][:, None] + actions).ravel()
+            vals = kernel(V, rows, False).reshape(states.size, A)
+            near_best = vals >= vals.max(axis=1, keepdims=True) - tol
+            result.strategy[states] = np.argmax(near_best, axis=1)  # first True: lowest index
     return result
 
 
@@ -454,8 +497,9 @@ def evaluate_strategy_upper(
     """Optimistic value of a fixed strategy: the adversary inside the
     intervals now maximizes, giving sound upper probability bounds for the
     same strategy that robust_value_iteration certified from below. Same
-    blocked sweep as the maximin pass, over the strategy's rows only.
-    strategy holds one action index in [0, num_actions) per state."""
+    blocked sweep as the maximin pass, over the strategy's rows only, group
+    by group with the same sweep accounting. strategy holds one action
+    index in [0, num_actions) per state."""
     store = product.rows
     strategy = np.asarray(strategy, dtype=np.int64)
     S = product.num_states
@@ -470,7 +514,8 @@ def evaluate_strategy_upper(
         raise ValueError(
             f"strategy[{s}] = {strategy[s]} is not an action index in [0, {store.num_actions})"
         )
-    kernel = _BlockKernel(store, product.num_states, 1)
-    result = _block_sweeps(product, kernel, True, tol, max_sweeps, strategy)
-    result.strategy = strategy
+    result = ValueIterationResult(product.accepting.astype(float), strategy, True, 0, 0.0, 0)
+    for kernel, inner in _groups(product, 1):
+        _add(result, _block_sweeps(kernel, result.values, ~inner, True, tol,
+                                   max_sweeps - result.sweeps, strategy))
     return result

@@ -207,38 +207,66 @@ def _numbers(value) -> np.ndarray:
     return np.array(parts)
 
 
+def _names(value, what: str) -> list[str]:
+    """A bare string would otherwise read as the list of its characters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of strings, got {value!r}")
+    return value
+
+
+def _load_json(path: str, parse):
+    """parse(the JSON document at path), every ValueError starting with the
+    path, so the user learns which file is wrong."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: not valid JSON ({e})") from None
+    try:
+        return parse(raw)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _parse_networks(raw) -> NeuralDynamics:
+    _check_keys(raw, {"dim", "actions", "networks"}, "the network file")
+    for key in ("dim", "actions", "networks"):
+        if key not in raw:
+            raise ValueError(f"missing top-level key {key!r}")
+    dim = _strict(_int, raw["dim"], f"'dim' must be an integer, got {raw['dim']!r}")
+    actions = tuple(_names(raw["actions"], "'actions'"))
+    _check_keys(raw["networks"], set(actions), "'networks'")
+    networks = {}
+    for a in actions:
+        if a not in raw["networks"]:
+            raise ValueError(f"no network for action {a!r}")
+        if not isinstance(raw["networks"][a], list):
+            raise ValueError(f"the network of action {a!r} must be a list of layers")
+        layers = []
+        for k, spec in enumerate(raw["networks"][a]):
+            _check_keys(spec, {"weights", "bias", "activation"}, f"action {a!r} layer {k}")
+            for key in ("weights", "bias", "activation"):
+                if key not in spec:
+                    raise ValueError(f"action {a!r} layer {k} missing {key!r}")
+            w, b = (
+                _strict(_numbers, spec[key], f"action {a!r} layer {k} {key!r} must hold only numbers")
+                for key in ("weights", "bias"))
+            layers.append(DenseLayer(w, b, Activation.parse(spec["activation"])))
+        networks[a] = tuple(layers)
+    return NeuralDynamics(dim=dim, actions=actions, networks=networks)
+
+
 def load_networks(path: str) -> NeuralDynamics:
     """Load a dynamics model from the JSON layout
 
         {"dim": n, "actions": [...],
          "networks": {action: [{"weights": [[...]], "bias": [...],
                                 "activation": "relu"}, ...]}}
-    """
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not valid JSON ({e})") from None
-    for key in ("dim", "actions", "networks"):
-        if key not in raw:
-            raise ValueError(f"{path}: missing top-level key {key!r}")
-    dim = _strict(_int, raw["dim"], f"{path}: 'dim' must be an integer, got {raw['dim']!r}")
-    actions = tuple(str(a) for a in raw["actions"])
-    networks = {}
-    for a in actions:
-        if a not in raw["networks"]:
-            raise ValueError(f"{path}: no network for action {a!r}")
-        layers = []
-        for k, spec in enumerate(raw["networks"][a]):
-            for key in ("weights", "bias", "activation"):
-                if key not in spec:
-                    raise ValueError(f"{path}: action {a!r} layer {k} missing {key!r}")
-            w, b = (
-                _strict(_numbers, spec[key], f"{path}: action {a!r} layer {k} {key!r} must hold only numbers")
-                for key in ("weights", "bias"))
-            layers.append(DenseLayer(w, b, Activation.parse(spec["activation"])))
-        networks[a] = tuple(layers)
-    return NeuralDynamics(dim=dim, actions=actions, networks=networks)
+
+    read strictly: an unknown key, a non-list of action names or a network
+    for an undeclared action is an error, and every error starts with the
+    path."""
+    return _load_json(path, _parse_networks)
 
 
 def save_networks(nd: NeuralDynamics, path: str) -> None:

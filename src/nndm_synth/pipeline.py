@@ -276,9 +276,11 @@ def synthesize(
 ) -> Synthesis:
     """Product construction plus the two value iterations: the maximin pass
     bounds the strategy from below, the fixed-strategy optimistic pass
-    bounds it from above. p_upper is clamped up to p_lower (np.maximum),
-    which hides an extracted action whose own optimistic value lies below
-    p_lower; see the README's known limitations."""
+    bounds it from above. Both run group by group over the product's
+    solve_order(), so lower.sweeps and upper.sweeps sum the groups' sweeps.
+    p_upper is clamped up to p_lower (np.maximum), which hides an extracted
+    action whose own optimistic value lies below p_lower; see the README's
+    known limitations."""
     product = build_product(abstraction.imdp, dfa)
     lower = robust_value_iteration(product, tol=tol, max_sweeps=max_sweeps)
     upper = evaluate_strategy_upper(product, lower.strategy, tol=tol, max_sweeps=max_sweeps)

@@ -262,6 +262,9 @@ class _Product:
     def num_states(self) -> int:
         return len(self.accepting)
 
+    def solve_order(self) -> list[np.ndarray]:
+        return [np.flatnonzero(~(self.accepting | self.sink))]  # one group
+
 
 def _random_imdp(seed, n_live=14, n_actions=2, degenerate=False):
     rng = np.random.default_rng(seed)

@@ -174,6 +174,20 @@ class TestJsonRoundTrip:
         d2 = load_dfa(str(path))
         assert d2.step("s", {"p"}) == "t"
 
+    @pytest.mark.parametrize("edit, what", [
+        (lambda doc: doc.pop("initial"), "DFA document missing key 'initial'"),
+        (lambda doc: doc.update(extra=1), "unknown config key 'extra' in the DFA document"),
+        (lambda doc: doc.update(initial="nowhere"), "initial state 'nowhere' not declared"),
+    ])
+    def test_load_dfa_errors_name_the_file(self, tmp_path, edit, what):
+        doc = simple_dfa().to_json()
+        edit(doc)
+        path = tmp_path / "spec_dfa.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=what) as err:
+            load_dfa(str(path))
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_parse_errors(self):
         with pytest.raises(ValueError, match="missing key"):
             parse_dfa({"states": ["a"]})
@@ -241,6 +255,54 @@ def two_goal_imdp():
     imdp.validate()
     dfa = dfa_template("reach_two_avoid", {"avoid": "obst", "reach1": "r1", "reach2": "r2"})
     return imdp, dfa
+
+
+TWO_GOALS = dfa_template("reach_two_avoid", {"avoid": "obst", "reach1": "r1", "reach2": "r2"})
+ONE_GOAL = dfa_template("reach_avoid", {"avoid": "obst", "reach": "r1"})
+
+
+def random_dfa_product(dfa, seed, num_cells=8, num_actions=2):
+    """The product of `dfa` with a random interval MDP whose cell 0 is
+    labelled r1, cell 1 r2 and cell 2 obst (each label only if the DFA
+    knows it); every row names a few cells and may leave the domain."""
+    rng = np.random.default_rng(seed)
+    labels = [frozenset({p}) & dfa.alphabet for p in ("r1", "r2", "obst")]
+    labels += [frozenset()] * (num_cells - 3)
+    rows = {}
+    for key in itertools.product(range(num_cells), range(num_actions)):
+        k = int(rng.integers(2, 5))
+        targets = np.r_[UNSAFE_ID, np.sort(rng.choice(num_cells, size=k, replace=False))]
+        p = rng.dirichlet(np.r_[0.2, np.ones(k)])
+        lo = p * rng.uniform(0.5, 1.0, k + 1)
+        up = np.minimum(p + (1.0 - p) * rng.uniform(0.0, 0.3, k + 1), 1.0)
+        rows[key] = (targets, lo, up)
+    imdp = Imdp(actions=tuple(f"a{a}" for a in range(num_actions)), labels=labels,
+                rows=RowStore.from_rows(rows, num_cells, num_actions))
+    imdp.validate()
+    return build_product(imdp, dfa)
+
+
+class TestSolveOrder:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_groups_come_after_every_group_they_name(self, seed):
+        prod = random_dfa_product(TWO_GOALS, seed)
+        groups = prod.solve_order()
+        held = [{prod.dfa.states[prod.states[pid][1]] for pid in g} for g in groups]
+        assert sorted(map(sorted, held[:2])) == [["got1"], ["got2"]] and held[2] == {"waiting"}
+        live = ~(prod.accepting | prod.sink)
+        assert np.array_equal(np.sort(np.concatenate(groups)), np.flatnonzero(live))  # each once
+        rank = np.full(prod.num_states, -1)  # frozen states rank before every group
+        for k, g in enumerate(groups):
+            assert np.all(np.diff(g) > 0)
+            rank[g] = k
+        for (pid, _), (targets, _, _) in prod.rows.items():
+            assert np.all(rank[targets] <= rank[pid])
+
+    def test_reach_avoid_is_one_group(self):
+        prod = random_dfa_product(ONE_GOAL, 1)
+        groups = prod.solve_order()
+        assert len(groups) == 1
+        assert np.array_equal(groups[0], np.flatnonzero(~(prod.accepting | prod.sink)))
 
 
 class TestProduct:

@@ -16,11 +16,14 @@ from nndm_synth.imdp import (
     Imdp,
     RowStore,
     _BlockKernel,
+    _groups,
     evaluate_strategy_upper,
     extreme_distribution,
     robust_value_iteration,
 )
 from nndm_synth.transitions import _check_sums, _prune
+
+from test_automata import ONE_GOAL, TWO_GOALS, random_dfa_product
 
 
 def lp_extreme(vals, lo, up, maximize):
@@ -138,7 +141,7 @@ class TestBlockKernel:
         for V in value_sets:
             block = rng.permutation(len(rows))  # any row order, lengths mixed
             for maximize in (False, True):
-                got = _BlockKernel(store, S, 1)(V, block, maximize)
+                got = _BlockKernel(store, np.arange(S), 1)(V, block, maximize)
                 want = [extreme_distribution(lo, up, V[t], maximize) @ V[t]
                         for t, lo, up in (rows[r] for r in block)]
                 assert np.max(np.abs(got - want)) < 1e-12
@@ -165,7 +168,7 @@ class TestBlockKernel:
         for V in (rng.uniform(0, 1, S), rng.choice([0.0, 0.5, 1.0], S)):
             block = rng.permutation(len(rows))
             for maximize in (False, True):
-                got = _BlockKernel(store, S, 1)(V, block, maximize)
+                got = _BlockKernel(store, np.arange(S), 1)(V, block, maximize)
                 want = []
                 for r in block:
                     t, lo, up = rows[r]
@@ -192,7 +195,7 @@ class TestBlockKernel:
         assert any(np.any(np.diff(t) < 0) for t, _, _ in store.values())
         V = rng.uniform(0, 1, S)
         for maximize in (False, True):
-            got = _BlockKernel(store, S, 1)(V, np.arange(len(picked)), maximize)
+            got = _BlockKernel(store, np.arange(S), 1)(V, np.arange(len(picked)), maximize)
             want = [extreme_distribution(lo, up, V[rename[t]], maximize) @ V[rename[t]]
                     for t, lo, up in (rows[r] for r in picked)]
             assert np.max(np.abs(got - want)) < 1e-12
@@ -236,6 +239,9 @@ class FakeProduct:
     @property
     def num_states(self) -> int:
         return len(self.accepting)
+
+    def solve_order(self) -> list[np.ndarray]:
+        return [np.flatnonzero(~(self.accepting | self.sink))]  # one group
 
 
 def tiny_chain(extra_action=False):
@@ -533,6 +539,41 @@ class TestValueIteration:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.strategy, b.strategy)
         assert a.sweeps == b.sweeps
+
+
+class TestGroupedSolve:
+    """Products whose DFA has several live states, solved one group of
+    product.solve_order() at a time."""
+
+    def test_each_group_spans_only_its_reach(self):
+        prod = random_dfa_product(TWO_GOALS, 1)
+        widths = []
+        for kernel, inner in _groups(prod, 1):
+            named = np.concatenate([prod.rows[s, a].targets for s in np.flatnonzero(inner)
+                                    for a in range(prod.num_actions)])
+            assert np.array_equal(kernel.order, np.union1d(np.flatnonzero(inner), named))
+            widths.append(kernel.S)
+        assert len(widths) == 3 and max(widths) < prod.num_states
+        prod = random_dfa_product(ONE_GOAL, 1)
+        assert [kernel.S for kernel, _ in _groups(prod, 1)] == [prod.num_states]
+
+    def test_both_passes_match_lp_oracle(self):
+        prod = random_dfa_product(TWO_GOALS, 2)
+        low = robust_value_iteration(prod, tol=1e-10)
+        high = evaluate_strategy_upper(prod, low.strategy, tol=1e-10)
+        assert low.converged and high.converged
+        assert np.max(np.abs(low.values - jacobi_lp_values(prod))) < 1e-6
+        assert np.max(np.abs(high.values - jacobi_lp_values(prod, strategy=low.strategy))) < 1e-6
+        assert np.all(low.values <= high.values + 1e-9)
+
+    def test_sweep_budget_spans_the_groups(self):
+        prod = random_dfa_product(TWO_GOALS, 3, num_actions=3)
+        whole = robust_value_iteration(prod, tol=1e-10)
+        assert whole.converged
+        for k in range(1, whole.sweeps):
+            got = robust_value_iteration(prod, tol=1e-10, max_sweeps=k)
+            assert got.sweeps == k and not got.converged
+            assert np.all(got.values <= whole.values)
 
 
 def _mk_row(targets, lower, upper, ul=0.0, uu=0.0):

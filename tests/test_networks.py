@@ -153,6 +153,29 @@ class TestJsonRoundTrip:
             load_networks(str(p))
 
     @pytest.mark.parametrize("edit, what", [
+        (lambda doc: doc.update(extra=1), "unknown config key 'extra' in the network file"),
+        (lambda doc: doc["networks"]["a"][0].update(bais=[0.0]),
+         "unknown config key 'bais' in action 'a' layer 0"),
+        (lambda doc: doc.update(actions="ab"), "'actions' must be a list of strings"),
+        (lambda doc: doc.update(actions=["a", 1]), "'actions' must be a list of strings"),
+        (lambda doc: doc.update(networks=[doc["networks"]["a"]]), "'networks' must be a JSON object"),
+        (lambda doc: doc["networks"].update(b=[]), "unknown config key 'b' in 'networks'"),
+        (lambda doc: doc["networks"].update(a=5), "the network of action 'a' must be a list of layers"),
+        (lambda doc: doc.update(dim=2), "layer 0 expects 1 inputs, state dimension is 2"),
+    ])
+    def test_reader_is_strict_and_names_the_file(self, tmp_path, edit, what):
+        # the first three once loaded silently, "ab" as the two actions a and b;
+        # the model's own checks, as the last, also name the file
+        doc = {"dim": 1, "actions": ["a"],
+               "networks": {"a": [{"weights": [[1.0]], "bias": [0.0], "activation": "linear"}]}}
+        edit(doc)
+        p = tmp_path / "net.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=what) as err:
+            load_networks(str(p))
+        assert str(err.value).startswith(f"{p}: ")
+
+    @pytest.mark.parametrize("edit, what", [
         ({"dim": 1.9}, "'dim' must be an integer"),
         ({"weights": [["0.5"]]}, "action 'a' layer 1 'weights'"),
         ({"bias": [True]}, "action 'a' layer 1 'bias'"),
