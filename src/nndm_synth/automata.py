@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import UNSAFE_ID
 from .imdp import Imdp, RowStore
-from .networks import _check_keys, _load_json, _names
+from .networks import _check_keys, _load_json, _name, _names
 
 UNSAFE_PROP = "unsafe"
 
@@ -122,44 +122,30 @@ def _subsets(alphabet) -> list[frozenset[str]]:
     return out
 
 
-_DFA_KEYS = ("states", "initial", "accepting", "ap", "transitions")
-
-
-def _name(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {value!r}")
-    return value
-
-
 def parse_dfa(raw: dict) -> Dfa:
     """The DFA of a JSON document in the layout of Dfa.to_json, read as
-    strictly as a config: an unknown key, a non-list where a list belongs or
-    a non-string name is an error."""
-    _check_keys(raw, set(_DFA_KEYS), "the DFA document")
-    for key in _DFA_KEYS:
-        if key not in raw:
-            raise ValueError(f"DFA document missing key {key!r}")
+    strictly as a config: the document holds exactly `states`, `initial`,
+    `accepting`, `ap` and `transitions`, and each edge exactly `from`,
+    `when` and `to`, or `from` and `default`; an unknown or a missing key is
+    an error, and so is a non-list where a list belongs or a non-string name."""
+    _check_keys(raw, "the DFA document", ("states", "initial", "accepting", "ap", "transitions"))
     if not isinstance(raw["transitions"], list):
         raise ValueError(f"DFA 'transitions' must be a list of edges, got {raw['transitions']!r}")
     transitions: dict[tuple[str, frozenset[str]], str] = {}
     defaults: dict[str, str] = {}
     for k, edge in enumerate(raw["transitions"]):
         is_default = isinstance(edge, dict) and "default" in edge
-        _check_keys(edge, {"from", "default"} if is_default else {"from", "when", "to"}, f"transition {k}")
-        if "from" not in edge:
-            raise ValueError(f"transition {k} missing 'from'")
+        _check_keys(edge, f"transition {k}", ("from", "default") if is_default else ("from", "when", "to"))
         src = _name(edge["from"], f"transition {k} 'from'")
         if is_default:
             if src in defaults:
                 raise ValueError(f"state {src!r} has two default transitions")
             defaults[src] = _name(edge["default"], f"transition {k} 'default'")
-        elif "when" in edge and "to" in edge:
+        else:
             guard = frozenset(_names(edge["when"], f"transition {k} 'when'"))
             if (src, guard) in transitions:
                 raise ValueError(f"duplicate transition from {src!r} on {sorted(guard)}")
             transitions[(src, guard)] = _name(edge["to"], f"transition {k} 'to'")
-        else:
-            raise ValueError(f"transition {k} needs either 'when'/'to' or 'default'")
     return Dfa(
         states=tuple(_names(raw["states"], "DFA 'states'")),
         initial=_name(raw["initial"], "DFA 'initial'"),
@@ -188,15 +174,15 @@ def dfa_template(name: str, labels: dict[str, str]) -> Dfa:
     while never touching the avoid region (or leaving the domain); the avoid
     proposition wins whenever a label set contains it. reach_avoid takes
     labels {"avoid": .., "reach": ..}, reach_two_avoid {"avoid": ..,
-    "reach1": .., "reach2": ..}."""
-    if name not in _TEMPLATES:
+    "reach1": .., "reach2": ..}. labels must hold exactly the template's keys,
+    each with a string value: an unknown or a missing key, or a value that is
+    not a string, is an error."""
+    if _name(name, "'template'") not in _TEMPLATES:
         raise ValueError(f"unknown template {name!r}")
     goal_keys, waiting = _TEMPLATES[name]
     required = ("avoid", *goal_keys)
-    missing = [k for k in required if k not in labels]
-    if missing:
-        raise ValueError(f"template {name!r} needs label keys {missing}")
-    vals = [labels[k] for k in required]
+    _check_keys(labels, f"'labels' of template {name!r}", required)
+    vals = [_name(labels[k], f"label {k!r} of template {name!r}") for k in required]
     if len(set(vals)) != len(vals) or UNSAFE_PROP in vals:
         raise ValueError(f"template labels must be distinct and not {UNSAFE_PROP!r}")
     bad, goals = {vals[0], UNSAFE_PROP}, vals[1:]

@@ -175,13 +175,18 @@ def _strict(conv, value, what: str):
         raise ValueError(what) from None
 
 
-def _check_keys(raw, allowed: set[str], where: str) -> None:
-    """A misspelt key would otherwise fall back to its default silently."""
+def _check_keys(raw, where: str, required=(), optional=()) -> None:
+    """raw is a JSON object with every required key and no other key than
+    the required and optional ones: a misspelt key would otherwise fall back
+    to its default silently, a missing one fail later as a KeyError."""
     if not isinstance(raw, dict):
         raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(raw) - allowed)
+    unknown = sorted(set(raw).difference(required, optional))
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r} in {where}")
+    missing = [k for k in required if k not in raw]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r} in {where}")
 
 
 def _int(value) -> int:
@@ -207,6 +212,12 @@ def _numbers(value) -> np.ndarray:
     return np.array(parts)
 
 
+def _name(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _names(value, what: str) -> list[str]:
     """A bare string would otherwise read as the list of its characters."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -229,25 +240,17 @@ def _load_json(path: str, parse):
 
 
 def _parse_networks(raw) -> NeuralDynamics:
-    _check_keys(raw, {"dim", "actions", "networks"}, "the network file")
-    for key in ("dim", "actions", "networks"):
-        if key not in raw:
-            raise ValueError(f"missing top-level key {key!r}")
+    _check_keys(raw, "the network file", ("dim", "actions", "networks"))
     dim = _strict(_int, raw["dim"], f"'dim' must be an integer, got {raw['dim']!r}")
     actions = tuple(_names(raw["actions"], "'actions'"))
-    _check_keys(raw["networks"], set(actions), "'networks'")
+    _check_keys(raw["networks"], "'networks'", actions)
     networks = {}
     for a in actions:
-        if a not in raw["networks"]:
-            raise ValueError(f"no network for action {a!r}")
         if not isinstance(raw["networks"][a], list):
             raise ValueError(f"the network of action {a!r} must be a list of layers")
         layers = []
         for k, spec in enumerate(raw["networks"][a]):
-            _check_keys(spec, {"weights", "bias", "activation"}, f"action {a!r} layer {k}")
-            for key in ("weights", "bias", "activation"):
-                if key not in spec:
-                    raise ValueError(f"action {a!r} layer {k} missing {key!r}")
+            _check_keys(spec, f"action {a!r} layer {k}", ("weights", "bias", "activation"))
             w, b = (
                 _strict(_numbers, spec[key], f"action {a!r} layer {k} {key!r} must hold only numbers")
                 for key in ("weights", "bias"))
@@ -263,9 +266,10 @@ def load_networks(path: str) -> NeuralDynamics:
          "networks": {action: [{"weights": [[...]], "bias": [...],
                                 "activation": "relu"}, ...]}}
 
-    read strictly: an unknown key, a non-list of action names or a network
-    for an undeclared action is an error, and every error starts with the
-    path."""
+    read strictly: each object holds exactly its keys (`networks` one per
+    declared action, each layer `weights`, `bias` and `activation`), so an
+    unknown or a missing key is an error; a non-list of action names is too,
+    and every error starts with the path."""
     return _load_json(path, _parse_networks)
 
 

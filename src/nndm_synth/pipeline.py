@@ -31,7 +31,7 @@ from .imdp import (
     evaluate_strategy_upper,
     robust_value_iteration,
 )
-from .networks import NeuralDynamics, _check_keys, _float, _int, _numbers, _strict, evaluate, load_networks
+from .networks import NeuralDynamics, _check_keys, _float, _int, _name, _numbers, _strict, evaluate, load_networks
 from .refinement import RefinementConfig, RefineOutcome, refine_round
 from .relaxation import LinearBounds, relax_cells
 from .transitions import transition_rows
@@ -67,17 +67,11 @@ _SETTINGS = (
     ("simulation", "horizon", "horizon", _int),
     ("simulation", "horizon_factor", "sim_horizon_factor", _int),
 )
-_SECTION_KEYS = {"spec": {"template", "labels", "dfa"}}
+_SECTION_KEYS = {}
 for _section, _key, _, _ in _SETTINGS:
     _SECTION_KEYS.setdefault(_section, set()).add(_key)
-_TOP_KEYS = _SECTION_KEYS.pop(None) | {"domain", "covariance", "grid", "regions", "network", *_SECTION_KEYS}
-_REGION_KEYS = {"label", "box"}
-
-
-def _require(raw: dict, keys, where: str) -> None:
-    missing = [k for k in keys if k not in raw]
-    if missing:
-        raise ValueError(f"missing config key {missing[0]!r} in {where}")
+_TOP_REQUIRED = ("domain", "covariance", "grid", "spec")
+_TOP_OPTIONAL = _SECTION_KEYS.pop(None) | {"regions", "network", *_SECTION_KEYS}
 
 
 def _box(raw, where: str) -> HyperRect:
@@ -155,35 +149,29 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str = ".") -> "PipelineConfig":
-        _check_keys(raw, _TOP_KEYS, "the config")
-        _require(raw, ("domain", "covariance", "grid", "spec"), "the config")
+        _check_keys(raw, "the config", _TOP_REQUIRED, _TOP_OPTIONAL)
         for name, allowed in _SECTION_KEYS.items():
-            _check_keys(raw.get(name, {}), allowed, repr(name))
+            _check_keys(raw.get(name, {}), repr(name), optional=allowed)
         reg_raw = raw.get("regions", [])
         if not isinstance(reg_raw, list):
             raise ValueError("'regions' must be a list")
         for reg in reg_raw:
-            _check_keys(reg, _REGION_KEYS, "a 'regions' entry")
-            _require(reg, ("label", "box"), "a 'regions' entry")
+            _check_keys(reg, "a 'regions' entry", ("label", "box"))
         domain = _box(_get(raw, "domain", _numbers), "'domain'")
         covariance = _parse_covariance(_get(raw, "covariance", _numbers), domain.dim)
-        regions = [(str(reg["label"]), _box(_get(reg, "box", _numbers), "a region 'box'"))
-                   for reg in reg_raw]
+        regions = [(_name(reg["label"], "a region 'label'"),
+                    _box(_get(reg, "box", _numbers), "a region 'box'")) for reg in reg_raw]
 
         spec = raw["spec"]
-        if "template" in spec:
-            _require(spec, ("labels",), "'spec'")
-            if not isinstance(spec["labels"], dict):
-                raise ValueError("'labels' in 'spec' must be a JSON object")
-            dfa = dfa_template(spec["template"], spec["labels"])
-        elif "dfa" in spec:
-            dfa = load_dfa(os.path.join(base_dir, spec["dfa"]))  # an absolute path stays as it is
+        is_file = isinstance(spec, dict) and "dfa" in spec
+        _check_keys(spec, "'spec' (a 'template' with its 'labels', or a 'dfa')",
+                    ("dfa",) if is_file else ("template", "labels"))
+        if is_file:  # an absolute path stays as it is
+            dfa = load_dfa(os.path.join(base_dir, _name(spec["dfa"], "'spec' 'dfa'")))
         else:
-            raise ValueError("spec needs either a 'template' name or a 'dfa' path")
+            dfa = dfa_template(spec["template"], spec["labels"])
 
-        network = raw.get("network")
-        if network is not None:
-            network = os.path.join(base_dir, network)
+        network = os.path.join(base_dir, _name(raw["network"], "'network'")) if "network" in raw else None
         # only the keys present are passed on, so the dataclasses' defaults hold
         top, ref = {}, {}
         for section, key, name, conv in _SETTINGS:

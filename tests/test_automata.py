@@ -146,7 +146,7 @@ class TestTemplates:
     def test_template_validation(self):
         with pytest.raises(ValueError, match="unknown template"):
             dfa_template("nope", {})
-        with pytest.raises(ValueError, match="needs label keys"):
+        with pytest.raises(ValueError, match="missing key 'reach' in 'labels' of template 'reach_avoid'"):
             dfa_template("reach_avoid", {"avoid": "a"})
         with pytest.raises(ValueError, match="distinct"):
             dfa_template("reach_avoid", {"avoid": "same", "reach": "same"})
@@ -175,7 +175,7 @@ class TestJsonRoundTrip:
         assert d2.step("s", {"p"}) == "t"
 
     @pytest.mark.parametrize("edit, what", [
-        (lambda doc: doc.pop("initial"), "DFA document missing key 'initial'"),
+        (lambda doc: doc.pop("initial"), "missing key 'initial' in the DFA document"),
         (lambda doc: doc.update(extra=1), "unknown config key 'extra' in the DFA document"),
         (lambda doc: doc.update(initial="nowhere"), "initial state 'nowhere' not declared"),
     ])
@@ -193,10 +193,10 @@ class TestJsonRoundTrip:
             parse_dfa({"states": ["a"]})
         base = simple_dfa().to_json()
         bad = dict(base, transitions=[{"when": ["p"], "to": "t"}])
-        with pytest.raises(ValueError, match="missing 'from'"):
+        with pytest.raises(ValueError, match="missing key 'from' in transition 0"):
             parse_dfa(bad)
         bad = dict(base, transitions=[{"from": "s"}])
-        with pytest.raises(ValueError, match="needs either"):
+        with pytest.raises(ValueError, match="missing key 'when' in transition 0"):
             parse_dfa(bad)
         bad = dict(base, transitions=base["transitions"] + [{"from": "s", "default": "s"}])
         with pytest.raises(ValueError, match="two default"):

@@ -233,6 +233,16 @@ def test_malformed_config_exits_2_without_traceback(workdir, capsys):
     assert "'grid'" in err and "Traceback" not in err
 
 
+def test_non_string_network_exits_2_naming_the_key(workdir, capsys):
+    # the path was once joined as given, a TypeError and a traceback
+    raw = dict(json.loads((workdir / "config.json").read_text()), network=5)
+    (workdir / "network_5.json").write_text(json.dumps(raw))
+    rc = main(["abstract", "--config", str(workdir / "network_5.json"), "--out", str(workdir / "w")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'network' must be a string" in err and "Traceback" not in err
+
+
 def test_null_threshold_exits_2_without_traceback(workdir, capsys):
     raw = json.loads((workdir / "config.json").read_text())
     raw["threshold"] = None

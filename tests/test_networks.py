@@ -140,16 +140,16 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="not valid JSON"):
             load_networks(str(p))
         p.write_text(json.dumps({"dim": 2, "actions": ["a"]}))
-        with pytest.raises(ValueError, match="missing top-level key"):
+        with pytest.raises(ValueError, match="missing key 'networks' in the network file"):
             load_networks(str(p))
         p.write_text(json.dumps({"dim": 2, "actions": ["a"], "networks": {}}))
-        with pytest.raises(ValueError, match="no network for action"):
+        with pytest.raises(ValueError, match="missing key 'a' in 'networks'"):
             load_networks(str(p))
         p.write_text(json.dumps({
             "dim": 2, "actions": ["a"],
             "networks": {"a": [{"weights": [[1, 0], [0, 1]], "bias": [0, 0]}]},
         }))
-        with pytest.raises(ValueError, match="missing 'activation'"):
+        with pytest.raises(ValueError, match="missing key 'activation' in action 'a' layer 0"):
             load_networks(str(p))
 
     @pytest.mark.parametrize("edit, what", [

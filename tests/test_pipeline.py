@@ -10,12 +10,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nndm_synth.automata import dfa_template
+from nndm_synth.automata import dfa_template, load_dfa
 from nndm_synth.fixtures import random_network, reach_avoid_2d
 from nndm_synth.geometry import HyperRect, RegionGrid, whitening_transform
 from nndm_synth.imdp import evaluate_strategy_upper
 from nndm_synth import pipeline, transitions
-from nndm_synth.networks import evaluate
+from nndm_synth.networks import evaluate, load_networks
 from nndm_synth.pipeline import (
     PipelineConfig,
     _parse_covariance,
@@ -29,6 +29,7 @@ from nndm_synth.pipeline import (
     validate_monte_carlo,
 )
 from nndm_synth.refinement import RefinementConfig
+from test_automata import simple_dfa
 
 
 def test_pruned_certificates_contain_the_unpruned(monkeypatch):
@@ -134,7 +135,7 @@ class TestConfigParsing:
         assert cfg.dfa.states == dfa.states
 
     def test_spec_requires_template_or_dfa(self):
-        with pytest.raises(ValueError, match="spec needs"):
+        with pytest.raises(ValueError, match=r"'template' in 'spec' \(a 'template' with its 'labels', or a 'dfa'\)"):
             PipelineConfig.from_dict(dict(BASE_RAW, spec={}))
 
     def test_bad_domain_shape(self):
@@ -152,6 +153,11 @@ class TestConfigParsing:
             (dict(BASE_RAW, regions=[{"label": "goal", "bx": [[0, 1], [0, 1]]}]), "bx"),
             # the old default of a removed setting
             (dict(BASE_RAW, refinement={"split_mode": "edges"}), "split_mode"),
+            # both spec forms at once: the template once won and 'dfa' was ignored
+            (dict(BASE_RAW, spec=dict(BASE_RAW["spec"], dfa="aut.json")), "labels"),
+            # a label key the template does not use was ignored
+            (dict(BASE_RAW, spec={"template": "reach_avoid",
+                                  "labels": {"avoid": "obst", "reach": "goal", "reach2": "x"}}), "reach2"),
         ],
     )
     def test_unknown_key_rejected(self, raw, key):
@@ -212,6 +218,15 @@ class TestConfigParsing:
             (dict(BASE_RAW, refinement={"stop_width": float("nan")}), "'stop_width'"),
             (dict(BASE_RAW, grid=[4]), "'grid'"),
             (dict(BASE_RAW, grid=[4, 0]), "'grid'"),
+            # a name that is not a string: the first two were read as the
+            # labels "5" and "['goal']", the others raised a TypeError
+            (dict(BASE_RAW, regions=[{"label": 5, "box": [[0.5, 1.5], [0.5, 1.5]]}]), "'label'"),
+            (dict(BASE_RAW, regions=[{"label": ["goal"], "box": [[0.5, 1.5], [0.5, 1.5]]}]), "'label'"),
+            (dict(BASE_RAW, network=5), "'network'"),
+            (dict(BASE_RAW, network=None), "'network'"),
+            (dict(BASE_RAW, spec={"dfa": 5}), "'dfa'"),
+            (dict(BASE_RAW, spec=dict(BASE_RAW["spec"], template=["reach_avoid"])), "'template'"),
+            (dict(BASE_RAW, spec=dict(BASE_RAW["spec"], labels={"avoid": "obst", "reach": 5})), "'reach'"),
         ],
     )
     def test_malformed_config_names_the_key(self, raw, key):
@@ -223,6 +238,42 @@ class TestConfigParsing:
         path.write_text(json.dumps(dict(BASE_RAW, network="n.json")))
         cfg = PipelineConfig.from_json(str(path))
         assert cfg.network == str(tmp_path / "n.json")
+
+
+_ODD_VALUES = (5, "x", [1], {}, None, True)
+
+
+def _replacements(doc):
+    """Every copy of the JSON document doc with one value, at any depth,
+    replaced by one of _ODD_VALUES."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        for new in (*_ODD_VALUES, *_replacements(value)):
+            out = dict(doc) if isinstance(doc, dict) else list(doc)
+            out[key] = new
+            yield out
+
+
+@pytest.mark.parametrize("reader", ["config", "networks", "dfa"])
+def test_readers_load_or_raise_value_error(tmp_path, reader):
+    # whatever value sits where, a reader loads the document or refuses it
+    # with a ValueError (starting with the path for a network or DFA file),
+    # never a TypeError, KeyError or AttributeError
+    doc, load = {
+        "config": (BASE_RAW, PipelineConfig.from_json),
+        "networks": ({"dim": 1, "actions": ["a"], "networks": {
+            "a": [{"weights": [[1.0]], "bias": [0.0], "activation": "linear"}]}}, load_networks),
+        "dfa": (simple_dfa().to_json(), load_dfa),
+    }[reader]
+    path = tmp_path / "doc.json"
+    cases = list(_replacements(doc))
+    assert len(cases) >= 6 * 10
+    for raw in cases:
+        path.write_text(json.dumps(raw))
+        try:
+            load(str(path))
+        except ValueError as e:
+            assert reader == "config" or str(e).startswith(f"{path}: "), (raw, e)
 
 
 class TestConfigChecks:
