@@ -83,7 +83,7 @@ def _load_pickle(outdir: str, name: str, fingerprint: str | None = None):
     try:
         with open(path, "rb") as fh:
             doc = pickle.load(fh)
-    except (AttributeError, ImportError, EOFError, pickle.UnpicklingError):
+    except (AttributeError, ImportError, EOFError, ValueError, pickle.UnpicklingError):
         doc = None
     if not isinstance(doc, dict) or doc.get("format") != _ARTIFACT_FORMAT:
         raise ValueError(f"{path} is unreadable or from another version of nndm-synth; rebuild it")

@@ -35,9 +35,10 @@ each state, the lowest-index action whose value is within tol of the
 state's best, so actions that differ only by unconverged noise do not flip
 on rounding.
 
-Both passes run group by group, in the order of the product's
-solve_order(): one group per SCC of the live states' DFA states, each
-solved after the groups its rows name, whose values it reads as frozen.
+Both passes run through one driver (_solve), group by group, in the order
+of the product's solve_order(): one group per SCC of the live states' DFA
+states, each solved after the groups its rows name, whose values it reads
+as frozen.
 A group's kernel spans only its own states and the states its rows name,
 so the dense buffer is as wide as the group's reach, not the product, and
 nothing is copied: the kernel ranks the product's own target ids. A group
@@ -247,13 +248,12 @@ class _BlockKernel:
     """Extreme expectations of V over blocks of rows of `store` that name
     only the states `cols` (ascending): the dense buffer has one column per
     state of cols, in their rank order, so it is only as wide as the rows'
-    reach. A sweep of width w updates per_block[w] states with w rows each,
-    about _BLOCK_CELLS cells of one dense (rows, cols) buffer; a kernel
-    built for width w serves blocks of width w and of width 1. The scratch
-    arrays are allocated once per solve, for the larger of the two, and
-    reused by every block: the allocator hands large freed temporaries back
-    to the system, so fresh ones per block would have their pages faulted in
-    again each time.
+    reach. A block of per_block[w] states with w rows each (w is 1 or
+    store.num_actions) fills about _BLOCK_CELLS cells of one dense
+    (rows, cols) buffer. The scratch arrays are allocated once per solve,
+    for the larger of the two, and reused by every block: the allocator
+    hands large freed temporaries back to the system, so fresh ones per
+    block would have their pages faulted in again each time.
 
     With v the values in the adversary's rank order (descending to maximize,
     ascending to minimize), dv_k = v_k - v_{k+1} (v_{S+1} = 0), C a row's
@@ -272,10 +272,10 @@ class _BlockKernel:
     keep their relative accuracy next to values near 1. Row targets must be
     distinct (each entry owns its cell)."""
 
-    def __init__(self, store: RowStore, cols: np.ndarray, width: int):
+    def __init__(self, store: RowStore, cols: np.ndarray):
         S = self.S = cols.size
         self.store = store
-        self.per_block = {w: max(1, _BLOCK_CELLS // (S * w)) for w in {1, width}}
+        self.per_block = {w: max(1, _BLOCK_CELLS // (S * w)) for w in {1, store.num_actions}}
         max_rows = max(n * w for w, n in self.per_block.items())
         length = np.diff(store.indptr)
         max_nnz = int(np.sort(length)[-max_rows:].sum())
@@ -349,11 +349,11 @@ class ValueIterationResult:
     full_sweeps: int  # sweeps that evaluated every row of the pass
 
 
-def _groups(product, width: int):
-    """Per group of product.solve_order(), in that order: a kernel of the
-    given width over the product's rows whose columns are the group's states
-    and every state its rows name, and the mask of the group's states; every
-    other state is frozen. A group that holds every row spans every state."""
+def _groups(product):
+    """Per group of product.solve_order(), in that order: a kernel over the
+    product's rows whose columns are the group's states and every state its
+    rows name, and the mask of the group's states; every other state is
+    frozen. A group that holds every row spans every state."""
     store = product.rows
     S, A = product.num_states, store.num_actions
     if np.any(store.first[~(product.accepting | product.sink)] < 0):
@@ -367,15 +367,25 @@ def _groups(product, width: int):
         else:
             for r in store.first[group].tolist():  # a state's rows lie side by side
                 seen[store.col[store.indptr[r] : store.indptr[r + A]]] = True
-        yield _BlockKernel(store, np.flatnonzero(seen), width), inner
+        yield _BlockKernel(store, np.flatnonzero(seen)), inner
+
+
+def _action_values(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, maximize: bool) -> np.ndarray:
+    """The extreme expectation of V under every action row of each of
+    `states`: a (states, actions) array."""
+    store = kernel.store
+    rows = (store.first[states][:, None] + np.arange(store.num_actions)).ravel()
+    return kernel(V, rows, maximize).reshape(states.size, store.num_actions)
 
 
 def _block_sweeps(
     kernel: _BlockKernel, V: np.ndarray, frozen: np.ndarray, maximize: bool, tol: float,
     max_sweeps: int, strategy=None,
-) -> ValueIterationResult:
-    """Sweep V in place until a full sweep moves no state by tol. Frozen
-    states keep their start value; the others need rows in kernel.store.
+) -> tuple[int, int, float, bool]:
+    """Sweep V in place until a full sweep moves no state by tol; returns the
+    sweeps, the full sweeps among them, the last full sweep's largest move
+    and whether it fell below tol. Frozen states keep their start value; the
+    others need rows in kernel.store.
 
     With a strategy, every sweep is full: it evaluates the one row
     strategy[s] of each state. Without one (the maximin pass), a full sweep
@@ -394,7 +404,6 @@ def _block_sweeps(
     store = kernel.store
     held = strategy is None
     choice = np.zeros(V.size, dtype=np.int64) if held else strategy
-    actions = np.arange(store.num_actions)
     sweeps = full_sweeps = 0
     residual = np.inf
     converged = False
@@ -407,12 +416,10 @@ def _block_sweeps(
         order = order[~frozen[order]]
         for i in range(0, order.size, kernel.per_block[width]):
             states = order[i : i + kernel.per_block[width]]
-            first = store.first[states]
             if width == 1:
-                vals = kernel(V, first + choice[states], maximize)
+                vals = kernel(V, store.first[states] + choice[states], maximize)
             else:
-                vals = kernel(V, (first[:, None] + actions).ravel(), maximize)
-                vals = vals.reshape(states.size, width)
+                vals = _action_values(kernel, V, states, maximize)
                 choice[states] = vals.argmax(axis=1)
                 vals = vals.max(axis=1)
             best = np.maximum(vals, 0.0)
@@ -429,22 +436,40 @@ def _block_sweeps(
                 bar = max(moved * _REFRESH, tol)
         elif moved < bar:
             bar = None
-    return ValueIterationResult(
-        values=V,
-        strategy=None,
-        converged=converged,
-        sweeps=sweeps,
-        residual=residual,
-        full_sweeps=full_sweeps,
-    )
+    return sweeps, full_sweeps, residual, converged
 
 
-def _add(total: ValueIterationResult, part: ValueIterationResult) -> None:
-    """Count one group's pass into the whole pass's result."""
-    total.converged &= part.converged
-    total.sweeps += part.sweeps
-    total.full_sweeps += part.full_sweeps
-    total.residual = max(total.residual, part.residual)
+def _solve(product, maximize: bool, tol: float, max_sweeps: int, strategy=None) -> ValueIterationResult:
+    """Both passes: V starts at 1 on the accepting states and 0 elsewhere,
+    and the groups of product.solve_order() are swept one after another
+    (_block_sweeps, over `strategy`'s rows, or every row without one), each
+    with the values of the groups before it frozen. The groups share the one
+    max_sweeps budget: sweeps and full_sweeps are summed over them, residual
+    is the largest group residual, and the pass converged when every group
+    did.
+
+    Without a strategy, one is extracted from each group's converged values:
+    per state, the lowest-index action within tol of the best one. Values
+    are only tol-accurate, so a finer choice would follow rounding noise."""
+    V = product.accepting.astype(float)
+    extracted = np.zeros(product.num_states, dtype=np.int64)
+    result = ValueIterationResult(V, extracted if strategy is None else strategy, True, 0, 0.0, 0)
+    for kernel, inner in _groups(product):
+        sweeps, full_sweeps, residual, converged = _block_sweeps(
+            kernel, V, ~inner, maximize, tol, max_sweeps - result.sweeps, strategy)
+        result.sweeps += sweeps
+        result.full_sweeps += full_sweeps
+        result.residual = max(result.residual, residual)
+        result.converged &= converged
+        if strategy is None:
+            live = np.flatnonzero(inner)
+            per_block = kernel.per_block[product.rows.num_actions]
+            for i in range(0, live.size, per_block):
+                states = live[i : i + per_block]
+                vals = _action_values(kernel, V, states, maximize)
+                near_best = vals >= vals.max(axis=1, keepdims=True) - tol
+                extracted[states] = np.argmax(near_best, axis=1)  # first True: lowest index
+    return result
 
 
 def robust_value_iteration(
@@ -454,38 +479,12 @@ def robust_value_iteration(
 ) -> ValueIterationResult:
     """Maximin reachability: the controller maximizes, the adversary inside
     the probability intervals minimizes. Returns the pessimistic values
-    (lower probability bounds) and the strategy extracted from them.
-    Accepting states are fixed at 1, sink states at 0; iteration is monotone
-    from below, so values never decrease. Between full sweeps the
+    (lower probability bounds) and the strategy extracted from them (see
+    _solve). Accepting states are fixed at 1, sink states at 0; iteration is
+    monotone from below, so values never decrease. Between full sweeps the
     controller's choice is held (see _block_sweeps); the adversary is solved
-    exactly in every sweep.
-
-    The groups of product.solve_order() are solved one after another, each
-    with the values of the groups before it frozen, and all of them share
-    the one max_sweeps budget: sweeps and full_sweeps are summed over the
-    groups, residual is the largest group residual, and the pass converged
-    when every group did.
-
-    Extraction evaluates every action once at each group's converged values
-    and picks, per state, the lowest-index action within tol of the best
-    one: values are only tol-accurate, so a finer choice would follow
-    rounding noise."""
-    store = product.rows
-    A = store.num_actions
-    actions = np.arange(A)
-    V = product.accepting.astype(float)
-    result = ValueIterationResult(V, np.zeros(product.num_states, dtype=np.int64), True, 0, 0.0, 0)
-    for kernel, inner in _groups(product, A):
-        _add(result, _block_sweeps(kernel, V, ~inner, False, tol, max_sweeps - result.sweeps))
-        live = np.flatnonzero(inner)
-        per_block = kernel.per_block[A]
-        for i in range(0, live.size, per_block):
-            states = live[i : i + per_block]
-            rows = (store.first[states][:, None] + actions).ravel()
-            vals = kernel(V, rows, False).reshape(states.size, A)
-            near_best = vals >= vals.max(axis=1, keepdims=True) - tol
-            result.strategy[states] = np.argmax(near_best, axis=1)  # first True: lowest index
-    return result
+    exactly in every sweep."""
+    return _solve(product, maximize=False, tol=tol, max_sweeps=max_sweeps)
 
 
 def evaluate_strategy_upper(
@@ -497,9 +496,9 @@ def evaluate_strategy_upper(
     """Optimistic value of a fixed strategy: the adversary inside the
     intervals now maximizes, giving sound upper probability bounds for the
     same strategy that robust_value_iteration certified from below. Same
-    blocked sweep as the maximin pass, over the strategy's rows only, group
-    by group with the same sweep accounting. strategy holds one action
-    index in [0, num_actions) per state."""
+    group loop and sweep accounting as the maximin pass (_solve), over the
+    strategy's rows only. strategy holds one action index in
+    [0, num_actions) per state."""
     store = product.rows
     strategy = np.asarray(strategy, dtype=np.int64)
     S = product.num_states
@@ -514,8 +513,4 @@ def evaluate_strategy_upper(
         raise ValueError(
             f"strategy[{s}] = {strategy[s]} is not an action index in [0, {store.num_actions})"
         )
-    result = ValueIterationResult(product.accepting.astype(float), strategy, True, 0, 0.0, 0)
-    for kernel, inner in _groups(product, 1):
-        _add(result, _block_sweeps(kernel, result.values, ~inner, True, tol,
-                                   max_sweeps - result.sweeps, strategy))
-    return result
+    return _solve(product, maximize=True, tol=tol, max_sweeps=max_sweeps, strategy=strategy)

@@ -228,10 +228,10 @@ def _names(value, what: str) -> list[str]:
 def _load_json(path: str, parse):
     """parse(the JSON document at path), every ValueError starting with the
     path, so the user learns which file is wrong."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259), whatever the locale
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ValueError(f"{path}: not valid JSON ({e})") from None
     try:
         return parse(raw)

@@ -31,7 +31,8 @@ from .imdp import (
     evaluate_strategy_upper,
     robust_value_iteration,
 )
-from .networks import NeuralDynamics, _check_keys, _float, _int, _name, _numbers, _strict, evaluate, load_networks
+from .networks import (NeuralDynamics, _check_keys, _float, _int, _load_json, _name, _numbers, _strict,
+                       evaluate, load_networks)
 from .refinement import RefinementConfig, RefineOutcome, refine_round
 from .relaxation import LinearBounds, relax_cells
 from .transitions import transition_rows
@@ -191,9 +192,10 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "PipelineConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        return cls.from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+        """from_dict of the file at path, relative paths in it resolved from
+        its directory; every error starts with the path."""
+        base_dir = os.path.dirname(os.path.abspath(path))
+        return _load_json(path, lambda raw: cls.from_dict(raw, base_dir=base_dir))
 
 
 # -- abstraction --------------------------------------------------------------

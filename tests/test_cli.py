@@ -159,6 +159,21 @@ def test_simulate_refuses_stale_result(tmp_path, capsys, truncated):
     assert "result.pkl" in err and "rebuild" in err
 
 
+def test_simulate_refuses_result_that_unpickles_with_value_error(tmp_path, capsys, monkeypatch):
+    # some corrupt pickles raise ValueError inside pickle.load ("'utf-8'
+    # codec can't decode byte", "buffer size does not match array size")
+    (tmp_path / "result.pkl").write_bytes(b"corrupt")
+
+    def corrupt(fh):
+        raise ValueError("buffer size does not match array size")
+
+    monkeypatch.setattr(pickle, "load", corrupt)
+    rc = main(["simulate", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "result.pkl") in err and "rebuild" in err
+
+
 def test_simulate_refuses_format_3_result(tmp_path, capsys):
     # format 3 held the product rows as a dict of per-row arrays, format 4
     # the out-of-domain interval in dedicated row fields, format 5 value
@@ -241,6 +256,7 @@ def test_non_string_network_exits_2_naming_the_key(workdir, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "'network' must be a string" in err and "Traceback" not in err
+    assert f"error: {workdir / 'network_5.json'}: " in err
 
 
 def test_null_threshold_exits_2_without_traceback(workdir, capsys):

@@ -141,7 +141,7 @@ class TestBlockKernel:
         for V in value_sets:
             block = rng.permutation(len(rows))  # any row order, lengths mixed
             for maximize in (False, True):
-                got = _BlockKernel(store, np.arange(S), 1)(V, block, maximize)
+                got = _BlockKernel(store, np.arange(S))(V, block, maximize)
                 want = [extreme_distribution(lo, up, V[t], maximize) @ V[t]
                         for t, lo, up in (rows[r] for r in block)]
                 assert np.max(np.abs(got - want)) < 1e-12
@@ -168,7 +168,7 @@ class TestBlockKernel:
         for V in (rng.uniform(0, 1, S), rng.choice([0.0, 0.5, 1.0], S)):
             block = rng.permutation(len(rows))
             for maximize in (False, True):
-                got = _BlockKernel(store, np.arange(S), 1)(V, block, maximize)
+                got = _BlockKernel(store, np.arange(S))(V, block, maximize)
                 want = []
                 for r in block:
                     t, lo, up = rows[r]
@@ -195,7 +195,7 @@ class TestBlockKernel:
         assert any(np.any(np.diff(t) < 0) for t, _, _ in store.values())
         V = rng.uniform(0, 1, S)
         for maximize in (False, True):
-            got = _BlockKernel(store, np.arange(S), 1)(V, np.arange(len(picked)), maximize)
+            got = _BlockKernel(store, np.arange(S))(V, np.arange(len(picked)), maximize)
             want = [extreme_distribution(lo, up, V[rename[t]], maximize) @ V[rename[t]]
                     for t, lo, up in (rows[r] for r in picked)]
             assert np.max(np.abs(got - want)) < 1e-12
@@ -548,14 +548,14 @@ class TestGroupedSolve:
     def test_each_group_spans_only_its_reach(self):
         prod = random_dfa_product(TWO_GOALS, 1)
         widths = []
-        for kernel, inner in _groups(prod, 1):
+        for kernel, inner in _groups(prod):
             named = np.concatenate([prod.rows[s, a].targets for s in np.flatnonzero(inner)
                                     for a in range(prod.num_actions)])
             assert np.array_equal(kernel.order, np.union1d(np.flatnonzero(inner), named))
             widths.append(kernel.S)
         assert len(widths) == 3 and max(widths) < prod.num_states
         prod = random_dfa_product(ONE_GOAL, 1)
-        assert [kernel.S for kernel, _ in _groups(prod, 1)] == [prod.num_states]
+        assert [kernel.S for kernel, _ in _groups(prod)] == [prod.num_states]
 
     def test_both_passes_match_lp_oracle(self):
         prod = random_dfa_product(TWO_GOALS, 2)
@@ -566,12 +566,20 @@ class TestGroupedSolve:
         assert np.max(np.abs(high.values - jacobi_lp_values(prod, strategy=low.strategy))) < 1e-6
         assert np.all(low.values <= high.values + 1e-9)
 
-    def test_sweep_budget_spans_the_groups(self):
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    def test_sweep_budget_spans_the_groups(self, upper):
         prod = random_dfa_product(TWO_GOALS, 3, num_actions=3)
-        whole = robust_value_iteration(prod, tol=1e-10)
+        strategy = robust_value_iteration(prod, tol=1e-10).strategy
+
+        def solve(**kw):
+            if upper:
+                return evaluate_strategy_upper(prod, strategy, tol=1e-10, **kw)
+            return robust_value_iteration(prod, tol=1e-10, **kw)
+
+        whole = solve()
         assert whole.converged
         for k in range(1, whole.sweeps):
-            got = robust_value_iteration(prod, tol=1e-10, max_sweeps=k)
+            got = solve(max_sweeps=k)
             assert got.sweeps == k and not got.converged
             assert np.all(got.values <= whole.values)
 

@@ -239,6 +239,22 @@ class TestConfigParsing:
         cfg = PipelineConfig.from_json(str(path))
         assert cfg.network == str(tmp_path / "n.json")
 
+    def test_config_that_is_not_json_names_the_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for text in (json.dumps(BASE_RAW)[:20].encode(), b"\xff{}"):  # truncated, not UTF-8
+            path.write_bytes(text)
+            with pytest.raises(ValueError, match="not valid JSON") as e:
+                PipelineConfig.from_json(str(path))
+            assert str(e.value).startswith(f"{path}: ")
+
+    def test_bad_dfa_error_names_both_files(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps(dict(simple_dfa().to_json(), initial=5)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(BASE_RAW, spec={"dfa": "spec.json"})))
+        with pytest.raises(ValueError, match="'initial'") as e:
+            PipelineConfig.from_json(str(path))
+        assert str(e.value).startswith(f"{path}: {tmp_path / 'spec.json'}: ")
+
 
 _ODD_VALUES = (5, "x", [1], {}, None, True)
 
@@ -257,8 +273,8 @@ def _replacements(doc):
 @pytest.mark.parametrize("reader", ["config", "networks", "dfa"])
 def test_readers_load_or_raise_value_error(tmp_path, reader):
     # whatever value sits where, a reader loads the document or refuses it
-    # with a ValueError (starting with the path for a network or DFA file),
-    # never a TypeError, KeyError or AttributeError
+    # with a ValueError that starts with the path, never a TypeError,
+    # KeyError or AttributeError
     doc, load = {
         "config": (BASE_RAW, PipelineConfig.from_json),
         "networks": ({"dim": 1, "actions": ["a"], "networks": {
@@ -273,7 +289,7 @@ def test_readers_load_or_raise_value_error(tmp_path, reader):
         try:
             load(str(path))
         except ValueError as e:
-            assert reader == "config" or str(e).startswith(f"{path}: "), (raw, e)
+            assert str(e).startswith(f"{path}: "), (raw, e)
 
 
 class TestConfigChecks:
