@@ -208,20 +208,21 @@ def dfa_template(name: str, labels: dict[str, str]) -> Dfa:
 @dataclass
 class ProductImdp:
     """Interval MDP over (cell, DFA-state) pairs, restricted to the part
-    reachable from the per-cell initial states. Cell UNSAFE_ID marks the
-    virtual out-of-domain component. next_tbl[q, d] is the DFA state entered
-    from DFA state d on moving into target q (UNSAFE_ID selects its last
-    row). `rows` holds the product rows, keyed (pid, action): each a base row
-    with its targets renamed to pids and its remainder, sharing the bounds of
-    imdp.rows."""
+    reachable from the per-cell initial states. states[pid] is the pair
+    (cell, DFA state index) of product state pid, an (S, 2) int64 array;
+    pid q < imdp.num_cells is cell q's initial state. Cell UNSAFE_ID marks
+    the virtual out-of-domain component. next_tbl[q, d] is the DFA state
+    entered from DFA state d on moving into target q (UNSAFE_ID selects its
+    last row). `rows` holds the product rows, keyed (pid, action): each a
+    base row with its targets renamed to pids and its remainder, sharing the
+    bounds of imdp.rows."""
 
     imdp: Imdp
     dfa: Dfa
-    states: list[tuple[int, int]]
+    states: np.ndarray
     accepting: np.ndarray
     sink: np.ndarray
     rows: RowStore
-    initial_pid: np.ndarray
     next_tbl: np.ndarray
 
     @property
@@ -249,7 +250,7 @@ class ProductImdp:
                 break
             reach = wider
         live = ~(self.accepting | self.sink)
-        d_of = np.array([d for _, d in self.states], dtype=np.int64)
+        d_of = self.states[:, 1]
         held = np.unique(d_of[live])
         sccs = {tuple(np.flatnonzero(reach[d] & reach[:, d])) for d in held.tolist()}
         order = sorted(sccs, key=lambda scc: (np.count_nonzero(reach[scc[0]]), scc))
@@ -258,7 +259,9 @@ class ProductImdp:
 
 def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     """Synchronous product: a transition into cell q' advances the DFA on
-    L(q'), and a cell's initial product state consumes its own label first.
+    L(q'), and a cell's initial product state consumes its own label first;
+    pids 0..num_cells-1 go to the cells' initial states in cell order, so
+    pid q is cell q's, and the rest in breadth-first order.
     A product row is its base row with targets renamed to pids: the product's
     RowStore, in (pid, action) order, holds only that pid column and its
     rows' remainders, and reads the bounds from the base store's lo and up,
@@ -283,24 +286,23 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
               for labels in {*imdp.labels, unsafe}}
     next_tbl = np.array([column[labels] for labels in (*imdp.labels, unsafe)], dtype=np.int64)
 
-    acc = {dfa_idx[s] for s in dfa.accepting}
-    dead = {dfa_idx[s] for s in dfa.dead_states()}
+    dead_states = dfa.dead_states()
+    acc = np.array([s in dfa.accepting for s in dfa.states])
+    dead = np.array([s in dead_states for s in dfa.states])
 
     pid_tbl = np.full((num_cells + 1, n_dfa), -1, dtype=np.int64)
-    states: list[tuple[int, int]] = []  # also the breadth-first work list
+    work: list[tuple[int, int]] = []  # the breadth-first work list, in pid order
 
     def ensure(cell: int, d: int) -> int:
         pid = pid_tbl[cell, d]
         if pid < 0:
-            pid = len(states)
+            pid = len(work)
             pid_tbl[cell, d] = pid
-            states.append((cell, d))
+            work.append((cell, d))
         return int(pid)
 
-    d0 = dfa_idx[dfa.initial]
-    initial_pid = np.empty(num_cells, dtype=np.int64)
-    for q in range(num_cells):
-        initial_pid[q] = ensure(q, int(next_tbl[q, d0]))
+    for q, d in enumerate(next_tbl[:num_cells, dfa_idx[dfa.initial]].tolist()):
+        ensure(q, d)
 
     # one pass over the states as they are reached: a live state's rows are
     # its cell's A base rows renamed to pids; of the pid column's room only
@@ -309,11 +311,9 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     base = imdp.rows
     col = np.empty(int(base.indptr[-1]) * n_dfa, dtype=np.int64)
     end = 0
-    live: list[int] = []
-    for pid, (cell, d) in enumerate(states):  # grows while it is walked
-        if d in acc or d in dead or cell == UNSAFE_ID:
+    for cell, d in work:  # grows while it is walked
+        if acc[d] or dead[d] or cell == UNSAFE_ID:
             continue  # terminal in the product: no outgoing rows needed
-        live.append(pid)
         r = base.first[cell]
         succ = base.col[base.indptr[r] : base.indptr[r + A]]
         d_next = next_tbl[succ, d]
@@ -323,19 +323,17 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
         col[end : end + pids.size] = pids
         end += pids.size
 
+    states = np.array(work, dtype=np.int64)
+    accepting = acc[states[:, 1]]
+    sink = (dead[states[:, 1]] | (states[:, 0] == UNSAFE_ID)) & ~accepting
+    live = np.flatnonzero(~(accepting | sink))
     first = np.full(len(states), -1, dtype=np.int64)
-    first[live] = np.arange(len(live)) * A
-    cells = np.array([states[pid][0] for pid in live], dtype=np.int64)
-    base_rows = (base.first[cells][:, None] + np.arange(A)).ravel()
+    first[live] = np.arange(live.size) * A
+    base_rows = (base.first[states[live, 0]][:, None] + np.arange(A)).ravel()
     sizes = np.diff(base.indptr)[base_rows]
     col.resize(end, refcheck=False)  # in place: a view would pin the rest
     rows = RowStore(first, A, sizes, col, base.lo, base.up,
                     at=base.indptr[base_rows], rem=base.rem[base_rows])
-
-    accepting = np.array([d in acc for (_, d) in states], dtype=bool)
-    sink = np.array(
-        [(d in dead or c == UNSAFE_ID) and d not in acc for (c, d) in states], dtype=bool
-    )
     return ProductImdp(
         imdp=imdp,
         dfa=dfa,
@@ -343,6 +341,5 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
         accepting=accepting,
         sink=sink,
         rows=rows,
-        initial_pid=initial_pid,
         next_tbl=next_tbl,
     )

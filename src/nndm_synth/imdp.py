@@ -498,15 +498,18 @@ def evaluate_strategy_upper(
     same strategy that robust_value_iteration certified from below. Same
     group loop and sweep accounting as the maximin pass (_solve), over the
     strategy's rows only. strategy holds one action index in
-    [0, num_actions) per state."""
+    [0, num_actions) per state, of an integer dtype (not float, not bool)."""
     store = product.rows
-    strategy = np.asarray(strategy, dtype=np.int64)
+    strategy = np.asarray(strategy)
     S = product.num_states
     if strategy.shape != (S,):
         raise ValueError(
             f"strategy has shape {strategy.shape}, need one action per state for {S} states "
             f"(first bad state {min(strategy.size, S)})"
         )
+    if strategy.dtype.kind not in "iu":
+        raise ValueError(f"strategy has dtype {strategy.dtype}, need integer action indices")
+    strategy = strategy.astype(np.int64, copy=False)
     bad = np.flatnonzero((strategy < 0) | (strategy >= store.num_actions))
     if bad.size:
         s = int(bad[0])

@@ -39,8 +39,8 @@ from .transitions import transition_rows
 
 
 def _parse_covariance(raw, dim: int) -> np.ndarray:
-    """Scalar -> isotropic, vector -> diagonal, matrix -> as given."""
-    arr = np.asarray(raw, dtype=float)
+    """Scalar -> isotropic, vector -> diagonal, matrix -> a copy as given."""
+    arr = np.array(raw, dtype=float)
     if arr.ndim == 0:
         return float(arr) * np.eye(dim)
     if arr.ndim == 1:
@@ -117,9 +117,10 @@ class PipelineConfig:
         needs a trial per start cell and a step (zero start cells is an empty
         check) and a non-negative seed; the threshold is a probability; value
         iteration needs a positive finite tolerance and at least one sweep.
-        The grid and regions are stored as tuples and the covariance as a
+        The covariance takes a config file's forms (_parse_covariance). The
+        grid and regions are stored as tuples and the covariance as a
         read-only copy, so no field can be changed in place either."""
-        covariance = np.array(self.covariance, dtype=float)
+        covariance = _parse_covariance(self.covariance, self.domain.dim)
         covariance.flags.writeable = False
         object.__setattr__(self, "covariance", covariance)
         object.__setattr__(self, "grid", tuple(self.grid))
@@ -159,7 +160,6 @@ class PipelineConfig:
         for reg in reg_raw:
             _check_keys(reg, "a 'regions' entry", ("label", "box"))
         domain = _box(_get(raw, "domain", _numbers), "'domain'")
-        covariance = _parse_covariance(_get(raw, "covariance", _numbers), domain.dim)
         regions = [(_name(reg["label"], "a region 'label'"),
                     _box(_get(reg, "box", _numbers), "a region 'box'")) for reg in reg_raw]
 
@@ -181,7 +181,7 @@ class PipelineConfig:
                 (ref if section == "refinement" else top)[name] = _get(src, key, conv)
         return cls(
             domain=domain,
-            covariance=covariance,
+            covariance=_get(raw, "covariance", _numbers),
             grid=_get(raw, "grid", lambda g: tuple(_int(c) for c in g)),
             dfa=dfa,
             regions=regions,
@@ -254,7 +254,7 @@ class Synthesis:
     product: ProductImdp
     lower: ValueIterationResult
     upper: ValueIterationResult
-    p_lower: np.ndarray  # per cell, at the cell's initial product state
+    p_lower: np.ndarray  # per cell q, at its initial product state: pid q
     p_upper: np.ndarray
 
 
@@ -268,14 +268,15 @@ def synthesize(
     bounds the strategy from below, the fixed-strategy optimistic pass
     bounds it from above. Both run group by group over the product's
     solve_order(), so lower.sweeps and upper.sweeps sum the groups' sweeps.
-    p_upper is clamped up to p_lower (np.maximum), which hides an extracted
-    action whose own optimistic value lies below p_lower; see the README's
-    known limitations."""
+    p_lower and p_upper are the values of pids 0..num_cells-1, the cells'
+    initial product states. p_upper is clamped up to p_lower (np.maximum),
+    which hides an extracted action whose own optimistic value lies below
+    p_lower; see the README's known limitations."""
     product = build_product(abstraction.imdp, dfa)
     lower = robust_value_iteration(product, tol=tol, max_sweeps=max_sweeps)
     upper = evaluate_strategy_upper(product, lower.strategy, tol=tol, max_sweeps=max_sweeps)
-    p_lower = lower.values[product.initial_pid]
-    p_upper = np.maximum(upper.values[product.initial_pid], p_lower)
+    p_lower = lower.values[: product.imdp.num_cells]
+    p_upper = np.maximum(upper.values[: product.imdp.num_cells], p_lower)
     return Synthesis(product=product, lower=lower, upper=upper, p_lower=p_lower, p_upper=p_upper)
 
 
@@ -311,15 +312,16 @@ class SwitchingStrategy:
         cell = int(self.grid.locate(z.reshape(1, -1))[0])
         if cell < 0:
             raise ValueError("point is outside the certified domain")
+        if dfa_state not in self.dfa.states:
+            raise ValueError(f"unknown DFA state {dfa_state!r}, not one of {list(self.dfa.states)}")
         d = self.dfa.states.index(dfa_state)
         return self.actions[int(self.table[cell, d])]
 
 
 def map_strategy(product: ProductImdp, strategy: np.ndarray, grid: RegionGrid) -> SwitchingStrategy:
     table = np.zeros((grid.num_cells, len(product.dfa.states)), dtype=np.int64)
-    for pid, (cell, d) in enumerate(product.states):
-        if cell >= 0:
-            table[cell, d] = strategy[pid]
+    in_grid = product.states[:, 0] >= 0
+    table[tuple(product.states[in_grid].T)] = strategy[in_grid]
     return SwitchingStrategy(actions=product.imdp.actions, dfa=product.dfa, grid=grid, table=table)
 
 
@@ -440,6 +442,9 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     grid = result.abstraction.grid
     dim = grid.dim
+    product, actions, table = result.product, result.switching.actions, result.switching.table
+    # every action below is the switching table's; cell q's is at pid q's DFA state
+    start_action = table[np.arange(grid.num_cells), product.states[: grid.num_cells, 1]]
 
     with open(os.path.join(outdir, "regions.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -450,8 +455,6 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
         w.writerow(header)
         for i in range(grid.num_cells):
             orig = grid.cell_original_rect(i)
-            pid = int(result.product.initial_pid[i])
-            act = result.switching.actions[int(result.lower.strategy[pid])]
             row = [str(i)]
             row += [repr(float(v)) for l in range(dim) for v in (orig.lo[l], orig.hi[l])]
             row += [repr(float(v)) for l in range(dim) for v in (grid.lo[i, l], grid.hi[i, l])]
@@ -459,29 +462,23 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
                 ";".join(sorted(grid.labels[i])),
                 repr(float(result.p_lower[i])),
                 repr(float(result.p_upper[i])),
-                act,
+                actions[start_action[i]],
                 str(result.classes[i]),
             ]
             w.writerow(row)
 
-    entries = []
-    for pid, (cell, d) in enumerate(result.product.states):
-        if cell < 0 or result.product.accepting[pid] or result.product.sink[pid]:
-            continue
-        entries.append(
-            {
-                "region": int(cell),
-                "dfa": result.product.dfa.states[d],
-                "action": result.switching.actions[int(result.lower.strategy[pid])],
-            }
-        )
-    entries.sort(key=lambda e: (e["region"], e["dfa"]))
+    cells, ds = product.states[~(product.accepting | product.sink)].T
+    entries = sorted(
+        ({"region": c, "dfa": product.dfa.states[d], "action": actions[a]}
+         for c, d, a in zip(cells.tolist(), ds.tolist(), table[cells, ds].tolist())),
+        key=lambda e: (e["region"], e["dfa"]),
+    )
     with open(os.path.join(outdir, "strategy.json"), "w") as fh:
         json.dump(
             {
-                "actions": list(result.switching.actions),
-                "dfa_states": list(result.product.dfa.states),
-                "initial_dfa_state": result.product.dfa.initial,
+                "actions": list(actions),
+                "dfa_states": list(product.dfa.states),
+                "initial_dfa_state": product.dfa.initial,
                 "entries": entries,
             },
             fh,
@@ -498,8 +495,8 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
     mean_gap, max_gap = gap_stats(grid, result.p_lower, result.p_upper)
     summary = {
         "num_cells": grid.num_cells,
-        "num_product_states": result.product.num_states,
-        "actions": list(result.switching.actions),
+        "num_product_states": product.num_states,
+        "actions": list(actions),
         "threshold": result.config.threshold,
         "classes": {k: cls_list.count(k) for k in ("yes", "no", "maybe")},
         "mean_gap": mean_gap,

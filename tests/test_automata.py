@@ -310,9 +310,19 @@ class TestProduct:
         imdp, dfa = two_goal_imdp()
         prod = build_product(imdp, dfa)
         idx = {s: i for i, s in enumerate(dfa.states)}
-        assert prod.states[prod.initial_pid[0]] == (0, idx["waiting"])
-        assert prod.states[prod.initial_pid[1]] == (1, idx["got1"])
-        assert prod.states[prod.initial_pid[2]] == (2, idx["got2"])
+        assert tuple(prod.states[0]) == (0, idx["waiting"])
+        assert tuple(prod.states[1]) == (1, idx["got1"])
+        assert tuple(prod.states[2]) == (2, idx["got2"])
+
+    def test_pid_q_is_cell_q_initial_state(self):
+        imdp, dfa = two_goal_imdp()
+        prod = build_product(imdp, dfa)
+        n = imdp.num_cells
+        assert prod.states.shape == (prod.num_states, 2) and prod.states.dtype == np.int64
+        assert np.array_equal(prod.states[:n, 0], np.arange(n))
+        d0 = dfa.states.index(dfa.initial)
+        assert np.array_equal(prod.states[:n, 1], prod.next_tbl[:n, d0])
+        assert len(set(map(tuple, prod.states.tolist()))) == prod.num_states  # each pair once
 
     def test_rows_reindex_base_bounds(self):
         imdp, dfa = two_goal_imdp()
@@ -355,7 +365,7 @@ class TestProduct:
             base = imdp.rows[prod.states[pid][0], a]
             out = [k for k, t in enumerate(targets) if prod.states[t][0] == -1]
             assert len(out) == 1
-            assert prod.states[targets[out[0]]] == (-1, dead)
+            assert tuple(prod.states[targets[out[0]]]) == (-1, dead)
             assert (lo[out[0]], up[out[0]]) == (base.lower[0], base.upper[0])
 
     def test_terminal_states_have_no_rows(self):
@@ -394,8 +404,7 @@ class TestProduct:
         imdp, dfa = two_goal_imdp()
         p1 = build_product(imdp, dfa)
         p2 = build_product(imdp, dfa)
-        assert p1.states == p2.states
-        assert np.array_equal(p1.initial_pid, p2.initial_pid)
+        assert np.array_equal(p1.states, p2.states)
         assert set(p1.rows) == set(p2.rows)
         for k in p1.rows:
             for x, y in zip(p1.rows[k], p2.rows[k]):

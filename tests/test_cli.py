@@ -18,7 +18,7 @@ from nndm_synth.refinement import RefinementConfig
 
 # sha256 of the pickled classes' field names (see _pickled_fields) under the
 # current artifact format
-_FORMAT_DIGEST = (12, "7a4222f032e91e8291693e53395d6d55ee0d83470dba71598ab4a7d4c5b05b3e")
+_FORMAT_DIGEST = (13, "9f11619519573f319217b046eb80333e0bf96cd977442e0f10f975e5467f3f37")
 
 
 @pytest.fixture(scope="module")
@@ -183,10 +183,11 @@ def test_simulate_refuses_format_3_result(tmp_path, capsys):
     # format 8 a product row store with its own copy of the bounds, format 9
     # a config holding its grid and regions as lists and a writable covariance,
     # format 10 row stores without a remainder per row, format 11 a refinement
-    # config with a split rule setting and an Imdp with its own cell count
+    # config with a split rule setting and an Imdp with its own cell count,
+    # format 12 a product with its states as a list of pairs and an initial_pid
     nd, config = reach_avoid_2d(grid=(4, 4))
     result = run_pipeline(config, nd=nd)
-    for fmt in (3, 4, 5, 6, 7, 8, 9, 10, 11):
+    for fmt in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
         with open(tmp_path / "result.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "fingerprint": None, "object": result}, fh)
         rc = main(["simulate", "--out", str(tmp_path)])
@@ -201,9 +202,9 @@ def test_synthesize_refuses_old_format_tag(workdir, tmp_path, capsys):
     # format 6 held the abstraction's rows as a dict of per-row objects,
     # format 7 its envelopes as a dict keyed (cell, action) and a transform
     # field, format 8 row stores without `at`, format 11 an Imdp with its own
-    # cell count; format 9 (the result's config changed) goes too, since one
+    # cell count, format 12 a product with an initial_pid; format 9 (the result's config changed) goes too, since one
     # tag covers every artifact
-    for fmt in (1, 4, 5, 6, 7, 8, 9, 11):
+    for fmt in (1, 4, 5, 6, 7, 8, 9, 11, 12):
         with open(tmp_path / "abstraction.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "object": abstraction}, fh)
         rc = main(["synthesize", "--config", str(workdir / "config.json"), "--out", str(tmp_path)])

@@ -527,6 +527,15 @@ class TestValueIteration:
         with pytest.raises(ValueError, match=r"strategy\[4\]"):
             evaluate_strategy_upper(prod, strategy)
 
+    def test_strategy_not_of_integers_rejected(self):
+        # a float strategy was once truncated to its integer part, and a bool
+        # one read as actions 0 and 1
+        prod = random_product(3)
+        strategy = robust_value_iteration(prod, tol=1e-10).strategy
+        for bad in (strategy + 0.7, strategy > 0):
+            with pytest.raises(ValueError, match=f"dtype {bad.dtype}"):
+                evaluate_strategy_upper(prod, bad)
+
     def test_strategy_of_wrong_length_rejected(self):
         prod = random_product(3)
         with pytest.raises(ValueError, match="first bad state 5"):

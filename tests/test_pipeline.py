@@ -50,11 +50,11 @@ def test_pruned_certificates_contain_the_unpruned(monkeypatch):
     assert np.any(got.p_lower < ref.p_lower - 1e-9), "fixture should have remainders that bind"
     # the emitted strategy on the unpruned product's states; a state only the
     # pruned targets reach is the remainder's there, any action will do
-    action = dict(zip(got.product.states, got.lower.strategy.tolist()))
-    strategy = np.array([action.get(state, 0) for state in ref.product.states])
+    action = dict(zip(map(tuple, got.product.states.tolist()), got.lower.strategy.tolist()))
+    strategy = np.array([action.get(state, 0) for state in map(tuple, ref.product.states.tolist())])
     upper = evaluate_strategy_upper(ref.product, strategy, tol=1e-12)
     assert upper.converged
-    assert np.all(upper.values[ref.product.initial_pid] <= got.p_upper + 1e-12)
+    assert np.all(upper.values[: full.imdp.num_cells] <= got.p_upper + 1e-12)
 
 
 class TestParseCovariance:
@@ -301,6 +301,8 @@ class TestConfigChecks:
         ({"vi_max_sweeps": 0}, "'max_sweeps'"),
         ({"grid": [6]}, "'grid'"),
         ({"grid": [6, 0]}, "'grid'"),
+        ({"covariance": np.eye(3)}, "covariance must be 2x2"),
+        ({"covariance": [0.1, 0.2, 0.3]}, "diagonal covariance"),
     ])
     def test_replace_rechecks(self, change, key):
         # each of these once ran: threshold 1.5 labelled every cell "no",
@@ -308,6 +310,15 @@ class TestConfigChecks:
         _, config = reach_avoid_2d(grid=(6, 6))
         with pytest.raises(ValueError, match=key):
             replace(config, **change)
+
+    def test_covariance_in_code_takes_the_json_forms(self):
+        # a scalar or a diagonal passed in code reads as it does in a config
+        # file; whitening once refused the scalar as "not square"
+        parsed = PipelineConfig.from_dict(BASE_RAW)
+        for raw in (0.2, [0.2, 0.2]):
+            built = replace(parsed, covariance=raw)
+            assert np.array_equal(built.covariance, parsed.covariance)
+            assert not built.covariance.flags.writeable
 
     def test_fields_cannot_be_assigned(self):
         _, config = reach_avoid_2d(grid=(4, 4))
@@ -426,6 +437,22 @@ class TestRunPipeline:
         assert a in res.switching.actions
         with pytest.raises(ValueError, match="outside"):
             res.switching.action_at(np.array([5.0, 5.0]), "trying")
+
+    def test_action_at_unknown_dfa_state(self, small_run):
+        _, _, res, _ = small_run
+        with pytest.raises(ValueError, match=r"unknown DFA state 'nope'.*'trying', 'accepted', 'dead'"):
+            res.switching.action_at(np.array([0.0, 0.0]), "nope")
+
+    def test_pid_q_is_cell_q_initial_state_after_refinement(self):
+        nd, config = reach_avoid_2d(grid=(4, 4))
+        config = replace(config, refinement=RefinementConfig(per_round=3, rounds=2))
+        res = run_pipeline(config, nd=nd)
+        n = res.abstraction.grid.num_cells
+        assert n > 16 and res.rounds
+        states, d0 = res.product.states, config.dfa.states.index(config.dfa.initial)
+        assert np.array_equal(states[:n, 0], np.arange(n))
+        assert np.array_equal(states[:n, 1], res.product.next_tbl[:n, d0])
+        assert np.array_equal(res.p_lower, res.lower.values[:n])
 
     def test_missing_network_is_an_error(self):
         _, config = reach_avoid_2d(grid=(4, 4))
