@@ -10,7 +10,7 @@ Everything here is printed, no files are written. Run it from anywhere:
 import numpy as np
 
 from nndm_synth.fixtures import reach_avoid_2d
-from nndm_synth.geometry import UNSAFE_ID, build_grid, post_image_hull, rect_hull, whitening_transform
+from nndm_synth.geometry import UNSAFE_ID, build_grid, post_image_boxes, whitening_transform
 from nndm_synth.networks import evaluate
 from nndm_synth.relaxation import relax_cells
 from nndm_synth.transitions import gaussian_box_mass, transition_rows
@@ -72,11 +72,12 @@ print(f"mean envelope width per output: {np.mean(env_hi - env_lo, axis=0).round(
 
 # -- post image and one transition row ------------------------------------------
 
-verts = post_image_hull(bounds, cell)
-hull = rect_hull(verts)
+# each cell corner's images lie in one box; the convex hull of the boxes'
+# corners holds the cell's whole post-image (a stack of one row here)
+box_lo, box_hi = post_image_boxes(bounds[None], cell.lo[None], cell.hi[None])
 print("== Post image ==")
-print(f"{verts.shape[0]} candidate corners, bounding box "
-      f"[{hull.lo.round(3)}, {hull.hi.round(3)}]")
+print(f"{box_lo.shape[1]} corner boxes, bounding box "
+      f"[{box_lo[0].min(axis=0).round(3)}, {box_hi[0].max(axis=0).round(3)}]")
 
 # transition_rows writes its rows into a RowStore (CSR arrays indptr, col, lo,
 # up), row r from envelope r; one action on one cell holds one row, keyed (0, 0)

@@ -16,9 +16,6 @@ from .geometry import (
     RegionGrid,
     Transform,
     build_grid,
-    post_image_hull,
-    post_image_hulls,
-    rect_hull,
     transform_box,
     whitening_transform,
 )
@@ -27,7 +24,6 @@ from .imdp import (
     RowStore,
     ValueIterationResult,
     evaluate_strategy_upper,
-    extreme_distribution,
     robust_value_iteration,
 )
 from .networks import (
@@ -54,7 +50,7 @@ from .pipeline import (
     validate_monte_carlo,
 )
 from .refinement import RefinementConfig, refine_round, score_states, split_dimension
-from .relaxation import LinearBounds, relax, relax_cells
+from .relaxation import LinearBounds, relax_cells
 from .transitions import (
     InternalConsistencyError,
     extremal_means,

@@ -97,6 +97,13 @@ class Dfa:
                     changed = True
         return frozenset(set(self.states) - alive)
 
+    def state_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(accepting, dead): bool arrays in `states` order, flagging the
+        accepting states and dead_states()."""
+        dead = self.dead_states()
+        return (np.array([s in self.accepting for s in self.states]),
+                np.array([s in dead for s in self.states]))
+
     def to_json(self) -> dict:
         edges = [
             {"from": s, "when": sorted(labels), "to": t}
@@ -286,9 +293,7 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
               for labels in {*imdp.labels, unsafe}}
     next_tbl = np.array([column[labels] for labels in (*imdp.labels, unsafe)], dtype=np.int64)
 
-    dead_states = dfa.dead_states()
-    acc = np.array([s in dfa.accepting for s in dfa.states])
-    dead = np.array([s in dead_states for s in dfa.states])
+    acc, dead = dfa.state_masks()
 
     pid_tbl = np.full((num_cells + 1, n_dfa), -1, dtype=np.int64)
     work: list[tuple[int, int]] = []  # the breadth-first work list, in pid order

@@ -1,5 +1,5 @@
 """Axis-aligned geometry for the abstraction: whitening transforms,
-hyperrectangles, labeled grids, and post-image hulls.
+hyperrectangles, labeled grids, and post-image corner boxes.
 
 All grid geometry lives in whitened coordinates (noise covariance mapped to
 the identity); each cell also knows its preimage in the original state space
@@ -38,7 +38,7 @@ def _corner_masks(n: int) -> np.ndarray:
     return masks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperRect:
     """Axis-aligned box [lo, hi], closed on both sides. The bounds are
     read-only copies, so the box stays the one that was checked."""
@@ -66,18 +66,6 @@ class HyperRect:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    @property
-    def widths(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.widths))
-
     def vertices(self) -> np.ndarray:
         """All 2^n corners, binary-counting order (lo first)."""
         return np.where(_corner_masks(self.dim), self.hi, self.lo)
@@ -96,7 +84,7 @@ class HyperRect:
         return HyperRect(self.lo, lo_hi), HyperRect(hi_lo, self.hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transform:
     """Invertible linear change of coordinates z = matrix @ x."""
 
@@ -128,20 +116,16 @@ def whitening_transform(covariance: np.ndarray, tol: float = 1e-9) -> Transform:
     return Transform(matrix=matrix, inverse=inverse, covariance=cov)
 
 
-def rect_hull(vertices: np.ndarray) -> HyperRect:
-    """Tightest axis-aligned box containing the (M, n) vertex set."""
-    return HyperRect(vertices.min(axis=0), vertices.max(axis=0))
-
-
 def post_image_boxes(bounds: "LinearBounds", lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Corner boxes (box_lo, box_hi), each (R, 2^n, n): for corner v = k of
     the cell [lo[r], hi[r]] (_corner_masks order), box k of row r spans
     lower(v) and upper(v) of the envelope bounds[r], elementwise, so it holds
     every image of v.
 
-    The convex hull of the boxes' corners contains the image of the whole
-    cell (see post_image_hulls). The envelopes are applied in one stacked
-    np.matmul; each row is bitwise what its envelope gives on its cell alone.
+    The convex hull of the boxes' corners (4^n points, box by box; the
+    tests enumerate them in tests/oracles.py) contains the image of the
+    whole cell. The envelopes are applied in one stacked np.matmul; each row
+    is bitwise what its envelope gives on its cell alone.
     """
     n = lo.shape[1]
     verts = np.where(_corner_masks(n), hi[:, None, :], lo[:, None, :])  # (R, 2^n, n)
@@ -154,61 +138,18 @@ def post_image_boxes(bounds: "LinearBounds", lo: np.ndarray, hi: np.ndarray) -> 
     return box_lo, box_hi
 
 
-def post_image_hulls(bounds: "LinearBounds", lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Candidate vertex sets, shape (R, 4^n, n): row r's convex hull contains
-    the image of the cell [lo[r], hi[r]] under the envelope bounds[r].
-
-    For each cell corner v the true image lies in the box
-    [lower(v), upper(v)] (post_image_boxes); the union of those boxes'
-    corners (2^n boxes with 2^n corners each, box by box) spans a convex
-    hull that contains the whole image.
-    """
-    box_lo, box_hi = post_image_boxes(bounds, lo, hi)
-    R, B, n = box_lo.shape
-    corners = np.where(_corner_masks(n), box_hi[:, :, None, :], box_lo[:, :, None, :])
-    return corners.reshape(R, B * B, n)
-
-
-def post_image_hull(bounds: "LinearBounds", cell: HyperRect) -> np.ndarray:
-    """Candidate vertex set (4^n, n) of one cell and one envelope; see post_image_hulls."""
-    return post_image_hulls(bounds[None], cell.lo[None], cell.hi[None])[0]
-
-
-def _axis_map(matrix: np.ndarray, tol: float = 1e-9) -> list[tuple[int, float]] | None:
-    """If `matrix` maps axis boxes to axis boxes (one significant entry per
-    row), return per-row (source column, coefficient); otherwise None."""
-    n = matrix.shape[0]
-    out = []
-    for row in matrix:
-        a = np.abs(row)
-        j = int(np.argmax(a))
-        if a[j] == 0.0:
-            return None
-        rest = np.delete(a, j)
-        if rest.size and np.max(rest) > tol * a[j]:
-            return None
-        out.append((j, float(row[j])))
-    cols = {j for j, _ in out}
-    return out if len(cols) == n else None
-
-
 def transform_box(transform: Transform, box: HyperRect, exact: bool = False) -> HyperRect:
-    """Image of an axis box under the transform. With exact=True the matrix
-    must be axis-preserving (one significant entry per row); otherwise the
-    rectangular hull of the vertex images is returned."""
-    amap = _axis_map(transform.matrix)
-    if amap is not None:
-        lo = np.empty(box.dim)
-        hi = np.empty(box.dim)
-        for l, (j, c) in enumerate(amap):
-            a, b = c * box.lo[j], c * box.hi[j]
-            lo[l], hi[l] = min(a, b), max(a, b)
-        return HyperRect(lo, hi)
+    """Rectangular hull of the images of the box's vertices. With exact=True
+    the matrix must map axes to axes, so that the hull is the box's image:
+    in every row, each entry other than the largest in magnitude is at most
+    1e-9 times it, and a matrix that rotates is refused."""
     if exact:
-        raise ValueError(
-            "transform does not map axis-aligned boxes to axis-aligned boxes; "
-            "regions of interest require a (block-)diagonal noise covariance"
-        )
+        a = np.abs(transform.matrix)
+        if np.any(np.count_nonzero(a > 1e-9 * a.max(axis=1, keepdims=True), axis=1) > 1):
+            raise ValueError(
+                "transform does not map axis-aligned boxes to axis-aligned boxes; "
+                "regions of interest require a diagonal noise covariance"
+            )
     imgs = box.vertices() @ transform.matrix.T
     return HyperRect(imgs.min(axis=0), imgs.max(axis=0))
 

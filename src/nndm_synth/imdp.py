@@ -5,8 +5,9 @@ The inner optimization (pick a feasible distribution inside the row's
 probability intervals that minimizes or maximizes the expected value) is
 solved exactly by the ordering method: sort targets by value, hand every
 target its lower bound, then walk the sorted order raising entries to their
-upper bound until the remaining mass runs out. `extreme_distribution` does
-this literally for one row and is kept as the reference.
+upper bound until the remaining mass runs out. The tests keep the literal
+one-row version as the reference (`extreme_distribution` in
+tests/oracles.py).
 
 Value iteration evaluates that step for a block of rows at once, in rank
 space (`_BlockKernel`): each row's gaps up - lo are scattered into a dense
@@ -167,23 +168,6 @@ class RowStore(Mapping):
         if self.rem.shape != (len(sizes),):
             raise ValueError("need one remainder per row")
 
-    @classmethod
-    def from_rows(cls, rows: Mapping, num_states: int, num_actions: int) -> "RowStore":
-        """Pack a {(state, action): (targets, lo, up)} mapping."""
-        keys = sorted(rows)
-        first = np.full(num_states, -1, dtype=np.int64)
-        states = sorted({s for s, _ in keys})
-        first[states] = np.arange(len(states)) * num_actions
-        if keys != [(s, a) for s in states for a in range(num_actions)]:
-            raise ValueError("need num_actions rows for every state with rows")
-        for key in keys:
-            if np.any(np.diff(rows[key][0]) <= 0):
-                raise ValueError(f"row {key}: targets are not increasing")
-        fields = [np.asarray(rows[k], dtype=float) for k in keys]  # targets, lo, up: (3, size)
-        packed = np.concatenate([np.empty((3, 0)), *fields], axis=1)
-        sizes = [len(rows[k][0]) for k in keys]
-        return cls(first, num_actions, sizes, packed[0].astype(np.int64), packed[1], packed[2])
-
     def sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's sum of lower bounds, and of upper bounds plus its
         remainder: the least and the most mass the row can place
@@ -208,40 +192,6 @@ class RowStore(Mapping):
 
     def __len__(self) -> int:
         return self.indptr.size - 1
-
-
-def extreme_distribution(
-    lower: np.ndarray,
-    upper: np.ndarray,
-    values: np.ndarray,
-    maximize: bool = False,
-) -> np.ndarray:
-    """Feasible distribution (lower <= gamma <= upper, sum 1) attaining the
-    extreme expectation of `values`. Ties in the value ordering resolve to
-    the lower index."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if lower.shape != upper.shape or lower.shape != values.shape:
-        raise ValueError("lower, upper, values must have matching shapes")
-    if np.any(lower < -1e-12) or np.any(upper > 1.0 + 1e-12) or np.any(lower > upper + 1e-12):
-        raise ValueError("bounds must satisfy 0 <= lower <= upper <= 1")
-    lo_sum = float(lower.sum())
-    up_sum = float(upper.sum())
-    if lo_sum > 1.0 + 1e-9 or up_sum < 1.0 - 1e-9:
-        raise ValueError(f"no feasible distribution: sum(lower)={lo_sum}, sum(upper)={up_sum}")
-
-    order = np.argsort(-values if maximize else values, kind="stable")
-    gamma = lower.copy()
-    budget = 1.0 - lo_sum
-    if budget > 0.0:
-        gaps = (upper - lower)[order]
-        cum = np.cumsum(gaps)
-        k = int(np.searchsorted(cum, budget))
-        gamma[order[:k]] = upper[order[:k]]
-        if k < len(order):
-            gamma[order[k]] += budget - (cum[k - 1] if k > 0 else 0.0)
-    return gamma
 
 
 class _BlockKernel:

@@ -54,7 +54,7 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseLayer:
     """y = activation(weights @ x + bias)."""
 
@@ -83,7 +83,7 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeuralDynamics:
     """State dimension, ordered action names, and one layer stack per action.
     Every network maps R^dim -> R^dim."""

@@ -89,11 +89,13 @@ def _get(section: dict, key: str, conv):
     return _strict(conv, section[key], f"config key {key!r} has a malformed value {section[key]!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineConfig:
     """Everything one synthesis run needs. Built directly in code or parsed
     from JSON via from_json / from_dict (see the README for the schema), and
-    changed with dataclasses.replace; every way runs __post_init__'s checks."""
+    changed with dataclasses.replace; every way runs __post_init__'s checks.
+    Compared and hashed by identity, as the boxes, networks and envelopes
+    are: field-wise == would have to test arrays for truth."""
 
     domain: HyperRect
     covariance: np.ndarray
@@ -564,9 +566,7 @@ def _simulate(result: PipelineResult, cells: list[int], steps: int) -> tuple[np.
     table = result.switching.table
     trials, dim = config.sim_trials, grid.dim
     chol = np.linalg.cholesky(config.covariance)
-    acc_mask = np.array([s in dfa.accepting for s in dfa.states])
-    dead = dfa.dead_states()
-    dead_mask = np.array([s in dead for s in dfa.states])
+    acc_mask, dead_mask = dfa.state_masks()
     d_init = dfa.states.index(dfa.initial)
 
     k_ext = np.zeros(len(cells), dtype=np.int64)

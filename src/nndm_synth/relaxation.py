@@ -1,7 +1,7 @@
 """Sound affine envelopes for the whitened one-step dynamics.
 
-For a region R (whitened coordinates) and action a, `relax` produces affine
-maps flo, fhi with
+For a region R (whitened coordinates) and action a, the relaxation produces
+affine maps flo, fhi with
 
     flo(z) <= T f_a(T^{-1} z) <= fhi(z)   componentwise for all z in R,
 
@@ -20,8 +20,9 @@ increasing s-curve f on [l, u] is the upper line of g(x) = -f(-x) on
 cell axis, the backward pass is one stacked `np.matmul` per layer (the
 batched CROWN formulation), and the neuron lines of the hidden layers that
 all actions share are computed once per batch of boxes. Each envelope is
-bitwise what `relax` gives on its box alone. An abstraction keeps one stack
-in its row store's order: envelope r is row r's.
+bitwise what `relax_cells` gives on its box alone, under its action alone.
+An abstraction keeps one stack in its row store's order: envelope r is row
+r's.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HyperRect, Transform
+from .geometry import Transform
 from .networks import Activation, NeuralDynamics, _sigmoid
 
 _POINT_WIDTH = 1e-12  # intervals narrower than this are treated as points
@@ -40,7 +41,7 @@ _POINT_WIDTH = 1e-12  # intervals narrower than this are treated as points
 _CHUNK_CELLS = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearBounds:
     """A stack of affine lower/upper envelopes of the whitened dynamics, each
     on the box it was relaxed over (the caller keeps the boxes): A_lo, A_hi
@@ -300,7 +301,7 @@ def relax_cells(
     `actions`: envelope i * len(actions) + a is actions[a]'s on box i. The
     boxes go through the backward pass _CHUNK_CELLS at a time, with the
     hidden prefix all actions share relaxed once per chunk; each envelope
-    equals `relax` on its box alone."""
+    equals the one a call on its box and action alone gives."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != nd.dim:
@@ -320,14 +321,3 @@ def relax_cells(
             for field, value in zip(vars(out).values(), env):
                 field[s * A + a : stop * A : A] = value
     return out
-
-
-def relax(
-    nd: NeuralDynamics,
-    action: str,
-    transform: Transform,
-    region: HyperRect,
-) -> LinearBounds:
-    """Affine envelope of z -> T f_a(T^{-1} z) over `region` (whitened
-    coordinates). Exact (lower == upper) when every activation is linear."""
-    return relax_cells(nd, (action,), transform, region.lo[None], region.hi[None])[0]

@@ -1,18 +1,19 @@
 """Acceptance gate: ten end-to-end checks with pinned tolerances and time
 budgets, one printed verdict per criterion (run with -s to see them).
 
-Each check builds its own oracle: adaptive quadrature for the kernel, dense
+Each check has its own oracle: adaptive quadrature for the kernel, dense
 sampling for the hull extrema, a literal ungrouped row assembly, LP solves
-for the inner adversary, and Monte Carlo rollouts for the certificates.
+for the inner adversary, and Monte Carlo rollouts for the certificates. The
+row assembly and the LP iteration are shared with the unit tests
+(oracles.py).
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import linprog
 from scipy.stats import norm
 
 from nndm_synth.fixtures import (
@@ -21,15 +22,8 @@ from nndm_synth.fixtures import (
     reach_avoid_2d,
     vehicle_3d,
 )
-from nndm_synth.geometry import (
-    UNSAFE_ID,
-    HyperRect,
-    build_grid,
-    post_image_hull,
-    rect_hull,
-    whitening_transform,
-)
-from nndm_synth.imdp import RowStore, evaluate_strategy_upper, robust_value_iteration
+from nndm_synth.geometry import HyperRect, build_grid, whitening_transform
+from nndm_synth.imdp import robust_value_iteration
 from nndm_synth.networks import evaluate
 from nndm_synth.pipeline import (
     apply_refinement,
@@ -39,15 +33,10 @@ from nndm_synth.pipeline import (
     synthesize,
 )
 from nndm_synth.refinement import RefinementConfig, refine_round
-from nndm_synth.relaxation import LinearBounds, relax
-from nndm_synth.transitions import (
-    _PRUNE,
-    _entries,
-    _intervals,
-    extremal_means,
-    gaussian_box_mass,
-    transition_rows,
-)
+from nndm_synth.relaxation import LinearBounds
+from nndm_synth.transitions import _entries, _intervals, extremal_means, gaussian_box_mass, transition_rows
+
+from oracles import jacobi_lp_values, naive_row, plain_mdp_values, random_product, relax_box
 
 
 def _report(num: int, ok: bool, note: str) -> None:
@@ -140,43 +129,6 @@ def test_criterion_3_extremal_means_dominate():
 # -- 4: grouped rows bit-identical to per-target assembly ----------------------
 
 
-def _naive_row(grid, source, action, bounds):
-    """Literal per-cell row assembly, no target grouping: (targets, lower,
-    upper, remainder), led by the out-of-domain entry UNSAFE_ID when its
-    upper bound is positive. Cells whose upper bound is below _PRUNE leave
-    the row and their upper bounds, summed in cell order, are its remainder;
-    kept lower bounds below _PRUNE are 0."""
-    verts = post_image_hull(bounds, grid.cell(source))
-    hull = rect_hull(verts)
-    lows, highs = grid.boxes()
-    n = grid.num_cells
-    lower = np.empty(n)
-    upper = np.empty(n)
-    for q in range(n):
-        z_min, z_max = extremal_means(hull.lo, hull.hi, lows[q], highs[q])
-        upper[q] = gaussian_box_mass(z_max, lows[q], highs[q])
-        if np.all(highs[q] >= hull.lo) and np.all(lows[q] <= hull.hi):
-            lower[q] = gaussian_box_mass(verts, lows[q], highs[q]).min()
-        else:
-            lower[q] = gaussian_box_mass(z_min, lows[q], highs[q])
-    lower = np.minimum(lower, upper)
-    dom = grid.domain
-    dz_min, dz_max = extremal_means(hull.lo, hull.hi, dom.lo, dom.hi)
-    ul = float(np.clip(1.0 - gaussian_box_mass(dz_max, dom.lo, dom.hi), 0.0, 1.0))
-    uu = float(np.clip(1.0 - gaussian_box_mass(dz_min, dom.lo, dom.hi), 0.0, 1.0))
-    keep = upper >= _PRUNE
-    rem = 0.0
-    for q in np.flatnonzero(~keep):
-        rem += upper[q]
-    rem = min(1.0, rem)
-    targets = np.flatnonzero(keep).astype(np.int64)
-    klo = np.where(lower[keep] >= _PRUNE, lower[keep], 0.0)
-    kup = upper[keep]
-    if uu > 0.0:
-        targets, klo, kup = np.r_[UNSAFE_ID, targets], np.r_[ul, klo], np.r_[uu, kup]
-    return targets, klo, kup, rem
-
-
 def test_criterion_4_grouping_equivalence():
     t0 = time.perf_counter()
     nd = directional_dynamics(
@@ -192,11 +144,11 @@ def test_criterion_4_grouping_equivalence():
         # all 100 rows of the action in one stack, as the pipeline builds them,
         # from envelopes each relaxed alone
         envs = LinearBounds.concat(
-            relax(nd, action, transform, grid.cell(source))[None] for source in range(grid.num_cells)
+            relax_box(nd, action, transform, grid.cell(source))[None] for source in range(grid.num_cells)
         )
         rows = transition_rows(grid, np.arange(grid.num_cells), (action,), envs)
         for source, (b, row) in enumerate(zip(envs, rows.values())):
-            targets, lo, up, rem = _naive_row(grid, source, action, b)
+            targets, lo, up, rem = naive_row(grid, source, action, b)
             same = (
                 np.array_equal(row.targets, targets)
                 and np.array_equal(row.lower, lo)
@@ -228,7 +180,7 @@ def test_criterion_5_relaxation_soundness():
     for k, act in enumerate(("relu", "tanh", "sigmoid")):
         nd = random_network(2, 100, 5, activation=act, seed=50 + k)
         for region in regions:
-            b = relax(nd, "a0", transform, region)
+            b = relax_box(nd, "a0", transform, region)
             z = rng.uniform(region.lo, region.hi, size=(100_000, 2))
             x = z @ transform.inverse.T
             w = evaluate(nd, "a0", x) @ transform.matrix.T
@@ -245,107 +197,21 @@ def test_criterion_5_relaxation_soundness():
 # -- 6: robust value iteration vs LP oracle ------------------------------------
 
 
-@dataclass
-class _Product:
-    """Given its rows as a {(state, action): (targets, lo, up)} dict, which
-    it packs into a RowStore."""
-
-    accepting: np.ndarray
-    sink: np.ndarray
-    rows: RowStore
-    num_actions: int
-
-    def __post_init__(self):
-        self.rows = RowStore.from_rows(self.rows, self.num_states, self.num_actions)
-
-    @property
-    def num_states(self) -> int:
-        return len(self.accepting)
-
-    def solve_order(self) -> list[np.ndarray]:
-        return [np.flatnonzero(~(self.accepting | self.sink))]  # one group
-
-
-def _random_imdp(seed, n_live=14, n_actions=2, degenerate=False):
-    rng = np.random.default_rng(seed)
-    n = n_live + 2
-    accepting = np.zeros(n, bool)
-    accepting[n_live] = True
-    sink = np.zeros(n, bool)
-    sink[n_live + 1] = True
-    rows = {}
-    for s in range(n_live):
-        for a in range(n_actions):
-            k = int(rng.integers(3, 6))
-            others = rng.choice(n_live, size=k - 1, replace=False)
-            frozen = n_live + int(rng.integers(0, 2))
-            targets = np.sort(np.r_[others, frozen]).astype(np.int64)
-            p = 0.4 * (targets == frozen) + 0.6 * rng.dirichlet(np.ones(k))
-            if degenerate:
-                lo = up = p
-            else:
-                lo = p * rng.uniform(0.5, 1.0, k)
-                up = p + (1.0 - p) * rng.uniform(0.0, 0.5, k)
-            rows[(s, a)] = (targets, lo, up)
-    return _Product(accepting, sink, rows, n_actions)
-
-
-def _lp_extreme(vals, lo, up, maximize):
-    c = -np.asarray(vals, float) if maximize else np.asarray(vals, float)
-    res = linprog(c, A_eq=np.ones((1, len(vals))), b_eq=[1.0],
-                  bounds=np.column_stack([lo, up]), method="highs")
-    assert res.status == 0
-    return -res.fun if maximize else res.fun
-
-
-def _lp_jacobi(product, sweeps=400, tol=1e-11):
-    frozen = product.accepting | product.sink
-    V = product.accepting.astype(float)
-    for _ in range(sweeps):
-        new = V.copy()
-        for s in range(product.num_states):
-            if frozen[s]:
-                continue
-            new[s] = max(
-                _lp_extreme(V[t], lo, up, maximize=False)
-                for t, lo, up in (product.rows[s, a] for a in range(product.num_actions))
-            )
-        moved = float(np.max(np.abs(new - V)))
-        V = new
-        if moved < tol:
-            break
-    return V
-
-
 def test_criterion_6_value_iteration_vs_lp_oracle():
     t0 = time.perf_counter()
     worst_lp = 0.0
     for seed in (61, 67):
-        prod = _random_imdp(seed)
+        prod = random_product(seed, n_live=14)
         got = robust_value_iteration(prod, tol=1e-10, max_sweeps=5000)
         assert got.converged
-        worst_lp = max(worst_lp, float(np.max(np.abs(got.values - _lp_jacobi(prod)))))
+        want = jacobi_lp_values(prod, sweeps=400, tol=1e-11)
+        worst_lp = max(worst_lp, float(np.max(np.abs(got.values - want))))
 
     worst_deg = 0.0
     for seed in (71, 73):
-        prod = _random_imdp(seed, degenerate=True)
+        prod = random_product(seed, n_live=14, degenerate=True)
         got = robust_value_iteration(prod, tol=1e-10, max_sweeps=5000)
-        frozen = prod.accepting | prod.sink
-        V = prod.accepting.astype(float)
-        for _ in range(3000):
-            new = V.copy()
-            for s in range(prod.num_states):
-                if frozen[s]:
-                    continue
-                new[s] = max(
-                    float(lo @ V[t])
-                    for t, lo, _ in (prod.rows[s, a] for a in range(prod.num_actions))
-                )
-            moved = float(np.max(np.abs(new - V)))
-            V = new
-            if moved < 1e-13:
-                break
-        worst_deg = max(worst_deg, float(np.max(np.abs(got.values - V))))
+        worst_deg = max(worst_deg, float(np.max(np.abs(got.values - plain_mdp_values(prod, 3000)))))
     dt = time.perf_counter() - t0
     _report(6, worst_lp < 1e-6 and worst_deg < 2e-6 and dt < 60.0,
             f"max |VI - LP oracle| {worst_lp:.2e} (budget 1e-6), degenerate "
@@ -390,7 +256,7 @@ def test_criterion_8_refinement_shrinks_the_gap(fixture_2d, run_2d):
     synth = synthesize(ab, config.dfa)
     n0 = ab.grid.num_cells
     rc = RefinementConfig(per_round=int(np.ceil(0.05 * n0)), rounds=5)
-    domain_vol = ab.grid.domain.volume
+    domain_vol = float(np.prod(ab.grid.domain.hi - ab.grid.domain.lo))
     invariants_ok = True
     for _ in range(5):
         outcome = refine_round(ab.grid, ab.imdp, synth.p_lower, synth.p_upper, rc, ab.bounds)

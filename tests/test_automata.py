@@ -16,7 +16,9 @@ from nndm_synth.automata import (
     parse_dfa,
 )
 from nndm_synth.geometry import UNSAFE_ID
-from nndm_synth.imdp import Imdp, RowStore
+from nndm_synth.imdp import Imdp
+
+from oracles import from_rows, mk_row
 
 
 def simple_dfa():
@@ -50,6 +52,8 @@ class TestDfa:
             defaults={"s": "s", "t": "t", "u": "u"},
         )
         assert d.dead_states() == frozenset({"u"})
+        accepting, dead = d.state_masks()
+        assert accepting.tolist() == [False, True, False] and dead.tolist() == [False, False, True]
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -233,13 +237,6 @@ class TestJsonRoundTrip:
             parse_dfa(["states"])
 
 
-def _mk_row(targets, lower, upper, ul=0.0, uu=0.0):
-    """A row over `targets`, led by an UNSAFE_ID entry [ul, uu] when uu > 0."""
-    if uu > 0:
-        targets, lower, upper = [UNSAFE_ID, *targets], [ul, *lower], [uu, *upper]
-    return np.asarray(targets, dtype=np.int64), np.asarray(lower, float), np.asarray(upper, float)
-
-
 def two_goal_imdp():
     labels = [frozenset(), frozenset({"r1"}), frozenset({"r2"})]
     specs = {
@@ -250,8 +247,8 @@ def two_goal_imdp():
         (2, 0): ([0, 1], [0.5, 0.3], [0.6, 0.5], 0.0, 0.0),
         (2, 1): ([2], [1.0], [1.0], 0.0, 0.0),
     }
-    rows = {(c, a): _mk_row(t, lo, up, ul, uu) for (c, a), (t, lo, up, ul, uu) in specs.items()}
-    imdp = Imdp(actions=("a0", "a1"), labels=labels, rows=RowStore.from_rows(rows, 3, 2))
+    rows = {(c, a): mk_row(t, lo, up, ul, uu) for (c, a), (t, lo, up, ul, uu) in specs.items()}
+    imdp = Imdp(actions=("a0", "a1"), labels=labels, rows=from_rows(rows, 3, 2))
     imdp.validate()
     dfa = dfa_template("reach_two_avoid", {"avoid": "obst", "reach1": "r1", "reach2": "r2"})
     return imdp, dfa
@@ -277,7 +274,7 @@ def random_dfa_product(dfa, seed, num_cells=8, num_actions=2):
         up = np.minimum(p + (1.0 - p) * rng.uniform(0.0, 0.3, k + 1), 1.0)
         rows[key] = (targets, lo, up)
     imdp = Imdp(actions=tuple(f"a{a}" for a in range(num_actions)), labels=labels,
-                rows=RowStore.from_rows(rows, num_cells, num_actions))
+                rows=from_rows(rows, num_cells, num_actions))
     imdp.validate()
     return build_product(imdp, dfa)
 
@@ -351,11 +348,11 @@ class TestProduct:
         # two cells, so a table without UNSAFE_ID's extra slot would send the
         # out-of-domain mass to the last cell, cell 1
         rows = {
-            (0, 0): _mk_row([0, 1], [0.3, 0.2], [0.6, 0.5], 0.1, 0.3),
-            (1, 0): _mk_row([0, 1], [0.2, 0.5], [0.4, 0.7], 0.0, 0.2),
+            (0, 0): mk_row([0, 1], [0.3, 0.2], [0.6, 0.5], 0.1, 0.3),
+            (1, 0): mk_row([0, 1], [0.2, 0.5], [0.4, 0.7], 0.0, 0.2),
         }
         imdp = Imdp(actions=("a0",), labels=[frozenset(), frozenset()],
-                    rows=RowStore.from_rows(rows, 2, 1))
+                    rows=from_rows(rows, 2, 1))
         imdp.validate()
         dfa = dfa_template("reach_avoid", {"avoid": "obst", "reach": "goal"})
         prod = build_product(imdp, dfa)
@@ -418,8 +415,8 @@ class TestProduct:
 
     def test_unsafe_prop_required(self):
         labels = [frozenset({"g"})]
-        row = _mk_row([0], [1.0], [1.0])
-        imdp = Imdp(actions=("a0",), labels=labels, rows=RowStore.from_rows({(0, 0): row}, 1, 1))
+        row = mk_row([0], [1.0], [1.0])
+        imdp = Imdp(actions=("a0",), labels=labels, rows=from_rows({(0, 0): row}, 1, 1))
         d = Dfa(states=("s",), initial="s", accepting=frozenset(),
                 alphabet=frozenset({"g"}), defaults={"s": "s"})
         with pytest.raises(ValueError, match="reserved proposition"):

@@ -10,13 +10,13 @@ from nndm_synth.geometry import (
     HyperRect,
     _corner_masks,
     build_grid,
-    post_image_hull,
-    post_image_hulls,
-    rect_hull,
+    post_image_boxes,
     transform_box,
     whitening_transform,
 )
 from nndm_synth.relaxation import LinearBounds
+
+from oracles import post_image_hulls
 
 
 def in_convex_hull(point, vertices, tol=1e-9):
@@ -38,9 +38,6 @@ class TestHyperRect:
     def test_basic_properties(self):
         r = HyperRect([0.0, -1.0], [2.0, 3.0])
         assert r.dim == 2
-        assert np.allclose(r.widths, [2.0, 4.0])
-        assert np.allclose(r.center, [1.0, 1.0])
-        assert r.volume == pytest.approx(8.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -120,13 +117,26 @@ class TestTransformBox:
         assert np.allclose(img.lo, verts.min(axis=0))
         assert np.allclose(img.hi, verts.max(axis=0))
 
+    def test_permutation_exact_is_the_per_axis_image(self):
+        # eigh orders the eigenvalues, so the third axis becomes z0: the
+        # hull of the vertex images is bitwise the per-axis c * lo, c * hi
+        t = whitening_transform(np.diag([0.1, 0.1, 0.01]))
+        col = np.argmax(np.abs(t.matrix), axis=1)
+        assert col.tolist() == [2, 1, 0], "fixture should permute the axes"
+        c = t.matrix[np.arange(3), col]
+        box = HyperRect([-1.0, 0.5, -0.3], [2.0, 1.5, 0.0])
+        img = transform_box(t, box, exact=True)
+        ends = np.stack([c * box.lo[col], c * box.hi[col]])
+        assert img.lo.tobytes() == ends.min(axis=0).tobytes()
+        assert img.hi.tobytes() == ends.max(axis=0).tobytes()
+
     def test_rotation_hull(self):
         c, s = np.cos(0.3), np.sin(0.3)
         rot = np.array([[c, -s], [s, c]])
         cov = rot @ np.diag([1.0, 4.0]) @ rot.T
         t = whitening_transform(cov)
         box = HyperRect([0.0, 0.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="require a diagonal noise covariance"):
             transform_box(t, box, exact=True)
         hull = transform_box(t, box)
         verts = box.vertices() @ t.matrix.T
@@ -139,7 +149,7 @@ class TestPostImageHull:
         b = np.array([1.0, -0.5])
         bounds = LinearBounds(A_lo=A, b_lo=b, A_hi=A, b_hi=b)
         cell = HyperRect([0.0, 0.0], [1.0, 1.0])
-        verts = post_image_hull(bounds, cell)
+        verts = post_image_hulls(bounds[None], cell.lo[None], cell.hi[None])[0]
         images = cell.vertices() @ A.T + b
         # every true corner image is among the candidates
         for p in images:
@@ -153,13 +163,12 @@ class TestPostImageHull:
             slack = rng.uniform(0.01, 0.2, size=2)
             cell = HyperRect(rng.uniform(-1, 0, 2), rng.uniform(0.5, 1.5, 2))
             bounds = LinearBounds(A_lo=A, b_lo=b - slack, A_hi=A, b_hi=b + slack)
-            verts = post_image_hull(bounds, cell)
+            verts = post_image_hulls(bounds[None], cell.lo[None], cell.hi[None])[0]
             z = rng.uniform(cell.lo, cell.hi, (50, 2))
             # any selection between the two affine maps is a possible image
             w = rng.uniform(0, 1, (50, 2))
             img = z @ A.T + (b - slack) + w * (2 * slack)
-            hull = rect_hull(verts)
-            assert np.all(img >= hull.lo - 1e-9) and np.all(img <= hull.hi + 1e-9)
+            assert np.all(img >= verts.min(axis=0) - 1e-9) and np.all(img <= verts.max(axis=0) + 1e-9)
             for p in img[:10]:
                 assert in_convex_hull(p, verts)
 
@@ -184,14 +193,14 @@ class TestPostImageHull:
                 want = np.array([np.where(m, h, l) for l, h in zip(box_lo, box_hi)
                                  for m in _corner_masks(n)])
                 assert np.array_equal(got[r], want)
-                assert np.array_equal(post_image_hull(b, HyperRect(lo[r], hi[r])), want)
+                assert np.array_equal(post_image_hulls(b[None], lo[r][None], hi[r][None])[0], want)
 
     def test_rejects_non_finite_envelope(self):
         cell = HyperRect([0.0, 0.0], [1.0, 1.0])
         A = np.eye(2)
         bounds = LinearBounds(A_lo=A, b_lo=np.array([np.inf, 0.0]), A_hi=A, b_hi=np.zeros(2))
         with pytest.raises(ValueError, match="finite"):
-            post_image_hull(bounds, cell)
+            post_image_boxes(bounds[None], cell.lo[None], cell.hi[None])
 
 
 class TestRegionGrid:
@@ -212,7 +221,7 @@ class TestRegionGrid:
     def test_region_is_union_of_cells(self):
         grid = self._grid()
         cells = [grid.cell(i) for i in range(grid.num_cells)]
-        goal_vol = sum(c.volume for c, labs in zip(cells, grid.labels) if "goal" in labs)
+        goal_vol = sum(np.prod(c.hi - c.lo) for c, labs in zip(cells, grid.labels) if "goal" in labs)
         assert goal_vol == pytest.approx(1.0)
         for c, labs in zip(cells, grid.labels):
             inside = np.all(c.lo >= 0.5 - 1e-12) and np.all(c.hi <= 1.5 + 1e-12)
@@ -236,8 +245,8 @@ class TestRegionGrid:
         new_id = grid.split_cell(target, 0)
         assert new_id == grid.num_cells - 1
         assert grid.labels[new_id] == grid.labels[target]
-        lo_pt = grid.cell(target).center
-        hi_pt = grid.cell(new_id).center
+        lo_pt = 0.5 * (grid.lo[target] + grid.hi[target])
+        hi_pt = 0.5 * (grid.lo[new_id] + grid.hi[new_id])
         assert int(grid.locate(lo_pt[None])[0]) == target
         assert int(grid.locate(hi_pt[None])[0]) == new_id
 
@@ -307,6 +316,17 @@ class TestRegionGrid:
         with pytest.raises(ValueError):
             # region sticking out of the domain
             build_grid(domain, t, [2, 2], [("bad", HyperRect([0.5, 0.5], [1.5, 1.5]))])
+
+    def test_regions_under_a_rotated_covariance_rejected(self):
+        # the whitened image of a region would not be a box, so no union of
+        # cells could be exactly the region; the domain alone takes the hull
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        t = whitening_transform(rot @ np.diag([1.0, 4.0]) @ rot.T)
+        domain = HyperRect([-2.0, -2.0], [2.0, 2.0])
+        assert build_grid(domain, t, [4, 4]).num_cells == 16
+        with pytest.raises(ValueError, match="require a diagonal noise covariance"):
+            build_grid(domain, t, [4, 4], [("goal", HyperRect([0.5, 0.5], [1.5, 1.5]))])
 
     def test_zero_width_domain_rejected(self):
         t = whitening_transform(np.eye(2))

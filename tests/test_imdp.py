@@ -5,11 +5,8 @@ on random feasible interval rows; value iteration is checked against a
 literal Jacobi iteration whose inner step is an LP solve per state-action.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from nndm_synth.geometry import UNSAFE_ID
 from nndm_synth.imdp import (
@@ -18,20 +15,21 @@ from nndm_synth.imdp import (
     _BlockKernel,
     _groups,
     evaluate_strategy_upper,
-    extreme_distribution,
     robust_value_iteration,
 )
 from nndm_synth.transitions import _check_sums, _prune
 
+from oracles import (
+    FakeProduct,
+    extreme_distribution,
+    from_rows,
+    jacobi_lp_values,
+    lp_extreme,
+    mk_row,
+    plain_mdp_values,
+    random_product,
+)
 from test_automata import ONE_GOAL, TWO_GOALS, random_dfa_product
-
-
-def lp_extreme(vals, lo, up, maximize):
-    c = -np.asarray(vals, float) if maximize else np.asarray(vals, float)
-    res = linprog(c, A_eq=np.ones((1, len(vals))), b_eq=[1.0],
-                  bounds=np.column_stack([lo, up]), method="highs")
-    assert res.status == 0
-    return -res.fun if maximize else res.fun
 
 
 def random_bounds(rng, k):
@@ -132,7 +130,7 @@ class TestBlockKernel:
         rng = np.random.default_rng(seed)
         S = 12
         rows = kernel_rows(rng, S)
-        store = RowStore.from_rows({(r, 0): row for r, row in enumerate(rows)}, len(rows), 1)
+        store = from_rows({(r, 0): row for r, row in enumerate(rows)}, len(rows), 1)
         value_sets = [
             rng.uniform(0, 1, S),
             rng.choice([0.0, 0.25, 0.5, 1.0], S),  # heavy value ties
@@ -159,7 +157,7 @@ class TestBlockKernel:
             up = cut if rng.uniform() < 0.5 else up
             rows.append((t, lo, up))
             rem.append(min(1.0, max(0.0, 1.0 - up.sum()) + rng.choice([0.0, 1e-7, 0.2])))
-        packed = RowStore.from_rows({(r, 0): row for r, row in enumerate(rows)}, len(rows), 1)
+        packed = from_rows({(r, 0): row for r, row in enumerate(rows)}, len(rows), 1)
         store = RowStore(packed.first, 1, np.diff(packed.indptr), packed.col, packed.lo, packed.up,
                          rem=rem)
         up_sum = store.sums()[1] - store.rem
@@ -185,7 +183,7 @@ class TestBlockKernel:
         rng = np.random.default_rng(6)
         S = 12
         rows = kernel_rows(rng, S)
-        base = RowStore.from_rows({(r, 0): row for r, row in enumerate(rows)}, len(rows), 1)
+        base = from_rows({(r, 0): row for r, row in enumerate(rows)}, len(rows), 1)
         rename = np.r_[S - 1, rng.permutation(S - 1)]
         picked = rng.permutation(len(rows))
         length = np.diff(base.indptr)[picked]
@@ -204,7 +202,7 @@ class TestBlockKernel:
         rng = np.random.default_rng(4)
         some = kernel_rows(rng, 5)
         rows = {(0, 0): some[0], (0, 1): some[1], (3, 0): some[2], (3, 1): some[3]}
-        store = RowStore.from_rows(rows, 5, 2)
+        store = from_rows(rows, 5, 2)
         assert list(store) == [(0, 0), (0, 1), (3, 0), (3, 1)]
         assert len(store) == 4 and store.indptr[-1] == sum(len(t) for t, _, _ in rows.values())
         for key, (t, lo, up) in store.items():
@@ -216,32 +214,11 @@ class TestBlockKernel:
     def test_store_rejects_bad_layouts(self):
         row = (np.array([0, 1]), np.array([0.2, 0.3]), np.array([0.7, 0.8]))
         with pytest.raises(ValueError, match="num_actions rows"):
-            RowStore.from_rows({(0, 0): row}, 2, 2)
+            from_rows({(0, 0): row}, 2, 2)
         with pytest.raises(ValueError, match="increasing"):
-            RowStore.from_rows({(0, 0): (row[0][::-1], row[1], row[2])}, 2, 1)
+            from_rows({(0, 0): (row[0][::-1], row[1], row[2])}, 2, 1)
         with pytest.raises(ValueError, match="at least one entry"):
-            RowStore.from_rows({(0, 0): (np.zeros(0, np.int64), np.zeros(0), np.zeros(0))}, 2, 1)
-
-
-@dataclass
-class FakeProduct:
-    """Given its rows as a {(state, action): (targets, lo, up)} dict, which
-    it packs into a RowStore."""
-
-    accepting: np.ndarray
-    sink: np.ndarray
-    rows: RowStore
-    num_actions: int
-
-    def __post_init__(self):
-        self.rows = RowStore.from_rows(self.rows, self.num_states, self.num_actions)
-
-    @property
-    def num_states(self) -> int:
-        return len(self.accepting)
-
-    def solve_order(self) -> list[np.ndarray]:
-        return [np.flatnonzero(~(self.accepting | self.sink))]  # one group
+            from_rows({(0, 0): (np.zeros(0, np.int64), np.zeros(0), np.zeros(0))}, 2, 1)
 
 
 def tiny_chain(extra_action=False):
@@ -256,57 +233,6 @@ def tiny_chain(extra_action=False):
         rows[(0, 1)] = (np.array([1, 2]), np.array([0.5, 0.1]), np.array([0.8, 0.5]))
         n_actions = 2
     return FakeProduct(accepting, sink, rows, n_actions)
-
-
-def random_product(seed, n_live=10, n_actions=2, degenerate=False):
-    """Random interval MDP whose rows always send mass toward a frozen state,
-    so iteration contracts quickly."""
-    rng = np.random.default_rng(seed)
-    n = n_live + 2
-    accepting = np.zeros(n, bool)
-    accepting[n_live] = True
-    sink = np.zeros(n, bool)
-    sink[n_live + 1] = True
-    rows = {}
-    for s in range(n_live):
-        for a in range(n_actions):
-            k = int(rng.integers(3, 6))
-            others = rng.choice(n_live, size=k - 1, replace=False)
-            frozen = n_live + int(rng.integers(0, 2))
-            targets = np.sort(np.r_[others, frozen]).astype(np.int64)
-            p = 0.4 * (targets == frozen) + 0.6 * rng.dirichlet(np.ones(k))
-            if degenerate:
-                lo = up = p
-            else:
-                lo = p * rng.uniform(0.5, 1.0, k)
-                up = p + (1.0 - p) * rng.uniform(0.0, 0.5, k)
-            rows[(s, a)] = (targets, lo, up)
-    return FakeProduct(accepting, sink, rows, n_actions)
-
-
-def jacobi_lp_values(product, strategy=None, sweeps=600, tol=1e-12):
-    """Literal reference iteration: each inner step is an LP. Pessimistic
-    maximin without a strategy; optimistic evaluation with one."""
-    frozen = product.accepting | product.sink
-    V = product.accepting.astype(float)
-    for _ in range(sweeps):
-        new = V.copy()
-        for s in range(product.num_states):
-            if frozen[s]:
-                continue
-            if strategy is None:
-                new[s] = max(
-                    lp_extreme(V[t], lo, up, maximize=False)
-                    for t, lo, up in (product.rows[s, a] for a in range(product.num_actions))
-                )
-            else:
-                t, lo, up = product.rows[s, int(strategy[s])]
-                new[s] = lp_extreme(V[t], lo, up, maximize=True)
-        moved = float(np.max(np.abs(new - V)))
-        V = new
-        if moved < tol:
-            break
-    return V
 
 
 def test_pruned_mass_decides_the_bound():
@@ -452,21 +378,7 @@ class TestValueIteration:
         prod = random_product(13, degenerate=True)
         got = robust_value_iteration(prod, tol=1e-10)
         # plain value iteration: the only feasible distribution is p itself
-        frozen = prod.accepting | prod.sink
-        V = prod.accepting.astype(float)
-        for _ in range(2000):
-            new = V.copy()
-            for s in range(prod.num_states):
-                if frozen[s]:
-                    continue
-                new[s] = max(
-                    float(lo @ V[t])
-                    for t, lo, _ in (prod.rows[s, a] for a in range(prod.num_actions))
-                )
-            moved = float(np.max(np.abs(new - V)))
-            V = new
-            if moved < 1e-13:
-                break
+        V = plain_mdp_values(prod, 2000)
         assert np.max(np.abs(got.values - V)) < 2e-6
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
@@ -593,17 +505,10 @@ class TestGroupedSolve:
             assert np.all(got.values <= whole.values)
 
 
-def _mk_row(targets, lower, upper, ul=0.0, uu=0.0):
-    """A row over `targets`, led by an UNSAFE_ID entry [ul, uu] when uu > 0."""
-    if uu > 0:
-        targets, lower, upper = [UNSAFE_ID, *targets], [ul, *lower], [uu, *upper]
-    return np.asarray(targets, dtype=np.int64), np.asarray(lower, float), np.asarray(upper, float)
-
-
 def _store(rows, num_cells, num_actions, rem=None):
     """rows, a list of (targets, lower, upper) in (cell, action) order, as a
     store with all of each cell's rows and the remainders `rem` (default 0),
-    packed as given: unlike RowStore.from_rows, this does not refuse
+    packed as given: unlike from_rows, this does not refuse
     unordered targets, so Imdp.validate sees them."""
     targets, lower, upper = (np.concatenate(field) for field in zip(*rows))
     first = np.full(num_cells, -1)
@@ -618,43 +523,43 @@ class TestImdpValidate:
         return Imdp(actions=("a0",), labels=self.labels, rows=_store([row], 2, 1, [rem]))
 
     def test_valid_row_passes(self):
-        self._imdp(_mk_row([0, 1], [0.2, 0.3], [0.6, 0.7], uu=0.1)).validate()
+        self._imdp(mk_row([0, 1], [0.2, 0.3], [0.6, 0.7], uu=0.1)).validate()
 
     def test_label_count_mismatch(self):
-        no_rows = RowStore.from_rows({}, 2, 1)
+        no_rows = from_rows({}, 2, 1)
         bad = Imdp(actions=("a0",), labels=[frozenset()], rows=no_rows)
         with pytest.raises(ValueError, match="label"):
             bad.validate()
 
     def test_probability_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            self._imdp(_mk_row([0, 1], [-0.1, 0.3], [0.6, 1.0])).validate()
+            self._imdp(mk_row([0, 1], [-0.1, 0.3], [0.6, 1.0])).validate()
 
     def test_lower_exceeds_upper(self):
         with pytest.raises(ValueError, match="exceeds"):
-            self._imdp(_mk_row([0, 1], [0.7, 0.3], [0.6, 1.0])).validate()
+            self._imdp(mk_row([0, 1], [0.7, 0.3], [0.6, 1.0])).validate()
 
     def test_targets_must_be_increasing_cell_ids(self):
         for targets in ([1, 0], [1, 1], [-2, 1], [0, 2]):
             with pytest.raises(ValueError, match="targets"):
-                self._imdp(_mk_row(targets, [0.2, 0.3], [0.6, 0.7], uu=0.1)).validate()
+                self._imdp(mk_row(targets, [0.2, 0.3], [0.6, 0.7], uu=0.1)).validate()
 
     def test_target_ids_run_from_unsafe_id_to_the_last_cell(self):
-        self._imdp(_mk_row([UNSAFE_ID, 1], [0.2, 0.3], [0.6, 0.7])).validate()
+        self._imdp(mk_row([UNSAFE_ID, 1], [0.2, 0.3], [0.6, 0.7])).validate()
         for targets in ([-2, 1], [0, 2]):
             with pytest.raises(ValueError, match="targets"):
-                self._imdp(_mk_row(targets, [0.2, 0.3], [0.6, 0.7])).validate()
+                self._imdp(mk_row(targets, [0.2, 0.3], [0.6, 0.7])).validate()
 
     def test_infeasible_sums(self):
         with pytest.raises(ValueError, match="infeasible"):
-            self._imdp(_mk_row([0, 1], [0.6, 0.6], [0.7, 0.7])).validate()
+            self._imdp(mk_row([0, 1], [0.6, 0.6], [0.7, 0.7])).validate()
         with pytest.raises(ValueError, match="infeasible"):
-            self._imdp(_mk_row([0, 1], [0.1, 0.1], [0.3, 0.3])).validate()
+            self._imdp(mk_row([0, 1], [0.1, 0.1], [0.3, 0.3])).validate()
 
     def test_remainder_counts_in_the_upper_sum(self):
         # upper sums to 0.9: the row is feasible once its remainder makes up
         # the rest, and the error reports the sum with the remainder
-        row = _mk_row([0, 1], [0.2, 0.3], [0.4, 0.5])
+        row = mk_row([0, 1], [0.2, 0.3], [0.4, 0.5])
         self._imdp(row, rem=0.1).validate()
         with pytest.raises(ValueError, match=r"infeasible sums \(lower 0.5, upper with remainder 0.95"):
             self._imdp(row, rem=0.05).validate()
@@ -662,23 +567,23 @@ class TestImdpValidate:
     @pytest.mark.parametrize("rem", [-1e-9, 1.0 + 1e-9, np.nan])
     def test_remainder_outside_unit_interval(self, rem):
         # the second action's row of cell 1 is the only bad one
-        good = _mk_row([0, 1, 2], [0.2, 0.3, 0.1], [0.6, 0.7, 0.5])
+        good = mk_row([0, 1, 2], [0.2, 0.3, 0.1], [0.6, 0.7, 0.5])
         rows = _store([good] * 6, 3, 2, [0.0, 0.0, 0.0, rem, 0.0, 0.0])
         imdp = Imdp(actions=("a0", "a1"), labels=[frozenset()] * 3, rows=rows)
         with pytest.raises(ValueError, match=r"row \(1, 1\): remainder outside \[0, 1\]"):
             imdp.validate()
-        self._imdp(_mk_row([0, 1], [0.2, 0.3], [0.6, 0.7]), rem=1.0).validate()  # 1 is allowed
+        self._imdp(mk_row([0, 1], [0.2, 0.3], [0.6, 0.7]), rem=1.0).validate()  # 1 is allowed
 
     @pytest.mark.parametrize("bad, match", [
-        (_mk_row([0, 1, 2], [0.5, 0.4, 0.3], [0.6, 0.7, 0.5]), "infeasible"),
-        (_mk_row([0, 1, 2], [0.2, 0.8, 0.1], [0.6, 0.7, 0.5]), "exceeds"),
-        (_mk_row([0, 1, 2], [0.2, 0.3, 0.1], [0.6, 1.2, 0.5]), "outside"),
-        (_mk_row([0, 2, 1], [0.2, 0.3, 0.1], [0.6, 0.7, 0.5]), "targets"),
+        (mk_row([0, 1, 2], [0.5, 0.4, 0.3], [0.6, 0.7, 0.5]), "infeasible"),
+        (mk_row([0, 1, 2], [0.2, 0.8, 0.1], [0.6, 0.7, 0.5]), "exceeds"),
+        (mk_row([0, 1, 2], [0.2, 0.3, 0.1], [0.6, 1.2, 0.5]), "outside"),
+        (mk_row([0, 2, 1], [0.2, 0.3, 0.1], [0.6, 0.7, 0.5]), "targets"),
     ])
     def test_names_the_bad_row_of_a_stack(self, bad, match):
         # three cells with two actions each; only row (1, 1), in the middle
         # of the store, fails, and the error names it, not the first row
-        good = _mk_row([0, 1, 2], [0.2, 0.3, 0.1], [0.6, 0.7, 0.5])
+        good = mk_row([0, 1, 2], [0.2, 0.3, 0.1], [0.6, 0.7, 0.5])
         rows = _store([good, good, good, bad, good, good], 3, 2)
         imdp = Imdp(actions=("a0", "a1"), labels=[frozenset()] * 3, rows=rows)
         with pytest.raises(ValueError, match=rf"row \(1, 1\): .*{match}"):

@@ -1,6 +1,7 @@
 """Config parsing, end-to-end synthesis runs, output files, and the Monte
 Carlo consistency check."""
 
+import copy
 import dataclasses
 import json
 import os
@@ -29,6 +30,7 @@ from nndm_synth.pipeline import (
     validate_monte_carlo,
 )
 from nndm_synth.refinement import RefinementConfig
+from nndm_synth.relaxation import LinearBounds
 from test_automata import simple_dfa
 
 
@@ -351,6 +353,25 @@ class TestConfigChecks:
                 for bound in (box.lo, box.hi):
                     with pytest.raises(ValueError, match="read-only"):
                         bound[0] = 1.0
+
+    def test_regions_under_a_rotated_covariance_rejected(self):
+        # a full covariance parses, but a rotated one would whiten each
+        # region into a tilted box that no union of cells equals
+        cfg = PipelineConfig.from_dict(dict(BASE_RAW, covariance=[[0.2, 0.05], [0.05, 0.3]]))
+        with pytest.raises(ValueError, match="require a diagonal noise covariance"):
+            build_abstraction(random_network(2, 8, 1, seed=0), cfg)
+
+    def test_equality_is_identity_and_hash_works(self):
+        # field-wise == tested numpy arrays for truth and raised ("truth
+        # value ... ambiguous"), and hash(config) raised on the covariance
+        nd, config = reach_avoid_2d(grid=(4, 4))
+        layer = nd.layers(nd.actions[0])[0]
+        bounds = LinearBounds(np.eye(2)[None], np.zeros((1, 2)), np.eye(2)[None], np.ones((1, 2)))
+        for obj in (config, config.domain, whitening_transform(config.covariance), layer, nd, bounds):
+            twin = copy.copy(obj)
+            assert obj == obj and obj != twin, type(obj)
+            assert len({obj, twin}) == 2 and hash(obj) == hash(obj)
+        assert config != replace(config, seed=3)
 
 
 class TestClassify:

@@ -12,11 +12,10 @@ from nndm_synth.geometry import (
     HyperRect,
     RegionGrid,
     build_grid,
-    post_image_hull,
-    rect_hull,
+    post_image_boxes,
     whitening_transform,
 )
-from nndm_synth.imdp import Imdp, RowStore
+from nndm_synth.imdp import Imdp
 from nndm_synth.networks import Activation, DenseLayer, NeuralDynamics
 from nndm_synth.pipeline import Abstraction, apply_refinement, build_abstraction, synthesize
 from nndm_synth.refinement import (
@@ -26,8 +25,10 @@ from nndm_synth.refinement import (
     score_states,
     split_dimension,
 )
-from nndm_synth.relaxation import LinearBounds, relax, relax_cells
+from nndm_synth.relaxation import LinearBounds, relax_cells
 from nndm_synth.transitions import transition_rows
+
+from oracles import from_rows, relax_box
 
 
 def _lb(*pairs, n=2):
@@ -57,7 +58,7 @@ def _score_fixture():
         (1, 0): (np.array([UNSAFE_ID, 1]), np.array([0.0, 0.8]), np.array([0.2, 1.0])),
     }
     return Imdp(actions=("a0",), labels=[frozenset(), frozenset()],
-                rows=RowStore.from_rows(rows, 2, 1))
+                rows=from_rows(rows, 2, 1))
 
 
 class TestScoreStates:
@@ -132,7 +133,7 @@ class TestRefineRound:
         # cell 0 scores 0.12, cells 1 and 2 both 0.6: one split goes to cell 1
         row = (np.arange(3), np.full(3, 0.1), np.full(3, 0.5))
         imdp = Imdp(actions=("a0",), labels=[frozenset()] * 3,
-                    rows=RowStore.from_rows({(c, 0): row for c in range(3)}, 3, 1))
+                    rows=from_rows({(c, 0): row for c in range(3)}, 3, 1))
         grid = _unit_cells_in_a_row(3)
         out = refine_round(grid, imdp, np.array([0.5, 0.2, 0.2]), np.array([0.6, 0.7, 0.7]),
                            RefinementConfig(per_round=1), _lb(*[(np.eye(2), np.eye(2))] * 3))
@@ -157,8 +158,9 @@ def _unsplit_rows_meeting_parents(ab, out, parent_lo, parent_hi):
         if key in out.dirty:
             continue
         assert r == key[0] * A + key[1]  # envelope r is row r's
-        rect = rect_hull(post_image_hull(ab.bounds[r], ab.grid.cell(key[0])))
-        count += bool(np.all((highs >= rect.lo) & (lows <= rect.hi), axis=1).any())
+        box_lo, box_hi = post_image_boxes(ab.bounds[r : r + 1], ab.grid.lo[[key[0]]], ab.grid.hi[[key[0]]])
+        rect_lo, rect_hi = box_lo[0].min(axis=0), box_hi[0].max(axis=0)
+        count += bool(np.all((highs >= rect_lo) & (lows <= rect_hi), axis=1).any())
     return count
 
 
@@ -189,7 +191,7 @@ def _assert_matches_full_rebuild(ab, nd):
     assert len(ab.bounds) == len(ab.imdp.rows) == grid.num_cells * A
     for cell in range(grid.num_cells):
         for a, action in enumerate(nd.actions):
-            b = relax(nd, action, grid.transform, grid.cell(cell))
+            b = relax_box(nd, action, grid.transform, grid.cell(cell))
             kept = ab.bounds[cell * A + a]
             for name in ("A_lo", "b_lo", "A_hi", "b_hi"):
                 assert np.array_equal(getattr(kept, name), getattr(b, name)), (cell, a, name)

@@ -26,9 +26,10 @@ from nndm_synth.relaxation import (
     _scurve_coeffs,
     _shared_prefix,
     _stages,
-    relax,
     relax_cells,
 )
+
+from oracles import relax_box
 
 SEVEN = {f"d{k}": (np.cos(k), np.sin(k)) for k in range(7)}
 
@@ -66,7 +67,7 @@ def _middle_bias_nudged(entry=-1, value=None):
 def check_envelope(nd, action, transform, region, n=20_000, seed=0, tol=1e-9):
     """Max violation of the affine envelope over sampled points (negative
     values mean sound with margin)."""
-    b = relax(nd, action, transform, region)
+    b = relax_box(nd, action, transform, region)
     rng = np.random.default_rng(seed)
     z = rng.uniform(region.lo, region.hi, (n, region.dim))
     z[: 2 ** region.dim] = region.vertices()  # corners are the usual worst case
@@ -200,7 +201,7 @@ class TestRelaxCells:
         batch = relax_cells(nd, ("a0",), t, lo, hi)
         assert len(batch) == count
         for i, got in enumerate(batch):
-            want = relax(nd, "a0", t, HyperRect(lo[i], hi[i]))
+            want = relax_box(nd, "a0", t, HyperRect(lo[i], hi[i]))
             for name in ("A_lo", "b_lo", "A_hi", "b_hi"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)
 
@@ -237,7 +238,7 @@ class TestRelaxCells:
         assert len(batch) == count * A
         for i in range(count):
             for a, action in enumerate(nd.actions):
-                want = relax(nd, action, t, HyperRect(lo[i], hi[i]))
+                want = relax_box(nd, action, t, HyperRect(lo[i], hi[i]))
                 got = batch[i * A + a]
                 for name in ("A_lo", "b_lo", "A_hi", "b_hi"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), (i, action, name)
@@ -310,7 +311,7 @@ class TestRelaxNetworks:
         )
         t = whitening_transform(0.5 * np.eye(2))
         region = HyperRect([-1.0, 0.0], [1.0, 2.0])
-        b = relax(nd, "a", t, region)
+        b = relax_box(nd, "a", t, region)
         assert np.array_equal(b.A_lo, b.A_hi)
         assert np.array_equal(b.b_lo, b.b_hi)
         expect_A = t.matrix @ w2 @ w1 @ t.inverse
@@ -347,11 +348,11 @@ class TestRelaxNetworks:
         nd = random_network(2, 12, 2, activation="relu", seed=21)
         t = whitening_transform(np.eye(2))
         parent = HyperRect([-1.0, -1.0], [1.0, 1.0])
-        b_parent = relax(nd, "a0", t, parent)
+        b_parent = relax_box(nd, "a0", t, parent)
         rng = np.random.default_rng(0)
         for dim in (0, 1):
             for child in parent.split(dim):
-                b_child = relax(nd, "a0", t, child)
+                b_child = relax_box(nd, "a0", t, child)
                 z = rng.uniform(child.lo, child.hi, (2000, 2))
                 w_parent = np.mean(b_parent.upper(z) - b_parent.lower(z))
                 w_child = np.mean(b_child.upper(z) - b_child.lower(z))
@@ -361,7 +362,7 @@ class TestRelaxNetworks:
         nd = random_network(3, 10, 2, seed=5)
         t = whitening_transform(np.eye(3))
         region = HyperRect([0, 0, 0], [1, 1, 1])
-        b = relax(nd, "a0", t, region)
+        b = relax_box(nd, "a0", t, region)
         assert b.A_lo.shape == (3, 3) and b.b_hi.shape == (3,)
         z = np.zeros((7, 3))
         assert b.lower(z).shape == (7, 3)

@@ -4,7 +4,8 @@ hulls, and full row assembly.
 Oracles here are independent of the code under test: adaptive quadrature for
 the kernel, dense grids and random convex combinations for the hull minimum,
 gaussian_box_mass on all 4^n hull vertices for the corner-box minimum, and a
-literal per-cell reimplementation for the row assembly.
+literal per-cell reimplementation for the row assembly (naive_row in
+oracles.py, shared with criterion 4).
 """
 
 import numpy as np
@@ -18,14 +19,11 @@ from nndm_synth.geometry import (
     HyperRect,
     build_grid,
     post_image_boxes,
-    post_image_hull,
-    post_image_hulls,
-    rect_hull,
     whitening_transform,
 )
 from nndm_synth.imdp import Row, RowStore
 from nndm_synth.networks import Activation, DenseLayer, NeuralDynamics
-from nndm_synth.relaxation import LinearBounds, relax, relax_cells
+from nndm_synth.relaxation import LinearBounds, relax_cells
 from nndm_synth.transitions import (
     InternalConsistencyError,
     extremal_means,
@@ -39,7 +37,8 @@ from nndm_synth.transitions import (
     _CHUNK_ENTRIES,
     _PRUNE,
 )
-from test_acceptance import _naive_row
+
+from oracles import from_rows, mk_row, naive_row, post_image_hulls, relax_box
 
 
 def transition_row(grid, source, action, bounds):
@@ -213,13 +212,10 @@ class TestCornerBoxMinimum:
         rect_lo, rect_hi = box_lo.min(axis=1), box_hi.max(axis=1)
         t_lo, t_hi = _oracle_targets(rng, rect_lo, rect_hi, kind)
         got = _corner_box_min(box_lo, box_hi, t_lo, t_hi)
-        want = np.array([
-            gaussian_box_mass(post_image_hull(b, HyperRect(lo[p], hi[p])), t_lo[p], t_hi[p]).min()
-            for p, b in enumerate(bounds)
-        ])
+        corners = post_image_hulls(bounds, lo, hi)
+        want = np.array([gaussian_box_mass(corners[p], t_lo[p], t_hi[p]).min() for p in range(len(bounds))])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         if kind in ("far", "straddle"):
-            corners = post_image_hulls(bounds, lo, hi)
             a = (corners - t_lo[:, None]) / np.sqrt(2.0)
             b = (corners - t_hi[:, None]) / np.sqrt(2.0)
             tails = (a <= -4.0) | (b >= 4.0)
@@ -262,7 +258,7 @@ class TestTransitionRow:
         nd, config = reach_avoid_2d(seed=seed)
         t = whitening_transform(config.covariance)
         grid = build_grid(config.domain, t, grid_counts, config.regions)
-        bounds = relax(nd, action, t, grid.cell(cell))
+        bounds = relax_box(nd, action, t, grid.cell(cell))
         return grid, cell, action, bounds
 
     def test_row_invariants(self):
@@ -285,7 +281,7 @@ class TestTransitionRow:
         grid, cell, action, bounds = self._row_inputs()
         rows = transition_rows(grid, [cell], (action,), bounds[None])
         row = rows[(0, 0)]
-        verts = post_image_hull(bounds, grid.cell(cell))
+        verts = post_image_hulls(bounds[None], grid.lo[cell][None], grid.hi[cell][None])[0]
         rng = np.random.default_rng(3)
         w = rng.dirichlet(np.ones(verts.shape[0]), size=200)
         means = w @ verts
@@ -308,15 +304,15 @@ class TestTransitionRow:
         grid, cell, action, bounds = self._row_inputs()
         rows = transition_rows(grid, [cell], (action,), bounds[None])
         # literal per-target assembly, no grouping, out-of-domain entry included
-        *want, rem = _naive_row(grid, cell, action, bounds)
+        *want, rem = naive_row(grid, cell, action, bounds)
         _assert_same_row(rows[(0, 0)], Row(*want))
         assert rows.rem[0] == rem > 0.0
 
     def test_hull_inside_domain_has_tiny_unsafe_lower(self):
         grid, cell, action, bounds = self._row_inputs(cell=21)
         row = transition_row(grid, cell, action, bounds)
-        hull = rect_hull(post_image_hull(bounds, grid.cell(cell)))
-        inside = np.all(hull.lo >= grid.domain.lo) and np.all(hull.hi <= grid.domain.hi)
+        box_lo, box_hi = post_image_boxes(bounds[None], grid.lo[cell][None], grid.hi[cell][None])
+        inside = np.all(box_lo >= grid.domain.lo) and np.all(box_hi <= grid.domain.hi)
         assert inside
         # some mean in the hull keeps all mass far from the boundary only if
         # the hull is deep inside; either way lower <= upper holds
@@ -382,7 +378,7 @@ def _assert_same_row(got, want):
 
 
 class TestStackedRows:
-    """transition_rows against criterion 4's literal per-cell _naive_row,
+    """transition_rows against criterion 4's literal per-cell naive_row,
     bit for bit."""
 
     def _assert_matches_naive(self, nd, grid, action, sources):
@@ -390,7 +386,7 @@ class TestStackedRows:
         assert len(rows) == len(sources)
         assert list(rows) == [(i, 0) for i in range(len(sources))]  # row i is sources[i]'s
         for source, b, row, rem in zip(sources, envs, rows.values(), rows.rem):
-            *want, want_rem = _naive_row(grid, int(source), action, b)
+            *want, want_rem = naive_row(grid, int(source), action, b)
             _assert_same_row(row, Row(*want))
             assert rem == want_rem
         return rows
@@ -420,7 +416,7 @@ class TestStackedRows:
         envs = relax_cells(nd, nd.actions, grid.transform, grid.lo, grid.hi)
         rows = transition_rows(grid, cells, nd.actions, envs)
         assert len(rows) == grid.num_cells * A == 840  # region cuts: 120 cells
-        naive = [_naive_row(grid, r // A, nd.actions[r % A], b) for r, b in enumerate(envs)]
+        naive = [naive_row(grid, r // A, nd.actions[r % A], b) for r, b in enumerate(envs)]
         indptr = np.concatenate([[0], np.cumsum([len(t) for t, _, _, _ in naive])])
         col, lo, up = (np.concatenate(parts) for parts in list(zip(*naive))[:3])
         rem = np.array([r for _, _, _, r in naive])
@@ -436,13 +432,14 @@ class TestStackedRows:
         sources = np.arange(grid.num_cells)
         rows = self._assert_matches_naive(nd, grid, "stay", sources)
         envs = relax_cells(nd, ("stay",), grid.transform, grid.lo, grid.hi)
+        box_lo, box_hi = post_image_boxes(envs, grid.lo[sources], grid.hi[sources])
+        rect_lo, rect_hi = box_lo.min(axis=1), box_hi.max(axis=1)
         left = right = 0
-        for source, row, b in zip(sources, rows.values(), envs):
-            rect = rect_hull(post_image_hull(b, grid.cell(source)))
+        for source, row in zip(sources, rows.values()):
             t = np.setdiff1d(np.arange(grid.num_cells), row.targets)  # the pruned cells
             # nearest-mean erf arguments (z - lo)/sqrt2 <= -4 and (z - hi)/sqrt2 >= 4
-            left += np.any((rect.hi - grid.lo[t]) / np.sqrt(2.0) <= -4.0)
-            right += np.any((rect.lo - grid.hi[t]) / np.sqrt(2.0) >= 4.0)
+            left += np.any((rect_hi[source] - grid.lo[t]) / np.sqrt(2.0) <= -4.0)
+            right += np.any((rect_lo[source] - grid.hi[t]) / np.sqrt(2.0) >= 4.0)
         assert left > 0 and right > 0, "fixture should prune targets in both tails"
         assert np.all(rows.rem > 0.0)
 
@@ -483,26 +480,20 @@ class TestStackedRows:
 
 
 class TestCheckSums:
-    def _row(self, lower, upper, ul=0.0, uu=0.0):
-        """Cells 0 and 1, plus an UNSAFE_ID entry [ul, uu] when uu > 0."""
-        targets = [UNSAFE_ID, 0, 1] if uu > 0 else [0, 1]
-        lower, upper = ([ul, *lower], [uu, *upper]) if uu > 0 else (lower, upper)
-        return np.array(targets), np.asarray(lower, float), np.asarray(upper, float)
-
     def _check_one(self, row, rem=0.0):
         """_check_sums on a stack of this one row with remainder `rem`, the
         row of cell 3 under "east"."""
-        packed = RowStore.from_rows({(0, 0): row}, 1, 1)
+        packed = from_rows({(0, 0): row}, 1, 1)
         store = RowStore(packed.first, 1, np.diff(packed.indptr), packed.col, packed.lo, packed.up,
                          rem=[rem])
         _check_sums(store, [3], ("east",))
 
     def test_feasible_row_passes(self):
-        self._check_one(self._row([0.2, 0.3], [0.6, 0.5], uu=0.1))
+        self._check_one(mk_row([0, 1], [0.2, 0.3], [0.6, 0.5], uu=0.1))
 
     def test_remainder_counts_in_the_upper_sum(self):
         # upper sums to 0.9; a remainder of 0.1 makes up the rest
-        row = self._row([0.1, 0.1], [0.4, 0.4], 0.0, 0.1)
+        row = mk_row([0, 1], [0.1, 0.1], [0.4, 0.4], 0.0, 0.1)
         self._check_one(row, rem=0.1)
         with pytest.raises(InternalConsistencyError,
                            match=r"row \(3, east\).*infeasible \(lower 0.2, upper with remainder 0.95"):
@@ -514,20 +505,20 @@ class TestCheckSums:
     ])
     def test_infeasible_sums_raise(self, lower, upper, ul, uu):
         with pytest.raises(InternalConsistencyError, match=r"row \(3, east\).*infeasible"):
-            self._check_one(self._row(lower, upper, ul, uu))
+            self._check_one(mk_row([0, 1], lower, upper, ul, uu))
 
     def test_names_the_bad_row_of_a_stack(self):
         # one reduceat check over the whole stack still names the one bad
         # row in its middle, not the stack's first row
-        good = self._row([0.2, 0.3], [0.6, 0.5], uu=0.1)
-        bad = self._row([0.6, 0.3], [0.7, 0.4], 0.2, 0.2)
-        stack = RowStore.from_rows({(i, 0): bad if i == 2 else good for i in range(5)}, 5, 1)
+        good = mk_row([0, 1], [0.2, 0.3], [0.6, 0.5], uu=0.1)
+        bad = mk_row([0, 1], [0.6, 0.3], [0.7, 0.4], 0.2, 0.2)
+        stack = from_rows({(i, 0): bad if i == 2 else good for i in range(5)}, 5, 1)
         with pytest.raises(InternalConsistencyError, match=r"row \(12, east\).*infeasible"):
             _check_sums(stack, np.arange(10, 15), ("east",))
         # in a (cell, action) store, the row of cell 1 under its second action
-        store = RowStore.from_rows({(c, a): bad if (c, a) == (1, 1) else good
-                                    for c in range(3) for a in range(2)}, 3, 2)
+        store = from_rows({(c, a): bad if (c, a) == (1, 1) else good
+                           for c in range(3) for a in range(2)}, 3, 2)
         with pytest.raises(InternalConsistencyError, match=r"row \(1, north\).*infeasible"):
             _check_sums(store, np.arange(3), ("east", "north"))
-        fine = RowStore.from_rows({(i, 0): good for i in range(5)}, 5, 1)
+        fine = from_rows({(i, 0): good for i in range(5)}, 5, 1)
         _check_sums(fine, np.arange(5), ("east",))
