@@ -282,6 +282,8 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
         )
     if UNSAFE_PROP not in dfa.alphabet:
         raise ValueError(f"DFA alphabet must include the reserved proposition {UNSAFE_PROP!r}")
+    if UNSAFE_PROP in used:
+        raise ValueError(f"region label {UNSAFE_PROP!r} is reserved for leaving the domain")
 
     dfa_idx = {s: i for i, s in enumerate(dfa.states)}
     n_dfa = len(dfa.states)

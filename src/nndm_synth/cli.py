@@ -156,22 +156,17 @@ def _cmd_abstract(args) -> int:
     return 0
 
 
-def _cmd_synthesize(args) -> int:
-    config = _load_config(args)
-    config = replace(config, refinement=replace(config.refinement, rounds=0))
-    nd = _require_network(config)
-    abstraction = _load_pickle(args.out, "abstraction.pkl", _fingerprint(config, nd))
-    result = run_pipeline(config, nd=nd, outdir=args.out, abstraction=abstraction)
-    _save_pickle(args.out, "result.pkl", result)
-    _print_result(result)
-    return _convergence_status(result)
-
-
-def _cmd_refine(args) -> int:
+def _cmd_pipeline(args) -> int:
+    """synthesize, refine and run, told apart by their subparser defaults:
+    the refinement overrides (`rounds` is 0 for synthesize), `reuse`, to
+    start from a matching abstraction.pkl, and `monte_carlo`."""
     config = _load_config(args)
     refinement = replace(config.refinement, **_overrides(args, rounds="rounds", per_round="per_round"))
     config = replace(config, refinement=refinement)
-    result = run_pipeline(config, nd=_require_network(config), outdir=args.out)
+    nd = _require_network(config)
+    abstraction = _load_pickle(args.out, "abstraction.pkl", _fingerprint(config, nd)) if args.reuse else None
+    result = run_pipeline(config, nd=nd, outdir=args.out, monte_carlo=args.monte_carlo,
+                          abstraction=abstraction)
     _save_pickle(args.out, "result.pkl", result)
     _print_result(result)
     return _convergence_status(result)
@@ -192,14 +187,6 @@ def _cmd_simulate(args) -> int:
         f"{result.validation['num_inconsistent']} inconsistent"
     )
     return 0
-
-
-def _cmd_run(args) -> int:
-    config = _load_config(args)
-    result = run_pipeline(config, nd=_require_network(config), outdir=args.out, monte_carlo=True)
-    _save_pickle(args.out, "result.pkl", result)
-    _print_result(result)
-    return _convergence_status(result)
 
 
 def main(argv=None) -> int:
@@ -223,13 +210,13 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("synthesize", help="product + value iteration, no refinement")
     common(sp)
-    sp.set_defaults(fn=_cmd_synthesize)
+    sp.set_defaults(fn=_cmd_pipeline, rounds=0, per_round=None, reuse=True, monte_carlo=False)
 
     sp = sub.add_parser("refine", help="full pipeline with refinement rounds")
     common(sp)
     sp.add_argument("--rounds", type=int, help="override refinement rounds")
     sp.add_argument("--per-round", dest="per_round", type=int, help="override cells split per round")
-    sp.set_defaults(fn=_cmd_refine)
+    sp.set_defaults(fn=_cmd_pipeline, reuse=False, monte_carlo=False)
 
     sp = sub.add_parser("simulate", help="Monte Carlo check of a saved result")
     common(sp, config_required=False)
@@ -239,7 +226,7 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("run", help="everything: abstraction, synthesis, refinement, simulation")
     common(sp)
-    sp.set_defaults(fn=_cmd_run)
+    sp.set_defaults(fn=_cmd_pipeline, rounds=None, per_round=None, reuse=False, monte_carlo=True)
 
     args = parser.parse_args(argv)
     try:

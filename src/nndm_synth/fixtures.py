@@ -120,7 +120,10 @@ def vehicle_3d(seed: int = 11, grid=(14, 12, 10)) -> tuple[NeuralDynamics, Pipel
     """Corridor benchmark in (position, lateral offset, heading): constant
     forward drift, seven lateral/heading maneuvers, a goal band at the far
     end and an obstacle blocking the upper half mid-way. 4 hidden layers of
-    50 relu units per action."""
+    50 relu units per action. `grid` counts cells along the whitened axes,
+    which the covariance diag(0.1, 0.1, 0.01) orders (heading, lateral,
+    position): the default (14, 12, 10) gives 14 x 12 x 12 = 2016 cells,
+    the region cuts adding two position cells."""
     # lateral drift includes the +0.3 recentering toward y = 1 implied by the
     # 0.7 contraction, so the plain "cruise" action holds the lane center
     directions = {

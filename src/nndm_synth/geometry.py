@@ -282,7 +282,9 @@ def build_grid(
     exactly a union of cells.
 
     `domain` and the region boxes are in original coordinates; the grid is
-    built in whitened coordinates. A domain of zero width in some dimension,
+    built in whitened coordinates, and counts[l] cuts whitened axis l: for a
+    diagonal covariance, the original axis of the l-th smallest variance
+    (whitening_transform sorts the eigenvalues), not original axis l. A domain of zero width in some dimension,
     or a region that covers no cell (zero width, or narrower than the cut
     tolerance), is an error.
     """

@@ -1,5 +1,6 @@
 """Interval-probability MDP core: the CSR row store, extreme adversaries and
 robust value iteration. The product's store reads the abstraction's bounds.
+The rule of a sound row is written once, as RowStore.first_violation.
 
 The inner optimization (pick a feasible distribution inside the row's
 probability intervals that minimizes or maximizes the expected value) is
@@ -72,7 +73,7 @@ _BLOCK_CELLS = 1 << 14
 # block size, it moves the values only within tol, so it is not a setting.
 _REFRESH = 0.1
 
-_FEAS_TOL = 1e-8  # slack of the row-sum feasibility checks (_check_sums, Imdp.validate)
+_FEAS_TOL = 1e-8  # slack of the row-sum rule (RowStore.first_violation)
 
 
 @dataclass
@@ -95,38 +96,14 @@ class Imdp:
         return len(self.labels)
 
     def validate(self, tol: float = _FEAS_TOL) -> None:
-        """Sanity checks on every row; raises on violation, naming the first
-        bad row and the first check it fails. The upper sum counts the row's
-        remainder. At most two masks over the entries live at a time."""
+        """Sanity checks: one label set per cell, and every row sound by the
+        row rule (RowStore.first_violation); raises ValueError naming the
+        first bad row as (cell, action index) and the first rule it breaks."""
         if self.rows.first.size != self.num_cells:
             raise ValueError("one label set per cell required")
-        rows = self.rows
-        t, lo, up, start = rows.col, rows.lo, rows.up, rows.indptr[:-1]
-
-        def holds(mask: np.ndarray) -> np.ndarray:  # per row: is one of its entries flagged?
-            return np.logical_or.reduceat(mask, start)
-
-        falls = np.zeros(t.size, dtype=bool)  # entry i + 1 does not rise above entry i
-        np.less_equal(t[1:], t[:-1], out=falls[:-1])
-        falls[start[1:] - 1] = False  # pairs across two rows
-        last = t[rows.indptr[1:] - 1]
-        bad_targets = holds(falls) | (t[start] < UNSAFE_ID) | (last >= self.num_cells)
-        del falls
-        lo_sum, up_sum = rows.sums()
-        checks = [
-            (bad_targets, f"targets are not increasing ids in [{UNSAFE_ID}, {self.num_cells})"),
-            (holds(lo < 0.0) | holds(lo > 1.0) | holds(up < 0.0) | holds(up > 1.0),
-             "probabilities outside [0, 1]"),
-            (holds(lo > up), "lower bound exceeds upper bound"),
-            (~((rows.rem >= 0.0) & (rows.rem <= 1.0)), "remainder outside [0, 1]"),
-            ((lo_sum > 1.0 + tol) | (up_sum < 1.0 - tol), None),
-        ]
-        bad = np.flatnonzero(np.any([flags for flags, _ in checks], axis=0))
-        if bad.size:
-            r = int(bad[0])
-            what = next(what for flags, what in checks if flags[r])
-            what = what or f"infeasible sums (lower {lo_sum[r]}, upper with remainder {up_sum[r]})"
-            raise ValueError(f"row {list(rows)[r]}: {what}")  # the key of row r
+        bad = self.rows.first_violation(self.num_cells, tol)
+        if bad is not None:
+            raise ValueError(f"row {bad[0]}: {bad[1]}")
 
 
 class Row(NamedTuple):
@@ -168,13 +145,44 @@ class RowStore(Mapping):
         if self.rem.shape != (len(sizes),):
             raise ValueError("need one remainder per row")
 
-    def sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's sum of lower bounds, and of upper bounds plus its
-        remainder: the least and the most mass the row can place
-        (abstraction's store only)."""
-        up_sum = np.add.reduceat(self.up, self.indptr[:-1])
-        up_sum += self.rem
-        return np.add.reduceat(self.lo, self.indptr[:-1]), up_sum
+    def key(self, r: int) -> tuple[int, int]:
+        """The (state, action) of row r, counted over the states with rows."""
+        A = self.num_actions
+        return int(np.flatnonzero(self.first >= 0)[r // A]), r % A
+
+    def first_violation(self, num_targets: int, tol: float = _FEAS_TOL):
+        """The rule of a sound row, in this order, on an abstraction's store
+        (at = indptr[:-1]): targets are increasing ids in [UNSAFE_ID,
+        num_targets), bounds lie in [0, 1], lower <= upper, the remainder
+        lies in [0, 1], and lower sums to at most 1 + tol and upper plus the
+        remainder to at least 1 - tol. Returns the first bad row's (state,
+        action) and the first rule it breaks, or None. At most two masks
+        over the entries live at a time."""
+        t, lo, up, start = self.col, self.lo, self.up, self.indptr[:-1]
+
+        def holds(mask: np.ndarray) -> np.ndarray:  # per row: is one of its entries flagged?
+            return np.logical_or.reduceat(mask, start)
+
+        falls = np.zeros(t.size, dtype=bool)  # entry i + 1 does not rise above entry i
+        np.less_equal(t[1:], t[:-1], out=falls[:-1])
+        falls[start[1:] - 1] = False  # pairs across two rows
+        bad_targets = holds(falls) | (t[start] < UNSAFE_ID) | (t[self.indptr[1:] - 1] >= num_targets)
+        del falls
+        lo_sum, up_sum = np.add.reduceat(lo, start), np.add.reduceat(up, start) + self.rem
+        checks = [
+            (bad_targets, f"targets are not increasing ids in [{UNSAFE_ID}, {num_targets})"),
+            (holds(lo < 0.0) | holds(lo > 1.0) | holds(up < 0.0) | holds(up > 1.0),
+             "probabilities outside [0, 1]"),
+            (holds(lo > up), "lower bound exceeds upper bound"),
+            (~((self.rem >= 0.0) & (self.rem <= 1.0)), "remainder outside [0, 1]"),
+            ((lo_sum > 1.0 + tol) | (up_sum < 1.0 - tol), None),
+        ]
+        bad = np.flatnonzero(np.any([flags for flags, _ in checks], axis=0))
+        if not bad.size:
+            return None
+        r = int(bad[0])
+        what = next(what for flags, what in checks if flags[r])
+        return self.key(r), what or f"infeasible sums (lower {lo_sum[r]}, upper with remainder {up_sum[r]})"
 
     def __getitem__(self, key) -> Row:
         s, a = key

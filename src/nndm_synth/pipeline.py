@@ -438,7 +438,9 @@ def run_pipeline(
 
 
 def emit_outputs(result: PipelineResult, outdir: str) -> None:
-    """Write regions.csv, strategy.json, refinement.jsonl and summary.json.
+    """Write regions.csv, strategy.json, refinement.jsonl and summary.json,
+    and validation.json when the result has been simulated; without that, a
+    validation.json in outdir checked an earlier result and is removed.
     Every file except summary.json (which carries timings) is a pure function
     of the inputs, so reruns produce byte-identical content."""
     os.makedirs(outdir, exist_ok=True)
@@ -516,10 +518,13 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
+    path = os.path.join(outdir, "validation.json")
     if result.validation is not None:
-        with open(os.path.join(outdir, "validation.json"), "w") as fh:
+        with open(path, "w") as fh:
             json.dump(result.validation, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    elif os.path.exists(path):
+        os.remove(path)
 
 
 # -- Monte Carlo check --------------------------------------------------------

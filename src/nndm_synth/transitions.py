@@ -33,6 +33,9 @@ may place on targets the row no longer names, so value iteration sends it
 to value 0 when it minimizes and to value 1 when it maximizes. Pruning is
 then sound, and the rows, the product and every sweep shrink. The
 out-of-domain entry is never pruned.
+
+A store that breaks the row rule (RowStore.first_violation) is a bug here:
+the build stops with InternalConsistencyError naming the row's (cell, action).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 from scipy.special import erf, erfc
 
 from .geometry import UNSAFE_ID, RegionGrid, post_image_boxes
-from .imdp import _FEAS_TOL, RowStore
+from .imdp import RowStore
 from .relaxation import LinearBounds
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -108,21 +111,6 @@ def extremal_means(
     z_max = np.clip(center, hull_lo, hull_hi)
     z_min = np.where(np.abs(hull_lo - center) >= np.abs(hull_hi - center), hull_lo, hull_hi)
     return z_min, z_max
-
-
-def _check_sums(rows: RowStore, cells, actions: Sequence[str]) -> None:
-    """Sound bounds admit a distribution: in every row, lower sums to at most
-    1 and upper plus the remainder to at least 1. Row (s, a) is named
-    (cells[s], actions[a])."""
-    lo_sum, up_sum = rows.sums()
-    bad = np.flatnonzero((lo_sum > 1.0 + _FEAS_TOL) | (up_sum < 1.0 - _FEAS_TOL))
-    if bad.size:
-        r = int(bad[0])
-        s, a = list(rows)[r]  # the key of row r
-        raise InternalConsistencyError(
-            f"row ({cells[s]}, {actions[a]}): bound sums infeasible "
-            f"(lower {lo_sum[r]}, upper with remainder {up_sum[r]})"
-        )
 
 
 def _intervals(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -230,7 +218,8 @@ def transition_rows(
     positive. The rows go through the kernel in chunks of about
     _CHUNK_ENTRIES entries, and a chunk's corner boxes serve both its cell
     entries and its out-of-domain intervals. Each row is bitwise what a
-    stack of that row alone gives."""
+    stack of that row alone gives. A store that breaks the row rule raises
+    InternalConsistencyError."""
     cells = np.asarray(cells, dtype=np.int64)
     sources = cells.repeat(len(actions))
     dom = grid.domain
@@ -269,5 +258,8 @@ def transition_rows(
     A = len(actions)
     np.minimum(rem, 1.0, out=rem)  # binds only past 10^6 pruned targets
     rows = RowStore(np.arange(cells.size) * A, A, sizes, col, lo, up, rem=rem)
-    _check_sums(rows, cells, actions)
+    bad = rows.first_violation(grid.num_cells)
+    if bad is not None:
+        (i, a), what = bad
+        raise InternalConsistencyError(f"row ({cells[i]}, {actions[a]}): {what}")
     return rows

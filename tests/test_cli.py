@@ -109,6 +109,30 @@ def test_simulate_updates_saved_result(workdir, capsys):
     capsys.readouterr()
 
 
+def test_result_without_simulation_removes_stale_validation(workdir, capsys):
+    # validation.json checks one result; a later synthesize on the same
+    # --out replaces the result, so the old check must not survive it
+    out = workdir / "out_stale"
+    config = str(workdir / "config.json")
+    assert main(["run", "--config", config, "--out", str(out)]) == 0
+    assert (out / "validation.json").exists()
+    assert main(["synthesize", "--config", config, "--out", str(out)]) == 0
+    assert not (out / "validation.json").exists()
+    assert main(["simulate", "--out", str(out), "--trials", "50", "--start-cells", "2"]) == 0
+    assert len(json.loads((out / "validation.json").read_text())["cells"]) == 2
+    capsys.readouterr()
+
+
+def test_unsafe_region_label_exits_2(workdir, capsys):
+    raw = json.loads((workdir / "config.json").read_text())
+    raw["regions"].append({"label": "unsafe", "box": [[-2.0, -1.0], [1.0, 2.0]]})
+    (workdir / "unsafe_label.json").write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(workdir / "unsafe_label.json"), "--out", str(workdir / "u")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'unsafe'" in err and "reserved" in err and "Traceback" not in err
+
+
 def test_simulate_without_result_fails(workdir, tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "empty")])
     assert rc == 2

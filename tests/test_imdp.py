@@ -17,7 +17,7 @@ from nndm_synth.imdp import (
     evaluate_strategy_upper,
     robust_value_iteration,
 )
-from nndm_synth.transitions import _check_sums, _prune
+from nndm_synth.transitions import _prune
 
 from oracles import (
     FakeProduct,
@@ -160,7 +160,7 @@ class TestBlockKernel:
         packed = from_rows({(r, 0): row for r, row in enumerate(rows)}, len(rows), 1)
         store = RowStore(packed.first, 1, np.diff(packed.indptr), packed.col, packed.lo, packed.up,
                          rem=rem)
-        up_sum = store.sums()[1] - store.rem
+        up_sum = np.add.reduceat(store.up, store.indptr[:-1])
         assert np.any(store.rem == 0.0) and np.any((store.rem > 0.0) & (up_sum >= 1.0))
         assert np.any(up_sum < 1.0 - 1e-3), "fixture should have rows that need their remainder"
         for V in (rng.uniform(0, 1, S), rng.choice([0.0, 0.5, 1.0], S)):
@@ -265,7 +265,7 @@ def test_pruned_mass_decides_the_bound():
 
 def test_shortfall_counts_for_the_maximizer():
     # state 0 may reach the goal (state 1) or the sink (state 2); its upper
-    # bounds plus remainder sum to 1 - 5e-9, a shortfall the sum check
+    # bounds plus remainder sum to 1 - 5e-9, a shortfall the row rule
     # forgives. Mass no interval holds may land anywhere, so the maximizer
     # values it at 1, as it values the remainder: fill the remainder (0.05),
     # then the goal's gap (0.1), then the sink's, and the 5e-9 left over
@@ -276,8 +276,7 @@ def test_shortfall_counts_for_the_maximizer():
     packed = product.rows
     product.rows = RowStore(packed.first, 1, np.diff(packed.indptr), packed.col, packed.lo,
                             packed.up, rem=[0.05])
-    assert product.rows.sums()[1][0] == pytest.approx(1.0 - 5e-9, abs=1e-15)
-    _check_sums(product.rows, np.arange(3), ("stay",))
+    assert product.rows.first_violation(3) is None
     low = robust_value_iteration(product, tol=1e-15)
     high = evaluate_strategy_upper(product, low.strategy, tol=1e-15)
     assert low.values[0] == pytest.approx(0.4, abs=1e-15)

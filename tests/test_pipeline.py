@@ -464,6 +464,14 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match=r"unknown DFA state 'nope'.*'trying', 'accepted', 'dead'"):
             res.switching.action_at(np.array([0.0, 0.0]), "nope")
 
+    def test_region_labeled_unsafe_refused(self):
+        # "unsafe" is the out-of-domain state's proposition; a region with
+        # that label would make its cells act as if they left the domain
+        nd, config = reach_avoid_2d(grid=(4, 4))
+        config = replace(config, regions=[*config.regions, ("unsafe", HyperRect([-2.0, 1.0], [-1.0, 2.0]))])
+        with pytest.raises(ValueError, match="'unsafe' is reserved"):
+            run_pipeline(config, nd=nd)
+
     def test_pid_q_is_cell_q_initial_state_after_refinement(self):
         nd, config = reach_avoid_2d(grid=(4, 4))
         config = replace(config, refinement=RefinementConfig(per_round=3, rounds=2))

@@ -8,11 +8,14 @@ literal per-cell reimplementation for the row assembly (naive_row in
 oracles.py, shared with criterion 4).
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from nndm_synth import transitions
 from nndm_synth.fixtures import reach_avoid_2d, vehicle_3d
 from nndm_synth.geometry import (
     UNSAFE_ID,
@@ -23,13 +26,13 @@ from nndm_synth.geometry import (
 )
 from nndm_synth.imdp import Row, RowStore
 from nndm_synth.networks import Activation, DenseLayer, NeuralDynamics
+from nndm_synth.pipeline import build_abstraction
 from nndm_synth.relaxation import LinearBounds, relax_cells
 from nndm_synth.transitions import (
     InternalConsistencyError,
     extremal_means,
     gaussian_box_mass,
     transition_rows,
-    _check_sums,
     _corner_box_min,
     _entries,
     _intervals,
@@ -480,45 +483,99 @@ class TestStackedRows:
 
 
 class TestCheckSums:
+    """The sum rule of RowStore.first_violation, the row rule that
+    transition_rows runs on every store (TestRowRule: the error it raises)."""
+
     def _check_one(self, row, rem=0.0):
-        """_check_sums on a stack of this one row with remainder `rem`, the
-        row of cell 3 under "east"."""
+        """The rule on a store of this one row with remainder `rem`."""
         packed = from_rows({(0, 0): row}, 1, 1)
         store = RowStore(packed.first, 1, np.diff(packed.indptr), packed.col, packed.lo, packed.up,
                          rem=[rem])
-        _check_sums(store, [3], ("east",))
+        return store.first_violation(2)
 
     def test_feasible_row_passes(self):
-        self._check_one(mk_row([0, 1], [0.2, 0.3], [0.6, 0.5], uu=0.1))
+        assert self._check_one(mk_row([0, 1], [0.2, 0.3], [0.6, 0.5], uu=0.1)) is None
 
     def test_remainder_counts_in_the_upper_sum(self):
         # upper sums to 0.9; a remainder of 0.1 makes up the rest
         row = mk_row([0, 1], [0.1, 0.1], [0.4, 0.4], 0.0, 0.1)
-        self._check_one(row, rem=0.1)
-        with pytest.raises(InternalConsistencyError,
-                           match=r"row \(3, east\).*infeasible \(lower 0.2, upper with remainder 0.95"):
-            self._check_one(row, rem=0.05)
+        assert self._check_one(row, rem=0.1) is None
+        key, what = self._check_one(row, rem=0.05)
+        assert key == (0, 0)
+        assert re.match(r"infeasible sums \(lower 0.2, upper with remainder 0.95", what)
 
     @pytest.mark.parametrize("lower, upper, ul, uu", [
         ([0.6, 0.3], [0.7, 0.4], 0.2, 0.2),   # lower sum 1.1
         ([0.1, 0.1], [0.4, 0.4], 0.0, 0.1),   # upper sum 0.9
     ])
     def test_infeasible_sums_raise(self, lower, upper, ul, uu):
-        with pytest.raises(InternalConsistencyError, match=r"row \(3, east\).*infeasible"):
-            self._check_one(mk_row([0, 1], lower, upper, ul, uu))
+        key, what = self._check_one(mk_row([0, 1], lower, upper, ul, uu))
+        assert key == (0, 0) and what.startswith("infeasible sums")
 
     def test_names_the_bad_row_of_a_stack(self):
-        # one reduceat check over the whole stack still names the one bad
-        # row in its middle, not the stack's first row
+        # one check over the whole stack still names the one bad row in its
+        # middle, not the stack's first row
         good = mk_row([0, 1], [0.2, 0.3], [0.6, 0.5], uu=0.1)
         bad = mk_row([0, 1], [0.6, 0.3], [0.7, 0.4], 0.2, 0.2)
         stack = from_rows({(i, 0): bad if i == 2 else good for i in range(5)}, 5, 1)
-        with pytest.raises(InternalConsistencyError, match=r"row \(12, east\).*infeasible"):
-            _check_sums(stack, np.arange(10, 15), ("east",))
+        key, what = stack.first_violation(2)
+        assert key == (2, 0) and what.startswith("infeasible sums")
         # in a (cell, action) store, the row of cell 1 under its second action
         store = from_rows({(c, a): bad if (c, a) == (1, 1) else good
                            for c in range(3) for a in range(2)}, 3, 2)
-        with pytest.raises(InternalConsistencyError, match=r"row \(1, north\).*infeasible"):
-            _check_sums(store, np.arange(3), ("east", "north"))
-        fine = from_rows({(i, 0): good for i in range(5)}, 5, 1)
-        _check_sums(fine, np.arange(5), ("east",))
+        key, what = store.first_violation(2)
+        assert key == (1, 1) and what.startswith("infeasible sums")
+        # states without rows are skipped when a row is named
+        sparse = from_rows({(0, 0): good, (0, 1): good, (3, 0): good, (3, 1): bad}, 5, 2)
+        assert sparse.first_violation(2)[0] == (3, 1)
+        assert from_rows({(i, 0): good for i in range(5)}, 5, 1).first_violation(2) is None
+
+
+class TestRowRule:
+    """transition_rows checks every store it builds by the row rule and
+    names a bad row by its cell and action name, whatever the stack's
+    cells: a kernel fault injected after _prune is caught."""
+
+    @staticmethod
+    def _corrupt(monkeypatch, row, how):
+        """Make _prune's first call break row `row` of its chunk: "exceeds"
+        lifts one kept lower bound above its upper bound, "sums" raises
+        every kept lower bound to its upper bound."""
+        prune = transitions._prune
+        calls = []
+
+        def corrupted(lower, upper):
+            dropped = prune(lower, upper)
+            if not calls:
+                kept = np.flatnonzero(upper[row] > 0.0)
+                if how == "exceeds":
+                    lower[row, kept[0]] = upper[row, kept[0]] + 1e-3
+                else:
+                    lower[row, kept] = upper[row, kept]
+            calls.append(1)
+            return dropped
+
+        monkeypatch.setattr(transitions, "_prune", corrupted)
+
+    @pytest.mark.parametrize("actions, row, name", [
+        (("east",), 2, "12, east"),
+        (("east", "north"), 3, "11, north"),
+    ])
+    @pytest.mark.parametrize("how, what", [
+        ("exceeds", "lower bound exceeds upper bound"),
+        ("sums", r"infeasible sums \(lower "),
+    ])
+    def test_names_the_cell_and_action(self, monkeypatch, actions, row, name, how, what):
+        nd, grid = _refined_2d()
+        cells = np.arange(10, 15)
+        envs = relax_cells(nd, actions, grid.transform, grid.lo[cells], grid.hi[cells])
+        transition_rows(grid, cells, actions, envs)  # sound as built
+        self._corrupt(monkeypatch, row, how)
+        with pytest.raises(InternalConsistencyError, match=rf"^row \({name}\): {what}"):
+            transition_rows(grid, cells, actions, envs)
+
+    def test_build_abstraction_fails_loudly(self, monkeypatch):
+        nd, config = reach_avoid_2d(grid=(4, 4))
+        self._corrupt(monkeypatch, 2, "exceeds")  # the row of cell 0 under its third action
+        with pytest.raises(InternalConsistencyError, match=r"^row \(0, west\): lower bound exceeds upper bound"):
+            build_abstraction(nd, config)
