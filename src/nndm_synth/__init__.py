@@ -46,6 +46,7 @@ from .pipeline import (
     gap_stats,
     map_strategy,
     run_pipeline,
+    summarize,
     synthesize,
     validate_monte_carlo,
 )

@@ -31,13 +31,13 @@ from .pipeline import (
     PipelineConfig,
     build_abstraction,
     emit_outputs,
-    gap_stats,
     run_pipeline,
+    summarize,
     validate_monte_carlo,
 )
 
 # Bump whenever a pickled class or the pickled dict changes its fields.
-_ARTIFACT_FORMAT = 13
+_ARTIFACT_FORMAT = 14
 _EXIT_NOT_CONVERGED = 3
 
 
@@ -104,22 +104,20 @@ def _save_pickle(outdir: str, name: str, obj, fingerprint: str | None = None) ->
 
 
 def _print_result(result) -> None:
-    grid = result.abstraction.grid
-    counts = {k: 0 for k in ("yes", "no", "maybe")}
-    for c in result.classes:
-        counts[str(c)] += 1
-    mean_gap, max_gap = gap_stats(grid, result.p_lower, result.p_upper)
+    """The run's summary.json figures (pipeline.summarize), in short."""
+    s = summarize(result)
+    counts, lower, upper = s["classes"], s["vi"]["lower"], s["vi"]["upper"]
     print(
-        f"{grid.num_cells} cells, {result.product.num_states} product states, "
-        f"{len(result.rounds)} refinement rounds"
+        f"{s['num_cells']} cells, {s['num_product_states']} product states, "
+        f"{s['refinement_rounds']} refinement rounds"
     )
     print(
         f"classes: yes={counts['yes']} no={counts['no']} maybe={counts['maybe']}; "
-        f"gap mean={mean_gap:.4f} max={max_gap:.4f}"
+        f"gap mean={s['mean_gap']:.4f} max={s['max_gap']:.4f}"
     )
     print(
-        f"value iteration: {result.lower.sweeps}+{result.upper.sweeps} sweeps, "
-        f"converged={result.lower.converged and result.upper.converged}"
+        f"value iteration: {lower['sweeps']}+{upper['sweeps']} sweeps, "
+        f"converged={lower['converged'] and upper['converged']}"
     )
     if result.validation is not None:
         print(

@@ -2,8 +2,9 @@
 hyperrectangles, labeled grids, and post-image corner boxes.
 
 All grid geometry lives in whitened coordinates (noise covariance mapped to
-the identity); each cell also knows its preimage in the original state space
-for reporting.
+the identity). For reporting, RegionGrid.original_bounds gives every cell's
+preimage hull in the original state space in one array pass, by the same
+corner-hull rule that transform_box applies to one box.
 """
 
 from __future__ import annotations
@@ -70,19 +71,6 @@ class HyperRect:
         """All 2^n corners, binary-counting order (lo first)."""
         return np.where(_corner_masks(self.dim), self.hi, self.lo)
 
-    def split(self, dim: int, at: float | None = None) -> tuple["HyperRect", "HyperRect"]:
-        """Split along `dim` (default at the midpoint); returns (low, high)."""
-        if not (0 <= dim < self.dim):
-            raise ValueError(f"split dimension {dim} out of range for {self.dim}-d box")
-        cut = 0.5 * (self.lo[dim] + self.hi[dim]) if at is None else float(at)
-        if not (self.lo[dim] < cut < self.hi[dim]):
-            raise ValueError(f"cut {cut} not interior to [{self.lo[dim]}, {self.hi[dim]}]")
-        lo_hi = self.hi.copy()
-        lo_hi[dim] = cut
-        hi_lo = self.lo.copy()
-        hi_lo[dim] = cut
-        return HyperRect(self.lo, lo_hi), HyperRect(hi_lo, self.hi)
-
 
 @dataclass(frozen=True, eq=False)
 class Transform:
@@ -90,11 +78,18 @@ class Transform:
 
     matrix: np.ndarray
     inverse: np.ndarray
-    covariance: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _corner_hull(lo: np.ndarray, hi: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rectangular hulls of the boxes [lo[i], hi[i]] (each (N, n)) mapped by
+    `matrix`: per box, the elementwise min and max of its 2^n corners'
+    images, each (N, n)."""
+    imgs = np.where(_corner_masks(lo.shape[1]), hi[:, None, :], lo[:, None, :]) @ matrix.T
+    return imgs.min(axis=1), imgs.max(axis=1)
 
 
 def whitening_transform(covariance: np.ndarray, tol: float = 1e-9) -> Transform:
@@ -113,7 +108,7 @@ def whitening_transform(covariance: np.ndarray, tol: float = 1e-9) -> Transform:
         raise ValueError(f"covariance must be positive definite, eigenvalues {eigvals}")
     matrix = (eigvecs / np.sqrt(eigvals)).T  # diag(1/sqrt(lam)) @ V.T
     inverse = eigvecs * np.sqrt(eigvals)     # V @ diag(sqrt(lam))
-    return Transform(matrix=matrix, inverse=inverse, covariance=cov)
+    return Transform(matrix=matrix, inverse=inverse)
 
 
 def post_image_boxes(bounds: "LinearBounds", lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,8 +145,8 @@ def transform_box(transform: Transform, box: HyperRect, exact: bool = False) -> 
                 "transform does not map axis-aligned boxes to axis-aligned boxes; "
                 "regions of interest require a diagonal noise covariance"
             )
-    imgs = box.vertices() @ transform.matrix.T
-    return HyperRect(imgs.min(axis=0), imgs.max(axis=0))
+    lo, hi = _corner_hull(box.lo[None], box.hi[None], transform.matrix)
+    return HyperRect(lo[0], hi[0])
 
 
 @dataclass
@@ -199,20 +194,24 @@ class RegionGrid:
         """Cell i as a box."""
         return HyperRect(self.lo[i], self.hi[i])
 
-    def cell_original_rect(self, i: int) -> HyperRect:
-        """Rectangular hull of the cell's preimage in original coordinates
-        (exact whenever the transform is axis-preserving)."""
-        verts = self.cell(i).vertices() @ self.transform.inverse.T
-        return HyperRect(verts.min(axis=0), verts.max(axis=0))
+    def original_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), each (num_cells, dim): every cell's rectangular hull of
+        its preimage in original coordinates (exact whenever the transform
+        maps axes to axes)."""
+        return _corner_hull(self.lo, self.hi, self.transform.inverse)
 
     def split_cell(self, i: int, dim: int) -> int:
-        """Split cell i at the midpoint of `dim`. The low child replaces
-        index i, the high child is appended; returns the new index."""
-        low, high = self.cell(i).split(dim)
-        hi = np.vstack([self.hi, high.hi])
-        hi[i] = low.hi
-        self.lo = np.vstack([self.lo, high.lo])
-        self.hi = hi
+        """Split cell i at the midpoint of `dim`. The low child keeps index
+        i, the high child is appended; returns the new index. A cell whose
+        midpoint is not strictly inside it is too narrow and is refused."""
+        if not (0 <= i < self.num_cells and 0 <= dim < self.dim):
+            raise ValueError(f"no cell {i} or dimension {dim} in a {self.dim}-d grid of {self.num_cells} cells")
+        cut = 0.5 * (self.lo[i, dim] + self.hi[i, dim])
+        if not self.lo[i, dim] < cut < self.hi[i, dim]:
+            raise ValueError(f"cell {i} is too narrow to split in dimension {dim}")
+        lo, hi = np.vstack([self.lo, self.lo[i]]), np.vstack([self.hi, self.hi[i]])
+        lo[-1, dim] = hi[i, dim] = cut
+        self.lo, self.hi = lo, hi
         self.labels.append(self.labels[i])
         self._raster = None
         return self.num_cells - 1

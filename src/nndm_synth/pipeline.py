@@ -4,7 +4,9 @@ Wires the stages together: noise whitening and grid construction, affine
 envelopes (per action, in batches of cells), transition bound rows, DFA
 product, value iteration from both sides, uncertainty-guided refinement, and
 finally the certified classification with its on-disk outputs and an
-optional Monte Carlo check.
+optional Monte Carlo check. A run's PipelineResult is its final Synthesis
+plus the run's context, and summarize() is the one summary of it, which
+summary.json holds and the command line prints.
 """
 
 from __future__ import annotations
@@ -39,8 +41,11 @@ from .transitions import transition_rows
 
 
 def _parse_covariance(raw, dim: int) -> np.ndarray:
-    """Scalar -> isotropic, vector -> diagonal, matrix -> a copy as given."""
+    """Scalar -> isotropic, vector -> diagonal, matrix -> a copy as given.
+    A non-finite entry is refused before anything is scaled."""
     arr = np.array(raw, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"'covariance' must be finite, got {arr.tolist()}")
     if arr.ndim == 0:
         return float(arr) * np.eye(dim)
     if arr.ndim == 1:
@@ -331,15 +336,12 @@ def map_strategy(product: ProductImdp, strategy: np.ndarray, grid: RegionGrid) -
 
 
 @dataclass
-class PipelineResult:
+class PipelineResult(Synthesis):
+    """The run's final Synthesis plus its context. The Monte Carlo check
+    steps abstraction.dynamics, and sets validation."""
+
     config: PipelineConfig
-    dynamics: NeuralDynamics
     abstraction: Abstraction
-    product: ProductImdp
-    lower: ValueIterationResult
-    upper: ValueIterationResult
-    p_lower: np.ndarray
-    p_upper: np.ndarray
     classes: np.ndarray
     switching: SwitchingStrategy
     rounds: list[dict]
@@ -409,14 +411,9 @@ def run_pipeline(
     timings["refinement"] = time.perf_counter() - t
 
     result = PipelineResult(
+        **vars(synth),
         config=config,
-        dynamics=nd,
         abstraction=abstraction,
-        product=synth.product,
-        lower=synth.lower,
-        upper=synth.upper,
-        p_lower=synth.p_lower,
-        p_upper=synth.p_upper,
         classes=classify(synth.p_lower, synth.p_upper, config.threshold),
         switching=map_strategy(synth.product, synth.lower.strategy, abstraction.grid),
         rounds=rounds,
@@ -437,9 +434,34 @@ def run_pipeline(
 # -- outputs ------------------------------------------------------------------
 
 
+def summarize(result: PipelineResult) -> dict:
+    """What summary.json holds and the CLI prints: the sizes, the class
+    counts, the volume-weighted mean and max gap, each value-iteration
+    pass's sweeps and convergence, and the timings."""
+    mean_gap, max_gap = gap_stats(result.abstraction.grid, result.p_lower, result.p_upper)
+    return {
+        "num_cells": result.abstraction.grid.num_cells,
+        "num_product_states": result.product.num_states,
+        "actions": list(result.switching.actions),
+        "threshold": result.config.threshold,
+        "classes": {k: int(np.count_nonzero(result.classes == k)) for k in ("yes", "no", "maybe")},
+        "mean_gap": mean_gap,
+        "max_gap": max_gap,
+        "refinement_rounds": len(result.rounds),
+        "vi": {
+            name: {k: getattr(vi, k) for k in ("sweeps", "full_sweeps", "residual", "converged")}
+            for name, vi in (("lower", result.lower), ("upper", result.upper))
+        },
+        "timings": {k: round(v, 3) for k, v in result.timings.items()},
+        "seed": result.config.seed,
+        "threads": result.config.threads,
+    }
+
+
 def emit_outputs(result: PipelineResult, outdir: str) -> None:
-    """Write regions.csv, strategy.json, refinement.jsonl and summary.json,
-    and validation.json when the result has been simulated; without that, a
+    """Write regions.csv (x columns from grid.original_bounds()),
+    strategy.json, refinement.jsonl and summary.json (summarize), and
+    validation.json when the result has been simulated; without that, a
     validation.json in outdir checked an earlier result and is removed.
     Every file except summary.json (which carries timings) is a pure function
     of the inputs, so reruns produce byte-identical content."""
@@ -449,6 +471,9 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
     product, actions, table = result.product, result.switching.actions, result.switching.table
     # every action below is the switching table's; cell q's is at pid q's DFA state
     start_action = table[np.arange(grid.num_cells), product.states[: grid.num_cells, 1]]
+    # [x or z, lo or hi, cell, l] -> per cell x0_lo, x0_hi, x1_lo, ..., z0_lo, ...
+    bounds = np.array([grid.original_bounds(), (grid.lo, grid.hi)])
+    bounds = bounds.transpose(2, 0, 3, 1).reshape(grid.num_cells, 4 * dim)
 
     with open(os.path.join(outdir, "regions.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -457,19 +482,12 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
         header += [f"z{l}_{side}" for l in range(dim) for side in ("lo", "hi")]
         header += ["label", "p_lower", "p_upper", "action", "class"]
         w.writerow(header)
-        for i in range(grid.num_cells):
-            orig = grid.cell_original_rect(i)
-            row = [str(i)]
-            row += [repr(float(v)) for l in range(dim) for v in (orig.lo[l], orig.hi[l])]
-            row += [repr(float(v)) for l in range(dim) for v in (grid.lo[i, l], grid.hi[i, l])]
-            row += [
-                ";".join(sorted(grid.labels[i])),
-                repr(float(result.p_lower[i])),
-                repr(float(result.p_upper[i])),
-                actions[start_action[i]],
-                str(result.classes[i]),
-            ]
-            w.writerow(row)
+        for i, (box, labels, p_lo, p_hi, a, c) in enumerate(zip(
+            bounds.tolist(), grid.labels, result.p_lower.tolist(), result.p_upper.tolist(),
+            start_action.tolist(), result.classes,
+        )):
+            w.writerow([str(i), *map(repr, box), ";".join(sorted(labels)), repr(p_lo), repr(p_hi),
+                        actions[a], str(c)])
 
     cells, ds = product.states[~(product.accepting | product.sink)].T
     entries = sorted(
@@ -495,27 +513,8 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
         for rec in result.rounds:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    cls_list = [str(c) for c in result.classes]
-    mean_gap, max_gap = gap_stats(grid, result.p_lower, result.p_upper)
-    summary = {
-        "num_cells": grid.num_cells,
-        "num_product_states": product.num_states,
-        "actions": list(actions),
-        "threshold": result.config.threshold,
-        "classes": {k: cls_list.count(k) for k in ("yes", "no", "maybe")},
-        "mean_gap": mean_gap,
-        "max_gap": max_gap,
-        "refinement_rounds": len(result.rounds),
-        "vi": {
-            name: {k: getattr(vi, k) for k in ("sweeps", "full_sweeps", "residual", "converged")}
-            for name, vi in (("lower", result.lower), ("upper", result.upper))
-        },
-        "timings": {k: round(v, 3) for k, v in result.timings.items()},
-        "seed": result.config.seed,
-        "threads": result.config.threads,
-    }
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summarize(result), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     path = os.path.join(outdir, "validation.json")
@@ -564,7 +563,7 @@ def _simulate(result: PipelineResult, cells: list[int], steps: int) -> tuple[np.
     out-of-domain state (UNSAFE_ID picks next_tbl's last row); a run still
     going after `steps` steps counts as unsatisfied."""
     config = result.config
-    nd = result.dynamics
+    nd = result.abstraction.dynamics
     grid = result.abstraction.grid
     dfa = result.product.dfa
     next_tbl = result.product.next_tbl

@@ -1,9 +1,11 @@
 """Command line entry point, exercised in process via main()."""
 
+import csv
 import hashlib
 import json
 import os
 import pickle
+from collections import Counter
 from dataclasses import replace
 from enum import Enum
 
@@ -18,7 +20,7 @@ from nndm_synth.refinement import RefinementConfig
 
 # sha256 of the pickled classes' field names (see _pickled_fields) under the
 # current artifact format
-_FORMAT_DIGEST = (13, "9f11619519573f319217b046eb80333e0bf96cd977442e0f10f975e5467f3f37")
+_FORMAT_DIGEST = (14, "b5304f35df6cae5297a5f5efaf9ddbb4cbd8317a5b86ec0050444e127646b1f6")
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +59,23 @@ def test_run_end_to_end(workdir, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["refinement_rounds"] == 1
     assert "monte_carlo" in summary["timings"]
+
+
+def test_printed_figures_are_the_summary(workdir, capsys):
+    out = workdir / "out_printed"
+    rc = main(["refine", "--config", str(workdir / "config.json"), "--out", str(out)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    s = json.loads((out / "summary.json").read_text())
+    counts, lower, upper = s["classes"], s["vi"]["lower"], s["vi"]["upper"]
+    with open(out / "regions.csv") as fh:
+        assert Counter(row["class"] for row in csv.DictReader(fh)) == +Counter(counts)
+    assert lines == [
+        f"{s['num_cells']} cells, {s['num_product_states']} product states, 1 refinement rounds",
+        f"classes: yes={counts['yes']} no={counts['no']} maybe={counts['maybe']}; "
+        f"gap mean={s['mean_gap']:.4f} max={s['max_gap']:.4f}",
+        f"value iteration: {lower['sweeps']}+{upper['sweeps']} sweeps, converged=True",
+    ]
 
 
 def test_abstract_then_synthesize_reuses_pickle(workdir, capsys):
@@ -282,6 +301,16 @@ def test_non_string_network_exits_2_naming_the_key(workdir, capsys):
     err = capsys.readouterr().err
     assert "'network' must be a string" in err and "Traceback" not in err
     assert f"error: {workdir / 'network_5.json'}: " in err
+
+
+def test_nan_covariance_exits_2_naming_the_key(workdir, capsys):
+    # json reads NaN; it once failed as "box bounds must be finite"
+    raw = dict(json.loads((workdir / "config.json").read_text()), covariance=float("nan"))
+    (workdir / "nan_covariance.json").write_text(json.dumps(raw))
+    rc = main(["run", "--config", str(workdir / "nan_covariance.json"), "--out", str(workdir / "c")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'covariance'" in err and "Traceback" not in err
 
 
 def test_null_threshold_exits_2_without_traceback(workdir, capsys):

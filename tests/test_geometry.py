@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 
 from nndm_synth.geometry import (
     HyperRect,
+    RegionGrid,
     _corner_masks,
     build_grid,
     post_image_boxes,
@@ -58,15 +59,6 @@ class TestHyperRect:
         r = HyperRect([0, 0, 0], [1, 1, 1])
         assert r.vertices().shape == (8, 3)
 
-    def test_split(self):
-        r = HyperRect([0.0, 0.0], [2.0, 2.0])
-        low, high = r.split(1)
-        assert np.allclose(low.hi, [2.0, 1.0])
-        assert np.allclose(high.lo, [0.0, 1.0])
-        low2, high2 = r.split(0, at=0.5)
-        assert low2.hi[0] == 0.5 and high2.lo[0] == 0.5
-        with pytest.raises(ValueError):
-            r.split(0, at=2.5)
 
 
 class TestWhitening:
@@ -95,7 +87,6 @@ class TestWhitening:
             t = whitening_transform(cov)
             assert np.allclose(t.matrix @ cov @ t.matrix.T, np.eye(n), atol=1e-9)
             assert np.allclose(t.inverse @ t.matrix, np.eye(n), atol=1e-9)
-            assert np.allclose(t.covariance, cov)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -295,14 +286,45 @@ class TestRegionGrid:
         assert i == grid.num_cells - 1
 
     def test_original_rect_roundtrip(self):
+        # each cell's original-coordinate hull is its corners mapped back,
+        # min and max; under a diagonal covariance it is the cell's own
+        # preimage, so whitening it again gives the cell
         t = whitening_transform(np.diag([0.25, 4.0]))
         domain = HyperRect([-2.0, -2.0], [2.0, 2.0])
         grid = build_grid(domain, t, [2, 2])
+        lo, hi = grid.original_bounds()
+        assert lo.shape == hi.shape == (grid.num_cells, 2)
         for i in range(grid.num_cells):
-            orig = grid.cell_original_rect(i)
-            back = orig.vertices() @ t.matrix.T
+            verts = grid.cell(i).vertices() @ t.inverse.T
+            assert np.array_equal(lo[i], verts.min(axis=0)) and np.array_equal(hi[i], verts.max(axis=0))
+            back = HyperRect(lo[i], hi[i]).vertices() @ t.matrix.T
             assert np.allclose(back.min(axis=0), grid.cell(i).lo, atol=1e-12)
             assert np.allclose(back.max(axis=0), grid.cell(i).hi, atol=1e-12)
+
+    def test_split_cell_cuts_at_the_midpoint(self):
+        t = whitening_transform(np.eye(3))
+        grid = build_grid(HyperRect([0.0, -1.0, 2.0], [2.0, 1.0, 3.0]), t, [1, 1, 1])
+        lo, hi = grid.boxes()
+        assert grid.split_cell(0, 1) == 1  # the low child keeps id 0
+        assert np.array_equal(grid.lo, [[0.0, -1.0, 2.0], [0.0, 0.0, 2.0]])
+        assert np.array_equal(grid.hi, [[2.0, 0.0, 3.0], [2.0, 1.0, 3.0]])
+        assert grid.labels == [frozenset(), frozenset()]
+        # the arrays handed out before the split are untouched
+        assert np.array_equal(lo, [[0.0, -1.0, 2.0]]) and np.array_equal(hi, [[2.0, 1.0, 3.0]])
+        assert grid.split_cell(1, 0) == 2
+        assert np.array_equal(grid.hi[1], [1.0, 1.0, 3.0]) and np.array_equal(grid.lo[2], [1.0, 0.0, 2.0])
+        for cell, dim in ((3, 0), (-1, 0), (0, 3), (0, -1)):
+            with pytest.raises(ValueError, match=f"no cell {cell} or dimension {dim}"):
+                grid.split_cell(cell, dim)
+
+    def test_split_cell_refuses_a_cut_that_is_not_interior(self):
+        # between two adjacent floats the midpoint rounds onto a bound
+        top = np.nextafter(1.0, 2.0)
+        grid = RegionGrid(lo=[[0.0, 1.0]], hi=[[1.0, top]], labels=[frozenset()],
+                          domain=HyperRect([0.0, 1.0], [1.0, top]), transform=whitening_transform(np.eye(2)))
+        with pytest.raises(ValueError, match="cell 0 is too narrow to split in dimension 1"):
+            grid.split_cell(0, 1)
+        assert grid.num_cells == 1 and grid.split_cell(0, 0) == 1
 
     def test_build_grid_validation(self):
         t = whitening_transform(np.eye(2))

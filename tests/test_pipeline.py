@@ -313,6 +313,15 @@ class TestConfigChecks:
         with pytest.raises(ValueError, match=key):
             replace(config, **change)
 
+    @pytest.mark.parametrize("covariance", [float("nan"), float("inf"), [[0.2, 0.0], [float("nan"), 0.2]]])
+    def test_non_finite_covariance_is_refused(self, covariance):
+        # NaN once failed later as "box bounds must be finite", naming no
+        # key, and inf warned while scaling the identity and whitening
+        with pytest.raises(ValueError, match="'covariance' must be finite"):
+            PipelineConfig.from_dict(dict(BASE_RAW, covariance=covariance))
+        with pytest.raises(ValueError, match="'covariance' must be finite"):
+            replace(PipelineConfig.from_dict(BASE_RAW), covariance=covariance)
+
     def test_covariance_in_code_takes_the_json_forms(self):
         # a scalar or a diagonal passed in code reads as it does in a config
         # file; whitening once refused the scalar as "not square"
@@ -527,6 +536,21 @@ class TestRunPipeline:
             assert (out / "refinement.jsonl").read_text().splitlines() == log[:kept]
 
 
+def _assert_csv_boxes_are_the_cell_hulls(res, outdir):
+    """regions.csv's x columns are, exactly, the min and max of each cell's
+    corners mapped to original coordinates, and its z columns the cell."""
+    grid = res.abstraction.grid
+    dim = grid.dim
+    with open(os.path.join(outdir, "regions.csv")) as fh:
+        rows = fh.read().splitlines()[1:]
+    assert len(rows) == grid.num_cells
+    for i, line in enumerate(rows):
+        parts = [float(v) for v in line.split(",")[1 : 1 + 4 * dim]]
+        verts = HyperRect(grid.lo[i], grid.hi[i]).vertices() @ grid.transform.inverse.T
+        assert parts[: 2 * dim] == [v for l in range(dim) for v in (verts[:, l].min(), verts[:, l].max())]
+        assert parts[2 * dim :] == [v for l in range(dim) for v in (grid.lo[i, l], grid.hi[i, l])]
+
+
 class TestOutputs:
     def test_regions_csv_shape(self, small_run):
         _, config, res, outdir = small_run
@@ -547,15 +571,23 @@ class TestOutputs:
 
     def test_regions_csv_boxes_roundtrip(self, small_run):
         _, _, res, outdir = small_run
+        _assert_csv_boxes_are_the_cell_hulls(res, outdir)
+
+    def test_regions_csv_boxes_under_a_rotated_covariance(self, tmp_path):
+        # no regions, so a rotated covariance is allowed; each cell's
+        # original-coordinate box is then its preimage's hull, not the
+        # preimage itself
+        nd, config = reach_avoid_2d(grid=(4, 4))
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        config = replace(config, covariance=rot @ np.diag([0.1, 0.4]) @ rot.T, regions=())
+        res = run_pipeline(config, nd=nd, outdir=str(tmp_path))
         grid = res.abstraction.grid
-        with open(os.path.join(outdir, "regions.csv")) as fh:
-            rows = fh.read().splitlines()[1:]
-        for i, line in enumerate(rows):
-            parts = line.split(",")
-            orig = grid.cell_original_rect(i)
-            assert float(parts[1]) == orig.lo[0] and float(parts[2]) == orig.hi[0]
-            z = grid.cell(i)
-            assert float(parts[5]) == z.lo[0] and float(parts[8]) == z.hi[1]
+        lo, hi = grid.original_bounds()
+        back = np.array([HyperRect(lo[i], hi[i]).vertices() @ grid.transform.matrix.T
+                         for i in range(grid.num_cells)])
+        assert np.all(back.min(axis=1) < grid.lo - 1e-6) and np.all(back.max(axis=1) > grid.hi + 1e-6)
+        _assert_csv_boxes_are_the_cell_hulls(res, str(tmp_path))
 
     def test_strategy_entries_cover_live_states(self, small_run):
         _, _, res, outdir = small_run
@@ -705,7 +737,7 @@ def _reference_runs(result, cell, steps):
     each run got accepted (-1 if never) and its final status (0 running,
     1 accepted, 2 failed)."""
     config, grid = result.config, result.abstraction.grid
-    nd, dfa, next_tbl = result.dynamics, result.product.dfa, result.product.next_tbl
+    nd, dfa, next_tbl = result.abstraction.dynamics, result.product.dfa, result.product.next_tbl
     rng = np.random.default_rng([config.seed, 7919, cell])
     chol = np.linalg.cholesky(config.covariance)
     acc_mask = np.array([s in dfa.accepting for s in dfa.states])

@@ -12,7 +12,7 @@ import pytest
 
 from nndm_synth import relaxation
 from nndm_synth.fixtures import directional_dynamics, random_network
-from nndm_synth.geometry import HyperRect, whitening_transform
+from nndm_synth.geometry import HyperRect, build_grid, whitening_transform
 from nndm_synth.networks import (
     Activation,
     DenseLayer,
@@ -351,7 +351,9 @@ class TestRelaxNetworks:
         b_parent = relax_box(nd, "a0", t, parent)
         rng = np.random.default_rng(0)
         for dim in (0, 1):
-            for child in parent.split(dim):
+            grid = build_grid(parent, t, [1, 1])  # identity whitening: one cell, the parent
+            grid.split_cell(0, dim)
+            for child in (grid.cell(0), grid.cell(1)):
                 b_child = relax_box(nd, "a0", t, child)
                 z = rng.uniform(child.lo, child.hi, (2000, 2))
                 w_parent = np.mean(b_parent.upper(z) - b_parent.lower(z))
