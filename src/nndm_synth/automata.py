@@ -104,6 +104,16 @@ class Dfa:
         return (np.array([s in self.accepting for s in self.states]),
                 np.array([s in dead for s in self.states]))
 
+    def check_labels(self, labels) -> None:
+        """Refuse labels outside the alphabet, or the reserved UNSAFE_PROP, which it must hold."""
+        used = set(labels)
+        if not used <= self.alphabet:
+            raise ValueError(f"grid labels {sorted(used - self.alphabet)} missing from the DFA alphabet")
+        if UNSAFE_PROP not in self.alphabet:
+            raise ValueError(f"DFA alphabet must include the reserved proposition {UNSAFE_PROP!r}")
+        if UNSAFE_PROP in used:
+            raise ValueError(f"region label {UNSAFE_PROP!r} is reserved for leaving the domain")
+
     def to_json(self) -> dict:
         edges = [
             {"from": s, "when": sorted(labels), "to": t}
@@ -275,15 +285,7 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     in base order.
     Accepting DFA states are absorbing; dead DFA states and the non-accepting
     out-of-domain states form the sink."""
-    used = set().union(*imdp.labels) if imdp.labels else set()
-    if not used <= set(dfa.alphabet):
-        raise ValueError(
-            f"grid labels {sorted(used - set(dfa.alphabet))} missing from the DFA alphabet"
-        )
-    if UNSAFE_PROP not in dfa.alphabet:
-        raise ValueError(f"DFA alphabet must include the reserved proposition {UNSAFE_PROP!r}")
-    if UNSAFE_PROP in used:
-        raise ValueError(f"region label {UNSAFE_PROP!r} is reserved for leaving the domain")
+    dfa.check_labels(set().union(*imdp.labels))
 
     dfa_idx = {s: i for i, s in enumerate(dfa.states)}
     n_dfa = len(dfa.states)

@@ -28,6 +28,8 @@ UNSAFE_ID = -1
 # that size would have failed long before lookup becomes the bottleneck.
 _MAX_RASTER_CELLS = 50_000_000
 
+_SYMMETRY_TOL = 1e-9  # asymmetry a covariance may show, relative to max(1, its largest entry)
+
 
 @functools.lru_cache(maxsize=None)
 def _corner_masks(n: int) -> np.ndarray:
@@ -92,7 +94,7 @@ def _corner_hull(lo: np.ndarray, hi: np.ndarray, matrix: np.ndarray) -> tuple[np
     return imgs.min(axis=1), imgs.max(axis=1)
 
 
-def whitening_transform(covariance: np.ndarray, tol: float = 1e-9) -> Transform:
+def whitening_transform(covariance: np.ndarray) -> Transform:
     """Build T such that T @ cov @ T.T = I, via the eigendecomposition of the
     noise covariance. In the whitened coordinates the process noise is a
     standard normal.
@@ -101,7 +103,7 @@ def whitening_transform(covariance: np.ndarray, tol: float = 1e-9) -> Transform:
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"covariance must be square, got shape {cov.shape}")
     scale = max(1.0, float(np.max(np.abs(cov))))
-    if np.max(np.abs(cov - cov.T)) > tol * scale:
+    if np.max(np.abs(cov - cov.T)) > _SYMMETRY_TOL * scale:
         raise ValueError("covariance must be symmetric")
     eigvals, eigvecs = np.linalg.eigh(cov)
     if np.any(eigvals <= 0):

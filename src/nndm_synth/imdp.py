@@ -95,13 +95,13 @@ class Imdp:
     def num_cells(self) -> int:
         return len(self.labels)
 
-    def validate(self, tol: float = _FEAS_TOL) -> None:
+    def validate(self) -> None:
         """Sanity checks: one label set per cell, and every row sound by the
         row rule (RowStore.first_violation); raises ValueError naming the
         first bad row as (cell, action index) and the first rule it breaks."""
         if self.rows.first.size != self.num_cells:
             raise ValueError("one label set per cell required")
-        bad = self.rows.first_violation(self.num_cells, tol)
+        bad = self.rows.first_violation(self.num_cells)
         if bad is not None:
             raise ValueError(f"row {bad[0]}: {bad[1]}")
 
@@ -150,14 +150,14 @@ class RowStore(Mapping):
         A = self.num_actions
         return int(np.flatnonzero(self.first >= 0)[r // A]), r % A
 
-    def first_violation(self, num_targets: int, tol: float = _FEAS_TOL):
+    def first_violation(self, num_targets: int):
         """The rule of a sound row, in this order, on an abstraction's store
         (at = indptr[:-1]): targets are increasing ids in [UNSAFE_ID,
         num_targets), bounds lie in [0, 1], lower <= upper, the remainder
-        lies in [0, 1], and lower sums to at most 1 + tol and upper plus the
-        remainder to at least 1 - tol. Returns the first bad row's (state,
-        action) and the first rule it breaks, or None. At most two masks
-        over the entries live at a time."""
+        lies in [0, 1], and lower sums to at most 1 + _FEAS_TOL and upper
+        plus the remainder to at least 1 - _FEAS_TOL. Returns the first bad
+        row's (state, action) and the first rule it breaks, or None. At most
+        two masks over the entries live at a time."""
         t, lo, up, start = self.col, self.lo, self.up, self.indptr[:-1]
 
         def holds(mask: np.ndarray) -> np.ndarray:  # per row: is one of its entries flagged?
@@ -175,7 +175,7 @@ class RowStore(Mapping):
              "probabilities outside [0, 1]"),
             (holds(lo > up), "lower bound exceeds upper bound"),
             (~((self.rem >= 0.0) & (self.rem <= 1.0)), "remainder outside [0, 1]"),
-            ((lo_sum > 1.0 + tol) | (up_sum < 1.0 - tol), None),
+            ((lo_sum > 1.0 + _FEAS_TOL) | (up_sum < 1.0 - _FEAS_TOL), None),
         ]
         bad = np.flatnonzero(np.any([flags for flags, _ in checks], axis=0))
         if not bad.size:

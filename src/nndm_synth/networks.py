@@ -5,7 +5,7 @@ iterated as x_{k+1} = f_a(x_k) + v_k with additive Gaussian noise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -137,7 +137,7 @@ def evaluate(nd: NeuralDynamics, action: str, x: np.ndarray) -> np.ndarray:
     Rows go through in chunks of _EVAL_CELLS // width; hidden layers
     alternate between two scratch buffers reused across chunks, bias and
     activation are applied in place, and the last layer writes straight into
-    the result. Each row is bitwise what the unchunked pass gives."""
+    the result. A row's last bits can change with the batch's shape (BLAS)."""
     layers = nd.layers(action)
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
@@ -166,7 +166,7 @@ def evaluate(nd: NeuralDynamics, action: str, x: np.ndarray) -> np.ndarray:
 # -- JSON model files --------------------------------------------------------
 
 def _strict(conv, value, what: str):
-    """conv(value) for a JSON value, conv one of the strict conversions
+    """conv(value) for a config value, conv one of the strict conversions
     below (a bool or a string is never a number, a fraction never an
     integer); a value conv refuses is a ValueError saying `what`."""
     try:
@@ -190,15 +190,40 @@ def _check_keys(raw, where: str, required=(), optional=()) -> None:
 
 
 def _int(value) -> int:
-    if isinstance(value, (bool, str)) or not float(value).is_integer():
+    if isinstance(value, (bool, np.bool_, str)) or not float(value).is_integer():
         raise ValueError(value)
     return int(value)
 
 
 def _float(value) -> float:
-    if isinstance(value, (bool, str)):
+    if isinstance(value, (bool, np.bool_, str)):
         raise ValueError(value)
     return float(value)
+
+
+# the (conversion, rule, holds) of a _setting that counts from 0 or from 1
+_COUNT = (_int, "an integer of at least 0", lambda v: v >= 0)
+_POSITIVE = (_int, "an integer of at least 1", lambda v: v >= 1)
+
+
+def _setting(default, key: str, conv, rule: str, holds):
+    """A config dataclass field declared once: its default, JSON key ("section.key"
+    or "key"), strict conversion, and rule: holds(value), worded by `rule`."""
+    section, _, key = key.rpartition(".")
+    return field(default=default, metadata=dict(section=section, key=key, conv=conv, rule=rule, holds=holds))
+
+
+def _check_settings(config) -> None:
+    """Store each _setting field of the frozen dataclass `config` converted;
+    a value its conversion or rule refuses is a ValueError naming the key."""
+    for f in fields(config):
+        if "key" in f.metadata:
+            m, value = f.metadata, getattr(config, f.name)
+            what = f"{m['section']} {m['key']!r} must be {m['rule']}, got {value!r}".lstrip()
+            value = _strict(m["conv"], value, what)
+            if not m["holds"](value):
+                raise ValueError(what)
+            object.__setattr__(config, f.name, value)
 
 
 def _numbers(value) -> np.ndarray:

@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,17 +33,18 @@ from .imdp import (
     evaluate_strategy_upper,
     robust_value_iteration,
 )
-from .networks import (NeuralDynamics, _check_keys, _float, _int, _load_json, _name, _numbers, _strict,
-                       evaluate, load_networks)
+from .networks import (_COUNT, _POSITIVE, NeuralDynamics, _check_keys, _check_settings, _float, _int,
+                       _load_json, _name, _numbers, _setting, _strict, evaluate, load_networks)
 from .refinement import RefinementConfig, RefineOutcome, refine_round
 from .relaxation import LinearBounds, relax_cells
 from .transitions import transition_rows
 
 
 def _parse_covariance(raw, dim: int) -> np.ndarray:
-    """Scalar -> isotropic, vector -> diagonal, matrix -> a copy as given.
-    A non-finite entry is refused before anything is scaled."""
-    arr = np.array(raw, dtype=float)
+    """Scalar -> isotropic, vector -> diagonal, matrix -> a copy as given;
+    every entry a finite number (_numbers), checked before any is scaled."""
+    raw = raw.tolist() if isinstance(raw, np.ndarray) else raw  # a list's repr is cheap
+    arr = _strict(_numbers, raw, f"'covariance' must be a number or lists of numbers, got {raw!r}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"'covariance' must be finite, got {arr.tolist()}")
     if arr.ndim == 0:
@@ -57,48 +58,19 @@ def _parse_covariance(raw, dim: int) -> np.ndarray:
     return arr
 
 
-# Every optional setting: (JSON section, or None for the top level, JSON key,
-# config field, conversion). Its default lives in the dataclass alone.
-_SETTINGS = (
-    (None, "threshold", "threshold", _float),
-    (None, "seed", "seed", _int),
-    (None, "threads", "threads", _int),
-    ("refinement", "per_round", "per_round", _int),
-    ("refinement", "rounds", "rounds", _int),
-    ("refinement", "stop_width", "stop_width", _float),
-    ("vi", "tolerance", "vi_tolerance", _float),
-    ("vi", "max_sweeps", "vi_max_sweeps", _int),
-    ("simulation", "trials", "sim_trials", _int),
-    ("simulation", "start_cells", "sim_start_cells", _int),
-    ("simulation", "horizon", "horizon", _int),
-    ("simulation", "horizon_factor", "sim_horizon_factor", _int),
-)
-_SECTION_KEYS = {}
-for _section, _key, _, _ in _SETTINGS:
-    _SECTION_KEYS.setdefault(_section, set()).add(_key)
-_TOP_REQUIRED = ("domain", "covariance", "grid", "spec")
-_TOP_OPTIONAL = _SECTION_KEYS.pop(None) | {"regions", "network", *_SECTION_KEYS}
-
-
 def _box(raw, where: str) -> HyperRect:
-    arr = np.asarray(raw, dtype=float)
+    what = f"{where} must be a list of [lo, hi] pairs of numbers, got {raw!r}"
+    arr = _strict(_numbers, raw, what)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"{where} must be a list of [lo, hi] pairs")
+        raise ValueError(what)
     return HyperRect(arr[:, 0], arr[:, 1])
-
-
-def _get(section: dict, key: str, conv):
-    """section[key] converted by conv; a value conv cannot take (None for a
-    number, a number for a list, a bool or a string for a number, a fraction
-    for an integer) is a config error."""
-    return _strict(conv, section[key], f"config key {key!r} has a malformed value {section[key]!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class PipelineConfig:
-    """Everything one synthesis run needs. Built directly in code or parsed
-    from JSON via from_json / from_dict (see the README for the schema), and
-    changed with dataclasses.replace; every way runs __post_init__'s checks.
+    """Everything one synthesis run needs. Built in code, parsed from JSON
+    (from_json / from_dict; see the README's schema), derived by replace or
+    unpickled, it is converted and checked the same way (__post_init__).
     Compared and hashed by identity, as the boxes, networks and envelopes
     are: field-wise == would have to test arrays for truth."""
 
@@ -108,48 +80,34 @@ class PipelineConfig:
     dfa: Dfa
     regions: tuple[tuple[str, HyperRect], ...] = ()
     network: str | None = None
-    threshold: float = 0.95
+    threshold: float = _setting(0.95, "threshold", _float, "a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
-    vi_tolerance: float = 1e-6
-    vi_max_sweeps: int = 5000
-    horizon: int = 100
-    sim_trials: int = 10_000
-    sim_start_cells: int = 20
-    sim_horizon_factor: int = 5
-    seed: int = 0
-    threads: int = 1  # accepted and ignored: rows are built in one thread
+    vi_tolerance: float = _setting(1e-6, "vi.tolerance", _float, "a positive finite number",
+                                   lambda v: 0.0 < v < np.inf)
+    vi_max_sweeps: int = _setting(5000, "vi.max_sweeps", *_POSITIVE)
+    horizon: int = _setting(100, "simulation.horizon", *_POSITIVE)
+    sim_trials: int = _setting(10_000, "simulation.trials", *_POSITIVE)
+    sim_start_cells: int = _setting(20, "simulation.start_cells", *_COUNT)
+    sim_horizon_factor: int = _setting(5, "simulation.horizon_factor", *_POSITIVE)
+    seed: int = _setting(0, "seed", *_COUNT)
+    threads: int = _setting(1, "threads", *_POSITIVE)  # otherwise ignored: rows are built in one thread
 
     def __post_init__(self):
-        """One positive cell count per domain dimension; a Monte Carlo check
-        needs a trial per start cell and a step (zero start cells is an empty
-        check) and a non-negative seed; the threshold is a probability; value
-        iteration needs a positive finite tolerance and at least one sweep.
-        The covariance takes a config file's forms (_parse_covariance). The
-        grid and regions are stored as tuples and the covariance as a
-        read-only copy, so no field can be changed in place either."""
+        """Converts and checks each _setting and the grid (one integer count of
+        at least 1 per domain dimension); the covariance takes a config file's
+        forms, and the spec must read every region label (Dfa.check_labels).
+        Grid and regions are stored as tuples, the covariance read-only."""
         covariance = _parse_covariance(self.covariance, self.domain.dim)
         covariance.flags.writeable = False
         object.__setattr__(self, "covariance", covariance)
-        object.__setattr__(self, "grid", tuple(self.grid))
+        what = f"'grid' needs one integer count of at least 1 per domain dimension, got {self.grid!r}"
+        grid = _strict(lambda g: tuple(map(_int, g)), self.grid, what)
+        if len(grid) != self.domain.dim or min(grid) < 1:
+            raise ValueError(what)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "regions", tuple(map(tuple, self.regions)))
-        if len(self.grid) != self.domain.dim or any(c < 1 for c in self.grid):
-            raise ValueError(f"'grid' needs one positive count per domain dimension, got {self.grid}")
-        for key, value, least in (
-            ("trials", self.sim_trials, 1),
-            ("start_cells", self.sim_start_cells, 0),
-            ("horizon", self.horizon, 1),
-            ("horizon_factor", self.sim_horizon_factor, 1),
-        ):
-            if value < least:
-                raise ValueError(f"simulation {key!r} must be at least {least}, got {value}")
-        if self.seed < 0:
-            raise ValueError(f"'seed' must not be negative, got {self.seed}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"'threshold' must lie in [0, 1], got {self.threshold}")
-        if not 0.0 < self.vi_tolerance < np.inf:
-            raise ValueError(f"vi 'tolerance' must be positive and finite, got {self.vi_tolerance}")
-        if self.vi_max_sweeps < 1:
-            raise ValueError(f"vi 'max_sweeps' must be at least 1, got {self.vi_max_sweeps}")
+        _check_settings(self)
+        self.dfa.check_labels(label for label, _ in self.regions)
 
     def __setstate__(self, state):
         """An unpickled config is normalized and checked like a built one."""
@@ -158,17 +116,23 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: str = ".") -> "PipelineConfig":
-        _check_keys(raw, "the config", _TOP_REQUIRED, _TOP_OPTIONAL)
-        for name, allowed in _SECTION_KEYS.items():
+        # each _setting's JSON key, by section ("" is the top level)
+        settings = [f for c in (cls, RefinementConfig) for f in fields(c) if "key" in f.metadata]
+        sections = {}
+        for f in settings:
+            sections.setdefault(f.metadata["section"], set()).add(f.metadata["key"])
+        _check_keys(raw, "the config", ("domain", "covariance", "grid", "spec"),
+                    sections.pop("") | {"regions", "network", *sections})
+        for name, allowed in sections.items():
             _check_keys(raw.get(name, {}), repr(name), optional=allowed)
         reg_raw = raw.get("regions", [])
         if not isinstance(reg_raw, list):
             raise ValueError("'regions' must be a list")
         for reg in reg_raw:
             _check_keys(reg, "a 'regions' entry", ("label", "box"))
-        domain = _box(_get(raw, "domain", _numbers), "'domain'")
+        domain = _box(raw["domain"], "'domain'")
         regions = [(_name(reg["label"], "a region 'label'"),
-                    _box(_get(reg, "box", _numbers), "a region 'box'")) for reg in reg_raw]
+                    _box(reg["box"], "a region 'box'")) for reg in reg_raw]
 
         spec = raw["spec"]
         is_file = isinstance(spec, dict) and "dfa" in spec
@@ -180,16 +144,17 @@ class PipelineConfig:
             dfa = dfa_template(spec["template"], spec["labels"])
 
         network = os.path.join(base_dir, _name(raw["network"], "'network'")) if "network" in raw else None
-        # only the keys present are passed on, so the dataclasses' defaults hold
+        # only the settings present are passed on, unconverted: the defaults hold
         top, ref = {}, {}
-        for section, key, name, conv in _SETTINGS:
+        for f in settings:
+            section, key = f.metadata["section"], f.metadata["key"]
             src = raw.get(section, {}) if section else raw
             if key in src:
-                (ref if section == "refinement" else top)[name] = _get(src, key, conv)
+                (ref if section == "refinement" else top)[f.name] = src[key]
         return cls(
             domain=domain,
-            covariance=_get(raw, "covariance", _numbers),
-            grid=_get(raw, "grid", lambda g: tuple(_int(c) for c in g)),
+            covariance=raw["covariance"],
+            grid=raw["grid"],
             dfa=dfa,
             regions=regions,
             network=network,
@@ -557,11 +522,12 @@ def _simulate(result: PipelineResult, cells: list[int], steps: int) -> tuple[np.
     _MC_POOL, which whole cells join as finished runs leave it. Each cell
     draws from its own generator default_rng([seed, 7919, cell]): its
     uniform starts when it joins, then each step the noise of its own
-    running trajectories, so a cell's counts do not depend on which cells
-    share the pool. A run that leaves the domain without its next DFA state
-    accepting counts as failed, matching the certificate's semantics for the
-    out-of-domain state (UNSAFE_ID picks next_tbl's last row); a run still
-    going after `steps` steps counts as unsatisfied."""
+    running trajectories, so a cell's draws do not depend on which cells
+    share the pool (its states do, in evaluate's last bits). A run that
+    leaves the domain without its next DFA state accepting counts as failed,
+    matching the certificate's semantics for the out-of-domain state
+    (UNSAFE_ID picks next_tbl's last row); a run still going after `steps`
+    steps counts as unsatisfied."""
     config = result.config
     nd = result.abstraction.dynamics
     grid = result.abstraction.grid
@@ -645,8 +611,9 @@ def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
     the empirical satisfaction frequency against the certified interval.
     Runs continue past the reporting horizon (horizon_factor times longer) so
     the frequency approximates the unbounded-horizon probability; unfinished
-    runs count as unsatisfied. Each cell's record depends only on the seed,
-    the cell and the config, not on which other cells are simulated."""
+    runs count as unsatisfied. Each cell's draws depend only on the seed,
+    the cell and the config; which other cells are simulated can move its
+    states only in the last bits of networks.evaluate."""
     config = result.config
     grid = result.abstraction.grid
     rng0 = np.random.default_rng([config.seed, 104729])

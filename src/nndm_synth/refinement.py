@@ -15,26 +15,28 @@ import numpy as np
 
 from .geometry import RegionGrid
 from .imdp import Imdp
+from .networks import _COUNT, _check_settings, _float, _setting
 from .relaxation import LinearBounds
 
 
 @dataclass(frozen=True)
 class RefinementConfig:
-    """How the grid is refined between synthesis rounds. Built in code, by
-    PipelineConfig.from_dict or by dataclasses.replace, it refuses settings
-    no round could follow: a negative count would slice the scores from
-    their end, and a negative or NaN stop_width would turn the stop off."""
+    """How the grid is refined between synthesis rounds. Each _setting is
+    converted and checked however the config is built: a negative count would
+    slice the scores from their end, a negative or NaN stop_width stop nothing."""
 
-    per_round: int = 0          # cells to split per round; 0 disables refinement
-    rounds: int = 0
-    stop_width: float = 0.0     # stop once the volume-weighted mean gap is at most this (0: never)
+    per_round: int = _setting(0, "refinement.per_round", *_COUNT)  # cells split per round; 0: no refinement
+    rounds: int = _setting(0, "refinement.rounds", *_COUNT)
+    # stop once the volume-weighted mean gap is at most this (0: never)
+    stop_width: float = _setting(0.0, "refinement.stop_width", _float, "a finite number of at least 0",
+                                 lambda v: 0.0 <= v < np.inf)
 
     def __post_init__(self):
-        for key in ("per_round", "rounds"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"refinement {key!r} must not be negative, got {getattr(self, key)}")
-        if not 0.0 <= self.stop_width < np.inf:
-            raise ValueError(f"refinement 'stop_width' must be finite and >= 0, got {self.stop_width}")
+        _check_settings(self)
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
 
 
 def score_states(imdp: Imdp, p_lower: np.ndarray, p_upper: np.ndarray) -> np.ndarray:

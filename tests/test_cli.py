@@ -152,6 +152,19 @@ def test_unsafe_region_label_exits_2(workdir, capsys):
     assert "'unsafe'" in err and "reserved" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("label", ["goal2", "unsafe"])
+def test_abstract_refuses_a_region_label_the_spec_cannot_read(workdir, capsys, label):
+    # `abstract` once exited 0 and wrote abstraction.pkl for both labels
+    raw = json.loads((workdir / "config.json").read_text())
+    raw["regions"].append({"label": label, "box": [[-2.0, -1.0], [1.0, 2.0]]})
+    (workdir / "bad_label.json").write_text(json.dumps(raw))
+    rc = main(["abstract", "--config", str(workdir / "bad_label.json"), "--out", str(workdir / "l")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad_label.json" in err and f"'{label}'" in err and "Traceback" not in err
+    assert not (workdir / "l" / "abstraction.pkl").exists()
+
+
 def test_simulate_without_result_fails(workdir, tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "empty")])
     assert rc == 2

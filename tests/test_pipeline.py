@@ -305,6 +305,10 @@ class TestConfigChecks:
         ({"grid": [6, 0]}, "'grid'"),
         ({"covariance": np.eye(3)}, "covariance must be 2x2"),
         ({"covariance": [0.1, 0.2, 0.3]}, "diagonal covariance"),
+        # read as 0.2 and as the identity, where a config file refused both
+        ({"covariance": "0.2"}, "'covariance'"),
+        ({"covariance": True}, "'covariance'"),
+        ({"covariance": np.array([True, True])}, "'covariance'"),
     ])
     def test_replace_rechecks(self, change, key):
         # each of these once ran: threshold 1.5 labelled every cell "no",
@@ -312,6 +316,68 @@ class TestConfigChecks:
         _, config = reach_avoid_2d(grid=(6, 6))
         with pytest.raises(ValueError, match=key):
             replace(config, **change)
+
+    @pytest.mark.parametrize("name, value, key", [
+        ("sim_trials", 2.5, "simulation 'trials'"),
+        ("seed", 1.5, "'seed'"),
+        ("grid", (4.5, 4), "'grid'"),
+        ("horizon", 60.5, "simulation 'horizon'"),
+        ("vi_max_sweeps", 10.5, "vi 'max_sweeps'"),
+        ("threshold", True, "'threshold'"),
+        ("threshold", np.True_, "'threshold'"),
+        ("threads", "x", "'threads'"),
+        ("vi_tolerance", "1e-6", "vi 'tolerance'"),
+    ])
+    def test_a_value_json_refuses_is_refused_in_code(self, name, value, key):
+        # each of these passed in code and by replace, where only the JSON
+        # reader converted: the fractions crashed late as a TypeError, the
+        # string tolerance as a TypeError from a comparison, and the rest ran
+        _, config = reach_avoid_2d(grid=(4, 4))
+        with pytest.raises(ValueError, match=key):
+            PipelineConfig(**{**vars(config), name: value})
+        with pytest.raises(ValueError, match=key):
+            replace(config, **{name: value})
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self, tmp_path):
+        # np.int64 settings once ran the whole pipeline, then failed to
+        # write summary.json and validation.json ("not JSON serializable")
+        nd, config = reach_avoid_2d(grid=(4, 4))
+        config = replace(config, seed=np.int64(50), sim_trials=np.int64(20), sim_start_cells=np.int64(2),
+                         threshold=np.float64(0.9), grid=np.array([4, 4]),
+                         refinement=RefinementConfig(per_round=np.int64(2), rounds=np.int64(1)))
+        for value, kind in ((config.seed, int), (config.sim_trials, int), (config.threshold, float),
+                            (config.grid[0], int), (config.refinement.per_round, int)):
+            assert type(value) is kind
+        run_pipeline(config, nd=nd, outdir=str(tmp_path), monte_carlo=True)
+        assert json.loads((tmp_path / "summary.json").read_text())["seed"] == 50
+        assert len(json.loads((tmp_path / "validation.json").read_text())["cells"]) == 2
+
+    def test_unpickled_config_is_converted_and_checked(self):
+        _, config = reach_avoid_2d(grid=(4, 4))
+        config = replace(config, refinement=RefinementConfig(per_round=1))
+        object.__setattr__(config, "seed", np.int64(5))
+        object.__setattr__(config.refinement, "rounds", np.int64(2))
+        back = pickle.loads(pickle.dumps(config))
+        assert type(back.seed) is int and type(back.refinement.rounds) is int
+        for obj, name, key in ((config, "sim_trials", "'trials'"), (config.refinement, "per_round", "'per_round'")):
+            object.__setattr__(obj, name, 2.5)
+            with pytest.raises(ValueError, match=key):
+                pickle.loads(pickle.dumps(config))
+            object.__setattr__(obj, name, 1)
+
+    @pytest.mark.parametrize("label, what", [("goal2", "missing from the DFA alphabet"),
+                                             ("unsafe", "'unsafe' is reserved")])
+    def test_region_label_the_spec_cannot_read_is_refused(self, tmp_path, label, what):
+        # refused when the config is built, not after the whole abstraction
+        region = {"label": label, "box": [[0.5, 1.5], [-1.5, -0.5]]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(BASE_RAW, regions=[*BASE_RAW["regions"], region])))
+        with pytest.raises(ValueError, match=what) as e:
+            PipelineConfig.from_json(str(path))
+        assert str(e.value).startswith(f"{path}: ")
+        config = PipelineConfig.from_dict(BASE_RAW)
+        with pytest.raises(ValueError, match=what):
+            replace(config, regions=[*config.regions, (label, HyperRect([0.5, -1.5], [1.5, -0.5]))])
 
     @pytest.mark.parametrize("covariance", [float("nan"), float("inf"), [[0.2, 0.0], [float("nan"), 0.2]]])
     def test_non_finite_covariance_is_refused(self, covariance):
@@ -477,8 +543,8 @@ class TestRunPipeline:
         # "unsafe" is the out-of-domain state's proposition; a region with
         # that label would make its cells act as if they left the domain
         nd, config = reach_avoid_2d(grid=(4, 4))
-        config = replace(config, regions=[*config.regions, ("unsafe", HyperRect([-2.0, 1.0], [-1.0, 2.0]))])
         with pytest.raises(ValueError, match="'unsafe' is reserved"):
+            config = replace(config, regions=[*config.regions, ("unsafe", HyperRect([-2.0, 1.0], [-1.0, 2.0]))])
             run_pipeline(config, nd=nd)
 
     def test_pid_q_is_cell_q_initial_state_after_refinement(self):

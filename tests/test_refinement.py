@@ -120,6 +120,12 @@ class TestRefineRound:
         ({"stop_width": -1.0}, "'stop_width'"),
         ({"stop_width": float("nan")}, "'stop_width'"),
         ({"stop_width": float("inf")}, "'stop_width'"),
+        # a fraction or a string: TypeErrors in refine_round, run_pipeline
+        # or a comparison, not errors naming the key
+        ({"per_round": 2.5}, "'per_round'"),
+        ({"rounds": 1.5}, "'rounds'"),
+        ({"stop_width": "0"}, "'stop_width'"),
+        ({"per_round": True}, "'per_round'"),
     ])
     def test_bad_settings_rejected_before_splitting(self, settings, key):
         # per_round=-1 once took scores[:-1] and split all but the last cell;
