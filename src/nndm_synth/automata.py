@@ -280,9 +280,10 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     pids 0..num_cells-1 go to the cells' initial states in cell order, so
     pid q is cell q's, and the rest in breadth-first order.
     A product row is its base row with targets renamed to pids: the product's
-    RowStore, in (pid, action) order, holds only that pid column and its
-    rows' remainders, and reads the bounds from the base store's lo and up,
-    in base order.
+    RowStore, in (pid, action) order, holds only that pid column, as int32
+    (half the bytes of int64, which makes room for the value iteration's
+    dense chain solves), and its rows' remainders, and reads the bounds
+    from the base store's lo and up, in base order.
     Accepting DFA states are absorbing; dead DFA states and the non-accepting
     out-of-domain states form the sink."""
     dfa.check_labels(set().union(*imdp.labels))
@@ -318,7 +319,7 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     # the pages written are touched
     A = imdp.num_actions
     base = imdp.rows
-    col = np.empty(int(base.indptr[-1]) * n_dfa, dtype=np.int64)
+    col = np.empty(int(base.indptr[-1]) * n_dfa, dtype=np.int32)
     end = 0
     for cell, d in work:  # grows while it is walked
         if acc[d] or dead[d] or cell == UNSAFE_ID:

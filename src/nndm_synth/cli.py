@@ -11,7 +11,7 @@ and `synthesize` refuses one whose inputs differ from its config.
 
 Exit status: 0 on success, 2 on a bad config, input or artifact, and
 _EXIT_NOT_CONVERGED when synthesize, refine or run wrote their outputs but a
-value-iteration pass stopped at max_sweeps above its tolerance.
+value-iteration pass stopped at max_sweeps before it converged.
 """
 
 from __future__ import annotations

@@ -21,21 +21,28 @@ Python per state. A row's remainder (the upper mass of the targets pruned
 from it) is filled first by either adversary: the minimizer sends it to
 value 0 and the maximizer to value 1.
 
-A sweep orders the live states by descending value and walks them in blocks
-of about _BLOCK_CELLS buffer cells: Gauss-Seidel across blocks (each block
-sees the values the previous blocks wrote), Jacobi within a block. The
-maximin pass alternates two kinds of sweep (modified policy iteration): a
-full sweep takes the max over every action row and records each state's
-best action, and strategy sweeps in between evaluate only that recorded row,
-until one moves no state by _REFRESH times the last full sweep's largest
-move. The adversary is solved exactly in both, so a strategy sweep's value
-is at most the full one's and every iterate stays a sound lower bound. The
-pass stops once a full sweep moves no state by tol. The fixed-strategy
-optimistic pass runs the same sweep loop on the strategy's rows, where every
-sweep is full. The strategy is extracted once at the converged values: in
-each state, the lowest-index action whose value is within tol of the
-state's best, so actions that differ only by unconverged noise do not flip
-on rounding.
+Both passes evaluate a fixed strategy exactly, as one dense linear system
+per adversary (game strategy iteration: Hoffman & Karp 1966; for interval
+MDPs Givan, Leach & Dean 2000). A row's extreme distribution at V is its
+lower bounds plus the differences of the clipped cumsum the kernel forms
+(_BlockKernel.distributions); the chain that these rows make is solved
+with np.linalg.solve, the adversary is picked again at the new values, and
+so on until no row gains. The minimizer first zeroes the states it can
+trap under the strategy (_traps, a greatest fixpoint) and then descends
+from above; the maximizer climbs from below and solves only the states
+that reach mass of positive value. The upper pass is this evaluation of
+the extracted strategy against the maximizer.
+
+The maximin pass alternates it with full sweeps. A full sweep orders the
+live states by descending value and walks them in blocks of about
+_BLOCK_CELLS buffer cells: Gauss-Seidel across blocks (each block sees the
+values the previous blocks wrote), Jacobi within a block. It takes each
+state's best action row, switching the held action only on a gain of more
+than _GAIN, and the held strategy's exact pessimistic value follows. Every
+iterate stays a sound lower bound. The pass stops once a full sweep moves
+no state by tol. The strategy is extracted once at the converged values:
+in each state, the lowest-index action whose value is within tol of the
+state's best, so actions that differ only by rounding noise do not flip.
 
 Both passes run through one driver (_solve), group by group, in the order
 of the product's solve_order(): one group per SCC of the live states' DFA
@@ -45,8 +52,11 @@ A group's kernel spans only its own states and the states its rows name,
 so the dense buffer is as wide as the group's reach, not the product, and
 nothing is copied: the kernel ranks the product's own target ids. A group
 that holds every row (a DFA with one live state) spans every state, as a
-kernel over the whole product does. The groups share one sweep budget, and
-a pass's sweep counts are summed over them.
+kernel over the whole product does. A group's chain is one dense
+(states, states) matrix, built in blocks of rows, and only numpy is
+needed: scipy's linalg and sparse modules would add several MiB to the
+process. The groups share one sweep budget, and a pass's sweep counts are
+summed over them.
 """
 
 from __future__ import annotations
@@ -66,12 +76,21 @@ from .geometry import UNSAFE_ID
 # within tol, so it is fixed, not a setting.
 _BLOCK_CELLS = 1 << 14
 
-# Between full sweeps of the maximin pass, sweeps over the held strategy run
-# until one moves no state by _REFRESH times the last full sweep's largest
-# move (or tol). Ratios from 0.01 to 0.5 all cut the maximin pass's time by
-# about half on the two_goal_tanh benchmark; 0.1 was the fastest. Like the
-# block size, it moves the values only within tol, so it is not a setting.
-_REFRESH = 0.1
+# A full sweep of the maximin pass switches a state's held action only to
+# one that beats it by more than _GAIN: on a tie, a switch could move the
+# strategy onto a row that keeps the mass away from the goal.
+_GAIN = 1e-12
+
+# An exact evaluation replaces the adversary's distribution of a row only
+# where the new one's one-step value beats the held one's by more than
+# _ADVERSARY_GAIN, and stops when no row does. Rounding in a chain solve
+# stays far below it.
+_ADVERSARY_GAIN = 1e-14
+
+# A row that would have to move less than _SLACK of its mass off a set of
+# states counts as kept on it (_traps): that is rounding in its sums, and a
+# chain that leaked only that much could not be solved to any accuracy.
+_SLACK = 1e-12
 
 _FEAS_TOL = 1e-8  # slack of the row-sum rule (RowStore.first_violation)
 
@@ -238,45 +257,56 @@ class _BlockKernel:
         length = np.diff(store.indptr)
         max_nnz = int(np.sort(length)[-max_rows:].sum())
         self.cells = np.empty(max_rows * S)
-        self.ints = np.empty((3, max_nnz), dtype=np.int64)
+        self.ints = np.empty((2, max_nnz), dtype=np.int64)
+        self.cols = np.empty(max_nnz, dtype=store.col.dtype)  # the product's is int32
         self.floats = np.empty((3, max_nnz))
         self.steps = np.arange(max(max_nnz, S))
         self.rank = np.empty(cols[-1] + 1, dtype=np.int64)  # a state's column; cols' only
         self.order = cols.copy()  # ascending by value
         self.v = np.zeros(S + 1)  # values in rank order, then v_{S+1} = 0
 
-    def __call__(self, V: np.ndarray, rows: np.ndarray, maximize: bool) -> np.ndarray:
-        store, S = self.store, self.S
+    def gather(self, rows: np.ndarray):
+        """The rows' entries, row after row, as views into the scratch
+        arrays: target ids, lower bounds, gaps up - lo, and each row's
+        offset into them and entry count."""
+        store = self.store
         start = store.indptr[rows]
         length = store.indptr[rows + 1] - start
         ends = length.cumsum()
         offs = ends - length
         n = int(ends[-1])
-        idx, col, pos = self.ints[:, :n]
-        lo, gap, w = self.floats[:, :n]
+        idx, col = self.ints[0, :n], self.cols[:n]
+        lo, gap = self.floats[:2, :n]
         np.add((start - offs).repeat(length), self.steps[:n], out=idx)
         store.col.take(idx, out=col, mode="clip")
         np.add((store.at[rows] - offs).repeat(length), self.steps[:n], out=idx)
         store.lo.take(idx, out=lo, mode="clip")
         store.up.take(idx, out=gap, mode="clip")
         gap -= lo
+        return col, lo, gap, offs, length
+
+    def _fill(self, V: np.ndarray, rows: np.ndarray, maximize: bool):
+        """Ranks the columns by V for the adversary (self.rank, self.v) and
+        scatters each row's gaps, negated to minimize, into the dense buffer
+        in that order. Returns the (rows, S) buffer, lo.V, the budget B and
+        the remainder's mass m per row, and the entries' lower bounds and
+        flat buffer positions."""
+        S = self.S
+        col, lo, gap, offs, length = self.gather(rows)
+        pos, w = self.ints[1, : col.size], self.floats[2, : col.size]
 
         # the last block's order is nearly sorted still, so re-sorting it is cheap
         self.order = self.order[V[self.order].argsort(kind="stable")]
         order = self.order[::-1] if maximize else self.order
         self.rank[order] = self.steps[:S]
-        v = self.v
-        V.take(order, out=v[:S])
-        dv = v[:-1] - v[1:]
+        V.take(order, out=self.v[:S])
 
         V.take(col, out=w, mode="clip")
         w *= lo
         acc = np.add.reduceat(w, offs)
         budget = np.maximum(1.0 - np.add.reduceat(lo, offs), 0.0)
-        moved = np.minimum(store.rem[rows], budget)
+        moved = np.minimum(self.store.rem[rows], budget)
         budget -= moved
-        if maximize:
-            acc += moved
 
         self.rank.take(col, out=pos, mode="clip")
         pos += (self.steps[: rows.size] * S).repeat(length)
@@ -285,8 +315,14 @@ class _BlockKernel:
         if not maximize:
             np.negative(gap, out=gap)
         C[pos] = gap
-        C = C.reshape(rows.size, S)
+        return C.reshape(rows.size, S), acc, budget, moved, lo, pos
+
+    def __call__(self, V: np.ndarray, rows: np.ndarray, maximize: bool) -> np.ndarray:
+        C, acc, budget, moved, _, _ = self._fill(V, rows, maximize)
+        v = self.v
+        dv = v[:-1] - v[1:]
         if maximize:
+            acc += moved
             C.cumsum(axis=1, out=C)
             np.minimum(C, budget[:, None], out=C)
             acc += budget - C[:, -1]  # what the gaps cannot hold, worth 1 like the remainder
@@ -296,15 +332,41 @@ class _BlockKernel:
         np.maximum(C, 0.0, out=C)
         return acc + budget * v[0] - C @ dv
 
+    def distributions(self, V: np.ndarray, rows: np.ndarray, maximize: bool):
+        """The adversary's extreme distribution of each row at V, and the
+        mass of each row that __call__ values at 1: the remainder and the
+        budget the gaps cannot hold to the maximizer, none to the minimizer
+        (it values both at 0). The distributions are a (rows, S) view of the
+        dense buffer, column k the mass on the state of rank k (self.rank):
+        the entry's lower bound plus what the adversary moves there, the
+        step of __call__'s clipped cumsum: C_k - C_{k-1} with C = min(C, B)
+        to maximize, R_{k-1} - R_k with R = max(B - C, 0) and R_0 = B (one
+        rank before the first) to minimize."""
+        C, _, budget, moved, lo, pos = self._fill(V, rows, maximize)
+        if maximize:
+            C.cumsum(axis=1, out=C)
+            np.minimum(C, budget[:, None], out=C)
+            worth_one = moved + budget - C[:, -1]
+            np.subtract(C[:, 1:], C[:, :-1], out=C[:, 1:])
+        else:
+            C[:, 0] += budget
+            C.cumsum(axis=1, out=C)
+            np.maximum(C, 0.0, out=C)
+            worth_one = np.zeros(rows.size)
+            np.subtract(C[:, :-1], C[:, 1:], out=C[:, 1:])
+            C[:, 0] = budget - C[:, 0]
+        self.cells[pos] += lo
+        return C, worth_one
+
 
 @dataclass
 class ValueIterationResult:
     values: np.ndarray
     strategy: np.ndarray | None
     converged: bool
-    sweeps: int  # every sweep, full or strategy
-    residual: float  # largest move in the last full sweep
-    full_sweeps: int  # sweeps that evaluated every row of the pass
+    sweeps: int  # maximin: full sweeps plus evaluations of the held strategy; upper: chain solves
+    residual: float  # maximin: largest move in the last full sweep; upper: Bellman residual
+    full_sweeps: int  # maximin: sweeps that evaluated every row; upper: chain solves
 
 
 def _groups(product):
@@ -336,97 +398,242 @@ def _action_values(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, maxi
     return kernel(V, rows, maximize).reshape(states.size, store.num_actions)
 
 
-def _block_sweeps(
-    kernel: _BlockKernel, V: np.ndarray, frozen: np.ndarray, maximize: bool, tol: float,
-    max_sweeps: int, strategy=None,
-) -> tuple[int, int, float, bool]:
-    """Sweep V in place until a full sweep moves no state by tol; returns the
-    sweeps, the full sweeps among them, the last full sweep's largest move
-    and whether it fell below tol. Frozen states keep their start value; the
-    others need rows in kernel.store.
+def _full_sweep(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, choice: np.ndarray) -> float:
+    """One Gauss-Seidel sweep of the maximin pass over every action row of
+    `states`; returns the largest move. A state's held action choice[s]
+    switches only to an action that beats it by more than _GAIN, and V[s]
+    becomes the held action's value: a tie never moves the strategy onto a
+    row that keeps the mass away from the goal, whose exact evaluation would
+    lower V. At a fixed point of the held strategy that value may round an
+    ulp below V[s], which V[s] keeps.
 
-    With a strategy, every sweep is full: it evaluates the one row
-    strategy[s] of each state. Without one (the maximin pass), a full sweep
-    takes each state's best over all its rows and records which row won;
-    after a full sweep that moved some state by r, strategy sweeps evaluate
-    only the recorded rows until one moves no state by max(r * _REFRESH,
-    tol), and then a full sweep runs again. A strategy sweep's value is at
-    most the full one's, so from below every iterate stays a lower bound of
-    the fixed point. max_sweeps bounds the sweeps of both kinds together.
-
-    Each sweep orders the live states by descending value (stable, ties by
-    state index) and updates them in blocks of consecutive states: each block
+    The sweep orders the states by descending value (stable, ties by state
+    index) and updates them in blocks of consecutive states: each block
     reads the values earlier blocks of the sweep wrote (Gauss-Seidel), which
     carries value back from the accepting states in far fewer sweeps than a
     Jacobi pass; the fixed point is the same."""
+    per_block = kernel.per_block[kernel.store.num_actions]
+    order = states[np.argsort(-V[states], kind="stable")]
+    moved = 0.0
+    for i in range(0, order.size, per_block):
+        block = order[i : i + per_block]
+        vals = _action_values(kernel, V, block, maximize=False)
+        held = choice[block]
+        best = vals.argmax(axis=1)
+        every = np.arange(block.size)
+        gains = vals[every, best] > vals[every, held] + _GAIN
+        choice[block] = np.where(gains, best, held)
+        new = np.maximum(vals[every, choice[block]], V[block])
+        moved = max(moved, float(np.max(np.abs(new - V[block]))))
+        V[block] = new
+    return moved
+
+
+def _traps(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The largest set Z of `states` on which the minimizing adversary can
+    keep all mass forever, as a mask over states: every row of Z (rows[i]
+    is the row of states[i]) can put all its mass on Z, on frozen states of
+    value 0, on its remainder and on the budget its gaps cannot hold, all of
+    which the minimizer values at 0. Z's value against the minimizer is 0,
+    and off Z every chain the minimizer picks leaks to a frozen state of
+    positive value, so its equations have one solution. A row that would
+    have to move less than _SLACK off the set counts as kept: that is
+    rounding in its sums.
+
+    Greatest fixpoint: start from all of `states`, drop the rows that leak,
+    in blocks by descending value (each block sees the drops before it),
+    until a pass drops none."""
+    kept = V == 0.0
+    kept[states] = True
+    per_block = kernel.per_block[1]
+    order = np.argsort(-V[states], kind="stable")
+    dropped = True
+    while dropped:
+        dropped = False
+        for i in range(0, order.size, per_block):
+            block = order[i : i + per_block]
+            block = block[kept[states[block]]]
+            if not block.size:
+                continue
+            col, lo, gap, offs, _ = kernel.gather(rows[block])
+            off = ~kept[col]
+            budget = np.maximum(1.0 - np.add.reduceat(lo, offs), 0.0)
+            budget -= np.minimum(kernel.store.rem[rows[block]], budget)
+            leak_lo = np.add.reduceat(np.where(off, lo, 0.0), offs)
+            leak_gap = np.add.reduceat(np.where(off, gap, 0.0), offs)
+            kept_gap = np.add.reduceat(np.where(off, 0.0, gap), offs)
+            leaks = (leak_lo > 0.0) | ((leak_gap > 0.0) & (kept_gap < budget - _SLACK))
+            if leaks.any():
+                kept[states[block[leaks]]] = False
+                dropped = True
+    return kept[states]
+
+
+def _pick(kernel, V, states, rows, live, maximize, A, b, scratch, first) -> tuple[int, float]:
+    """Picks the adversary's extreme distribution of each row of `live`
+    (indices into states; rows[i] is the row of states[i]) at V, and writes
+    it into A = I - P and b, the chain's equations over states: P its
+    mass on states, b its expectation of the frozen values plus its mass
+    worth 1. On the first call every row is written. After that V[states]
+    solves the held chain, so V is each held row's one-step value, and a
+    row is replaced only where the new distribution's one-step value beats
+    V by more than _ADVERSARY_GAIN: chain values move one way, and a tie
+    never moves the adversary (onto a closed class of the maximizer's
+    chain, say, whose solve would drop to 0). Rows are built in blocks of
+    kernel.per_block[1] into scratch. Returns the rows replaced and the
+    largest |one-step value - V| over live (the Bellman residual)."""
+    n = states.size
+    Vs = V[states]
+    replaced, residual = 0, 0.0
+    per_block = kernel.per_block[1]
+    for i in range(0, live.size, per_block):
+        block = live[i : i + per_block]
+        D, worth_one = kernel.distributions(V, rows[block], maximize)
+        new = D @ kernel.v[: kernel.S] + worth_one
+        residual = max(residual, float(np.max(np.abs(new - Vs[block]))))
+        if not first:
+            better = new > Vs[block] + _ADVERSARY_GAIN if maximize else new < Vs[block] - _ADVERSARY_GAIN
+            if not better.any():
+                continue
+            D, worth_one, block = D[better], worth_one[better], block[better]
+        cols = kernel.rank[states]
+        frozen = kernel.v[: kernel.S].copy()
+        frozen[cols] = 0.0
+        P = scratch[: block.size * n].reshape(block.size, n)
+        D.take(cols, axis=1, out=P)
+        A[block] = np.negative(P, out=P)
+        A[block, block] += 1.0
+        b[block] = D @ frozen + worth_one
+        replaced += block.size
+    return replaced, residual
+
+
+def _solve_chain(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The chain's reachability values, A v = b with A = I - P, over the
+    states whose support reaches mass of positive value (b > 0); the others
+    never do and get 0, as their rows become identity rows."""
+    reach = b > 0.0
+    while True:  # A's off-diagonal entries are -P: negative into reach
+        wider = reach | (A @ reach < 0.0)
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    never = np.flatnonzero(~reach)
+    A[never] = 0.0
+    A[never, never] = 1.0
+    b[never] = 0.0
+    return np.clip(np.linalg.solve(A, b), 0.0, 1.0)
+
+
+def _evaluate(
+    kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, rows: np.ndarray, maximize: bool,
+    max_solves: float = np.inf,
+) -> tuple[int, float, bool]:
+    """The strategy's exact value against the minimizing (or maximizing)
+    adversary, written into V[states]: rows[i] is the strategy's row of
+    states[i], and every other state is frozen. Returns the chain solves,
+    the last Bellman residual and whether the adversary settled.
+
+    Strategy iteration for the adversary (Hoffman & Karp 1966): pick its
+    extreme distributions at V (_pick), solve that chain exactly
+    (_solve_chain), and pick again at the new V, until no row's one-step
+    value moves by more than _ADVERSARY_GAIN. The minimizer first zeroes the
+    states it can trap (_traps) and then descends from above: every chain it
+    picks leaks off them, so each solve bounds the value from above and
+    only the last one is the value. The maximizer climbs from below, and its
+    chains are solved only where they reach mass of positive value, the
+    least solution: every solve bounds the value from below, so a pass cut
+    at max_solves stays below it. Neither side lets rounding undo a rise: V
+    never ends below its value on entry, nor a maximizer's solve below the
+    one before."""
+    n = states.size
+    entry = V[states]
+    A, b = np.zeros((n, n)), np.zeros(n)  # I - P and b of the held chain
+    live = np.arange(n)
+    if not maximize:
+        trapped = _traps(kernel, V, states, rows)
+        V[states[trapped]] = 0.0
+        A[trapped, trapped] = 1.0  # identity rows
+        live = np.flatnonzero(~trapped)
+    scratch = np.empty(min(kernel.per_block[1], n) * n)
+    solves, settled = 0, False
+    while True:
+        replaced, residual = _pick(kernel, V, states, rows, live, maximize, A, b, scratch, not solves)
+        if solves and not replaced:
+            settled = True
+            break
+        if solves >= max_solves:
+            break
+        v = _solve_chain(A, b)
+        V[states] = np.maximum(v, V[states]) if maximize else v
+        solves += 1
+    if not maximize:
+        V[states] = np.maximum(V[states], entry)
+    return solves, residual, settled
+
+
+def _maximin(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, tol: float, max_sweeps: int):
+    """The maximin pass over one group: a full sweep (_full_sweep) improves
+    the held strategy, and an exact evaluation of it against the minimizer
+    (_evaluate) follows, until a full sweep moves no state by tol. Each
+    iterate stays below the fixed point: a full sweep's value is at most
+    the Bellman update's, and the held strategy's exact value is at most
+    the maximin value. Returns the sweeps (full sweeps plus evaluations,
+    each counted once, so a cut at max_sweeps never lands inside an
+    evaluation), the full sweeps, the last full sweep's largest move and
+    whether it fell below tol."""
     store = kernel.store
-    held = strategy is None
-    choice = np.zeros(V.size, dtype=np.int64) if held else strategy
+    choice = np.zeros(V.size, dtype=np.int64)
     sweeps = full_sweeps = 0
     residual = np.inf
-    converged = False
-    bar = None  # strategy sweeps run while one moves some state by bar; None: next is full
     while sweeps < max_sweeps:
-        full = bar is None
-        width = store.num_actions if held and full else 1
-        moved = 0.0
-        order = np.argsort(-V, kind="stable")
-        order = order[~frozen[order]]
-        for i in range(0, order.size, kernel.per_block[width]):
-            states = order[i : i + kernel.per_block[width]]
-            if width == 1:
-                vals = kernel(V, store.first[states] + choice[states], maximize)
-            else:
-                vals = _action_values(kernel, V, states, maximize)
-                choice[states] = vals.argmax(axis=1)
-                vals = vals.max(axis=1)
-            best = np.maximum(vals, 0.0)
-            moved = max(moved, float(np.max(np.abs(best - V[states]))))
-            V[states] = best
+        residual = _full_sweep(kernel, V, states, choice)
         sweeps += 1
-        if full:
-            full_sweeps += 1
-            residual = moved
-            if moved < tol:
-                converged = True
-                break
-            if held:
-                bar = max(moved * _REFRESH, tol)
-        elif moved < bar:
-            bar = None
-    return sweeps, full_sweeps, residual, converged
+        full_sweeps += 1
+        if residual < tol:
+            return sweeps, full_sweeps, residual, True
+        if sweeps < max_sweeps:
+            _evaluate(kernel, V, states, store.first[states] + choice[states], maximize=False)
+            sweeps += 1
+    return sweeps, full_sweeps, residual, False
 
 
-def _solve(product, maximize: bool, tol: float, max_sweeps: int, strategy=None) -> ValueIterationResult:
+def _solve(product, tol: float, max_sweeps: int, strategy=None) -> ValueIterationResult:
     """Both passes: V starts at 1 on the accepting states and 0 elsewhere,
-    and the groups of product.solve_order() are swept one after another
-    (_block_sweeps, over `strategy`'s rows, or every row without one), each
-    with the values of the groups before it frozen. The groups share the one
-    max_sweeps budget: sweeps and full_sweeps are summed over them, residual
-    is the largest group residual, and the pass converged when every group
-    did.
+    and the groups of product.solve_order() are solved one after another,
+    each with the values of the groups before it frozen: by the maximin
+    pass (_maximin) without a strategy, by the exact evaluation of
+    `strategy` against the maximizer (_evaluate) with one. The groups share
+    the one max_sweeps budget: sweeps and full_sweeps are summed over them,
+    residual is the largest group residual, and the pass converged when
+    every group did.
 
     Without a strategy, one is extracted from each group's converged values:
     per state, the lowest-index action within tol of the best one. Values
     are only tol-accurate, so a finer choice would follow rounding noise."""
+    store = product.rows
     V = product.accepting.astype(float)
     extracted = np.zeros(product.num_states, dtype=np.int64)
     result = ValueIterationResult(V, extracted if strategy is None else strategy, True, 0, 0.0, 0)
     for kernel, inner in _groups(product):
-        sweeps, full_sweeps, residual, converged = _block_sweeps(
-            kernel, V, ~inner, maximize, tol, max_sweeps - result.sweeps, strategy)
+        states = np.flatnonzero(inner)
+        left = max_sweeps - result.sweeps
+        if strategy is None:
+            sweeps, full_sweeps, residual, converged = _maximin(kernel, V, states, tol, left)
+            per_block = kernel.per_block[store.num_actions]
+            for i in range(0, states.size, per_block):
+                block = states[i : i + per_block]
+                vals = _action_values(kernel, V, block, maximize=False)
+                near_best = vals >= vals.max(axis=1, keepdims=True) - tol
+                extracted[block] = np.argmax(near_best, axis=1)  # first True: lowest index
+        else:
+            rows = store.first[states] + strategy[states]
+            sweeps, residual, converged = _evaluate(kernel, V, states, rows, True, left)
+            full_sweeps = sweeps
         result.sweeps += sweeps
         result.full_sweeps += full_sweeps
         result.residual = max(result.residual, residual)
         result.converged &= converged
-        if strategy is None:
-            live = np.flatnonzero(inner)
-            per_block = kernel.per_block[product.rows.num_actions]
-            for i in range(0, live.size, per_block):
-                states = live[i : i + per_block]
-                vals = _action_values(kernel, V, states, maximize)
-                near_best = vals >= vals.max(axis=1, keepdims=True) - tol
-                extracted[states] = np.argmax(near_best, axis=1)  # first True: lowest index
     return result
 
 
@@ -438,11 +645,11 @@ def robust_value_iteration(
     """Maximin reachability: the controller maximizes, the adversary inside
     the probability intervals minimizes. Returns the pessimistic values
     (lower probability bounds) and the strategy extracted from them (see
-    _solve). Accepting states are fixed at 1, sink states at 0; iteration is
-    monotone from below, so values never decrease. Between full sweeps the
-    controller's choice is held (see _block_sweeps); the adversary is solved
-    exactly in every sweep."""
-    return _solve(product, maximize=False, tol=tol, max_sweeps=max_sweeps)
+    _solve). Accepting states are fixed at 1, sink states at 0; every
+    iterate is a lower bound, and values never decrease. Full sweeps improve
+    the controller's held choice, and between them the held strategy is
+    evaluated exactly (see _maximin)."""
+    return _solve(product, tol=tol, max_sweeps=max_sweeps)
 
 
 def evaluate_strategy_upper(
@@ -452,10 +659,11 @@ def evaluate_strategy_upper(
     max_sweeps: int = 5000,
 ) -> ValueIterationResult:
     """Optimistic value of a fixed strategy: the adversary inside the
-    intervals now maximizes, giving sound upper probability bounds for the
+    intervals now maximizes, giving the upper probability bounds for the
     same strategy that robust_value_iteration certified from below. Same
-    group loop and sweep accounting as the maximin pass (_solve), over the
-    strategy's rows only. strategy holds one action index in
+    group loop as the maximin pass (_solve), over the strategy's rows only,
+    solved exactly (_evaluate): each chain solve counts as a sweep and a
+    full sweep, and tol is not needed. strategy holds one action index in
     [0, num_actions) per state, of an integer dtype (not float, not bool)."""
     store = product.rows
     strategy = np.asarray(strategy)
@@ -474,4 +682,4 @@ def evaluate_strategy_upper(
         raise ValueError(
             f"strategy[{s}] = {strategy[s]} is not an action index in [0, {store.num_actions})"
         )
-    return _solve(product, maximize=True, tol=tol, max_sweeps=max_sweeps, strategy=strategy)
+    return _solve(product, tol=tol, max_sweeps=max_sweeps, strategy=strategy)

@@ -95,8 +95,9 @@ class PipelineConfig:
     def __post_init__(self):
         """Converts and checks each _setting and the grid (one integer count of
         at least 1 per domain dimension); the covariance takes a config file's
-        forms, and the spec must read every region label (Dfa.check_labels).
-        Grid and regions are stored as tuples, the covariance read-only."""
+        forms, the network path is a string or None, and the spec must read
+        every region label (Dfa.check_labels). Grid and regions are stored
+        as tuples, the covariance read-only."""
         covariance = _parse_covariance(self.covariance, self.domain.dim)
         covariance.flags.writeable = False
         object.__setattr__(self, "covariance", covariance)
@@ -106,6 +107,8 @@ class PipelineConfig:
             raise ValueError(what)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "regions", tuple(map(tuple, self.regions)))
+        if self.network is not None:
+            _name(self.network, "'network'")
         _check_settings(self)
         self.dfa.check_labels(label for label, _ in self.regions)
 
@@ -236,13 +239,15 @@ def synthesize(
     tol: float = 1e-6,
     max_sweeps: int = 5000,
 ) -> Synthesis:
-    """Product construction plus the two value iterations: the maximin pass
-    bounds the strategy from below, the fixed-strategy optimistic pass
-    bounds it from above. Both run group by group over the product's
-    solve_order(), so lower.sweeps and upper.sweeps sum the groups' sweeps.
-    p_lower and p_upper are the values of pids 0..num_cells-1, the cells'
-    initial product states. p_upper is clamped up to p_lower (np.maximum),
-    which hides an extracted action whose own optimistic value lies below
+    """Product construction plus the two passes: the maximin pass bounds
+    the strategy from below (full sweeps alternating with exact evaluations
+    of the held strategy), and the optimistic pass is the extracted
+    strategy's exact value against the maximizing adversary, by chain
+    solves. Both run group by group over the product's solve_order(), so
+    lower.sweeps and upper.sweeps sum the groups' counts. p_lower and
+    p_upper are the values of pids 0..num_cells-1, the cells' initial
+    product states. p_upper is clamped up to p_lower (np.maximum), which
+    hides an extracted action whose own optimistic value lies below
     p_lower; see the README's known limitations."""
     product = build_product(abstraction.imdp, dfa)
     lower = robust_value_iteration(product, tol=tol, max_sweeps=max_sweeps)

@@ -396,6 +396,8 @@ class TestProduct:
         imdp, dfa = two_goal_imdp()
         prod = build_product(imdp, dfa)
         assert prod.rows.lo is imdp.rows.lo and prod.rows.up is imdp.rows.up
+        # the pid column is the product's own array, stored in half the bytes
+        assert prod.rows.col.dtype == np.int32
 
     def test_rebuild_is_deterministic(self):
         imdp, dfa = two_goal_imdp()

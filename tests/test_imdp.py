@@ -5,6 +5,10 @@ on random feasible interval rows; value iteration is checked against a
 literal Jacobi iteration whose inner step is an LP solve per state-action.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,10 @@ from nndm_synth.imdp import (
     Imdp,
     RowStore,
     _BlockKernel,
+    _evaluate,
+    _full_sweep,
     _groups,
+    _traps,
     evaluate_strategy_upper,
     robust_value_iteration,
 )
@@ -30,6 +37,8 @@ from oracles import (
     random_product,
 )
 from test_automata import ONE_GOAL, TWO_GOALS, random_dfa_product
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def random_bounds(rng, k):
@@ -174,6 +183,35 @@ class TestBlockKernel:
                     gamma = extreme_distribution(np.r_[lo, 0.0], np.r_[up, rem[r]], vals, maximize)
                     want.append(gamma @ vals)
                 assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_distributions_match_extreme_distribution(self, seed):
+        # the kernel's distribution of each row, read back at its targets,
+        # is the ordering method's, with the remainder a virtual target whose
+        # mass the maximizer's worth_one carries; values are distinct, as
+        # the two may break ties differently
+        rng = np.random.default_rng(seed)
+        S = 12
+        rows, rem = [], []
+        for t, lo, up in kernel_rows(rng, S):
+            up = up - rng.uniform(0.0, 1.0) * (up - lo) if rng.uniform() < 0.5 else up
+            rows.append((t, lo, up))
+            rem.append(min(1.0, max(0.0, 1.0 - up.sum()) + rng.choice([0.0, 0.2])))
+        packed = from_rows({(r, 0): row for r, row in enumerate(rows)}, len(rows), 1)
+        store = RowStore(packed.first, 1, np.diff(packed.indptr), packed.col, packed.lo, packed.up,
+                         rem=rem)
+        V = (rng.permutation(S) + 1.0) / (S + 1)  # distinct, and none ties the remainder's 0 or 1
+        kernel = _BlockKernel(store, np.arange(S))
+        block = rng.permutation(len(rows))
+        for maximize in (False, True):
+            D, worth_one = kernel.distributions(V, block, maximize)
+            for i, r in enumerate(block):
+                t, lo, up = rows[r]
+                vals = np.r_[V[t], float(maximize)]
+                gamma = extreme_distribution(np.r_[lo, 0.0], np.r_[up, rem[r]], vals, maximize)
+                assert np.max(np.abs(D[i, kernel.rank[t]] - gamma[:-1])) < 1e-12
+                assert D[i].sum() + (worth_one[i] if maximize else gamma[-1]) == pytest.approx(1.0, abs=1e-12)
+                assert worth_one[i] == pytest.approx(gamma[-1] if maximize else 0.0, abs=1e-12)
 
     def test_shared_bounds_and_unsorted_targets(self):
         # rows that read another store's bounds in its order, with targets
@@ -382,9 +420,9 @@ class TestValueIteration:
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_every_stopping_point_is_a_sound_lower_bound(self, seed):
-        # strategy sweeps between full ones hold the controller's choice, so
-        # a pass cut anywhere must still be below the fixed point, and a
-        # longer pass never lower
+        # a pass cut after any full sweep or exact evaluation of the held
+        # strategy must still be below the fixed point, and a longer pass
+        # never lower
         prod = random_product(seed, n_actions=3)
         want = jacobi_lp_values(prod)
         prev = np.zeros(prod.num_states)
@@ -411,18 +449,20 @@ class TestValueIteration:
         assert np.allclose(res.values[:n], 0.9 ** (n - np.arange(n)), rtol=0, atol=1e-15)
         assert res.full_sweeps > 1
 
-    def test_cut_inside_strategy_sweeps_is_not_converged(self):
+    def test_cut_after_an_evaluation_is_not_converged(self):
+        # an exact evaluation of the held strategy counts as one sweep, and
+        # only a full sweep can end the pass
         prod = random_product(11, n_actions=3)
         whole = robust_value_iteration(prod, tol=1e-10)
         assert whole.converged and whole.full_sweeps < whole.sweeps
-        cut_in_strategy = 0
+        cut_after_evaluation = 0
         prev_full = 0
         for k in range(1, whole.sweeps):
             got = robust_value_iteration(prod, tol=1e-10, max_sweeps=k)
             assert got.sweeps == k and not got.converged
-            cut_in_strategy += got.full_sweeps == prev_full  # sweep k held the strategy
+            cut_after_evaluation += got.full_sweeps == prev_full  # sweep k evaluated the strategy
             prev_full = got.full_sweeps
-        assert cut_in_strategy > 0
+        assert cut_after_evaluation > 0
 
     def test_fixed_strategy_sweeps_are_all_full(self):
         prod = random_product(7, n_actions=3)
@@ -459,6 +499,153 @@ class TestValueIteration:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.strategy, b.strategy)
         assert a.sweeps == b.sweeps
+
+
+def _one_live_state(rows):
+    """State 0 live with the rows {action: (targets, lo, up)}, state 1 the
+    goal, state 2 the sink."""
+    accepting, sink = np.array([False, True, False]), np.array([False, False, True])
+    return FakeProduct(accepting, sink, {(0, a): row for a, row in rows.items()}, len(rows))
+
+
+class TestExactEvaluation:
+    """The held strategy is evaluated by chain solves, not by sweeps."""
+
+    def test_crawling_values_are_exact(self):
+        # the state stays with 0.999 and otherwise reaches the goal, so its
+        # value is 1; sweeps crawled toward it as 1 - 0.999^k and stood at
+        # 0.99328, unconverged, after 5000 of them
+        row = (np.array([0, 1]), np.array([0.999, 0.001]), np.array([0.999, 0.001]))
+        prod = _one_live_state({0: row})
+        low = robust_value_iteration(prod)
+        high = evaluate_strategy_upper(prod, low.strategy)
+        for res in (low, high):
+            assert res.converged
+            assert res.values[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_row_the_minimizer_can_hold_forever(self):
+        # [0, 1] on itself and [0, 1] on the goal: the minimizer keeps all
+        # the mass on the state, the maximizer sends it all to the goal
+        prod = _one_live_state({0: (np.array([0, 1]), np.zeros(2), np.ones(2))})
+        low = robust_value_iteration(prod)
+        high = evaluate_strategy_upper(prod, low.strategy)
+        assert low.converged and high.converged
+        assert low.values[0] == 0.0 and high.values[0] == 1.0
+
+    def test_the_graph_pass_finds_the_rows_the_minimizer_can_trap(self):
+        # states 0-5 live, 6 the goal, 7 the sink, one action each
+        rows = {
+            (0, 0): ([0, 6], [0.0, 0.0], [1.0, 1.0]),  # may stay forever
+            (1, 0): ([1, 6], [0.0, 0.0], [0.5, 1.0]),  # must send half to the goal
+            (2, 0): ([0, 6], [0.0, 0.0], [1.0, 1.0]),  # may go to state 0
+            (3, 0): ([1, 7], [0.0, 0.0], [1.0, 1.0]),  # may go to the sink, of value 0
+            (4, 0): ([1, 4], [0.0, 0.0], [1.0, 1.0]),  # may stay, or go to state 1
+            (5, 0): ([0, 6], [0.5, 0.1], [0.9, 0.5]),  # a lower bound on the goal
+        }
+        rows = {k: (np.array(t), np.array(lo), np.array(up)) for k, (t, lo, up) in rows.items()}
+        accepting, sink = np.eye(8, dtype=bool)[6], np.eye(8, dtype=bool)[7]
+        prod = FakeProduct(accepting, sink, rows, 1)
+        (kernel, inner), = _groups(prod)
+        states = np.flatnonzero(inner)
+        V = prod.accepting.astype(float)
+        trapped = _traps(kernel, V, states, prod.rows.first[states])
+        assert trapped.tolist() == [True, False, True, True, True, False]
+        low = robust_value_iteration(prod, tol=1e-12)
+        assert low.converged
+        assert np.array_equal(low.values[:6] == 0.0, trapped)
+        assert np.all(low.values[:6] <= jacobi_lp_values(prod)[:6] + 1e-9)
+
+    def test_a_trap_tied_with_its_exit_is_worth_0(self):
+        # state 1 may stay on itself or move to state 0, which reaches the
+        # goal through state 2 with 0.5. After the first sweep states 0 and
+        # 1 are both at 0, and the minimizer's first chain sends state 1 to
+        # state 0; solved from above, both then sit at 0.5, tied, and no
+        # row gains: without the graph pass state 1 stalled at 0.5
+        rows = {
+            (0, 0): (np.array([2]), np.ones(1), np.ones(1)),
+            (1, 0): (np.array([0, 1]), np.zeros(2), np.ones(2)),
+            (2, 0): (np.array([3, 4]), np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+        }
+        accepting, sink = np.eye(5, dtype=bool)[3], np.eye(5, dtype=bool)[4]
+        prod = FakeProduct(accepting, sink, rows, 1)
+        low = robust_value_iteration(prod, tol=1e-12)
+        assert low.converged
+        assert low.values[:3].tolist() == [0.5, 0.0, 0.5]
+        assert np.max(np.abs(low.values - jacobi_lp_values(prod))) < 1e-12
+
+    def test_a_tie_keeps_the_held_action(self):
+        # action 0 self-loops and action 1 reaches the goal; at V = 1 both
+        # are worth 1. The sweep keeps action 1; an argmax that moved to
+        # action 0 would hold the state on a row the evaluation values at 0
+        stay = (np.array([0]), np.ones(1), np.ones(1))
+        go = (np.array([1]), np.ones(1), np.ones(1))
+        prod = _one_live_state({0: stay, 1: go})
+        (kernel, inner), = _groups(prod)
+        states = np.flatnonzero(inner)
+        V = np.array([1.0, 1.0, 0.0])
+        choice = np.array([1, 0, 0])
+        assert _full_sweep(kernel, V, states, choice) == 0.0
+        assert choice[0] == 1
+        _evaluate(kernel, V, states, prod.rows.first[states] + choice[states], maximize=False)
+        assert V[0] == 1.0
+        V[0] = 0.0
+        _evaluate(kernel, V, states, prod.rows.first[states], maximize=False)  # the self-loop
+        assert V[0] == 0.0
+
+    def test_no_evaluation_lowers_the_values(self):
+        # a chain of states that each may self-loop or move on, and a state
+        # that ties a self-loop with the goal from its second sweep on: every
+        # evaluation's values are at least the full sweep's before it
+        n = 6
+        accepting = np.r_[np.zeros(n + 1, bool), True, False]
+        sink = np.r_[np.zeros(n + 1, bool), False, True]
+        rows = {(n, 0): (np.array([n]), np.ones(1), np.ones(1)),
+                (n, 1): (np.array([n + 1]), np.ones(1), np.ones(1))}
+        for s in range(n):
+            rows[(s, 0)] = (np.array([s]), np.ones(1), np.ones(1))
+            rows[(s, 1)] = (np.array([s + 1, n + 2]), np.array([0.8, 0.1]), np.array([0.9, 0.2]))
+        prod = FakeProduct(accepting, sink, rows, 2)
+        whole = robust_value_iteration(prod, tol=1e-12)
+        assert whole.converged and whole.full_sweeps > 2
+        prev = np.zeros(prod.num_states)
+        for k in range(1, whole.sweeps + 1):
+            got = robust_value_iteration(prod, tol=1e-12, max_sweeps=k)
+            assert np.all(got.values >= prev)
+            assert got.values[n] == 1.0
+            prev = got.values
+        want = jacobi_lp_values(prod, sweeps=2000)
+        assert np.max(np.abs(whole.values - want)) < 1e-9
+
+    def test_the_maximizer_solves_only_what_reaches_value(self):
+        # a closed pair of states and a self-loop are worth 0 to the
+        # maximizer too; a state that may reach the goal is worth 1
+        rows = {
+            (0, 0): (np.array([1]), np.ones(1), np.ones(1)),
+            (1, 0): (np.array([0]), np.ones(1), np.ones(1)),
+            (2, 0): (np.array([2]), np.ones(1), np.ones(1)),
+            (3, 0): (np.array([0, 3, 4]), np.zeros(3), np.ones(3)),
+        }
+        accepting, sink = np.eye(6, dtype=bool)[4], np.eye(6, dtype=bool)[5]
+        prod = FakeProduct(accepting, sink, rows, 1)
+        high = evaluate_strategy_upper(prod, np.zeros(6, dtype=np.int64))
+        assert high.converged
+        assert high.values[:4].tolist() == [0.0, 0.0, 0.0, 1.0]
+
+    def test_synthesis_loads_no_scipy_linalg_or_sparse(self):
+        # importing scipy.linalg, scipy.sparse or scipy.sparse.csgraph adds
+        # 6 to 11 MiB to the process, more than the dense solves need
+        code = (
+            "import sys\n"
+            "from nndm_synth import fixtures, pipeline\n"
+            "nd, config = fixtures.reach_avoid_2d(grid=(4, 4))\n"
+            "pipeline.synthesize(pipeline.build_abstraction(nd, config), config.dfa)\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse'))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"
 
 
 class TestGroupedSolve:

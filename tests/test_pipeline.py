@@ -317,6 +317,14 @@ class TestConfigChecks:
         with pytest.raises(ValueError, match=key):
             replace(config, **change)
 
+    def test_network_that_is_not_a_path_is_refused(self):
+        # network=5 was accepted, and run_pipeline then read file
+        # descriptor 5 and failed with "Bad file descriptor"
+        _, config = reach_avoid_2d(grid=(4, 4))
+        with pytest.raises(ValueError, match="'network'"):
+            replace(config, network=5)
+        assert replace(config, network="nets.json").network == "nets.json"
+
     @pytest.mark.parametrize("name, value, key", [
         ("sim_trials", 2.5, "simulation 'trials'"),
         ("seed", 1.5, "'seed'"),
