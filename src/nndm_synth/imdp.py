@@ -10,39 +10,40 @@ upper bound until the remaining mass runs out. The tests keep the literal
 one-row version as the reference (`extreme_distribution` in
 tests/oracles.py).
 
-Value iteration evaluates that step for a block of rows at once, in rank
-space (`_BlockKernel`): each row's gaps up - lo are scattered into a dense
-(rows, states) buffer in the rank order of the current values, and a cumsum
-along each row gives the mass C_k the adversary may move onto its k
-preferred states. By Abel summation the row's value is
-lo.V + min(C, budget) @ dv, with budget = 1 - sum(lo) and
-dv_k = v_k - v_{k+1} in rank order, so there is no per-row sort and no
-Python per state. A row's remainder (the upper mass of the targets pruned
-from it) is filled first by either adversary: the minimizer sends it to
-value 0 and the maximizer to value 1.
+Value iteration takes that step for a block of rows at once, in rank
+space (`_BlockKernel.distributions`): each row's gaps up - lo are scattered
+into a dense (rows, states) buffer in the rank order of the current values,
+and a cumsum along each row, clipped at the row's budget 1 - sum(lo), gives
+the mass the adversary moves onto its k preferred states. The steps of that
+cumsum plus the lower bounds are the row's extreme distribution, and its
+value is that distribution times the values in rank order, so there is no
+per-row sort and no Python per state. A row's remainder (the upper mass of
+the targets pruned from it) is filled first by either adversary: the
+minimizer sends it to value 0 and the maximizer to value 1.
 
 Both passes evaluate a fixed strategy exactly, as one dense linear system
 per adversary (game strategy iteration: Hoffman & Karp 1966; for interval
-MDPs Givan, Leach & Dean 2000). A row's extreme distribution at V is its
-lower bounds plus the differences of the clipped cumsum the kernel forms
-(_BlockKernel.distributions); the chain that these rows make is solved
-with np.linalg.solve, the adversary is picked again at the new values, and
-so on until no row gains. The minimizer first zeroes the states it can
-trap under the strategy (_traps, a greatest fixpoint) and then descends
-from above; the maximizer climbs from below and solves only the states
-that reach mass of positive value. The upper pass is this evaluation of
-the extracted strategy against the maximizer.
+MDPs Givan, Leach & Dean 2000). The chain that the rows' extreme
+distributions at V make is solved with np.linalg.solve, the adversary is
+picked again at the new values, and so on until no row gains. The
+minimizer first zeroes the states it can trap under the strategy (_traps,
+a greatest fixpoint) and then descends from above; the maximizer climbs
+from below and solves only the states that reach mass of positive value.
+The upper pass is this evaluation of the extracted strategy against the
+maximizer.
 
-The maximin pass alternates it with full sweeps. A full sweep orders the
-live states by descending value and walks them in blocks of about
-_BLOCK_CELLS buffer cells: Gauss-Seidel across blocks (each block sees the
-values the previous blocks wrote), Jacobi within a block. It takes each
-state's best action row, switching the held action only on a gain of more
-than _GAIN, and the held strategy's exact pessimistic value follows. Every
-iterate stays a sound lower bound. The pass stops once a full sweep moves
-no state by tol. The strategy is extracted once at the converged values:
-in each state, the lowest-index action whose value is within tol of the
-state's best, so actions that differ only by rounding noise do not flip.
+The maximin pass is strategy iteration for the controller too (Howard
+1960). An improvement step values every action row of every live state at
+V, in blocks of about _BLOCK_CELLS buffer cells (Jacobi: V is only read),
+and gives the Bellman residual max(best - V). The pass stops once that
+falls below tol; otherwise a state's held action switches to its best one
+where that gains more than _GAIN, and the held strategy is evaluated
+exactly against the minimizer. V changes only there, so every stopping
+point is the exact pessimistic value of a held strategy (or the initial
+values), a sound lower bound. The strategy is extracted from the last
+improvement step, whose values are at the returned V: in each state, the
+lowest-index action whose value is within tol of the state's best, so
+actions that differ only by rounding noise do not flip.
 
 Both passes run through one driver (_solve), group by group, in the order
 of the product's solve_order(): one group per SCC of the live states' DFA
@@ -69,16 +70,15 @@ import numpy as np
 
 from .geometry import UNSAFE_ID
 
-# Buffer cells (rows x states) per block of a sweep. Smaller blocks take
-# fewer sweeps (closer to Gauss-Seidel) but pay numpy call overhead more
-# often; 2**14 was fastest over the three benchmark workloads and keeps the
-# scratch arrays small. The block size moves the sweep count and the values
-# within tol, so it is fixed, not a setting.
+# Buffer cells (rows x states) per block of rows the kernel takes at once.
+# Smaller blocks pay numpy call overhead more often, larger ones fault in
+# more scratch pages; 2**14 was fastest over the three benchmark workloads
+# and keeps the scratch arrays small.
 _BLOCK_CELLS = 1 << 14
 
-# A full sweep of the maximin pass switches a state's held action only to
-# one that beats it by more than _GAIN: on a tie, a switch could move the
-# strategy onto a row that keeps the mass away from the goal.
+# An improvement step of the maximin pass switches a state's held action
+# only to one that beats it by more than _GAIN: on a tie, a switch could
+# move the strategy onto a row that keeps the mass away from the goal.
 _GAIN = 1e-12
 
 # An exact evaluation replaces the adversary's distribution of a row only
@@ -222,32 +222,29 @@ class RowStore(Mapping):
 
 
 class _BlockKernel:
-    """Extreme expectations of V over blocks of rows of `store` that name
-    only the states `cols` (ascending): the dense buffer has one column per
-    state of cols, in their rank order, so it is only as wide as the rows'
-    reach. A block of per_block[w] states with w rows each (w is 1 or
+    """Extreme distributions over blocks of rows of `store` that name only
+    the states `cols` (ascending): the dense buffer has one column per state
+    of cols, in their rank order, so it is only as wide as the rows' reach.
+    A block of per_block[w] states with w rows each (w is 1 or
     store.num_actions) fills about _BLOCK_CELLS cells of one dense
     (rows, cols) buffer. The scratch arrays are allocated once per solve,
     for the larger of the two, and reused by every block: the allocator
     hands large freed temporaries back to the system, so fresh ones per
     block would have their pages faulted in again each time.
 
-    With v the values in the adversary's rank order (descending to maximize,
-    ascending to minimize), dv_k = v_k - v_{k+1} (v_{S+1} = 0), C a row's
-    cumsum of gaps up - lo in that order, m = min(rem, max(1 - sum(lo), 0))
-    the mass moved onto the row's remainder and B = max(1 - sum(lo), 0) - m:
-        maximize: m + max(B - C_S, 0) + lo.V + min(C, B) @ dv
-        minimize: lo.V + B v_1 - max(B - C, 0) @ dv
-    The remainder ranks first for both adversaries: to the maximizer it is
-    worth 1, above every value, and to the minimizer 0, below every value.
-    It needs no lower bound: an adversary that fills it first is never held
-    back by one. Budget that the gaps cannot hold either (C_S < B, a row
-    whose upper sum plus remainder falls short of 1 within _FEAS_TOL) is
-    valued the same way: 1 to the maximizer, 0 to the minimizer. Both are
-    the Abel sum of the ordering method over the row's targets plus the
-    remainder, written so that every term is non-negative: small values
-    keep their relative accuracy next to values near 1. Row targets must be
-    distinct (each entry owns its cell)."""
+    The adversary ranks the states by value (descending to maximize,
+    ascending to minimize) and fills its preferred ones first. With C a
+    row's cumsum of gaps up - lo in that order and B = max(1 - sum(lo), 0)
+    - m the budget left for the gaps once m = min(rem, max(1 - sum(lo), 0))
+    went to the remainder, the mass moved onto the state of rank k is
+    C_k - C_{k-1} with C = min(C, B) to maximize, R_{k-1} - R_k with
+    R = max(B - C, 0) and R_{-1} = B to minimize. The remainder ranks first for both adversaries:
+    to the maximizer it is worth 1, above every value, and to the minimizer
+    0, below every value. It needs no lower bound: an adversary that fills
+    it first is never held back by one. Budget that the gaps cannot hold
+    either (C_S < B, a row whose upper sum plus remainder falls short of 1
+    within _FEAS_TOL) is valued the same way: 1 to the maximizer, 0 to the
+    minimizer. Row targets must be distinct (each entry owns its cell)."""
 
     def __init__(self, store: RowStore, cols: np.ndarray):
         S = self.S = cols.size
@@ -259,11 +256,11 @@ class _BlockKernel:
         self.cells = np.empty(max_rows * S)
         self.ints = np.empty((2, max_nnz), dtype=np.int64)
         self.cols = np.empty(max_nnz, dtype=store.col.dtype)  # the product's is int32
-        self.floats = np.empty((3, max_nnz))
+        self.floats = np.empty((2, max_nnz))
         self.steps = np.arange(max(max_nnz, S))
         self.rank = np.empty(cols[-1] + 1, dtype=np.int64)  # a state's column; cols' only
         self.order = cols.copy()  # ascending by value
-        self.v = np.zeros(S + 1)  # values in rank order, then v_{S+1} = 0
+        self.v = np.zeros(S)  # values in rank order
 
     def gather(self, rows: np.ndarray):
         """The rows' entries, row after row, as views into the scratch
@@ -276,7 +273,7 @@ class _BlockKernel:
         offs = ends - length
         n = int(ends[-1])
         idx, col = self.ints[0, :n], self.cols[:n]
-        lo, gap = self.floats[:2, :n]
+        lo, gap = self.floats[:, :n]
         np.add((start - offs).repeat(length), self.steps[:n], out=idx)
         store.col.take(idx, out=col, mode="clip")
         np.add((store.at[rows] - offs).repeat(length), self.steps[:n], out=idx)
@@ -285,25 +282,25 @@ class _BlockKernel:
         gap -= lo
         return col, lo, gap, offs, length
 
-    def _fill(self, V: np.ndarray, rows: np.ndarray, maximize: bool):
-        """Ranks the columns by V for the adversary (self.rank, self.v) and
-        scatters each row's gaps, negated to minimize, into the dense buffer
-        in that order. Returns the (rows, S) buffer, lo.V, the budget B and
-        the remainder's mass m per row, and the entries' lower bounds and
-        flat buffer positions."""
+    def distributions(self, V: np.ndarray, rows: np.ndarray, maximize: bool):
+        """The adversary's extreme distribution of each row at V, and the
+        mass of each row worth 1: the remainder and the budget the gaps
+        cannot hold to the maximizer, none to the minimizer (it values both
+        at 0). The distributions are a (rows, S) view of the dense buffer,
+        column k the mass on the state of rank k (self.rank, whose values
+        are self.v): the entry's lower bound plus what the adversary moves
+        there. A row's value at V is its distribution @ self.v + its mass
+        worth 1."""
         S = self.S
         col, lo, gap, offs, length = self.gather(rows)
-        pos, w = self.ints[1, : col.size], self.floats[2, : col.size]
+        pos = self.ints[1, : col.size]
 
         # the last block's order is nearly sorted still, so re-sorting it is cheap
         self.order = self.order[V[self.order].argsort(kind="stable")]
         order = self.order[::-1] if maximize else self.order
         self.rank[order] = self.steps[:S]
-        V.take(order, out=self.v[:S])
+        V.take(order, out=self.v)
 
-        V.take(col, out=w, mode="clip")
-        w *= lo
-        acc = np.add.reduceat(w, offs)
         budget = np.maximum(1.0 - np.add.reduceat(lo, offs), 0.0)
         moved = np.minimum(self.store.rem[rows], budget)
         budget -= moved
@@ -315,34 +312,7 @@ class _BlockKernel:
         if not maximize:
             np.negative(gap, out=gap)
         C[pos] = gap
-        return C.reshape(rows.size, S), acc, budget, moved, lo, pos
-
-    def __call__(self, V: np.ndarray, rows: np.ndarray, maximize: bool) -> np.ndarray:
-        C, acc, budget, moved, _, _ = self._fill(V, rows, maximize)
-        v = self.v
-        dv = v[:-1] - v[1:]
-        if maximize:
-            acc += moved
-            C.cumsum(axis=1, out=C)
-            np.minimum(C, budget[:, None], out=C)
-            acc += budget - C[:, -1]  # what the gaps cannot hold, worth 1 like the remainder
-            return acc + C @ dv
-        C[:, 0] += budget
-        C.cumsum(axis=1, out=C)
-        np.maximum(C, 0.0, out=C)
-        return acc + budget * v[0] - C @ dv
-
-    def distributions(self, V: np.ndarray, rows: np.ndarray, maximize: bool):
-        """The adversary's extreme distribution of each row at V, and the
-        mass of each row that __call__ values at 1: the remainder and the
-        budget the gaps cannot hold to the maximizer, none to the minimizer
-        (it values both at 0). The distributions are a (rows, S) view of the
-        dense buffer, column k the mass on the state of rank k (self.rank):
-        the entry's lower bound plus what the adversary moves there, the
-        step of __call__'s clipped cumsum: C_k - C_{k-1} with C = min(C, B)
-        to maximize, R_{k-1} - R_k with R = max(B - C, 0) and R_0 = B (one
-        rank before the first) to minimize."""
-        C, _, budget, moved, lo, pos = self._fill(V, rows, maximize)
+        C = C.reshape(rows.size, S)
         if maximize:
             C.cumsum(axis=1, out=C)
             np.minimum(C, budget[:, None], out=C)
@@ -364,9 +334,9 @@ class ValueIterationResult:
     values: np.ndarray
     strategy: np.ndarray | None
     converged: bool
-    sweeps: int  # maximin: full sweeps plus evaluations of the held strategy; upper: chain solves
-    residual: float  # maximin: largest move in the last full sweep; upper: Bellman residual
-    full_sweeps: int  # maximin: sweeps that evaluated every row; upper: chain solves
+    sweeps: int  # maximin: improvement steps plus evaluations of the held strategy; upper: chain solves
+    residual: float  # Bellman residual at `values`: maximin max(best - V), upper max |one-step - V|
+    full_sweeps: int  # maximin: improvement steps, each valuing every row; upper: chain solves
 
 
 def _groups(product):
@@ -390,43 +360,34 @@ def _groups(product):
         yield _BlockKernel(store, np.flatnonzero(seen)), inner
 
 
-def _action_values(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, maximize: bool) -> np.ndarray:
-    """The extreme expectation of V under every action row of each of
-    `states`: a (states, actions) array."""
-    store = kernel.store
-    rows = (store.first[states][:, None] + np.arange(store.num_actions)).ravel()
-    return kernel(V, rows, maximize).reshape(states.size, store.num_actions)
+def _improve(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, choice: np.ndarray, tol: float):
+    """One improvement step of the maximin pass: values every action row of
+    `states` at V against the minimizer, a block of kernel.per_block[A]
+    states at a time (Jacobi: V is only read). The held action choice[i]
+    of states[i] switches to the best action only where that beats it by
+    more than _GAIN: a tie never moves the strategy onto a row that keeps
+    the mass away from the goal, whose exact evaluation would lower V.
 
-
-def _full_sweep(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, choice: np.ndarray) -> float:
-    """One Gauss-Seidel sweep of the maximin pass over every action row of
-    `states`; returns the largest move. A state's held action choice[s]
-    switches only to an action that beats it by more than _GAIN, and V[s]
-    becomes the held action's value: a tie never moves the strategy onto a
-    row that keeps the mass away from the goal, whose exact evaluation would
-    lower V. At a fixed point of the held strategy that value may round an
-    ulp below V[s], which V[s] keeps.
-
-    The sweep orders the states by descending value (stable, ties by state
-    index) and updates them in blocks of consecutive states: each block
-    reads the values earlier blocks of the sweep wrote (Gauss-Seidel), which
-    carries value back from the accepting states in far fewer sweeps than a
-    Jacobi pass; the fixed point is the same."""
-    per_block = kernel.per_block[kernel.store.num_actions]
-    order = states[np.argsort(-V[states], kind="stable")]
-    moved = 0.0
-    for i in range(0, order.size, per_block):
-        block = order[i : i + per_block]
-        vals = _action_values(kernel, V, block, maximize=False)
+    Returns the Bellman residual max(best - V), at least 0, whether a held
+    action switched, and the strategy extracted at V: per state, the
+    lowest-index action within tol of its best. Values are only
+    tol-accurate, so a finer choice would follow rounding noise."""
+    store, A = kernel.store, kernel.store.num_actions
+    extracted = np.empty(states.size, dtype=np.int64)
+    residual, switched = 0.0, False
+    for i in range(0, states.size, kernel.per_block[A]):
+        block = slice(i, i + kernel.per_block[A])
+        rows = (store.first[states[block], None] + np.arange(A)).ravel()
+        D, worth_one = kernel.distributions(V, rows, maximize=False)
+        vals = (D @ kernel.v + worth_one).reshape(-1, A)  # (states, actions)
+        best = vals.max(axis=1)
+        residual = max(residual, float(np.max(best - V[states[block]])))
         held = choice[block]
-        best = vals.argmax(axis=1)
-        every = np.arange(block.size)
-        gains = vals[every, best] > vals[every, held] + _GAIN
-        choice[block] = np.where(gains, best, held)
-        new = np.maximum(vals[every, choice[block]], V[block])
-        moved = max(moved, float(np.max(np.abs(new - V[block]))))
-        V[block] = new
-    return moved
+        gains = best > vals[np.arange(held.size), held] + _GAIN
+        switched |= bool(gains.any())
+        choice[block] = np.where(gains, vals.argmax(axis=1), held)
+        extracted[block] = np.argmax(vals >= best[:, None] - tol, axis=1)  # first True: lowest index
+    return residual, switched, extracted
 
 
 def _traps(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -489,7 +450,7 @@ def _pick(kernel, V, states, rows, live, maximize, A, b, scratch, first) -> tupl
     for i in range(0, live.size, per_block):
         block = live[i : i + per_block]
         D, worth_one = kernel.distributions(V, rows[block], maximize)
-        new = D @ kernel.v[: kernel.S] + worth_one
+        new = D @ kernel.v + worth_one
         residual = max(residual, float(np.max(np.abs(new - Vs[block]))))
         if not first:
             better = new > Vs[block] + _ADVERSARY_GAIN if maximize else new < Vs[block] - _ADVERSARY_GAIN
@@ -497,7 +458,7 @@ def _pick(kernel, V, states, rows, live, maximize, A, b, scratch, first) -> tupl
                 continue
             D, worth_one, block = D[better], worth_one[better], block[better]
         cols = kernel.rank[states]
-        frozen = kernel.v[: kernel.S].copy()
+        frozen = kernel.v.copy()
         frozen[cols] = 0.0
         P = scratch[: block.size * n].reshape(block.size, n)
         D.take(cols, axis=1, out=P)
@@ -573,44 +534,43 @@ def _evaluate(
 
 
 def _maximin(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, tol: float, max_sweeps: int):
-    """The maximin pass over one group: a full sweep (_full_sweep) improves
-    the held strategy, and an exact evaluation of it against the minimizer
-    (_evaluate) follows, until a full sweep moves no state by tol. Each
-    iterate stays below the fixed point: a full sweep's value is at most
-    the Bellman update's, and the held strategy's exact value is at most
-    the maximin value. Returns the sweeps (full sweeps plus evaluations,
-    each counted once, so a cut at max_sweeps never lands inside an
-    evaluation), the full sweeps, the last full sweep's largest move and
-    whether it fell below tol."""
-    store = kernel.store
-    choice = np.zeros(V.size, dtype=np.int64)
-    sweeps = full_sweeps = 0
-    residual = np.inf
-    while sweeps < max_sweeps:
-        residual = _full_sweep(kernel, V, states, choice)
+    """The maximin pass over one group, strategy iteration for the
+    controller (Howard 1960): an improvement step (_improve) switches the
+    held strategy at V, and its exact value against the minimizer
+    (_evaluate) becomes V, until an improvement step's Bellman residual
+    falls below tol or one after an evaluation switches nothing (no action
+    then beats the held strategy's value by more than _GAIN). V changes
+    only in an evaluation, and a switch on a gain never lowers the held
+    strategy's value, so every stopping point is a sound lower bound.
+
+    Returns the sweeps (improvement steps plus evaluations, each counted
+    once), the improvement steps, the Bellman residual at the returned V,
+    whether the pass converged, and the strategy extracted there. A pass
+    whose budget runs out after an evaluation takes one more improvement
+    step, not counted, for its residual and strategy."""
+    choice = np.zeros(states.size, dtype=np.int64)
+    sweeps = steps = 0
+    while True:
+        residual, switched, extracted = _improve(kernel, V, states, choice, tol)
+        if sweeps >= max_sweeps:
+            return sweeps, steps, residual, False, extracted
+        sweeps, steps = sweeps + 1, steps + 1
+        converged = residual < tol or (steps > 1 and not switched)  # steps > 1: after an evaluation
+        if converged or sweeps >= max_sweeps:
+            return sweeps, steps, residual, converged, extracted
+        _evaluate(kernel, V, states, kernel.store.first[states] + choice, maximize=False)
         sweeps += 1
-        full_sweeps += 1
-        if residual < tol:
-            return sweeps, full_sweeps, residual, True
-        if sweeps < max_sweeps:
-            _evaluate(kernel, V, states, store.first[states] + choice[states], maximize=False)
-            sweeps += 1
-    return sweeps, full_sweeps, residual, False
 
 
-def _solve(product, tol: float, max_sweeps: int, strategy=None) -> ValueIterationResult:
+def _solve(product, max_sweeps: int, tol: float = 0.0, strategy=None) -> ValueIterationResult:
     """Both passes: V starts at 1 on the accepting states and 0 elsewhere,
     and the groups of product.solve_order() are solved one after another,
     each with the values of the groups before it frozen: by the maximin
-    pass (_maximin) without a strategy, by the exact evaluation of
-    `strategy` against the maximizer (_evaluate) with one. The groups share
-    the one max_sweeps budget: sweeps and full_sweeps are summed over them,
-    residual is the largest group residual, and the pass converged when
-    every group did.
-
-    Without a strategy, one is extracted from each group's converged values:
-    per state, the lowest-index action within tol of the best one. Values
-    are only tol-accurate, so a finer choice would follow rounding noise."""
+    pass (_maximin, to tol) without a strategy, which also extracts one, by
+    the exact evaluation of `strategy` against the maximizer (_evaluate)
+    with one. The groups share the one max_sweeps budget: sweeps and
+    full_sweeps are summed over them, residual is the largest group
+    residual, and the pass converged when every group did."""
     store = product.rows
     V = product.accepting.astype(float)
     extracted = np.zeros(product.num_states, dtype=np.int64)
@@ -619,13 +579,7 @@ def _solve(product, tol: float, max_sweeps: int, strategy=None) -> ValueIteratio
         states = np.flatnonzero(inner)
         left = max_sweeps - result.sweeps
         if strategy is None:
-            sweeps, full_sweeps, residual, converged = _maximin(kernel, V, states, tol, left)
-            per_block = kernel.per_block[store.num_actions]
-            for i in range(0, states.size, per_block):
-                block = states[i : i + per_block]
-                vals = _action_values(kernel, V, block, maximize=False)
-                near_best = vals >= vals.max(axis=1, keepdims=True) - tol
-                extracted[block] = np.argmax(near_best, axis=1)  # first True: lowest index
+            sweeps, full_sweeps, residual, converged, extracted[states] = _maximin(kernel, V, states, tol, left)
         else:
             rows = store.first[states] + strategy[states]
             sweeps, residual, converged = _evaluate(kernel, V, states, rows, True, left)
@@ -644,18 +598,19 @@ def robust_value_iteration(
 ) -> ValueIterationResult:
     """Maximin reachability: the controller maximizes, the adversary inside
     the probability intervals minimizes. Returns the pessimistic values
-    (lower probability bounds) and the strategy extracted from them (see
-    _solve). Accepting states are fixed at 1, sink states at 0; every
-    iterate is a lower bound, and values never decrease. Full sweeps improve
-    the controller's held choice, and between them the held strategy is
-    evaluated exactly (see _maximin)."""
-    return _solve(product, tol=tol, max_sweeps=max_sweeps)
+    (lower probability bounds) and the strategy extracted from them: per
+    state, the lowest-index action within tol of the best at the returned
+    values. Accepting states are fixed at 1, sink states at 0. Strategy
+    iteration (see _maximin): improvement steps switch the controller's
+    held strategy, each followed by its exact evaluation, so the values are
+    a held strategy's exact pessimistic value, never decrease, and stop
+    once the Bellman residual falls below tol."""
+    return _solve(product, max_sweeps, tol=tol)
 
 
 def evaluate_strategy_upper(
     product,
     strategy: np.ndarray,
-    tol: float = 1e-6,
     max_sweeps: int = 5000,
 ) -> ValueIterationResult:
     """Optimistic value of a fixed strategy: the adversary inside the
@@ -663,7 +618,7 @@ def evaluate_strategy_upper(
     same strategy that robust_value_iteration certified from below. Same
     group loop as the maximin pass (_solve), over the strategy's rows only,
     solved exactly (_evaluate): each chain solve counts as a sweep and a
-    full sweep, and tol is not needed. strategy holds one action index in
+    full sweep, and no tolerance is needed. strategy holds one action index in
     [0, num_actions) per state, of an integer dtype (not float, not bool)."""
     store = product.rows
     strategy = np.asarray(strategy)
@@ -682,4 +637,4 @@ def evaluate_strategy_upper(
         raise ValueError(
             f"strategy[{s}] = {strategy[s]} is not an action index in [0, {store.num_actions})"
         )
-    return _solve(product, tol=tol, max_sweeps=max_sweeps, strategy=strategy)
+    return _solve(product, max_sweeps, strategy=strategy)

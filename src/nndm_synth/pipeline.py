@@ -240,18 +240,22 @@ def synthesize(
     max_sweeps: int = 5000,
 ) -> Synthesis:
     """Product construction plus the two passes: the maximin pass bounds
-    the strategy from below (full sweeps alternating with exact evaluations
-    of the held strategy), and the optimistic pass is the extracted
+    the strategy from below (strategy iteration: improvement steps
+    alternating with exact evaluations of the held strategy, stopped once
+    the Bellman residual falls below tol; tol is also the action-tie
+    tolerance of the extraction), and the optimistic pass is the extracted
     strategy's exact value against the maximizing adversary, by chain
     solves. Both run group by group over the product's solve_order(), so
     lower.sweeps and upper.sweeps sum the groups' counts. p_lower and
     p_upper are the values of pids 0..num_cells-1, the cells' initial
-    product states. p_upper is clamped up to p_lower (np.maximum), which
+    product states. p_lower is the exact pessimistic value of the last
+    held strategy; the emitted strategy, whose actions the extraction may
+    pick within tol of the held ones, can trail it. p_upper is clamped up to p_lower (np.maximum), which
     hides an extracted action whose own optimistic value lies below
     p_lower; see the README's known limitations."""
     product = build_product(abstraction.imdp, dfa)
     lower = robust_value_iteration(product, tol=tol, max_sweeps=max_sweeps)
-    upper = evaluate_strategy_upper(product, lower.strategy, tol=tol, max_sweeps=max_sweeps)
+    upper = evaluate_strategy_upper(product, lower.strategy, max_sweeps=max_sweeps)
     p_lower = lower.values[: product.imdp.num_cells]
     p_upper = np.maximum(upper.values[: product.imdp.num_cells], p_lower)
     return Synthesis(product=product, lower=lower, upper=upper, p_lower=p_lower, p_upper=p_upper)
@@ -432,7 +436,8 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
     """Write regions.csv (x columns from grid.original_bounds()),
     strategy.json, refinement.jsonl and summary.json (summarize), and
     validation.json when the result has been simulated; without that, a
-    validation.json in outdir checked an earlier result and is removed.
+    validation.json in outdir checked an earlier result and is removed. The
+    JSON files are strict JSON: a non-finite number raises ValueError.
     Every file except summary.json (which carries timings) is a pure function
     of the inputs, so reruns produce byte-identical content."""
     os.makedirs(outdir, exist_ok=True)
@@ -476,21 +481,22 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
             fh,
             indent=2,
             sort_keys=True,
+            allow_nan=False,
         )
         fh.write("\n")
 
     with open(os.path.join(outdir, "refinement.jsonl"), "w") as fh:
         for rec in result.rounds:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
 
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(summarize(result), fh, indent=2, sort_keys=True)
+        json.dump(summarize(result), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     path = os.path.join(outdir, "validation.json")
     if result.validation is not None:
         with open(path, "w") as fh:
-            json.dump(result.validation, fh, indent=2, sort_keys=True)
+            json.dump(result.validation, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     elif os.path.exists(path):
         os.remove(path)

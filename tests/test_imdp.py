@@ -18,8 +18,8 @@ from nndm_synth.imdp import (
     RowStore,
     _BlockKernel,
     _evaluate,
-    _full_sweep,
     _groups,
+    _improve,
     _traps,
     evaluate_strategy_upper,
     robust_value_iteration,
@@ -131,6 +131,14 @@ def kernel_rows(rng, num_states):
     return rows
 
 
+def kernel_values(store, S, V, rows, maximize):
+    """Each row's extreme expectation of V, read from the kernel's
+    distributions over the states 0..S-1."""
+    kernel = _BlockKernel(store, np.arange(S))
+    D, worth_one = kernel.distributions(V, rows, maximize)
+    return D @ kernel.v + worth_one
+
+
 class TestBlockKernel:
     """The rank-space block kernel against the literal ordering method."""
 
@@ -148,7 +156,7 @@ class TestBlockKernel:
         for V in value_sets:
             block = rng.permutation(len(rows))  # any row order, lengths mixed
             for maximize in (False, True):
-                got = _BlockKernel(store, np.arange(S))(V, block, maximize)
+                got = kernel_values(store, S, V, block, maximize)
                 want = [extreme_distribution(lo, up, V[t], maximize) @ V[t]
                         for t, lo, up in (rows[r] for r in block)]
                 assert np.max(np.abs(got - want)) < 1e-12
@@ -175,7 +183,7 @@ class TestBlockKernel:
         for V in (rng.uniform(0, 1, S), rng.choice([0.0, 0.5, 1.0], S)):
             block = rng.permutation(len(rows))
             for maximize in (False, True):
-                got = _BlockKernel(store, np.arange(S))(V, block, maximize)
+                got = kernel_values(store, S, V, block, maximize)
                 want = []
                 for r in block:
                     t, lo, up = rows[r]
@@ -231,7 +239,7 @@ class TestBlockKernel:
         assert any(np.any(np.diff(t) < 0) for t, _, _ in store.values())
         V = rng.uniform(0, 1, S)
         for maximize in (False, True):
-            got = _BlockKernel(store, np.arange(S))(V, np.arange(len(picked)), maximize)
+            got = kernel_values(store, S, V, np.arange(len(picked)), maximize)
             want = [extreme_distribution(lo, up, V[rename[t]], maximize) @ V[rename[t]]
                     for t, lo, up in (rows[r] for r in picked)]
             assert np.max(np.abs(got - want)) < 1e-12
@@ -293,7 +301,7 @@ def test_pruned_mass_decides_the_bound():
         product.rows = RowStore(packed.first, 1, np.diff(packed.indptr), packed.col, packed.lo,
                                 packed.up, rem=r)
         low = robust_value_iteration(product, tol=1e-15)
-        high = evaluate_strategy_upper(product, low.strategy, tol=1e-15)
+        high = evaluate_strategy_upper(product, low.strategy)
         values[name] = low.values[0], high.values[1]
     # the extremes over the unpruned rows: the sliver at its upper bound
     assert values["pruned"][0] == pytest.approx(1.0 - 9e-13, abs=1e-16)
@@ -316,7 +324,7 @@ def test_shortfall_counts_for_the_maximizer():
                             packed.up, rem=[0.05])
     assert product.rows.first_violation(3) is None
     low = robust_value_iteration(product, tol=1e-15)
-    high = evaluate_strategy_upper(product, low.strategy, tol=1e-15)
+    high = evaluate_strategy_upper(product, low.strategy)
     assert low.values[0] == pytest.approx(0.4, abs=1e-15)
     assert high.values[0] == pytest.approx(0.45 + 5e-9, abs=1e-15)
 
@@ -330,7 +338,7 @@ class TestValueIteration:
 
     def test_hand_chain_optimistic(self):
         prod = tiny_chain()
-        res = evaluate_strategy_upper(prod, np.zeros(3, dtype=np.int64), tol=1e-12)
+        res = evaluate_strategy_upper(prod, np.zeros(3, dtype=np.int64))
         assert res.values[0] == pytest.approx(0.7, abs=1e-12)
 
     def test_strategy_picks_better_action(self):
@@ -400,7 +408,7 @@ class TestValueIteration:
     def test_strategy_evaluation_matches_lp_oracle(self):
         prod = random_product(7)
         res = robust_value_iteration(prod, tol=1e-10)
-        upper = evaluate_strategy_upper(prod, res.strategy, tol=1e-10)
+        upper = evaluate_strategy_upper(prod, res.strategy)
         want = jacobi_lp_values(prod, strategy=res.strategy)
         assert np.max(np.abs(upper.values - want)) < 1e-6
 
@@ -408,7 +416,7 @@ class TestValueIteration:
         for seed in (2, 5):
             prod = random_product(seed)
             res = robust_value_iteration(prod, tol=1e-10)
-            upper = evaluate_strategy_upper(prod, res.strategy, tol=1e-10)
+            upper = evaluate_strategy_upper(prod, res.strategy)
             assert np.all(res.values <= upper.values + 1e-9)
 
     def test_degenerate_intervals_reduce_to_plain_mdp(self):
@@ -420,9 +428,9 @@ class TestValueIteration:
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_every_stopping_point_is_a_sound_lower_bound(self, seed):
-        # a pass cut after any full sweep or exact evaluation of the held
-        # strategy must still be below the fixed point, and a longer pass
-        # never lower
+        # a pass cut after any improvement step or exact evaluation of the
+        # held strategy must still be below the fixed point, and a longer
+        # pass never lower
         prod = random_product(seed, n_actions=3)
         want = jacobi_lp_values(prod)
         prev = np.zeros(prod.num_states)
@@ -433,10 +441,20 @@ class TestValueIteration:
             assert np.all(got.values >= prev)
             prev = got.values
 
+    def test_a_stable_strategy_ends_the_pass(self):
+        # below the rounding of an exact evaluation the Bellman residual
+        # never reaches tol; once an improvement step switches no held
+        # action, the held strategy's value is the fixed point to 1e-12
+        # and the pass ends there instead of spending its budget
+        for seed in (3, 11):
+            res = robust_value_iteration(random_product(seed, n_actions=3), tol=1e-16, max_sweeps=50)
+            assert res.converged and res.sweeps < 20
+            assert res.residual < 1e-12
+
     def test_held_strategy_is_refreshed(self):
         # action 0 self-loops, action 1 moves one state up with 0.9, else to
-        # the sink; at the first full sweep only state 5 sees the goal, so
-        # every other state holds the self-loop until a later full sweep
+        # the sink; at the first improvement step only state 5 sees the
+        # goal, so every other state holds the self-loop until a later one
         n = 6
         accepting = np.r_[np.zeros(n, bool), True, False]
         sink = np.r_[np.zeros(n, bool), False, True]
@@ -451,7 +469,7 @@ class TestValueIteration:
 
     def test_cut_after_an_evaluation_is_not_converged(self):
         # an exact evaluation of the held strategy counts as one sweep, and
-        # only a full sweep can end the pass
+        # only an improvement step can end the pass
         prod = random_product(11, n_actions=3)
         whole = robust_value_iteration(prod, tol=1e-10)
         assert whole.converged and whole.full_sweeps < whole.sweeps
@@ -467,7 +485,7 @@ class TestValueIteration:
     def test_fixed_strategy_sweeps_are_all_full(self):
         prod = random_product(7, n_actions=3)
         res = robust_value_iteration(prod, tol=1e-10)
-        upper = evaluate_strategy_upper(prod, res.strategy, tol=1e-10)
+        upper = evaluate_strategy_upper(prod, res.strategy)
         assert upper.converged and upper.full_sweeps == upper.sweeps > 1
 
     @pytest.mark.parametrize("bad", [2, -1])
@@ -575,18 +593,20 @@ class TestExactEvaluation:
 
     def test_a_tie_keeps_the_held_action(self):
         # action 0 self-loops and action 1 reaches the goal; at V = 1 both
-        # are worth 1. The sweep keeps action 1; an argmax that moved to
-        # action 0 would hold the state on a row the evaluation values at 0
+        # are worth 1. The improvement step keeps action 1; an argmax that
+        # moved to action 0 would hold the state on a row the evaluation
+        # values at 0
         stay = (np.array([0]), np.ones(1), np.ones(1))
         go = (np.array([1]), np.ones(1), np.ones(1))
         prod = _one_live_state({0: stay, 1: go})
         (kernel, inner), = _groups(prod)
         states = np.flatnonzero(inner)
         V = np.array([1.0, 1.0, 0.0])
-        choice = np.array([1, 0, 0])
-        assert _full_sweep(kernel, V, states, choice) == 0.0
-        assert choice[0] == 1
-        _evaluate(kernel, V, states, prod.rows.first[states] + choice[states], maximize=False)
+        choice = np.array([1])
+        residual, switched, _ = _improve(kernel, V, states, choice, tol=1e-12)
+        assert residual == 0.0 and not switched and choice[0] == 1
+        assert V.tolist() == [1.0, 1.0, 0.0]  # an improvement step only reads V
+        _evaluate(kernel, V, states, prod.rows.first[states] + choice, maximize=False)
         assert V[0] == 1.0
         V[0] = 0.0
         _evaluate(kernel, V, states, prod.rows.first[states], maximize=False)  # the self-loop
@@ -594,8 +614,8 @@ class TestExactEvaluation:
 
     def test_no_evaluation_lowers_the_values(self):
         # a chain of states that each may self-loop or move on, and a state
-        # that ties a self-loop with the goal from its second sweep on: every
-        # evaluation's values are at least the full sweep's before it
+        # that ties a self-loop with the goal once the first evaluation has
+        # valued it at 1: no later evaluation lowers any value
         n = 6
         accepting = np.r_[np.zeros(n + 1, bool), True, False]
         sink = np.r_[np.zeros(n + 1, bool), False, True]
@@ -611,7 +631,7 @@ class TestExactEvaluation:
         for k in range(1, whole.sweeps + 1):
             got = robust_value_iteration(prod, tol=1e-12, max_sweeps=k)
             assert np.all(got.values >= prev)
-            assert got.values[n] == 1.0
+            assert got.values[n] == (1.0 if k >= 2 else 0.0)  # the first evaluation is sweep 2
             prev = got.values
         want = jacobi_lp_values(prod, sweeps=2000)
         assert np.max(np.abs(whole.values - want)) < 1e-9
@@ -667,7 +687,7 @@ class TestGroupedSolve:
     def test_both_passes_match_lp_oracle(self):
         prod = random_dfa_product(TWO_GOALS, 2)
         low = robust_value_iteration(prod, tol=1e-10)
-        high = evaluate_strategy_upper(prod, low.strategy, tol=1e-10)
+        high = evaluate_strategy_upper(prod, low.strategy)
         assert low.converged and high.converged
         assert np.max(np.abs(low.values - jacobi_lp_values(prod))) < 1e-6
         assert np.max(np.abs(high.values - jacobi_lp_values(prod, strategy=low.strategy))) < 1e-6
@@ -680,7 +700,7 @@ class TestGroupedSolve:
 
         def solve(**kw):
             if upper:
-                return evaluate_strategy_upper(prod, strategy, tol=1e-10, **kw)
+                return evaluate_strategy_upper(prod, strategy, **kw)
             return robust_value_iteration(prod, tol=1e-10, **kw)
 
         whole = solve()

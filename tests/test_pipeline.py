@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from nndm_synth.automata import dfa_template, load_dfa
-from nndm_synth.fixtures import random_network, reach_avoid_2d
+from nndm_synth.fixtures import random_network, reach_avoid_2d, vehicle_3d
 from nndm_synth.geometry import HyperRect, RegionGrid, whitening_transform
-from nndm_synth.imdp import evaluate_strategy_upper
+from nndm_synth.imdp import _evaluate, _groups, evaluate_strategy_upper
 from nndm_synth import pipeline, transitions
 from nndm_synth.networks import evaluate, load_networks
 from nndm_synth.pipeline import (
@@ -54,9 +54,25 @@ def test_pruned_certificates_contain_the_unpruned(monkeypatch):
     # pruned targets reach is the remainder's there, any action will do
     action = dict(zip(map(tuple, got.product.states.tolist()), got.lower.strategy.tolist()))
     strategy = np.array([action.get(state, 0) for state in map(tuple, ref.product.states.tolist())])
-    upper = evaluate_strategy_upper(ref.product, strategy, tol=1e-12)
+    upper = evaluate_strategy_upper(ref.product, strategy)
     assert upper.converged
     assert np.all(upper.values[: full.imdp.num_cells] <= got.p_upper + 1e-12)
+
+
+def test_p_lower_is_the_emitted_strategys_value():
+    # the pessimistic value of the emitted strategy, evaluated exactly group
+    # by group, is at least p_lower: the maximin pass once ended on a full
+    # sweep whose values the strategy did not reach, here by 1.5e-7
+    nd, config = vehicle_3d(grid=(5, 4, 3))
+    synth = synthesize(build_abstraction(nd, config), config.dfa)
+    product = synth.product
+    V = product.accepting.astype(float)
+    for kernel, inner in _groups(product):
+        states = np.flatnonzero(inner)
+        rows = product.rows.first[states] + synth.lower.strategy[states]
+        _evaluate(kernel, V, states, rows, maximize=False)
+    assert synth.lower.converged
+    assert np.all(synth.p_lower <= V[: product.imdp.num_cells] + 1e-12)
 
 
 class TestParseCovariance:
@@ -692,6 +708,25 @@ class TestOutputs:
         assert 1 <= doc["vi"]["lower"]["full_sweeps"] <= doc["vi"]["lower"]["sweeps"]
         assert doc["vi"]["upper"]["full_sweeps"] == doc["vi"]["upper"]["sweeps"]
         assert "abstraction" in doc["timings"] and "total" in doc["timings"]
+
+    def test_summary_is_strict_json_when_the_budget_runs_out(self, tmp_path):
+        # one sweep for a two-goal product: the first group spends it and
+        # the later groups get none; their residual was once inf, which
+        # summary.json held as Infinity, not JSON
+        nd, config = reach_avoid_2d(grid=(6, 6))
+        labels = {"avoid": "obst", "reach1": "goal", "reach2": "goal2"}
+        config = replace(config, dfa=dfa_template("reach_two_avoid", labels), vi_max_sweeps=1,
+                         regions=[*config.regions, ("goal2", HyperRect([-1.4, 0.4], [-0.4, 1.4]))])
+        res = run_pipeline(config, nd=nd, outdir=str(tmp_path))
+        assert not res.lower.converged and len(res.product.solve_order()) > 1
+
+        def refuse(constant):
+            raise ValueError(f"non-finite number {constant}")
+
+        with open(os.path.join(tmp_path, "summary.json")) as fh:
+            doc = json.load(fh, parse_constant=refuse)
+        assert doc["vi"]["lower"]["sweeps"] == 1
+        assert 0.0 <= doc["vi"]["lower"]["residual"] <= 1.0
 
     def test_refinement_log_empty_without_rounds(self, small_run):
         _, _, _, outdir = small_run
