@@ -28,6 +28,10 @@ UNSAFE_ID = -1
 # that size would have failed long before lookup becomes the bottleneck.
 _MAX_RASTER_CELLS = 50_000_000
 
+# Buckets per edge of a dimension's point-location table (RegionGrid.locate):
+# more buckets hold fewer edges each, so fewer scan steps per query.
+_BUCKETS_PER_EDGE = 4
+
 _SYMMETRY_TOL = 1e-9  # asymmetry a covariance may show, relative to max(1, its largest entry)
 
 
@@ -168,7 +172,7 @@ class RegionGrid:
     labels: list[frozenset[str]]
     domain: HyperRect
     transform: Transform
-    _raster: tuple[list[np.ndarray], np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _raster: tuple[list[_Buckets], np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.lo = np.asarray(self.lo, dtype=float)
@@ -220,13 +224,13 @@ class RegionGrid:
 
     # -- point location -----------------------------------------------------
 
-    def _build_raster(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """Point-location tables: per dimension the edges a coordinate is
-        searched in, the strides of the padded raster, and the flat raster of
-        owning cell ids. The raster has one UNSAFE_ID layer on each side of
-        every dimension: search position 0 is below the domain, the last is
-        above it (or NaN). The cells tile the domain, so the first and last
-        cut of each dimension are the domain's bounds."""
+    def _build_raster(self) -> tuple[list[_Buckets], np.ndarray, np.ndarray]:
+        """Point-location tables: per dimension the bucket table of the
+        edges a coordinate is located among, the strides of the padded
+        raster, and the flat raster of owning cell ids. The raster has one
+        UNSAFE_ID layer on each side of every dimension: position 0 is below
+        the domain, the last is above it (or NaN). The cells tile the domain,
+        so the first and last cut of each dimension are the domain's bounds."""
         cuts = [np.unique(np.concatenate([self.lo[:, l], self.hi[:, l]])) for l in range(self.dim)]
         shape = tuple(len(c) + 1 for c in cuts)
         if np.prod(shape) > _MAX_RASTER_CELLS:
@@ -237,25 +241,66 @@ class RegionGrid:
         owner = np.full(shape, UNSAFE_ID, dtype=np.int64)
         for i in range(self.num_cells):
             owner[tuple(map(slice, start[i], stop[i]))] = i
-        # side="right" search: a point on the upper domain bound still counts
-        # as inside, anything above it lands past the last edge
-        edges = [np.append(c[:-1], np.nextafter(c[-1], np.inf)) for c in cuts]
+        # located as a side="right" search: a point on the upper domain bound
+        # still counts as inside, anything above it lands past the last edge
+        axes = [_Buckets(np.append(c[:-1], np.nextafter(c[-1], np.inf))) for c in cuts]
         strides = np.array(owner.strides) // owner.itemsize
-        return edges, strides, owner.ravel()
+        return axes, strides, owner.ravel()
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Cell index containing each whitened point; UNSAFE_ID when
         outside the domain (or NaN). Interior boundaries resolve to the upper
-        cell. One search per dimension builds a flat raster index."""
+        cell. One bucket lookup per dimension (_Buckets.position) builds a
+        flat raster index."""
         if self._raster is None:
             self._raster = self._build_raster()
-        edges, strides, owner = self._raster
+        axes, strides, owner = self._raster
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        flat = np.searchsorted(edges[0], pts[:, 0], side="right") * strides[0]
+        flat = axes[0].position(pts[:, 0]) * strides[0]
         for l in range(1, self.dim):
-            flat += np.searchsorted(edges[l], pts[:, l], side="right") * strides[l]
+            flat += axes[l].position(pts[:, l]) * strides[l]
         found = owner[flat]
         return found if np.asarray(points).ndim > 1 else found[0]
+
+
+class _Buckets:
+    """The sorted edges e of one dimension and a uniform table of
+    _BUCKETS_PER_EDGE * E buckets over [e[0], e[-1]] that locates a
+    coordinate among them: position(x) is bitwise
+    np.searchsorted(e, x, side="right") (NaN past every edge), without a
+    binary search. cnt[j] counts the edges whose bucket is below j, and
+    `scan` is the most edges one bucket holds."""
+
+    def __init__(self, edges: np.ndarray):
+        self.edges = edges
+        self.lo, self.hi, self.top = edges[0], edges[-1], _BUCKETS_PER_EDGE * edges.size - 1
+        self.scale = (self.top + 1) / (self.hi - self.lo)
+        per_bucket = np.bincount(self.bucket(edges), minlength=self.top + 1)
+        self.cnt = np.zeros(self.top + 2, dtype=np.int64)
+        np.cumsum(per_bucket, out=self.cnt[1:])
+        self.scan = int(per_bucket.max())
+
+    def bucket(self, x: np.ndarray) -> np.ndarray:
+        """Each x's bucket, by one rule for edges and queries alike. It is
+        monotone in x, so an edge in a lower bucket lies below x and one in
+        a higher bucket above it. x is clipped to [lo, hi] first, so no
+        product overflows, and fmax/fmin send NaN to bucket 0 unwarned."""
+        t = np.fmax(x, self.lo)
+        np.fmin(t, self.hi, out=t)
+        t -= self.lo
+        t *= self.scale
+        np.fmin(t, self.top, out=t)
+        return t.astype(np.int64)
+
+    def position(self, x: np.ndarray) -> np.ndarray:
+        """How many edges are at most x, for each x (E where x is NaN): the
+        edges below x's bucket, plus a scan over the edges in it."""
+        b = self.bucket(x)
+        p, end = self.cnt[b], self.cnt[b + 1]
+        for _ in range(self.scan):  # p < end masks the clipped read at p = E
+            p += (p < end) & (self.edges.take(p, mode="clip") <= x)
+        p[np.isnan(x)] = self.edges.size
+        return p
 
 
 def _insert_cuts(base: np.ndarray, extra: Iterable[float], lo: float, hi: float) -> np.ndarray:

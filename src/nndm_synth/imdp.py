@@ -30,7 +30,9 @@ minimizer first zeroes the states it can trap under the strategy (_traps,
 a greatest fixpoint) and then descends from above; the maximizer climbs
 from below and solves only the states that reach mass of positive value.
 The upper pass is this evaluation of the extracted strategy against the
-maximizer.
+maximizer, whose first pick may rank the states by given values (the
+maximin pass's, in synthesis) instead of V = 0: any pick is solved from
+below, so the ranking only saves solves.
 
 The maximin pass is strategy iteration for the controller too (Howard
 1960). An improvement step values every action row of every live state at
@@ -43,7 +45,11 @@ point is the exact pessimistic value of a held strategy (or the initial
 values), a sound lower bound. The strategy is extracted from the last
 improvement step, whose values are at the returned V: in each state, the
 lowest-index action whose value is within tol of the state's best, so
-actions that differ only by rounding noise do not flip.
+actions that differ only by rounding noise do not flip. The held strategy
+starts at action 0, or at a given start strategy (the last refinement
+round's, in synthesis), evaluated first: strategy iteration reaches the
+same fixed point from any start, and the start seeds only the strategy,
+never V.
 
 Both passes run through one driver (_solve), group by group, in the order
 of the product's solve_order(): one group per SCC of the live states' DFA
@@ -488,12 +494,18 @@ def _solve_chain(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _evaluate(
     kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, rows: np.ndarray, maximize: bool,
-    max_solves: float = np.inf,
+    max_solves: float = np.inf, rank: np.ndarray | None = None,
 ) -> tuple[int, float, bool]:
     """The strategy's exact value against the minimizing (or maximizing)
     adversary, written into V[states]: rows[i] is the strategy's row of
     states[i], and every other state is frozen. Returns the chain solves,
-    the last Bellman residual and whether the adversary settled.
+    the last Bellman residual and whether the adversary settled. With
+    `rank` (values over all states) and a solve to follow, the first pick
+    ranks `states` by rank[states] instead of V[states]; frozen states keep
+    V. Only that pick reads it: whatever chain it makes, its solve bounds
+    the value from the same side as any other, so rank moves no fixed
+    point and never floors V. It saves solves where it orders the states
+    as their values do.
 
     Strategy iteration for the adversary (Hoffman & Karp 1966): pick its
     extreme distributions at V (_pick), solve that chain exactly
@@ -517,9 +529,13 @@ def _evaluate(
         A[trapped, trapped] = 1.0  # identity rows
         live = np.flatnonzero(~trapped)
     scratch = np.empty(min(kernel.per_block[1], n) * n)
+    at = V
+    if rank is not None and max_solves > 0:
+        at = V.copy()
+        at[states] = rank[states]
     solves, settled = 0, False
     while True:
-        replaced, residual = _pick(kernel, V, states, rows, live, maximize, A, b, scratch, not solves)
+        replaced, residual = _pick(kernel, at, states, rows, live, maximize, A, b, scratch, not solves)
         if solves and not replaced:
             settled = True
             break
@@ -527,13 +543,16 @@ def _evaluate(
             break
         v = _solve_chain(A, b)
         V[states] = np.maximum(v, V[states]) if maximize else v
-        solves += 1
+        solves, at = solves + 1, V
     if not maximize:
         V[states] = np.maximum(V[states], entry)
     return solves, residual, settled
 
 
-def _maximin(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, tol: float, max_sweeps: int):
+def _maximin(
+    kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, tol: float, max_sweeps: int,
+    start: np.ndarray | None = None,
+):
     """The maximin pass over one group, strategy iteration for the
     controller (Howard 1960): an improvement step (_improve) switches the
     held strategy at V, and its exact value against the minimizer
@@ -543,34 +562,46 @@ def _maximin(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, tol: float
     only in an evaluation, and a switch on a gain never lowers the held
     strategy's value, so every stopping point is a sound lower bound.
 
+    The held strategy starts at action 0, or at `start` (one action per
+    state of `states`), which is then evaluated first, as one sweep, when
+    the budget allows one. Any start reaches the same fixed point, and its
+    evaluation is an exact pessimistic value like any other; a good start
+    saves steps.
+
     Returns the sweeps (improvement steps plus evaluations, each counted
     once), the improvement steps, the Bellman residual at the returned V,
     whether the pass converged, and the strategy extracted there. A pass
     whose budget runs out after an evaluation takes one more improvement
     step, not counted, for its residual and strategy."""
-    choice = np.zeros(states.size, dtype=np.int64)
+    choice = np.zeros(states.size, dtype=np.int64) if start is None else start.copy()
     sweeps = steps = 0
+    evaluated = start is not None and max_sweeps > 0
+    if evaluated:
+        _evaluate(kernel, V, states, kernel.store.first[states] + choice, maximize=False)
+        sweeps += 1
     while True:
         residual, switched, extracted = _improve(kernel, V, states, choice, tol)
         if sweeps >= max_sweeps:
             return sweeps, steps, residual, False, extracted
         sweeps, steps = sweeps + 1, steps + 1
-        converged = residual < tol or (steps > 1 and not switched)  # steps > 1: after an evaluation
+        converged = residual < tol or (evaluated and not switched)
         if converged or sweeps >= max_sweeps:
             return sweeps, steps, residual, converged, extracted
         _evaluate(kernel, V, states, kernel.store.first[states] + choice, maximize=False)
-        sweeps += 1
+        sweeps, evaluated = sweeps + 1, True
 
 
-def _solve(product, max_sweeps: int, tol: float = 0.0, strategy=None) -> ValueIterationResult:
+def _solve(product, max_sweeps: int, tol: float = 0.0, strategy=None, start=None,
+           rank=None) -> ValueIterationResult:
     """Both passes: V starts at 1 on the accepting states and 0 elsewhere,
     and the groups of product.solve_order() are solved one after another,
     each with the values of the groups before it frozen: by the maximin
-    pass (_maximin, to tol) without a strategy, which also extracts one, by
-    the exact evaluation of `strategy` against the maximizer (_evaluate)
-    with one. The groups share the one max_sweeps budget: sweeps and
-    full_sweeps are summed over them, residual is the largest group
-    residual, and the pass converged when every group did."""
+    pass (_maximin from `start`, to tol) without a strategy, which also
+    extracts one, by the exact evaluation of `strategy` against the
+    maximizer (_evaluate, its first pick ranked by `rank`) with one. start
+    and rank hold one entry per state. The groups share the one max_sweeps
+    budget: sweeps and full_sweeps are summed over them, residual is the
+    largest group residual, and the pass converged when every group did."""
     store = product.rows
     V = product.accepting.astype(float)
     extracted = np.zeros(product.num_states, dtype=np.int64)
@@ -579,10 +610,11 @@ def _solve(product, max_sweeps: int, tol: float = 0.0, strategy=None) -> ValueIt
         states = np.flatnonzero(inner)
         left = max_sweeps - result.sweeps
         if strategy is None:
-            sweeps, full_sweeps, residual, converged, extracted[states] = _maximin(kernel, V, states, tol, left)
+            sweeps, full_sweeps, residual, converged, extracted[states] = _maximin(
+                kernel, V, states, tol, left, None if start is None else start[states])
         else:
             rows = store.first[states] + strategy[states]
-            sweeps, residual, converged = _evaluate(kernel, V, states, rows, True, left)
+            sweeps, residual, converged = _evaluate(kernel, V, states, rows, True, left, rank)
             full_sweeps = sweeps
         result.sweeps += sweeps
         result.full_sweeps += full_sweeps
@@ -591,10 +623,32 @@ def _solve(product, max_sweeps: int, tol: float = 0.0, strategy=None) -> ValueIt
     return result
 
 
+def _check_strategy(product, strategy, name: str) -> np.ndarray:
+    """`strategy` as int64, after checking that it holds one action index in
+    [0, num_actions) per product state, of an integer dtype (not float, not
+    bool); a ValueError names `name` and the first bad state."""
+    strategy = np.asarray(strategy)
+    S, A = product.num_states, product.rows.num_actions
+    if strategy.shape != (S,):
+        raise ValueError(
+            f"{name} has shape {strategy.shape}, need one action per state for {S} states "
+            f"(first bad state {min(strategy.size, S)})"
+        )
+    if strategy.dtype.kind not in "iu":
+        raise ValueError(f"{name} has dtype {strategy.dtype}, need integer action indices")
+    strategy = strategy.astype(np.int64, copy=False)
+    bad = np.flatnonzero((strategy < 0) | (strategy >= A))
+    if bad.size:
+        s = int(bad[0])
+        raise ValueError(f"{name}[{s}] = {strategy[s]} is not an action index in [0, {A})")
+    return strategy
+
+
 def robust_value_iteration(
     product,
     tol: float = 1e-6,
     max_sweeps: int = 5000,
+    start: np.ndarray | None = None,
 ) -> ValueIterationResult:
     """Maximin reachability: the controller maximizes, the adversary inside
     the probability intervals minimizes. Returns the pessimistic values
@@ -604,14 +658,23 @@ def robust_value_iteration(
     iteration (see _maximin): improvement steps switch the controller's
     held strategy, each followed by its exact evaluation, so the values are
     a held strategy's exact pessimistic value, never decrease, and stop
-    once the Bellman residual falls below tol."""
-    return _solve(product, max_sweeps, tol=tol)
+    once the Bellman residual falls below tol.
+
+    `start`, one action index per state (checked as evaluate_strategy_upper
+    checks its strategy), is the held strategy the search starts from, in
+    place of action 0 everywhere: it is evaluated first and counts as one
+    sweep. It seeds the strategy, never the values, so the result is as
+    sound from any start, and equal to within tol."""
+    if start is not None:
+        start = _check_strategy(product, start, "start")
+    return _solve(product, max_sweeps, tol=tol, start=start)
 
 
 def evaluate_strategy_upper(
     product,
     strategy: np.ndarray,
     max_sweeps: int = 5000,
+    rank: np.ndarray | None = None,
 ) -> ValueIterationResult:
     """Optimistic value of a fixed strategy: the adversary inside the
     intervals now maximizes, giving the upper probability bounds for the
@@ -619,22 +682,14 @@ def evaluate_strategy_upper(
     group loop as the maximin pass (_solve), over the strategy's rows only,
     solved exactly (_evaluate): each chain solve counts as a sweep and a
     full sweep, and no tolerance is needed. strategy holds one action index in
-    [0, num_actions) per state, of an integer dtype (not float, not bool)."""
-    store = product.rows
-    strategy = np.asarray(strategy)
-    S = product.num_states
-    if strategy.shape != (S,):
-        raise ValueError(
-            f"strategy has shape {strategy.shape}, need one action per state for {S} states "
-            f"(first bad state {min(strategy.size, S)})"
-        )
-    if strategy.dtype.kind not in "iu":
-        raise ValueError(f"strategy has dtype {strategy.dtype}, need integer action indices")
-    strategy = strategy.astype(np.int64, copy=False)
-    bad = np.flatnonzero((strategy < 0) | (strategy >= store.num_actions))
-    if bad.size:
-        s = int(bad[0])
-        raise ValueError(
-            f"strategy[{s}] = {strategy[s]} is not an action index in [0, {store.num_actions})"
-        )
-    return _solve(product, max_sweeps, strategy=strategy)
+    [0, num_actions) per state, of an integer dtype (not float, not bool).
+
+    The maximizer climbs from below. Its first pick ranks a group's states
+    at V = 0 without `rank`, and by rank (one value per state, such as the
+    maximin values) with it; after that it climbs as before. rank orders
+    that pick only and never floors the values: any first pick ends at the
+    same fixed point, and one ordered like the values needs fewer solves."""
+    strategy = _check_strategy(product, strategy, "strategy")
+    if rank is not None and np.shape(rank) != (product.num_states,):
+        raise ValueError(f"rank has shape {np.shape(rank)}, need one value per state")
+    return _solve(product, max_sweeps, strategy=strategy, rank=rank)

@@ -238,6 +238,7 @@ def synthesize(
     dfa: Dfa,
     tol: float = 1e-6,
     max_sweeps: int = 5000,
+    start: np.ndarray | None = None,
 ) -> Synthesis:
     """Product construction plus the two passes: the maximin pass bounds
     the strategy from below (strategy iteration: improvement steps
@@ -245,17 +246,31 @@ def synthesize(
     the Bellman residual falls below tol; tol is also the action-tie
     tolerance of the extraction), and the optimistic pass is the extracted
     strategy's exact value against the maximizing adversary, by chain
-    solves. Both run group by group over the product's solve_order(), so
-    lower.sweeps and upper.sweeps sum the groups' counts. p_lower and
-    p_upper are the values of pids 0..num_cells-1, the cells' initial
-    product states. p_lower is the exact pessimistic value of the last
-    held strategy; the emitted strategy, whose actions the extraction may
-    pick within tol of the held ones, can trail it. p_upper is clamped up to p_lower (np.maximum), which
-    hides an extracted action whose own optimistic value lies below
-    p_lower; see the README's known limitations."""
+    solves, its first adversary picked at the maximin values. Both run
+    group by group over the product's solve_order(), so lower.sweeps and
+    upper.sweeps sum the groups' counts. p_lower and p_upper are the values
+    of pids 0..num_cells-1, the cells' initial product states.
+
+    `start` is an action table over (cell, DFA state), laid out as
+    SwitchingStrategy.table, that the maximin pass starts from (a refined
+    grid's last strategy, lifted to its cells); it seeds the strategy, not
+    the values, so p_lower is as sound from any start.
+
+    p_lower is the exact pessimistic value of the last held strategy; the
+    emitted strategy, whose actions the extraction may pick within tol of
+    the held ones, can trail it. p_upper is clamped up to p_lower
+    (np.maximum), which hides an extracted action whose own optimistic
+    value lies below p_lower; see the README's known limitations."""
     product = build_product(abstraction.imdp, dfa)
-    lower = robust_value_iteration(product, tol=tol, max_sweeps=max_sweeps)
-    upper = evaluate_strategy_upper(product, lower.strategy, max_sweeps=max_sweeps)
+    if start is not None:
+        table = np.asarray(start)
+        shape = (abstraction.grid.num_cells, len(dfa.states))
+        if table.shape != shape:
+            raise ValueError(f"start table has shape {table.shape}, need {shape} (cells, DFA states)")
+        cell, d = product.states.T
+        start = np.where(cell >= 0, table[cell, d], 0)  # the out-of-domain state is frozen
+    lower = robust_value_iteration(product, tol=tol, max_sweeps=max_sweeps, start=start)
+    upper = evaluate_strategy_upper(product, lower.strategy, max_sweeps=max_sweeps, rank=lower.values)
     p_lower = lower.values[: product.imdp.num_cells]
     p_upper = np.maximum(upper.values[: product.imdp.num_cells], p_lower)
     return Synthesis(product=product, lower=lower, upper=upper, p_lower=p_lower, p_upper=p_upper)
@@ -367,9 +382,13 @@ def run_pipeline(
         )
         if not outcome.splits:
             break
+        # the last strategy on the refined grid: each high child plays its parent's row
+        start = map_strategy(synth.product, synth.lower.strategy, abstraction.grid).table
+        low, high, _ = np.array(outcome.splits, dtype=np.int64).T
+        start[high] = start[low]
         synth = None  # the last product goes before the next store and product are built
         apply_refinement(abstraction, outcome)
-        synth = synthesize(abstraction, config.dfa, config.vi_tolerance, config.vi_max_sweeps)
+        synth = synthesize(abstraction, config.dfa, config.vi_tolerance, config.vi_max_sweeps, start)
         mean_gap, max_gap = gap_stats(abstraction.grid, synth.p_lower, synth.p_upper)
         rounds.append(
             {
@@ -380,6 +399,7 @@ def run_pipeline(
                 "num_product_states": synth.product.num_states,
                 "mean_gap": mean_gap,
                 "max_gap": max_gap,
+                "sweeps": {"lower": synth.lower.sweeps, "upper": synth.upper.sweeps},
             }
         )
     timings["refinement"] = time.perf_counter() - t

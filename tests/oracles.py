@@ -76,6 +76,18 @@ def naive_row(grid, source, action, bounds):
     return targets, klo, kup, rem
 
 
+def locate_by_search(grid, points):
+    """RegionGrid.locate by one binary search per dimension over the same
+    raster: np.searchsorted(edges, x, side="right"), which puts NaN past
+    every edge."""
+    tables, strides, owner = grid._build_raster()
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    flat = np.searchsorted(tables[0].edges, pts[:, 0], side="right") * strides[0]
+    for l in range(1, grid.dim):
+        flat += np.searchsorted(tables[l].edges, pts[:, l], side="right") * strides[l]
+    return owner[flat]
+
+
 # -- rows and row stores ----------------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from nndm_synth.refinement import RefinementConfig
 
 # sha256 of the pickled classes' field names (see _pickled_fields) under the
 # current artifact format
-_FORMAT_DIGEST = (14, "b5304f35df6cae5297a5f5efaf9ddbb4cbd8317a5b86ec0050444e127646b1f6")
+_FORMAT_DIGEST = (15, "a33210fb22add4e328b3f23310907a564622787fd7f145f01913c87b65a12232")
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from nndm_synth.geometry import (
 )
 from nndm_synth.relaxation import LinearBounds
 
-from oracles import post_image_hulls
+from oracles import locate_by_search, post_image_hulls
 
 
 def in_convex_hull(point, vertices, tol=1e-9):
@@ -265,6 +265,35 @@ class TestRegionGrid:
 
         assert grid.locate(pts).tolist() == [brute(p) for p in pts]
         assert grid.locate(pts[0]) == brute(pts[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bucket_locate_is_the_binary_search(self, seed):
+        # grids refined by split_cell, one cell split 20 times in a row so
+        # that one bucket holds several edges; the points are every cut and
+        # 1 ulp either side of it, the domain bounds, cell middles, random
+        # points in and around the domain, +-inf, NaN and huge finite values
+        rng = np.random.default_rng(seed)
+        grid = self._grid(counts=(5, 3))
+        for _ in range(30):
+            grid.split_cell(int(rng.integers(grid.num_cells)), int(rng.integers(2)))
+        cell = int(rng.integers(grid.num_cells))
+        for k in range(20):
+            grid.split_cell(cell, k % 2)
+        tables, _, _ = grid._build_raster()
+        assert max(t.scan for t in tables) > 1
+        axes = []
+        for t in tables:
+            cuts = np.append(t.edges[:-1], np.nextafter(t.edges[-1], -np.inf))  # the last is the bound
+            near = np.concatenate([cuts, np.nextafter(cuts, np.inf), np.nextafter(cuts, -np.inf)])
+            axes.append(np.concatenate([near, 0.5 * (cuts[:-1] + cuts[1:]), rng.uniform(-2.5, 2.5, 50),
+                                        [np.inf, -np.inf, np.nan, 1e308, -1e308]]))
+            # each dimension's position is bitwise np.searchsorted's
+            assert np.array_equal(t.position(axes[-1]), np.searchsorted(t.edges, axes[-1], side="right"))
+        pts = np.array(list(itertools.product(*axes)))
+        assert np.array_equal(grid.locate(pts), locate_by_search(grid, pts))
+        for p in pts[rng.choice(len(pts), 20)]:
+            assert grid.locate(p) == locate_by_search(grid, p)[0]
 
     def test_cells_follow_product_order(self):
         # literal per-cell loop over the cut planes as the reference

@@ -510,6 +510,18 @@ class TestValueIteration:
         with pytest.raises(ValueError, match="first bad state 5"):
             evaluate_strategy_upper(prod, np.zeros(5, dtype=np.int64))
 
+    @pytest.mark.parametrize("bad, match", [
+        (np.zeros(5, dtype=np.int64), r"start has shape \(5,\).*first bad state 5"),
+        (np.zeros(12), "start has dtype float64"),
+        (np.zeros(12, dtype=bool), "start has dtype bool"),
+        (np.r_[0, 0, 0, 0, 2, np.zeros(7, dtype=np.int64)], r"start\[4\] = 2 is not an action index"),
+        (np.r_[0, 0, 0, 0, -1, np.zeros(7, dtype=np.int64)], r"start\[4\] = -1 is not an action index"),
+    ])
+    def test_bad_start_rejected(self, bad, match):
+        # the start strategy is checked by evaluate_strategy_upper's rule
+        with pytest.raises(ValueError, match=match):
+            robust_value_iteration(random_product(3), tol=1e-10, start=bad)
+
     def test_deterministic_across_runs(self):
         prod = random_product(19)
         a = robust_value_iteration(prod, tol=1e-8)
@@ -517,6 +529,80 @@ class TestValueIteration:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.strategy, b.strategy)
         assert a.sweeps == b.sweeps
+
+
+class TestWarmStart:
+    """The maximin pass started from a given strategy, and the optimistic
+    pass whose first pick is ranked by given values."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-16])
+    def test_an_optimal_start_ends_after_two_sweeps(self, tol):
+        # its evaluation, then an improvement step that switches nothing:
+        # below rounding (1e-16) that step ends the pass, as after any
+        # evaluation, and the extraction there follows rounding noise
+        for seed in (3, 11, 29):
+            prod = random_product(seed, n_actions=3)
+            cold = robust_value_iteration(prod, tol=tol)
+            warm = robust_value_iteration(prod, tol=tol, start=cold.strategy)
+            assert cold.converged and cold.sweeps > 2
+            assert warm.converged and warm.sweeps == 2 and warm.full_sweeps == 1
+            assert tol < 1e-12 or np.array_equal(warm.strategy, cold.strategy)
+            assert np.max(np.abs(warm.values - cold.values)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_any_start_reaches_the_fixed_point(self, seed):
+        prod = random_product(seed, n_actions=3)
+        want = jacobi_lp_values(prod)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            start = rng.integers(0, 3, prod.num_states)
+            got = robust_value_iteration(prod, tol=1e-10, start=start)
+            assert got.converged
+            assert np.max(np.abs(got.values - want)) < 1e-9
+
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_a_self_loop_start_is_left(self, start):
+        # action 0 self-loops, action 1 reaches the goal: from the self-loop
+        # the evaluation values the state at 0 and the next step switches
+        stay = (np.array([0]), np.ones(1), np.ones(1))
+        go = (np.array([1]), np.ones(1), np.ones(1))
+        prod = _one_live_state({0: stay, 1: go})
+        got = robust_value_iteration(prod, tol=1e-12, start=np.array([start, 0, 0]))
+        assert got.converged and got.values.tolist() == [1.0, 1.0, 0.0]
+        assert got.values[0] == jacobi_lp_values(prod)[0]
+        assert got.sweeps == (4 if start == 0 else 2)
+
+    def test_a_start_spends_no_budget_a_group_lacks(self):
+        # the first groups may use up the budget: a later group then takes
+        # no start evaluation, and no cut exceeds max_sweeps
+        prod = random_dfa_product(TWO_GOALS, 3, num_actions=3)
+        want = jacobi_lp_values(prod)
+        start = np.random.default_rng(5).integers(0, 3, prod.num_states)
+        whole = robust_value_iteration(prod, tol=1e-10, start=start)
+        assert whole.converged
+        assert np.max(np.abs(whole.values - want)) < 1e-6
+        for k in range(1, whole.sweeps):
+            got = robust_value_iteration(prod, tol=1e-10, max_sweeps=k, start=start)
+            assert got.sweeps == k and not got.converged
+            assert np.all(got.values <= want + 1e-9)
+
+    @pytest.mark.parametrize("make", [lambda: random_product(7, n_actions=3),
+                                      lambda: random_dfa_product(TWO_GOALS, 2, num_actions=3)],
+                             ids=["one_group", "three_groups"])
+    def test_a_ranked_upper_pass_is_the_cold_one(self, make):
+        prod = make()
+        low = robust_value_iteration(prod, tol=1e-10)
+        cold = evaluate_strategy_upper(prod, low.strategy)
+        ranked = evaluate_strategy_upper(prod, low.strategy, rank=low.values)
+        assert cold.converged and ranked.converged
+        assert np.max(np.abs(ranked.values - cold.values)) < 1e-12
+        assert np.max(np.abs(ranked.values - jacobi_lp_values(prod, strategy=low.strategy))) < 1e-6
+        assert ranked.sweeps <= cold.sweeps
+
+    def test_rank_of_wrong_length_rejected(self):
+        prod = random_product(3)
+        with pytest.raises(ValueError, match="rank has shape"):
+            evaluate_strategy_upper(prod, np.zeros(12, dtype=np.int64), rank=np.zeros(5))
 
 
 def _one_live_state(rows):
@@ -638,7 +724,8 @@ class TestExactEvaluation:
 
     def test_the_maximizer_solves_only_what_reaches_value(self):
         # a closed pair of states and a self-loop are worth 0 to the
-        # maximizer too; a state that may reach the goal is worth 1
+        # maximizer too; a state that may reach the goal is worth 1. A first
+        # pick ranked as if every state were worth 1 floors no value
         rows = {
             (0, 0): (np.array([1]), np.ones(1), np.ones(1)),
             (1, 0): (np.array([0]), np.ones(1), np.ones(1)),
@@ -647,9 +734,10 @@ class TestExactEvaluation:
         }
         accepting, sink = np.eye(6, dtype=bool)[4], np.eye(6, dtype=bool)[5]
         prod = FakeProduct(accepting, sink, rows, 1)
-        high = evaluate_strategy_upper(prod, np.zeros(6, dtype=np.int64))
-        assert high.converged
-        assert high.values[:4].tolist() == [0.0, 0.0, 0.0, 1.0]
+        for rank in (None, np.ones(6)):
+            high = evaluate_strategy_upper(prod, np.zeros(6, dtype=np.int64), rank=rank)
+            assert high.converged
+            assert high.values[:4].tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_synthesis_loads_no_scipy_linalg_or_sparse(self):
         # importing scipy.linalg, scipy.sparse or scipy.sparse.csgraph adds

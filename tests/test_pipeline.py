@@ -608,6 +608,28 @@ class TestRunPipeline:
                                 "num_product_states"}
         base_gap, _ = gap_stats(res.abstraction.grid, res.p_lower, res.p_upper)
         assert res2.rounds[-1]["mean_gap"] < base_gap
+        assert [rec["sweeps"] for rec in res2.rounds][-1] == {"lower": res2.lower.sweeps,
+                                                             "upper": res2.upper.sweeps}
+
+    def test_a_warm_round_matches_a_cold_one(self, small_run):
+        # each round after a split starts from the last round's strategy;
+        # synthesized cold on the same refined abstraction, the strategy is
+        # the same and p_lower agrees within tol
+        nd, config, _, _ = small_run
+        warm = run_pipeline(replace(config, refinement=RefinementConfig(per_round=3, rounds=2)), nd=nd)
+        assert len(warm.rounds) == 2
+        cold = synthesize(warm.abstraction, config.dfa, config.vi_tolerance, config.vi_max_sweeps)
+        assert warm.lower.converged and cold.lower.converged
+        assert np.array_equal(warm.lower.strategy, cold.lower.strategy)
+        assert np.max(np.abs(warm.p_lower - cold.p_lower)) <= config.vi_tolerance
+        assert np.max(np.abs(warm.p_upper - cold.p_upper)) <= config.vi_tolerance
+        assert warm.lower.sweeps < cold.lower.sweeps
+
+    def test_a_start_table_of_the_wrong_shape_is_refused(self, small_run):
+        _, config, res, _ = small_run
+        table = res.switching.table
+        with pytest.raises(ValueError, match="start table has shape"):
+            synthesize(res.abstraction, config.dfa, start=table[:-1])
 
     def test_stop_width_ends_refinement_early(self, small_run, tmp_path):
         nd, config, res, _ = small_run
