@@ -268,7 +268,7 @@ class ProductImdp:
             reach = wider
         live = ~(self.accepting | self.sink)
         d_of = self.states[:, 1]
-        held = np.unique(d_of[live])
+        held = np.flatnonzero(np.bincount(d_of[live], minlength=n))  # not np.unique: see geometry._insert_cuts
         sccs = {tuple(np.flatnonzero(reach[d] & reach[:, d])) for d in held.tolist()}
         order = sorted(sccs, key=lambda scc: (np.count_nonzero(reach[scc[0]]), scc))
         return [np.flatnonzero(live & np.isin(d_of, scc)) for scc in order]

@@ -37,7 +37,7 @@ from .pipeline import (
 )
 
 # Bump whenever a pickled class or the pickled dict changes its fields.
-_ARTIFACT_FORMAT = 15
+_ARTIFACT_FORMAT = 16
 _EXIT_NOT_CONVERGED = 3
 
 

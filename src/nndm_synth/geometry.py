@@ -184,6 +184,12 @@ class RegionGrid:
         if len(self.labels) != self.lo.shape[0]:
             raise ValueError("one label set per cell required")
 
+    def __getstate__(self):  # the point-location cache is rebuilt on the first locate
+        return {k: v for k, v in vars(self).items() if k != "_raster"}
+
+    def __setstate__(self, state):
+        vars(self).update(state, _raster=None)
+
     @property
     def num_cells(self) -> int:
         return self.lo.shape[0]
@@ -231,7 +237,10 @@ class RegionGrid:
         UNSAFE_ID layer on each side of every dimension: position 0 is below
         the domain, the last is above it (or NaN). The cells tile the domain,
         so the first and last cut of each dimension are the domain's bounds."""
-        cuts = [np.unique(np.concatenate([self.lo[:, l], self.hi[:, l]])) for l in range(self.dim)]
+        cuts = []
+        for l in range(self.dim):
+            c = np.sort(np.concatenate([self.lo[:, l], self.hi[:, l]]))
+            cuts.append(c[np.append(True, c[1:] != c[:-1])])  # a plain np.unique imports numpy.ma (numpy 2.4)
         shape = tuple(len(c) + 1 for c in cuts)
         if np.prod(shape) > _MAX_RASTER_CELLS:
             raise RuntimeError(f"point-location raster too large: {shape}")
@@ -306,8 +315,9 @@ class _Buckets:
 def _insert_cuts(base: np.ndarray, extra: Iterable[float], lo: float, hi: float) -> np.ndarray:
     vals = np.concatenate([base, np.fromiter(extra, dtype=float)])
     vals = vals[(vals >= lo) & (vals <= hi)]
-    vals = np.unique(vals)
-    # collapse cuts closer than snapping noise so no degenerate cells appear
+    vals = np.sort(vals)  # a plain np.unique imports numpy.ma (numpy 2.4)
+    # collapse equal cuts, and cuts closer than snapping noise, so no
+    # degenerate cells appear
     keep = [vals[0]]
     tol = 1e-12 * max(1.0, abs(lo), abs(hi))
     for v in vals[1:]:

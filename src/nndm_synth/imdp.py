@@ -60,9 +60,9 @@ so the dense buffer is as wide as the group's reach, not the product, and
 nothing is copied: the kernel ranks the product's own target ids. A group
 that holds every row (a DFA with one live state) spans every state, as a
 kernel over the whole product does. A group's chain is one dense
-(states, states) matrix, built in blocks of rows, and only numpy is
-needed: scipy's linalg and sparse modules would add several MiB to the
-process. The groups share one sweep budget, and a pass's sweep counts are
+(states, states) matrix, built in blocks of rows, with numpy alone: the
+package imports no scipy module, and scipy's linalg and sparse modules
+would add several MiB to the process. The groups share one sweep budget, and a pass's sweep counts are
 summed over them.
 """
 

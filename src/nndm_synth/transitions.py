@@ -21,10 +21,23 @@ interval in d, and a grid has few distinct intervals per dimension. So the
 rows of one action are built as one stack. Each row's erf terms for its
 nearest and farthest mean are tabulated over the distinct target intervals
 of every dimension, gathered into the (rows, targets) layout and multiplied
-in dimension order, exactly as `gaussian_box_mass` multiplies them. The
+in dimension order, exactly as `gaussian_box_mass` multiplies them. Those
+means are sides of the row's rectangle or interval centers, so erf runs
+once per (row, side, distinct interval edge) and once per interval. The
 corner-box minimum runs only on the (row, target) pairs whose target meets
-the row's rectangle. Refinement rebuilds every row through the same call,
-from the envelopes cached for the cells it did not split.
+the row's rectangle, from side terms tabulated once per (row, interval)
+pair. Refinement rebuilds every row through the same call, from the
+envelopes cached for the cells it did not split.
+
+erf and erfc are evaluated here in numpy, by the rational approximations of
+Cephes (S. L. Moshier, Methods and Programs for Mathematical Functions,
+1989), the ones scipy.special evaluates; one evaluation per element gives
+both erf(x) and erfc(|x|) (_erf_erfc). Against mpmath at 40 digits the
+relative error is at most 4e-16 for erf on [-6, 6] and 1e-13 for erfc on
+[-3, 26.5] (tests/test_transitions.py); erfc is exactly 0 past 26.64, and no
+finite input warns. Where |x| < 1 the bits are scipy's; elsewhere numpy's
+exp is not the C library's, and on 5.5 million points in [-30, 30] erf
+stayed within 1 ulp of scipy 1.17's and erfc within 4 ulp.
 
 Bounds below _PRUNE are pruned (_prune): a lower bound there becomes 0, and
 a target whose upper bound is below it leaves the row, its upper bound added
@@ -40,14 +53,33 @@ the build stops with InternalConsistencyError naming the row's (cell, action).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf, erfc
 
 from .geometry import UNSAFE_ID, RegionGrid, post_image_boxes
 from .imdp import RowStore
 from .relaxation import LinearBounds
+
+# erf and erfc by Cephes's rational approximations (ndtr.c), highest degree
+# first. |x| <= 1: erf = x T(x^2) / U(x^2); 1 <= |x| < 8:
+# erfc = exp(-x^2) P(|x|) / Q(|x|); |x| >= 8: the same with R / S; erfc is 0
+# once x^2 > _MAXLOG, where exp(-x^2) leaves the doubles.
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
 
 _SQRT2 = float(np.sqrt(2.0))
 # Bounds below this are pruned into the row's remainder (see _prune). At
@@ -56,11 +88,15 @@ _SQRT2 = float(np.sqrt(2.0))
 # width for size, so it is fixed, not a setting.
 _PRUNE = 1e-6
 # (row, target) entries per stacked kernel pass: a chunk holds this many
-# entries' worth of rows against every cell. Keeps the temporaries near
-# 1 MiB; on 720 cells (32 rows a chunk), 32 rows ran fastest of 8-64 without
-# raising peak memory (64 did), and small grids get more rows a chunk, so
-# their numpy call overhead stays low. The value changes no result.
-_CHUNK_ENTRIES = 32 * 721
+# entries' worth of rows against every cell (128 rows on 720 cells). A
+# chunk's erf tables grow with its rows, so larger chunks make fewer and
+# larger erf calls: in a warm process 128 rows ran fastest, or within noise
+# of it, of 32-512 on 720 cells, and so did this cap on 169-288 cells
+# (320-540 rows). Its (rows, targets) temporaries of about 1.5 MiB make
+# glibc give heap pages back and take them again chunk after chunk, though:
+# about 26 thousand minor page faults per vehicle3d_certify build, against
+# 1 thousand with 32 rows. The value changes no result.
+_CHUNK_ENTRIES = 128 * 721
 
 
 class InternalConsistencyError(RuntimeError):
@@ -68,22 +104,72 @@ class InternalConsistencyError(RuntimeError):
     indicates a bug rather than bad input."""
 
 
+def _poly(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Horner's rule, highest degree first, in Cephes's operation order."""
+    y = coef[0] * x
+    y += coef[1]
+    for c in coef[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erf_inner(x: np.ndarray) -> np.ndarray:
+    """erf(x) for |x| <= 1."""
+    z = x * x
+    return x * _poly(z, _T) / _poly(z, _U)
+
+
+def _erfc_outer(x: np.ndarray) -> np.ndarray:
+    """erfc(x) for x >= 1 or NaN. x is capped at 27, where erfc is already
+    0, so x * x cannot overflow."""
+    x = np.minimum(x, 27.0)
+    z = x * x
+    near = x < 8.0
+    if near.all():
+        y = np.exp(-z) * _poly(x, _P) / _poly(x, _Q)
+    else:
+        y = np.empty_like(x)
+        for part, num, den in ((near, _P, _Q), (~near, _R, _S)):
+            t = x[part]
+            y[part] = np.exp(-z[part]) * _poly(t, num) / _poly(t, den)
+    y[z > _MAXLOG] = 0.0
+    return y
+
+
+def _erf_erfc(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(erf(x), erfc(|x|)) elementwise, by Cephes's branches: erf(x) by
+    _erf_inner where |x| < 1, erfc(|x|) by _erfc_outer elsewhere, and the
+    other as erfc(|x|) = 1 - erf(|x|) or erf(x) = sign(x) (1 - erfc(|x|)), as
+    Cephes derives it (at |x| = 1 both branches give erf's bits). Both
+    branches run on every element, each on arguments clipped into its
+    range, which costs less than splitting the array."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    inner = ax < 1.0
+    e = _erf_inner(np.clip(x, -1.0, 1.0))
+    c = _erfc_outer(np.maximum(ax, 1.0))
+    return np.where(inner, e, np.copysign(1.0 - c, x)), np.where(inner, 1.0 - np.abs(e), c)
+
+
+def _differences(at_lo: np.ndarray, at_hi: np.ndarray) -> np.ndarray:
+    """Per-dimension factor 2 P(z + N(0, 1) in [lo, hi]), elementwise, from
+    (x, erf(x), erfc(|x|)) stacked on the first axis (see _erf_erfc) at its
+    erf arguments a = (z - lo) / sqrt2 (at_lo) and b = (z - hi) / sqrt2
+    (at_hi): erf(a) - erf(b), except in the far tails, where that difference
+    would cancel: erfc(b) - erfc(a) when b >= 4, erfc(-a) - erfc(-b) when
+    a <= -4."""
+    a, erf_a, erfc_a = at_lo
+    b, erf_b, erfc_b = at_hi
+    return np.where(a <= -4.0, erfc_a - erfc_b, np.where(b >= 4.0, erfc_b - erfc_a, erf_a - erf_b))
+
+
 def _erf_terms(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-dimension factor 2 P(z + N(0, 1) in [lo, hi]), elementwise. Far
-    tails switch to erfc so the erf difference does not cancel; each element
-    evaluates only its own branch."""
-    a = (z - lo) / _SQRT2
-    b = (z - hi) / _SQRT2
-    right = b >= 4.0
-    left = a <= -4.0
-    if not (right.any() or left.any()):
-        return erf(a) - erf(b)
-    term = np.empty(a.shape)
-    mid = ~(right | left)
-    term[mid] = erf(a[mid]) - erf(b[mid])
-    term[right] = erfc(b[right]) - erfc(a[right])
-    term[left] = erfc(-a[left]) - erfc(-b[left])
-    return term
+    """Per-dimension factor 2 P(z + N(0, 1) in [lo, hi]), elementwise (see
+    _differences), with one _erf_erfc call on both erf arguments."""
+    x = np.stack(np.broadcast_arrays((z - lo) / _SQRT2, (z - hi) / _SQRT2))
+    t = np.stack([x, *_erf_erfc(x)])
+    return _differences(t[:, 0], t[:, 1])
 
 
 def gaussian_box_mass(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -113,66 +199,118 @@ def extremal_means(
     return z_min, z_max
 
 
-def _intervals(lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, ...]:
+class _Intervals(NamedTuple):
     """The distinct target intervals of every dimension, concatenated:
-    (lo, hi, dim), each (K,), where dim[k] is the dimension of interval k,
-    and idx (n, C), where idx[d, q] is target q's interval in dimension d.
-    Intervals are told apart by their bits, so a gathered term is exactly
-    the term of the target's own bounds."""
-    parts, idx, k = [], [], 0
+    interval k is [lo[k], hi[k]] in dimension dim[k], and idx[d, q] is
+    target q's interval in dimension d (idx is (n, C)). The distinct edges
+    of every dimension, concatenated, are `edge`, edge j lies in dimension
+    edim[j], and interval k spans edges jlo[k] and jhi[k]. Intervals and
+    edges are told apart by their bits, so a gathered term is exactly the
+    term of the target's own bounds."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    dim: np.ndarray
+    idx: np.ndarray
+    edge: np.ndarray
+    edim: np.ndarray
+    jlo: np.ndarray
+    jhi: np.ndarray
+
+
+def _intervals(lows: np.ndarray, highs: np.ndarray) -> _Intervals:
+    """The distinct intervals and edges of the C target boxes [lows, highs]
+    (C, n). Every np.unique here returns indices, which keeps numpy 2.4 from
+    importing numpy.ma."""
+    parts, idx, edges, ends, k, j = [], [], [], [], 0, 0
     for d in range(lows.shape[1]):
         pairs = np.stack([lows[:, d], highs[:, d]], axis=1)
         _, first, inv = np.unique(pairs.view(np.int64), axis=0, return_index=True, return_inverse=True)
         idx.append(k + inv.reshape(-1))
         parts.append(pairs[first])
         k += len(first)
-    dim = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+        bounds = parts[-1].ravel()
+        _, first, inv = np.unique(bounds.view(np.int64), return_index=True, return_inverse=True)
+        edges.append(bounds[first])
+        ends.append(j + inv.reshape(-1, 2))
+        j += len(first)
     ilo, ihi = np.concatenate(parts).T
-    return ilo, ihi, dim, np.stack(idx)
+    jlo, jhi = np.concatenate(ends).T
+    return _Intervals(
+        ilo, ihi, np.repeat(np.arange(len(parts)), [len(p) for p in parts]), np.stack(idx),
+        np.concatenate(edges), np.repeat(np.arange(len(edges)), [len(e) for e in edges]), jlo, jhi,
+    )
 
 
 def _corner_box_min(
     box_lo: np.ndarray,
     box_hi: np.ndarray,
-    lows: np.ndarray,
-    highs: np.ndarray,
+    intervals: _Intervals,
+    r: np.ndarray,
+    c: np.ndarray,
 ) -> np.ndarray:
-    """The lowest mass over the corners of each of P corner-box sets
-    [box_lo, box_hi] (P, B, n) against its target box [lows, highs] (P, n),
-    as (P,). Per box and dimension the smaller erf term of the box's two
+    """The lowest mass over the corners of row r[p]'s corner boxes against
+    target c[p], for P (row, target) pairs, as (P,): the rows' corner boxes
+    are [box_lo, box_hi] (R, B, n), the targets' intervals `intervals` (see
+    _intervals). Per box and dimension the smaller erf term of the box's two
     sides is kept; the kept terms are multiplied in dimension order, which
     gives the box's smallest corner product, and the smallest box is scaled
     and clipped. The terms are non-negative, and rounded products, the
     scaling and the clip are monotone in each operand, so this is bitwise
-    the minimum of gaussian_box_mass over all the boxes' corners."""
-    sides = _erf_terms(np.stack([box_lo, box_hi]), lows[:, None, :], highs[:, None, :])
-    boxes = np.prod(np.minimum(sides[0], sides[1]), axis=-1)  # as in gaussian_box_mass
-    return np.clip(boxes.min(axis=1) / 2.0 ** box_lo.shape[2], 0.0, 1.0)
+    the minimum of gaussian_box_mass over all the boxes' corners. A side's
+    term depends only on its row and on the target's interval in that
+    dimension, so the kept terms are tabulated once per (row, interval)
+    pair that some target uses."""
+    iv = intervals
+    n = box_lo.shape[2]
+    # slot[r, k]: the table row of (row r, interval k)
+    slot = np.zeros((box_lo.shape[0], iv.lo.size), dtype=np.int64)
+    for d in range(n):
+        slot[r, iv.idx[d, c]] = 1
+    rr, kk = np.nonzero(slot)
+    slot[rr, kk] = np.arange(rr.size)
+    d = iv.dim[kk]
+    sides = _erf_terms(np.stack([box_lo[rr, :, d], box_hi[rr, :, d]]), iv.lo[kk, None], iv.hi[kk, None])
+    kept = np.minimum(sides[0], sides[1])  # (table rows, B)
+    boxes = kept[slot[r, iv.idx[0, c]]]
+    for d in range(1, n):  # dimension order, as np.prod multiplies in gaussian_box_mass
+        boxes *= kept[slot[r, iv.idx[d, c]]]
+    return np.clip(boxes.min(axis=1) / 2.0**n, 0.0, 1.0)
 
 
 def _entries(
     box_lo: np.ndarray,
     box_hi: np.ndarray,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    intervals: tuple[np.ndarray, ...],
+    intervals: _Intervals,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) of shape (R, C) for R rows, each given by its corner
     boxes [box_lo, box_hi] (R, B, n) (see geometry.post_image_boxes; a vertex
-    set is the case box_lo = box_hi), against C target boxes [lows, highs]
-    (C, n) whose intervals are `intervals` (see _intervals). Upper bounds use
-    the nearest mean in the row's rectangle, lower bounds the farthest one,
-    tightened to the corner-box minimum (_corner_box_min) on the
-    (row, target) pairs whose target meets the rectangle. Nothing is pruned
-    here (see _prune). Each row's entries are bitwise those of
+    set is the case box_lo = box_hi), against the C target boxes whose
+    intervals are `intervals` (see _intervals). Upper bounds use the nearest
+    mean in the row's rectangle, lower bounds the farthest one (see
+    extremal_means), tightened to the corner-box minimum (_corner_box_min)
+    on the (row, target) pairs whose target meets the rectangle. Nothing is
+    pruned here (see _prune). Each row's entries are bitwise those of
     gaussian_box_mass on that row alone, at the extremal means and at every
-    corner of its boxes."""
-    ilo, ihi, dim, idx = intervals
-    # each row's rectangle side in the dimension of every interval: (R, K)
-    r_lo, r_hi = box_lo.min(axis=1)[:, dim], box_hi.max(axis=1)[:, dim]
-    z_min, z_max = extremal_means(r_lo, r_hi, ilo, ihi)
-    terms = _erf_terms(np.stack([z_max, z_min]), ilo, ihi)           # (2, R, K)
-    meet = (ihi >= r_lo) & (ilo <= r_hi)
+    corner of its boxes.
+
+    Each extremal mean is a side of the rectangle, except the nearest mean
+    of an interval whose center lies inside it, which is the center. So the
+    erf arguments are tabulated once per (row, side, edge), and the center
+    terms once per interval."""
+    iv = intervals
+    rect = np.stack([box_lo.min(axis=1), box_hi.max(axis=1)])  # (2, R, n): low and high sides
+    x = (rect[:, :, iv.edim] - iv.edge) / _SQRT2                 # (2, R, E)
+    t = np.stack([x, *_erf_erfc(x)])
+    at_side = _differences(t[..., iv.jlo], t[..., iv.jhi])        # (2, R, K)
+    center = 0.5 * (iv.lo + iv.hi)
+    at_center = _erf_terms(center, iv.lo, iv.hi)
+    r_lo, r_hi = rect[:, :, iv.dim]
+    nearest = np.where(center < r_lo, at_side[0], np.where(center > r_hi, at_side[1], at_center))
+    farthest = np.where(np.abs(r_lo - center) >= np.abs(r_hi - center), at_side[0], at_side[1])
+    terms = np.stack([nearest, farthest])
+    meet = (iv.hi >= r_lo) & (iv.lo <= r_hi)
+    idx = iv.idx
     bounds, meets = terms[:, :, idx[0]], meet[:, idx[0]]
     for d in range(1, len(idx)):  # dimension order, as np.prod multiplies in gaussian_box_mass
         bounds *= terms[:, :, idx[d]]
@@ -183,7 +321,7 @@ def _entries(
 
     r, c = np.nonzero(meets)
     if r.size:
-        lower[r, c] = _corner_box_min(box_lo[r], box_hi[r], lows[c], highs[c])
+        lower[r, c] = _corner_box_min(box_lo, box_hi, intervals, r, c)
 
     np.minimum(lower, upper, out=lower)
     return lower, upper
@@ -236,7 +374,7 @@ def transition_rows(
         rows = slice(s, s + step)
         src = sources[rows]
         box_lo, box_hi = post_image_boxes(bounds[rows], grid.lo[src], grid.hi[src])
-        lower, upper = _entries(box_lo, box_hi, grid.lo, grid.hi, intervals)
+        lower, upper = _entries(box_lo, box_hi, intervals)
         rem[rows] = _prune(lower, upper)
         # out of domain: one minus the domain's mass at the nearest and at
         # the farthest mean of each row's rectangle

@@ -84,7 +84,7 @@ def test_criterion_2_vertex_minimum_is_hull_minimum():
         # the lower bound the row kernel ships for this hull and target; a
         # vertex set is the corner-box set whose boxes are its points
         lows, highs = target.lo[None], target.hi[None]
-        lower, _ = _entries(verts[None], verts[None], lows, highs, _intervals(lows, highs))
+        lower, _ = _entries(verts[None], verts[None], _intervals(lows, highs))
         got = float(lower[0, 0])
         # 10^4 points covering conv(H): all vertices, then convex combinations
         # drawn both near the boundary and uniformly inside

@@ -20,7 +20,7 @@ from nndm_synth.refinement import RefinementConfig
 
 # sha256 of the pickled classes' field names (see _pickled_fields) under the
 # current artifact format
-_FORMAT_DIGEST = (15, "a33210fb22add4e328b3f23310907a564622787fd7f145f01913c87b65a12232")
+_FORMAT_DIGEST = (16, "1bcdfefab72ca6478eb4c07d1088f668bad8893b59973f0bdee0041c0db93737")
 
 
 @pytest.fixture(scope="module")
@@ -421,6 +421,13 @@ def test_simulate_rejects_negative_seed(workdir, capsys):
     assert "'seed'" in err and "Traceback" not in err
 
 
+def _pickled_state(obj) -> dict:
+    """The attributes pickle stores: a class's own __getstate__ if it has
+    one (object's default, from Python 3.11, stores vars)."""
+    getstate = getattr(type(obj), "__getstate__", None)
+    return getstate(obj) if getstate not in (None, getattr(object, "__getstate__", None)) else vars(obj)
+
+
 def _pickled_fields(*roots) -> list[str]:
     """'Class: field, ...' for every nndm_synth class reachable from roots
     through attributes and containers; an enum lists its values."""
@@ -435,8 +442,9 @@ def _pickled_fields(*roots) -> list[str]:
             if isinstance(obj, Enum):
                 fields = sorted(str(m.value) for m in cls)
             else:
-                fields = sorted(vars(obj))
-                stack.extend(vars(obj).values())
+                state = _pickled_state(obj)
+                fields = sorted(state)
+                stack.extend(state.values())
             found.add(f"{cls.__module__}.{cls.__qualname__}: {', '.join(fields)}")
         elif isinstance(obj, dict):
             stack.extend([*obj.keys(), *obj.values()])

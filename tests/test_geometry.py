@@ -1,6 +1,7 @@
 """Geometry layer: rectangles, whitening, post-image hulls, labeled grids."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -294,6 +295,21 @@ class TestRegionGrid:
         assert np.array_equal(grid.locate(pts), locate_by_search(grid, pts))
         for p in pts[rng.choice(len(pts), 20)]:
             assert grid.locate(p) == locate_by_search(grid, p)[0]
+
+    def test_unpickled_grid_locates_as_the_original(self):
+        # the point-location cache stays out of the pickle and is rebuilt
+        rng = np.random.default_rng(4)
+        grid = self._grid(counts=(5, 3))
+        for _ in range(12):
+            grid.split_cell(int(rng.integers(grid.num_cells)), int(rng.integers(2)))
+        pts = np.concatenate([rng.uniform(-2.5, 2.5, (500, 2)), grid.lo, grid.hi, [[np.nan, 0.0]]])
+        want = grid.locate(pts)
+        assert grid._raster is not None
+        copy = pickle.loads(pickle.dumps(grid))
+        assert copy._raster is None and "_raster" not in grid.__getstate__()
+        assert np.array_equal(copy.locate(pts), want)
+        assert np.array_equal(copy.lo, grid.lo) and copy.labels == grid.labels
+        assert copy.split_cell(0, 1) == grid.num_cells  # the copy is a working grid
 
     def test_cells_follow_product_order(self):
         # literal per-cell loop over the cut planes as the reference

@@ -740,14 +740,20 @@ class TestExactEvaluation:
             assert high.values[:4].tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_synthesis_loads_no_scipy_linalg_or_sparse(self):
-        # importing scipy.linalg, scipy.sparse or scipy.sparse.csgraph adds
-        # 6 to 11 MiB to the process, more than the dense solves need
+        # the package needs only numpy: importing scipy.special alone costs
+        # about 0.25 s and 25 MiB, scipy.linalg or scipy.sparse 6 to 11 MiB
+        # more. The run covers the abstraction, synthesis, one refinement
+        # round and the Monte Carlo check.
         code = (
             "import sys\n"
+            "from dataclasses import replace\n"
             "from nndm_synth import fixtures, pipeline\n"
+            "from nndm_synth.refinement import RefinementConfig\n"
             "nd, config = fixtures.reach_avoid_2d(grid=(4, 4))\n"
-            "pipeline.synthesize(pipeline.build_abstraction(nd, config), config.dfa)\n"
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.sparse'))))\n"
+            "config = replace(config, refinement=RefinementConfig(per_round=2, rounds=1), sim_trials=50)\n"
+            "result = pipeline.run_pipeline(config, nd=nd, monte_carlo=True)\n"
+            "assert len(result.rounds) == 1 and result.validation is not None\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC)
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -1,11 +1,11 @@
-"""Transition probability bounds: Gaussian box masses, extremal means over
-hulls, and full row assembly.
+"""Transition probability bounds: erf and erfc, Gaussian box masses,
+extremal means over hulls, and full row assembly.
 
-Oracles here are independent of the code under test: adaptive quadrature for
-the kernel, dense grids and random convex combinations for the hull minimum,
-gaussian_box_mass on all 4^n hull vertices for the corner-box minimum, and a
-literal per-cell reimplementation for the row assembly (naive_row in
-oracles.py, shared with criterion 4).
+Oracles here are independent of the code under test: mpmath at 40 digits for
+erf and erfc, adaptive quadrature for the kernel, dense grids and random
+convex combinations for the hull minimum, gaussian_box_mass on all 4^n hull
+vertices for the corner-box minimum, and a literal per-cell reimplementation
+for the row assembly (naive_row in oracles.py, shared with criterion 4).
 """
 
 import re
@@ -35,6 +35,7 @@ from nndm_synth.transitions import (
     transition_rows,
     _corner_box_min,
     _entries,
+    _erf_erfc,
     _intervals,
     _prune,
     _CHUNK_ENTRIES,
@@ -59,7 +60,7 @@ def vertex_lower(vertices, target):
     """Lower bound _entries ships for one vertex set against one box: the
     corner-box set whose boxes are the vertices."""
     lows, highs = target.lo[None], target.hi[None]
-    lower, _ = _entries(vertices[None], vertices[None], lows, highs, _intervals(lows, highs))
+    lower, _ = _entries(vertices[None], vertices[None], _intervals(lows, highs))
     return float(lower[0, 0])
 
 
@@ -70,6 +71,54 @@ def mass_by_quadrature(z, lo, hi):
         val, _ = quad(norm.pdf, li - zi, hi_i - zi, epsabs=1e-12, epsrel=1e-12)
         total *= val
     return total
+
+
+def erf_and_erfc(x):
+    """erf(x) and erfc(x) from _erf_erfc, which gives erfc(|x|)."""
+    erf, erfc_abs = _erf_erfc(x)
+    return erf, np.where(x < 0.0, 2.0 - erfc_abs, erfc_abs)
+
+
+class TestErf:
+    """The Cephes erf and erfc against mpmath, and at special values."""
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(31)
+        with mpmath.workdps(40):
+            x = np.concatenate([np.linspace(-6.0, 6.0, 2401), rng.uniform(-6.0, 6.0, 600), [-1.0, 1.0]])
+            x = np.concatenate([x, np.nextafter(x, np.inf)])  # both sides of the |x| = 1 seam
+            want = np.array([float(mpmath.erf(v)) for v in x])
+            got, _ = erf_and_erfc(x)
+            nonzero = want != 0.0
+            assert np.all(got[~nonzero] == 0.0)
+            assert np.max(np.abs(got - want)[nonzero] / np.abs(want[nonzero])) <= 4e-16
+            x = np.concatenate([np.linspace(-3.0, 26.5, 2951), rng.uniform(-3.0, 26.5, 600)])
+            want = np.array([float(mpmath.erfc(v)) for v in x])
+            _, got = erf_and_erfc(x)
+            assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        erf, erfc_abs = _erf_erfc(x)
+        assert erf[:4].tolist() == [0.0, 0.0, 1.0, -1.0] and np.signbit(erf[:2]).tolist() == [False, True]
+        assert erfc_abs[:4].tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert np.isnan(erf[4]) and np.isnan(erfc_abs[4])
+        _, erfc = erf_and_erfc(x[:4])
+        assert erfc.tolist() == [1.0, 1.0, 0.0, 2.0]
+        # erfc leaves the doubles at sqrt(MAXLOG) = 26.6417...: exactly 0 past it
+        tail = np.concatenate([np.linspace(26.65, 40.0, 100), [1e3, 1e154, 1e200, 1e308]])
+        erf, erfc_abs = _erf_erfc(np.concatenate([tail, -tail]))
+        assert np.all(erfc_abs == 0.0) and np.all(np.abs(erf) == 1.0)
+        assert _erf_erfc(np.array([26.6]))[1][0] > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_warning_for_finite_input(self):
+        mags = np.concatenate([np.logspace(-320, 308, 600), [5e-324, np.finfo(float).max]])
+        x = np.concatenate([mags, -mags])
+        erf, erfc = erf_and_erfc(x)
+        assert np.all(np.isfinite(erf)) and np.all(np.isfinite(erfc))
+        assert np.all((np.abs(erf) <= 1.0) & (erfc >= 0.0) & (erfc <= 2.0))
 
 
 class TestGaussianBoxMass:
@@ -214,7 +263,8 @@ class TestCornerBoxMinimum:
             assert np.array_equal(box_lo, box_hi)
         rect_lo, rect_hi = box_lo.min(axis=1), box_hi.max(axis=1)
         t_lo, t_hi = _oracle_targets(rng, rect_lo, rect_hi, kind)
-        got = _corner_box_min(box_lo, box_hi, t_lo, t_hi)
+        pairs = np.arange(len(bounds))
+        got = _corner_box_min(box_lo, box_hi, _intervals(t_lo, t_hi), pairs, pairs)
         corners = post_image_hulls(bounds, lo, hi)
         want = np.array([gaussian_box_mass(corners[p], t_lo[p], t_hi[p]).min() for p in range(len(bounds))])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -232,7 +282,7 @@ class TestCornerBoxMinimum:
             assert meets.all(), "fixture should touch every rectangle"
         for p in np.flatnonzero(meets):
             targets = (t_lo[p : p + 1], t_hi[p : p + 1])
-            lower, upper = _entries(box_lo[p : p + 1], box_hi[p : p + 1], *targets, _intervals(*targets))
+            lower, upper = _entries(box_lo[p : p + 1], box_hi[p : p + 1], _intervals(*targets))
             assert lower[0, 0] == min(want[p], upper[0, 0])  # _entries does not prune
 
 
@@ -334,7 +384,7 @@ class TestTransitionRow:
         rect_lo, rect_hi = box_lo.min(axis=1), box_hi.max(axis=1)
         lows, highs = grid.boxes()
         ids = np.arange(1, grid.num_cells, 3)
-        lower, upper = _entries(box_lo, box_hi, lows[ids], highs[ids], _intervals(lows[ids], highs[ids]))
+        lower, upper = _entries(box_lo, box_hi, _intervals(lows[ids], highs[ids]))
         assert lower.shape == upper.shape == (2, ids.size)
         assert (upper < _PRUNE).any(), "fixture should have targets to prune"
         _prune(lower, upper)
@@ -383,6 +433,21 @@ def _assert_same_row(got, want):
 class TestStackedRows:
     """transition_rows against criterion 4's literal per-cell naive_row,
     bit for bit."""
+
+    def test_intervals_and_edges_give_back_every_target(self):
+        _, grid = _refined_2d()
+        iv = _intervals(grid.lo, grid.hi)
+        for d in range(grid.dim):
+            k = iv.idx[d]
+            assert np.all(iv.dim[k] == d) and np.all(iv.edim[iv.jlo[k]] == d) and np.all(iv.edim[iv.jhi[k]] == d)
+            for got in (iv.lo[k], iv.edge[iv.jlo[k]]):
+                assert got.tobytes() == grid.lo[:, d].tobytes()
+            for got in (iv.hi[k], iv.edge[iv.jhi[k]]):
+                assert got.tobytes() == grid.hi[:, d].tobytes()
+        # every interval and every edge is distinct within its dimension
+        assert len(set(zip(iv.dim, iv.lo, iv.hi))) == iv.lo.size
+        assert len(set(zip(iv.edim, iv.edge))) == iv.edge.size
+        assert iv.lo.size > sum(len(set(grid.lo[:, d])) for d in range(grid.dim)), "fixture should nest intervals"
 
     def _assert_matches_naive(self, nd, grid, action, sources):
         envs, rows = _stack(nd, grid, action, sources)
