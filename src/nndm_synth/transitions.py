@@ -21,9 +21,7 @@ interval in d, and a grid has few distinct intervals per dimension. So the
 rows of one action are built as one stack. Each row's erf terms for its
 nearest and farthest mean are tabulated over the distinct target intervals
 of every dimension, gathered into the (rows, targets) layout and multiplied
-in dimension order, exactly as `gaussian_box_mass` multiplies them. Those
-means are sides of the row's rectangle or interval centers, so erf runs
-once per (row, side, distinct interval edge) and once per interval. The
+in dimension order, exactly as `gaussian_box_mass` multiplies them. The
 corner-box minimum runs only on the (row, target) pairs whose target meets
 the row's rectangle, from side terms tabulated once per (row, interval)
 pair. Refinement rebuilds every row through the same call, from the
@@ -88,15 +86,11 @@ _SQRT2 = float(np.sqrt(2.0))
 # width for size, so it is fixed, not a setting.
 _PRUNE = 1e-6
 # (row, target) entries per stacked kernel pass: a chunk holds this many
-# entries' worth of rows against every cell (128 rows on 720 cells). A
-# chunk's erf tables grow with its rows, so larger chunks make fewer and
-# larger erf calls: in a warm process 128 rows ran fastest, or within noise
-# of it, of 32-512 on 720 cells, and so did this cap on 169-288 cells
-# (320-540 rows). Its (rows, targets) temporaries of about 1.5 MiB make
-# glibc give heap pages back and take them again chunk after chunk, though:
-# about 26 thousand minor page faults per vehicle3d_certify build, against
-# 1 thousand with 32 rows. The value changes no result.
-_CHUNK_ENTRIES = 128 * 721
+# entries' worth of rows against every cell. Keeps the temporaries near
+# 1 MiB; on 720 cells (32 rows a chunk), 32 rows ran fastest of 8-64 without
+# raising peak memory (64 did), and small grids get more rows a chunk, so
+# their numpy call overhead stays low. The value changes no result.
+_CHUNK_ENTRIES = 32 * 721
 
 
 class InternalConsistencyError(RuntimeError):
@@ -121,18 +115,21 @@ def _erf_inner(x: np.ndarray) -> np.ndarray:
 
 
 def _erfc_outer(x: np.ndarray) -> np.ndarray:
-    """erfc(x) for x >= 1 or NaN. x is capped at 27, where erfc is already
-    0, so x * x cannot overflow."""
+    """erfc(x) for x >= 1 or NaN: exp(-x^2) P(x) / Q(x) below 8, R / S from
+    8. P / Q runs on every element, on x clipped to 8; R / S only on the
+    elements from 8, which are few (5% of vehicle3d_certify's erf
+    arguments, none of planar2d_refine_mc's); on the recorded arguments
+    that made erf 9-12% faster per element on planar2d_refine_mc and
+    two_goal_tanh than R / S on every element, and left vehicle3d_certify
+    within noise. x is capped at 27, where erfc is already 0, so x * x
+    cannot overflow."""
     x = np.minimum(x, 27.0)
     z = x * x
-    near = x < 8.0
-    if near.all():
-        y = np.exp(-z) * _poly(x, _P) / _poly(x, _Q)
-    else:
-        y = np.empty_like(x)
-        for part, num, den in ((near, _P, _Q), (~near, _R, _S)):
-            t = x[part]
-            y[part] = np.exp(-z[part]) * _poly(t, num) / _poly(t, den)
+    near = np.minimum(x, 8.0)
+    y = np.exp(-z) * _poly(near, _P) / _poly(near, _Q)
+    far = x >= 8.0
+    t = x[far]
+    y[far] = np.exp(-z[far]) * _poly(t, _R) / _poly(t, _S)
     y[z > _MAXLOG] = 0.0
     return y
 
@@ -141,35 +138,30 @@ def _erf_erfc(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(erf(x), erfc(|x|)) elementwise, by Cephes's branches: erf(x) by
     _erf_inner where |x| < 1, erfc(|x|) by _erfc_outer elsewhere, and the
     other as erfc(|x|) = 1 - erf(|x|) or erf(x) = sign(x) (1 - erfc(|x|)), as
-    Cephes derives it (at |x| = 1 both branches give erf's bits). Both
-    branches run on every element, each on arguments clipped into its
-    range, which costs less than splitting the array."""
+    Cephes derives it (at |x| = 1 both branches give erf's bits). The short
+    erf branch runs on every element, x clipped into [-1, 1]; the longer
+    erfc branch only on the elements it serves (on the erf arguments of the
+    benchmark builds 26-41 ns per element, against 31-45 with both branches
+    on every element)."""
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     inner = ax < 1.0
     e = _erf_inner(np.clip(x, -1.0, 1.0))
-    c = _erfc_outer(np.maximum(ax, 1.0))
-    return np.where(inner, e, np.copysign(1.0 - c, x)), np.where(inner, 1.0 - np.abs(e), c)
-
-
-def _differences(at_lo: np.ndarray, at_hi: np.ndarray) -> np.ndarray:
-    """Per-dimension factor 2 P(z + N(0, 1) in [lo, hi]), elementwise, from
-    (x, erf(x), erfc(|x|)) stacked on the first axis (see _erf_erfc) at its
-    erf arguments a = (z - lo) / sqrt2 (at_lo) and b = (z - hi) / sqrt2
-    (at_hi): erf(a) - erf(b), except in the far tails, where that difference
-    would cancel: erfc(b) - erfc(a) when b >= 4, erfc(-a) - erfc(-b) when
-    a <= -4."""
-    a, erf_a, erfc_a = at_lo
-    b, erf_b, erfc_b = at_hi
-    return np.where(a <= -4.0, erfc_a - erfc_b, np.where(b >= 4.0, erfc_b - erfc_a, erf_a - erf_b))
+    c = 1.0 - np.abs(e)
+    outer = ~inner
+    c[outer] = _erfc_outer(ax[outer])
+    return np.where(inner, e, np.copysign(1.0 - c, x)), c
 
 
 def _erf_terms(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-dimension factor 2 P(z + N(0, 1) in [lo, hi]), elementwise (see
-    _differences), with one _erf_erfc call on both erf arguments."""
-    x = np.stack(np.broadcast_arrays((z - lo) / _SQRT2, (z - hi) / _SQRT2))
-    t = np.stack([x, *_erf_erfc(x)])
-    return _differences(t[:, 0], t[:, 1])
+    """Per-dimension factor 2 P(z + N(0, 1) in [lo, hi]), elementwise, from
+    one _erf_erfc call on both erf arguments a = (z - lo) / sqrt2 and
+    b = (z - hi) / sqrt2: erf(a) - erf(b), except in the far tails, where
+    that difference would cancel: erfc(b) - erfc(a) when b >= 4,
+    erfc(-a) - erfc(-b) when a <= -4."""
+    a, b = x = np.stack(np.broadcast_arrays((z - lo) / _SQRT2, (z - hi) / _SQRT2))
+    (erf_a, erf_b), (erfc_a, erfc_b) = _erf_erfc(x)  # erfc at |a| and |b|
+    return np.where(a <= -4.0, erfc_a - erfc_b, np.where(b >= 4.0, erfc_b - erfc_a, erf_a - erf_b))
 
 
 def gaussian_box_mass(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -202,44 +194,30 @@ def extremal_means(
 class _Intervals(NamedTuple):
     """The distinct target intervals of every dimension, concatenated:
     interval k is [lo[k], hi[k]] in dimension dim[k], and idx[d, q] is
-    target q's interval in dimension d (idx is (n, C)). The distinct edges
-    of every dimension, concatenated, are `edge`, edge j lies in dimension
-    edim[j], and interval k spans edges jlo[k] and jhi[k]. Intervals and
-    edges are told apart by their bits, so a gathered term is exactly the
-    term of the target's own bounds."""
+    target q's interval in dimension d (idx is (n, C)). Intervals are told
+    apart by their bits, so a gathered term is exactly the term of the
+    target's own bounds."""
 
     lo: np.ndarray
     hi: np.ndarray
     dim: np.ndarray
     idx: np.ndarray
-    edge: np.ndarray
-    edim: np.ndarray
-    jlo: np.ndarray
-    jhi: np.ndarray
 
 
 def _intervals(lows: np.ndarray, highs: np.ndarray) -> _Intervals:
-    """The distinct intervals and edges of the C target boxes [lows, highs]
-    (C, n). Every np.unique here returns indices, which keeps numpy 2.4 from
-    importing numpy.ma."""
-    parts, idx, edges, ends, k, j = [], [], [], [], 0, 0
+    """The distinct intervals of the C target boxes [lows, highs] (C, n).
+    np.unique returns indices here, which keeps numpy 2.4 from importing
+    numpy.ma."""
+    parts, idx, k = [], [], 0
     for d in range(lows.shape[1]):
         pairs = np.stack([lows[:, d], highs[:, d]], axis=1)
         _, first, inv = np.unique(pairs.view(np.int64), axis=0, return_index=True, return_inverse=True)
         idx.append(k + inv.reshape(-1))
         parts.append(pairs[first])
         k += len(first)
-        bounds = parts[-1].ravel()
-        _, first, inv = np.unique(bounds.view(np.int64), return_index=True, return_inverse=True)
-        edges.append(bounds[first])
-        ends.append(j + inv.reshape(-1, 2))
-        j += len(first)
+    dim = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     ilo, ihi = np.concatenate(parts).T
-    jlo, jhi = np.concatenate(ends).T
-    return _Intervals(
-        ilo, ihi, np.repeat(np.arange(len(parts)), [len(p) for p in parts]), np.stack(idx),
-        np.concatenate(edges), np.repeat(np.arange(len(edges)), [len(e) for e in edges]), jlo, jhi,
-    )
+    return _Intervals(ilo, ihi, dim, np.stack(idx))
 
 
 def _corner_box_min(
@@ -287,30 +265,17 @@ def _entries(
     boxes [box_lo, box_hi] (R, B, n) (see geometry.post_image_boxes; a vertex
     set is the case box_lo = box_hi), against the C target boxes whose
     intervals are `intervals` (see _intervals). Upper bounds use the nearest
-    mean in the row's rectangle, lower bounds the farthest one (see
-    extremal_means), tightened to the corner-box minimum (_corner_box_min)
-    on the (row, target) pairs whose target meets the rectangle. Nothing is
-    pruned here (see _prune). Each row's entries are bitwise those of
-    gaussian_box_mass on that row alone, at the extremal means and at every
-    corner of its boxes.
-
-    Each extremal mean is a side of the rectangle, except the nearest mean
-    of an interval whose center lies inside it, which is the center. So the
-    erf arguments are tabulated once per (row, side, edge), and the center
-    terms once per interval."""
-    iv = intervals
-    rect = np.stack([box_lo.min(axis=1), box_hi.max(axis=1)])  # (2, R, n): low and high sides
-    x = (rect[:, :, iv.edim] - iv.edge) / _SQRT2                 # (2, R, E)
-    t = np.stack([x, *_erf_erfc(x)])
-    at_side = _differences(t[..., iv.jlo], t[..., iv.jhi])        # (2, R, K)
-    center = 0.5 * (iv.lo + iv.hi)
-    at_center = _erf_terms(center, iv.lo, iv.hi)
-    r_lo, r_hi = rect[:, :, iv.dim]
-    nearest = np.where(center < r_lo, at_side[0], np.where(center > r_hi, at_side[1], at_center))
-    farthest = np.where(np.abs(r_lo - center) >= np.abs(r_hi - center), at_side[0], at_side[1])
-    terms = np.stack([nearest, farthest])
-    meet = (iv.hi >= r_lo) & (iv.lo <= r_hi)
-    idx = iv.idx
+    mean in the row's rectangle, lower bounds the farthest one, tightened to
+    the corner-box minimum (_corner_box_min) on the (row, target) pairs
+    whose target meets the rectangle. Nothing is pruned here (see _prune).
+    Each row's entries are bitwise those of gaussian_box_mass on that row
+    alone, at the extremal means and at every corner of its boxes."""
+    ilo, ihi, dim, idx = intervals
+    # each row's rectangle side in the dimension of every interval: (R, K)
+    r_lo, r_hi = box_lo.min(axis=1)[:, dim], box_hi.max(axis=1)[:, dim]
+    z_min, z_max = extremal_means(r_lo, r_hi, ilo, ihi)
+    terms = _erf_terms(np.stack([z_max, z_min]), ilo, ihi)           # (2, R, K)
+    meet = (ihi >= r_lo) & (ilo <= r_hi)
     bounds, meets = terms[:, :, idx[0]], meet[:, idx[0]]
     for d in range(1, len(idx)):  # dimension order, as np.prod multiplies in gaussian_box_mass
         bounds *= terms[:, :, idx[d]]
