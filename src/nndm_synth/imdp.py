@@ -29,7 +29,7 @@ picked again at the new values, and so on until no row gains. The
 minimizer first zeroes the states it can trap under the strategy (_traps,
 a greatest fixpoint) and then descends from above; the maximizer climbs
 from below and solves only the states that reach mass of positive value.
-The upper pass is this evaluation of the extracted strategy against the
+The upper pass is this evaluation of the emitted strategy against the
 maximizer, whose first pick may rank the states by given values (the
 maximin pass's, in synthesis) instead of V = 0: any pick is solved from
 below, so the ranking only saves solves.
@@ -41,15 +41,12 @@ and gives the Bellman residual max(best - V). The pass stops once that
 falls below tol; otherwise a state's held action switches to its best one
 where that gains more than _GAIN, and the held strategy is evaluated
 exactly against the minimizer. V changes only there, so every stopping
-point is the exact pessimistic value of a held strategy (or the initial
-values), a sound lower bound. The strategy is extracted from the last
-improvement step, whose values are at the returned V: in each state, the
-lowest-index action whose value is within tol of the state's best, so
-actions that differ only by rounding noise do not flip. The held strategy
-starts at action 0, or at a given start strategy (the last refinement
-round's, in synthesis), evaluated first: strategy iteration reaches the
-same fixed point from any start, and the start seeds only the strategy,
-never V.
+point is the exact pessimistic value of the held strategy (or the initial
+values, below it), a sound lower bound, and the pass emits that strategy:
+tol picks no action. The held strategy starts at action 0, or at a given
+start strategy (the last refinement round's, in synthesis), evaluated
+first: strategy iteration reaches the same fixed point from any start, and
+the start seeds only the strategy, never V.
 
 Both passes run through one driver (_solve), group by group, in the order
 of the product's solve_order(): one group per SCC of the live states' DFA
@@ -366,20 +363,18 @@ def _groups(product):
         yield _BlockKernel(store, np.flatnonzero(seen)), inner
 
 
-def _improve(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, choice: np.ndarray, tol: float):
+def _improve(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, held: np.ndarray):
     """One improvement step of the maximin pass: values every action row of
     `states` at V against the minimizer, a block of kernel.per_block[A]
-    states at a time (Jacobi: V is only read). The held action choice[i]
-    of states[i] switches to the best action only where that beats it by
-    more than _GAIN: a tie never moves the strategy onto a row that keeps
-    the mass away from the goal, whose exact evaluation would lower V.
+    states at a time (Jacobi: V is only read). The held action held[i] of
+    states[i] switches to the best action only where that beats it by more
+    than _GAIN: a tie never moves the strategy onto a row that keeps the
+    mass away from the goal, whose exact evaluation would lower V.
 
     Returns the Bellman residual max(best - V), at least 0, whether a held
-    action switched, and the strategy extracted at V: per state, the
-    lowest-index action within tol of its best. Values are only
-    tol-accurate, so a finer choice would follow rounding noise."""
+    action switched, and the improved strategy as a new array."""
     store, A = kernel.store, kernel.store.num_actions
-    extracted = np.empty(states.size, dtype=np.int64)
+    improved = held.copy()
     residual, switched = 0.0, False
     for i in range(0, states.size, kernel.per_block[A]):
         block = slice(i, i + kernel.per_block[A])
@@ -388,12 +383,10 @@ def _improve(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, choice: np
         vals = (D @ kernel.v + worth_one).reshape(-1, A)  # (states, actions)
         best = vals.max(axis=1)
         residual = max(residual, float(np.max(best - V[states[block]])))
-        held = choice[block]
-        gains = best > vals[np.arange(held.size), held] + _GAIN
+        gains = best > vals[np.arange(vals.shape[0]), held[block]] + _GAIN
         switched |= bool(gains.any())
-        choice[block] = np.where(gains, vals.argmax(axis=1), held)
-        extracted[block] = np.argmax(vals >= best[:, None] - tol, axis=1)  # first True: lowest index
-    return residual, switched, extracted
+        improved[block] = np.where(gains, vals.argmax(axis=1), held[block])
+    return residual, switched, improved
 
 
 def _traps(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -570,24 +563,26 @@ def _maximin(
 
     Returns the sweeps (improvement steps plus evaluations, each counted
     once), the improvement steps, the Bellman residual at the returned V,
-    whether the pass converged, and the strategy extracted there. A pass
-    whose budget runs out after an evaluation takes one more improvement
-    step, not counted, for its residual and strategy."""
-    choice = np.zeros(states.size, dtype=np.int64) if start is None else start.copy()
+    whether the pass converged, and the held strategy that V evaluates (a
+    step's switches are dropped if the pass stops after it). A pass whose
+    budget runs out after an evaluation takes one more improvement step,
+    not counted, for its residual."""
+    held = np.zeros(states.size, dtype=np.int64) if start is None else start.copy()
     sweeps = steps = 0
     evaluated = start is not None and max_sweeps > 0
     if evaluated:
-        _evaluate(kernel, V, states, kernel.store.first[states] + choice, maximize=False)
+        _evaluate(kernel, V, states, kernel.store.first[states] + held, maximize=False)
         sweeps += 1
     while True:
-        residual, switched, extracted = _improve(kernel, V, states, choice, tol)
+        residual, switched, improved = _improve(kernel, V, states, held)
         if sweeps >= max_sweeps:
-            return sweeps, steps, residual, False, extracted
+            return sweeps, steps, residual, False, held
         sweeps, steps = sweeps + 1, steps + 1
         converged = residual < tol or (evaluated and not switched)
         if converged or sweeps >= max_sweeps:
-            return sweeps, steps, residual, converged, extracted
-        _evaluate(kernel, V, states, kernel.store.first[states] + choice, maximize=False)
+            return sweeps, steps, residual, converged, held
+        held = improved
+        _evaluate(kernel, V, states, kernel.store.first[states] + held, maximize=False)
         sweeps, evaluated = sweeps + 1, True
 
 
@@ -597,20 +592,20 @@ def _solve(product, max_sweeps: int, tol: float = 0.0, strategy=None, start=None
     and the groups of product.solve_order() are solved one after another,
     each with the values of the groups before it frozen: by the maximin
     pass (_maximin from `start`, to tol) without a strategy, which also
-    extracts one, by the exact evaluation of `strategy` against the
-    maximizer (_evaluate, its first pick ranked by `rank`) with one. start
+    returns its held strategy, by the exact evaluation of `strategy` against
+    the maximizer (_evaluate, its first pick ranked by `rank`) with one. start
     and rank hold one entry per state. The groups share the one max_sweeps
     budget: sweeps and full_sweeps are summed over them, residual is the
     largest group residual, and the pass converged when every group did."""
     store = product.rows
     V = product.accepting.astype(float)
-    extracted = np.zeros(product.num_states, dtype=np.int64)
-    result = ValueIterationResult(V, extracted if strategy is None else strategy, True, 0, 0.0, 0)
+    held = np.zeros(product.num_states, dtype=np.int64)
+    result = ValueIterationResult(V, held if strategy is None else strategy, True, 0, 0.0, 0)
     for kernel, inner in _groups(product):
         states = np.flatnonzero(inner)
         left = max_sweeps - result.sweeps
         if strategy is None:
-            sweeps, full_sweeps, residual, converged, extracted[states] = _maximin(
+            sweeps, full_sweeps, residual, converged, held[states] = _maximin(
                 kernel, V, states, tol, left, None if start is None else start[states])
         else:
             rows = store.first[states] + strategy[states]
@@ -652,13 +647,13 @@ def robust_value_iteration(
 ) -> ValueIterationResult:
     """Maximin reachability: the controller maximizes, the adversary inside
     the probability intervals minimizes. Returns the pessimistic values
-    (lower probability bounds) and the strategy extracted from them: per
-    state, the lowest-index action within tol of the best at the returned
-    values. Accepting states are fixed at 1, sink states at 0. Strategy
-    iteration (see _maximin): improvement steps switch the controller's
-    held strategy, each followed by its exact evaluation, so the values are
-    a held strategy's exact pessimistic value, never decrease, and stop
-    once the Bellman residual falls below tol.
+    (lower probability bounds) and the held strategy whose exact
+    pessimistic value they are. Accepting states are fixed at 1, sink
+    states at 0. Strategy iteration (see _maximin): improvement steps
+    switch the controller's held strategy where an action gains more than
+    _GAIN, each followed by its exact evaluation, so the values never
+    decrease, and the pass stops once the Bellman residual falls below
+    tol; tol picks no action.
 
     `start`, one action index per state (checked as evaluate_strategy_upper
     checks its strategy), is the held strategy the search starts from, in

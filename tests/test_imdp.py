@@ -17,6 +17,7 @@ from nndm_synth.imdp import (
     Imdp,
     RowStore,
     _BlockKernel,
+    _GAIN,
     _evaluate,
     _groups,
     _improve,
@@ -361,10 +362,16 @@ class TestValueIteration:
                 for a, p in enumerate((p0, p1))}
         return FakeProduct(np.array([False, True, False]), np.array([False, False, True]), rows, 2)
 
-    def test_action_within_tol_prefers_lowest_index(self):
+    def test_action_better_within_tol_is_emitted(self):
+        # action 1 beats action 0 by 0.4 tol: less than tol, more than
+        # _GAIN, so the held strategy switches to it, and p_lower is its value
         tol = 1e-6
-        res = robust_value_iteration(self._two_action_chain(0.4, 0.4 + 0.4 * tol), tol=tol)
-        assert res.strategy[0] == 0
+        p1 = 0.4 + 0.4 * tol
+        prod = self._two_action_chain(0.4, p1)
+        res = robust_value_iteration(prod, tol=tol)
+        assert res.strategy[0] == 1
+        assert res.values[0] == pytest.approx(p1, abs=1e-15)
+        assert evaluate_strategy_upper(prod, res.strategy).values[0] == pytest.approx(p1, abs=1e-15)
 
     def test_action_beyond_tol_is_taken(self):
         tol = 1e-6
@@ -373,24 +380,33 @@ class TestValueIteration:
         res = robust_value_iteration(self._two_action_chain(0.4 + 3 * tol, 0.4), tol=tol)
         assert res.strategy[0] == 0
 
-    def test_strategy_ignores_sub_tol_noise(self):
+    def test_strategy_ignores_sub_gain_noise(self):
         # each state's actions come in clusters 0.1 apart with spread tol/5
-        # inside a cluster; moving every action value by up to tol/10 must
-        # not change the choice: the lowest index of the best cluster
+        # inside a cluster: the emitted action is the state's best one, not
+        # the lowest index within tol of it. A rival raised above it by less
+        # than _GAIN does not flip it on a search started from it
         tol, n_live, n_actions = 1e-6, 30, 5
         rng = np.random.default_rng(8)
         base = rng.choice([0.1, 0.2, 0.3], size=(n_live, n_actions))
         base += rng.uniform(0, tol / 5, size=base.shape)
-        want = np.argmax(base >= base.max(axis=1, keepdims=True) - 0.05, axis=1)
+        want = base.argmax(axis=1)
+        live = np.arange(n_live)
+        rival = base.copy()
+        rival[live, (want + 1) % n_actions] = base[live, want] + rng.uniform(0, _GAIN / 2, n_live)
         accepting = np.r_[np.zeros(n_live, bool), True, False]
         sink = np.r_[np.zeros(n_live, bool), False, True]
-        for shift in (np.zeros_like(base), rng.uniform(-tol / 10, tol / 10, size=base.shape)):
-            p = base + shift
+
+        def product(p):
             rows = {(s, a): (np.array([n_live, n_live + 1]), np.array([p[s, a], 1 - p[s, a]]),
                              np.array([p[s, a], 1 - p[s, a]]))
                     for s in range(n_live) for a in range(n_actions)}
-            res = robust_value_iteration(FakeProduct(accepting, sink, rows, n_actions), tol=tol)
-            assert np.array_equal(res.strategy[:n_live], want)
+            return FakeProduct(accepting, sink, rows, n_actions)
+
+        res = robust_value_iteration(product(base), tol=tol)
+        assert np.array_equal(res.strategy[:n_live], want)
+        assert np.array_equal(res.values[:n_live], base[live, want])
+        res = robust_value_iteration(product(rival), tol=tol, start=res.strategy)
+        assert np.array_equal(res.strategy[:n_live], want)
 
     def test_frozen_states_never_move(self):
         res = robust_value_iteration(tiny_chain(), tol=1e-12)
@@ -539,14 +555,14 @@ class TestWarmStart:
     def test_an_optimal_start_ends_after_two_sweeps(self, tol):
         # its evaluation, then an improvement step that switches nothing:
         # below rounding (1e-16) that step ends the pass, as after any
-        # evaluation, and the extraction there follows rounding noise
+        # evaluation, and the pass emits the start it held
         for seed in (3, 11, 29):
             prod = random_product(seed, n_actions=3)
             cold = robust_value_iteration(prod, tol=tol)
             warm = robust_value_iteration(prod, tol=tol, start=cold.strategy)
             assert cold.converged and cold.sweeps > 2
             assert warm.converged and warm.sweeps == 2 and warm.full_sweeps == 1
-            assert tol < 1e-12 or np.array_equal(warm.strategy, cold.strategy)
+            assert np.array_equal(warm.strategy, cold.strategy)
             assert np.max(np.abs(warm.values - cold.values)) < 1e-12
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
@@ -689,7 +705,7 @@ class TestExactEvaluation:
         states = np.flatnonzero(inner)
         V = np.array([1.0, 1.0, 0.0])
         choice = np.array([1])
-        residual, switched, _ = _improve(kernel, V, states, choice, tol=1e-12)
+        residual, switched, choice = _improve(kernel, V, states, choice)
         assert residual == 0.0 and not switched and choice[0] == 1
         assert V.tolist() == [1.0, 1.0, 0.0]  # an improvement step only reads V
         _evaluate(kernel, V, states, prod.rows.first[states] + choice, maximize=False)
@@ -697,6 +713,20 @@ class TestExactEvaluation:
         V[0] = 0.0
         _evaluate(kernel, V, states, prod.rows.first[states], maximize=False)  # the self-loop
         assert V[0] == 0.0
+
+    def test_the_emitted_action_reaches_the_goal(self):
+        # action 0 self-loops and action 1 reaches the goal. The pass
+        # switches to action 1, whose evaluation values the state at 1, and
+        # emits that action: its optimistic value is 1 too, with no clamp.
+        # An extraction of the lowest-index action within tol at V = 1
+        # emitted the self-loop, whose optimistic value is 0
+        stay = (np.array([0]), np.ones(1), np.ones(1))
+        go = (np.array([1]), np.ones(1), np.ones(1))
+        prod = _one_live_state({0: stay, 1: go})
+        low = robust_value_iteration(prod)
+        assert low.converged and low.strategy[0] == 1
+        high = evaluate_strategy_upper(prod, low.strategy)
+        assert high.values[0] == low.values[0] == 1.0
 
     def test_no_evaluation_lowers_the_values(self):
         # a chain of states that each may self-loop or move on, and a state

@@ -14,7 +14,7 @@ import pytest
 from nndm_synth.automata import dfa_template, load_dfa
 from nndm_synth.fixtures import random_network, reach_avoid_2d, vehicle_3d
 from nndm_synth.geometry import HyperRect, RegionGrid, whitening_transform
-from nndm_synth.imdp import _evaluate, _groups, evaluate_strategy_upper
+from nndm_synth.imdp import _evaluate, _groups, evaluate_strategy_upper, robust_value_iteration
 from nndm_synth import pipeline, transitions
 from nndm_synth.networks import evaluate, load_networks
 from nndm_synth.pipeline import (
@@ -73,6 +73,32 @@ def test_p_lower_is_the_emitted_strategys_value():
         _evaluate(kernel, V, states, rows, maximize=False)
     assert synth.lower.converged
     assert np.all(synth.p_lower <= V[: product.imdp.num_cells] + 1e-12)
+
+
+def test_the_maximin_values_evaluate_the_emitted_strategy():
+    # every state's maximin value is the emitted strategy's exact
+    # pessimistic value, evaluated group by group with every other state
+    # frozen at the pass's values, after the whole pass and after every
+    # pass cut by the sweep budget; a group the cut left unevaluated still
+    # holds the initial 0. An extraction of the lowest-index action within
+    # tol emitted strategies whose value lay below p_lower here, in 40
+    # cells by up to 1.05e-6
+    nd, config = vehicle_3d(grid=(4, 4, 3))
+    synth = synthesize(build_abstraction(nd, config), config.dfa, config.vi_tolerance)
+    product = synth.product
+    assert synth.lower.converged
+    passes = [synth.lower] + [
+        robust_value_iteration(product, config.vi_tolerance, max_sweeps=k)
+        for k in range(1, synth.lower.sweeps + 1)
+    ]
+    for k, lower in enumerate(passes):
+        for kernel, inner in _groups(product):
+            states = np.flatnonzero(inner)
+            V = lower.values.copy()
+            V[states] = 0.0  # _evaluate never ends below its entry values
+            _evaluate(kernel, V, states, product.rows.first[states] + lower.strategy[states], maximize=False)
+            if k == 0 or np.any(lower.values[states] != 0.0):
+                assert np.max(np.abs(lower.values[states] - V[states])) <= 1e-12, k
 
 
 class TestParseCovariance:
