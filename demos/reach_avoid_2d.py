@@ -47,10 +47,11 @@ for x in ([-1.0, 1.0], [0.0, 0.0], [1.0, -1.0], [-0.2, 1.0]):
           f"{result.classes[cell]}] -> {act}")
 
 v = result.validation
-print(f"\nsimulation check: {v['trials']} trials from {len(v['cells'])} start cells, "
+print(f"\nsimulation check: up to {v['trials']} trials from each of {len(v['cells'])} start cells, "
       f"{v['num_inconsistent']} inconsistent with the certificates")
 for rec in v["cells"][:5]:
     print(f"  cell {rec['cell']:3d}: certified [{rec['p_lower']:.3f}, {rec['p_upper']:.3f}], "
-          f"empirical {rec['freq']:.3f} (CI99 [{rec['ci99'][0]:.3f}, {rec['ci99'][1]:.3f}])")
+          f"empirical {rec['freq']:.3f} over {rec['trials']} trials "
+          f"({rec['ci_level']:.2%} CI [{rec['ci'][0]:.3f}, {rec['ci'][1]:.3f}])")
 
 print(f"\noutputs written to {outdir}/")

@@ -37,7 +37,7 @@ from .pipeline import (
 )
 
 # Bump whenever a pickled class or the pickled dict changes its fields.
-_ARTIFACT_FORMAT = 16
+_ARTIFACT_FORMAT = 17
 _EXIT_NOT_CONVERGED = 3
 
 
@@ -119,11 +119,17 @@ def _print_result(result) -> None:
         f"value iteration: {lower['sweeps']}+{upper['sweeps']} sweeps, "
         f"converged={lower['converged'] and upper['converged']}"
     )
-    if result.validation is not None:
-        print(
-            f"simulation: {len(result.validation['cells'])} start cells, "
-            f"{result.validation['num_inconsistent']} inconsistent"
-        )
+    if s["simulation"] is not None:
+        _print_simulation(s["simulation"])
+
+
+def _print_simulation(sim: dict) -> None:
+    """The summary's Monte Carlo figures: trials run against the cap."""
+    print(
+        f"simulation: {sim['start_cells']} start cells, {sim['trials']} trials run "
+        f"(cap {sim['trial_cap']} per cell), {sim['decided_early']} decided early, "
+        f"{sim['inconsistent']} inconsistent"
+    )
 
 
 def _convergence_status(result) -> int:
@@ -179,11 +185,7 @@ def _cmd_simulate(args) -> int:
     result.validation = validate_monte_carlo(result)
     emit_outputs(result, args.out)
     _save_pickle(args.out, "result.pkl", result)
-    print(
-        f"simulation: {len(result.validation['cells'])} start cells x "
-        f"{result.validation['trials']} trials, "
-        f"{result.validation['num_inconsistent']} inconsistent"
-    )
+    _print_simulation(summarize(result)["simulation"])
     return 0
 
 
@@ -218,7 +220,7 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("simulate", help="Monte Carlo check of a saved result")
     common(sp, config_required=False)
-    sp.add_argument("--trials", type=int, help="trajectories per start cell")
+    sp.add_argument("--trials", type=int, help="most trajectories per start cell")
     sp.add_argument("--start-cells", dest="start_cells", type=int, help="number of start cells")
     sp.set_defaults(fn=_cmd_simulate)
 

@@ -11,8 +11,10 @@ summary.json holds and the command line prints.
 
 from __future__ import annotations
 
+import collections
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -431,8 +433,11 @@ def run_pipeline(
 def summarize(result: PipelineResult) -> dict:
     """What summary.json holds and the CLI prints: the sizes, the class
     counts, the volume-weighted mean and max gap, each value-iteration
-    pass's sweeps and convergence, and the timings."""
+    pass's sweeps and convergence, the Monte Carlo check's start cells,
+    trials run (the cap is per cell), cells decided before the cap and
+    inconsistent cells (None before a simulation), and the timings."""
     mean_gap, max_gap = gap_stats(result.abstraction.grid, result.p_lower, result.p_upper)
+    v = result.validation
     return {
         "num_cells": result.abstraction.grid.num_cells,
         "num_product_states": result.product.num_states,
@@ -446,7 +451,14 @@ def summarize(result: PipelineResult) -> dict:
             name: {k: getattr(vi, k) for k in ("sweeps", "full_sweeps", "residual", "converged")}
             for name, vi in (("lower", result.lower), ("upper", result.upper))
         },
-        "timings": {k: round(v, 3) for k, v in result.timings.items()},
+        "simulation": None if v is None else {
+            "start_cells": len(v["cells"]),
+            "trials": sum(rec["trials"] for rec in v["cells"]),
+            "trial_cap": v["trials"],
+            "decided_early": sum(rec["decided"] == "early" for rec in v["cells"]),
+            "inconsistent": v["num_inconsistent"],
+        },
+        "timings": {k: round(t, 3) for k, t in result.timings.items()},
         "seed": result.config.seed,
         "threads": result.config.threads,
     }
@@ -525,95 +537,210 @@ def emit_outputs(result: PipelineResult, outdir: str) -> None:
 # -- Monte Carlo check --------------------------------------------------------
 
 
-def _wilson(successes: int, trials: int, z: float = 2.5758293035489004) -> tuple[float, float]:
-    """Wilson score interval; the default z is the two-sided 99% quantile."""
-    if trials == 0:
-        return 0.0, 1.0
-    p = successes / trials
-    z2 = z * z
-    denom = 1.0 + z2 / trials
-    center = (p + z2 / (2 * trials)) / denom
-    half = z * np.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+# A start cell whose certificate holds is flagged with probability at most
+# _MC_ALPHA, however many of its checkpoints it passes; its first checkpoint
+# is at _MC_FIRST trials, and each later one doubles that, up to
+# simulation.trials.
+_MC_ALPHA = 0.01
+_MC_FIRST = 50
 
 
-# Most trajectories the Monte Carlo check steps at once. Whole start cells
-# join the pool while they fit (a cell with more trials than this runs
-# alone), so the pool's arrays and the batches it hands to evaluate and
-# locate stay a few MiB however many start cells are checked.
+def _mc_schedule(trials: int) -> list[tuple[int, float]]:
+    """A cell's checkpoints (n_k, alpha_k), k = 0..K: n_k = _MC_FIRST * 2**k
+    while below `trials`, then n_K = trials. The levels alpha_k =
+    alpha / ((k + 1)(k + 2)) for k < K and alpha_K = alpha / (K + 1) sum to
+    alpha = _MC_ALPHA exactly, so by a union bound all K + 1 intervals hold
+    at once with probability at least 1 - alpha."""
+    sizes = []
+    while _MC_FIRST << len(sizes) < trials:
+        sizes.append(_MC_FIRST << len(sizes))
+    sizes.append(trials)
+    last = len(sizes) - 1
+    return [(n, _MC_ALPHA / ((k + 1) * (k + 2)) if k < last else _MC_ALPHA / (last + 1))
+            for k, n in enumerate(sizes)]
+
+
+def _log_pmf(s: int, n: int, p: float) -> float:
+    """log P(X = s) for X ~ Binomial(n, p), 0 < p < 1."""
+    return (math.lgamma(n + 1) - math.lgamma(s + 1) - math.lgamma(n - s + 1)
+            + s * math.log(p) + (n - s) * math.log1p(-p))
+
+
+def _log_tail(s: int, n: int, p: float, upper: bool) -> float:
+    """log P(X >= s) if upper, else log P(X <= s), for X ~ Binomial(n, p).
+    The tail that holds the mean n p is one minus the other. The other sums
+    its terms outward from s, each the last times the ratio of consecutive
+    terms, which falls below 1 there; past 16 standard deviations and 40
+    terms they are below e^-64 of the first and are left out."""
+    if not 0.0 < p < 1.0:  # X is 0 or n surely
+        x = n if p >= 1.0 else 0
+        return 0.0 if (x >= s if upper else x <= s) else -math.inf
+    if s <= 0 if upper else s >= n:
+        return 0.0
+    if s > n if upper else s < 0:
+        return -math.inf
+    if (s <= n * p) if upper else (s >= n * p):
+        return math.log1p(-math.exp(_log_tail(s - 1 if upper else s + 1, n, p, not upper)))
+    width = int(16.0 * math.sqrt(n * p * (1.0 - p))) + 40
+    odds = p / (1.0 - p)
+    if upper:  # P(X = j + 1) / P(X = j)
+        j = np.arange(s, min(n, s + width))
+        ratio = (n - j) / (j + 1) * odds
+    else:  # P(X = j - 1) / P(X = j)
+        j = np.arange(s, max(0, s - width), -1)
+        ratio = j / ((n - j + 1) * odds)
+    return _log_pmf(s, n, p) + math.log1p(float(np.cumprod(ratio).sum()))
+
+
+def _cp_verdict(s: int, n: int, alpha: float, lo: float, hi: float) -> int:
+    """Where the Clopper–Pearson interval at level alpha of s successes in n
+    trials lies against [lo, hi]: 1 inside it, -1 disjoint from it, 0 across
+    one of its ends. Four binomial tails decide it, with no quantile: the
+    interval's low end is at least lo iff P(X >= s) <= alpha/2 at p = lo,
+    above hi iff P(X >= s) < alpha/2 at p = hi, and its high end likewise
+    with P(X <= s)."""
+    a = math.log(alpha / 2)
+    if _log_tail(s, n, hi, True) < a or _log_tail(s, n, lo, False) < a:
+        return -1
+    return int((lo <= 0.0 or _log_tail(s, n, lo, True) <= a)
+               and (hi >= 1.0 or _log_tail(s, n, hi, False) <= a))
+
+
+def _clopper_pearson(s: int, n: int, alpha: float) -> tuple[float, float]:
+    """The exact two-sided interval at level 1 - alpha for the success
+    probability behind s successes in n trials. Its low end is the p at
+    which P(X >= s) = alpha/2 (0 if s = 0); its high end is one minus the low
+    end for the n - s failures.
+
+    Each end is found by Newton's method in u = log p on log P(X >= s),
+    which is concave in u (the distribution function of the logarithm of a
+    beta variable, whose density is log-concave): every step lands at or
+    below the root, and from below the steps rise to it without
+    overshooting."""
+    a = alpha / 2
+
+    def low(s):
+        if s == 0:
+            return 0.0
+        if s == n:  # P(X >= n) = p**n
+            return a ** (1.0 / n)
+        target = math.log(a)
+        p = s / n
+        for _ in range(100):
+            log_sf = _log_tail(s, n, p, True)
+            # d/du log P(X >= s) = s P(X = s) / P(X >= s)
+            step = (log_sf - target) / (s * math.exp(_log_pmf(s, n, p) - log_sf))
+            p *= math.exp(-step)
+            if abs(step) <= 1e-9:  # the steps shrink quadratically: the next would be about 1e-17
+                break
+        return p
+
+    return low(s), 1.0 - low(n - s)
+
+
+# Most trajectories the Monte Carlo check steps at once. Batches join the
+# pool while they fit (a batch larger than this runs alone), so the pool's
+# arrays and the batches it hands to evaluate and locate stay a few MiB
+# however many start cells are checked.
 _MC_POOL = 1 << 14
 
 
-def _simulate(result: PipelineResult, cells: list[int], steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Roll config.sim_trials closed-loop trajectories from uniform starts in
-    each of `cells`; return per cell how many got accepted within `steps`
-    steps and within config.horizon steps.
+def _simulate(
+    result: PipelineResult, cells: list[int], steps: int, schedule: list[tuple[int, float]]
+) -> tuple[np.ndarray, ...]:
+    """Roll closed-loop trajectories from uniform starts in each of `cells`,
+    one batch per checkpoint of `schedule` (_mc_schedule), until the cell is
+    decided: at the first checkpoint whose Clopper–Pearson interval lies
+    inside [p_lower, p_upper] or is disjoint from it (_cp_verdict), or at
+    the last. Returns per cell the checkpoint it stopped at, the verdict
+    there, and how many of its runs got accepted within `steps` steps and
+    within config.horizon steps.
 
     All running trajectories advance together in one pool of at most
-    _MC_POOL, which whole cells join as finished runs leave it. Each cell
-    draws from its own generator default_rng([seed, 7919, cell]): its
-    uniform starts when it joins, then each step the noise of its own
-    running trajectories, so a cell's draws do not depend on which cells
-    share the pool (its states do, in evaluate's last bits). A run that
-    leaves the domain without its next DFA state accepting counts as failed,
-    matching the certificate's semantics for the out-of-domain state
-    (UNSAFE_ID picks next_tbl's last row); a run still going after `steps`
-    steps counts as unsatisfied."""
+    _MC_POOL, which batches join in the order they fall due as finished
+    runs leave it. A cell has one batch in the pool at a time; its next
+    batch falls due once every run of the last has ended and left the cell
+    undecided. Each cell draws from its own generator
+    default_rng([seed, 7919, cell]): each batch's uniform starts when it
+    joins, then each step the noise of the batch's running trajectories, so
+    a cell's draws do not depend on which cells share the pool (its states
+    do, in evaluate's last bits). A run that leaves the domain without its
+    next DFA state accepting counts as failed, matching the certificate's
+    semantics for the out-of-domain state (UNSAFE_ID picks next_tbl's last
+    row); a run still going after `steps` steps counts as unsatisfied."""
     config = result.config
     nd = result.abstraction.dynamics
     grid = result.abstraction.grid
     dfa = result.product.dfa
     next_tbl = result.product.next_tbl
     table = result.switching.table
-    trials, dim = config.sim_trials, grid.dim
+    dim, m = grid.dim, len(cells)
     chol = np.linalg.cholesky(config.covariance)
     acc_mask, dead_mask = dfa.state_masks()
     d_init = dfa.states.index(dfa.initial)
 
-    k_ext = np.zeros(len(cells), dtype=np.int64)
-    k_hor = np.zeros(len(cells), dtype=np.int64)
-    age = np.zeros(len(cells), dtype=np.int64)  # steps each cell's runs have taken
-    rngs: list[np.random.Generator] = []
-    # the pool, grouped by owner (index into `cells`) in joining order
+    stop = np.zeros(m, dtype=np.int64)  # the checkpoint each cell's batch runs up to
+    verdict = np.zeros(m, dtype=np.int64)
+    k_ext = np.zeros(m, dtype=np.int64)
+    k_hor = np.zeros(m, dtype=np.int64)
+    age = np.zeros(m, dtype=np.int64)  # steps the cell's batch has taken
+    rngs = [np.random.default_rng([config.seed, 7919, cell]) for cell in cells]
+    due = collections.deque(range(m))  # cells whose next batch waits to join
+    batch_size = np.diff([0] + [n for n, _ in schedule])  # per checkpoint
+
+    def batch_ended(i):
+        cell = cells[i]
+        n, alpha = schedule[stop[i]]
+        verdict[i] = _cp_verdict(int(k_ext[i]), n, alpha, float(result.p_lower[cell]),
+                                 float(result.p_upper[cell]))
+        if verdict[i] == 0 and stop[i] + 1 < len(schedule):
+            stop[i] += 1
+            due.append(i)
+
+    # the pool, one contiguous run of trajectories per batch, in joining order
     z = np.empty((0, dim))
     where = np.empty(0, dtype=np.int64)  # grid cell of each run
     d = np.empty(0, dtype=np.int64)  # DFA state of each run
-    owner = np.empty(0, dtype=np.int64)
-    joined = 0
+    owner = np.empty(0, dtype=np.int64)  # index into `cells`
     while True:
-        while joined < len(cells) and (owner.size == 0 or owner.size + trials <= _MC_POOL):
-            cell = cells[joined]
-            rngs.append(np.random.default_rng([config.seed, 7919, cell]))
+        while due and (owner.size == 0 or owner.size + batch_size[stop[due[0]]] <= _MC_POOL):
+            i = due.popleft()
+            cell, size = cells[i], batch_size[stop[i]]
+            age[i] = 0
             d0 = next_tbl[cell, d_init]
-            if acc_mask[d0]:
-                k_ext[joined] = k_hor[joined] = trials
-            elif not dead_mask[d0]:
-                starts = rngs[joined].uniform(grid.lo[cell], grid.hi[cell], size=(trials, dim))
-                z = np.concatenate([z, starts])
-                where = np.concatenate([where, np.full(trials, cell)])
-                d = np.concatenate([d, np.full(trials, d0)])
-                owner = np.concatenate([owner, np.full(trials, joined)])
-            joined += 1
+            if acc_mask[d0] or dead_mask[d0]:  # every run ends before its first step
+                won = size if acc_mask[d0] else 0
+                k_ext[i] += won
+                k_hor[i] += won
+                batch_ended(i)
+                continue
+            z = np.concatenate([z, rngs[i].uniform(grid.lo[cell], grid.hi[cell], size=(size, dim))])
+            where = np.concatenate([where, np.full(size, cell)])
+            d = np.concatenate([d, np.full(size, d0)])
+            owner = np.concatenate([owner, np.full(size, i)])
         if owner.size == 0:
             break
 
-        first = owner[0]
-        counts = np.bincount(owner - first)
-        live = np.flatnonzero(counts)
+        heads = np.flatnonzero(np.diff(owner, prepend=-1))
+        batches = owner[heads]
+        counts = np.diff(heads, append=owner.size)
         z = _advance(
             nd, grid, chol, z, table[where, d],
-            np.concatenate([rngs[first + j].standard_normal((counts[j], dim)) for j in live]),
+            np.concatenate([rngs[i].standard_normal((c, dim)) for i, c in zip(batches.tolist(), counts.tolist())]),
         )
         where = grid.locate(z)
         d = next_tbl[where, d]
-        age[first + live] += 1
+        age[batches] += 1
         t = age[owner]
         acc = acc_mask[d]
-        k_ext += np.bincount(owner[acc], minlength=len(cells))
-        k_hor += np.bincount(owner[acc & (t <= config.horizon)], minlength=len(cells))
+        k_ext += np.bincount(owner[acc], minlength=m)
+        k_hor += np.bincount(owner[acc & (t <= config.horizon)], minlength=m)
         keep = np.flatnonzero(~acc & ~dead_mask[d] & (where != UNSAFE_ID) & (t < steps))
         z, where, d, owner = z.take(keep, axis=0), where[keep], d[keep], owner[keep]
-    return k_ext, k_hor
+        left = np.bincount(owner, minlength=m)
+        for i in batches[left[batches] == 0].tolist():
+            batch_ended(i)
+    return stop, verdict, k_ext, k_hor
 
 
 def _advance(
@@ -639,7 +766,16 @@ def _advance(
 
 def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
     """Simulate the synthesized controller from sampled start cells and check
-    the empirical satisfaction frequency against the certified interval.
+    each cell's empirical satisfaction frequency against its certified
+    interval, sequentially (_simulate): a cell stops at the first checkpoint
+    of _mc_schedule(config.sim_trials) whose Clopper–Pearson interval lies
+    inside [p_lower, p_upper] (consistent) or is disjoint from it (flagged),
+    or at config.sim_trials, the cap, where it is flagged only if disjoint.
+    The checkpoints' levels sum to _MC_ALPHA, so a cell whose certificate
+    holds is flagged with probability at most _MC_ALPHA. Each record holds
+    the trials run, the frequencies and the interval at the checkpoint the
+    cell stopped at.
+
     Runs continue past the reporting horizon (horizon_factor times longer) so
     the frequency approximates the unbounded-horizon probability; unfinished
     runs count as unsatisfied. Each cell's draws depend only on the seed,
@@ -657,32 +793,32 @@ def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
         raise ValueError(f"start cell {bad[0]} is not a cell id in [0, {grid.num_cells})")
     cells = [int(c) for c in cells]
     steps = config.horizon * config.sim_horizon_factor
-    k_ext, k_hor = _simulate(result, cells, steps)
+    schedule = _mc_schedule(config.sim_trials)
+    stop, verdict, k_ext, k_hor = _simulate(result, cells, steps, schedule)
 
     records = []
-    inconsistent = 0
-    n = config.sim_trials
-    for cell, acc_ext, acc_hor in zip(cells, k_ext.tolist(), k_hor.tolist()):
-        ci_lo, ci_hi = _wilson(acc_ext, n)
-        p_lo = float(result.p_lower[cell])
-        p_hi = float(result.p_upper[cell])
-        ok = not (ci_hi < p_lo or ci_lo > p_hi)
-        inconsistent += 0 if ok else 1
+    for cell, k, v, acc_ext, acc_hor in zip(cells, stop.tolist(), verdict.tolist(), k_ext.tolist(),
+                                            k_hor.tolist()):
+        n, alpha = schedule[k]
         records.append(
             {
                 "cell": cell,
-                "p_lower": p_lo,
-                "p_upper": p_hi,
+                "p_lower": float(result.p_lower[cell]),
+                "p_upper": float(result.p_upper[cell]),
+                "trials": n,
+                "decided": "early" if k < len(schedule) - 1 else "at_cap",
                 "freq_horizon": acc_hor / n,
                 "freq": acc_ext / n,
-                "ci99": [ci_lo, ci_hi],
-                "consistent": ok,
+                "ci": list(_clopper_pearson(acc_ext, n, alpha)),
+                "ci_level": 1.0 - alpha,
+                "consistent": v >= 0,
             }
         )
     return {
         "trials": config.sim_trials,
+        "alpha": _MC_ALPHA,
         "horizon": config.horizon,
         "extended_steps": steps,
-        "num_inconsistent": inconsistent,
+        "num_inconsistent": sum(not rec["consistent"] for rec in records),
         "cells": records,
     }

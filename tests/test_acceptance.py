@@ -241,10 +241,13 @@ def test_criterion_7_monte_carlo_consistency(run_2d):
         and len(v["cells"]) == 20
         and run_2d.timings["total"] < 900.0
     )
+    run = sum(rec["trials"] for rec in v["cells"])
+    early = sum(rec["decided"] == "early" for rec in v["cells"])
     _report(7, ok,
-            f"{flagged} of {len(v['cells'])} start cells with 99% CI disjoint from "
-            f"[p_lower, p_upper] at {v['trials']} trials each, pipeline "
-            f"{run_2d.timings['total']:.1f}s (budget 0 flagged, 900s)")
+            f"{flagged} of {len(v['cells'])} start cells with a Clopper-Pearson interval disjoint "
+            f"from [p_lower, p_upper] (per cell {1 - v['alpha']:.0%} over all its checkpoints), "
+            f"{run} trials run of at most {v['trials']} each, {early} cells decided early, "
+            f"pipeline {run_2d.timings['total']:.1f}s (budget 0 flagged, 900s)")
 
 
 def test_criterion_8_refinement_shrinks_the_gap(fixture_2d, run_2d):

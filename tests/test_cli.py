@@ -19,8 +19,9 @@ from nndm_synth.pipeline import build_abstraction, run_pipeline
 from nndm_synth.refinement import RefinementConfig
 
 # sha256 of the pickled classes' field names (see _pickled_fields) under the
-# current artifact format
-_FORMAT_DIGEST = (16, "1bcdfefab72ca6478eb4c07d1088f668bad8893b59973f0bdee0041c0db93737")
+# current artifact format. Format 17 kept format 16's classes: it changed the
+# fields of the pickled result's validation dict, which the digest does not read.
+_FORMAT_DIGEST = (17, "1bcdfefab72ca6478eb4c07d1088f668bad8893b59973f0bdee0041c0db93737")
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,20 @@ def test_run_end_to_end(workdir, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["refinement_rounds"] == 1
     assert "monte_carlo" in summary["timings"]
+    # the simulation line is the summary's section, which counts validation.json's records
+    report = json.loads((out / "validation.json").read_text())
+    sim = summary["simulation"]
+    assert sim == {
+        "start_cells": 3,
+        "trials": sum(rec["trials"] for rec in report["cells"]),
+        "trial_cap": 200,
+        "decided_early": sum(rec["decided"] == "early" for rec in report["cells"]),
+        "inconsistent": report["num_inconsistent"],
+    }
+    assert text.splitlines()[-1] == (
+        f"simulation: 3 start cells, {sim['trials']} trials run (cap 200 per cell), "
+        f"{sim['decided_early']} decided early, {sim['inconsistent']} inconsistent"
+    )
 
 
 def test_printed_figures_are_the_summary(workdir, capsys):
@@ -125,7 +140,10 @@ def test_simulate_updates_saved_result(workdir, capsys):
     report = json.loads((out / "validation.json").read_text())
     assert report["trials"] == 100
     assert len(report["cells"]) == 2
-    capsys.readouterr()
+    trials = sum(rec["trials"] for rec in report["cells"])
+    assert all(rec["trials"] <= 100 and rec["decided"] in ("early", "at_cap") for rec in report["cells"])
+    assert json.loads((out / "summary.json").read_text())["simulation"]["trials"] == trials
+    assert capsys.readouterr().out.startswith(f"simulation: 2 start cells, {trials} trials run (cap 100 per cell), ")
 
 
 def test_result_without_simulation_removes_stale_validation(workdir, capsys):
@@ -240,10 +258,11 @@ def test_simulate_refuses_format_3_result(tmp_path, capsys):
     # a config holding its grid and regions as lists and a writable covariance,
     # format 10 row stores without a remainder per row, format 11 a refinement
     # config with a split rule setting and an Imdp with its own cell count,
-    # format 12 a product with its states as a list of pairs and an initial_pid
+    # format 12 a product with its states as a list of pairs and an initial_pid,
+    # format 16 a validation dict with one ci99 per cell at the full trial count
     nd, config = reach_avoid_2d(grid=(4, 4))
     result = run_pipeline(config, nd=nd)
-    for fmt in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
+    for fmt in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16):
         with open(tmp_path / "result.pkl", "wb") as fh:
             pickle.dump({"format": fmt, "fingerprint": None, "object": result}, fh)
         rc = main(["simulate", "--out", str(tmp_path)])

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from nndm_synth.automata import dfa_template, load_dfa
 from nndm_synth.fixtures import random_network, reach_avoid_2d, vehicle_3d
@@ -19,8 +20,11 @@ from nndm_synth import pipeline, transitions
 from nndm_synth.networks import evaluate, load_networks
 from nndm_synth.pipeline import (
     PipelineConfig,
+    _clopper_pearson,
+    _cp_verdict,
+    _log_tail,
+    _mc_schedule,
     _parse_covariance,
-    _wilson,
     build_abstraction,
     classify,
     emit_outputs,
@@ -508,21 +512,70 @@ class TestClassify:
         assert classify(np.array([0.95]), np.array([0.95]), 0.95)[0] == "yes"
 
 
-class TestWilson:
+class TestClopperPearson:
+    SIZES = [(n, s) for n in (50, 800, 10_000) for s in sorted({0, 1, n // 2, n - 1, n})]
+
+    @pytest.mark.parametrize("n, s", SIZES)
+    def test_tails_match_scipy(self, n, s):
+        for p in (1e-4, 0.01, 0.3, 0.5, 0.9, 0.999, max(s - 0.5, 0.5) / n, min(s + 0.5, n - 0.5) / n):
+            for upper, ref in ((True, stats.binom.sf(s - 1, n, p)), (False, stats.binom.cdf(s, n, p))):
+                got = _log_tail(s, n, p, upper)
+                if ref > 1e-200:  # where scipy's tails keep their relative accuracy
+                    assert np.exp(got) == pytest.approx(ref, rel=1e-9, abs=0), (p, upper)
+                else:
+                    assert got < np.log(1e-199), (p, upper)
+
+    def test_tails_at_the_ends_of_p(self):
+        for p, x in ((0.0, 0), (1.0, 20)):
+            for s in range(21):
+                assert _log_tail(s, 20, p, True) == (0.0 if x >= s else -np.inf)
+                assert _log_tail(s, 20, p, False) == (0.0 if x <= s else -np.inf)
+
+    @pytest.mark.parametrize("n, s", SIZES)
+    def test_intervals_match_scipy(self, n, s):
+        # the high end through its distance from 1, the low end of the
+        # failures' interval, which keeps its relative accuracy near 1
+        for alpha in (0.01, 0.01 / 6, 0.01 / 72):
+            lo, hi = _clopper_pearson(s, n, alpha)
+            ref_lo = stats.beta.ppf(alpha / 2, s, n - s + 1) if s > 0 else 0.0
+            ref_gap = stats.beta.ppf(alpha / 2, n - s, s + 1) if s < n else 0.0
+            assert lo == pytest.approx(ref_lo, rel=1e-9, abs=0)
+            assert 1.0 - hi == pytest.approx(ref_gap, rel=1e-9, abs=1e-15)
+
+    def test_verdict_reads_the_interval(self):
+        # inside, disjoint or across an end of [lo, hi], as the interval
+        # scipy's beta quantiles give
+        rng = np.random.default_rng(3)
+        for n in (50, 800):
+            for _ in range(200):
+                s = int(rng.integers(0, n + 1))
+                lo, hi = np.sort(rng.uniform(-0.05, 1.05, 2)).clip(0.0, 1.0)
+                alpha = 0.01 / 12
+                ci_lo = stats.beta.ppf(alpha / 2, s, n - s + 1) if s > 0 else 0.0
+                ci_hi = stats.beta.isf(alpha / 2, s + 1, n - s) if s < n else 1.0
+                want = -1 if ci_hi < lo or ci_lo > hi else int(lo <= ci_lo and ci_hi <= hi)
+                assert _cp_verdict(s, n, alpha, lo, hi) == want, (s, n, lo, hi)
+
+    def test_schedule_levels_sum_to_alpha(self):
+        for trials, ends in ((10_000, [50, 100, 200, 400, 800, 1600, 3200, 6400, 10_000]),
+                             (800, [50, 100, 200, 400, 800]), (50, [50]), (10, [10])):
+            schedule = _mc_schedule(trials)
+            assert [n for n, _ in schedule] == ends
+            assert sum(alpha for _, alpha in schedule) == pytest.approx(0.01, rel=1e-12)
+
     def test_extremes(self):
-        assert _wilson(0, 0) == (0.0, 1.0)
-        lo, hi = _wilson(0, 100)
+        lo, hi = _clopper_pearson(0, 100, 0.01)
         assert lo == 0.0 and 0.0 < hi < 0.2
-        lo, hi = _wilson(100, 100)
+        lo, hi = _clopper_pearson(100, 100, 0.01)
         assert hi == 1.0 and 0.8 < lo < 1.0
 
     def test_contains_point_estimate(self):
         for k, n in ((5, 40), (20, 40), (39, 40)):
-            lo, hi = _wilson(k, n)
+            lo, hi = _clopper_pearson(k, n, 0.01)
             assert lo < k / n < hi
 
     def test_monotone_in_successes(self):
-        los, his = zip(*(_wilson(k, 50) for k in range(0, 51, 10)))
+        los, his = zip(*(_clopper_pearson(k, 50, 0.01) for k in range(0, 51, 10)))
         assert all(a <= b for a, b in zip(los, los[1:]))
         assert all(a <= b for a, b in zip(his, his[1:]))
 
@@ -813,13 +866,33 @@ class TestMonteCarlo:
         small = replace(config, sim_trials=400, sim_start_cells=4)
         res_small = replace(res, config=small)
         report = validate_monte_carlo(res_small)
-        assert report["trials"] == 400
+        assert report["trials"] == 400 and report["alpha"] == 0.01
         assert len(report["cells"]) == 4
         assert report["num_inconsistent"] == 0
+        levels = dict(_mc_schedule(400))
         for rec in report["cells"]:
             assert rec["consistent"]
+            assert rec["trials"] in levels and rec["ci_level"] == 1.0 - levels[rec["trials"]]
+            assert rec["decided"] == ("at_cap" if rec["trials"] == 400 else "early")
             assert 0.0 <= rec["freq_horizon"] <= rec["freq"] <= 1.0
-            assert rec["ci99"][0] <= rec["freq"] <= rec["ci99"][1]
+            assert rec["ci"][0] <= rec["freq"] <= rec["ci"][1]
+        assert any(rec["decided"] == "early" for rec in report["cells"])
+
+    @pytest.mark.parametrize("shift", [0.1, -0.1])
+    def test_certificate_off_by_a_tenth_is_flagged(self, small_run, shift):
+        # the cell's certificate moved so that its near end lies 0.1 above
+        # (or below) the frequency the simulation finds
+        _, config, res, _ = small_run
+        res_small = replace(res, config=replace(config, sim_trials=2000))
+        cell = 3
+        freq = validate_monte_carlo(res_small, cells=[cell])["cells"][0]["freq"]
+        assert 0.3 < freq < 0.7
+        p_lower, p_upper = res.p_lower.copy(), res.p_upper.copy()
+        p_lower[cell], p_upper[cell] = (freq + 0.1, 1.0) if shift > 0 else (0.0, freq - 0.1)
+        report = validate_monte_carlo(replace(res_small, p_lower=p_lower, p_upper=p_upper), cells=[cell])
+        rec = report["cells"][0]
+        assert report["num_inconsistent"] == 1 and not rec["consistent"]
+        assert rec["ci"][1] < p_lower[cell] if shift > 0 else rec["ci"][0] > p_upper[cell]
 
     def test_simulation_seeded_per_cell(self, small_run):
         _, config, res, _ = small_run
@@ -852,10 +925,10 @@ class TestMonteCarlo:
         assert report["extended_steps"] == 2
         unfinished = 0
         for cell, rec in zip(cells, report["cells"]):
-            accepted_at, status = _reference_runs(res_small, cell, steps=2)
+            accepted_at, status = _reference_runs(res_small, cell, 2, rec["trials"])
             unfinished += np.count_nonzero(status == 0)
-            assert rec["freq"] == np.count_nonzero(accepted_at >= 0) / 300
-            assert rec["freq_horizon"] == np.count_nonzero((accepted_at >= 0) & (accepted_at <= 1)) / 300
+            assert rec["freq"] == np.count_nonzero(accepted_at >= 0) / rec["trials"]
+            assert rec["freq_horizon"] == np.count_nonzero((accepted_at >= 0) & (accepted_at <= 1)) / rec["trials"]
         assert unfinished > 0
 
     @pytest.mark.parametrize(
@@ -888,18 +961,29 @@ class TestMonteCarlo:
         assert report["cells"] == [] and report["num_inconsistent"] == 0
 
 
-def _reference_runs(result, cell, steps):
-    """One cell's runs stepped on their own, drawing from the cell's generator
-    in the same order as the pooled simulation. Returns the step at which
-    each run got accepted (-1 if never) and its final status (0 running,
+def _reference_runs(result, cell, steps, trials):
+    """One cell's runs stepped on their own, batch after batch: 50, 50, 100,
+    200, ... trials, each batch ending at the next checkpoint below the cap
+    config.sim_trials, then at the cap, until `trials` have run. Each batch
+    starts once the last has ended, drawing from the cell's generator in
+    the same order as the pooled simulation. Returns the step at which each
+    run got accepted (-1 if never) and its final status (0 running,
     1 accepted, 2 failed)."""
+    config = result.config
+    ends = [n for n in (50 << k for k in range(40)) if n < config.sim_trials] + [config.sim_trials]
+    assert trials in ends
+    rng = np.random.default_rng([config.seed, 7919, cell])
+    runs = [_reference_batch(result, cell, steps, rng, end - start)
+            for start, end in zip([0] + ends, ends[: ends.index(trials) + 1])]
+    return tuple(np.concatenate(parts) for parts in zip(*runs))
+
+
+def _reference_batch(result, cell, steps, rng, n):
     config, grid = result.config, result.abstraction.grid
     nd, dfa, next_tbl = result.abstraction.dynamics, result.product.dfa, result.product.next_tbl
-    rng = np.random.default_rng([config.seed, 7919, cell])
     chol = np.linalg.cholesky(config.covariance)
     acc_mask = np.array([s in dfa.accepting for s in dfa.states])
     dead_mask = np.array([s in dfa.dead_states() for s in dfa.states])
-    n = config.sim_trials
     z = rng.uniform(grid.lo[cell], grid.hi[cell], size=(n, grid.dim))
     cells = np.full(n, cell)
     d = np.full(n, next_tbl[cell, dfa.states.index(dfa.initial)])
