@@ -150,7 +150,13 @@ class RowStore(Mapping):
     state has all num_actions rows, from row first[s] on, or none
     (first[s] = -1). As a read-only Mapping it yields (state, action) -> Row.
     The constructor takes each row's entry count, in row order, the entries'
-    col, lo, up, and each row's remainder (default 0)."""
+    col, lo, up, and each row's remainder (default 0).
+
+    The built stores are narrow: col is int32 and lo and up are float32,
+    rounded outward from the kernel's float64 (transitions.transition_rows),
+    12 bytes per entry; rem is float64. Readers widen the bounds as they
+    read them, so every sum and every kernel step is float64. A store of
+    wider arrays (tests pack float64 rows) reads the same way."""
 
     def __init__(self, first, num_actions: int, sizes, col, lo, up, at=None, rem=None):
         self.first = np.asarray(first, dtype=np.int64)
@@ -190,7 +196,11 @@ class RowStore(Mapping):
         falls[start[1:] - 1] = False  # pairs across two rows
         bad_targets = holds(falls) | (t[start] < UNSAFE_ID) | (t[self.indptr[1:] - 1] >= num_targets)
         del falls
-        lo_sum, up_sum = np.add.reduceat(lo, start), np.add.reduceat(up, start) + self.rem
+        # summed in float64: a float32 running sum over a thousand entries
+        # drifts by about 1e-7, ten times _FEAS_TOL (reduceat widens a copy
+        # of each array in turn)
+        lo_sum = np.add.reduceat(lo, start, dtype=float)
+        up_sum = np.add.reduceat(up, start, dtype=float) + self.rem
         checks = [
             (bad_targets, f"targets are not increasing ids in [{UNSAFE_ID}, {num_targets})"),
             (holds(lo < 0.0) | holds(lo > 1.0) | holds(up < 0.0) | holds(up > 1.0),
@@ -260,6 +270,7 @@ class _BlockKernel:
         self.ints = np.empty((2, max_nnz), dtype=np.int64)
         self.cols = np.empty(max_nnz, dtype=store.col.dtype)  # the product's is int32
         self.floats = np.empty((2, max_nnz))
+        self.narrow = np.empty(max_nnz, dtype=store.lo.dtype)  # the stored bounds, before widening
         self.steps = np.arange(max(max_nnz, S))
         self.rank = np.empty(cols[-1] + 1, dtype=np.int64)  # a state's column; cols' only
         self.order = cols.copy()  # ascending by value
@@ -268,7 +279,8 @@ class _BlockKernel:
     def gather(self, rows: np.ndarray):
         """The rows' entries, row after row, as views into the scratch
         arrays: target ids, lower bounds, gaps up - lo, and each row's
-        offset into them and entry count."""
+        offset into them and entry count. The bounds are taken into a
+        scratch of the store's dtype and widened into the float64 ones."""
         store = self.store
         start = store.indptr[rows]
         length = store.indptr[rows + 1] - start
@@ -280,8 +292,11 @@ class _BlockKernel:
         np.add((start - offs).repeat(length), self.steps[:n], out=idx)
         store.col.take(idx, out=col, mode="clip")
         np.add((store.at[rows] - offs).repeat(length), self.steps[:n], out=idx)
-        store.lo.take(idx, out=lo, mode="clip")
-        store.up.take(idx, out=gap, mode="clip")
+        narrow = self.narrow[:n]
+        store.lo.take(idx, out=narrow, mode="clip")
+        lo[...] = narrow
+        store.up.take(idx, out=narrow, mode="clip")
+        gap[...] = narrow
         gap -= lo
         return col, lo, gap, offs, length
 

@@ -652,9 +652,12 @@ def _simulate(
     one batch per checkpoint of `schedule` (_mc_schedule), until the cell is
     decided: at the first checkpoint whose Clopper–Pearson interval lies
     inside [p_lower, p_upper] or is disjoint from it (_cp_verdict), or at
-    the last. Returns per cell the checkpoint it stopped at, the verdict
-    there, and how many of its runs got accepted within `steps` steps and
-    within config.horizon steps.
+    the last. A cell whose initial DFA state is already accepting or dead
+    takes no step: its frequency, 1 or 0, is exact, so it stops at its
+    first checkpoint, consistent iff p_lower <= frequency <= p_upper.
+    Returns per cell the checkpoint it stopped at, the verdict there, and
+    how many of its runs got accepted within `steps` steps and within
+    config.horizon steps.
 
     All running trajectories advance together in one pool of at most
     _MC_POOL, which batches join in the order they fall due as finished
@@ -712,7 +715,10 @@ def _simulate(
                 won = size if acc_mask[d0] else 0
                 k_ext[i] += won
                 k_hor[i] += won
-                batch_ended(i)
+                # the frequency is exact, and no interval of positive width
+                # lies inside a certificate of one point: decided here
+                freq = float(acc_mask[d0])
+                verdict[i] = 1 if result.p_lower[cell] <= freq <= result.p_upper[cell] else -1
                 continue
             z = np.concatenate([z, rngs[i].uniform(grid.lo[cell], grid.hi[cell], size=(size, dim))])
             where = np.concatenate([where, np.full(size, cell)])
@@ -771,6 +777,9 @@ def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
     of _mc_schedule(config.sim_trials) whose Clopper–Pearson interval lies
     inside [p_lower, p_upper] (consistent) or is disjoint from it (flagged),
     or at config.sim_trials, the cap, where it is flagged only if disjoint.
+    A cell whose runs all end before their first step (a goal or obstacle
+    cell) stops at the first checkpoint, flagged only if its exact
+    frequency lies outside [p_lower, p_upper].
     The checkpoints' levels sum to _MC_ALPHA, so a cell whose certificate
     holds is flagged with probability at most _MC_ALPHA. Each record holds
     the trials run, the frequencies and the interval at the checkpoint the

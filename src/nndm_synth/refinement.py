@@ -44,8 +44,9 @@ def score_states(imdp: Imdp, p_lower: np.ndarray, p_upper: np.ndarray) -> np.nda
     gap of the bounds on entering it. p_lower/p_upper are the per-cell
     certificate bounds (at each cell's initial product state)."""
     incoming = np.zeros(imdp.num_cells + 1)  # last: UNSAFE_ID, not scored
-    # entries in (cell, action) row order: the order of the sums sets the last bits
-    np.add.at(incoming, imdp.rows.col, imdp.rows.up - imdp.rows.lo)
+    # entries in (cell, action) row order: the order of the sums sets the
+    # last bits; each gap is formed in float64 from the widened bounds
+    np.add.at(incoming, imdp.rows.col, np.subtract(imdp.rows.up, imdp.rows.lo, dtype=float))
     gap = np.asarray(p_upper, dtype=float) - np.asarray(p_lower, dtype=float)
     return gap * incoming[:-1]
 

@@ -45,6 +45,13 @@ to value 0 when it minimizes and to value 1 when it maximizes. Pruning is
 then sound, and the rows, the product and every sweep shrink. The
 out-of-domain entry is never pruned.
 
+The kernel computes in float64; the store holds each entry in 12 bytes, the
+target id as int32 and both bounds as float32, rounded outward once where a
+chunk is stored (_round_outward): a lower bound down and an upper bound up,
+one step to the adjacent float32 where the cast to nearest went the other
+way. The remainders stay float64. Sound bounds stay sound, and the row rule
+still holds: lower sums only fall and upper sums only rise.
+
 A store that breaks the row rule (RowStore.first_violation) is a bug here:
 the build stops with InternalConsistencyError naming the row's (cell, action).
 """
@@ -153,15 +160,28 @@ def _erf_erfc(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(inner, e, np.copysign(1.0 - c, x)), c
 
 
-def _erf_terms(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-dimension factor 2 P(z + N(0, 1) in [lo, hi]), elementwise, from
-    one _erf_erfc call on both erf arguments a = (z - lo) / sqrt2 and
-    b = (z - hi) / sqrt2: erf(a) - erf(b), except in the far tails, where
-    that difference would cancel: erfc(b) - erfc(a) when b >= 4,
-    erfc(-a) - erfc(-b) when a <= -4."""
-    a, b = x = np.stack(np.broadcast_arrays((z - lo) / _SQRT2, (z - hi) / _SQRT2))
+def _erf_terms(*sets) -> list[np.ndarray]:
+    """Per-dimension factor 2 P(z + N(0, 1) in [lo, hi]), elementwise, for
+    each (z, lo, hi) set (broadcast), as one array per set, all from one
+    _erf_erfc call on the erf arguments a = (z - lo) / sqrt2 and
+    b = (z - hi) / sqrt2 of every set: a call's fixed cost, some hundred
+    numpy operations, outweighs its work on small tables, so a row chunk
+    evaluates its three term tables at once (_entries). The factor is erf(a) - erf(b), except in the far tails,
+    where that difference would cancel: erfc(b) - erfc(a) when b >= 4,
+    erfc(-a) - erfc(-b) when a <= -4. Each element's bits do not depend on
+    the other sets."""
+    args = [np.broadcast_arrays((z - lo) / _SQRT2, (z - hi) / _SQRT2) for z, lo, hi in sets]
+    a, b = x = np.stack([np.concatenate([side.ravel() for side in pair]) for pair in zip(*args)])
     (erf_a, erf_b), (erfc_a, erfc_b) = _erf_erfc(x)  # erfc at |a| and |b|
-    return np.where(a <= -4.0, erfc_a - erfc_b, np.where(b >= 4.0, erfc_b - erfc_a, erf_a - erf_b))
+    terms = np.where(a <= -4.0, erfc_a - erfc_b, np.where(b >= 4.0, erfc_b - erfc_a, erf_a - erf_b))
+    ends = np.cumsum([first.size for first, _ in args])
+    return [t.reshape(first.shape) for t, (first, _) in zip(np.split(terms, ends[:-1]), args)]
+
+
+def _box_mass(terms: np.ndarray) -> np.ndarray:
+    """A box's mass from its per-dimension factors (_erf_terms, last axis):
+    their product in dimension order over 2^n, clipped into [0, 1]."""
+    return np.clip(np.prod(terms, axis=-1) / (2.0 ** terms.shape[-1]), 0.0, 1.0)
 
 
 def gaussian_box_mass(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -169,9 +189,7 @@ def gaussian_box_mass(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
 
     Broadcasts over leading axes; the trailing axis is the state dimension.
     """
-    z, lo, hi = np.broadcast_arrays(np.asarray(z, dtype=float), lo, hi)
-    mass = np.prod(_erf_terms(z, lo, hi), axis=-1) / (2.0 ** z.shape[-1])
-    return np.clip(mass, 0.0, 1.0)
+    return _box_mass(_erf_terms((np.asarray(z, dtype=float), lo, hi))[0])
 
 
 def extremal_means(
@@ -220,75 +238,102 @@ def _intervals(lows: np.ndarray, highs: np.ndarray) -> _Intervals:
     return _Intervals(ilo, ihi, dim, np.stack(idx))
 
 
-def _corner_box_min(
+def _corner_table(
     box_lo: np.ndarray,
     box_hi: np.ndarray,
     intervals: _Intervals,
     r: np.ndarray,
     c: np.ndarray,
-) -> np.ndarray:
-    """The lowest mass over the corners of row r[p]'s corner boxes against
-    target c[p], for P (row, target) pairs, as (P,): the rows' corner boxes
-    are [box_lo, box_hi] (R, B, n), the targets' intervals `intervals` (see
-    _intervals). Per box and dimension the smaller erf term of the box's two
-    sides is kept; the kept terms are multiplied in dimension order, which
-    gives the box's smallest corner product, and the smallest box is scaled
-    and clipped. The terms are non-negative, and rounded products, the
-    scaling and the clip are monotone in each operand, so this is bitwise
-    the minimum of gaussian_box_mass over all the boxes' corners. A side's
-    term depends only on its row and on the target's interval in that
-    dimension, so the kept terms are tabulated once per (row, interval)
-    pair that some target uses."""
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The side table _corner_box_min reads for P (row, target) pairs
+    (r[p], c[p]), as slot[r, k], the table row of (row r, interval k), and
+    the _erf_terms arguments of the table: both sides, in the interval's
+    dimension, of each of the row's corner boxes [box_lo, box_hi] (R, B, n)
+    against the interval. A side's term depends only on its row and on the
+    target's interval in that dimension, so the table holds each (row,
+    interval) pair that some target uses once."""
     iv = intervals
-    n = box_lo.shape[2]
-    # slot[r, k]: the table row of (row r, interval k)
     slot = np.zeros((box_lo.shape[0], iv.lo.size), dtype=np.int64)
-    for d in range(n):
+    for d in range(box_lo.shape[2]):
         slot[r, iv.idx[d, c]] = 1
     rr, kk = np.nonzero(slot)
     slot[rr, kk] = np.arange(rr.size)
     d = iv.dim[kk]
-    sides = _erf_terms(np.stack([box_lo[rr, :, d], box_hi[rr, :, d]]), iv.lo[kk, None], iv.hi[kk, None])
+    return slot, (np.stack([box_lo[rr, :, d], box_hi[rr, :, d]]), iv.lo[kk, None], iv.hi[kk, None])
+
+
+def _corner_box_min(
+    sides: np.ndarray,
+    slot: np.ndarray,
+    intervals: _Intervals,
+    r: np.ndarray,
+    c: np.ndarray,
+) -> np.ndarray:
+    """The lowest mass over the corners of row r[p]'s corner boxes against
+    target c[p], for P (row, target) pairs, as (P,), from the side table
+    (_corner_table) and its terms `sides` (2, table rows, B). Per box and
+    dimension the smaller term of the box's two sides is kept; the kept
+    terms are multiplied in dimension order, which gives the box's smallest
+    corner product, and the smallest box is scaled and clipped. The terms
+    are non-negative, and rounded products, the scaling and the clip are
+    monotone in each operand, so this is bitwise the minimum of
+    gaussian_box_mass over all the boxes' corners."""
+    idx = intervals.idx
     kept = np.minimum(sides[0], sides[1])  # (table rows, B)
-    boxes = kept[slot[r, iv.idx[0, c]]]
-    for d in range(1, n):  # dimension order, as np.prod multiplies in gaussian_box_mass
-        boxes *= kept[slot[r, iv.idx[d, c]]]
-    return np.clip(boxes.min(axis=1) / 2.0**n, 0.0, 1.0)
+    boxes = kept[slot[r, idx[0, c]]]
+    for d in range(1, len(idx)):  # dimension order, as np.prod multiplies in gaussian_box_mass
+        boxes *= kept[slot[r, idx[d, c]]]
+    return np.clip(boxes.min(axis=1) / 2.0 ** len(idx), 0.0, 1.0)
 
 
 def _entries(
     box_lo: np.ndarray,
     box_hi: np.ndarray,
     intervals: _Intervals,
+    domain,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) of shape (R, C) for R rows, each given by its corner
-    boxes [box_lo, box_hi] (R, B, n) (see geometry.post_image_boxes; a vertex
-    set is the case box_lo = box_hi), against the C target boxes whose
-    intervals are `intervals` (see _intervals). Upper bounds use the nearest
-    mean in the row's rectangle, lower bounds the farthest one, tightened to
-    the corner-box minimum (_corner_box_min) on the (row, target) pairs
-    whose target meets the rectangle. Nothing is pruned here (see _prune).
-    Each row's entries are bitwise those of gaussian_box_mass on that row
-    alone, at the extremal means and at every corner of its boxes."""
+    """(lower, upper) of shape (R, 1 + C) for R rows, each given by its
+    corner boxes [box_lo, box_hi] (R, B, n) (see geometry.post_image_boxes;
+    a vertex set is the case box_lo = box_hi). Column q + 1 bounds target q
+    of the C targets whose intervals are `intervals` (see _intervals):
+    upper bounds use the nearest mean in the row's rectangle, lower bounds
+    the farthest one, tightened to the corner-box minimum (_corner_box_min)
+    on the (row, target) pairs whose target meets the rectangle. Column 0 is
+    the out-of-domain interval: one minus the mass of `domain` (a box with
+    lo and hi) at the nearest mean, and at the farthest one. The three term
+    tables take one _erf_terms call: which pairs meet follows from the
+    rectangles alone. Nothing is pruned here (see _prune). Each row's
+    entries are bitwise those of gaussian_box_mass on that row alone, at
+    the extremal means and at every corner of its boxes."""
     ilo, ihi, dim, idx = intervals
+    rect_lo, rect_hi = box_lo.min(axis=1), box_hi.max(axis=1)
     # each row's rectangle side in the dimension of every interval: (R, K)
-    r_lo, r_hi = box_lo.min(axis=1)[:, dim], box_hi.max(axis=1)[:, dim]
+    r_lo, r_hi = rect_lo[:, dim], rect_hi[:, dim]
     z_min, z_max = extremal_means(r_lo, r_hi, ilo, ihi)
-    terms = _erf_terms(np.stack([z_max, z_min]), ilo, ihi)           # (2, R, K)
     meet = (ihi >= r_lo) & (ilo <= r_hi)
-    bounds, meets = terms[:, :, idx[0]], meet[:, idx[0]]
-    for d in range(1, len(idx)):  # dimension order, as np.prod multiplies in gaussian_box_mass
-        bounds *= terms[:, :, idx[d]]
+    meets = meet[:, idx[0]]
+    for d in range(1, len(idx)):
         meets &= meet[:, idx[d]]
-    bounds /= 2.0 ** box_lo.shape[2]
-    np.clip(bounds, 0.0, 1.0, out=bounds)
-    upper, lower = bounds
-
     r, c = np.nonzero(meets)
+    slot, side_args = _corner_table(box_lo, box_hi, intervals, r, c)
+    dz_min, dz_max = extremal_means(rect_lo, rect_hi, domain.lo, domain.hi)
+    terms, sides, dom_terms = _erf_terms(
+        (np.stack([z_max, z_min]), ilo, ihi),                      # (2, R, K)
+        side_args,
+        (np.stack([dz_min, dz_max]), domain.lo, domain.hi),        # (2, R, n)
+    )
+    cells = terms[:, :, idx[0]]
+    for d in range(1, len(idx)):  # dimension order, as np.prod multiplies in gaussian_box_mass
+        cells *= terms[:, :, idx[d]]
+    cells /= 2.0 ** box_lo.shape[2]
+    np.clip(cells, 0.0, 1.0, out=cells)
     if r.size:
-        lower[r, c] = _corner_box_min(box_lo, box_hi, intervals, r, c)
-
-    np.minimum(lower, upper, out=lower)
+        cells[1, r, c] = _corner_box_min(sides, slot, intervals, r, c)
+    np.minimum(cells[1], cells[0], out=cells[1])
+    bounds = np.empty((2, box_lo.shape[0], 1 + idx.shape[1]))
+    bounds[:, :, 0] = 1.0 - _box_mass(dom_terms)
+    bounds[:, :, 1:] = cells
+    upper, lower = bounds
     return lower, upper
 
 
@@ -303,6 +348,24 @@ def _prune(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     upper[pruned] = 0.0
     lower[lower < _PRUNE] = 0.0
     return dropped
+
+
+def _round_outward(x: np.ndarray, out: np.ndarray, down: bool) -> None:
+    """Store the float64 bounds x, all at least 0, in the float32 array
+    `out`, each rounded down (lower bounds, which then never rise) or up
+    (upper bounds, which never fall). The cast rounds to nearest; where it
+    went the wrong way, one step to the adjacent float32 crosses back past
+    x: np.nextafter toward -inf or +inf. On non-negative floats that step
+    is -1 or +1 on the int32 the bits spell, since those order alike, and
+    costs a tenth of np.nextafter. So each stored bound is within one
+    float32 ulp of x, zeros stay zero, and bounds in [0, 1] stay in
+    [0, 1]."""
+    out[...] = x
+    bits = out.view(np.int32)
+    if down:
+        bits -= out > x
+    else:
+        bits += out < x
 
 
 def transition_rows(
@@ -320,39 +383,39 @@ def transition_rows(
     out-of-domain mass, kept as target UNSAFE_ID when its upper bound is
     positive. The rows go through the kernel in chunks of about
     _CHUNK_ENTRIES entries, and a chunk's corner boxes serve both its cell
-    entries and its out-of-domain intervals. Each row is bitwise what a
-    stack of that row alone gives. A store that breaks the row rule raises
+    entries and its out-of-domain intervals.
+
+    The kernel computes in float64. The store keeps 12 bytes per entry: the
+    target ids as int32 and the bounds as float32, each rounded outward
+    once, as its chunk is stored (_round_outward); the remainders stay
+    float64. Lower bounds only fall and upper bounds only rise, so a sound
+    row stays sound. Each row is bitwise what a stack of that row alone
+    gives. A store that breaks the row rule raises
     InternalConsistencyError."""
     cells = np.asarray(cells, dtype=np.int64)
     sources = cells.repeat(len(actions))
-    dom = grid.domain
     intervals = _intervals(grid.lo, grid.hi)  # found once for every chunk
     # the entries go in buffers with room for dense rows, of which only the
     # pages written are touched; chunk arrays die young and leave no holes
     sizes = np.empty(sources.size, dtype=np.int64)
     rem = np.empty(sources.size)
     room = sources.size * (grid.num_cells + 1)
-    col, lo, up = np.empty(room, dtype=np.int64), np.empty(room), np.empty(room)
+    col = np.empty(room, dtype=np.int32)
+    lo, up = np.empty(room, dtype=np.float32), np.empty(room, dtype=np.float32)
     end = 0
     step = max(1, _CHUNK_ENTRIES // (grid.num_cells + 1))
     for s in range(0, sources.size, step):
         rows = slice(s, s + step)
         src = sources[rows]
         box_lo, box_hi = post_image_boxes(bounds[rows], grid.lo[src], grid.hi[src])
-        lower, upper = _entries(box_lo, box_hi, intervals)
-        rem[rows] = _prune(lower, upper)
-        # out of domain: one minus the domain's mass at the nearest and at
-        # the farthest mean of each row's rectangle
-        dz_min, dz_max = extremal_means(box_lo.min(axis=1), box_hi.max(axis=1), dom.lo, dom.hi)
-        out = 1.0 - gaussian_box_mass(np.stack([dz_max, dz_min]), dom.lo, dom.hi)
-        # column 0 is UNSAFE_ID, column q + 1 is cell q
-        lower = np.column_stack([out[0], lower])
-        upper = np.column_stack([out[1], upper])
+        # column 0 is UNSAFE_ID, column q + 1 is cell q; the first is never pruned
+        lower, upper = _entries(box_lo, box_hi, intervals, grid.domain)
+        rem[rows] = _prune(lower[:, 1:], upper[:, 1:])
         flat = np.flatnonzero(upper)
         sizes[rows] = np.count_nonzero(upper, axis=1)
         k = slice(end, end + flat.size)
-        np.take(lower, flat, out=lo[k])
-        np.take(upper, flat, out=up[k])
+        _round_outward(lower.take(flat), lo[k], down=True)
+        _round_outward(upper.take(flat), up[k], down=False)
         np.remainder(flat, upper.shape[1], out=col[k])
         col[k] += UNSAFE_ID
         end = k.stop

@@ -39,12 +39,12 @@ def post_image_hulls(bounds: LinearBounds, lo: np.ndarray, hi: np.ndarray) -> np
     return corners.reshape(R, B * B, n)
 
 
-def naive_row(grid, source, action, bounds):
-    """Literal per-cell row assembly, no target grouping: (targets, lower,
-    upper, remainder), led by the out-of-domain entry UNSAFE_ID when its
-    upper bound is positive. Cells whose upper bound is below _PRUNE leave
-    the row and their upper bounds, summed in cell order, are its remainder;
-    kept lower bounds below _PRUNE are 0."""
+def naive_entries(grid, source, action, bounds):
+    """Literal per-cell row assembly in float64, no target grouping:
+    (targets, lower, upper, remainder), led by the out-of-domain entry
+    UNSAFE_ID when its upper bound is positive. Cells whose upper bound is
+    below _PRUNE leave the row and their upper bounds, summed in cell order,
+    are its remainder; kept lower bounds below _PRUNE are 0."""
     verts = post_image_hulls(bounds[None], grid.lo[source][None], grid.hi[source][None])[0]
     hull_lo, hull_hi = verts.min(axis=0), verts.max(axis=0)
     lows, highs = grid.boxes()
@@ -74,6 +74,27 @@ def naive_row(grid, source, action, bounds):
     if uu > 0.0:
         targets, klo, kup = np.r_[UNSAFE_ID, targets], np.r_[ul, klo], np.r_[uu, kup]
     return targets, klo, kup, rem
+
+
+def outward_float32(x: float, down: bool) -> np.float32:
+    """One bound as a float32 rounded down (a lower bound) or up (an upper
+    bound): the cast to nearest, then one step back past x where it went
+    the wrong way. Compared as Python floats, which are exact doubles."""
+    f = np.float32(x)
+    if (float(f) > float(x)) if down else (float(f) < float(x)):
+        f = np.nextafter(f, np.float32(-np.inf if down else np.inf))
+    return f
+
+
+def naive_row(grid, source, action, bounds):
+    """naive_entries as the store holds it: int32 targets, and each bound
+    rounded outward to float32 one entry at a time (outward_float32); the
+    remainder stays float64."""
+    targets, lo, up, rem = naive_entries(grid, source, action, bounds)
+    return (targets.astype(np.int32),
+            np.array([outward_float32(v, down=True) for v in lo], dtype=np.float32),
+            np.array([outward_float32(v, down=False) for v in up], dtype=np.float32),
+            rem)
 
 
 def locate_by_search(grid, points):

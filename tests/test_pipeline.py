@@ -894,6 +894,32 @@ class TestMonteCarlo:
         assert report["num_inconsistent"] == 1 and not rec["consistent"]
         assert rec["ci"][1] < p_lower[cell] if shift > 0 else rec["ci"][0] > p_upper[cell]
 
+    @pytest.mark.parametrize("kind", ["goal", "obstacle"])
+    def test_start_cell_that_never_steps_is_decided_at_once(self, small_run, kind):
+        # every run from a goal (obstacle) cell ends before its first step:
+        # the frequency 1 (0) is exact, and the point certificate [1, 1]
+        # ([0, 0]), which no interval lies inside, is decided at the first
+        # checkpoint, not at the cap
+        _, config, res, _ = small_run
+        res_small = replace(res, config=replace(config, sim_trials=2000))
+        dfa, grid = res.product.dfa, res.abstraction.grid
+        acc, dead = dfa.state_masks()
+        d0 = res.product.next_tbl[: grid.num_cells, dfa.states.index(dfa.initial)]
+        cell = int(np.flatnonzero(acc[d0] if kind == "goal" else dead[d0])[0])
+        freq = 1.0 if kind == "goal" else 0.0
+        assert res.p_lower[cell] == res.p_upper[cell] == freq
+        first, alpha = _mc_schedule(2000)[0]
+        report = validate_monte_carlo(res_small, cells=[cell])
+        rec = report["cells"][0]
+        assert report["num_inconsistent"] == 0 and rec["consistent"]
+        assert rec["trials"] == first and rec["decided"] == "early" and rec["ci_level"] == 1.0 - alpha
+        assert rec["freq"] == rec["freq_horizon"] == freq
+        # a certificate that leaves out the exact frequency is flagged there
+        p_lower, p_upper = res.p_lower.copy(), res.p_upper.copy()
+        p_lower[cell], p_upper[cell] = 0.2, 0.8
+        report = validate_monte_carlo(replace(res_small, p_lower=p_lower, p_upper=p_upper), cells=[cell])
+        assert report["num_inconsistent"] == 1 and report["cells"][0]["trials"] == first
+
     def test_simulation_seeded_per_cell(self, small_run):
         _, config, res, _ = small_run
         small = replace(config, sim_trials=200)

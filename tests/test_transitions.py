@@ -36,15 +36,17 @@ from nndm_synth.transitions import (
     gaussian_box_mass,
     transition_rows,
     _corner_box_min,
+    _corner_table,
     _entries,
     _erf_erfc,
+    _erf_terms,
     _intervals,
     _prune,
     _CHUNK_ENTRIES,
     _PRUNE,
 )
 
-from oracles import from_rows, mk_row, naive_row, post_image_hulls, relax_box
+from oracles import from_rows, mk_row, naive_entries, naive_row, post_image_hulls, relax_box
 
 
 def transition_row(grid, source, action, bounds):
@@ -62,8 +64,8 @@ def vertex_lower(vertices, target):
     """Lower bound _entries ships for one vertex set against one box: the
     corner-box set whose boxes are the vertices."""
     lows, highs = target.lo[None], target.hi[None]
-    lower, _ = _entries(vertices[None], vertices[None], _intervals(lows, highs))
-    return float(lower[0, 0])
+    lower, _ = _entries(vertices[None], vertices[None], _intervals(lows, highs), target)
+    return float(lower[0, 1])  # column 0: out of the domain, here the target itself
 
 
 def mass_by_quadrature(z, lo, hi):
@@ -283,7 +285,9 @@ class TestCornerBoxMinimum:
         rect_lo, rect_hi = box_lo.min(axis=1), box_hi.max(axis=1)
         t_lo, t_hi = _oracle_targets(rng, rect_lo, rect_hi, kind)
         pairs = np.arange(len(bounds))
-        got = _corner_box_min(box_lo, box_hi, _intervals(t_lo, t_hi), pairs, pairs)
+        intervals = _intervals(t_lo, t_hi)
+        slot, side_args = _corner_table(box_lo, box_hi, intervals, pairs, pairs)
+        got = _corner_box_min(_erf_terms(side_args)[0], slot, intervals, pairs, pairs)
         corners = post_image_hulls(bounds, lo, hi)
         want = np.array([gaussian_box_mass(corners[p], t_lo[p], t_hi[p]).min() for p in range(len(bounds))])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -300,9 +304,10 @@ class TestCornerBoxMinimum:
         if kind == "edge":
             assert meets.all(), "fixture should touch every rectangle"
         for p in np.flatnonzero(meets):
-            targets = (t_lo[p : p + 1], t_hi[p : p + 1])
-            lower, upper = _entries(box_lo[p : p + 1], box_hi[p : p + 1], _intervals(*targets))
-            assert lower[0, 0] == min(want[p], upper[0, 0])  # _entries does not prune
+            target = HyperRect(t_lo[p], t_hi[p])
+            lower, upper = _entries(box_lo[p : p + 1], box_hi[p : p + 1],
+                                    _intervals(t_lo[p : p + 1], t_hi[p : p + 1]), target)
+            assert lower[0, 1] == min(want[p], upper[0, 1])  # _entries does not prune
 
 
 class TestHullExtrema:
@@ -393,30 +398,31 @@ class TestTransitionRow:
 
     def test_entries_refresh_matches_row(self):
         # two rows in one stacked _entries call, at targets on and off each
-        # row's rectangle, equal their full rows bit for bit
+        # row's rectangle, equal their rows alone bit for bit, in float64,
+        # before the store rounds them outward
         inputs = [self._row_inputs(cell=c) for c in (14, 21)]
         grid = inputs[0][0]
-        rows = [transition_row(g, c, a, b) for g, c, a, b in inputs]
         cells = np.array([c for _, c, _, _ in inputs])
         stack = LinearBounds.concat(b[None] for _, _, _, b in inputs)
         box_lo, box_hi = post_image_boxes(stack, grid.lo[cells], grid.hi[cells])
         rect_lo, rect_hi = box_lo.min(axis=1), box_hi.max(axis=1)
         lows, highs = grid.boxes()
         ids = np.arange(1, grid.num_cells, 3)
-        lower, upper = _entries(box_lo, box_hi, _intervals(lows[ids], highs[ids]))
-        assert lower.shape == upper.shape == (2, ids.size)
-        assert (upper < _PRUNE).any(), "fixture should have targets to prune"
-        _prune(lower, upper)
+        lower, upper = _entries(box_lo, box_hi, _intervals(lows[ids], highs[ids]), grid.domain)
+        assert lower.shape == upper.shape == (2, 1 + ids.size)  # column 0: out of the domain
+        assert (upper[:, 1:] < _PRUNE).any(), "fixture should have targets to prune"
+        _prune(lower[:, 1:], upper[:, 1:])
         meets = np.all((highs[ids] >= rect_lo[:, None]) & (lows[ids] <= rect_hi[:, None]), axis=2)
         assert meets.any(axis=1).all(), "fixture should put targets on each rectangle"
-        assert (upper[~meets] > 0).any(), "fixture should keep targets off the rectangles"
-        for r, row in enumerate(rows):
+        assert (upper[:, 1:][~meets] > 0).any(), "fixture should keep targets off the rectangles"
+        for r, (g, c, a, b) in enumerate(inputs):
+            targets, lo, up, _ = naive_entries(g, c, a, b)
             full_lo = np.zeros(grid.num_cells + 1)  # last: UNSAFE_ID
             full_up = np.zeros(grid.num_cells + 1)
-            full_lo[row.targets] = row.lower
-            full_up[row.targets] = row.upper
-            assert np.array_equal(lower[r], full_lo[ids])
-            assert np.array_equal(upper[r], full_up[ids])
+            full_lo[targets] = lo
+            full_up[targets] = up
+            assert np.array_equal(lower[r], full_lo[np.r_[UNSAFE_ID, ids]])
+            assert np.array_equal(upper[r], full_up[np.r_[UNSAFE_ID, ids]])
 
 
 def _refined_2d():
@@ -549,6 +555,41 @@ class TestStackedRows:
         for i in range(cells.size):
             for a, (_, alone) in enumerate(per_action):
                 _assert_same_row(rows[(i, a)], alone[(i, 0)])
+
+
+class TestOutwardCast:
+    """The store's float32 bounds against the naive oracle's float64 ones
+    (naive_entries): each rounded outward, to the adjacent float32."""
+
+    def test_bounds_round_outward_and_tight(self):
+        nd, grid = _refined_2d()
+        A = len(nd.actions)
+        envs = relax_cells(nd, nd.actions, grid.transform, grid.lo, grid.hi)
+        rows = transition_rows(grid, np.arange(grid.num_cells), nd.actions, envs)
+        naive = [naive_entries(grid, r // A, nd.actions[r % A], b) for r, b in enumerate(envs)]
+        col, lo, up = (np.concatenate(parts) for parts in list(zip(*naive))[:3])
+        assert rows.col.dtype == np.int32 and rows.lo.dtype == rows.up.dtype == np.float32
+        assert np.array_equal(rows.col, col)
+        # outward: lower bounds never rise, upper bounds never fall
+        assert np.all(rows.lo <= lo) and np.all(rows.up >= up)
+        # tight: the next float32 inward lies past the float64 bound
+        assert np.all(np.nextafter(rows.lo, np.float32(np.inf)) > lo)
+        assert np.all(np.nextafter(rows.up, np.float32(-np.inf)) < up)
+        assert np.all(rows.lo[lo == 0.0] == 0.0) and np.all(rows.up[up == 0.0] == 0.0)
+        assert (lo == 0.0).any(), "fixture should have zero lower bounds"
+        # the cast to nearest went the wrong way often enough to be stepped back
+        assert np.any(rows.lo != lo.astype(np.float32)) and np.any(rows.up != up.astype(np.float32))
+
+    def test_row_rule_sums_a_float32_store_in_float64(self):
+        # 1000 entries of float32(0.001) and the float32 below it: their
+        # exact sum is 1, but a float32 running sum ends 1.2e-7 above it,
+        # beyond _FEAS_TOL; the rule sums in float64 and accepts the row
+        a = np.float32(0.001)
+        x = np.r_[np.full(592, a), np.full(408, np.nextafter(a, np.float32(0.0)))].astype(np.float32)
+        assert x.sum(dtype=float) == 1.0
+        assert float(np.add.reduceat(x, [0])[0]) > 1.0 + 1e-8
+        store = RowStore([0], 1, [x.size], np.arange(x.size, dtype=np.int32), x, x.copy())
+        assert store.first_violation(x.size) is None
 
 
 class TestCheckSums:
