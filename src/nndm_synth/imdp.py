@@ -86,8 +86,14 @@ _GAIN = 1e-12
 
 # An exact evaluation replaces the adversary's distribution of a row only
 # where the new one's one-step value beats the held one's by more than
-# _ADVERSARY_GAIN, and stops when no row does. Rounding in a chain solve
-# stays far below it.
+# _ADVERSARY_GAIN, and stops when no row does. Near-ties can sit just above
+# it: on vehicle3d_certify (seed 7), the maximin pass's second evaluation runs
+# 11 picks and 10 chain solves, and its last 6 picks that replace rows each
+# replace 1-7 of 600, on one-step gains of 1.00e-14 to 1.16e-14, at about
+# 10 ms per pick and 10 ms per solve. A larger value would stop such an
+# evaluation sooner, but the minimizer's last solve bounds its value from
+# above, so p_lower could then exceed the strategy's value by more, and
+# nothing yet checks p_lower afterwards.
 _ADVERSARY_GAIN = 1e-14
 
 # A row that would have to move less than _SLACK of its mass off a set of

@@ -16,13 +16,20 @@ increasing s-curve f on [l, u] is the upper line of g(x) = -f(-x) on
 [-u, -l], mirrored back.
 
 `relax_cells` relaxes many boxes under many actions together into one
-`LinearBounds` stack in (box, action) order: every array carries a leading
-cell axis, the backward pass is one stacked `np.matmul` per layer (the
-batched CROWN formulation), and the neuron lines of the hidden layers that
-all actions share are computed once per batch of boxes. Each envelope is
-bitwise what `relax_cells` gives on its box alone, under its action alone.
-An abstraction keeps one stack in its row store's order: envelope r is row
-r's.
+`LinearBounds` stack in (box, action) order, layer by layer (the batched
+CROWN formulation, with each layer's bounds computed once over the whole
+batch as in auto_LiRPA). Layers go outside and boxes inside: for each hidden
+nonlinear layer, the backward passes that bound its pre-activations run
+over _CHUNK_CELLS boxes at a time, every array carrying a leading cell axis
+and every product one stacked `np.matmul`, and its neuron lines then come
+from one call over every box, so an s-curve layer runs one tangent search
+per side. The lines of the hidden layers that all actions share are
+computed once, and each action's final pass runs over every box at once.
+The lines are kept for every box: 4 x cells x width floats per nonlinear
+layer (4.6 MB for vehicle3d_certify's 720 cells and 4 x 50 neurons). Each
+envelope is bitwise what `relax_cells` gives on its box alone, under its
+action alone. An abstraction keeps one stack in its row store's order:
+envelope r is row r's.
 """
 
 from __future__ import annotations
@@ -36,9 +43,9 @@ from .geometry import Transform
 from .networks import Activation, NeuralDynamics, _sigmoid
 
 _POINT_WIDTH = 1e-12  # intervals narrower than this are treated as points
-# Boxes per stacked backward pass in relax_cells. Chunks of 16-64 beat whole
-# grids (large temporaries); the value does not change any result.
-_CHUNK_CELLS = 32
+# Boxes per stacked backward pass in relax_cells. Chunks of 16 beat 8-32 and
+# whole grids (large temporaries); the value does not change any result.
+_CHUNK_CELLS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,23 +197,27 @@ def _activation_coeffs(act: Activation, l: np.ndarray, u: np.ndarray):
 # Bounds carry a leading cell axis: A has shape (cells, out, width) and c
 # (cells, out). Every product is a stacked np.matmul, which multiplies each
 # cell's matrices on their own, so a cell's bits do not depend on its batch.
+# Until the first neuron lines are substituted, the bounds are one 2-D pair
+# that every cell shares, broadcast instead of copied.
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-cell A[i] @ v[i] for A (cells, out, width) and v (cells, width)."""
+    """Per-cell A[i] @ v[i] for A (cells, out, width) and v (cells, width);
+    a 2-D A (out, width) is every cell's."""
     return np.matmul(A, v[:, :, None])[:, :, 0]
 
 
 def _through_neurons(A, c, k_pos, b_pos, k_neg, b_neg):
     """Bound A @ act(x) + c through one layer's neuron lines: where an entry
     of A is positive, the neuron becomes k_pos*x + b_pos, where negative
-    k_neg*x + b_neg. Overwrites A."""
-    pos = np.clip(A, 0.0, None)
-    neg = np.subtract(A, pos, out=A)
+    k_neg*x + b_neg. A 3-D A is overwritten; a 2-D A, every cell's, gives
+    a (cells, out, width) one."""
+    shared = A.ndim == 2
+    pos = np.maximum(A, 0.0)
+    neg = np.subtract(A, pos, out=None if shared else A)
     c = c + _matvec(pos, b_pos) + _matvec(neg, b_neg)
-    pos *= k_pos[:, None, :]
-    neg *= k_neg[:, None, :]
-    pos += neg
-    return pos, c
+    A = np.multiply(pos, k_pos[:, None, :], out=None if shared else pos)
+    A += np.multiply(neg, k_neg[:, None, :], out=None if shared else neg)
+    return A, c
 
 
 def _backward(stages, coeffs, m, cells: int):
@@ -214,8 +225,8 @@ def _backward(stages, coeffs, m, cells: int):
     the network input, substituting the stored neuron relaxations of all
     earlier stages."""
     W, b, _ = stages[m]
-    A_up, c_up = np.repeat(W[None], cells, axis=0), np.repeat(b[None], cells, axis=0)
-    A_lo, c_lo = A_up.copy(), c_up.copy()
+    A_up = A_lo = W
+    c_up = c_lo = b
     for k in range(m - 1, -1, -1):
         cf = coeffs[k]
         if cf is not None:
@@ -227,13 +238,16 @@ def _backward(stages, coeffs, m, cells: int):
         A_up = A_up @ Wk
         c_lo = c_lo + A_lo @ bk
         A_lo = A_lo @ Wk
+    if A_up.ndim == 2:  # no neuron lines below stage m
+        A_up = A_lo = np.broadcast_to(A_up, (cells, *A_up.shape))
+        c_up = c_lo = np.broadcast_to(c_up, (cells, *c_up.shape))
     return A_lo, c_lo, A_up, c_up
 
 
 def _concretize(A_lo, c_lo, A_up, c_up, lo, hi):
-    pos = np.clip(A_up, 0.0, None)
+    pos = np.maximum(A_up, 0.0)
     ub = _matvec(pos, hi) + _matvec(A_up - pos, lo) + c_up
-    pos = np.clip(A_lo, 0.0, None)
+    pos = np.maximum(A_lo, 0.0)
     lb = _matvec(pos, lo) + _matvec(A_lo - pos, hi) + c_lo
     return lb, ub
 
@@ -268,25 +282,23 @@ def _shared_prefix(stacks) -> int:
 
 
 def _neuron_lines(stages, coeffs, start: int, stop: int, lo, hi) -> None:
-    """Fill coeffs[k] for the nonlinear stages start <= k < stop, each from
-    the concretized bounds on its pre-activation given the earlier lines."""
+    """Fill coeffs[k] for the nonlinear stages start <= k < stop over all the
+    boxes [lo[i], hi[i]]: the bounds on a stage's pre-activation come from
+    backward passes over _CHUNK_CELLS boxes at a time, given the earlier
+    lines, and its lines from one call over every box."""
+    cells = lo.shape[0]
     for k in range(start, stop):
         act = stages[k][2]
-        if act is not Activation.LINEAR:
-            l, u = _concretize(*_backward(stages, coeffs, k, lo.shape[0]), lo, hi)
-            coeffs[k] = _activation_coeffs(act, l, u)
-
-
-def _envelopes(stacks, shared: int, lo: np.ndarray, hi: np.ndarray):
-    """Yield stacked (A_lo, b_lo, A_hi, b_hi) over the boxes [lo[i], hi[i]]
-    for each stage stack in `stacks`, in order. The neuron lines of the
-    first `shared` stages, common to every stack, are computed once."""
-    common: list = [None] * shared
-    _neuron_lines(stacks[0], common, 0, shared, lo, hi)
-    for stages in stacks:
-        coeffs = common + [None] * (len(stages) - shared)
-        _neuron_lines(stages, coeffs, shared, len(stages) - 1, lo, hi)
-        yield _backward(stages, coeffs, len(stages) - 1, lo.shape[0])
+        if act is Activation.LINEAR:
+            continue
+        l = np.empty((cells, stages[k][0].shape[0]))
+        u = np.empty_like(l)
+        for s in range(0, cells, _CHUNK_CELLS):
+            part = slice(s, min(s + _CHUNK_CELLS, cells))
+            chunk = [None if cf is None else tuple(x[part] for x in cf) for cf in coeffs[:k]]
+            bounds = _backward(stages, chunk, k, part.stop - s)
+            l[part], u[part] = _concretize(*bounds, lo[part], hi[part])
+        coeffs[k] = _activation_coeffs(act, l, u)
 
 
 def relax_cells(
@@ -298,10 +310,14 @@ def relax_cells(
 ) -> LinearBounds:
     """The stack of affine envelopes of z -> T f_a(T^{-1} z) over the boxes
     [lo[i], hi[i]] (shape (cells, n), whitened coordinates) for every a in
-    `actions`: envelope i * len(actions) + a is actions[a]'s on box i. The
-    boxes go through the backward pass _CHUNK_CELLS at a time, with the
-    hidden prefix all actions share relaxed once per chunk; each envelope
-    equals the one a call on its box and action alone gives."""
+    `actions`: envelope i * len(actions) + a is actions[a]'s on box i.
+    Layers go outside and boxes inside: each hidden nonlinear layer is
+    relaxed once over all the boxes, its pre-activation bounds from
+    backward passes over _CHUNK_CELLS boxes at a time; the hidden prefix all
+    actions share is relaxed once, and each action ends with one final pass
+    over every box. The neuron lines of a nonlinear layer hold 4 x cells x
+    width floats (about 29 MB for 5 x 256 neurons on 720 boxes). Each
+    envelope equals the one a call on its box and action alone gives."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.ndim != 2 or lo.shape != hi.shape or lo.shape[1] != nd.dim:
@@ -311,13 +327,16 @@ def relax_cells(
     if not actions:
         raise ValueError("no actions to relax")
     stacks = [_stages(nd, action, transform) for action in actions]
-    shared = _shared_prefix(stacks)
     cells, A, n = lo.shape[0], len(actions), nd.dim
     R = cells * A
     out = LinearBounds(np.empty((R, n, n)), np.empty((R, n)), np.empty((R, n, n)), np.empty((R, n)))
-    for s in range(0, cells, _CHUNK_CELLS):
-        stop = min(s + _CHUNK_CELLS, cells)
-        for a, env in enumerate(_envelopes(stacks, shared, lo[s:stop], hi[s:stop])):
-            for field, value in zip(vars(out).values(), env):
-                field[s * A + a : stop * A : A] = value
+    shared = _shared_prefix(stacks)
+    common: list = [None] * shared
+    _neuron_lines(stacks[0], common, 0, shared, lo, hi)
+    for a, stages in enumerate(stacks):
+        coeffs = common + [None] * (len(stages) - shared)
+        _neuron_lines(stages, coeffs, shared, len(stages) - 1, lo, hi)
+        env = _backward(stages, coeffs, len(stages) - 1, cells)
+        for field, value in zip(vars(out).values(), env):
+            field[a::A] = value
     return out

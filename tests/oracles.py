@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from nndm_synth.automata import UNSAFE_PROP
 from nndm_synth.geometry import UNSAFE_ID, _corner_masks, post_image_boxes
 from nndm_synth.imdp import RowStore
 from nndm_synth.relaxation import LinearBounds, relax_cells
@@ -231,6 +232,43 @@ def random_product(seed, n_live=10, n_actions=2, degenerate=False):
                 up = p + (1.0 - p) * rng.uniform(0.0, 0.5, k)
             rows[(s, a)] = (targets, lo, up)
     return FakeProduct(accepting, sink, rows, n_actions)
+
+
+def product_walk(imdp, dfa):
+    """The product's states and pid column by its breadth-first walk one
+    state at a time: the (cell, DFA state index) pairs in pid order, as int64,
+    and every live state's successor pids in turn (its cell's rows, side by
+    side in the base store), as int32. A pair gets the next pid the first
+    time it is reached; cell q's initial state is pid q."""
+    idx = {s: i for i, s in enumerate(dfa.states)}
+    labels = [*imdp.labels, frozenset({UNSAFE_PROP})]  # target UNSAFE_ID reads the last
+    nxt = np.array([[idx[dfa.step(s, lab)] for s in dfa.states] for lab in labels])
+    dead = dfa.dead_states()
+    terminal = [s in dfa.accepting or s in dead for s in dfa.states]
+    pid_tbl = np.full(nxt.shape, -1)
+    work = []
+
+    def ensure(cell, d):
+        if pid_tbl[cell, d] < 0:
+            pid_tbl[cell, d] = len(work)
+            work.append((cell, d))
+        return pid_tbl[cell, d]
+
+    for q in range(imdp.num_cells):
+        ensure(q, nxt[q, idx[dfa.initial]])
+    base, A = imdp.rows, imdp.num_actions
+    col = []
+    for cell, d in work:  # grows while it is walked
+        if terminal[d] or cell == UNSAFE_ID:
+            continue
+        r = base.first[cell]
+        succ = base.col[base.indptr[r] : base.indptr[r + A]]
+        d_next = nxt[succ, d]
+        pids = pid_tbl[succ, d_next]
+        for m in np.flatnonzero(pids < 0):
+            pids[m] = ensure(int(succ[m]), int(d_next[m]))
+        col.append(pids)
+    return np.array(work, dtype=np.int64), np.concatenate(col).astype(np.int32)
 
 
 def _jacobi(product, step, sweeps, tol):

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from nndm_synth import automata
 from nndm_synth.automata import (
     UNSAFE_PROP,
     Dfa,
@@ -15,10 +16,14 @@ from nndm_synth.automata import (
     load_dfa,
     parse_dfa,
 )
-from nndm_synth.geometry import UNSAFE_ID
+from nndm_synth.fixtures import directional_dynamics, reach_avoid_2d, vehicle_3d
+from nndm_synth.geometry import UNSAFE_ID, HyperRect
 from nndm_synth.imdp import Imdp
+from nndm_synth.networks import Activation, DenseLayer, NeuralDynamics
+from nndm_synth.pipeline import PipelineConfig, apply_refinement, build_abstraction, synthesize
+from nndm_synth.refinement import RefinementConfig, refine_round
 
-from oracles import from_rows, mk_row
+from oracles import from_rows, mk_row, product_walk
 
 
 def simple_dfa():
@@ -423,3 +428,81 @@ class TestProduct:
                 alphabet=frozenset({"g"}), defaults={"s": "s"})
         with pytest.raises(ValueError, match="reserved proposition"):
             build_product(imdp, d)
+
+
+def _two_goal_tanh():
+    """The benchmark's tanh workload: a compass relu fixture with every
+    hidden relu swapped for tanh, under a two-goal spec on a 12 x 12 grid."""
+    compass = {"east": (0.5, 0.0), "north": (0.0, 0.5), "west": (-0.5, 0.0), "south": (0.0, -0.5)}
+    relu = directional_dynamics(2, 64, 4, compass, seed=5)
+    nd = NeuralDynamics(dim=2, actions=relu.actions, networks={
+        a: tuple(DenseLayer(layer.weights, layer.bias,
+                            Activation.TANH if layer.activation is Activation.RELU else layer.activation)
+                 for layer in relu.layers(a))
+        for a in relu.actions
+    })
+    config = PipelineConfig(
+        domain=HyperRect([-2.0, -2.0], [2.0, 2.0]),
+        covariance=0.2 * np.eye(2),
+        grid=[12, 12],
+        dfa=dfa_template("reach_two_avoid", {"avoid": "obst", "reach1": "g1", "reach2": "g2"}),
+        regions=[
+            ("g1", HyperRect([0.4, 0.4], [1.4, 1.4])),
+            ("g2", HyperRect([-1.4, 0.4], [-0.4, 1.4])),
+            ("obst", HyperRect([-1.5, -0.5], [-0.5, 0.5])),
+        ],
+    )
+    return nd, config
+
+
+def _refined_planar():
+    nd, config = reach_avoid_2d()
+    ab = build_abstraction(nd, config)
+    synth = synthesize(ab, config.dfa)
+    rc = RefinementConfig(per_round=10, rounds=1)
+    apply_refinement(ab, refine_round(ab.grid, ab.imdp, synth.p_lower, synth.p_upper, rc, ab.bounds))
+    return ab.imdp, config.dfa
+
+
+def _first_grid(build):
+    nd, config = build()
+    return build_abstraction(nd, config).imdp, config.dfa
+
+
+PRODUCT_CASES = {
+    "vehicle3d_certify": lambda: _first_grid(lambda: vehicle_3d(grid=(10, 8, 6))),
+    "planar2d_refine_mc": lambda: _first_grid(reach_avoid_2d),
+    "two_goal_tanh": lambda: _first_grid(_two_goal_tanh),
+    "planar2d_refined": _refined_planar,
+}
+
+
+def _assert_matches_walk(imdp, dfa, prod):
+    states, col = product_walk(imdp, dfa)
+    assert prod.states.dtype == states.dtype and np.array_equal(prod.states, states)
+    assert prod.rows.col.dtype == col.dtype and np.array_equal(prod.rows.col, col)
+    base, A = imdp.rows, imdp.num_actions
+    live = np.flatnonzero(~(prod.accepting | prod.sink))
+    base_rows = (base.first[states[live, 0]][:, None] + np.arange(A)).ravel()
+    assert np.array_equal(prod.rows.at, base.indptr[base_rows])
+    assert prod.rows.rem.tobytes() == base.rem[base_rows].tobytes()
+    assert np.array_equal(prod.rows.indptr, np.r_[0, np.cumsum(np.diff(base.indptr)[base_rows])])
+
+
+class TestProductBlocks:
+    """build_product walks its work list in blocks with array ops; the
+    sequential walk (tests/oracles.product_walk) is the reference."""
+
+    @pytest.mark.parametrize("case", PRODUCT_CASES)
+    def test_matches_the_sequential_walk(self, case):
+        imdp, dfa = PRODUCT_CASES[case]()
+        _assert_matches_walk(imdp, dfa, build_product(imdp, dfa))
+
+    @pytest.mark.parametrize("block", [1, 7, 40])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_block_size_leaves_the_product_unchanged(self, monkeypatch, seed, block):
+        # small blocks: a block ends inside the reached part of the work list,
+        # and a state with more successor entries than a block is one block
+        monkeypatch.setattr(automata, "_PRODUCT_BLOCK", block)
+        prod = random_dfa_product(TWO_GOALS, seed, num_cells=12, num_actions=3)
+        _assert_matches_walk(prod.imdp, prod.dfa, prod)

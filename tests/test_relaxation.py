@@ -190,10 +190,12 @@ class TestScurveCoeffs:
 
 
 class TestRelaxCells:
-    @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
-    def test_matches_per_box_relax_bitwise(self, activation):
+    @pytest.mark.parametrize("activation, layers", [
+        ("relu", 3), ("tanh", 3), ("sigmoid", 3), ("relu", 5), ("tanh", 5),
+    ], ids=["relu", "tanh", "sigmoid", "relu-5", "tanh-5"])
+    def test_matches_per_box_relax_bitwise(self, activation, layers):
         rng = np.random.default_rng(29)
-        nd = random_network(2, 16, 3, activation=activation, seed=4)
+        nd = random_network(2, 16, layers, activation=activation, seed=4)
         t = whitening_transform(np.diag([0.3, 0.7]))
         count = 2 * _CHUNK_CELLS + 5  # last chunk is partial
         lo = rng.uniform(-3.0, 1.0, (count, 2))
@@ -262,8 +264,8 @@ class TestRelaxCells:
         assert prefix(one) == len(_stages(one, "a0", t)) - 1
 
     def test_shared_layers_relaxed_once_per_chunk(self, monkeypatch):
-        # 7 actions over 3 shared hidden layers: per chunk, one backward pass
-        # per hidden layer and one final pass per action
+        # 7 actions over 3 shared hidden layers: one backward pass per chunk
+        # and hidden layer, and one final pass per action over every box
         nd = directional_dynamics(2, 10, 3, SEVEN, seed=5)
         calls = Counter()
         backward = relaxation._backward
@@ -277,7 +279,47 @@ class TestRelaxCells:
         lo = np.zeros(((chunks - 1) * _CHUNK_CELLS + 5, 2))
         relax_cells(nd, nd.actions, whitening_transform(np.eye(2)), lo, lo + 0.5)
         final = len(_stages(nd, "d0", whitening_transform(np.eye(2)))) - 1
-        assert calls == Counter({1: chunks, 2: chunks, 3: chunks, final: chunks * 7})
+        assert calls == Counter({1: chunks, 2: chunks, 3: chunks, final: 7})
+
+    def test_one_tangent_search_per_layer_and_side(self, monkeypatch):
+        # the neuron lines of a layer come from one call over every box, so
+        # each s-curve side bisects once per layer, not once per chunk
+        rng = np.random.default_rng(37)
+        nd = random_network(2, 16, 3, activation="tanh", seed=4)
+        t = whitening_transform(np.diag([0.3, 0.7]))
+        count = 2 * _CHUNK_CELLS + 5
+        lo = rng.uniform(-3.0, 1.0, (count, 2))
+        hi = lo + rng.uniform(0.5, 3.0, (count, 2))
+        searches = []
+        bisect = relaxation._bisect_nondecreasing
+
+        def counted(g, lo, hi, group, zero_above=False):
+            searches.append((zero_above, np.unique(group).size))
+            return bisect(g, lo, hi, group, zero_above)
+
+        monkeypatch.setattr(relaxation, "_bisect_nondecreasing", counted)
+        batch = relax_cells(nd, ("a0",), t, lo, hi)
+        assert [side for side, _ in searches] == [False, True] * 3
+        assert max(boxes for _, boxes in searches) > _CHUNK_CELLS
+        for i, got in enumerate(batch):
+            want = relax_box(nd, "a0", t, HyperRect(lo[i], hi[i]))
+            for name in ("A_lo", "b_lo", "A_hi", "b_hi"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("case", ["relu", "tanh_rewrapped"])
+    def test_chunk_size_leaves_the_stack_unchanged(self, monkeypatch, case, chunk):
+        nd = directional_dynamics(2, 10, 3, SEVEN, seed=5) if case == "relu" else _tanh_swapped()
+        rng = np.random.default_rng(43)
+        t = whitening_transform(np.diag([0.4, 0.9]))
+        count = 2 * _CHUNK_CELLS + 5
+        lo = rng.uniform(-2.0, 1.0, (count, 2))
+        hi = lo + rng.uniform(0.01, 2.0, (count, 2))
+        want = relax_cells(nd, nd.actions, t, lo, hi)
+        monkeypatch.setattr(relaxation, "_CHUNK_CELLS", chunk)
+        got = relax_cells(nd, nd.actions, t, lo, hi)
+        for name in ("A_lo", "b_lo", "A_hi", "b_hi"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_no_boxes_give_an_empty_stack(self):
         nd = random_network(2, 8, 1, activation="tanh", seed=0)
