@@ -796,10 +796,10 @@ def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
     if cells is None:
         k = min(config.sim_start_cells, grid.num_cells)
         cells = np.sort(rng0.choice(grid.num_cells, size=k, replace=False))
-    bad = [c for c in cells if isinstance(c, (bool, np.bool_, str))
-           or not (float(c).is_integer() and 0 <= c < grid.num_cells)]
-    if bad:
-        raise ValueError(f"start cell {bad[0]} is not a cell id in [0, {grid.num_cells})")
+    for c in cells:
+        what = f"start cell {c} is not a cell id in [0, {grid.num_cells})"
+        if not 0 <= _strict(_int, c, what) < grid.num_cells:
+            raise ValueError(what)
     cells = [int(c) for c in cells]
     steps = config.horizon * config.sim_horizon_factor
     schedule = _mc_schedule(config.sim_trials)

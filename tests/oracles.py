@@ -98,16 +98,18 @@ def naive_row(grid, source, action, bounds):
             rem)
 
 
-def locate_by_search(grid, points):
-    """RegionGrid.locate by one binary search per dimension over the same
-    raster: np.searchsorted(edges, x, side="right"), which puts NaN past
-    every edge."""
-    tables, strides, owner = grid._build_raster()
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    flat = np.searchsorted(tables[0].edges, pts[:, 0], side="right") * strides[0]
-    for l in range(1, grid.dim):
-        flat += np.searchsorted(tables[l].edges, pts[:, l], side="right") * strides[l]
-    return owner[flat]
+def locate_by_boxes(grid, points):
+    """RegionGrid.locate by testing every point against every cell: closed
+    boxes, a point on an interior face belongs to the upper cell, and a
+    point outside the domain (or NaN) is UNSAFE_ID. Every point inside the
+    domain has exactly one owner, or the cells do not tile it."""
+    lows, highs = grid.boxes()
+    lo, hi = grid.domain.lo, grid.domain.hi
+    p = np.atleast_2d(np.asarray(points, dtype=float))[:, None, :]
+    owns = np.all((lows <= p) & (p <= highs) & ((p < highs) | (highs == hi)), axis=2)
+    inside = np.all((lo <= p[:, 0]) & (p[:, 0] <= hi), axis=1)
+    assert np.array_equal(owns.sum(axis=1), inside)
+    return np.where(inside, owns.argmax(axis=1), UNSAFE_ID)
 
 
 # -- rows and row stores ----------------------------------------------------------

@@ -18,7 +18,7 @@ from nndm_synth.geometry import (
 )
 from nndm_synth.relaxation import LinearBounds
 
-from oracles import locate_by_search, post_image_hulls
+from oracles import locate_by_boxes, post_image_hulls
 
 
 def in_convex_hull(point, vertices, tol=1e-9):
@@ -231,6 +231,14 @@ class TestRegionGrid:
         # outside
         assert grid.locate(np.array([[2.5, 0.0], [0.0, -2.01]])).tolist() == [-1, -1]
 
+    def test_locate_refuses_points_of_another_dimension(self):
+        # a 2-d grid once located [0.1, 0.2, 99.0] by its first two
+        # coordinates, and a (m, 1) array raised an IndexError
+        grid = self._grid()
+        for pts, k in (([[0.1, 0.2, 99.0]], 3), ([0.1, 0.2, 99.0], 3), (np.zeros((4, 1)), 1), ([0.1], 1)):
+            with pytest.raises(ValueError, match=f"dimension {k}, expected 2"):
+                grid.locate(np.array(pts))
+
     def test_locate_after_split(self):
         grid = self._grid()
         target = int(grid.locate(np.array([[-1.9, -1.9]]))[0])
@@ -256,24 +264,17 @@ class TestRegionGrid:
             axes.append(np.concatenate([cuts, mids, [lo[l] - 0.1, hi[l] + 0.1, np.nan]]))
         pts = np.array(list(itertools.product(*axes)))
 
-        def brute(p):
-            if np.any(np.isnan(p)) or np.any(p < lo) or np.any(p > hi):
-                return -1
-            # closed boxes; a point on an interior face belongs to the upper cell
-            owns = np.all((lows <= p) & ((p < highs) | (highs == hi)), axis=1)
-            assert np.count_nonzero(owns) == 1
-            return int(np.flatnonzero(owns)[0])
-
-        assert grid.locate(pts).tolist() == [brute(p) for p in pts]
-        assert grid.locate(pts[0]) == brute(pts[0])
+        assert np.array_equal(grid.locate(pts), locate_by_boxes(grid, pts))
+        assert grid.locate(pts[0]) == locate_by_boxes(grid, pts[0])[0]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bucket_locate_is_the_binary_search(self, seed):
+    def test_locate_is_the_box_test_at_every_cut(self, seed):
         # grids refined by split_cell, one cell split 20 times in a row so
-        # that one bucket holds several edges; the points are every cut and
-        # 1 ulp either side of it, the domain bounds, cell middles, random
-        # points in and around the domain, +-inf, NaN and huge finite values
+        # that some cuts crowd together; the points are every cut and 1 ulp
+        # either side of it (the domain bounds among them), cell middles,
+        # random points in and around the domain, +-inf, NaN and huge
+        # finite values
         rng = np.random.default_rng(seed)
         grid = self._grid(counts=(5, 3))
         for _ in range(30):
@@ -281,20 +282,16 @@ class TestRegionGrid:
         cell = int(rng.integers(grid.num_cells))
         for k in range(20):
             grid.split_cell(cell, k % 2)
-        tables, _, _ = grid._build_raster()
-        assert max(t.scan for t in tables) > 1
         axes = []
-        for t in tables:
-            cuts = np.append(t.edges[:-1], np.nextafter(t.edges[-1], -np.inf))  # the last is the bound
+        for l in range(grid.dim):
+            cuts = np.unique(np.concatenate([grid.lo[:, l], grid.hi[:, l]]))
             near = np.concatenate([cuts, np.nextafter(cuts, np.inf), np.nextafter(cuts, -np.inf)])
             axes.append(np.concatenate([near, 0.5 * (cuts[:-1] + cuts[1:]), rng.uniform(-2.5, 2.5, 50),
                                         [np.inf, -np.inf, np.nan, 1e308, -1e308]]))
-            # each dimension's position is bitwise np.searchsorted's
-            assert np.array_equal(t.position(axes[-1]), np.searchsorted(t.edges, axes[-1], side="right"))
         pts = np.array(list(itertools.product(*axes)))
-        assert np.array_equal(grid.locate(pts), locate_by_search(grid, pts))
+        assert np.array_equal(grid.locate(pts), locate_by_boxes(grid, pts))
         for p in pts[rng.choice(len(pts), 20)]:
-            assert grid.locate(p) == locate_by_search(grid, p)[0]
+            assert grid.locate(p) == locate_by_boxes(grid, p)[0]
 
     def test_unpickled_grid_locates_as_the_original(self):
         # the point-location cache stays out of the pickle and is rebuilt

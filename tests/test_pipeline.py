@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -976,9 +977,10 @@ class TestMonteCarlo:
     def test_start_cell_outside_the_grid_rejected(self, small_run):
         _, config, res, _ = small_run
         res_small = replace(res, config=replace(config, sim_trials=10))
-        # 1.5 was once truncated to cell 1, and True and np.True_ taken as cell 1
-        for cell in (-1, res.abstraction.grid.num_cells, 1.5, True, np.True_):
-            with pytest.raises(ValueError, match=f"start cell {cell} "):
+        # 1.5 was once truncated to cell 1, True and np.True_ taken as cell 1,
+        # and None, [1] and object() refused by a TypeError
+        for cell in (-1, res.abstraction.grid.num_cells, 1.5, True, np.True_, None, [1], object()):
+            with pytest.raises(ValueError, match=re.escape(f"start cell {cell} ")):
                 validate_monte_carlo(res_small, cells=[0, cell])
 
     def test_zero_start_cells_is_an_empty_check(self, small_run):
