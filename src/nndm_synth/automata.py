@@ -236,8 +236,8 @@ class ProductImdp:
     the virtual out-of-domain component. next_tbl[q, d] is the DFA state
     entered from DFA state d on moving into target q (UNSAFE_ID selects its
     last row). `rows` holds the product rows, keyed (pid, action): each a
-    base row with its targets renamed to pids and its remainder, sharing the
-    bounds of imdp.rows."""
+    base row with its targets renamed to pids and its remainder, reading the
+    targets and bounds of imdp.rows in place."""
 
     imdp: Imdp
     dfa: Dfa
@@ -285,10 +285,11 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     pids 0..num_cells-1 go to the cells' initial states in cell order, so
     pid q is cell q's, and the rest in breadth-first order.
     A product row is its base row with targets renamed to pids: the product's
-    RowStore, in (pid, action) order, holds only that pid column, as int32
-    (half the bytes of int64, which makes room for the value iteration's
-    dense chain solves), and its rows' remainders, and reads the bounds
-    from the base store's lo and up, in base order.
+    RowStore, in (pid, action) order, holds no array per entry. It reads
+    col, lo and up of each row's base row in place (at[r]), and renames a
+    target q of a row of DFA state d to the pid of (q, next_tbl[q, d])
+    through one int32 table of n_dfa * (num_cells + 1) pids (names, read at
+    shift[r] + q); it holds each row's remainder.
     Accepting DFA states are absorbing; dead DFA states and the non-accepting
     out-of-domain states form the sink."""
     dfa.check_labels(set().union(*imdp.labels))
@@ -324,12 +325,11 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     pid_flat[np.arange(num_cells) * n_dfa + init] = np.arange(num_cells)
 
     # the work list in blocks of at most _PRODUCT_BLOCK successor entries
-    # (at least one state): a live state's rows are its cell's A base rows
-    # renamed to pids, and the pairs a block reaches first get pids in
-    # first-occurrence order, which is the order a walk one state at a time
-    # gives. Of the pid column's room only the pages written are touched.
-    col = np.empty(int(base.indptr[-1]) * n_dfa, dtype=np.int32)
-    end = done = 0
+    # (at least one state): a live state's rows are its cell's A base rows,
+    # whose targets reach the pairs (target, next DFA state), and the pairs a
+    # block reaches first get pids in first-occurrence order, which is the
+    # order a walk one state at a time gives
+    done = 0
     while done < size:
         cell, d = work[done : min(size, done + _PRODUCT_BLOCK)].T
         live = ~(acc[d] | dead[d] | (cell == UNSAFE_ID))  # terminal states have no rows
@@ -343,19 +343,15 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
             continue
         pair = base.col[np.repeat(succ_at[cell] - (np.cumsum(n) - n), n) + np.arange(total)] * np.int64(n_dfa)
         pair += next_flat[pair + np.repeat(d, n)]  # target * n_dfa + its next DFA state
-        pids = pid_flat[pair]
-        new = np.flatnonzero(pids < 0)
+        new = pair[pid_flat[pair] < 0]
         if new.size:
-            order = np.argsort(pair[new], kind="stable")
-            key = pair[new[order]]
-            fresh = pair[new[np.sort(order[np.r_[True, key[1:] != key[:-1]]])]]  # first occurrences
+            order = np.argsort(new, kind="stable")
+            key = new[order]
+            fresh = new[np.sort(order[np.r_[True, key[1:] != key[:-1]]])]  # first occurrences
             ids = np.arange(size, size + fresh.size)
             pid_flat[fresh] = ids
             work[ids, 0], work[ids, 1] = np.divmod(fresh, n_dfa)
             size += fresh.size
-            pids[new] = pid_flat[pair[new]]
-        col[end : end + total] = pids
-        end += total
 
     states = work[:size].copy()
     accepting = acc[states[:, 1]]
@@ -365,9 +361,14 @@ def build_product(imdp: Imdp, dfa: Dfa) -> ProductImdp:
     first[live] = np.arange(live.size) * A
     base_rows = (base.first[states[live, 0]][:, None] + np.arange(A)).ravel()
     sizes = np.diff(base.indptr)[base_rows]
-    col.resize(end, refcheck=False)  # in place: a view would pin the rest
-    rows = RowStore(first, A, sizes, col, base.lo, base.up,
-                    at=base.indptr[base_rows], rem=base.rem[base_rows])
+    # names[d * (num_cells + 1) + 1 + q]: the pid of (q, next_tbl[q, d]), the
+    # state a row of DFA state d enters on target q (UNSAFE_ID is slot 0);
+    # -1 where no live state of d names q
+    q = np.arange(UNSAFE_ID, num_cells)
+    names = pid_flat[q * n_dfa + next_tbl[q].T].astype(np.int32).ravel()
+    shift = np.repeat(states[live, 1] * (num_cells + 1) + 1, A)
+    rows = RowStore(first, A, sizes, base.col, base.lo, base.up, at=base.indptr[base_rows],
+                    rem=base.rem[base_rows], names=names, shift=shift)
     return ProductImdp(
         imdp=imdp,
         dfa=dfa,

@@ -1,5 +1,6 @@
 """Interval-probability MDP core: the CSR row store, extreme adversaries and
-robust value iteration. The product's store reads the abstraction's bounds.
+robust value iteration. The product's store reads the abstraction's entries
+in place and renames their targets through one table of product ids.
 The rule of a sound row is written once, as RowStore.first_violation.
 
 The inner optimization (pick a feasible distribution inside the row's
@@ -54,7 +55,8 @@ states, each solved after the groups its rows name, whose values it reads
 as frozen.
 A group's kernel spans only its own states and the states its rows name,
 so the dense buffer is as wide as the group's reach, not the product, and
-nothing is copied: the kernel ranks the product's own target ids. A group
+nothing is copied: the kernel ranks the product's ids, and reads each
+entry's through the store's rename table (RowStore.renaming). A group
 that holds every row (a DFA with one live state) spans every state, as a
 kernel over the whole product does. A group's chain is one dense
 (states, states) matrix, built in blocks of rows, with numpy alone: the
@@ -103,6 +105,11 @@ _SLACK = 1e-12
 
 _FEAS_TOL = 1e-8  # slack of the row-sum rule (RowStore.first_violation)
 
+# Entries per block of whole rows that RowStore.first_violation checks at
+# once: its masks and the float64 copies of the bounds it sums stay under
+# 1 MiB whatever the store's size.
+_CHECK_BLOCK = 1 << 16
+
 
 @dataclass
 class Imdp:
@@ -135,7 +142,9 @@ class Imdp:
 
 
 class Row(NamedTuple):
-    """One row of a RowStore, each field a view into the store."""
+    """One row of a RowStore: its bounds are views into the store, and so
+    are its targets where the store renames none (the abstraction's); a
+    product row's targets are a new array of product ids."""
 
     targets: np.ndarray
     lower: np.ndarray
@@ -147,16 +156,22 @@ class RowStore(Mapping):
     the abstraction (states are cells, targets cell ids plus UNSAFE_ID) to the
     product (states are product ids).
 
-    Row r holds entries indptr[r]:indptr[r+1] of `col` (distinct targets, at
-    least one) and as many bounds from at[r] on in `lo` and `up`: its own in
-    the abstraction (at = indptr[:-1], targets increasing), the abstraction's
-    in the product, in base order. rem[r] is the row's remainder: the upper
-    mass, at most 1, of the targets pruned from it, which no entry holds. It
-    has no lower bound and no target id. Rows run in (state, action) order; a
-    state has all num_actions rows, from row first[s] on, or none
-    (first[s] = -1). As a read-only Mapping it yields (state, action) -> Row.
-    The constructor takes each row's entry count, in row order, the entries'
-    col, lo, up, and each row's remainder (default 0).
+    Row r has indptr[r+1] - indptr[r] entries (at least one), read from at[r]
+    on in `col`, `lo` and `up`: its own in the abstraction (at = indptr[:-1],
+    col holds distinct targets, increasing), the abstraction's in the
+    product, in base order. Entry k's target is col[at[r] + k], or, in a
+    store with a rename table, names[shift[r] + col[at[r] + k]]: the
+    product holds no array per entry, and its names[shift[r] + q], with
+    shift[r] = d * (num_cells + 1) + 1 for a row of DFA state d, is the id
+    of the product state that base target q leads to. rem[r] is the row's
+    remainder: the upper mass, at most 1, of the targets pruned from it,
+    which no entry holds. It has no lower bound and no target id. Rows run
+    in (state, action) order; a state has all num_actions rows, from row
+    first[s] on, side by side from at[first[s]] on, or none
+    (first[s] = -1). As a read-only Mapping it yields (state, action) -> Row,
+    with the renamed targets. The constructor takes each row's entry count,
+    in row order, the entries' col, lo, up, each row's remainder (default
+    0), and for a renamed store names and shift.
 
     The built stores are narrow: col is int32 and lo and up are float32,
     rounded outward from the kernel's float64 (transitions.transition_rows),
@@ -164,7 +179,8 @@ class RowStore(Mapping):
     read them, so every sum and every kernel step is float64. A store of
     wider arrays (tests pack float64 rows) reads the same way."""
 
-    def __init__(self, first, num_actions: int, sizes, col, lo, up, at=None, rem=None):
+    def __init__(self, first, num_actions: int, sizes, col, lo, up, at=None, rem=None,
+                 names=None, shift=None):
         self.first = np.asarray(first, dtype=np.int64)
         self.num_actions = num_actions
         self.indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
@@ -178,58 +194,81 @@ class RowStore(Mapping):
         self.rem = np.zeros(len(sizes)) if rem is None else np.asarray(rem, dtype=float)
         if self.rem.shape != (len(sizes),):
             raise ValueError("need one remainder per row")
+        self.names, self.shift = names, shift
 
     def key(self, r: int) -> tuple[int, int]:
         """The (state, action) of row r, counted over the states with rows."""
         A = self.num_actions
         return int(np.flatnonzero(self.first >= 0)[r // A]), r % A
 
+    def renaming(self) -> tuple[np.ndarray, np.ndarray]:
+        """(names, shift): entry k of row r names target
+        names[shift[r] + col[at[r] + k]]. A store that renames nothing gets
+        the identity over its targets, which must then be ids >= 0."""
+        if self.names is not None:
+            return self.names, self.shift
+        return np.arange(int(self.col.max(initial=0)) + 1), np.zeros(len(self), dtype=np.int64)
+
     def first_violation(self, num_targets: int):
-        """The rule of a sound row, in this order, on an abstraction's store
-        (at = indptr[:-1]): targets are increasing ids in [UNSAFE_ID,
-        num_targets), bounds lie in [0, 1], lower <= upper, the remainder
-        lies in [0, 1], and lower sums to at most 1 + _FEAS_TOL and upper
-        plus the remainder to at least 1 - _FEAS_TOL. Returns the first bad
-        row's (state, action) and the first rule it breaks, or None. At most
-        two masks over the entries live at a time."""
-        t, lo, up, start = self.col, self.lo, self.up, self.indptr[:-1]
+        """The rule of a sound row, in this order, on a store whose rows own
+        their entries (an abstraction's: at = indptr[:-1], no rename table):
+        targets are increasing ids in [UNSAFE_ID, num_targets), bounds lie in
+        [0, 1], lower <= upper, the remainder lies in [0, 1], and lower sums
+        to at most 1 + _FEAS_TOL and upper plus the remainder to at least
+        1 - _FEAS_TOL. Returns the first bad row's (state, action) and the
+        first rule it breaks, or None; any other store is a ValueError.
+
+        The rows are checked in blocks of whole rows of at most
+        _CHECK_BLOCK entries (a row longer than that is a block of its own),
+        so every mask and every widened copy of the bounds is block-sized."""
+        if self.names is not None or not np.array_equal(self.at, self.indptr[:-1]):
+            raise ValueError("the row rule reads only a store whose rows own their entries")
 
         def holds(mask: np.ndarray) -> np.ndarray:  # per row: is one of its entries flagged?
             return np.logical_or.reduceat(mask, start)
 
-        falls = np.zeros(t.size, dtype=bool)  # entry i + 1 does not rise above entry i
-        np.less_equal(t[1:], t[:-1], out=falls[:-1])
-        falls[start[1:] - 1] = False  # pairs across two rows
-        bad_targets = holds(falls) | (t[start] < UNSAFE_ID) | (t[self.indptr[1:] - 1] >= num_targets)
-        del falls
-        # summed in float64: a float32 running sum over a thousand entries
-        # drifts by about 1e-7, ten times _FEAS_TOL (reduceat widens a copy
-        # of each array in turn)
-        lo_sum = np.add.reduceat(lo, start, dtype=float)
-        up_sum = np.add.reduceat(up, start, dtype=float) + self.rem
-        checks = [
-            (bad_targets, f"targets are not increasing ids in [{UNSAFE_ID}, {num_targets})"),
-            (holds(lo < 0.0) | holds(lo > 1.0) | holds(up < 0.0) | holds(up > 1.0),
-             "probabilities outside [0, 1]"),
-            (holds(lo > up), "lower bound exceeds upper bound"),
-            (~((self.rem >= 0.0) & (self.rem <= 1.0)), "remainder outside [0, 1]"),
-            ((lo_sum > 1.0 + _FEAS_TOL) | (up_sum < 1.0 - _FEAS_TOL), None),
-        ]
-        bad = np.flatnonzero(np.any([flags for flags, _ in checks], axis=0))
-        if not bad.size:
-            return None
-        r = int(bad[0])
-        what = next(what for flags, what in checks if flags[r])
-        return self.key(r), what or f"infeasible sums (lower {lo_sum[r]}, upper with remainder {up_sum[r]})"
+        indptr, r1 = self.indptr, 0
+        while r1 < len(self):
+            r0 = r1
+            r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + _CHECK_BLOCK, side="right")) - 1)
+            e0, e1 = indptr[r0], indptr[r1]
+            t, lo, up, rem = self.col[e0:e1], self.lo[e0:e1], self.up[e0:e1], self.rem[r0:r1]
+            start, end = indptr[r0:r1] - e0, indptr[r0 + 1 : r1 + 1] - e0
+            falls = np.zeros(t.size, dtype=bool)  # entry i + 1 does not rise above entry i
+            np.less_equal(t[1:], t[:-1], out=falls[:-1])
+            falls[start[1:] - 1] = False  # pairs across two rows
+            bad_targets = holds(falls) | (t[start] < UNSAFE_ID) | (t[end - 1] >= num_targets)
+            del falls
+            # summed in float64: a float32 running sum over a thousand entries
+            # drifts by about 1e-7, ten times _FEAS_TOL (reduceat widens a
+            # copy of the block's bounds)
+            lo_sum = np.add.reduceat(lo, start, dtype=float)
+            up_sum = np.add.reduceat(up, start, dtype=float) + rem
+            checks = [
+                (bad_targets, f"targets are not increasing ids in [{UNSAFE_ID}, {num_targets})"),
+                (holds(lo < 0.0) | holds(lo > 1.0) | holds(up < 0.0) | holds(up > 1.0),
+                 "probabilities outside [0, 1]"),
+                (holds(lo > up), "lower bound exceeds upper bound"),
+                (~((rem >= 0.0) & (rem <= 1.0)), "remainder outside [0, 1]"),
+                ((lo_sum > 1.0 + _FEAS_TOL) | (up_sum < 1.0 - _FEAS_TOL), None),
+            ]
+            bad = np.flatnonzero(np.any([flags for flags, _ in checks], axis=0))
+            if bad.size:
+                r = int(bad[0])
+                what = next(what for flags, what in checks if flags[r])
+                return self.key(r0 + r), what or f"infeasible sums (lower {lo_sum[r]}, upper with remainder {up_sum[r]})"
+        return None
 
     def __getitem__(self, key) -> Row:
         s, a = key
-        if not (0 <= s < self.first.size and 0 <= a < self.num_actions) or self.first[s] < 0:
+        r = int(self.first[s]) if 0 <= s < self.first.size and 0 <= a < self.num_actions else -1
+        if r < 0:
             raise KeyError(key)
-        r = int(self.first[s]) + a
-        start, end = self.indptr[r], self.indptr[r + 1]
-        b = slice(self.at[r], self.at[r] + end - start)
-        return Row(self.col[start:end], self.lo[b], self.up[b])
+        r += a
+        at = int(self.at[r])
+        b = slice(at, at + int(self.indptr[r + 1] - self.indptr[r]))
+        targets = self.col[b] if self.names is None else self.names[self.shift[r] + self.col[b]]
+        return Row(targets, self.lo[b], self.up[b])
 
     def __iter__(self):
         for s in np.flatnonzero(self.first >= 0).tolist():
@@ -263,7 +302,12 @@ class _BlockKernel:
     it first is never held back by one. Budget that the gaps cannot hold
     either (C_S < B, a row whose upper sum plus remainder falls short of 1
     within _FEAS_TOL) is valued the same way: 1 to the maximizer, 0 to the
-    minimizer. Row targets must be distinct (each entry owns its cell)."""
+    minimizer. Row targets must be distinct (each entry owns its cell).
+
+    An entry's slot is shift[r] + col, and its target names[slot]
+    (RowStore.renaming). distributions composes the rank with names once
+    per block of rows, so an entry's column costs one take and one add, as
+    if the store held product ids."""
 
     def __init__(self, store: RowStore, cols: np.ndarray):
         S = self.S = cols.size
@@ -272,39 +316,44 @@ class _BlockKernel:
         max_rows = max(n * w for w, n in self.per_block.items())
         length = np.diff(store.indptr)
         max_nnz = int(np.sort(length)[-max_rows:].sum())
+        names, self.shift = store.renaming()
+        self.names = names.astype(np.int64)  # a take widens int32 indices on every call
         self.cells = np.empty(max_rows * S)
         self.ints = np.empty((2, max_nnz), dtype=np.int64)
-        self.cols = np.empty(max_nnz, dtype=store.col.dtype)  # the product's is int32
+        self.col = np.empty(max_nnz, dtype=store.col.dtype)  # the built stores' is int32
         self.floats = np.empty((2, max_nnz))
         self.narrow = np.empty(max_nnz, dtype=store.lo.dtype)  # the stored bounds, before widening
         self.steps = np.arange(max(max_nnz, S))
         self.rank = np.empty(cols[-1] + 1, dtype=np.int64)  # a state's column; cols' only
+        self.named = np.empty(self.names.size, dtype=np.int64)  # the column of a slot's target
         self.order = cols.copy()  # ascending by value
+        self.maximize = None  # the side self.rank and self.named were ranked for
         self.v = np.zeros(S)  # values in rank order
 
     def gather(self, rows: np.ndarray):
         """The rows' entries, row after row, as views into the scratch
-        arrays: target ids, lower bounds, gaps up - lo, and each row's
-        offset into them and entry count. The bounds are taken into a
-        scratch of the store's dtype and widened into the float64 ones."""
+        arrays: slots (int64; an entry's target is names[slot]), lower
+        bounds, gaps up - lo, and each row's offset into them and entry
+        count. Each row's col, lo and up are read in place from
+        store.at[row] on, the bounds taken into a scratch of the store's
+        dtype and widened into the float64 ones."""
         store = self.store
-        start = store.indptr[rows]
-        length = store.indptr[rows + 1] - start
+        length = store.indptr[rows + 1] - store.indptr[rows]
         ends = length.cumsum()
         offs = ends - length
         n = int(ends[-1])
-        idx, col = self.ints[0, :n], self.cols[:n]
+        idx, col = self.ints[0, :n], self.col[:n]
         lo, gap = self.floats[:, :n]
-        np.add((start - offs).repeat(length), self.steps[:n], out=idx)
-        store.col.take(idx, out=col, mode="clip")
         np.add((store.at[rows] - offs).repeat(length), self.steps[:n], out=idx)
+        store.col.take(idx, out=col, mode="clip")
         narrow = self.narrow[:n]
         store.lo.take(idx, out=narrow, mode="clip")
         lo[...] = narrow
         store.up.take(idx, out=narrow, mode="clip")
         gap[...] = narrow
         gap -= lo
-        return col, lo, gap, offs, length
+        slot = np.add(col, self.shift[rows].repeat(length), out=idx)  # idx is spent
+        return slot, lo, gap, offs, length
 
     def distributions(self, V: np.ndarray, rows: np.ndarray, maximize: bool):
         """The adversary's extreme distribution of each row at V, and the
@@ -316,20 +365,25 @@ class _BlockKernel:
         there. A row's value at V is its distribution @ self.v + its mass
         worth 1."""
         S = self.S
-        col, lo, gap, offs, length = self.gather(rows)
-        pos = self.ints[1, : col.size]
+        slot, lo, gap, offs, length = self.gather(rows)
+        pos = self.ints[1, : slot.size]
 
-        # the last block's order is nearly sorted still, so re-sorting it is cheap
-        self.order = self.order[V[self.order].argsort(kind="stable")]
-        order = self.order[::-1] if maximize else self.order
-        self.rank[order] = self.steps[:S]
-        V.take(order, out=self.v)
+        # the last block's order is nearly sorted still, so re-sorting it is
+        # cheap; the blocks of one pass share V, so mostly it stands, and so
+        # do the rank and its composition with names (a slot no row of cols
+        # reads gets a clipped, unused column)
+        order = self.order[V[self.order].argsort(kind="stable")]
+        if maximize != self.maximize or not np.array_equal(order, self.order):
+            self.order, self.maximize = order, maximize
+            self.rank[order[::-1] if maximize else order] = self.steps[:S]
+            self.rank.take(self.names, out=self.named, mode="clip")
+        V.take(order[::-1] if maximize else order, out=self.v)
 
         budget = np.maximum(1.0 - np.add.reduceat(lo, offs), 0.0)
         moved = np.minimum(self.store.rem[rows], budget)
         budget -= moved
 
-        self.rank.take(col, out=pos, mode="clip")
+        self.named.take(slot, out=pos, mode="clip")
         pos += (self.steps[: rows.size] * S).repeat(length)
         C = self.cells[: rows.size * S]
         C.fill(0.0)
@@ -372,6 +426,7 @@ def _groups(product):
     S, A = product.num_states, store.num_actions
     if np.any(store.first[~(product.accepting | product.sink)] < 0):
         raise ValueError("every state that is neither accepting nor sink needs rows")
+    names, shift = store.renaming()
     for group in product.solve_order():
         inner = np.zeros(S, dtype=bool)
         inner[group] = True
@@ -379,8 +434,10 @@ def _groups(product):
         if group.size * A == len(store):
             seen[:] = True
         else:
-            for r in store.first[group].tolist():  # a state's rows lie side by side
-                seen[store.col[store.indptr[r] : store.indptr[r + A]]] = True
+            read = np.zeros(names.size, dtype=bool)  # the slots the group's rows read
+            for r in store.first[group].tolist():  # a state's A rows lie side by side
+                read[shift[r] + store.col[store.at[r] : store.at[r] + store.indptr[r + A] - store.indptr[r]]] = True
+            seen[names[read]] = True
         yield _BlockKernel(store, np.flatnonzero(seen)), inner
 
 
@@ -436,8 +493,8 @@ def _traps(kernel: _BlockKernel, V: np.ndarray, states: np.ndarray, rows: np.nda
             block = block[kept[states[block]]]
             if not block.size:
                 continue
-            col, lo, gap, offs, _ = kernel.gather(rows[block])
-            off = ~kept[col]
+            slot, lo, gap, offs, _ = kernel.gather(rows[block])
+            off = ~kept[kernel.names][slot]
             budget = np.maximum(1.0 - np.add.reduceat(lo, offs), 0.0)
             budget -= np.minimum(kernel.store.rem[rows[block]], budget)
             leak_lo = np.add.reduceat(np.where(off, lo, 0.0), offs)

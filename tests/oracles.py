@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 
 from nndm_synth.automata import UNSAFE_PROP
 from nndm_synth.geometry import UNSAFE_ID, _corner_masks, post_image_boxes
-from nndm_synth.imdp import RowStore
+from nndm_synth.imdp import _FEAS_TOL, RowStore
 from nndm_synth.relaxation import LinearBounds, relax_cells
 from nndm_synth.transitions import _PRUNE, extremal_means, gaussian_box_mass
 
@@ -120,6 +120,37 @@ def mk_row(targets, lower, upper, ul=0.0, uu=0.0):
     if uu > 0:
         targets, lower, upper = [UNSAFE_ID, *targets], [ul, *lower], [uu, *upper]
     return np.asarray(targets, dtype=np.int64), np.asarray(lower, float), np.asarray(upper, float)
+
+
+def first_violation_whole(store: RowStore, num_targets: int):
+    """RowStore.first_violation over the whole store at once, every mask and
+    every float64 sum over all entries: the first bad row's (state, action)
+    and the first rule it breaks, or None."""
+    t, lo, up, start = store.col, store.lo, store.up, store.indptr[:-1]
+
+    def holds(mask):
+        return np.logical_or.reduceat(mask, start)
+
+    falls = np.zeros(t.size, dtype=bool)
+    np.less_equal(t[1:], t[:-1], out=falls[:-1])
+    falls[start[1:] - 1] = False
+    bad_targets = holds(falls) | (t[start] < UNSAFE_ID) | (t[store.indptr[1:] - 1] >= num_targets)
+    lo_sum = np.add.reduceat(lo, start, dtype=float)
+    up_sum = np.add.reduceat(up, start, dtype=float) + store.rem
+    checks = [
+        (bad_targets, f"targets are not increasing ids in [{UNSAFE_ID}, {num_targets})"),
+        (holds(lo < 0.0) | holds(lo > 1.0) | holds(up < 0.0) | holds(up > 1.0),
+         "probabilities outside [0, 1]"),
+        (holds(lo > up), "lower bound exceeds upper bound"),
+        (~((store.rem >= 0.0) & (store.rem <= 1.0)), "remainder outside [0, 1]"),
+        ((lo_sum > 1.0 + _FEAS_TOL) | (up_sum < 1.0 - _FEAS_TOL), None),
+    ]
+    bad = np.flatnonzero(np.any([flags for flags, _ in checks], axis=0))
+    if not bad.size:
+        return None
+    r = int(bad[0])
+    what = next(what for flags, what in checks if flags[r])
+    return store.key(r), what or f"infeasible sums (lower {lo_sum[r]}, upper with remainder {up_sum[r]})"
 
 
 def from_rows(rows: Mapping, num_states: int, num_actions: int) -> RowStore:

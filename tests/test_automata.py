@@ -401,8 +401,14 @@ class TestProduct:
         imdp, dfa = two_goal_imdp()
         prod = build_product(imdp, dfa)
         assert prod.rows.lo is imdp.rows.lo and prod.rows.up is imdp.rows.up
-        # the pid column is the product's own array, stored in half the bytes
-        assert prod.rows.col.dtype == np.int32
+        # no pid column: the rows read the base targets in place and rename
+        # them through one int32 table of n_dfa * (num_cells + 1) pids
+        assert prod.rows.col is imdp.rows.col
+        assert prod.rows.names.dtype == np.int32
+        assert prod.rows.names.shape == (len(dfa.states) * (imdp.num_cells + 1),)
+        _, col = product_walk(imdp, dfa)
+        targets = np.concatenate([t for t, _, _ in prod.rows.values()])
+        assert targets.dtype == col.dtype and np.array_equal(targets, col)
 
     def test_rebuild_is_deterministic(self):
         imdp, dfa = two_goal_imdp()
@@ -480,8 +486,10 @@ PRODUCT_CASES = {
 def _assert_matches_walk(imdp, dfa, prod):
     states, col = product_walk(imdp, dfa)
     assert prod.states.dtype == states.dtype and np.array_equal(prod.states, states)
-    assert prod.rows.col.dtype == col.dtype and np.array_equal(prod.rows.col, col)
+    targets = np.concatenate([t for t, _, _ in prod.rows.values()])  # the store's reader, row by row
+    assert targets.dtype == col.dtype and np.array_equal(targets, col)
     base, A = imdp.rows, imdp.num_actions
+    assert prod.rows.col is base.col
     live = np.flatnonzero(~(prod.accepting | prod.sink))
     base_rows = (base.first[states[live, 0]][:, None] + np.arange(A)).ravel()
     assert np.array_equal(prod.rows.at, base.indptr[base_rows])

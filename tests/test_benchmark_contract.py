@@ -16,6 +16,8 @@ from nndm_synth.fixtures import reach_avoid_2d
 from nndm_synth.geometry import RegionGrid
 from nndm_synth.refinement import RefinementConfig
 
+from oracles import product_walk
+
 WRAPPED = (
     "build_abstraction",
     "synthesize",
@@ -89,7 +91,10 @@ def test_product_rows_items_cover_the_store(small):
         assert 0 <= pid < product.num_states and 0 <= a < product.num_actions
         assert targets.dtype.kind == "i" and targets.shape == lo.shape == up.shape
         total += len(targets)
-    assert total == product.rows.indptr[-1] == product.rows.col.size
+    _, col = product_walk(abstraction.imdp, config.dfa)
+    assert total == product.rows.indptr[-1] == col.size
+    targets = np.concatenate([t for t, _, _ in product.rows.values()])
+    assert np.array_equal(targets, col)
     assert len(product.rows) == product.rows.indptr.size - 1
     live = ~(product.accepting | product.sink)
     assert len(product.rows) == np.count_nonzero(live) * product.num_actions

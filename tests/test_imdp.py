@@ -8,10 +8,13 @@ literal Jacobi iteration whose inner step is an LP solve per state-action.
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nndm_synth import imdp
+from nndm_synth.fixtures import reach_avoid_2d
 from nndm_synth.geometry import UNSAFE_ID
 from nndm_synth.imdp import (
     Imdp,
@@ -25,11 +28,13 @@ from nndm_synth.imdp import (
     evaluate_strategy_upper,
     robust_value_iteration,
 )
+from nndm_synth.pipeline import build_abstraction
 from nndm_synth.transitions import _prune
 
 from oracles import (
     FakeProduct,
     extreme_distribution,
+    first_violation_whole,
     from_rows,
     jacobi_lp_values,
     lp_extreme,
@@ -223,26 +228,30 @@ class TestBlockKernel:
                 assert worth_one[i] == pytest.approx(gamma[-1] if maximize else 0.0, abs=1e-12)
 
     def test_shared_bounds_and_unsorted_targets(self):
-        # rows that read another store's bounds in its order, with targets
-        # renamed so that target 0, first in its base row as UNSAFE_ID is,
-        # becomes the largest id, as the out-of-domain pid often is in the
-        # product
+        # rows that read another store's targets and bounds in place, in its
+        # order, and rename the targets through one table as the product
+        # does: each row reads one of two renamings (shift 0 or S), and both
+        # send target 0, first in its base row as UNSAFE_ID is, to the
+        # largest id, as the out-of-domain pid often is in the product
         rng = np.random.default_rng(6)
         S = 12
         rows = kernel_rows(rng, S)
         base = from_rows({(r, 0): row for r, row in enumerate(rows)}, len(rows), 1)
-        rename = np.r_[S - 1, rng.permutation(S - 1)]
+        rename = np.stack([np.r_[S - 1, rng.permutation(S - 1)] for _ in range(2)])
         picked = rng.permutation(len(rows))
+        which = rng.integers(0, 2, picked.size)
         length = np.diff(base.indptr)[picked]
-        col = np.concatenate([rename[rows[r][0]] for r in picked])
-        store = RowStore(np.arange(len(picked)), 1, length, col, base.lo, base.up,
-                         at=base.indptr[picked])
+        store = RowStore(np.arange(len(picked)), 1, length, base.col, base.lo, base.up,
+                         at=base.indptr[picked], names=rename.ravel(), shift=which * S)
+        for i, r in enumerate(picked):
+            assert np.array_equal(store[i, 0].targets, rename[which[i], rows[r][0]])
         assert any(np.any(np.diff(t) < 0) for t, _, _ in store.values())
+        assert np.any(which == 0) and np.any(which == 1)
         V = rng.uniform(0, 1, S)
         for maximize in (False, True):
             got = kernel_values(store, S, V, np.arange(len(picked)), maximize)
-            want = [extreme_distribution(lo, up, V[rename[t]], maximize) @ V[rename[t]]
-                    for t, lo, up in (rows[r] for r in picked)]
+            want = [extreme_distribution(lo, up, V[rename[k, t]], maximize) @ V[rename[k, t]]
+                    for k, (t, lo, up) in zip(which, (rows[r] for r in picked))]
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_store_views_round_trip(self):
@@ -919,3 +928,108 @@ class TestImdpValidate:
         with pytest.raises(ValueError, match=rf"row \(1, 1\): .*{match}"):
             imdp.validate()
         Imdp(actions=("a0", "a1"), labels=[frozenset()] * 3, rows=_store([good] * 6, 3, 2)).validate()
+
+
+def _sound_rows(rng, num_cells, num_rows):
+    """num_rows sound rows of 1 to 5 increasing targets in [UNSAFE_ID, num_cells)."""
+    rows = []
+    for _ in range(num_rows):
+        k = int(rng.integers(1, 6))
+        t = np.sort(rng.choice(np.arange(UNSAFE_ID, num_cells), size=k, replace=False))
+        p = rng.dirichlet(np.ones(k))
+        rows.append((t, p * rng.uniform(0.5, 1.0, k), np.minimum(p + 0.1, 1.0)))
+    return rows
+
+
+# one bad row per rule, as (targets, lower, upper, remainder) over 4 cells
+BAD_ROWS = {
+    "falling targets": (([2, 1], [0.2, 0.3], [0.6, 0.7], 0.0), "targets"),
+    "target below UNSAFE_ID": (([-2, 1], [0.2, 0.3], [0.6, 0.7], 0.0), "targets"),
+    "target past the last cell": (([0, 4], [0.2, 0.3], [0.6, 0.7], 0.0), "targets"),
+    "negative lower bound": (([0, 1], [-0.1, 0.3], [0.6, 1.0], 0.0), "outside"),
+    "lower above upper": (([0, 1], [0.7, 0.3], [0.6, 1.0], 0.0), "exceeds"),
+    "remainder NaN": (([0, 1], [0.2, 0.3], [0.6, 0.7], np.nan), "remainder"),
+    "infeasible sums": (([0, 1], [0.6, 0.6], [0.7, 0.7], 0.0), "infeasible"),
+}
+
+
+class TestBlockedCheck:
+    """RowStore.first_violation checks blocks of whole rows of at most
+    imdp._CHECK_BLOCK entries; oracles.first_violation_whole is the same rule
+    over the whole store at once."""
+
+    @pytest.mark.parametrize("block", [1, 4, 16])
+    @pytest.mark.parametrize("rule", BAD_ROWS)
+    def test_the_first_bad_row_past_the_first_block(self, monkeypatch, block, rule):
+        # 4 cells x 2 actions repeated to 60 rows; row 37 breaks `rule`, and
+        # row 51 breaks the first rule, which must not be reported instead
+        monkeypatch.setattr(imdp, "_CHECK_BLOCK", block)
+        rng = np.random.default_rng(sorted(BAD_ROWS).index(rule))
+        rows = _sound_rows(rng, 4, 60)
+        rem = np.zeros(60)
+        (t, lo, up, r), match = BAD_ROWS[rule]
+        rows[37], rem[37] = (np.array(t), np.array(lo), np.array(up)), r
+        rows[51] = (np.array([1, 0]), np.array([0.2, 0.3]), np.array([0.6, 0.7]))
+        store = _store(rows, 30, 2, rem)
+        assert store.indptr[37] > block  # past the first block
+        got = store.first_violation(4)
+        assert got == first_violation_whole(store, 4)
+        assert got[0] == (18, 1) and match in got[1]
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_a_sound_store_passes_in_any_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(imdp, "_CHECK_BLOCK", block)
+        store = _store(_sound_rows(np.random.default_rng(3), 5, 40), 20, 2)
+        assert store.first_violation(5) is None and first_violation_whole(store, 5) is None
+
+    @pytest.mark.parametrize("block", [64, 1000])
+    @pytest.mark.parametrize("rule", ["lower above upper", "infeasible sums", "target past the last cell"])
+    def test_a_built_store_with_one_late_fault(self, monkeypatch, block, rule):
+        # the pipeline's narrow store (int32 targets, float32 bounds) with
+        # one entry of a row in its last third broken
+        monkeypatch.setattr(imdp, "_CHECK_BLOCK", block)
+        nd, config = reach_avoid_2d(grid=(4, 4))
+        abstraction = build_abstraction(nd, config).imdp
+        store, n = abstraction.rows, abstraction.num_cells
+        r = 2 * len(store) // 3 + 1
+        e = store.indptr[r]
+        assert e > block  # past the first block
+        if rule == "lower above upper":
+            store.lo[e] = np.nextafter(store.up[e], np.float32(2.0))
+        elif rule == "infeasible sums":
+            store.up[e : store.indptr[r + 1]] = store.lo[e : store.indptr[r + 1]]
+        else:
+            store.col[store.indptr[r + 1] - 1] = n
+        got = store.first_violation(n)
+        assert got == first_violation_whole(store, n)
+        assert got[0] == store.key(r) and BAD_ROWS[rule][1] in got[1]
+
+    def test_a_million_entries_are_checked_in_little_memory(self):
+        # a block widens at most _CHECK_BLOCK = 64 Ki bounds at a time
+        # (0.5 MiB); a whole-array check would widen a copy of each bound
+        # array (8 MiB here)
+        n, k = 1024, 1024
+        store = RowStore(np.arange(n), 1, np.full(n, k), np.tile(np.arange(k, dtype=np.int32), n),
+                         np.full(n * k, 0.5 / k, dtype=np.float32), np.full(n * k, 2.0 / k, dtype=np.float32))
+        assert store.indptr[-1] >= 1 << 20
+        tracemalloc.start()
+        try:
+            assert store.first_violation(k) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, f"first_violation allocated {peak / 2**20:.1f} MiB"
+
+    def test_a_store_that_does_not_own_its_rows_is_refused(self):
+        # a product's rows read the abstraction's entries at `at` and rename
+        # their targets: the rule would read misaligned bounds and name a
+        # wrong row, so it refuses the store
+        prod = random_dfa_product(TWO_GOALS, 1)
+        with pytest.raises(ValueError, match="own their entries"):
+            prod.rows.first_violation(prod.num_states)
+        base = prod.imdp.rows
+        shared = RowStore(base.first, base.num_actions, np.diff(base.indptr)[::-1], base.col, base.lo,
+                          base.up, at=base.indptr[:-1][::-1].copy())
+        with pytest.raises(ValueError, match="own their entries"):
+            shared.first_violation(prod.imdp.num_cells)
+        assert base.first_violation(prod.imdp.num_cells) is None
