@@ -11,7 +11,6 @@ summary.json holds and the command line prints.
 
 from __future__ import annotations
 
-import collections
 import csv
 import json
 import math
@@ -638,10 +637,10 @@ def _clopper_pearson(s: int, n: int, alpha: float) -> tuple[float, float]:
     return low(s), 1.0 - low(n - s)
 
 
-# Most trajectories the Monte Carlo check steps at once. Batches join the
-# pool while they fit (a batch larger than this runs alone), so the pool's
-# arrays and the batches it hands to evaluate and locate stay a few MiB
-# however many start cells are checked.
+# Most trajectories the Monte Carlo check steps at once. A round's batches
+# are stepped in pools of as many whole batches as fit (a batch larger than
+# this runs alone), so the pool's arrays and the batches it hands to evaluate
+# and locate stay a few MiB however many start cells are checked.
 _MC_POOL = 1 << 14
 
 
@@ -659,18 +658,18 @@ def _simulate(
     how many of its runs got accepted within `steps` steps and within
     config.horizon steps.
 
-    All running trajectories advance together in one pool of at most
-    _MC_POOL, which batches join in the order they fall due as finished
-    runs leave it. A cell has one batch in the pool at a time; its next
-    batch falls due once every run of the last has ended and left the cell
-    undecided. Each cell draws from its own generator
-    default_rng([seed, 7919, cell]): each batch's uniform starts when it
-    joins, then each step the noise of the batch's running trajectories, so
-    a cell's draws do not depend on which cells share the pool (its states
-    do, in evaluate's last bits). A run that leaves the domain without its
-    next DFA state accepting counts as failed, matching the certificate's
-    semantics for the out-of-domain state (UNSAFE_ID picks next_tbl's last
-    row); a run still going after `steps` steps counts as unsatisfied."""
+    The check runs one round per checkpoint k: every cell still undecided
+    runs its k-th batch, n_k - n_(k-1) runs, in pools of as many whole
+    batches as fit in _MC_POOL, each pool stepped until none of its runs is
+    left; so a round waits for its slowest run. Each cell draws from its own
+    generator default_rng([seed, 7919, cell]): each batch's uniform starts,
+    then each step the noise of the batch's running trajectories, and its
+    next batch only after the last has ended, so a cell's draws do not
+    depend on which cells share its pool (its states do, in evaluate's last
+    bits). A run that leaves the domain without its next DFA state
+    accepting counts as failed, matching the certificate's semantics for
+    the out-of-domain state (UNSAFE_ID picks next_tbl's last row); a run
+    still going after `steps` steps counts as unsatisfied."""
     config = result.config
     nd = result.abstraction.dynamics
     grid = result.abstraction.grid
@@ -680,72 +679,53 @@ def _simulate(
     dim, m = grid.dim, len(cells)
     chol = np.linalg.cholesky(config.covariance)
     acc_mask, dead_mask = dfa.state_masks()
-    d_init = dfa.states.index(dfa.initial)
-
-    stop = np.zeros(m, dtype=np.int64)  # the checkpoint each cell's batch runs up to
-    verdict = np.zeros(m, dtype=np.int64)
-    k_ext = np.zeros(m, dtype=np.int64)
-    k_hor = np.zeros(m, dtype=np.int64)
-    age = np.zeros(m, dtype=np.int64)  # steps the cell's batch has taken
+    ids = np.asarray(cells, dtype=np.int64)
+    lo, hi = result.p_lower[ids], result.p_upper[ids]
     rngs = [np.random.default_rng([config.seed, 7919, cell]) for cell in cells]
-    due = collections.deque(range(m))  # cells whose next batch waits to join
-    batch_size = np.diff([0] + [n for n, _ in schedule])  # per checkpoint
 
-    def batch_ended(i):
-        cell = cells[i]
-        n, alpha = schedule[stop[i]]
-        verdict[i] = _cp_verdict(int(k_ext[i]), n, alpha, float(result.p_lower[cell]),
-                                 float(result.p_upper[cell]))
-        if verdict[i] == 0 and stop[i] + 1 < len(schedule):
-            stop[i] += 1
-            due.append(i)
+    # every run from a goal or obstacle cell ends before its first step: the
+    # frequency is exact, and no interval of positive width lies inside a
+    # certificate of one point, so such a cell is decided at checkpoint 0
+    d0 = next_tbl[ids, dfa.states.index(dfa.initial)]
+    freq = acc_mask[d0].astype(float)
+    ends = acc_mask[d0] | dead_mask[d0]
+    stop = np.zeros(m, dtype=np.int64)  # the checkpoint each cell stopped at
+    verdict = np.where(ends, np.where((lo <= freq) & (freq <= hi), 1, -1), 0)
+    k_ext = np.where(acc_mask[d0], schedule[0][0], 0).astype(np.int64)
+    k_hor = k_ext.copy()
+    live = np.flatnonzero(~ends)
 
-    # the pool, one contiguous run of trajectories per batch, in joining order
-    z = np.empty((0, dim))
-    where = np.empty(0, dtype=np.int64)  # grid cell of each run
-    d = np.empty(0, dtype=np.int64)  # DFA state of each run
-    owner = np.empty(0, dtype=np.int64)  # index into `cells`
-    while True:
-        while due and (owner.size == 0 or owner.size + batch_size[stop[due[0]]] <= _MC_POOL):
-            i = due.popleft()
-            cell, size = cells[i], batch_size[stop[i]]
-            age[i] = 0
-            d0 = next_tbl[cell, d_init]
-            if acc_mask[d0] or dead_mask[d0]:  # every run ends before its first step
-                won = size if acc_mask[d0] else 0
-                k_ext[i] += won
-                k_hor[i] += won
-                # the frequency is exact, and no interval of positive width
-                # lies inside a certificate of one point: decided here
-                freq = float(acc_mask[d0])
-                verdict[i] = 1 if result.p_lower[cell] <= freq <= result.p_upper[cell] else -1
-                continue
-            z = np.concatenate([z, rngs[i].uniform(grid.lo[cell], grid.hi[cell], size=(size, dim))])
-            where = np.concatenate([where, np.full(size, cell)])
-            d = np.concatenate([d, np.full(size, d0)])
-            owner = np.concatenate([owner, np.full(size, i)])
-        if owner.size == 0:
-            break
-
-        heads = np.flatnonzero(np.diff(owner, prepend=-1))
-        batches = owner[heads]
-        counts = np.diff(heads, append=owner.size)
-        z = _advance(
-            nd, grid, chol, z, table[where, d],
-            np.concatenate([rngs[i].standard_normal((c, dim)) for i, c in zip(batches.tolist(), counts.tolist())]),
-        )
-        where = grid.locate(z)
-        d = next_tbl[where, d]
-        age[batches] += 1
-        t = age[owner]
-        acc = acc_mask[d]
-        k_ext += np.bincount(owner[acc], minlength=m)
-        k_hor += np.bincount(owner[acc & (t <= config.horizon)], minlength=m)
-        keep = np.flatnonzero(~acc & ~dead_mask[d] & (where != UNSAFE_ID) & (t < steps))
-        z, where, d, owner = z.take(keep, axis=0), where[keep], d[keep], owner[keep]
-        left = np.bincount(owner, minlength=m)
-        for i in batches[left[batches] == 0].tolist():
-            batch_ended(i)
+    for k, (n, alpha) in enumerate(schedule):
+        size = n - (schedule[k - 1][0] if k else 0)
+        per_pool = max(1, _MC_POOL // size)
+        for first in range(0, live.size, per_pool):
+            pool = live[first:first + per_pool]
+            z = np.concatenate([rngs[i].uniform(grid.lo[cells[i]], grid.hi[cells[i]], size=(size, dim))
+                                for i in pool.tolist()])
+            owner = np.repeat(pool, size)  # index into `cells` of each run
+            where, d = ids[owner], d0[owner]  # grid cell and DFA state of each run
+            for t in range(1, steps + 1):
+                batches, counts = np.unique(owner, return_counts=True)
+                z = _advance(
+                    nd, grid, chol, z, table[where, d],
+                    np.concatenate([rngs[i].standard_normal((c, dim))
+                                    for i, c in zip(batches.tolist(), counts.tolist())]),
+                )
+                where = grid.locate(z)
+                d = next_tbl[where, d]
+                acc = acc_mask[d]
+                won = np.bincount(owner[acc], minlength=m)
+                k_ext += won
+                if t <= config.horizon:
+                    k_hor += won
+                keep = np.flatnonzero(~acc & ~dead_mask[d] & (where != UNSAFE_ID))
+                if keep.size == 0:
+                    break
+                z, where, d, owner = z.take(keep, axis=0), where[keep], d[keep], owner[keep]
+        for i in live.tolist():
+            verdict[i] = _cp_verdict(int(k_ext[i]), n, alpha, float(lo[i]), float(hi[i]))
+        stop[live] = k
+        live = live[verdict[live] == 0]
     return stop, verdict, k_ext, k_hor
 
 

@@ -922,24 +922,57 @@ class TestMonteCarlo:
         assert report["num_inconsistent"] == 1 and report["cells"][0]["trials"] == first
 
     def test_simulation_seeded_per_cell(self, small_run):
+        # a goal and an obstacle cell, both decided before any step, among
+        # cells that step: each record equals the cell's own single-cell one
         _, config, res, _ = small_run
         small = replace(config, sim_trials=200)
         res_small = replace(res, config=small)
+        dfa, grid = res.product.dfa, res.abstraction.grid
+        acc, dead = dfa.state_masks()
+        d0 = res.product.next_tbl[: grid.num_cells, dfa.states.index(dfa.initial)]
+        goal, obstacle = int(np.flatnonzero(acc[d0])[0]), int(np.flatnonzero(dead[d0])[0])
+        assert len({2, 5, 9, goal, obstacle}) == 5
         a = validate_monte_carlo(res_small, cells=[5])
         b = validate_monte_carlo(res_small, cells=[5])
-        c = validate_monte_carlo(res_small, cells=[2, 5, 9])
+        cells = sorted([2, 5, 9, goal, obstacle])
+        c = validate_monte_carlo(res_small, cells=cells)
         assert a == b
-        assert c["cells"][1] == a["cells"][0]
+        assert c["cells"][cells.index(5)] == a["cells"][0]
+        for cell in (goal, obstacle):
+            alone = validate_monte_carlo(res_small, cells=[cell])["cells"][0]
+            assert c["cells"][cells.index(cell)] == alone
+            assert alone["trials"] == _mc_schedule(200)[0][0]
 
-    @pytest.mark.parametrize("pool", [50, 300])
+    @pytest.mark.parametrize("pool", [30, 50, 300])
     def test_pool_size_does_not_change_the_report(self, small_run, monkeypatch, pool):
-        # 50: below one cell's trials, so each cell runs alone; 300: cells
-        # join one at a time as earlier cells' runs finish
+        # batches of 50, 50 and 100 runs: at 30 and 50 each batch runs
+        # alone; at 300 a pool holds up to six, six and three batches
         _, config, res, _ = small_run
         res_small = replace(res, config=replace(config, sim_trials=200, sim_start_cells=6))
         want = validate_monte_carlo(res_small)
         monkeypatch.setattr(pipeline, "_MC_POOL", pool)
         assert validate_monte_carlo(res_small) == want
+
+    def test_pool_cap_bounds_every_step(self, small_run, monkeypatch):
+        # with a pool of 120, a round of 50-run batches steps two at a time
+        # and a round of 100-run batches one at a time: no step advances
+        # more than max(_MC_POOL, batch size) runs
+        _, config, res, _ = small_run
+        res_small = replace(res, config=replace(config, sim_trials=200, sim_start_cells=6))
+        want = validate_monte_carlo(res_small)
+        sizes = []
+        advance = pipeline._advance
+
+        def counted(nd, grid, chol, z, actions, noise):
+            sizes.append(z.shape[0])
+            return advance(nd, grid, chol, z, actions, noise)
+
+        monkeypatch.setattr(pipeline, "_advance", counted)
+        monkeypatch.setattr(pipeline, "_MC_POOL", 120)
+        got = validate_monte_carlo(res_small)
+        assert got == want
+        assert sizes and max(sizes) <= 120
+        assert any(rec["trials"] == 200 for rec in got["cells"])  # a 100-run batch ran
 
     def test_matches_per_cell_reference_and_unfinished_runs_fail(self, small_run):
         # two steps in all: most runs are still going at the end and count
@@ -994,7 +1027,7 @@ def _reference_runs(result, cell, steps, trials):
     200, ... trials, each batch ending at the next checkpoint below the cap
     config.sim_trials, then at the cap, until `trials` have run. Each batch
     starts once the last has ended, drawing from the cell's generator in
-    the same order as the pooled simulation. Returns the step at which each
+    the same order as the simulation's rounds. Returns the step at which each
     run got accepted (-1 if never) and its final status (0 running,
     1 accepted, 2 failed)."""
     config = result.config
