@@ -203,20 +203,19 @@ def build_abstraction(nd: NeuralDynamics, config: PipelineConfig) -> Abstraction
 
 def apply_refinement(abstraction: Abstraction, outcome: RefineOutcome) -> None:
     """Bring the abstraction in line with a round of grid splits: relax the
-    children of outcome.splits (the only field read) for fresh envelopes,
-    and rebuild every row from the envelope stack in one transition_rows
-    call, so the store is exactly what a full build on the refined grid
-    gives. The stack keeps each unsplit row's envelope at its index; a
-    split child's rows are overwritten (the low child keeps its parent's
-    id) or appended (the high child's new id), so envelope r stays row r's."""
+    cells of outcome.dirty (the only field read) for fresh envelopes, and
+    rebuild every row from the envelope stack in one transition_rows call,
+    so the store is exactly what a full build on the refined grid gives.
+    The stack keeps each unsplit row's envelope at its index; a split
+    child's rows are overwritten (the low child keeps its parent's id) or
+    appended (the high child's new id), so envelope r stays row r's."""
     grid, imdp, old = abstraction.grid, abstraction.imdp, abstraction.bounds
     nd = abstraction.dynamics
     A = imdp.num_actions
-    splits = np.array(outcome.splits, dtype=np.int64).reshape(-1, 3)
-    cells = np.sort(splits[:, :2], axis=None)  # the children of every split
+    cells = outcome.dirty[::A] // A  # the children of every split
     fresh = relax_cells(nd, nd.actions, grid.transform, grid.lo[cells], grid.hi[cells])
     pick = np.arange(grid.num_cells * A)
-    pick[(cells[:, None] * A + np.arange(A)).ravel()] = len(old) + np.arange(len(fresh))
+    pick[outcome.dirty] = len(old) + np.arange(len(fresh))
     abstraction.bounds = LinearBounds.concat([old, fresh])[pick]
     imdp.rows = None  # the old store goes before the new one is built
     imdp.rows = transition_rows(grid, np.arange(grid.num_cells), imdp.actions, abstraction.bounds)
@@ -666,19 +665,18 @@ def _simulate(
     then each step the noise of the batch's running trajectories, and its
     next batch only after the last has ended, so a cell's draws do not
     depend on which cells share its pool (its states do, in evaluate's last
-    bits). A run that leaves the domain without its next DFA state
-    accepting counts as failed, matching the certificate's semantics for
-    the out-of-domain state (UNSAFE_ID picks next_tbl's last row); a run
-    still going after `steps` steps counts as unsatisfied."""
+    bits). Runs step the whitened model (_advance) from their cell's initial
+    product state (pid q is cell q's). A run that leaves the domain without
+    its next DFA state accepting counts as failed, matching the certificate's
+    semantics for the out-of-domain state (UNSAFE_ID picks next_tbl's last
+    row); a run still going after `steps` steps counts as unsatisfied."""
     config = result.config
     nd = result.abstraction.dynamics
     grid = result.abstraction.grid
-    dfa = result.product.dfa
     next_tbl = result.product.next_tbl
     table = result.switching.table
     dim, m = grid.dim, len(cells)
-    chol = np.linalg.cholesky(config.covariance)
-    acc_mask, dead_mask = dfa.state_masks()
+    acc_mask, dead_mask = result.product.dfa.state_masks()
     ids = np.asarray(cells, dtype=np.int64)
     lo, hi = result.p_lower[ids], result.p_upper[ids]
     rngs = [np.random.default_rng([config.seed, 7919, cell]) for cell in cells]
@@ -686,7 +684,7 @@ def _simulate(
     # every run from a goal or obstacle cell ends before its first step: the
     # frequency is exact, and no interval of positive width lies inside a
     # certificate of one point, so such a cell is decided at checkpoint 0
-    d0 = next_tbl[ids, dfa.states.index(dfa.initial)]
+    d0 = result.product.states[ids, 1]
     freq = acc_mask[d0].astype(float)
     ends = acc_mask[d0] | dead_mask[d0]
     stop = np.zeros(m, dtype=np.int64)  # the checkpoint each cell stopped at
@@ -707,7 +705,7 @@ def _simulate(
             for t in range(1, steps + 1):
                 batches, counts = np.unique(owner, return_counts=True)
                 z = _advance(
-                    nd, grid, chol, z, table[where, d],
+                    nd, grid, z, table[where, d],
                     np.concatenate([rngs[i].standard_normal((c, dim))
                                     for i, c in zip(batches.tolist(), counts.tolist())]),
                 )
@@ -732,31 +730,31 @@ def _simulate(
 def _advance(
     nd: NeuralDynamics,
     grid: RegionGrid,
-    chol: np.ndarray,
     z: np.ndarray,
     actions: np.ndarray,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """One closed-loop step of the whitened states z: each run applies its
-    action index's network in original coordinates, then adds its standard
-    normal noise through the covariance's Cholesky factor. The temporaries
-    die on return, before the pool takes its next step."""
+    """One closed-loop step of the whitened states z in the model the rows
+    certify, z' = T f_a(T^-1 z) + w: each run's action index's network maps
+    it in original coordinates, T maps the mean back, and w is its standard
+    normal noise. The temporaries die on return, before the next step."""
     x = z @ grid.transform.inverse.T
     x_next = np.empty_like(x)
     for a in np.flatnonzero(np.bincount(actions)):
         rows = np.flatnonzero(actions == a)
         x_next[rows] = evaluate(nd, nd.actions[a], x.take(rows, axis=0))
-    x_next += noise @ chol.T
-    return x_next @ grid.transform.matrix.T
+    return x_next @ grid.transform.matrix.T + noise
 
 
 def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
     """Simulate the synthesized controller from sampled start cells and check
     each cell's empirical satisfaction frequency against its certified
-    interval, sequentially (_simulate): a cell stops at the first checkpoint
-    of _mc_schedule(config.sim_trials) whose Clopper–Pearson interval lies
-    inside [p_lower, p_upper] (consistent) or is disjoint from it (flagged),
-    or at config.sim_trials, the cap, where it is flagged only if disjoint.
+    interval. Runs step the whitened model with standard normal noise from
+    each cell's initial product state, sequentially (_simulate): a cell stops
+    at the first checkpoint of _mc_schedule(config.sim_trials) whose
+    Clopper–Pearson interval lies inside [p_lower, p_upper] (consistent) or
+    is disjoint from it (flagged), or at config.sim_trials, the cap, where it
+    is flagged only if disjoint.
     A cell whose runs all end before their first step (a goal or obstacle
     cell) stops at the first checkpoint, flagged only if its exact
     frequency lies outside [p_lower, p_upper].
@@ -781,6 +779,8 @@ def validate_monte_carlo(result: PipelineResult, cells=None) -> dict:
         if not 0 <= _strict(_int, c, what) < grid.num_cells:
             raise ValueError(what)
     cells = [int(c) for c in cells]
+    if len(set(cells)) < len(cells):
+        raise ValueError(f"start cell {max(cells, key=cells.count)} is repeated: each cell is checked once")
     steps = config.horizon * config.sim_horizon_factor
     schedule = _mc_schedule(config.sim_trials)
     stop, verdict, k_ext, k_hor = _simulate(result, cells, steps, schedule)

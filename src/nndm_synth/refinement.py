@@ -64,11 +64,11 @@ def split_dimension(bounds: LinearBounds) -> int:
 @dataclass
 class RefineOutcome:
     """What one refinement round changed: (low child id, high child id,
-    dimension) per split, and the rows that need fresh envelopes (every
-    action of both children of each split)."""
+    dimension) per split, and the ascending ids cell * A + action of the
+    rows that need fresh envelopes (every action of each split's children)."""
 
     splits: list[tuple[int, int, int]] = field(default_factory=list)
-    dirty: set[tuple[int, int]] = field(default_factory=set)
+    dirty: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
 
 def refine_round(
@@ -94,7 +94,6 @@ def refine_round(
         if not (lo < 0.5 * (lo + hi) < hi):
             continue  # too narrow to split further
         outcome.splits.append((cell, grid.split_cell(cell, dim), dim))
-    outcome.dirty = {
-        (c, a) for low, new, _ in outcome.splits for c in (low, new) for a in range(A)
-    }
+    children = np.sort(np.array(outcome.splits, dtype=np.int64).reshape(-1, 3)[:, :2], axis=None)
+    outcome.dirty = (children[:, None] * A + np.arange(A)).ravel()
     return outcome

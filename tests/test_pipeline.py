@@ -963,9 +963,9 @@ class TestMonteCarlo:
         sizes = []
         advance = pipeline._advance
 
-        def counted(nd, grid, chol, z, actions, noise):
+        def counted(nd, grid, z, actions, noise):
             sizes.append(z.shape[0])
-            return advance(nd, grid, chol, z, actions, noise)
+            return advance(nd, grid, z, actions, noise)
 
         monkeypatch.setattr(pipeline, "_advance", counted)
         monkeypatch.setattr(pipeline, "_MC_POOL", 120)
@@ -975,21 +975,19 @@ class TestMonteCarlo:
         assert any(rec["trials"] == 200 for rec in got["cells"])  # a 100-run batch ran
 
     def test_matches_per_cell_reference_and_unfinished_runs_fail(self, small_run):
-        # two steps in all: most runs are still going at the end and count
-        # as unsatisfied, against the full trial count
-        _, config, res, _ = small_run
-        small = replace(config, sim_trials=300, horizon=1, sim_horizon_factor=2)
-        res_small = replace(res, config=small)
-        cells = [0, 7, 14, 21, 28, 35]
-        report = validate_monte_carlo(res_small, cells=cells)
-        assert report["extended_steps"] == 2
-        unfinished = 0
-        for cell, rec in zip(cells, report["cells"]):
-            accepted_at, status = _reference_runs(res_small, cell, 2, rec["trials"])
-            unfinished += np.count_nonzero(status == 0)
-            assert rec["freq"] == np.count_nonzero(accepted_at >= 0) / rec["trials"]
-            assert rec["freq_horizon"] == np.count_nonzero((accepted_at >= 0) & (accepted_at <= 1)) / rec["trials"]
-        assert unfinished > 0
+        _, _, res, _ = small_run
+        _assert_matches_reference(res, [0, 7, 14, 21, 28, 35])
+
+    def test_matches_per_cell_reference_under_an_axis_permuting_covariance(self):
+        # eigh orders the whitened axes by ascending variance, so T swaps
+        # the two axes: the standard normal noise is drawn in whitened
+        # coordinates, where a draw for the first original axis would land
+        # on the second
+        nd, config = reach_avoid_2d(grid=(4, 4))
+        config = replace(config, covariance=np.diag([0.1, 0.02]))
+        res = run_pipeline(config, nd=nd)
+        assert res.abstraction.grid.transform.matrix[0, 0] == 0.0
+        _assert_matches_reference(res, [0, 5, 10, 15])
 
     @pytest.mark.parametrize(
         "field, value, key",
@@ -1015,11 +1013,32 @@ class TestMonteCarlo:
         for cell in (-1, res.abstraction.grid.num_cells, 1.5, True, np.True_, None, [1], object()):
             with pytest.raises(ValueError, match=re.escape(f"start cell {cell} ")):
                 validate_monte_carlo(res_small, cells=[0, cell])
+        # a repeated cell was once checked twice, and summarize counted it
+        # twice with double its trials
+        with pytest.raises(ValueError, match=re.escape("start cell 5 is repeated")):
+            validate_monte_carlo(res_small, cells=[5, 5])
 
     def test_zero_start_cells_is_an_empty_check(self, small_run):
         _, config, res, _ = small_run
         report = validate_monte_carlo(replace(res, config=replace(config, sim_start_cells=0)))
         assert report["cells"] == [] and report["num_inconsistent"] == 0
+
+
+def _assert_matches_reference(result, cells):
+    """Two steps in all: most runs are still going at the end and count as
+    unsatisfied, against the full trial count; each cell's frequencies equal
+    its runs stepped alone by _reference_runs."""
+    config = replace(result.config, sim_trials=300, horizon=1, sim_horizon_factor=2)
+    res_small = replace(result, config=config)
+    report = validate_monte_carlo(res_small, cells=cells)
+    assert report["extended_steps"] == 2
+    unfinished = 0
+    for cell, rec in zip(cells, report["cells"]):
+        accepted_at, status = _reference_runs(res_small, cell, 2, rec["trials"])
+        unfinished += np.count_nonzero(status == 0)
+        assert rec["freq"] == np.count_nonzero(accepted_at >= 0) / rec["trials"]
+        assert rec["freq_horizon"] == np.count_nonzero((accepted_at >= 0) & (accepted_at <= 1)) / rec["trials"]
+    assert unfinished > 0
 
 
 def _reference_runs(result, cell, steps, trials):
@@ -1040,9 +1059,8 @@ def _reference_runs(result, cell, steps, trials):
 
 
 def _reference_batch(result, cell, steps, rng, n):
-    config, grid = result.config, result.abstraction.grid
+    grid = result.abstraction.grid
     nd, dfa, next_tbl = result.abstraction.dynamics, result.product.dfa, result.product.next_tbl
-    chol = np.linalg.cholesky(config.covariance)
     acc_mask = np.array([s in dfa.accepting for s in dfa.states])
     dead_mask = np.array([s in dfa.dead_states() for s in dfa.states])
     z = rng.uniform(grid.lo[cell], grid.hi[cell], size=(n, grid.dim))
@@ -1060,7 +1078,8 @@ def _reference_batch(result, cell, steps, rng, n):
         for a in np.unique(a_idx):
             m = a_idx == a
             x_next[m] = evaluate(nd, nd.actions[a], x[m])
-        z[run] = (x_next + rng.standard_normal(x.shape) @ chol.T) @ grid.transform.matrix.T
+        # the whitened model the rows certify: T f_a(T^-1 z) + w, w ~ N(0, I)
+        z[run] = x_next @ grid.transform.matrix.T + rng.standard_normal(x.shape)
         cells[run] = grid.locate(z[run])
         d[run] = next_tbl[cells[run], d[run]]
         acc = acc_mask[d[run]]

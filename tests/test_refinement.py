@@ -110,7 +110,7 @@ class TestRefineRound:
         before = ab.grid.num_cells
         out = refine_round(ab.grid, ab.imdp, syn.p_lower, syn.p_upper,
                            RefinementConfig(), ab.bounds)
-        assert not out.splits and not out.dirty
+        assert not out.splits and out.dirty.size == 0
         assert ab.grid.num_cells == before
 
     @pytest.mark.parametrize("settings, key", [
@@ -160,8 +160,9 @@ def _unsplit_rows_meeting_parents(ab, out, parent_lo, parent_hi):
     highs = np.array([parent_hi[low] for low, _, _ in out.splits])
     count = 0
     A = ab.imdp.num_actions
+    dirty = set(out.dirty.tolist())
     for r, key in enumerate(ab.imdp.rows):
-        if key in out.dirty:
+        if r in dirty:
             continue
         assert r == key[0] * A + key[1]  # envelope r is row r's
         box_lo, box_hi = post_image_boxes(ab.bounds[r : r + 1], ab.grid.lo[[key[0]]], ab.grid.hi[[key[0]]])
@@ -244,7 +245,8 @@ class TestApplyRefinement:
                     rows=transition_rows(grid, cells, nd.actions, bounds))
         ab = Abstraction(dynamics=nd, grid=grid, bounds=bounds, imdp=imdp)
         new = grid.split_cell(1, 0)
-        apply_refinement(ab, RefineOutcome(splits=[(1, new, 0)], dirty={(1, 0), (new, 0)}))
+        # the rows of every action (one here) of both children, ascending
+        apply_refinement(ab, RefineOutcome(splits=[(1, new, 0)], dirty=np.array([1, new])))
         ab.imdp.validate()
         assert len(ab.imdp.rows) == grid.num_cells == 3
         for (cell, _), row in ab.imdp.rows.items():
@@ -271,9 +273,12 @@ class TestApplyRefinement:
         for low, new, dim in out.splits:
             assert ab.grid.labels[low] == ab.grid.labels[new]
             assert ab.grid.cell(low).hi[dim] == ab.grid.cell(new).lo[dim]
-        # dirty rows are exactly every action of every child
-        assert out.dirty == {(c, a) for low, new, _ in out.splits for c in (low, new)
-                             for a in range(len(nd.actions))}
+        # dirty rows are exactly every action of every child, as row ids
+        # cell * A + action, ascending
+        A = len(nd.actions)
+        assert out.dirty.dtype == np.int64
+        assert out.dirty.tolist() == sorted(c * A + a for low, new, _ in out.splits for c in (low, new)
+                                            for a in range(A))
 
     def test_synthesis_still_runs_after_refinement(self, small_problem):
         nd, config, _, _ = small_problem
